@@ -2,12 +2,10 @@
 
 Reads a scene configuration (JSON), runs one of the pipeline tasks and emits
 a deterministic report: identical configurations produce byte-identical
-output.  Exit codes: 0 success, 2 malformed configuration, 3 domain error.
+output.  Exit codes: 0 success, 2 malformed configuration (non-finite numbers
+and too-deep nesting included), 3 domain error (a non-finite result included).
 
     bhm --task solve --input scene.json --output - --format json
-
-Set BHM_THREADS to parallelize over points; ordering of the output does not
-depend on the execution schedule.
 """
 
 from __future__ import annotations
@@ -16,10 +14,8 @@ import argparse
 import csv
 import io
 import json
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .core import Bicomplex
 from .errors import BhmError, ExprSchemaError
@@ -62,6 +58,17 @@ def _cvec(v):
     return [_c(c) for c in v]
 
 
+def _finite(parse):
+    """JSON number hook: NaN, infinities and literals past the double range
+    (such as 1e400) are malformed configuration."""
+    def number(token):
+        value = parse(token)
+        if not abs(value) <= sys.float_info.max:
+            raise ExprSchemaError(f"number {token:.32} is not a finite double")
+        return value
+    return number
+
+
 def _parse_complex(obj, what):
     if isinstance(obj, (int, float)):
         return complex(obj)
@@ -89,22 +96,6 @@ def _parse_data(config) -> WeierstrassData:
     if not isinstance(data, dict) or "G" not in data or "H" not in data:
         raise ExprSchemaError("config needs 'data': {'G': ..., 'H': ...}")
     return WeierstrassData(holofn_from_json(data["G"]), holofn_from_json(data["H"]))
-
-
-def _threads() -> int:
-    try:
-        return max(1, int(os.environ.get("BHM_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
-def _map_ordered(fn, items):
-    n = _threads()
-    items = list(items)
-    if n <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=n) as pool:
-        return list(pool.map(fn, items))
 
 
 def _grid_points(grid):
@@ -165,7 +156,7 @@ def _task_solve(config, tol, seed):
         return {"point": _cvec(z),
                 "roots": [_root_json(data, s) for s in solve_phi(data, z)]}
 
-    return {"task": "solve", "results": _map_ordered(work, pts)}
+    return {"task": "solve", "results": [work(z) for z in pts]}
 
 
 def _fibre_json(fibre, ts):
@@ -257,7 +248,7 @@ def _task_verify(config, tol, seed):
             roots.append(entry)
         return {"point": _cvec(z), "roots": roots}
 
-    return {"task": "verify", "results": _map_ordered(work, pts)}
+    return {"task": "verify", "results": [work(z) for z in pts]}
 
 
 def _task_slice(config, tol, seed):
@@ -311,7 +302,7 @@ def _task_slice(config, tol, seed):
             rows.append(row)
         return rows
 
-    rows = [r for batch in _map_ordered(work, pts) for r in batch]
+    rows = [r for x in pts for r in work(x)]
     return {"task": "slice", "slice": kind.value, "results": rows}
 
 
@@ -430,8 +421,8 @@ def run(config, out, fmt=None, tol=None, seed=0) -> int:
             raise ExprSchemaError(f"task {task!r} has no CSV form; use json")
         writer(report, out)
     else:
-        json.dump(report, out, sort_keys=True, separators=(",", ":"))
-        out.write("\n")
+        out.write(json.dumps(report, sort_keys=True, separators=(",", ":"),
+                             allow_nan=False) + "\n")
     return 0
 
 
@@ -445,7 +436,7 @@ def main(argv=None) -> int:
     parser.add_argument("--input", default="-", help="config JSON file, or - for stdin")
     parser.add_argument("--output", default="-", help="output file, or - for stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--tol", type=float, default=None,
+    parser.add_argument("--tol", type=_finite(float), default=None,
                         help="residual/projection tolerance override")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sampling tasks")
@@ -463,8 +454,9 @@ def main(argv=None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        config = json.loads(text)
-    except (OSError, json.JSONDecodeError) as exc:
+        config = json.loads(text, parse_float=_finite(float),
+                            parse_int=_finite(int), parse_constant=_finite(float))
+    except (OSError, ValueError, RecursionError) as exc:
         return fail(2, exc)
 
     if args.task:
@@ -476,9 +468,9 @@ def main(argv=None) -> int:
     buffer = io.StringIO()
     try:
         run(config, buffer, fmt=args.format, tol=args.tol, seed=args.seed)
-    except ExprSchemaError as exc:
+    except (ExprSchemaError, RecursionError) as exc:
         return fail(2, exc)
-    except BhmError as exc:
+    except (BhmError, ValueError) as exc:  # ValueError: a NaN or inf in the report
         return fail(3, exc)
 
     try:

@@ -139,9 +139,6 @@ def _coerce_hyp(value):
     return None
 
 
-HYP_J = Hyperbolic(0.0, 1.0)
-
-
 def complex_norm(q) -> complex:
     """CN(q) = q1^2 + q2^2; q is a unit iff CN(q) != 0."""
     return q.cn()

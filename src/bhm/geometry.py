@@ -208,31 +208,6 @@ class BVec3:
         return cls(*(Bicomplex.from_reals(v) for v in obj))
 
 
-# free-function forms of the vector operations
-def inner_B(p: BVec3, q: BVec3) -> Bicomplex:
-    return p.inner(q)
-
-
-def square_B(q: BVec3) -> Bicomplex:
-    return q.square()
-
-
-def star(q: BVec3) -> BVec3:
-    return q.star()
-
-
-def complex_norm_vec(q: BVec3) -> complex:
-    return q.cn()
-
-
-def inner_C(p: CVec3, q: CVec3) -> complex:
-    return p.dot(q)
-
-
-def cross_C(p: CVec3, q: CVec3) -> CVec3:
-    return p.cross(q)
-
-
 # ---------------------------------------------------------------------------
 # projective helpers
 

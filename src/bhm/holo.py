@@ -376,12 +376,12 @@ def poly_coefficients(e: Expr, var=VAR):
             raise InvalidInputError(f"unexpected variable {e.name!r}")
         return [0j, 1 + 0j]
     if isinstance(e, Add):
-        return _poly_add(poly_coefficients(e.a, var), poly_coefficients(e.b, var))
+        return poly_add(poly_coefficients(e.a, var), poly_coefficients(e.b, var))
     if isinstance(e, Sub):
-        return _poly_add(poly_coefficients(e.a, var),
-                         [-c for c in poly_coefficients(e.b, var)])
+        return poly_add(poly_coefficients(e.a, var),
+                        [-c for c in poly_coefficients(e.b, var)])
     if isinstance(e, Mul):
-        return _poly_mul(poly_coefficients(e.a, var), poly_coefficients(e.b, var))
+        return poly_mul(poly_coefficients(e.a, var), poly_coefficients(e.b, var))
     if isinstance(e, Div):
         den = poly_coefficients(e.b, var)
         if len(den) != 1:
@@ -395,12 +395,13 @@ def poly_coefficients(e: Expr, var=VAR):
         out = [1 + 0j]
         base = poly_coefficients(e.base, var)
         for _ in range(e.exp):
-            out = _poly_mul(out, base)
+            out = poly_mul(out, base)
         return out
     raise TypeError(f"cannot extract coefficients from {type(e).__name__}")
 
 
-def _poly_add(p, q):
+def poly_add(p, q):
+    """Sum of two ascending coefficient lists."""
     if len(p) < len(q):
         p, q = q, p
     out = list(p)
@@ -409,7 +410,8 @@ def _poly_add(p, q):
     return out
 
 
-def _poly_mul(p, q):
+def poly_mul(p, q):
+    """Product of two ascending coefficient lists."""
     out = [0j] * (len(p) + len(q) - 1)
     for i, a in enumerate(p):
         if a == 0:

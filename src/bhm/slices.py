@@ -16,10 +16,10 @@ from __future__ import annotations
 from enum import Enum
 
 from .core import Bicomplex, Hyperbolic, I1
-from .errors import BranchJumpError, InvalidInputError, NotInSliceError
+from .errors import InvalidInputError, NotInSliceError
 from .geometry import CVec3, s2c_to_q2c, S2CPoint
 from .holo import HoloFn
-from .verify import DEFAULT_STEP
+from .verify import DEFAULT_STEP, _richardson_line, tracked_branch
 from .weierstrass import WeierstrassData, solve_phi
 
 NOT_IN_SLICE_ATOL = 1e-8
@@ -98,20 +98,7 @@ def wave_residual(kind, phi, x, h=None):
             xs = list(x)
             xs[k] += step
             vals.append(phi(xs))
-        fp, fm, fp2, fm2 = vals
-        d1_h = (fp - fm) * (0.5 / h)
-        d1_h2 = (fp2 - fm2) * (1.0 / h)
-        d2_h = (fp - 2.0 * f0 + fm) * (1.0 / (h * h))
-        d2_h2 = (fp2 - 2.0 * f0 + fm2) * (4.0 / (h * h))
-        floor = 1e-6 * (abs(f0) + 1.0)
-        if (abs(d1_h - d1_h2) > 0.4 * max(abs(d1_h), abs(d1_h2))
-                and abs(d1_h - d1_h2) > floor):
-            raise BranchJumpError(f"derivative scales disagree at {x!r}")
-        if (abs(d2_h - d2_h2) > 0.4 * max(abs(d2_h), abs(d2_h2))
-                and abs(d2_h - d2_h2) > floor / h):
-            raise BranchJumpError(f"second-derivative scales disagree at {x!r}")
-        d1 = (4.0 * d1_h2 - d1_h) * (1.0 / 3.0)
-        d2 = (4.0 * d2_h2 - d2_h) * (1.0 / 3.0)
+        d1, d2 = _richardson_line(f0, *vals, h)
         term_l = d2 * signs[k]
         term_n = (d1 * d1) * signs[k]
         lap = term_l if lap is None else lap + term_l
@@ -134,12 +121,10 @@ def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = 
             raise NotInSliceError(f"no root restricts to the slice at {x0!r}")
         q0 = anchors[branch].q
 
+    branch_q = tracked_branch(data, embed_domain(kind, x0), q0=q0)
+
     def phi(x):
-        sols = solve_phi(data, embed_domain(kind, x))
-        if not sols:
-            raise BranchJumpError(f"no roots at {x!r}")
-        q = min((s.q for s in sols), key=lambda qq: abs(qq - q0))
-        return project_codomain(kind, q, atol=atol)
+        return project_codomain(kind, branch_q(embed_domain(kind, x)), atol=atol)
 
     return phi
 

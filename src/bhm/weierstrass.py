@@ -25,7 +25,7 @@ from .errors import (
     InvalidInputError,
 )
 from .geometry import BVec3, CVec3
-from .holo import HoloFn, poly_coefficients
+from .holo import HoloFn, poly_add, poly_coefficients, poly_mul
 
 GRAD_NULL_TOL = 1e-9
 
@@ -245,39 +245,14 @@ def congruence_components(data: WeierstrassData, z: CVec3):
     z1, z2, z3 = z.u1, z.u2, z.u3
 
     def build(g, h, i2_side):
-        gg = _pmul(g, g)
-        out = _padd(_pscale(-2 * z1, g), _pscale(z2, _psub([1 + 0j], gg)))
-        out = _padd(out, _pscale(i2_side * z3, _padd([1 + 0j], gg)))
-        return _psub(out, _pscale(2.0 + 0j, h))
+        gg = poly_mul(g, g)
+        one_minus = poly_add([1 + 0j], [-c for c in gg])
+        one_plus = poly_add([1 + 0j], gg)
+        out = poly_add([-2 * z1 * c for c in g], [z2 * c for c in one_minus])
+        out = poly_add(out, [i2_side * z3 * c for c in one_plus])
+        return poly_add(out, [-((2.0 + 0j) * c) for c in h])
 
     return build(g1, h1, 1j), build(g2, h2, -1j)
-
-
-def _padd(p, q):
-    if len(p) < len(q):
-        p, q = q, p
-    out = list(p)
-    for k, c in enumerate(q):
-        out[k] += c
-    return out
-
-
-def _psub(p, q):
-    return _padd(p, [-c for c in q])
-
-
-def _pscale(c, p):
-    return [c * x for x in p]
-
-
-def _pmul(p, q):
-    out = [0j] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for k, b in enumerate(q):
-            out[i + k] += a * b
-    return out
 
 
 def solve_phi(data: WeierstrassData, z, grad_tol=1e-8) -> list[CongruenceSolution]:

@@ -228,15 +228,47 @@ class TestSchemaAndExitCodes:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["task"] == "solve"
 
-    def test_threads_env_same_output(self):
-        config = {"task": "solve", "data": RADIAL,
-                  "points": [[0.1 * k, 1, 0.2] for k in range(6)]}
-        base = run_main(config)
-        import os
-        proc = subprocess.run(
-            [sys.executable, "-m", "bhm.cli"],
-            input=json.dumps(config).encode(), capture_output=True,
-            env={**os.environ, "BHM_THREADS": "4"},
-        )
-        assert proc.returncode == 0
-        assert proc.stdout == base.stdout
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity", "1e400",
+                                       "1" + "0" * 400],
+                             ids=["nan", "inf", "-inf", "1e400", "10**400"])
+    def test_exit_code_2_on_non_finite_number(self, token):
+        text = ('{"task": "solve", "data": %s, "points": [[%s, 1, 0]]}'
+                % (json.dumps(RADIAL), token))
+        proc = subprocess.run([sys.executable, "-m", "bhm.cli"],
+                              input=text.encode(), capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert json.loads(proc.stderr)["error"]["type"] == "ExprSchemaError"
+
+    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    def test_exit_code_2_on_non_finite_tol(self, tol):
+        # a NaN tolerance would pass every not-in-slice check
+        proc = run_main({"task": "solve", "data": RADIAL, "points": [[0, 1, 0]]},
+                        "--tol", tol)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+
+    def test_exit_code_3_on_non_finite_result(self):
+        # finite input whose roots overflow: the report is not emitted with NaN
+        config = {"task": "solve", "data": RADIAL, "points": [[1e300, 1e300, 0]]}
+        proc = run_main(config)
+        assert proc.returncode == 3
+        assert proc.stdout == b""
+        # numpy's overflow warnings come first; the error is the last line
+        err = json.loads(proc.stderr.splitlines()[-1])
+        assert err["error"]["type"] == "ValueError"
+
+    @pytest.mark.parametrize("text", [
+        # nesting deep enough to exhaust the JSON decoder
+        "[" * 2000 + "]" * 2000,
+        # a flat 5000-term sum parses into a tree too deep to differentiate
+        json.dumps({"task": "solve",
+                    "data": {"G": {"f": {"op": "add", "args": [VAR] * 5000}},
+                             "H": {"f": CONST0}},
+                    "points": [[0, 1, 0]]}),
+    ], ids=["json", "expression"])
+    def test_exit_code_2_on_deep_nesting(self, text):
+        proc = subprocess.run([sys.executable, "-m", "bhm.cli"],
+                              input=text.encode(), capture_output=True)
+        assert proc.returncode == 2
+        assert json.loads(proc.stderr)["error"]["type"] == "RecursionError"

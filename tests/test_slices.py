@@ -5,7 +5,7 @@ import math
 import pytest
 
 from bhm.core import Bicomplex, Hyperbolic, I2, J
-from bhm.errors import InvalidInputError, NotInSliceError
+from bhm.errors import BranchJumpError, InvalidInputError, NotInSliceError
 from bhm.holo import Const, HoloFn, Var
 from bhm.slices import (
     embed_domain,
@@ -288,6 +288,18 @@ class TestSliceClosure:
                     g = sol.gradient.norm()
                     assert hr <= 1e-5 * max(1.0, g ** 2), (kind, x, sol.q)
                     assert nr <= 1e-5 * max(1.0, g ** 2), (kind, x, sol.q)
+
+    @pytest.mark.parametrize("kind, phi", [
+        # a jump in value breaks the first-derivative scales
+        ("euclidean", lambda x: complex(0 if x[0] <= 0 else 1e3, 0)),
+        ("minkowski_d", lambda x: Hyperbolic(0 if x[0] <= 0 else 1e3, 0)),
+        # a kink keeps the first derivatives, breaks the second
+        ("minkowski_c", lambda x: complex(abs(x[0]), 0)),
+    ], ids=["euclidean-jump", "minkowski_d-jump", "minkowski_c-kink"])
+    def test_branch_jump_detection(self, kind, phi):
+        # a real map that is not smooth on the stencil must be flagged
+        with pytest.raises(BranchJumpError):
+            wave_residual(kind, phi, (0, 1, 0))
 
 
 class TestCompactificationChecks:
