@@ -93,6 +93,7 @@ from .weierstrass import (
     fibre_position_via_chart,
     gauss_map,
     solve_phi,
+    solve_roots,
     xi_direction,
     xi_from_fibres,
     xi_from_gh,

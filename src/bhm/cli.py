@@ -2,8 +2,9 @@
 
 Reads a scene configuration (JSON), runs one of the pipeline tasks and emits
 a deterministic report: identical configurations produce byte-identical
-output.  Exit codes: 0 success, 2 malformed configuration (non-finite numbers
-and too-deep nesting included), 3 domain error (a non-finite result included).
+output.  Exit codes: 0 success, 2 malformed configuration (non-finite numbers,
+too-deep nesting and the degree and grid-size limits included), 3 domain error
+(a non-finite or overflowing result included).
 
     bhm --task solve --input scene.json --output - --format json
 """
@@ -14,8 +15,11 @@ import argparse
 import csv
 import io
 import json
+import math
 import random
 import sys
+
+import numpy as np
 
 from .core import Bicomplex
 from .errors import BhmError, ExprSchemaError
@@ -40,6 +44,7 @@ from .weierstrass import (
 )
 
 TASKS = ("solve", "fibres", "verify", "slice", "charts")
+MAX_GRID_POINTS = 100_000
 
 
 def _f(x: float) -> float:
@@ -111,6 +116,9 @@ def _grid_points(grid):
         raise ExprSchemaError("'grid' entries must have 3 components")
     if any(n <= 0 for n in counts):
         raise ExprSchemaError("'grid' counts must be positive")
+    n_points = math.prod(counts)
+    if n_points > MAX_GRID_POINTS:
+        raise ExprSchemaError(f"'grid' has {n_points} points, more than {MAX_GRID_POINTS}")
     if not all(x <= y and abs(x) < 1e12 and abs(y) < 1e12 for x, y in zip(lo, hi)):
         raise ExprSchemaError("'grid' bounds must be finite with min <= max")
     axes = []
@@ -362,26 +370,40 @@ _RUNNERS = {
 # output formatting
 
 
+def _csv_rows(out):
+    """Row writer for a CSV report; like the JSON report, it refuses a
+    non-finite value (ValueError)."""
+    writer = csv.writer(out, lineterminator="\n")
+
+    def writerow(row):
+        for v in row:
+            if isinstance(v, float) and not math.isfinite(v):
+                raise ValueError(f"non-finite value {v!r} in the CSV report")
+        writer.writerow(row)
+
+    return writerow
+
+
 def _csv_solve(report, out):
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["p1_re", "p1_im", "p2_re", "p2_im", "p3_re", "p3_im",
-                "q_x1", "q_x2", "q_x3", "q_x4", "multiplicity", "residual",
-                "degenerate", "partially_degenerate",
-                "laplacian_abs", "nullness_abs"])
+    writerow = _csv_rows(out)
+    writerow(["p1_re", "p1_im", "p2_re", "p2_im", "p3_re", "p3_im",
+              "q_x1", "q_x2", "q_x3", "q_x4", "multiplicity", "residual",
+              "degenerate", "partially_degenerate",
+              "laplacian_abs", "nullness_abs"])
     for res in report["results"]:
         p = [v for c in res["point"] for v in c]
         for r in res["roots"]:
-            w.writerow(p + r["q"] + [r["multiplicity"], r["residual"],
-                                     int(r["degenerate"]),
-                                     int(r["partially_degenerate"]),
-                                     r["laplacian_abs"], r["nullness_abs"]])
+            writerow(p + r["q"] + [r["multiplicity"], r["residual"],
+                                   int(r["degenerate"]),
+                                   int(r["partially_degenerate"]),
+                                   r["laplacian_abs"], r["nullness_abs"]])
 
 
 def _csv_fibres(report, out):
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["q_x1", "q_x2", "q_x3", "q_x4", "tag",
-                "base_1re", "base_1im", "base_2re", "base_2im", "base_3re", "base_3im",
-                "dir_1re", "dir_1im", "dir_2re", "dir_2im", "dir_3re", "dir_3im"])
+    writerow = _csv_rows(out)
+    writerow(["q_x1", "q_x2", "q_x3", "q_x4", "tag",
+              "base_1re", "base_1im", "base_2re", "base_2im", "base_3re", "base_3im",
+              "dir_1re", "dir_1im", "dir_2re", "dir_2im", "dir_3re", "dir_3im"])
     for r in report["results"]:
         base = r["base"]
         if base is None and r["samples"]:
@@ -389,16 +411,16 @@ def _csv_fibres(report, out):
         base = [v for c in (base or [[0, 0]] * 3) for v in c]
         vec = r["direction"] if r["direction"] is not None else r["normal"]
         vec = [v for c in (vec or [[0, 0]] * 3) for v in c]
-        w.writerow(r["q"] + [r["tag"]] + base + vec)
+        writerow(r["q"] + [r["tag"]] + base + vec)
 
 
 def _csv_slice(report, out):
-    w = csv.writer(out, lineterminator="\n")
-    w.writerow(["x1", "x2", "x3", "branch", "q_x1", "q_x2", "q_x3", "q_x4",
-                "value_1", "value_2", "class", "harmonic_res", "null_res"])
+    writerow = _csv_rows(out)
+    writerow(["x1", "x2", "x3", "branch", "q_x1", "q_x2", "q_x3", "q_x4",
+              "value_1", "value_2", "class", "harmonic_res", "null_res"])
     for r in report["results"]:
-        w.writerow(r["x"] + [r["branch"]] + r["q"] + r["value"]
-                   + [r["class"], r["harmonic_res"], r["null_res"]])
+        writerow(r["x"] + [r["branch"]] + r["q"] + r["value"]
+                 + [r["class"], r["harmonic_res"], r["null_res"]])
 
 
 _CSV_WRITERS = {"solve": _csv_solve, "fibres": _csv_fibres, "slice": _csv_slice}
@@ -467,10 +489,15 @@ def main(argv=None) -> int:
 
     buffer = io.StringIO()
     try:
-        run(config, buffer, fmt=args.format, tol=args.tol, seed=args.seed)
+        # numpy scalars warn on overflow; the report's finiteness check
+        # turns such a result into exit 3, and stderr carries only its error
+        with np.errstate(all="ignore"):
+            run(config, buffer, fmt=args.format, tol=args.tol, seed=args.seed)
     except (ExprSchemaError, RecursionError) as exc:
         return fail(2, exc)
-    except (BhmError, ValueError) as exc:  # ValueError: a NaN or inf in the report
+    except (BhmError, ValueError, OverflowError) as exc:
+        # ValueError: a NaN or inf in the report; OverflowError: complex
+        # powers past the double range, such as a folded constant 1e300**2
         return fail(3, exc)
 
     try:

@@ -16,6 +16,10 @@ from .errors import ExprSchemaError, InvalidInputError, PoleEncounteredError
 # a division node is a pole when |den| <= POLE_RTOL * max(1, |num|)
 POLE_RTOL = 1e-12
 
+# parsed trees may not reach a higher degree, nor hold a larger |exp|:
+# coefficient extraction and the companion-matrix roots grow with both
+MAX_DEGREE = 64
+
 VAR = "q"
 
 
@@ -343,8 +347,35 @@ def expr_from_json(obj) -> Expr:
         exp = obj.get("exp")
         if not isinstance(exp, int):
             raise ExprSchemaError(f"pow node needs integer 'exp', got {exp!r}")
+        if abs(exp) > MAX_DEGREE:
+            raise ExprSchemaError(f"pow exponent {exp} exceeds {MAX_DEGREE} in absolute value")
         return _pow(expr_from_json(args[0]), exp)
     raise ExprSchemaError(f"unknown expression op {op!r}")
+
+
+def degree_bound(e: Expr) -> int:
+    """Upper bound on the degree of a tree in its variable; a quotient counts
+    the degrees of numerator and denominator, a negative power that of its
+    base."""
+    if isinstance(e, Const):
+        return 0
+    if isinstance(e, Var):
+        return 1
+    if isinstance(e, (Add, Sub)):
+        return max(degree_bound(e.a), degree_bound(e.b))
+    if isinstance(e, (Mul, Div)):
+        return degree_bound(e.a) + degree_bound(e.b)
+    if isinstance(e, Pow):
+        return abs(e.exp) * degree_bound(e.base)
+    raise TypeError(f"cannot bound the degree of {type(e).__name__}")
+
+
+def _bounded(e: Expr) -> Expr:
+    degree = degree_bound(e)
+    if degree > MAX_DEGREE:
+        raise ExprSchemaError(f"expression degree can reach {degree}, "
+                              f"more than {MAX_DEGREE}")
+    return e
 
 
 def expr_to_json(e: Expr):
@@ -521,10 +552,11 @@ def holofn_from_json(obj) -> HoloFn:
     if not isinstance(obj, dict):
         raise ExprSchemaError("holomorphic function must be an object")
     if "f" in obj:
-        f = expr_from_json(obj["f"])
+        f = _bounded(expr_from_json(obj["f"]))
         return HoloFn(f, f)
     if "f1" in obj and "f2" in obj:
-        return HoloFn(expr_from_json(obj["f1"]), expr_from_json(obj["f2"]))
+        return HoloFn(_bounded(expr_from_json(obj["f1"])),
+                      _bounded(expr_from_json(obj["f2"])))
     raise ExprSchemaError("expected keys 'f' or 'f1'/'f2'")
 
 

@@ -23,7 +23,7 @@ from enum import Enum
 from .core import Bicomplex
 from .errors import BranchJumpError, InvalidInputError
 from .geometry import BVec3, CVec3
-from .weierstrass import WeierstrassData, solve_phi
+from .weierstrass import WeierstrassData, solve_roots
 
 DEFAULT_STEP = 1e-3
 CLASSIFY_TOL = 1e-9
@@ -151,20 +151,22 @@ def tracked_branch(data: WeierstrassData, z0, q0: Bicomplex | None = None, branc
 
     The branch is anchored at the root ``q0`` (or the ``branch``-th root in
     canonical order at z0); at nearby points the nearest root is selected.
+    Only the roots are solved for, never their derivatives: a stencil reads
+    the values alone.
     """
     if not isinstance(z0, CVec3):
         z0 = CVec3(*z0)
     if q0 is None:
-        sols = solve_phi(data, z0)
-        if not sols:
+        roots = solve_roots(data, z0)
+        if not roots:
             raise InvalidInputError("no congruence solutions at the anchor point")
-        q0 = sols[branch].q
+        q0 = roots[branch]
 
     def phi(z):
-        sols = solve_phi(data, z)
-        if not sols:
+        roots = solve_roots(data, z)
+        if not roots:
             raise BranchJumpError(f"no roots at {z!r}")
-        return min((s.q for s in sols), key=lambda q: abs(q - q0))
+        return min(roots, key=lambda q: abs(q - q0))
 
     return phi
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -31,7 +32,8 @@ GRAD_NULL_TOL = 1e-9
 
 
 class WeierstrassData:
-    """Holomorphic data (G, H) with cached derivative trees."""
+    """Holomorphic data (G, H) with cached derivative trees and congruence
+    coefficients."""
 
     def __init__(self, G: HoloFn, H: HoloFn):
         self.G = G
@@ -40,6 +42,27 @@ class WeierstrassData:
         self.dH = H.derivative()
         self.d2G = self.dG.derivative()
         self.d2H = self.dH.derivative()
+
+    @cached_property
+    def congruence_coefficients(self):
+        """The z-independent coefficient lists (G, 1 - G^2, 1 + G^2, -2H) of
+        the e-side and of the f-side.
+
+        Built on first use: only polynomial data has them, and ``fibre_at``
+        serves any data.
+        """
+        g1 = poly_coefficients(self.G.f1)
+        g2 = poly_coefficients(self.G.f2)
+        h1 = poly_coefficients(self.H.f1)
+        h2 = poly_coefficients(self.H.f2)
+
+        def side(g, h):
+            # tuples: every solve at every z shares them
+            gg = poly_mul(g, g)
+            return (tuple(g), tuple(poly_add([1 + 0j], [-c for c in gg])),
+                    tuple(poly_add([1 + 0j], gg)), tuple(-((2.0 + 0j) * c) for c in h))
+
+        return side(g1, h1), side(g2, h2)
 
     def __repr__(self):
         return f"WeierstrassData(G={self.G!r}, H={self.H!r})"
@@ -156,8 +179,7 @@ class CongruenceSolution:
     residual: float = 0.0           # |F(q)| after back-substitution
 
     def sort_key(self):
-        e, f = self.q.ringleb()
-        return (e.real, e.imag, f.real, f.imag)
+        return _canonical_key(self.q)
 
 
 def _trim(coeffs, rtol=1e-12):
@@ -238,82 +260,99 @@ def congruence_components(data: WeierstrassData, z: CVec3):
     Requires polynomial G and H.  The i2-unit contributes +i1 to the e-side
     and -i1 to the f-side.
     """
-    g1 = poly_coefficients(data.G.f1)
-    g2 = poly_coefficients(data.G.f2)
-    h1 = poly_coefficients(data.H.f1)
-    h2 = poly_coefficients(data.H.f2)
-    z1, z2, z3 = z.u1, z.u2, z.u3
+    a1 = -2 * z.u1
+    z2 = z.u2
 
-    def build(g, h, i2_side):
-        gg = poly_mul(g, g)
-        one_minus = poly_add([1 + 0j], [-c for c in gg])
-        one_plus = poly_add([1 + 0j], gg)
-        out = poly_add([-2 * z1 * c for c in g], [z2 * c for c in one_minus])
-        out = poly_add(out, [i2_side * z3 * c for c in one_plus])
-        return poly_add(out, [-((2.0 + 0j) * c) for c in h])
+    def build(side, i2_side):
+        g, one_minus, one_plus, minus_2h = side
+        a3 = i2_side * z.u3
+        out = poly_add([a1 * c for c in g], [z2 * c for c in one_minus])
+        out = poly_add(out, [a3 * c for c in one_plus])
+        return poly_add(out, minus_2h)
 
-    return build(g1, h1, 1j), build(g2, h2, -1j)
+    side_e, side_f = data.congruence_coefficients
+    return build(side_e, 1j), build(side_f, -1j)
+
+
+def _canonical_key(q: Bicomplex):
+    e, f = q.ringleb()
+    return (e.real, e.imag, f.real, f.imag)
+
+
+def _canonical_roots(data: WeierstrassData, z: CVec3):
+    """The components (fe, ff) at z and every pairwise root combination
+    (q, s, ms, w, mw) of e-side root s and f-side root w, in canonical order."""
+    fe, ff = congruence_components(data, z)
+    roots_e = _poly_roots(fe)
+    roots_f = _poly_roots(ff)
+    pairs = [(Bicomplex.from_ringleb(s, w), s, ms, w, mw)
+             for s, ms in roots_e for w, mw in roots_f]
+    pairs.sort(key=lambda pair: _canonical_key(pair[0]))
+    return fe, ff, pairs
+
+
+def solve_roots(data: WeierstrassData, z) -> list[Bicomplex]:
+    """All roots q of the congruence equation at z, in canonical order, with
+    no derivatives: exactly ``[s.q for s in solve_phi(data, z)]``."""
+    if not isinstance(z, CVec3):
+        z = CVec3(*z)
+    return [pair[0] for pair in _canonical_roots(data, z)[2]]
 
 
 def solve_phi(data: WeierstrassData, z, grad_tol=1e-8) -> list[CongruenceSolution]:
     """All roots q of the congruence equation at z, in canonical order.
 
-    Roots come from the pairwise combinations of the e-side and f-side
-    polynomial roots; each carries its implicit gradient, Laplacian and
-    degeneracy flags.  Multiple roots are reported with their multiplicity
-    and no gradient (the implicit function theorem fails there).
+    The roots are those of ``solve_roots``; each carries its implicit
+    gradient, Laplacian and degeneracy flags.  Multiple roots are reported
+    with their multiplicity and no gradient (the implicit function theorem
+    fails there).
     """
     if not isinstance(z, CVec3):
         z = CVec3(*z)
-    fe, ff = congruence_components(data, z)
-    roots_e = _poly_roots(fe)
-    roots_f = _poly_roots(ff)
+    fe, ff, pairs = _canonical_roots(data, z)
     dfe = _poly_derivative(_trim(fe))
     dff = _poly_derivative(_trim(ff))
 
     sols = []
-    for s, ms in roots_e:
-        for w, mw in roots_f:
-            q = Bicomplex.from_ringleb(s, w)
-            residual = abs(Bicomplex.from_ringleb(_poly_eval(fe, s), _poly_eval(ff, w)))
-            de = _poly_eval(dfe, s) if dfe else 0j
-            df = _poly_eval(dff, w) if dff else 0j
-            sol = CongruenceSolution(
-                q=q, gradient=None, laplacian=None,
-                multiplicity=ms * mw, residual=residual,
-            )
-            dscale = grad_tol * max(1.0, _coeff_scale(dfe, s), _coeff_scale(dff, w))
-            e_ok = abs(de) > dscale
-            f_ok = abs(df) > dscale
-            if e_ok and f_ok and ms == 1 and mw == 1:
-                # invert dF/dq componentwise: both parts are bounded away
-                # from zero here, even when their product would trip the
-                # scale-invariant zero-divisor guard
-                fq_inv = Bicomplex.from_ringleb(1.0 / de, 1.0 / df)
-                xi = xi_direction(data, q)
-                grad = xi * (-1 * fq_inv)
-                sol.gradient = grad
-                n2 = grad.norm2()
-                sol.degenerate = (abs(grad.cn()) <= GRAD_NULL_TOL * max(n2, 1e-300)
-                                  and n2 > 0)
-                # second-order implicit relation, summed over coordinates:
-                # F_q Phi_ii + F_qq Phi_i^2 + 2 F_{z_i q} Phi_i = 0
-                g = data.G(q)
-                dg = data.dG(q)
-                d2g = data.d2G(q)
-                d2h = data.d2H(q)
-                xi_p = BVec3(-2 * dg, -2 * g * dg, (2 * g * dg) * I2)
-                gdg2 = d2g * g + dg * dg
-                fqq = (-2 * d2g * z.u1 - 2 * gdg2 * z.u2
-                       + (2 * gdg2 * z.u3) * I2 - 2 * d2h)
-                lap = Bicomplex(0.0)
-                for gi, xpi in zip(grad, xi_p):
-                    lap = lap - (fqq * gi * gi + 2 * xpi * gi) * fq_inv
-                sol.laplacian = lap
-            elif e_ok != f_ok:
-                sol.partially_degenerate = True
-            sols.append(sol)
-    sols.sort(key=CongruenceSolution.sort_key)
+    for q, s, ms, w, mw in pairs:
+        residual = abs(Bicomplex.from_ringleb(_poly_eval(fe, s), _poly_eval(ff, w)))
+        de = _poly_eval(dfe, s) if dfe else 0j
+        df = _poly_eval(dff, w) if dff else 0j
+        sol = CongruenceSolution(
+            q=q, gradient=None, laplacian=None,
+            multiplicity=ms * mw, residual=residual,
+        )
+        dscale = grad_tol * max(1.0, _coeff_scale(dfe, s), _coeff_scale(dff, w))
+        e_ok = abs(de) > dscale
+        f_ok = abs(df) > dscale
+        if e_ok and f_ok and ms == 1 and mw == 1:
+            # invert dF/dq componentwise: both parts are bounded away
+            # from zero here, even when their product would trip the
+            # scale-invariant zero-divisor guard
+            fq_inv = Bicomplex.from_ringleb(1.0 / de, 1.0 / df)
+            xi = xi_direction(data, q)
+            grad = xi * (-1 * fq_inv)
+            sol.gradient = grad
+            n2 = grad.norm2()
+            sol.degenerate = (abs(grad.cn()) <= GRAD_NULL_TOL * max(n2, 1e-300)
+                              and n2 > 0)
+            # second-order implicit relation, summed over coordinates:
+            # F_q Phi_ii + F_qq Phi_i^2 + 2 F_{z_i q} Phi_i = 0
+            g = data.G(q)
+            dg = data.dG(q)
+            d2g = data.d2G(q)
+            d2h = data.d2H(q)
+            xi_p = BVec3(-2 * dg, -2 * g * dg, (2 * g * dg) * I2)
+            gdg2 = d2g * g + dg * dg
+            fqq = (-2 * d2g * z.u1 - 2 * gdg2 * z.u2
+                   + (2 * gdg2 * z.u3) * I2 - 2 * d2h)
+            lap = Bicomplex(0.0)
+            for gi, xpi in zip(grad, xi_p):
+                lap = lap - (fqq * gi * gi + 2 * xpi * gi) * fq_inv
+            sol.laplacian = lap
+        elif e_ok != f_ok:
+            sol.partially_degenerate = True
+        sols.append(sol)
     return sols
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -30,6 +31,14 @@ def run_main(config, *args):
         capture_output=True,
     )
     return proc
+
+
+def main_in_process(config, monkeypatch, capsys, *args):
+    """``main`` on a config fed through stdin; returns (code, stdout, stderr)."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    code = main(list(args))
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
 
 
 class TestSolve:
@@ -250,13 +259,70 @@ class TestSchemaAndExitCodes:
 
     def test_exit_code_3_on_non_finite_result(self):
         # finite input whose roots overflow: the report is not emitted with NaN
+        self._assert_non_finite_result_exits_3()
+
+    def test_exit_code_3_on_non_finite_result_csv(self):
+        # the CSV writers refuse the same NaN the JSON dump does
+        self._assert_non_finite_result_exits_3("--format", "csv")
+
+    @staticmethod
+    def _assert_non_finite_result_exits_3(*args):
         config = {"task": "solve", "data": RADIAL, "points": [[1e300, 1e300, 0]]}
-        proc = run_main(config)
+        proc = run_main(config, *args)
         assert proc.returncode == 3
         assert proc.stdout == b""
-        # numpy's overflow warnings come first; the error is the last line
-        err = json.loads(proc.stderr.splitlines()[-1])
-        assert err["error"]["type"] == "ValueError"
+        # no numpy warning precedes it: stderr is exactly one JSON document
+        assert len(proc.stderr.splitlines()) == 1
+        assert json.loads(proc.stderr)["error"]["type"] == "ValueError"
+
+    def test_exit_code_3_on_overflowing_constant(self, monkeypatch, capsys):
+        g = {"op": "pow", "args": [{"op": "const", "value": [1e300, 0]}], "exp": 2}
+        config = {"task": "solve", "data": {"G": {"f": g}, "H": {"f": CONST0}},
+                  "points": [[0, 1, 0]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"]["type"] == "OverflowError"
+
+    @pytest.mark.parametrize("g", [
+        {"op": "pow", "args": [VAR], "exp": 100000},
+        {"op": "pow", "args": [VAR], "exp": -100000},
+        # a constant base keeps degree 0, yet extraction loops |exp| times
+        {"op": "pow", "args": [{"op": "div", "args": [CONST0, {"op": "const", "value": 2}]}],
+         "exp": 10 ** 9},
+        # nested powers multiply: each exponent is within the cap, the degree is not
+        {"op": "pow", "args": [{"op": "pow", "args": [VAR], "exp": 64}], "exp": 64},
+        {"op": "mul", "args": [VAR] * 65},
+        {"op": "div", "args": [{"op": "pow", "args": [VAR], "exp": 40},
+                               {"op": "pow", "args": [VAR], "exp": 40}]},
+    ], ids=["pow-1e5", "pow-neg-1e5", "const-pow-1e9", "nested-pow", "mul-65", "div-80"])
+    def test_exit_code_2_on_degree_cap(self, g, monkeypatch, capsys):
+        config = {"task": "solve", "data": {"G": {"f": g}, "H": {"f": CONST0}},
+                  "points": [[0, 1, 0]]}
+        t0 = time.perf_counter()
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ExprSchemaError"
+
+    def test_degree_cap_admits_degree_64(self):
+        g = {"op": "pow", "args": [VAR], "exp": 64}
+        config = {"task": "solve", "data": {"G": {"f1": g, "f2": VAR}, "H": {"f": CONST0}},
+                  "points": [[0.3, 1.1, -0.2]]}
+        code, text = run_config(config)
+        assert code == 0
+        assert len(json.loads(text)["results"][0]["roots"]) == 128 * 2
+
+    @pytest.mark.parametrize("counts", [[1e5, 1e5, 1e5], [100, 100, 11]],
+                             ids=["1e15", "110000"])
+    def test_exit_code_2_on_grid_cap(self, counts, monkeypatch, capsys):
+        config = {"task": "slice", "slice": "euclidean",
+                  "g": {"f": VAR}, "h": {"f": CONST0},
+                  "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": counts}}
+        t0 = time.perf_counter()
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ExprSchemaError"
 
     @pytest.mark.parametrize("text", [
         # nesting deep enough to exhaust the JSON decoder

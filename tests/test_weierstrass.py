@@ -2,7 +2,9 @@
 
 import random
 
+import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bhm.core import Bicomplex, I1, I2, J
 from bhm.errors import (
@@ -18,8 +20,10 @@ from bhm.weierstrass import (
     fibre_at,
     fibre_position,
     fibre_position_via_chart,
+    _poly_roots,
     gauss_map,
     solve_phi,
+    solve_roots,
     xi_direction,
     xi_from_fibres,
     xi_from_gh,
@@ -168,8 +172,9 @@ class TestSolvePhi:
         # G = H = 0: F = z2 + z3*i2; at z3 = i1*z2 the e-component vanishes
         # identically, so the solution set is not discrete
         data = WeierstrassData(HoloFn(Const(0)), HoloFn(Const(0)))
-        with pytest.raises(DegenerateAllComponentsError):
-            solve_phi(data, (1, 1, 1j))
+        for solve in (solve_phi, solve_roots):
+            with pytest.raises(DegenerateAllComponentsError):
+                solve(data, (1, 1, 1j))
 
     def test_zero_divisor_valued_h_still_solvable(self):
         # at z = (t, 1, i1) the projection congruence root is q = 1 + j, where
@@ -408,3 +413,162 @@ class TestReconstruction:
         fibre = fibre_at(PROJECTION, Bicomplex(1, 1j))  # base (0, 1, i): c^2 = 0
         with pytest.raises(InvalidInputError):
             xi_from_fibres([(Bicomplex(1, 1j), fibre)])
+
+
+# ---------------------------------------------------------------------------
+# the roots-only solve behind the finite-difference stencils
+
+_coeff = st.one_of(
+    st.just(0j),
+    st.builds(complex, st.floats(-2, 2), st.floats(-2, 2)),
+)
+
+
+@st.composite
+def _poly_tree(draw):
+    coeffs = draw(st.lists(_coeff, min_size=1, max_size=4))  # degree 0-3
+    tree = Const(coeffs[0])
+    for k, c in enumerate(coeffs[1:], start=1):
+        tree = tree + Const(c) * Q ** k
+    return tree
+
+
+@st.composite
+def _holofn(draw):
+    f1 = draw(_poly_tree())
+    # per-side data: the f-side tree differs from the e-side one
+    return HoloFn(f1, draw(_poly_tree()) if draw(st.booleans()) else f1)
+
+
+_point = st.one_of(
+    st.tuples(*[st.builds(complex, st.floats(-3, 3), st.floats(-3, 3))] * 3),
+    # points where a congruence component vanishes identically for G = H = 0
+    st.sampled_from([(1, 1, 1j), (1, 1, -1j), (0, 1, 1j)]),
+)
+
+
+def _bits(qs):
+    return [[x.hex() for x in q.to_reals()] for q in qs]
+
+
+class TestSolveRoots:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(G=_holofn(), H=_holofn(), z=_point)
+    def test_matches_solve_phi_bit_for_bit(self, G, H, z):
+        data = WeierstrassData(G, H)
+        try:
+            sols = solve_phi(data, z)
+        except DegenerateAllComponentsError:
+            with pytest.raises(DegenerateAllComponentsError):
+                solve_roots(data, z)
+            return
+        assert _bits(solve_roots(data, z)) == _bits([s.q for s in sols])
+
+    def test_non_polynomial_data_serves_fibres(self):
+        # the coefficients are built lazily, so non-polynomial data still
+        # constructs and classifies fibres; only solving rejects it, each time
+        data = WeierstrassData(HoloFn(1 / (Q + 2)), HoloFn(Q * 0.5))
+        q = Bicomplex(0.3 + 0.1j, -0.2 + 0.4j)
+        fibre = fibre_at(data, q)
+        assert fibre.tag is FibreTag.NON_NULL_LINE
+        assert fibre.contains(fibre.sample_points([0.7])[0])
+        for _ in range(2):
+            with pytest.raises(InvalidInputError):
+                solve_roots(data, (0, 1, 0))
+
+
+# ---------------------------------------------------------------------------
+# _poly_roots against 50-digit roots of the same double coefficients
+
+ORACLE_DPS = 50
+CLUSTER_RTOL = 1e-7  # the clustering threshold of _poly_roots, times scale
+
+
+@mpmath.workdps(ORACLE_DPS)
+def _coeffs_from_roots(roots, lead=1.3 - 0.2j):
+    """Ascending double coefficients of lead * prod(x - r), expanded at 50
+    digits and rounded once."""
+    c = [mpmath.mpc(lead)]
+    for r in roots:
+        r = mpmath.mpc(r)
+        nxt = [mpmath.mpc(0)] * (len(c) + 1)
+        for k, a in enumerate(c):
+            nxt[k + 1] += a
+            nxt[k] -= a * r
+        c = nxt
+    return [complex(x) for x in c]
+
+
+@mpmath.workdps(ORACLE_DPS)
+def _oracle(coeffs):
+    """Exact roots of the double coefficients, clustered like the solver's
+    documented rule: (mean, multiplicity, distance to the nearest other
+    cluster, scale)."""
+    roots = mpmath.polyroots([mpmath.mpc(c) for c in reversed(coeffs)],
+                             maxsteps=200, extraprec=200)
+    scale = max(mpmath.mpf(1), max(abs(r) for r in roots))
+    groups = []
+    for r in roots:
+        for g in groups:
+            if abs(r - g[0]) <= CLUSTER_RTOL * scale:
+                g.append(r)
+                break
+        else:
+            groups.append([r])
+    means = [sum(g) / len(g) for g in groups]
+    out = []
+    for i, g in enumerate(groups):
+        # every root inside a cluster, or every gap between clusters, must
+        # sit a factor 2 from the threshold, or the case decides nothing
+        for a in g:
+            for b in g:
+                assert abs(a - b) <= CLUSTER_RTOL * scale / 2
+        others = [abs(a - b) for j, h in enumerate(groups) if j != i
+                  for a in g for b in h]
+        gap = min(others) if others else scale
+        assert gap >= 2 * CLUSTER_RTOL * scale
+        out.append((means[i], len(g), float(gap / scale), float(scale)))
+    return out
+
+
+def _assert_matches_oracle(coeffs):
+    got = _poly_roots(coeffs)
+    want = _oracle(coeffs)
+    assert sorted(m for _, m in got) == sorted(m for _, m, _, _ in want)
+    for r, m in got:
+        mean, m_want, gap, scale = min(want, key=lambda w: abs(w[0] - r))
+        assert m == m_want
+        err = float(abs(mean - r)) / scale
+        if m > 1:
+            tol = 5e-8           # the mean of a cluster of polished roots
+        elif gap < 1e-3:
+            tol = 1e-8           # one of a near-double pair
+        else:
+            tol = 1e-13 / gap    # a well-separated simple root
+        assert err <= tol, (r, m, err, tol)
+
+
+_NEAR_DOUBLE = [(a, rel, extra)
+                for a in (0.7 - 0.4j, 2.0 + 1.5j, -3.1 + 0.2j)
+                for rel in (1e-5, 3e-7, 3e-8, 1e-9, 0.0)
+                for extra in ([], [0.3 + 1.1j], [0.3 + 1.1j, -1.7 - 0.6j])]
+
+
+class TestPolyRootsOracle:
+    @pytest.mark.parametrize("a, rel, extra", _NEAR_DOUBLE)
+    def test_near_double_roots(self, a, rel, extra):
+        # a pair a, a + d with |d| = rel * scale: 3e-7 and above stay two
+        # simple roots, 3e-8 and below merge into one double root
+        scale = max(1.0, abs(a), *(abs(e) for e in extra))
+        d = rel * scale * (0.6 + 0.8j)
+        coeffs = _coeffs_from_roots([a, a + d] + extra)
+        _assert_matches_oracle(coeffs)
+        want = [1, 1] if rel >= 3e-7 else [2]
+        assert sorted(m for _, m in _poly_roots(coeffs)) == sorted(want + [1] * len(extra))
+
+    @pytest.mark.parametrize("degree", [2, 3, 4, 6])
+    def test_random_simple_roots(self, degree):
+        rng = random.Random(7000 + degree)
+        for _ in range(20):
+            roots = [rand_complex(rng) for _ in range(degree)]
+            _assert_matches_oracle(_coeffs_from_roots(roots, lead=rand_complex(rng) + 2.5))
