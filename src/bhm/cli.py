@@ -3,8 +3,9 @@
 Reads a scene configuration (JSON), runs one of the pipeline tasks and emits
 a deterministic report: identical configurations produce byte-identical
 output.  Exit codes: 0 success, 2 malformed configuration (non-finite numbers,
-too-deep nesting and the degree and grid-size limits included), 3 domain error
-(a non-finite or overflowing result included).
+too-deep nesting and the degree, grid-size and sample-count limits included),
+3 domain error (a non-finite or overflowing result, or running out of memory,
+included).
 
     bhm --task solve --input scene.json --output - --format json
 """
@@ -44,7 +45,8 @@ from .weierstrass import (
 )
 
 TASKS = ("solve", "fibres", "verify", "slice", "charts")
-MAX_GRID_POINTS = 100_000
+# cap on the points one run computes: a slice grid, or fibre samples over all params
+MAX_POINTS = 100_000
 
 
 def _f(x: float) -> float:
@@ -117,8 +119,8 @@ def _grid_points(grid):
     if any(n <= 0 for n in counts):
         raise ExprSchemaError("'grid' counts must be positive")
     n_points = math.prod(counts)
-    if n_points > MAX_GRID_POINTS:
-        raise ExprSchemaError(f"'grid' has {n_points} points, more than {MAX_GRID_POINTS}")
+    if n_points > MAX_POINTS:
+        raise ExprSchemaError(f"'grid' has {n_points} points, more than {MAX_POINTS}")
     if not all(x <= y and abs(x) < 1e12 and abs(y) < 1e12 for x, y in zip(lo, hi)):
         raise ExprSchemaError("'grid' bounds must be finite with min <= max")
     axes = []
@@ -193,8 +195,11 @@ def _task_fibres(config, tol, seed):
         raise ExprSchemaError("'fibres' needs a non-empty 'params' list of "
                               "bicomplex 4-tuples")
     n_samples = config.get("samples", 3)
-    if not isinstance(n_samples, int) or n_samples < 0:
+    if type(n_samples) is not int or n_samples < 0:  # a JSON true is a bool
         raise ExprSchemaError("'samples' must be a non-negative integer")
+    if len(params) * n_samples > MAX_POINTS:
+        raise ExprSchemaError(f"'fibres' asks for {len(params)} x {n_samples} samples, "
+                              f"more than {MAX_POINTS}")
     rng = random.Random(seed)
     ts = [rng.uniform(-2.0, 2.0) for _ in range(n_samples)]
     qs = [_parse_bicomplex(p) for p in params]
@@ -268,6 +273,9 @@ def _task_slice(config, tol, seed):
                               f"{[k.value for k in SliceKind]}, got {kind!r}")
     if "g" not in config or "h" not in config:
         raise ExprSchemaError("'slice' task needs 'g' and 'h' expressions")
+    run_fd = config.get("fd", True)
+    if not isinstance(run_fd, bool):
+        raise ExprSchemaError(f"'fd' must be true or false, got {run_fd!r}")
     data = slice_data(kind, holofn_from_json(config["g"]), holofn_from_json(config["h"]))
     if "grid" in config:
         pts = _grid_points(config["grid"])
@@ -280,7 +288,6 @@ def _task_slice(config, tol, seed):
             pts.append(tuple(float(v) for v in p))
     else:
         raise ExprSchemaError("'slice' task needs 'grid' or 'points'")
-    run_fd = config.get("fd", True)
     atol = tol if tol is not None else 1e-8
 
     def work(x):
@@ -480,6 +487,8 @@ def main(argv=None) -> int:
                             parse_int=_finite(int), parse_constant=_finite(float))
     except (OSError, ValueError, RecursionError) as exc:
         return fail(2, exc)
+    except MemoryError as exc:
+        return fail(3, exc)
 
     if args.task:
         if not isinstance(config, dict):
@@ -495,7 +504,7 @@ def main(argv=None) -> int:
             run(config, buffer, fmt=args.format, tol=args.tol, seed=args.seed)
     except (ExprSchemaError, RecursionError) as exc:
         return fail(2, exc)
-    except (BhmError, ValueError, OverflowError) as exc:
+    except (BhmError, ValueError, OverflowError, MemoryError) as exc:
         # ValueError: a NaN or inf in the report; OverflowError: complex
         # powers past the double range, such as a folded constant 1e300**2
         return fail(3, exc)

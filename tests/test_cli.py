@@ -8,6 +8,7 @@ import time
 
 import pytest
 
+from bhm import cli
 from bhm.cli import main, run
 from bhm.errors import ExprSchemaError
 
@@ -203,6 +204,9 @@ class TestSchemaAndExitCodes:
          "grid": {"min": [0, 0, 0], "max": [1, 1, 1], "counts": [0, 1, 1]}},
         {"task": "charts", "charts": {"op": "transition", "from": "G", "to": "XX",
                                       "values": [[1, 0, 0, 0]]}},
+        # a non-boolean 'fd' such as "no" is truthy: it would run the stencil
+        {"task": "slice", "slice": "euclidean", "g": {"f": VAR}, "h": {"f": CONST0},
+         "points": [[0, 0, 0]], "fd": "no"},
     ])
     def test_schema_errors_raise(self, config):
         with pytest.raises(ExprSchemaError):
@@ -323,6 +327,48 @@ class TestSchemaAndExitCodes:
         assert time.perf_counter() - t0 < 1.0
         assert code == 2 and out == ""
         assert json.loads(err)["error"]["type"] == "ExprSchemaError"
+
+    @pytest.mark.parametrize("params, samples", [
+        ([[1, 0, 2, 0]], 10 ** 9),
+        ([[1, 0, 2, 0]] * 11, 10_000),
+        # a JSON boolean is a Python int; true must not read as one sample
+        ([[1, 0, 2, 0]], True),
+    ], ids=["1e9", "11x1e4", "bool"])
+    def test_exit_code_2_on_fibres_samples(self, params, samples, monkeypatch, capsys):
+        config = {"task": "fibres", "data": PROJECTION, "params": params,
+                  "samples": samples}
+        t0 = time.perf_counter()
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ExprSchemaError"
+
+    def test_fibres_samples_cap_admits_the_limit(self, monkeypatch):
+        # the cap counts samples over all params, the limit itself included
+        monkeypatch.setattr(cli, "MAX_POINTS", 8)
+        config = {"task": "fibres", "data": PROJECTION,
+                  "params": [[1, 0, 2, 0]] * 2, "samples": 4}
+        code, text = run_config(config)
+        assert code == 0
+        assert [len(r["samples"]) for r in json.loads(text)["results"]] == [4, 4]
+        with pytest.raises(ExprSchemaError):
+            run_config(dict(config, samples=5))
+
+    @pytest.mark.parametrize("stage", ["parse", "run"])
+    def test_exit_code_3_on_memory_error(self, stage, monkeypatch, capsys):
+        def exhausted(*args, **kwargs):
+            raise MemoryError("out of memory")
+        if stage == "parse":
+            monkeypatch.setattr(cli.json, "loads", exhausted)
+        else:
+            monkeypatch.setitem(cli._RUNNERS, "solve", exhausted)
+        config = {"task": "solve", "data": RADIAL, "points": [[0, 1, 0]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        monkeypatch.undo()
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {"type": "MemoryError",
+                                            "message": "out of memory"}
 
     @pytest.mark.parametrize("text", [
         # nesting deep enough to exhaust the JSON decoder

@@ -1,10 +1,5 @@
-"""Algebra of the bicomplex and hyperbolic number kernels.
+"""Algebra of the bicomplex and hyperbolic number kernels."""
 
-Runs against every available backend (compiled and pure Python) so the two
-stay behaviourally identical.
-"""
-
-import importlib
 import math
 import random
 
@@ -31,17 +26,10 @@ from bhm.core import (
     ringleb_recompose,
 )
 
-BACKENDS = []
-for modname in ("bhm._kernels", "bhm._kernels_py"):
-    try:
-        BACKENDS.append(importlib.import_module(modname))
-    except ImportError:
-        pass
-
-
-@pytest.fixture(params=BACKENDS, ids=lambda m: m.BACKEND)
+# one value, so the test ids keep naming the kernel ("[python]")
+@pytest.fixture(params=[core.Bicomplex], ids=[core.BACKEND])
 def B(request):
-    return request.param.Bicomplex
+    return request.param
 
 
 def rand(rng, B, scale=2.0):

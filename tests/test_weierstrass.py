@@ -4,6 +4,7 @@ import random
 
 import mpmath
 import pytest
+import sympy
 from hypothesis import given, settings, strategies as st
 
 from bhm.core import Bicomplex, I1, I2, J
@@ -572,3 +573,85 @@ class TestPolyRootsOracle:
         for _ in range(20):
             roots = [rand_complex(rng) for _ in range(degree)]
             _assert_matches_oracle(_coeffs_from_roots(roots, lead=rand_complex(rng) + 2.5))
+
+
+# ---------------------------------------------------------------------------
+# the implicit derivatives against sympy's derivatives of the congruence
+#
+# The map q = z1 + z2*i2 -> z1 + side*i*z2 (side = +1 for the e-part, -1
+# for the f-part) is a ring homomorphism onto C that sends i2 to side*i and
+# fixes the complex point coordinates.  So each part of F(z, q) = 0 is the
+# complex equation -2 g(w) z1 + (1 - g(w)^2) z2 + side*i (1 + g(w)^2) z3
+# - 2 h(w) = 0 in the part w of q, with g and h the same part of G and H.
+# sympy differentiates it once for generic coefficients; the derivatives
+# are evaluated at 30 digits.
+
+IMPLICIT_DEG = 3      # the largest degree of the random G and H
+IMPLICIT_RTOL = 1e-10  # relative to the sum of the terms' magnitudes
+
+
+@pytest.fixture(scope="module")
+def side_derivatives():
+    w, side = sympy.symbols("w side")
+    z = sympy.symbols("z1:4")
+    a = sympy.symbols(f"a0:{IMPLICIT_DEG + 1}")
+    b = sympy.symbols(f"b0:{IMPLICIT_DEG + 1}")
+    g = sum(c * w ** k for k, c in enumerate(a))
+    h = sum(c * w ** k for k, c in enumerate(b))
+    F = -2 * g * z[0] + (1 - g ** 2) * z[1] + side * sympy.I * (1 + g ** 2) * z[2] - 2 * h
+
+    def numeric(expr):
+        return sympy.lambdify((w, side, *z, *a, *b), expr, modules="mpmath")
+
+    return {"F_q": numeric(sympy.diff(F, w)),
+            "F_qq": numeric(sympy.diff(F, w, 2)),
+            "F_z": [numeric(sympy.diff(F, zi)) for zi in z],
+            "F_zq": [numeric(sympy.diff(F, zi, w)) for zi in z]}
+
+
+def _rand_side_coeffs(rng, deg):
+    """Ringleb pair of random polynomial trees and their padded ascending
+    coefficient lists, e-side first."""
+    trees, coeffs = [], []
+    for _ in range(2):
+        c = [rand_complex(rng) for _ in range(deg + 1)]
+        tree = Const(c[0])
+        for k in range(1, deg + 1):
+            tree = tree + Const(c[k]) * Q ** k
+        trees.append(tree)
+        coeffs.append(c + [0j] * (IMPLICIT_DEG - deg))
+    return HoloFn(*trees), coeffs
+
+
+class TestImplicitRelationOracle:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_second_order_relation(self, seed, side_derivatives):
+        # F_q Phi_ii + F_qq Phi_i^2 + 2 F_{z_i q} Phi_i = 0, summed over i
+        # (F is linear in z), and F_q Phi_i + F_{z_i} = 0 for each i
+        d = side_derivatives
+        rng = random.Random(9100 + seed)
+        checked = 0
+        for _ in range(5):
+            G, g_sides = _rand_side_coeffs(rng, rng.randint(1, IMPLICIT_DEG))
+            H, h_sides = _rand_side_coeffs(rng, rng.randint(0, IMPLICIT_DEG))
+            z = [rand_complex(rng) for _ in range(3)]
+            for sol in solve_phi(WeierstrassData(G, H), CVec3(*z)):
+                if sol.gradient is None:
+                    continue
+                checked += 1
+                for side, g, h in zip((1, -1), g_sides, h_sides):
+                    def part(x):
+                        return mpmath.mpc(x.z1 + side * 1j * x.z2)
+
+                    with mpmath.workdps(30):
+                        args = [part(sol.q), side, *z, *g, *h]
+                        f_q, f_qq = d["F_q"](*args), d["F_qq"](*args)
+                        phi = [part(x) for x in sol.gradient]
+                        for f_z, p in zip(d["F_z"], phi):
+                            terms = [f_q * p, f_z(*args)]
+                            assert abs(sum(terms)) <= IMPLICIT_RTOL * sum(map(abs, terms))
+                        terms = [f_q * part(sol.laplacian)]
+                        for f_zq, p in zip(d["F_zq"], phi):
+                            terms += [f_qq * p * p, 2 * f_zq(*args) * p]
+                        assert abs(sum(terms)) <= IMPLICIT_RTOL * sum(map(abs, terms))
+        assert checked >= 20
