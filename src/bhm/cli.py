@@ -26,7 +26,7 @@ from .core import Bicomplex
 from .errors import BhmError, ExprSchemaError
 from .geometry import CVec3, chart_to_point, point_to_chart, transition
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
-from .holo import holofn_from_json
+from .holo import degree_bound, holofn_from_json, is_number
 from .slices import (
     SliceKind,
     project_codomain,
@@ -35,7 +35,7 @@ from .slices import (
     tracked_real_branch,
     wave_residual,
 )
-from .verify import classify_point, fd_residuals, tracked_branch
+from .verify import classify_point, fd_residuals, point_key, tracked_branch
 from .weierstrass import (
     WeierstrassData,
     fibre_at,
@@ -47,6 +47,8 @@ from .weierstrass import (
 TASKS = ("solve", "fibres", "verify", "slice", "charts")
 # cap on the points one run computes: a slice grid, or fibre samples over all params
 MAX_POINTS = 100_000
+# cap on the roots one run can compute: points times the roots one point can have
+MAX_ROOTS = 100_000
 
 
 def _f(x: float) -> float:
@@ -77,10 +79,10 @@ def _finite(parse):
 
 
 def _parse_complex(obj, what):
-    if isinstance(obj, (int, float)):
+    if is_number(obj):
         return complex(obj)
     if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(isinstance(v, (int, float)) for v in obj)):
+            and all(is_number(v) for v in obj)):
         return complex(obj[0], obj[1])
     raise ExprSchemaError(f"{what} must be a number or [re, im], got {obj!r}")
 
@@ -93,7 +95,7 @@ def _parse_point(obj):
 
 def _parse_bicomplex(obj):
     if (isinstance(obj, (list, tuple)) and len(obj) == 4
-            and all(isinstance(v, (int, float)) for v in obj)):
+            and all(is_number(v) for v in obj)):
         return Bicomplex.from_reals(obj)
     raise ExprSchemaError(f"bicomplex value must be [x1, x2, x3, x4], got {obj!r}")
 
@@ -105,17 +107,31 @@ def _parse_data(config) -> WeierstrassData:
     return WeierstrassData(holofn_from_json(data["G"]), holofn_from_json(data["H"]))
 
 
+def _cap_roots(data: WeierstrassData, n_points):
+    """Refuse, before any solve, a run whose points can have more than
+    MAX_ROOTS roots in all.  Each side's congruence has degree at most
+    max(2 deg G, deg H) on that side, and a point's roots pair the sides."""
+    d_e = max(2 * degree_bound(data.G.f1), degree_bound(data.H.f1))
+    d_f = max(2 * degree_bound(data.G.f2), degree_bound(data.H.f2))
+    n_roots = n_points * d_e * d_f
+    if n_roots > MAX_ROOTS:
+        raise ExprSchemaError(f"the run can reach {n_roots} roots ({n_points} points x "
+                              f"{d_e} x {d_f}), more than {MAX_ROOTS}")
+
+
 def _grid_points(grid):
     if not isinstance(grid, dict):
         raise ExprSchemaError("'grid' must be an object with min/max/counts")
-    try:
-        lo = [float(v) for v in grid["min"]]
-        hi = [float(v) for v in grid["max"]]
-        counts = [int(v) for v in grid["counts"]]
-    except (KeyError, TypeError, ValueError):
+    lo, hi, counts = (grid.get(key) for key in ("min", "max", "counts"))
+    if not all(isinstance(t, (list, tuple)) and len(t) == 3 and all(is_number(v) for v in t)
+               for t in (lo, hi, counts)):
         raise ExprSchemaError("'grid' needs numeric 'min', 'max', 'counts' triples")
-    if len(lo) != 3 or len(hi) != 3 or len(counts) != 3:
-        raise ExprSchemaError("'grid' entries must have 3 components")
+    # an integral float such as 1e5 is a count; 2.9 is not
+    if not all(isinstance(n, int) or n.is_integer() for n in counts):
+        raise ExprSchemaError(f"'grid' counts must be whole numbers, got {counts!r}")
+    lo = [float(v) for v in lo]
+    hi = [float(v) for v in hi]
+    counts = [int(n) for n in counts]
     if any(n <= 0 for n in counts):
         raise ExprSchemaError("'grid' counts must be positive")
     n_points = math.prod(counts)
@@ -161,6 +177,7 @@ def _task_solve(config, tol, seed):
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'solve' needs a non-empty 'points' list")
     pts = [_parse_point(p) for p in points]
+    _cap_roots(data, len(pts))
 
     def work(z):
         return {"point": _cvec(z),
@@ -244,10 +261,15 @@ def _task_verify(config, tol, seed):
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'verify' needs 'points' or 'samples'")
     pts = [_parse_point(p) for p in points]
+    _cap_roots(data, len(pts))
 
     def work(z):
+        sols = solve_phi(data, z)
+        # one root table per point: the stencils of all its roots share
+        # their solves, and the centre's roots are those just found
+        table = {point_key(z): [sol.q for sol in sols]}
         roots = []
-        for sol in solve_phi(data, z):
+        for sol in sols:
             entry = {"q": _b(sol.q),
                      "implicit": None,
                      "fd": None}
@@ -256,7 +278,7 @@ def _task_verify(config, tol, seed):
                     "laplacian": _f(abs(sol.laplacian)),
                     "nullness": _f(abs(sol.gradient.square())),
                 }
-                phi = tracked_branch(data, z, q0=sol.q)
+                phi = tracked_branch(data, z, q0=sol.q, roots=table)
                 entry["fd"] = fd_residuals(phi, z).to_json()
             roots.append(entry)
         return {"point": _cvec(z), "roots": roots}
@@ -283,16 +305,19 @@ def _task_slice(config, tol, seed):
         pts = []
         for p in config["points"]:
             if not isinstance(p, (list, tuple)) or len(p) != 3 \
-                    or not all(isinstance(v, (int, float)) for v in p):
+                    or not all(is_number(v) for v in p):
                 raise ExprSchemaError("slice points must be real triples")
             pts.append(tuple(float(v) for v in p))
     else:
         raise ExprSchemaError("'slice' task needs 'grid' or 'points'")
+    _cap_roots(data, len(pts))
     atol = tol if tol is not None else 1e-8
 
     def work(x):
         rows = []
-        for idx, sol in enumerate(projectable_roots(kind, data, x, atol=atol)):
+        table = {}  # one root table per point, as in 'verify'
+        sols = projectable_roots(kind, data, x, atol=atol, roots=table)
+        for idx, sol in enumerate(sols):
             value = project_codomain(kind, sol.q, atol=atol)
             row = {
                 "x": [_f(v) for v in x],
@@ -307,7 +332,7 @@ def _task_slice(config, tol, seed):
                 "null_res": None,
             }
             if run_fd and sol.gradient is not None:
-                phi = tracked_real_branch(kind, data, x, q0=sol.q, atol=atol)
+                phi = tracked_real_branch(kind, data, x, q0=sol.q, atol=atol, roots=table)
                 try:
                     hr, nr = wave_residual(kind, phi, x)
                     row["harmonic_res"] = _f(hr)

@@ -318,16 +318,21 @@ def _pow(base, exp):
 _BINOPS = {"add": _add, "sub": _sub, "mul": _mul, "div": _div}
 
 
+def is_number(value) -> bool:
+    """A JSON number: an int or a float, never a boolean (a Python int)."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def expr_from_json(obj) -> Expr:
     if not isinstance(obj, dict):
         raise ExprSchemaError(f"expression node must be an object, got {type(obj).__name__}")
     op = obj.get("op")
     if op == "const":
         value = obj.get("value")
-        if isinstance(value, (int, float)):
+        if is_number(value):
             return Const(complex(value))
         if (isinstance(value, (list, tuple)) and len(value) == 2
-                and all(isinstance(v, (int, float)) for v in value)):
+                and all(is_number(v) for v in value)):
             return Const(complex(value[0], value[1]))
         raise ExprSchemaError(f"const node needs 'value': [re, im], got {value!r}")
     if op == "var":
@@ -345,7 +350,7 @@ def expr_from_json(obj) -> Expr:
         if not isinstance(args, list) or len(args) != 1:
             raise ExprSchemaError("pow node needs 'args' with exactly 1 entry")
         exp = obj.get("exp")
-        if not isinstance(exp, int):
+        if not isinstance(exp, int) or isinstance(exp, bool):
             raise ExprSchemaError(f"pow node needs integer 'exp', got {exp!r}")
         if abs(exp) > MAX_DEGREE:
             raise ExprSchemaError(f"pow exponent {exp} exceeds {MAX_DEGREE} in absolute value")

@@ -19,7 +19,7 @@ from .core import Bicomplex, Hyperbolic, I1
 from .errors import InvalidInputError, NotInSliceError
 from .geometry import CVec3, s2c_to_q2c, S2CPoint
 from .holo import HoloFn
-from .verify import DEFAULT_STEP, _richardson_line, tracked_branch
+from .verify import DEFAULT_STEP, _richardson_line, point_key, tracked_branch
 from .weierstrass import WeierstrassData, solve_phi
 
 NOT_IN_SLICE_ATOL = 1e-8
@@ -107,21 +107,23 @@ def wave_residual(kind, phi, x, h=None):
 
 
 def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = None,
-                        branch: int = 0, atol=NOT_IN_SLICE_ATOL):
+                        branch: int = 0, atol=NOT_IN_SLICE_ATOL, roots: dict | None = None):
     """Branch of the congruence that stays in the slice, as a map of real points.
 
     At the anchor x0 the ``branch``-th projectable root (canonical order) is
     selected unless ``q0`` is given; nearby the nearest root is used and
     projected.  Raises NotInSliceError at the anchor when no root projects.
+    ``roots`` is the root table of ``verify.tracked_branch``, shared by the
+    branches tracked from one point.
     """
     kind = _kind(kind)
     if q0 is None:
-        anchors = projectable_roots(kind, data, x0, atol=atol)
+        anchors = projectable_roots(kind, data, x0, atol=atol, roots=roots)
         if not anchors:
             raise NotInSliceError(f"no root restricts to the slice at {x0!r}")
         q0 = anchors[branch].q
 
-    branch_q = tracked_branch(data, embed_domain(kind, x0), q0=q0)
+    branch_q = tracked_branch(data, embed_domain(kind, x0), q0=q0, roots=roots)
 
     def phi(x):
         return project_codomain(kind, branch_q(embed_domain(kind, x)), atol=atol)
@@ -129,11 +131,20 @@ def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = 
     return phi
 
 
-def projectable_roots(kind, data: WeierstrassData, x, atol=NOT_IN_SLICE_ATOL):
-    """Congruence solutions at the embedded point that restrict to the slice."""
+def projectable_roots(kind, data: WeierstrassData, x, atol=NOT_IN_SLICE_ATOL,
+                      roots: dict | None = None):
+    """Congruence solutions at the embedded point that restrict to the slice.
+
+    When a root table is given, every root at the point, projectable or
+    not, is entered in it, so branches tracked from x never solve x again.
+    """
     kind = _kind(kind)
+    z = embed_domain(kind, x)
+    sols = solve_phi(data, z)
+    if roots is not None:
+        roots[point_key(z)] = [sol.q for sol in sols]
     out = []
-    for sol in solve_phi(data, embed_domain(kind, x)):
+    for sol in sols:
         try:
             project_codomain(kind, sol.q, atol=atol)
         except NotInSliceError:

@@ -17,8 +17,10 @@ breaks it by orders of magnitude.
 
 from __future__ import annotations
 
+import struct
 from dataclasses import dataclass
 from enum import Enum
+from math import sqrt
 
 from .core import Bicomplex
 from .errors import BranchJumpError, InvalidInputError
@@ -146,27 +148,59 @@ def fd_residuals(phi, z, h=None, tol=CLASSIFY_TOL) -> PdeResidualReport:
     )
 
 
-def tracked_branch(data: WeierstrassData, z0, q0: Bicomplex | None = None, branch: int = 0):
+_POINT_BITS = struct.Struct("<6d").pack
+
+
+def point_key(z: CVec3) -> bytes:
+    """Exact key of a point in a root table: its bits, since ``0j == -0j``
+    and the two zeros can give different roots."""
+    return _POINT_BITS(z.u1.real, z.u1.imag, z.u2.real, z.u2.imag,
+                       z.u3.real, z.u3.imag)
+
+
+def nearest_root(roots, q0: Bicomplex) -> Bicomplex:
+    """The root closest to q0, the first one in the list on a tie: the same
+    arithmetic as ``abs(q - q0)``, with no Bicomplex built for ``q - q0``."""
+    a, b = q0.z1, q0.z2
+    return min(roots, key=lambda q: sqrt(abs(q.z1 - a) ** 2 + abs(q.z2 - b) ** 2))
+
+
+def tracked_branch(data: WeierstrassData, z0, q0: Bicomplex | None = None,
+                   branch: int = 0, roots: dict | None = None):
     """Single-valued branch of the congruence solutions near z0.
 
     The branch is anchored at the root ``q0`` (or the ``branch``-th root in
     canonical order at z0); at nearby points the nearest root is selected.
     Only the roots are solved for, never their derivatives: a stencil reads
     the values alone.
+
+    ``roots`` is a root table: a dict from ``point_key(z)`` to
+    ``solve_roots(data, z)``.  Every branch tracked from one point can share
+    one table, so each stencil point is solved once for all of them; a
+    caller that passes none gets a private table.
     """
     if not isinstance(z0, CVec3):
         z0 = CVec3(*z0)
+    table = {} if roots is None else roots
+
+    def roots_at(z):
+        key = point_key(z)
+        found = table.get(key)
+        if found is None:
+            found = table[key] = solve_roots(data, z)
+        return found
+
     if q0 is None:
-        roots = solve_roots(data, z0)
-        if not roots:
+        anchor = roots_at(z0)
+        if not anchor:
             raise InvalidInputError("no congruence solutions at the anchor point")
-        q0 = roots[branch]
+        q0 = anchor[branch]
 
     def phi(z):
-        roots = solve_roots(data, z)
-        if not roots:
+        found = roots_at(z)
+        if not found:
             raise BranchJumpError(f"no roots at {z!r}")
-        return min(roots, key=lambda q: abs(q - q0))
+        return nearest_root(found, q0)
 
     return phi
 

@@ -157,6 +157,15 @@ class TestSliceTask:
             assert row["harmonic_res"] <= 1e-7
             assert row["null_res"] <= 1e-7
 
+    def test_grid_counts_take_integral_floats(self):
+        # JSON has one number type: 2.0 and 1e0 are whole counts
+        config = {"task": "slice", "slice": "euclidean", "g": {"f": CONST0},
+                  "h": {"f": {"op": "mul", "args": [{"op": "const", "value": [0.5, 0]}, VAR]}},
+                  "grid": {"min": [-1, -1, -1], "max": [1, 1, 1], "counts": [2.0, 1e0, 2]}}
+        code, text = run_config(config, fmt="csv")
+        assert code == 0
+        assert len(text.splitlines()) == 1 + 4
+
     def test_points_csv(self):
         config = {"task": "slice", "slice": "minkowski_c",
                   "g": {"f": VAR}, "h": {"f": CONST0},
@@ -353,6 +362,58 @@ class TestSchemaAndExitCodes:
         assert [len(r["samples"]) for r in json.loads(text)["results"]] == [4, 4]
         with pytest.raises(ExprSchemaError):
             run_config(dict(config, samples=5))
+
+    @pytest.mark.parametrize("task", ["solve", "verify", "slice"])
+    def test_exit_code_2_on_root_cap(self, task, monkeypatch, capsys):
+        # G = q^64 on both sides: 128 x 128 roots a point, 7 points pass the cap
+        g = {"f": {"op": "pow", "args": [VAR], "exp": 64}}
+        points = [[0.3, 1.1, -0.2]] * 7
+        if task == "slice":
+            config = {"task": task, "slice": "euclidean", "g": g, "h": {"f": CONST0},
+                      "points": points}
+        else:
+            config = {"task": task, "data": {"G": g, "H": {"f": CONST0}},
+                      "points": points}
+        t0 = time.perf_counter()
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ExprSchemaError"
+
+    def test_root_cap_admits_the_limit(self, monkeypatch):
+        # radial data has 2 x 2 roots a point; the limit itself is admitted
+        monkeypatch.setattr(cli, "MAX_ROOTS", 8)
+        config = {"task": "solve", "data": RADIAL, "points": [[0, 1, 0]] * 2}
+        code, text = run_config(config)
+        assert code == 0
+        assert [len(r["roots"]) for r in json.loads(text)["results"]] == [4, 4]
+        with pytest.raises(ExprSchemaError):
+            run_config(dict(config, points=[[0, 1, 0]] * 3))
+
+    @pytest.mark.parametrize("config", [
+        {"task": "solve", "data": RADIAL, "points": [[True, 1, 0]]},
+        {"task": "solve", "points": [[0, 1, 0]],
+         "data": {"G": {"f": {"op": "const", "value": [True, 0]}}, "H": {"f": CONST0}}},
+        {"task": "solve", "points": [[0, 1, 0]],
+         "data": {"G": {"f": {"op": "pow", "args": [VAR], "exp": True}},
+                  "H": {"f": CONST0}}},
+        {"task": "fibres", "data": PROJECTION, "params": [[True, False, 0, 0]]},
+        {"task": "slice", "slice": "euclidean", "g": {"f": VAR}, "h": {"f": CONST0},
+         "points": [[True, 0, 0]]},
+        {"task": "slice", "slice": "euclidean", "g": {"f": VAR}, "h": {"f": CONST0},
+         "grid": {"min": [0, 0, 0], "max": [1, 1, 1], "counts": [2, True, 1]}},
+        {"task": "slice", "slice": "euclidean", "g": {"f": VAR}, "h": {"f": CONST0},
+         "grid": {"min": [0, 0, 0], "max": [1, 1, 1], "counts": [2.9, 1, 1]}},
+        {"task": "slice", "slice": "euclidean", "g": {"f": VAR}, "h": {"f": CONST0},
+         "grid": {"min": [False, 0, 0], "max": [1, 1, 1], "counts": [2, 1, 1]}},
+    ], ids=["point", "const-value", "pow-exp", "params", "slice-point", "grid-counts-bool",
+            "grid-counts-fraction", "grid-min-bool"])
+    def test_exit_code_2_on_boolean_or_fractional_number(self, config, monkeypatch,
+                                                         capsys):
+        # Python reads a JSON true as 1 and int(2.9) as 2: each ran on a wrong number
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"]["type"] == "ExprSchemaError"
 
     @pytest.mark.parametrize("stage", ["parse", "run"])
     def test_exit_code_3_on_memory_error(self, stage, monkeypatch, capsys):

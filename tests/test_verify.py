@@ -1,15 +1,30 @@
 """Finite-difference verification against the exact implicit formulas."""
 
-import pytest
+import io
+import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+import bhm.verify
+from bhm.cli import run
 from bhm.core import Bicomplex, I1, I2, J
-from bhm.errors import BranchJumpError
+from bhm.errors import BhmError, BranchJumpError, DegenerateAllComponentsError
 from bhm.geometry import BVec3, CVec3
 from bhm.holo import Const, HoloFn, Var
+from bhm.slices import (
+    SliceKind,
+    projectable_roots,
+    slice_data,
+    tracked_real_branch,
+    wave_residual,
+)
 from bhm.verify import (
     PointClass,
     classify_point,
     fd_residuals,
+    nearest_root,
+    point_key,
     rank_one_degeneracy_check,
     tracked_branch,
 )
@@ -133,3 +148,139 @@ class TestRankOne:
         report = rank_one_degeneracy_check(phi, pts)
         assert report["applicable"] and report["ok"]
         assert report["n_regular"] == 0
+
+
+# ---------------------------------------------------------------------------
+# one root table per point, shared by every branch tracked from it
+
+VAR_JSON = {"op": "var"}
+CONST0_JSON = {"op": "const", "value": [0, 0]}
+HALF_Q_JSON = {"op": "mul", "args": [{"op": "const", "value": [0.5, 0]}, VAR_JSON]}
+
+_complex = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
+_gaussian_int = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+
+
+@st.composite
+def _quadratic(draw, coeff=_complex):
+    """Per-side quadratic data: the f-side polynomial may differ from the e-side."""
+    def poly():
+        c0, c1, c2 = draw(st.lists(coeff, min_size=3, max_size=3))
+        return Const(c0) + Const(c1) * Q + Const(c2) * Q ** 2
+    f1 = poly()
+    return HoloFn(f1, poly() if draw(st.booleans()) else f1)
+
+
+def _outcome(fn):
+    """repr of the result (exact, signed zeros kept), or the error raised."""
+    try:
+        return repr(fn())
+    except BhmError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = bhm.verify.solve_roots
+
+    def counted(data, z):
+        calls.append(z)
+        return solve(data, z)
+
+    monkeypatch.setattr(bhm.verify, "solve_roots", counted)
+    return calls
+
+
+def _report(config):
+    out = io.StringIO()
+    assert run(config, out) == 0
+    return json.loads(out.getvalue())["results"]
+
+
+class TestRootTable:
+    @pytest.mark.parametrize("kind, g, h, points, n_rows", [
+        ("euclidean", VAR_JSON, CONST0_JSON, [[0.3, 0.7, -0.4], [1.2, 0.5, 0.3]], 4),
+        ("minkowski_d", VAR_JSON, CONST0_JSON, [[0.3, 0.7, -0.4]], 4),
+        ("minkowski_c", CONST0_JSON, HALF_Q_JSON, [[0.3, 0.7, -0.4]], 1),
+    ], ids=["euclidean-2-roots", "minkowski_d-4-roots", "projection-1-root"])
+    def test_slice_point_solves_its_stencil_once(self, kind, g, h, points, n_rows,
+                                                 monkeypatch):
+        calls = _count_solves(monkeypatch)
+        rows = _report({"task": "slice", "slice": kind, "g": {"f": g}, "h": {"f": h},
+                        "points": points})
+        assert len(rows) == n_rows
+        assert all(r["harmonic_res"] is not None for r in rows)
+        # 12 offsets a point, however many roots share them; the centre is
+        # the anchor's own solve
+        assert len(calls) == 12 * len(points)
+
+    def test_verify_point_solves_its_stencil_once(self, monkeypatch):
+        calls = _count_solves(monkeypatch)
+        points = [[0.3, 1.1, -0.2], [1.0, -0.5, [0.2, 0.4]]]
+        results = _report({"task": "verify", "points": points,
+                           "data": {"G": {"f": VAR_JSON}, "H": {"f": CONST0_JSON}}})
+        assert [sum(r["fd"] is not None for r in res["roots"]) for res in results] == [4, 4]
+        assert len(calls) == 24 * len(points)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(G=_quadratic(), H=_quadratic(),
+           z=st.tuples(*[_complex] * 3))
+    def test_fd_residuals_same_bits_through_a_shared_table(self, G, H, z):
+        data = WeierstrassData(G, H)
+        z = CVec3(*z)
+        try:
+            sols = solve_phi(data, z)
+        except DegenerateAllComponentsError:
+            return
+        table = {point_key(z): [s.q for s in sols]}
+        for sol in sols:
+            if sol.gradient is None:
+                continue
+            shared = tracked_branch(data, z, q0=sol.q, roots=table)
+            private = tracked_branch(data, z, q0=sol.q)
+            assert (_outcome(lambda: fd_residuals(shared, z).to_json())
+                    == _outcome(lambda: fd_residuals(private, z).to_json()))
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    # real coefficients: random complex ones leave almost no root in a slice
+    @given(G=_quadratic(st.floats(-2, 2)), H=_quadratic(st.floats(-2, 2)),
+           kind=st.sampled_from(list(SliceKind)),
+           x=st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+    def test_wave_residual_same_bits_through_a_shared_table(self, G, H, kind, x):
+        data = slice_data(kind, G, H)
+        table = {}
+        try:
+            sols = projectable_roots(kind, data, x, roots=table)
+        except DegenerateAllComponentsError:
+            return
+        for sol in sols:
+            if sol.gradient is None:
+                continue
+            shared = tracked_real_branch(kind, data, x, q0=sol.q, roots=table)
+            private = tracked_real_branch(kind, data, x, q0=sol.q)
+            assert (_outcome(lambda: wave_residual(kind, shared, x))
+                    == _outcome(lambda: wave_residual(kind, private, x)))
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(roots=st.lists(st.builds(Bicomplex, _gaussian_int, _gaussian_int),
+                          min_size=1, max_size=8),
+           q0=st.builds(Bicomplex, _complex, st.sampled_from([0j, 1j, -1 + 0.5j])))
+    def test_nearest_root_is_min_of_abs(self, roots, q0):
+        # integer roots around q0 tie often: the first in the list wins
+        assert nearest_root(roots, q0) is min(roots, key=lambda q: abs(q - q0))
+
+    def test_exact_ties_keep_the_first_root(self):
+        roots = [Bicomplex(1), Bicomplex(-1), Bicomplex(1j), Bicomplex(0, 1)]
+        for k in range(len(roots)):
+            order = roots[k:] + roots[:k]
+            assert nearest_root(order, Bicomplex(0)) is order[0]
+
+    def test_signed_zero_misses_the_table(self):
+        plus, minus = CVec3(0j, 1, 0), CVec3(complex(-0.0, 0.0), 1, 0)
+        assert plus.u1 == minus.u1 and point_key(plus) != point_key(minus)
+        sentinel = Bicomplex(7.0)
+        table = {point_key(plus): [sentinel]}
+        phi = tracked_branch(RADIAL, plus, q0=sentinel, roots=table)
+        assert phi(CVec3(0j, 1, 0)) is sentinel  # the same bits hit
+        assert phi(minus) is not sentinel        # the other zero is solved
+        assert len(table) == 2
