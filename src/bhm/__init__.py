@@ -10,16 +10,9 @@ from .core import (
     BACKEND,
     Bicomplex,
     Hyperbolic,
-    RinglebPair,
-    complex_norm,
-    conj_star,
     embed_complex,
     embed_complex_i1,
     embed_hyperbolic,
-    inverse,
-    real_norm,
-    ringleb_decompose,
-    ringleb_recompose,
 )
 from .errors import (
     BhmError,
@@ -89,7 +82,6 @@ from .weierstrass import (
     FibreTag,
     WeierstrassData,
     fibre_at,
-    fibre_position,
     fibre_position_via_chart,
     gauss_map,
     solve_phi,

@@ -29,18 +29,20 @@ from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
 from .holo import degree_bound, holofn_from_json, is_number
 from .slices import (
     SliceKind,
+    embed_domain,
+    in_slice,
     project_codomain,
-    projectable_roots,
     slice_data,
     tracked_real_branch,
     wave_residual,
+    wave_stencil,
 )
-from .verify import classify_point, fd_residuals, point_key, tracked_branch
+from .verify import classify_point, fd_residuals, fd_stencil, point_key, tracked_branch
 from .weierstrass import (
+    RootBatch,
     WeierstrassData,
     fibre_at,
     gauss_map,
-    solve_phi,
     xi_direction,
 )
 
@@ -49,6 +51,11 @@ TASKS = ("solve", "fibres", "verify", "slice", "charts")
 MAX_POINTS = 100_000
 # cap on the roots one run can compute: points times the roots one point can have
 MAX_ROOTS = 100_000
+# points solved together in one block when both congruence components have
+# degree <= 2; components of degree d take 4/d^2 as many (at least one), so
+# the companion matrices, root pairs and root tables one block holds stay
+# bounded at the caps
+BLOCK_POINTS = 256
 
 
 def _f(x: float) -> float:
@@ -110,13 +117,58 @@ def _parse_data(config) -> WeierstrassData:
 def _cap_roots(data: WeierstrassData, n_points):
     """Refuse, before any solve, a run whose points can have more than
     MAX_ROOTS roots in all.  Each side's congruence has degree at most
-    max(2 deg G, deg H) on that side, and a point's roots pair the sides."""
+    max(2 deg G, deg H) on that side, and a point's roots pair the sides.
+    Returns those two degree bounds."""
     d_e = max(2 * degree_bound(data.G.f1), degree_bound(data.H.f1))
     d_f = max(2 * degree_bound(data.G.f2), degree_bound(data.H.f2))
     n_roots = n_points * d_e * d_f
     if n_roots > MAX_ROOTS:
         raise ExprSchemaError(f"the run can reach {n_roots} roots ({n_points} points x "
                               f"{d_e} x {d_f}), more than {MAX_ROOTS}")
+    return d_e, d_f
+
+
+def _blocks(points, degrees):
+    """The points in blocks of BLOCK_POINTS, fewer for higher degrees."""
+    d = max(2, *degrees)
+    size = max(1, BLOCK_POINTS * 4 // (d * d))
+    return [points[i:i + size] for i in range(0, len(points), size)]
+
+
+def _anchor(batch):
+    """``batch.solutions(i)`` for the block's points in order, up to the
+    first that raises: (the solutions, that exception or None).  The caller
+    finishes the points before it, then raises it, so errors surface in the
+    order of a point-by-point run."""
+    solved = []
+    for i in range(len(batch)):
+        try:
+            solved.append(batch.solutions(i))
+        except Exception as exc:
+            return solved, exc
+    return solved, None
+
+
+def _prefill(data, stencils):
+    """Solve the stencil points of a block's anchors in one RootBatch and
+    enter each in its anchor's root table.  ``stencils`` holds (table,
+    points) pairs, points a callable; an anchor whose points overflow, and a
+    lane the batch leaves to the scalar path, stay out: the table solves
+    them on first read, raising where a point-by-point run raises."""
+    filled = []
+    for table, points in stencils:
+        try:
+            filled.append((table, points()))
+        except ArithmeticError:
+            continue
+    batch = RootBatch(data, [z for _, points in filled for z in points])
+    lane = 0
+    for table, points in filled:
+        for z in points:
+            roots = batch.roots(lane)
+            lane += 1
+            if roots is not None:
+                table.setdefault(point_key(z), roots)
 
 
 def _grid_points(grid):
@@ -177,13 +229,13 @@ def _task_solve(config, tol, seed):
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'solve' needs a non-empty 'points' list")
     pts = [_parse_point(p) for p in points]
-    _cap_roots(data, len(pts))
-
-    def work(z):
-        return {"point": _cvec(z),
-                "roots": [_root_json(data, s) for s in solve_phi(data, z)]}
-
-    return {"task": "solve", "results": [work(z) for z in pts]}
+    results = []
+    for block in _blocks(pts, _cap_roots(data, len(pts))):
+        batch = RootBatch(data, block)
+        for i, z in enumerate(block):
+            results.append({"point": _cvec(z),
+                            "roots": [_root_json(data, s) for s in batch.solutions(i)]})
+    return {"task": "solve", "results": results}
 
 
 def _fibre_json(fibre, ts):
@@ -261,13 +313,8 @@ def _task_verify(config, tol, seed):
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'verify' needs 'points' or 'samples'")
     pts = [_parse_point(p) for p in points]
-    _cap_roots(data, len(pts))
 
-    def work(z):
-        sols = solve_phi(data, z)
-        # one root table per point: the stencils of all its roots share
-        # their solves, and the centre's roots are those just found
-        table = {point_key(z): [sol.q for sol in sols]}
+    def work(z, sols, table):
         roots = []
         for sol in sols:
             entry = {"q": _b(sol.q),
@@ -283,7 +330,19 @@ def _task_verify(config, tol, seed):
             roots.append(entry)
         return {"point": _cvec(z), "roots": roots}
 
-    return {"task": "verify", "results": [work(z) for z in pts]}
+    results = []
+    for block in _blocks(pts, _cap_roots(data, len(pts))):
+        solved, error = _anchor(RootBatch(data, block))
+        # one root table per point: the stencils of all its roots share
+        # their solves, and the centre's roots are those just found
+        tables = [{point_key(z): [sol.q for sol in sols]} for z, sols in zip(block, solved)]
+        _prefill(data, [(table, lambda z=z: fd_stencil(z)[1])
+                        for z, sols, table in zip(block, solved, tables)
+                        if any(sol.gradient is not None for sol in sols)])
+        results += [work(*args) for args in zip(block, solved, tables)]
+        if error is not None:
+            raise error
+    return {"task": "verify", "results": results}
 
 
 def _task_slice(config, tol, seed):
@@ -310,13 +369,11 @@ def _task_slice(config, tol, seed):
             pts.append(tuple(float(v) for v in p))
     else:
         raise ExprSchemaError("'slice' task needs 'grid' or 'points'")
-    _cap_roots(data, len(pts))
+    degrees = _cap_roots(data, len(pts))
     atol = tol if tol is not None else 1e-8
 
-    def work(x):
+    def work(x, sols, table):
         rows = []
-        table = {}  # one root table per point, as in 'verify'
-        sols = projectable_roots(kind, data, x, atol=atol, roots=table)
         for idx, sol in enumerate(sols):
             value = project_codomain(kind, sol.q, atol=atol)
             row = {
@@ -342,8 +399,44 @@ def _task_slice(config, tol, seed):
             rows.append(row)
         return rows
 
-    rows = [r for x in pts for r in work(x)]
+    def stencil(x):
+        return [embed_domain(kind, p) for p in wave_stencil(x)[2]]
+
+    rows = []
+    for block in _blocks(pts, degrees):
+        zs = [embed_domain(kind, x) for x in block]
+        solved, error = _anchor(RootBatch(data, zs))
+        # one root table per point, as in 'verify', holding every root at
+        # the point, projectable or not
+        tables = [{point_key(z): [sol.q for sol in sols]} for z, sols in zip(zs, solved)]
+        kept = [in_slice(kind, sols, atol) for sols in solved]
+        if run_fd:
+            _prefill(data, [(table, lambda x=x: stencil(x))
+                            for x, sols, table in zip(block, kept, tables)
+                            if any(sol.gradient is not None for sol in sols)])
+        for args in zip(block, kept, tables):
+            rows += work(*args)
+        if error is not None:
+            raise error
     return {"task": "slice", "slice": kind.value, "results": rows}
+
+
+# a point of each space as JSON: its coordinate lists and their lengths
+_SPACE_POINTS = {
+    Space.S2C: (S2CPoint, 3, 2),        # three complex [re, im]
+    Space.Q1B: (QuadricPointB, 3, 4),   # three bicomplex [x1, x2, x3, x4]
+    Space.Q2C: (QuadricPointC, 4, 2),   # four complex homogeneous coordinates
+}
+
+
+def _parse_space_point(space, value):
+    cls, n, k = _SPACE_POINTS[space]
+    if not (isinstance(value, (list, tuple)) and len(value) == n
+            and all(isinstance(c, (list, tuple)) and len(c) == k
+                    and all(is_number(x) for x in c) for c in value)):
+        raise ExprSchemaError(f"a {space.value} point must be {n} lists of {k} numbers, "
+                              f"got {value!r}")
+    return cls.from_json(value)
 
 
 def _task_charts(config, tol, seed):
@@ -376,12 +469,7 @@ def _task_charts(config, tol, seed):
                 point = chart_to_point(space, ch, q)
                 results.append({"value": _b(q), "result": point.to_json()})
             else:
-                if space is Space.S2C:
-                    point = S2CPoint.from_json(v)
-                elif space is Space.Q1B:
-                    point = QuadricPointB.from_json(v)
-                else:
-                    point = QuadricPointC.from_json(v)
+                point = _parse_space_point(space, v)
                 results.append({"value": v,
                                 "result": _b(point_to_chart(space, ch, point))})
     else:

@@ -8,7 +8,8 @@ downstream imports the type from here.
 """
 
 from math import sqrt
-from typing import NamedTuple
+
+import numpy as np
 
 from .errors import ZeroDivisorError
 
@@ -16,8 +17,8 @@ __all__ = [
     "BACKEND",
     "ZERO_DIVISOR_RTOL",
     "Bicomplex",
+    "CArray",
     "Hyperbolic",
-    "RinglebPair",
     "ZERO",
     "ONE",
     "I1",
@@ -25,12 +26,6 @@ __all__ = [
     "J",
     "IDEM_E",
     "IDEM_F",
-    "complex_norm",
-    "conj_star",
-    "inverse",
-    "real_norm",
-    "ringleb_decompose",
-    "ringleb_recompose",
     "embed_complex",
     "embed_complex_i1",
     "embed_hyperbolic",
@@ -80,34 +75,39 @@ class Bicomplex:
     def __hash__(self):
         return hash((self.z1, self.z2))
 
+    # the operators build their result with _make: the components of a
+    # Bicomplex are Python complex numbers, and so are their sums and products
+
     def __add__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Bicomplex(self.z1 + other.z1, self.z2 + other.z2)
+        if type(other) is not Bicomplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _make(self.z1 + other.z1, self.z2 + other.z2)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Bicomplex(self.z1 - other.z1, self.z2 - other.z2)
+        if type(other) is not Bicomplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        return _make(self.z1 - other.z1, self.z2 - other.z2)
 
     def __rsub__(self, other):
         other = _coerce(other)
         if other is None:
             return NotImplemented
-        return Bicomplex(other.z1 - self.z1, other.z2 - self.z2)
+        return _make(other.z1 - self.z1, other.z2 - self.z2)
 
     def __mul__(self, other):
-        other = _coerce(other)
-        if other is None:
-            return NotImplemented
-        return Bicomplex(
-            self.z1 * other.z1 - self.z2 * other.z2,
-            self.z1 * other.z2 + self.z2 * other.z1,
-        )
+        if type(other) is not Bicomplex:
+            other = _coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.z1, self.z2
+        c, d = other.z1, other.z2
+        return _make(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -124,7 +124,7 @@ class Bicomplex:
         return other * self.inverse()
 
     def __neg__(self):
-        return Bicomplex(-self.z1, -self.z2)
+        return _make(-self.z1, -self.z2)
 
     def __pos__(self):
         return self
@@ -191,6 +191,17 @@ class Bicomplex:
         return cls(complex(x1, x2), complex(x3, x4))
 
 
+def _make(z1: complex, z2: complex) -> Bicomplex:
+    """A Bicomplex from two Python complex numbers, with no conversion."""
+    q = _new(Bicomplex)
+    q.z1 = z1
+    q.z2 = z2
+    return q
+
+
+_new = object.__new__
+
+
 def _coerce(value):
     if isinstance(value, Bicomplex):
         return value
@@ -210,11 +221,6 @@ J = Bicomplex(0.0, 1j)
 # idempotents (1 -+ j)/2; e-parts live on IDEM_E, f-parts on IDEM_F
 IDEM_E = Bicomplex(0.5, -0.5j)
 IDEM_F = Bicomplex(0.5, 0.5j)
-
-
-class RinglebPair(NamedTuple):
-    e_part: complex
-    f_part: complex
 
 
 class Hyperbolic:
@@ -297,36 +303,137 @@ def _coerce_hyp(value):
     return None
 
 
-def complex_norm(q) -> complex:
-    """CN(q) = q1^2 + q2^2; q is a unit iff CN(q) != 0."""
-    return q.cn()
+class CArray:
+    """Complex float64 arrays whose arithmetic gives, lane by lane, the bits
+    of the scalar ``complex`` arithmetic it stands for.
+
+    numpy's own complex ``*``, ``/`` and ``abs`` round differently from
+    CPython's, so each operation is written out on the real and imaginary
+    parts (``re``, ``im``, float64 arrays or floats):
+
+    * ``+``, ``-`` and negation act on each part;
+    * ``*`` is the split-real product ``(ar*br - ai*bi, ar*bi + ai*br)``;
+    * ``/`` is Smith's algorithm as in CPython's ``_Py_c_quot``, or numpy's
+      complex division when either operand is ``numpy_typed``: a value
+      derived from an ``np.complex128`` scalar (``np.sqrt``, ``eigvals``)
+      divides with numpy's rules up to its ``complex(...)`` conversion;
+    * ``abs`` is ``np.hypot``;
+    * an ``int`` or ``float`` operand is promoted to ``x + 0j`` first, as
+      CPython up to 3.13 does in mixed arithmetic.
+
+    Where CPython raises ZeroDivisionError, a Smith quotient gives a NaN lane:
+    callers mask the lanes they divide by zero.
+    """
+
+    __slots__ = ("re", "im", "numpy_typed")
+
+    def __init__(self, re, im, numpy_typed=False):
+        self.re = re
+        self.im = im
+        self.numpy_typed = numpy_typed
+
+    @classmethod
+    def of(cls, values, numpy_typed=False):
+        a = np.asarray(values, dtype=np.complex128)
+        return cls(a.real.copy(), a.imag.copy(), numpy_typed)
+
+    def complex(self):
+        """The lanes as one complex128 array; assembled part by part, since
+        ``re + 1j*im`` would turn a -0.0 real part into +0.0."""
+        out = np.empty(np.broadcast(self.re, self.im).shape, dtype=np.complex128)
+        out.real = self.re
+        out.imag = self.im
+        return out
+
+    def __getitem__(self, index):
+        return CArray(self.re[index], self.im[index], self.numpy_typed)
+
+    def __add__(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        with np.errstate(all="ignore"):
+            return CArray(self.re + o[0], self.im + o[1], self.numpy_typed or o[2])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        with np.errstate(all="ignore"):
+            return CArray(self.re - o[0], self.im - o[1], self.numpy_typed or o[2])
+
+    def __rsub__(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        with np.errstate(all="ignore"):
+            return CArray(o[0] - self.re, o[1] - self.im, self.numpy_typed or o[2])
+
+    def __neg__(self):
+        return CArray(-self.re, -self.im, self.numpy_typed)
+
+    def __mul__(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        ar, ai = self.re, self.im
+        br, bi = o[0], o[1]
+        with np.errstate(all="ignore"):
+            return CArray(ar * br - ai * bi, ar * bi + ai * br,
+                          self.numpy_typed or o[2])
+
+    __rmul__ = __mul__  # both parts of the product commute
+
+    def __truediv__(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _quotient((self.re, self.im, self.numpy_typed), o)
+
+    def __rtruediv__(self, other):
+        o = _operand(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(o, (self.re, self.im, self.numpy_typed))
+
+    def __abs__(self):
+        return np.hypot(self.re, self.im)
 
 
-def conj_star(q):
-    return q.conj()
+def _operand(value):
+    if isinstance(value, CArray):
+        return value.re, value.im, value.numpy_typed
+    if isinstance(value, complex):
+        return value.real, value.imag, isinstance(value, np.complexfloating)
+    if isinstance(value, (int, float)):
+        return float(value), 0.0, False
+    return None
 
 
-def inverse(q, rtol=None):
-    """q^-1 = q*/CN(q); raises ZeroDivisorError off the unit group."""
-    if rtol is None:
-        return q.inverse()
-    return q.inverse(rtol)
-
-
-def real_norm(q) -> float:
-    return abs(q)
-
-
-def ringleb_decompose(q) -> RinglebPair:
-    """q = e*(1-j)/2 + f*(1+j)/2 with e = q1 + i1*q2, f = q1 - i1*q2."""
-    e, f = q.ringleb()
-    return RinglebPair(e, f)
-
-
-def ringleb_recompose(e_part, f_part=None):
-    if f_part is None:
-        e_part, f_part = e_part
-    return Bicomplex.from_ringleb(e_part, f_part)
+def _quotient(a, b):
+    ar, ai, a_np = a
+    br, bi = np.asarray(b[0], dtype=float), np.asarray(b[1], dtype=float)
+    b_np = b[2]
+    with np.errstate(all="ignore"):
+        if a_np or b_np:
+            q = CArray(ar, ai).complex() / CArray(br, bi).complex()
+            return CArray(q.real, q.imag, True)
+        abs_br = np.abs(br)
+        abs_bi = np.abs(bi)
+        # _Py_c_quot: |br| >= |bi| divides through by br, |bi| > |br| by bi;
+        # a NaN part takes neither branch, and a zero divisor raises there
+        by_re = (abs_br >= abs_bi) & (abs_br != 0.0)
+        by_im = abs_bi > abs_br
+        ratio = np.where(by_re, bi / br, br / bi)
+        denom_re = br + bi * ratio
+        denom_im = br * ratio + bi
+        re = np.where(by_re, (ar + ai * ratio) / denom_re,
+                      np.where(by_im, (ar * ratio + ai) / denom_im, np.nan))
+        im = np.where(by_re, (ai - ar * ratio) / denom_re,
+                      np.where(by_im, (ai * ratio - ar) / denom_im, np.nan))
+    return CArray(re, im)
 
 
 def embed_complex(z):

@@ -39,7 +39,7 @@ def _kind(k) -> SliceKind:
 
 def embed_domain(kind, x) -> CVec3:
     kind = _kind(kind)
-    x1, x2, x3 = (float(v) for v in x)
+    x1, x2, x3 = map(float, x)
     if kind is SliceKind.EUCLIDEAN:
         return CVec3(x1, x2, x3)
     if kind is SliceKind.MINKOWSKI_C:
@@ -75,6 +75,22 @@ def _signature(kind):
     return (1.0, 1.0, 1.0) if _kind(kind) is SliceKind.EUCLIDEAN else (-1.0, 1.0, 1.0)
 
 
+def wave_stencil(x, h=None):
+    """The real point x as floats, the step h, and the 12 points at which
+    ``wave_residual`` reads phi around x, in reading order: per coordinate,
+    x + h, x - h, x + h/2, x - h/2."""
+    x = [float(v) for v in x]
+    scale = max(1.0, max(abs(v) for v in x))
+    h = h if h is not None else DEFAULT_STEP * scale
+    points = []
+    for k in range(3):
+        for step in (h, -h, 0.5 * h, -0.5 * h):
+            xs = list(x)
+            xs[k] += step
+            points.append(xs)
+    return x, h, points
+
+
 def wave_residual(kind, phi, x, h=None):
     """Residuals (harmonic, null) of the wave/Laplace pair at a real point.
 
@@ -85,20 +101,13 @@ def wave_residual(kind, phi, x, h=None):
     """
     kind = _kind(kind)
     signs = _signature(kind)
-    x = [float(v) for v in x]
-    scale = max(1.0, max(abs(v) for v in x))
-    h = h if h is not None else DEFAULT_STEP * scale
+    x, h, points = wave_stencil(x, h)
     f0 = phi(x)
 
     lap = None
     null = None
     for k in range(3):
-        vals = []
-        for step in (h, -h, 0.5 * h, -0.5 * h):
-            xs = list(x)
-            xs[k] += step
-            vals.append(phi(xs))
-        d1, d2 = _richardson_line(f0, *vals, h)
+        d1, d2 = _richardson_line(f0, *map(phi, points[4 * k:4 * k + 4]), h)
         term_l = d2 * signs[k]
         term_n = (d1 * d1) * signs[k]
         lap = term_l if lap is None else lap + term_l
@@ -143,6 +152,11 @@ def projectable_roots(kind, data: WeierstrassData, x, atol=NOT_IN_SLICE_ATOL,
     sols = solve_phi(data, z)
     if roots is not None:
         roots[point_key(z)] = [sol.q for sol in sols]
+    return in_slice(kind, sols, atol)
+
+
+def in_slice(kind, sols, atol=NOT_IN_SLICE_ATOL):
+    """The solutions whose value projects to the slice codomain."""
     out = []
     for sol in sols:
         try:

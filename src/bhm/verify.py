@@ -102,13 +102,18 @@ def _richardson_line(f0, fp, fm, fp2, fm2, h):
     return d1, d2
 
 
-def _line_values(phi, z, k, step, h):
-    return (
-        phi(_shifted(z, k, step * h)),
-        phi(_shifted(z, k, -step * h)),
-        phi(_shifted(z, k, step * h * 0.5)),
-        phi(_shifted(z, k, -step * h * 0.5)),
-    )
+def fd_stencil(z: CVec3, h=None):
+    """The step h and the 24 points at which ``fd_residuals`` reads phi around
+    z, in reading order: per coordinate, the real line at +h, -h, +h/2,
+    -h/2, then the imaginary line at the same steps."""
+    scale = max(1.0, z.norm())
+    h = h if h is not None else DEFAULT_STEP * scale
+    points = []
+    for k in range(3):
+        for step in (1.0, 1j):
+            points += (_shifted(z, k, step * h), _shifted(z, k, -step * h),
+                       _shifted(z, k, step * h * 0.5), _shifted(z, k, -step * h * 0.5))
+    return h, points
 
 
 def fd_residuals(phi, z, h=None, tol=CLASSIFY_TOL) -> PdeResidualReport:
@@ -121,16 +126,16 @@ def fd_residuals(phi, z, h=None, tol=CLASSIFY_TOL) -> PdeResidualReport:
     """
     if not isinstance(z, CVec3):
         z = CVec3(*z)
-    scale = max(1.0, z.norm())
-    h = h if h is not None else DEFAULT_STEP * scale
+    h, points = fd_stencil(z, h)
     f0 = phi(z)
 
     grads = []
     seconds = []
     cr_worst = 0.0
     for k in range(3):
-        dx, dxx = _richardson_line(f0, *_line_values(phi, z, k, 1.0, h), h)
-        dy, dyy = _richardson_line(f0, *_line_values(phi, z, k, 1j, h), h)
+        line = points[8 * k:8 * k + 8]
+        dx, dxx = _richardson_line(f0, *map(phi, line[:4]), h)
+        dy, dyy = _richardson_line(f0, *map(phi, line[4:]), h)
         grads.append((dx - 1j * dy) * 0.5)
         cr_worst = max(cr_worst, abs((dx + 1j * dy) * 0.5))
         # for holomorphic phi, d^2/dz^2 = (d_xx - d_yy)/2

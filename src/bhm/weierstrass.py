@@ -16,10 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import Bicomplex, I2
+from .core import Bicomplex, CArray, I2, _make
 from .errors import (
     DegenerateAllComponentsError,
     DegeneratePointError,
@@ -178,9 +179,6 @@ class CongruenceSolution:
     partially_degenerate: bool = False  # dF/dq a zero divisor at the root
     residual: float = 0.0           # |F(q)| after back-substitution
 
-    def sort_key(self):
-        return _canonical_key(self.q)
-
 
 def _trim(coeffs, rtol=1e-12):
     top = max(abs(c) for c in coeffs)
@@ -309,7 +307,12 @@ def solve_phi(data: WeierstrassData, z, grad_tol=1e-8) -> list[CongruenceSolutio
     """
     if not isinstance(z, CVec3):
         z = CVec3(*z)
-    fe, ff, pairs = _canonical_roots(data, z)
+    return _solutions(data, z, *_canonical_roots(data, z), grad_tol=grad_tol)
+
+
+def _solutions(data: WeierstrassData, z: CVec3, fe, ff, pairs, grad_tol=1e-8):
+    """``solve_phi``'s derivative step on the output of ``_canonical_roots``
+    at z: each root with its implicit gradient, Laplacian and flags."""
     dfe = _poly_derivative(_trim(fe))
     dff = _poly_derivative(_trim(ff))
 
@@ -361,6 +364,254 @@ def _coeff_scale(coeffs, s):
     return sum(abs(c) * a ** k for k, c in enumerate(coeffs))
 
 
+# ---------------------------------------------------------------------------
+# batched roots
+
+
+class _Lanes(NamedTuple):
+    """Points as lanes: the CVec3 fields ``congruence_components`` reads."""
+    u1: CArray
+    u2: CArray
+    u3: CArray
+
+
+def _where(mask, a: CArray, b: CArray) -> CArray:
+    return CArray(np.where(mask, a.re, b.re), np.where(mask, a.im, b.im),
+                  a.numpy_typed or b.numpy_typed)
+
+
+def _stack(coeffs, n):
+    """Real and imaginary parts, shape (n, len(coeffs)), of a coefficient
+    list whose entries are lanes or constants."""
+    re = np.empty((n, len(coeffs)))
+    im = np.empty((n, len(coeffs)))
+    for k, c in enumerate(coeffs):
+        re[:, k] = c.re if isinstance(c, CArray) else c.real
+        im[:, k] = c.im if isinstance(c, CArray) else c.imag
+    return re, im
+
+
+def _closed_form(coeffs):
+    """The two roots of ``_poly_roots``' quadratic branch, numpy-typed."""
+    c, b, a = coeffs
+    disc = b * b - 4 * a * c
+    sq = np.sqrt(disc.complex())
+    sq = CArray(sq.real, sq.imag, True)
+    plus = -b + sq
+    minus = -b - sq
+    r1 = _where(abs(plus) >= abs(minus), plus / (2 * a), minus / (2 * a))
+    r2 = _where(abs(r1) > 0, c / (a * r1), minus / (2 * a))
+    return r1, r2
+
+
+def _companion_roots(re, im, deg, trailing):
+    """``np.roots`` of lanes of degree ``deg`` whose ``trailing`` lowest
+    coefficients are exactly zero: one stacked ``eigvals`` on its companion
+    matrices, the zero roots appended.  Returns (roots, ok); a lane with a
+    non-finite companion entry is not ok, nor is any when eigvals fails."""
+    desc = CArray(re[:, trailing:deg + 1][:, ::-1], im[:, trailing:deg + 1][:, ::-1]).complex()
+    size = deg - trailing
+    companion = np.zeros((len(desc), size, size), dtype=np.complex128)
+    with np.errstate(all="ignore"):
+        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    companion[:, np.arange(1, size), np.arange(size - 1)] = 1
+    ok = np.isfinite(companion[:, 0, :]).all(axis=1)
+    roots = np.zeros((len(desc), deg), dtype=np.complex128)
+    try:
+        roots[ok, :size] = np.linalg.eigvals(companion[ok])
+    except np.linalg.LinAlgError:
+        ok[:] = False
+    return CArray(roots.real.copy(), roots.imag.copy(), True), ok
+
+
+def _polish_and_cluster(coeffs, roots):
+    """``_poly_roots``' Newton step and clustering over lanes of one degree:
+    (representatives, multiplicities, cluster counts, lanes whose values
+    overflow and are left to the scalar path)."""
+    dcoeffs = _poly_derivative(coeffs)
+    d = _poly_eval(dcoeffs, roots)
+    polished = _where(abs(d) > 1e-12, roots - _poly_eval(coeffs, roots) / d, roots)
+    polished = CArray(polished.re, polished.im)  # complex(r): Python-typed
+    mag = abs(polished)
+    overflow = ~np.isfinite(mag).all(axis=1)
+    tol = 1e-7 * np.maximum(1.0, mag.max(axis=1))
+    lanes, deg = mag.shape
+    rep_re = np.zeros((lanes, deg))
+    rep_im = np.zeros((lanes, deg))
+    mult = np.zeros((lanes, deg), dtype=np.int64)
+    count = np.zeros(lanes, dtype=np.int64)
+    for j in range(deg):
+        r = polished[:, j]
+        placed = np.zeros(lanes, dtype=bool)
+        for i in range(j):
+            live = (i < count) & ~placed
+            if not live.any():
+                break
+            rep = CArray(rep_re[:, i], rep_im[:, i])
+            dist = abs(r - rep)
+            overflow |= live & ~np.isfinite(dist)
+            hit = live & (dist <= tol)
+            if hit.any():
+                m = mult[:, i].astype(float)
+                merged = (rep * CArray(m, 0.0) + r) / CArray(m + 1.0, 0.0)
+                rep_re[:, i] = np.where(hit, merged.re, rep_re[:, i])
+                rep_im[:, i] = np.where(hit, merged.im, rep_im[:, i])
+                mult[:, i] += hit
+                placed |= hit
+        new = np.flatnonzero(~placed)
+        rep_re[new, count[new]] = r.re[new]
+        rep_im[new, count[new]] = r.im[new]
+        mult[new, count[new]] = 1
+        count[new] += 1
+    return CArray(rep_re, rep_im), mult, count, overflow
+
+
+def _side_roots(re, im):
+    """``_poly_roots`` of one side's components at every lane, grouped by
+    trimmed degree.  Returns (ok, representatives, multiplicities, counts);
+    ok is False on a lane left to the scalar path: a non-finite
+    coefficient or value, a vanishing component (the scalar path raises),
+    a failing eigvals, or ``np.roots``' real-typed all-zero case."""
+    lanes, width = re.shape
+    mag = np.hypot(re, im)
+    ok = np.isfinite(mag).all(axis=1)
+    top = np.where(ok, mag.max(axis=1), 0.0)
+    ok &= top > 0.0
+    kept = mag > 1e-12 * top[:, None]
+    deg = np.where(ok, width - 1 - np.argmax(kept[:, ::-1], axis=1), 0)
+    nonzero = (re != 0.0) | (im != 0.0)
+    trailing = np.argmax(nonzero, axis=1)
+    size = max(width - 1, 1)
+    rep_re = np.zeros((lanes, size))
+    rep_im = np.zeros((lanes, size))
+    mult = np.zeros((lanes, size), dtype=np.int64)
+    count = np.zeros(lanes, dtype=np.int64)
+    # group by trimmed degree, and above degree 2 by np.roots' zero roots
+    trailing = np.where(deg > 2, trailing, 0)
+    group = np.where(ok & (deg > 0), deg * width + trailing, -1)
+    for key in sorted(set(group[group >= 0].tolist())):
+        d, t = divmod(key, width)
+        idx = np.flatnonzero(group == key)
+        coeffs = [CArray(re[idx, k:k + 1], im[idx, k:k + 1]) for k in range(d + 1)]
+        if d == 1:
+            b, a = coeffs
+            root = -b / a
+            rep_re[idx, 0] = root.re[:, 0]
+            rep_im[idx, 0] = root.im[:, 0]
+            mult[idx, 0] = 1
+            count[idx] = 1
+            continue
+        if d == 2:
+            r1, r2 = _closed_form(coeffs)
+            roots = CArray(np.concatenate([r1.re, r2.re], axis=1),
+                           np.concatenate([r1.im, r2.im], axis=1), True)
+        elif t == d:
+            ok[idx] = False
+            continue
+        else:
+            roots, solved = _companion_roots(re[idx], im[idx], d, t)
+            ok[idx[~solved]] = False
+        reps, m, c, overflow = _polish_and_cluster(coeffs, roots)
+        rep_re[idx, :d] = reps.re
+        rep_im[idx, :d] = reps.im
+        mult[idx, :d] = m
+        count[idx] = c
+        ok[idx[overflow]] = False
+    return ok, CArray(rep_re, rep_im), mult, count
+
+
+class RootBatch:
+    """``_canonical_roots`` at many points in one array pass.
+
+    Each lane reproduces the scalar path bit for bit: the components are
+    built by ``congruence_components`` itself over ``CArray`` lanes, the
+    roots of each side come from ``_poly_roots``' closed form or one stacked
+    ``eigvals`` per trimmed degree, with its Newton step and clustering as
+    masks, and the pairs are put in canonical order by ``np.lexsort``.  A
+    lane whose values leave the finite range, or whose solve raises on the
+    scalar path, is left to that path: ``roots`` returns None for it, and
+    ``canonical`` solves it there, raising what the scalar path raises.
+    """
+
+    def __init__(self, data: WeierstrassData, points):
+        self.data = data
+        self.points = points
+        n = len(points)
+        lanes = _Lanes(CArray.of([z.u1 for z in points]),
+                       CArray.of([z.u2 for z in points]),
+                       CArray.of([z.u3 for z in points]))
+        fe, ff = congruence_components(data, lanes)
+        self._fe = _stack(fe, n)
+        self._ff = _stack(ff, n)
+        ok_e, rep_e, mult_e, count_e = _side_roots(*self._fe)
+        ok_f, rep_f, mult_f, count_f = _side_roots(*self._ff)
+        ok = ok_e & ok_f
+        me = max(int(count_e[ok].max(initial=0)), 1)
+        mf = max(int(count_f[ok].max(initial=0)), 1)
+
+        def flat(a):
+            # pair (a, b) of e-side root a and f-side root b at a * mf + b,
+            # the order of _canonical_roots' list before its sort
+            return np.broadcast_to(a, (n, me, mf)).reshape(n, me * mf)
+
+        s = rep_e[:, :me, None]
+        w = rep_f[:, None, :mf]
+        # Bicomplex.from_ringleb(s, w), and the sort key from its ringleb()
+        z1 = (s + w) / 2.0
+        z2 = 1j * (w - s) / 2.0
+        ke = z1 + 1j * z2
+        kf = z1 - 1j * z2
+        valid = flat((np.arange(me)[:, None] < count_e[:, None, None])
+                     & (np.arange(mf) < count_f[:, None, None]))
+        keys = [flat(part) for part in (kf.im, kf.re, ke.im, ke.re)]
+        for part in keys:
+            ok &= np.isfinite(part).all(axis=1, where=valid)
+        order = np.lexsort(keys + [~valid], axis=-1)
+        self._q1 = CArray(*(np.take_along_axis(flat(p), order, axis=1)
+                            for p in (z1.re, z1.im))).complex()
+        self._q2 = CArray(*(np.take_along_axis(flat(p), order, axis=1)
+                            for p in (z2.re, z2.im))).complex()
+        self._ok = ok.tolist()
+        self._npairs = (count_e * count_f).tolist()
+        self._order = order
+        self._mf = mf
+        self._side_e = rep_e[:, :me], mult_e
+        self._side_f = rep_f[:, :mf], mult_f
+
+    def __len__(self):
+        return len(self.points)
+
+    def roots(self, i):
+        """``solve_roots(data, points[i])``, or None when the lane is left to
+        the scalar path."""
+        if not self._ok[i]:
+            return None
+        k = self._npairs[i]
+        return list(map(_make, self._q1[i, :k].tolist(), self._q2[i, :k].tolist()))
+
+    def canonical(self, i):
+        """``_canonical_roots(data, points[i])``: (fe, ff, pairs)."""
+        if not self._ok[i]:
+            return _canonical_roots(self.data, self.points[i])
+        fe = CArray(*(part[i] for part in self._fe)).complex().tolist()
+        ff = CArray(*(part[i] for part in self._ff)).complex().tolist()
+        order = self._order[i, :self._npairs[i]]
+        (rep_e, mult_e), (rep_f, mult_f) = self._side_e, self._side_f
+        s = rep_e[i].complex().tolist()
+        w = rep_f[i].complex().tolist()
+        ms, mw = mult_e[i].tolist(), mult_f[i].tolist()
+        pairs = []
+        for q, k in zip(self.roots(i), order.tolist()):
+            a, b = divmod(k, self._mf)
+            pairs.append((q, s[a], ms[a], w[b], mw[b]))
+        return fe, ff, pairs
+
+    def solutions(self, i, grad_tol=1e-8):
+        """``solve_phi(data, points[i])``."""
+        return _solutions(self.data, self.points[i], *self.canonical(i),
+                          grad_tol=grad_tol)
+
+
 def gauss_map(gradient: BVec3, tol=GRAD_NULL_TOL) -> CVec3:
     """Oriented unit fibre direction gamma = u x v / u^2 for grad = u + v*i2."""
     cn = gradient.cn()
@@ -369,13 +620,6 @@ def gauss_map(gradient: BVec3, tol=GRAD_NULL_TOL) -> CVec3:
     u, v = gradient.split()
     w = u.cross(v) * (2.0 / cn)
     return w
-
-
-def fibre_position(data: WeierstrassData, q: Bicomplex, fibre: FibreDescription) -> CVec3:
-    """Foot of the complex perpendicular from the origin to a non-null fibre."""
-    if fibre.tag is not FibreTag.NON_NULL_LINE:
-        raise InvalidInputError("fibre position requires a non-null line")
-    return fibre.base
 
 
 def fibre_position_via_chart(data: WeierstrassData, q: Bicomplex) -> CVec3:

@@ -197,6 +197,24 @@ class TestCharts:
         _, text = run_config(config)
         assert json.loads(text)["results"][0]["result"] == [0.0, 0.0, 0.0, 0.0]
 
+    @pytest.mark.parametrize("space, value", [
+        ("S2C", [1, 2]),                        # was a TypeError traceback
+        ("S2C", ["x", -0.0, 3, 0.5]),           # was an IndexError traceback
+        ("S2C", [True, 0, 0, 0, 0, 0]),
+        ("S2C", [[True, 0], [0, 0], [0, 0]]),   # true is not read as 1
+        ("Q2C", [[1, 0], [1, 0], [0, 0], [False, 0]]),
+        ("Q1B", [[1, 0, 0, 0], [0, 0, 1, 0]]),
+        ("Q1B", [[1, 0, 0], [0, 0, 1], [0, 1, 0]]),
+    ], ids=["pair", "string", "flat-bool", "nested-bool", "q2c-bool", "q1b-short",
+            "q1b-narrow"])
+    def test_from_point_bad_value_exits_2(self, space, value):
+        config = {"task": "charts",
+                  "charts": {"op": "from_point", "space": space, "from": "G",
+                             "values": [value]}}
+        proc = run_main(config)
+        assert proc.returncode == 2 and proc.stdout == b""
+        assert json.loads(proc.stderr)["error"]["type"] == "ExprSchemaError"
+
 
 class TestSchemaAndExitCodes:
     @pytest.mark.parametrize("config", [

@@ -13,17 +13,10 @@ from bhm.core import (
     IDEM_E,
     IDEM_F,
     J,
-    RinglebPair,
     ZeroDivisorError,
-    complex_norm,
-    conj_star,
     embed_complex,
     embed_complex_i1,
     embed_hyperbolic,
-    inverse,
-    real_norm,
-    ringleb_decompose,
-    ringleb_recompose,
 )
 
 # one value, so the test ids keep naming the kernel ("[python]")
@@ -108,17 +101,17 @@ class TestConjugate:
 
 class TestComplexNorm:
     def test_examples(self, B):
-        assert complex_norm(B(1, 1j)) == 0          # 1 + j
-        assert complex_norm(B(0, 1)) == 1           # i2
-        assert complex_norm(B(3, 4)) == 25          # 3 + 4 i2
+        assert B(1, 1j).cn() == 0          # 1 + j
+        assert B(0, 1).cn() == 1           # i2
+        assert B(3, 4).cn() == 25          # 3 + 4 i2
 
 
 class TestInverse:
     def test_examples(self, B):
-        assert_close(inverse(B(0, 1)), B(0, -1))
-        assert_close(inverse(B(2, 0)), B(0.5, 0))
+        assert_close(B(0, 1).inverse(), B(0, -1))
+        assert_close(B(2, 0).inverse(), B(0.5, 0))
         with pytest.raises(ZeroDivisorError):
-            inverse(B(1, 1j))  # 1 + j
+            B(1, 1j).inverse()  # 1 + j
 
     def test_inverse_multiplies_to_one(self, B):
         rng = random.Random(14)
@@ -250,14 +243,13 @@ class TestHyperbolic:
 
 class TestModuleFunctions:
     def test_spec_surface(self, rng):
+        # one method per operation, exact on these dyadic values
         q = core.Bicomplex(1 + 2j, -0.5 + 1j)
-        assert conj_star(q) == q.conj()
-        assert complex_norm(q) == q.cn()
-        assert real_norm(q) == abs(q)
-        pair = ringleb_decompose(q)
-        assert isinstance(pair, RinglebPair)
-        assert ringleb_recompose(pair) == core.Bicomplex.from_ringleb(*q.ringleb())
-        assert ringleb_recompose(pair.e_part, pair.f_part) == ringleb_recompose(pair)
+        assert q.conj() == core.Bicomplex(1 + 2j, 0.5 - 1j)
+        assert q.cn() == (1 + 2j) ** 2 + (-0.5 + 1j) ** 2
+        assert abs(q) == math.sqrt(5 + 1.25)
+        assert q.ringleb() == (1.5j, 2 + 2.5j)
+        assert core.Bicomplex.from_ringleb(*q.ringleb()) == q
 
     def test_mixed_scalar_arithmetic_is_i1_plane(self):
         q = core.Bicomplex(0, 1)
@@ -272,4 +264,4 @@ class TestModuleFunctions:
 
     def test_real_norm_value(self):
         q = core.Bicomplex(3 + 4j, 0)
-        assert math.isclose(real_norm(q), 5.0)
+        assert math.isclose(abs(q), 5.0)

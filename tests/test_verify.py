@@ -6,6 +6,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bhm.cli
 import bhm.verify
 from bhm.cli import run
 from bhm.core import Bicomplex, I1, I2, J
@@ -180,14 +181,22 @@ def _outcome(fn):
 
 
 def _count_solves(monkeypatch):
+    """Every point the CLI solves: the lanes of its batched root passes and
+    the points a root table solves one at a time."""
     calls = []
     solve = bhm.verify.solve_roots
+    batch = bhm.cli.RootBatch
 
     def counted(data, z):
         calls.append(z)
         return solve(data, z)
 
+    def counted_batch(data, points):
+        calls.extend(points)
+        return batch(data, points)
+
     monkeypatch.setattr(bhm.verify, "solve_roots", counted)
+    monkeypatch.setattr(bhm.cli, "RootBatch", counted_batch)
     return calls
 
 
@@ -210,9 +219,10 @@ class TestRootTable:
                         "points": points})
         assert len(rows) == n_rows
         assert all(r["harmonic_res"] is not None for r in rows)
-        # 12 offsets a point, however many roots share them; the centre is
-        # the anchor's own solve
-        assert len(calls) == 12 * len(points)
+        # the centre and its 12 offsets, each solved once, however many
+        # roots share them
+        assert len(calls) == 13 * len(points)
+        assert len({point_key(z) for z in calls}) == len(calls)
 
     def test_verify_point_solves_its_stencil_once(self, monkeypatch):
         calls = _count_solves(monkeypatch)
@@ -220,7 +230,8 @@ class TestRootTable:
         results = _report({"task": "verify", "points": points,
                            "data": {"G": {"f": VAR_JSON}, "H": {"f": CONST0_JSON}}})
         assert [sum(r["fd"] is not None for r in res["roots"]) for res in results] == [4, 4]
-        assert len(calls) == 24 * len(points)
+        assert len(calls) == 25 * len(points)
+        assert len({point_key(z) for z in calls}) == len(calls)
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(G=_quadratic(), H=_quadratic(),

@@ -19,7 +19,6 @@ from bhm.weierstrass import (
     FibreTag,
     WeierstrassData,
     fibre_at,
-    fibre_position,
     fibre_position_via_chart,
     _poly_roots,
     gauss_map,
@@ -235,7 +234,7 @@ class TestSolvePhi:
 
     def test_canonical_order(self, rng):
         sols = solve_phi(RADIAL, (0.3, 1.1, -0.2))
-        keys = [s.sort_key() for s in sols]
+        keys = [tuple(p for c in s.q.ringleb() for p in (c.real, c.imag)) for s in sols]
         assert keys == sorted(keys)
 
     def test_multiplicity_at_double_root(self):
@@ -337,7 +336,7 @@ class TestGaussMap:
 class TestFibrePosition:
     def test_projection_example(self):
         fibre = fibre_at(PROJECTION, Bicomplex(1, 2))
-        c = fibre_position(PROJECTION, Bicomplex(1, 2), fibre)
+        c = fibre.base
         assert (c - CVec3(0, 1, 2)).norm() < 1e-12
         assert abs(c.dot(fibre.direction)) < 1e-12
 
@@ -349,7 +348,7 @@ class TestFibrePosition:
             fibre = fibre_at(RADIAL, q)
             if fibre.tag is not FibreTag.NON_NULL_LINE:
                 continue
-            assert fibre_position(RADIAL, q, fibre).norm() < 1e-9
+            assert fibre.base.norm() < 1e-9
 
     def test_matches_chart_differential(self, rng):
         count = 0
@@ -363,15 +362,15 @@ class TestFibrePosition:
             if fibre.tag is not FibreTag.NON_NULL_LINE:
                 continue
             count += 1
-            lhs = fibre_position(data, q, fibre)
+            lhs = fibre.base
             rhs = fibre_position_via_chart(data, q)
             assert (lhs - rhs).norm() <= 1e-7 * max(1.0, rhs.norm())
 
     def test_invalid_for_planes(self):
         data = WeierstrassData(HoloFn(Const(1j)), HoloFn(Const(0)))
         fibre = fibre_at(data, Bicomplex(0))
-        with pytest.raises(InvalidInputError):
-            fibre_position(data, Bicomplex(0), fibre)
+        # a plane has no base point
+        assert fibre.tag is not FibreTag.NON_NULL_LINE and fibre.base is None
 
 
 class TestReconstruction:
