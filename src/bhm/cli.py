@@ -149,16 +149,17 @@ def _anchor(batch):
     return solved, None
 
 
-def _prefill(data, stencils):
+def _prefill(data, stencil, anchors):
     """Solve the stencil points of a block's anchors in one RootBatch and
-    enter each in its anchor's root table.  ``stencils`` holds (table,
-    points) pairs, points a callable; an anchor whose points overflow, and a
-    lane the batch leaves to the scalar path, stay out: the table solves
-    them on first read, raising where a point-by-point run raises."""
+    enter each in its anchor's root table.  ``anchors`` holds (table,
+    anchor) pairs and ``stencil(anchor)`` lists the anchor's stencil points.
+    An anchor whose points overflow, and a lane the batch leaves to the
+    scalar path, stay out: the table solves them on first read, raising
+    where a point-by-point run raises."""
     filled = []
-    for table, points in stencils:
+    for table, anchor in anchors:
         try:
-            filled.append((table, points()))
+            filled.append((table, stencil(anchor)))
         except ArithmeticError:
             continue
     batch = RootBatch(data, [z for _, points in filled for z in points])
@@ -336,9 +337,9 @@ def _task_verify(config, tol, seed):
         # one root table per point: the stencils of all its roots share
         # their solves, and the centre's roots are those just found
         tables = [{point_key(z): [sol.q for sol in sols]} for z, sols in zip(block, solved)]
-        _prefill(data, [(table, lambda z=z: fd_stencil(z)[1])
-                        for z, sols, table in zip(block, solved, tables)
-                        if any(sol.gradient is not None for sol in sols)])
+        _prefill(data, lambda z: fd_stencil(z)[1],
+                 [(table, z) for z, sols, table in zip(block, solved, tables)
+                  if any(sol.gradient is not None for sol in sols)])
         results += [work(*args) for args in zip(block, solved, tables)]
         if error is not None:
             raise error
@@ -411,9 +412,9 @@ def _task_slice(config, tol, seed):
         tables = [{point_key(z): [sol.q for sol in sols]} for z, sols in zip(zs, solved)]
         kept = [in_slice(kind, sols, atol) for sols in solved]
         if run_fd:
-            _prefill(data, [(table, lambda x=x: stencil(x))
-                            for x, sols, table in zip(block, kept, tables)
-                            if any(sol.gradient is not None for sol in sols)])
+            _prefill(data, stencil,
+                     [(table, x) for x, sols, table in zip(block, kept, tables)
+                      if any(sol.gradient is not None for sol in sols)])
         for args in zip(block, kept, tables):
             rows += work(*args)
         if error is not None:

@@ -6,7 +6,6 @@ bit for bit: every comparison is on ``float.hex`` of each part, in order.
 """
 
 import io
-import json
 import math
 import random
 
@@ -41,7 +40,6 @@ _finite = st.one_of(
 )
 _double = st.one_of(_finite, st.sampled_from([math.inf, -math.inf, math.nan]))
 _complex = st.builds(complex, _double, _double)
-_finite_complex = st.builds(complex, _finite, _finite)
 
 
 def _bits(z):
