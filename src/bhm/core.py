@@ -399,7 +399,8 @@ class CArray:
         return _quotient(o, (self.re, self.im, self.numpy_typed))
 
     def __abs__(self):
-        return np.hypot(self.re, self.im)
+        with np.errstate(all="ignore"):
+            return np.hypot(self.re, self.im)
 
 
 def _operand(value):

@@ -412,8 +412,7 @@ def _companion_roots(re, im, deg, trailing):
     desc = CArray(re[:, trailing:deg + 1][:, ::-1], im[:, trailing:deg + 1][:, ::-1]).complex()
     size = deg - trailing
     companion = np.zeros((len(desc), size, size), dtype=np.complex128)
-    with np.errstate(all="ignore"):
-        companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
+    companion[:, 0, :] = -desc[:, 1:] / desc[:, :1]
     companion[:, np.arange(1, size), np.arange(size - 1)] = 1
     ok = np.isfinite(companion[:, 0, :]).all(axis=1)
     roots = np.zeros((len(desc), deg), dtype=np.complex128)
@@ -536,6 +535,12 @@ class RootBatch:
     def __init__(self, data: WeierstrassData, points):
         self.data = data
         self.points = points
+        # a lane that overflows is left to the scalar path: no numpy warning
+        # of the array pass reaches the caller
+        with np.errstate(all="ignore"):
+            self._solve(data, points)
+
+    def _solve(self, data, points):
         n = len(points)
         lanes = _Lanes(CArray.of([z.u1 for z in points]),
                        CArray.of([z.u2 for z in points]),
