@@ -202,7 +202,9 @@ def _grid_points(grid):
 # tasks
 
 
-def _root_json(data, sol):
+def _root_json(data, sol, fibre):
+    """A root's report; its fibre from the batch, or, when the batch left it
+    to the scalar path (None), from ``fibre_at`` here, in the root's turn."""
     out = {
         "q": _b(sol.q),
         "multiplicity": sol.multiplicity,
@@ -213,7 +215,7 @@ def _root_json(data, sol):
         "laplacian_abs": None,
         "nullness_abs": None,
         "gauss": None,
-        "fibre": _fibre_json(fibre_at(data, sol.q), ()),
+        "fibre": _fibre_json(fibre if fibre is not None else fibre_at(data, sol.q), ()),
     }
     if sol.gradient is not None:
         out["gradient"] = [_b(q) for q in sol.gradient]
@@ -234,8 +236,10 @@ def _task_solve(config, tol, seed):
     for block in _blocks(pts, _cap_roots(data, len(pts))):
         batch = RootBatch(data, block)
         for i, z in enumerate(block):
+            sols = batch.solutions(i)
+            fibres = batch.fibres(i) or [None] * len(sols)
             results.append({"point": _cvec(z),
-                            "roots": [_root_json(data, s) for s in batch.solutions(i)]})
+                            "roots": [_root_json(data, *args) for args in zip(sols, fibres)]})
     return {"task": "solve", "results": results}
 
 
@@ -618,9 +622,10 @@ def main(argv=None) -> int:
             run(config, buffer, fmt=args.format, tol=args.tol, seed=args.seed)
     except (ExprSchemaError, RecursionError) as exc:
         return fail(2, exc)
-    except (BhmError, ValueError, OverflowError, MemoryError) as exc:
+    except (BhmError, ValueError, ArithmeticError, MemoryError) as exc:
         # ValueError: a NaN or inf in the report; OverflowError: complex
-        # powers past the double range, such as a folded constant 1e300**2
+        # powers past the double range, such as a folded constant 1e300**2;
+        # ZeroDivisionError: a division by an exact zero the checks missed
         return fail(3, exc)
 
     try:

@@ -16,6 +16,7 @@ from .errors import ZeroDivisorError
 __all__ = [
     "BACKEND",
     "ZERO_DIVISOR_RTOL",
+    "BArray",
     "Bicomplex",
     "CArray",
     "Hyperbolic",
@@ -207,6 +208,8 @@ def _coerce(value):
         return value
     if isinstance(value, (int, float, complex)):
         return Bicomplex(value, 0.0)
+    if isinstance(value, BArray):
+        return None  # lanes: BArray's reflected operator runs
     z1 = getattr(value, "z1", None)
     if z1 is not None:
         return Bicomplex(z1, value.z2)
@@ -318,11 +321,13 @@ class CArray:
       derived from an ``np.complex128`` scalar (``np.sqrt``, ``eigvals``)
       divides with numpy's rules up to its ``complex(...)`` conversion;
     * ``abs`` is ``np.hypot``;
+    * ``** n`` is CPython 3.11's ``c_powi`` for an int |n| <= 100;
     * an ``int`` or ``float`` operand is promoted to ``x + 0j`` first, as
       CPython up to 3.13 does in mixed arithmetic.
 
-    Where CPython raises ZeroDivisionError, a Smith quotient gives a NaN lane:
-    callers mask the lanes they divide by zero.
+    Where CPython raises ZeroDivisionError, a Smith quotient gives a NaN lane,
+    and where a power raises OverflowError, an infinite part: callers mask
+    those lanes.
     """
 
     __slots__ = ("re", "im", "numpy_typed")
@@ -378,10 +383,8 @@ class CArray:
         o = _operand(other)
         if o is None:
             return NotImplemented
-        ar, ai = self.re, self.im
-        br, bi = o[0], o[1]
         with np.errstate(all="ignore"):
-            return CArray(ar * br - ai * bi, ar * bi + ai * br,
+            return CArray(*_product(self.re, self.im, o[0], o[1]),
                           self.numpy_typed or o[2])
 
     __rmul__ = __mul__  # both parts of the product commute
@@ -398,9 +401,37 @@ class CArray:
             return NotImplemented
         return _quotient(o, (self.re, self.im, self.numpy_typed))
 
+    def __pow__(self, n):
+        """``complex ** n`` as CPython 3.11 computes it for an int |n| <= 100
+        (``c_powi``): square and multiply from 1 + 0j, then 1 / x**|n| for a
+        negative n.  numpy's own power rounds differently, and CPython takes
+        another algorithm past 100."""
+        if not isinstance(n, int) or abs(n) > 100 or self.numpy_typed:
+            return NotImplemented
+        shape = np.shape(self.re)
+        result = CArray(np.ones(shape), np.zeros(shape))
+        base = self
+        m = abs(n)
+        mask = 1
+        while m >= mask:
+            if m & mask:
+                result = result * base
+            mask <<= 1
+            if m >= mask:
+                base = base * base
+        return result if n > 0 else 1.0 / result
+
     def __abs__(self):
         with np.errstate(all="ignore"):
             return np.hypot(self.re, self.im)
+
+    def isfinite(self):
+        return np.isfinite(self.re) & np.isfinite(self.im)
+
+
+def _product(ar, ai, br, bi):
+    """CPython's complex product on real and imaginary parts."""
+    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _operand(value):
@@ -415,12 +446,22 @@ def _operand(value):
 
 def _quotient(a, b):
     ar, ai, a_np = a
-    br, bi = np.asarray(b[0], dtype=float), np.asarray(b[1], dtype=float)
-    b_np = b[2]
+    br, bi, b_np = b
     with np.errstate(all="ignore"):
         if a_np or b_np:
             q = CArray(ar, ai).complex() / CArray(br, bi).complex()
             return CArray(q.real, q.imag, True)
+        if isinstance(br, float) and isinstance(bi, float):
+            # one divisor for every lane: its branch is taken once
+            if abs(br) >= abs(bi) and br != 0.0:
+                ratio = bi / br
+                denom = br + bi * ratio
+                return CArray((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+            if abs(bi) > abs(br):
+                ratio = br / bi
+                denom = br * ratio + bi
+                return CArray((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+        br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
         abs_br = np.abs(br)
         abs_bi = np.abs(bi)
         # _Py_c_quot: |br| >= |bi| divides through by br, |bi| > |br| by bi;
@@ -435,6 +476,100 @@ def _quotient(a, b):
         im = np.where(by_re, (ai - ar * ratio) / denom_re,
                       np.where(by_im, (ai * ratio - ar) / denom_im, np.nan))
     return CArray(re, im)
+
+
+class BArray:
+    """Bicomplex lanes z1 + z2*i2 with ``CArray`` parts: the ``Bicomplex``
+    operators and norms, lane by lane, with the bits of the scalar ones.
+
+    An operand may be lanes, a ``Bicomplex`` constant, or complex lanes or
+    a number in the i1-plane, promoted to (x + 0j, 0j) as ``_coerce`` does.
+    A ``Bicomplex`` on the left hands its operator to these lanes, which
+    compute it in the scalar operand order (the product commutes bit for
+    bit).  ``** 2`` on a float is libm's ``pow``, which ``np.float_power``
+    calls and numpy's ``**`` does not.  The arithmetic runs under the
+    caller's ``np.errstate``: ``RootBatch`` holds one for its whole pass.
+    """
+
+    __slots__ = ("z1", "z2")
+
+    def __init__(self, z1: CArray, z2: CArray):
+        self.z1 = z1
+        self.z2 = z2
+
+    def __add__(self, other):
+        o = _bicomplex_operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.z1, self.z2
+        return BArray(CArray(a.re + o[0], a.im + o[1]), CArray(b.re + o[2], b.im + o[3]))
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        o = _bicomplex_operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.z1, self.z2
+        return BArray(CArray(a.re - o[0], a.im - o[1]), CArray(b.re - o[2], b.im - o[3]))
+
+    def __rsub__(self, other):
+        o = _bicomplex_operand(other)
+        if o is None:
+            return NotImplemented
+        a, b = self.z1, self.z2
+        return BArray(CArray(o[0] - a.re, o[1] - a.im), CArray(o[2] - b.re, o[3] - b.im))
+
+    def __mul__(self, other):
+        o = _bicomplex_operand(other)
+        if o is None:
+            return NotImplemented
+        ar, ai, br, bi = self.z1.re, self.z1.im, self.z2.re, self.z2.im
+        cr, ci, dr, di = o
+        # (a*c - b*d, a*d + b*c), each product CPython's
+        acr, aci = _product(ar, ai, cr, ci)
+        bdr, bdi = _product(br, bi, dr, di)
+        adr, adi = _product(ar, ai, dr, di)
+        bcr, bci = _product(br, bi, cr, ci)
+        return BArray(CArray(acr - bdr, aci - bdi), CArray(adr + bcr, adi + bci))
+
+    __rmul__ = __mul__
+
+    def __abs__(self):
+        return np.sqrt(self.norm2())
+
+    def norm2(self):
+        return np.float_power(abs(self.z1), 2) + np.float_power(abs(self.z2), 2)
+
+    def cn(self):
+        a, b = self.z1, self.z2
+        pr, pi = _product(a.re, a.im, a.re, a.im)
+        qr, qi = _product(b.re, b.im, b.re, b.im)
+        return CArray(pr + qr, pi + qi)
+
+    def ringleb(self):
+        return (self.z1 + 1j * self.z2, self.z1 - 1j * self.z2)
+
+    @classmethod
+    def from_ringleb(cls, e: CArray, f: CArray):
+        return cls((e + f) / 2.0, 1j * (f - e) / 2.0)
+
+    def isfinite(self):
+        return self.z1.isfinite() & self.z2.isfinite()
+
+
+def _bicomplex_operand(value):
+    """An operand of ``BArray`` arithmetic as its four parts, or None."""
+    if isinstance(value, BArray):
+        return value.z1.re, value.z1.im, value.z2.re, value.z2.im
+    if isinstance(value, Bicomplex):
+        return value.z1.real, value.z1.imag, value.z2.real, value.z2.imag
+    if isinstance(value, CArray):
+        return value.re, value.im, 0.0, 0.0
+    if isinstance(value, (int, float, complex)):
+        value = complex(value)
+        return value.real, value.imag, 0.0, 0.0
+    return None
 
 
 def embed_complex(z):

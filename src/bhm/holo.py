@@ -10,7 +10,9 @@ Inside a tree, ``complex`` constants live in the i1-plane (1j means i1).
 
 from __future__ import annotations
 
-from .core import Bicomplex
+import numpy as np
+
+from .core import Bicomplex, CArray
 from .errors import ExprSchemaError, InvalidInputError, PoleEncounteredError
 
 # a division node is a pole when |den| <= POLE_RTOL * max(1, |num|)
@@ -200,7 +202,9 @@ class Div(_Binary):
     def evaluate(self, env):
         num = self.a.evaluate(env)
         den = self.b.evaluate(env)
-        if abs(den) <= POLE_RTOL * max(1.0, abs(num)):
+        if type(env) is Lanes:
+            env.flag_quotient(num, den)
+        elif abs(den) <= POLE_RTOL * max(1.0, abs(num)):
             raise PoleEncounteredError(f"division by {den!r}")
         return num / den
 
@@ -228,6 +232,10 @@ class Pow(Expr):
 
     def evaluate(self, env):
         b = self.base.evaluate(env)
+        if type(env) is Lanes:
+            out = b ** self.exp
+            env.flag_power(b, out, self.exp < 0)
+            return out
         if self.exp < 0 and abs(b) <= POLE_RTOL:
             raise PoleEncounteredError(f"negative power of {b!r}")
         return b ** self.exp
@@ -245,6 +253,44 @@ class Pow(Expr):
 
     def _collect_vars(self, out):
         self.base._collect_vars(out)
+
+
+class Lanes(dict):
+    """The environment of a tree evaluated at many points at once: the
+    variable bound to ``CArray`` lanes.
+
+    Where the scalar evaluation raises at a lane -- a ``Div`` or ``Pow``
+    node at a pole, an ``abs`` past the double range in its pole check, a
+    power that overflows -- the ``Div`` and ``Pow`` nodes flag the lane in
+    ``poles`` and go on; a flagged lane's value means nothing.  A subtree
+    with no lane in it is evaluated as a scalar, and raises as one.
+    """
+
+    def __init__(self, value: CArray):
+        super().__init__({VAR: value})
+        self.poles = np.zeros(np.shape(value.re), dtype=bool)
+
+    def flag_quotient(self, num, den):
+        a_den, a_num = abs(den), abs(num)
+        self.poles |= (_abs_overflows(den, a_den) | _abs_overflows(num, a_num)
+                       | (a_den <= POLE_RTOL * np.fmax(1.0, a_num)))
+
+    def flag_power(self, base, out, negative):
+        # CPython raises on an infinite part of a power, and on 1 / 0 when a
+        # negative power's x**|n| underflows: a NaN or infinite lane
+        bad = ~out.isfinite() if isinstance(out, CArray) else False
+        if negative:
+            a = abs(base)
+            bad = bad | _abs_overflows(base, a) | (a <= POLE_RTOL)
+        self.poles |= bad
+
+
+def _abs_overflows(value, magnitude):
+    """The lanes where CPython's ``abs`` raises OverflowError: finite parts
+    whose hypot is infinite.  (A scalar's ``abs`` has raised already.)"""
+    if isinstance(value, CArray):
+        return np.isinf(magnitude) & value.isfinite()
+    return False
 
 
 def _to_expr(value):
@@ -304,7 +350,10 @@ def _pow(base, exp):
     if exp == 1:
         return base
     if _is_const(base):
-        return Const(base.value ** exp)
+        try:
+            return Const(base.value ** exp)
+        except ZeroDivisionError:  # x**|exp| is 0: a zero or underflowing base
+            raise PoleEncounteredError(f"negative power {exp} of {base.value!r}") from None
     return Pow(base, exp)
 
 
@@ -327,6 +376,8 @@ def expr_from_json(obj) -> Expr:
     if not isinstance(obj, dict):
         raise ExprSchemaError(f"expression node must be an object, got {type(obj).__name__}")
     op = obj.get("op")
+    if not isinstance(op, str):  # a list or an object is no op, and unhashable
+        raise ExprSchemaError(f"unknown expression op {op!r}")
     if op == "const":
         value = obj.get("value")
         if is_number(value):

@@ -20,14 +20,15 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import Bicomplex, CArray, I2, _make
+from .core import BArray, Bicomplex, CArray, I2, _make
 from .errors import (
+    BhmError,
     DegenerateAllComponentsError,
     DegeneratePointError,
     InvalidInputError,
 )
 from .geometry import BVec3, CVec3
-from .holo import HoloFn, poly_add, poly_coefficients, poly_mul
+from .holo import HoloFn, Lanes, poly_add, poly_coefficients, poly_mul
 
 GRAD_NULL_TOL = 1e-9
 
@@ -71,9 +72,63 @@ class WeierstrassData:
 
 def xi_direction(data: WeierstrassData, q: Bicomplex) -> BVec3:
     """Unnormalized null triple (-2G, 1 - G^2, (1 + G^2) i2) at q."""
-    g = data.G(q)
+    return BVec3(*_xi(data.G(q)))
+
+
+# The formulas below run on Bicomplex values and on BArray lanes alike: the
+# scalar path and RootBatch share them, so each lane gets the scalar bits.
+
+
+def _xi(g):
+    """The null triple (-2G, 1 - G^2, (1 + G^2) i2) from G's value."""
     g2 = g * g
-    return BVec3(-2 * g, 1 - g2, (1 + g2) * I2)
+    return (-2 * g, 1 - g2, (1 + g2) * I2)
+
+
+def _cross(u, v):
+    """``CVec3.cross`` on triples."""
+    return (u[1] * v[2] - u[2] * v[1],
+            u[2] * v[0] - u[0] * v[2],
+            u[0] * v[1] - u[1] * v[0])
+
+
+def _line_system(g, h):
+    """The non-null line fibre at G = g, H = h as a linear system: the rows
+    u, v and gamma = (u x v) * 2 / CN(xi) of its matrix, where xi = u + v i2
+    (gamma is also the line's direction), and the first two entries
+    (2 h1, 2 h2) of its right-hand side, the third being 0."""
+    xi = _xi(g)
+    u = tuple(c.z1 for c in xi)
+    v = tuple(c.z2 for c in xi)
+    k = 2.0 / (xi[0].cn() + xi[1].cn() + xi[2].cn())  # u^2 = CN(xi)/2
+    gamma = tuple(c * k for c in _cross(u, v))
+    return (u, v, gamma), (2 * h.z1, 2 * h.z2)
+
+
+def _gradient(g, fq_inv):
+    """The implicit gradient -xi(G) / F_q from G's value and 1 / F_q."""
+    m = -1 * fq_inv
+    return tuple(c * m for c in _xi(g))
+
+
+def _null_parts(grad):
+    """|grad|^2 and CN(grad), summed as ``BVec3.norm2`` and ``BVec3.cn``."""
+    n2 = grad[0].norm2() + grad[1].norm2() + grad[2].norm2()
+    cn = grad[0].cn() + grad[1].cn() + grad[2].cn()
+    return n2, cn
+
+
+def _laplacian(g, dg, d2g, d2h, z, grad, fq_inv):
+    """The implicit Laplacian: the second-order relation summed over the
+    coordinates, F_q Phi_ii + F_qq Phi_i^2 + 2 F_{z_i q} Phi_i = 0."""
+    xi_p = (-2 * dg, -2 * g * dg, (2 * g * dg) * I2)
+    gdg2 = d2g * g + dg * dg
+    fqq = (-2 * d2g * z.u1 - 2 * gdg2 * z.u2
+           + (2 * gdg2 * z.u3) * I2 - 2 * d2h)
+    lap = Bicomplex(0.0)
+    for gi, xpi in zip(grad, xi_p):
+        lap = lap - (fqq * gi * gi + 2 * xpi * gi) * fq_inv
+    return lap
 
 
 @dataclass
@@ -141,16 +196,13 @@ def fibre_at(data: WeierstrassData, q: Bicomplex, degenerate_tol=1e-9) -> FibreD
     cn_g = g.cn()
     scale = max(1.0, g.norm2())
     if abs(cn_g + 1.0) > degenerate_tol * scale:
-        xi = xi_direction(data, q)
-        u, v = xi.split()
-        gamma = u.cross(v) * (2.0 / xi.cn())  # u^2 = CN(xi)/2
-        a = np.array([tuple(u), tuple(v), tuple(gamma)], dtype=complex)
-        rhs = np.array([2 * h.z1, 2 * h.z2, 0.0], dtype=complex)
-        c = np.linalg.solve(a, rhs)
+        rows, rhs = _line_system(g, h)
+        c = np.linalg.solve(np.array(rows, dtype=complex),
+                            np.array([*rhs, 0.0], dtype=complex))
         return FibreDescription(
             FibreTag.NON_NULL_LINE,
             base=CVec3(*c),
-            direction=CVec3(*tuple(gamma)),
+            direction=CVec3(*rows[2]),
         )
     # CN(G) = -1: solvable iff H is a complex multiple of G
     g1, g2 = g.z1, g.z2
@@ -215,6 +267,11 @@ def _poly_roots(coeffs):
         return []
     if deg == 1:
         b, a = coeffs
+        if a == 0:
+            # a NaN coefficient (an overflow cancelled) compares false and
+            # stops the trim, which keeps this zero leading term
+            raise InvalidInputError("congruence component has a NaN coefficient: "
+                                    "the data overflow at this point")
         return [(-b / a, 1)]
     if deg == 2:
         c, b, a = coeffs
@@ -333,26 +390,13 @@ def _solutions(data: WeierstrassData, z: CVec3, fe, ff, pairs, grad_tol=1e-8):
             # from zero here, even when their product would trip the
             # scale-invariant zero-divisor guard
             fq_inv = Bicomplex.from_ringleb(1.0 / de, 1.0 / df)
-            xi = xi_direction(data, q)
-            grad = xi * (-1 * fq_inv)
-            sol.gradient = grad
-            n2 = grad.norm2()
-            sol.degenerate = (abs(grad.cn()) <= GRAD_NULL_TOL * max(n2, 1e-300)
-                              and n2 > 0)
-            # second-order implicit relation, summed over coordinates:
-            # F_q Phi_ii + F_qq Phi_i^2 + 2 F_{z_i q} Phi_i = 0
             g = data.G(q)
-            dg = data.dG(q)
-            d2g = data.d2G(q)
-            d2h = data.d2H(q)
-            xi_p = BVec3(-2 * dg, -2 * g * dg, (2 * g * dg) * I2)
-            gdg2 = d2g * g + dg * dg
-            fqq = (-2 * d2g * z.u1 - 2 * gdg2 * z.u2
-                   + (2 * gdg2 * z.u3) * I2 - 2 * d2h)
-            lap = Bicomplex(0.0)
-            for gi, xpi in zip(grad, xi_p):
-                lap = lap - (fqq * gi * gi + 2 * xpi * gi) * fq_inv
-            sol.laplacian = lap
+            grad = _gradient(g, fq_inv)
+            sol.gradient = BVec3(*grad)
+            n2, cn = _null_parts(grad)
+            sol.degenerate = abs(cn) <= GRAD_NULL_TOL * max(n2, 1e-300) and n2 > 0
+            sol.laplacian = _laplacian(g, data.dG(q), data.d2G(q), data.d2H(q),
+                                       z, grad, fq_inv)
         elif e_ok != f_ok:
             sol.partially_degenerate = True
         sols.append(sol)
@@ -465,6 +509,18 @@ def _polish_and_cluster(coeffs, roots):
     return CArray(rep_re, rep_im), mult, count, overflow
 
 
+def _trimmed_degree(re, im):
+    """``len(_trim(coeffs)) - 1`` at every lane, and whether the lane's
+    coefficients are finite and not all zero (else the degree is 0)."""
+    width = re.shape[1]
+    mag = np.hypot(re, im)
+    ok = np.isfinite(mag).all(axis=1)
+    top = np.where(ok, mag.max(axis=1), 0.0)
+    ok &= top > 0.0
+    kept = mag > 1e-12 * top[:, None]
+    return ok, np.where(ok, width - 1 - np.argmax(kept[:, ::-1], axis=1), 0)
+
+
 def _side_roots(re, im):
     """``_poly_roots`` of one side's components at every lane, grouped by
     trimmed degree.  Returns (ok, representatives, multiplicities, counts);
@@ -472,12 +528,7 @@ def _side_roots(re, im):
     coefficient or value, a vanishing component (the scalar path raises),
     a failing eigvals, or ``np.roots``' real-typed all-zero case."""
     lanes, width = re.shape
-    mag = np.hypot(re, im)
-    ok = np.isfinite(mag).all(axis=1)
-    top = np.where(ok, mag.max(axis=1), 0.0)
-    ok &= top > 0.0
-    kept = mag > 1e-12 * top[:, None]
-    deg = np.where(ok, width - 1 - np.argmax(kept[:, ::-1], axis=1), 0)
+    ok, deg = _trimmed_degree(re, im)
     nonzero = (re != 0.0) | (im != 0.0)
     trailing = np.argmax(nonzero, axis=1)
     size = max(width - 1, 1)
@@ -520,7 +571,8 @@ def _side_roots(re, im):
 
 
 class RootBatch:
-    """``_canonical_roots`` at many points in one array pass.
+    """``_canonical_roots``, ``solve_phi`` and ``fibre_at`` at many points in
+    one array pass.
 
     Each lane reproduces the scalar path bit for bit: the components are
     built by ``congruence_components`` itself over ``CArray`` lanes, the
@@ -530,11 +582,21 @@ class RootBatch:
     lane whose values leave the finite range, or whose solve raises on the
     scalar path, is left to that path: ``roots`` returns None for it, and
     ``canonical`` solves it there, raising what the scalar path raises.
+
+    On first use, ``solutions`` and ``fibres`` run the derivative step and
+    the fibres over every root lane of the batch: G, H, dG, d2G and d2H are
+    evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
+    formulas are the scalar path's own helpers.  A point with a root lane
+    where the scalar step would raise (a pole, an overflow) or whose values
+    are not finite gets its solutions from the scalar path; a root whose
+    fibre lane is flagged (so too a singular line system) gets None, for
+    the caller to solve with ``fibre_at``.
     """
 
     def __init__(self, data: WeierstrassData, points):
         self.data = data
         self.points = points
+        self._values = {}
         # a lane that overflows is left to the scalar path: no numpy warning
         # of the array pass reaches the caller
         with np.errstate(all="ignore"):
@@ -582,6 +644,7 @@ class RootBatch:
         self._mf = mf
         self._side_e = rep_e[:, :me], mult_e
         self._side_f = rep_f[:, :mf], mult_f
+        self._z = lanes
 
     def __len__(self):
         return len(self.points)
@@ -611,10 +674,274 @@ class RootBatch:
             pairs.append((q, s[a], ms[a], w[b], mw[b]))
         return fe, ff, pairs
 
-    def solutions(self, i, grad_tol=1e-8):
+    def solutions(self, i):
         """``solve_phi(data, points[i])``."""
-        return _solutions(self.data, self.points[i], *self.canonical(i),
-                          grad_tol=grad_tol)
+        if not self._batched(i) or self._implicit.scalar[i]:
+            return _solutions(self.data, self.points[i], *self.canonical(i))
+        implicit = self._implicit
+        lo, hi = self._span[i], self._span[i + 1]
+        sols = []
+        for k, q in zip(range(lo, hi), self.roots(i)):
+            sol = CongruenceSolution(q=q, gradient=None, laplacian=None,
+                                     multiplicity=implicit.multiplicity[k],
+                                     residual=implicit.residual[k])
+            if implicit.has_gradient[k]:
+                sol.gradient = BVec3(*map(_make, implicit.gradient[0][k],
+                                          implicit.gradient[1][k]))
+                sol.laplacian = _make(implicit.laplacian[0][k], implicit.laplacian[1][k])
+                sol.degenerate = implicit.degenerate[k]
+            elif implicit.partially_degenerate[k]:
+                sol.partially_degenerate = True
+            sols.append(sol)
+        return sols
+
+    def fibres(self, i):
+        """``[fibre_at(data, q) for q in roots(i)]``, with None for a root
+        whose fibre is left to ``fibre_at``; None when the point has no
+        root lanes."""
+        if not self._batched(i):
+            return None
+        return self._fibres[self._span[i]:self._span[i + 1]]
+
+    # -- the root lanes -----------------------------------------------------
+
+    def _batched(self, i):
+        """Whether point i has roots, and they are lanes of the batch."""
+        return self._ok[i] and self._npairs[i] > 0
+
+    @cached_property
+    def _roots(self):
+        """Every root of the batched points as one lane, point by point in
+        canonical order: (point index, q, e-side root s, multiplicity ms,
+        f-side root w, multiplicity mw)."""
+        width = self._order.shape[1]
+        batched = np.array(self._ok)[:, None] & (np.arange(width) < np.array(self._npairs)[:, None])
+        point, slot = np.nonzero(batched)
+        a, b = np.divmod(self._order[point, slot], self._mf)
+        (rep_e, mult_e), (rep_f, mult_f) = self._side_e, self._side_f
+        q1 = self._q1[point, slot]
+        q2 = self._q2[point, slot]
+        q = BArray(CArray(q1.real.copy(), q1.imag.copy()), CArray(q2.real.copy(), q2.imag.copy()))
+        return (point, q, rep_e[point, a], mult_e[point, a],
+                rep_f[point, b], mult_f[point, b])
+
+    @cached_property
+    def _span(self):
+        """Root lanes [span[i], span[i + 1]) are those of point i."""
+        counts = np.bincount(self._roots[0], minlength=len(self.points))
+        return [0] + np.cumsum(counts).tolist()
+
+    @cached_property
+    def _ringleb(self):
+        return self._roots[1].ringleb()
+
+    def _at_roots(self, fn: HoloFn):
+        """``fn(q)`` at every root lane, evaluated once per batch: (value,
+        lanes where the scalar evaluation raises or the value is not
+        finite).  A tree whose lane evaluation raises flags every lane."""
+        found = self._values.get(fn)
+        if found is None:
+            with np.errstate(all="ignore"):
+                found = self._values[fn] = _evaluate(fn, *self._ringleb)
+        return found
+
+    @cached_property
+    def _implicit(self):
+        with np.errstate(all="ignore"):
+            return self._implicit_lanes()
+
+    @cached_property
+    def _fibres(self):
+        (g, bad_g), (h, bad_h) = (self._at_roots(fn) for fn in (self.data.G, self.data.H))
+        with np.errstate(all="ignore"):
+            return _lane_fibres(g, h, bad_g | bad_h)
+
+    def _implicit_lanes(self, grad_tol=1e-8):
+        """``_solutions``' derivative step over the root lanes."""
+        point, q, s, ms, w, mw = self._roots
+        data = self.data
+
+        def side(coeffs, root):
+            # F at the root, F' there, and _coeff_scale(F', root)
+            d = _trimmed_degree(*coeffs)[1][point]
+            re, im = (part[point] for part in coeffs)
+            value = _poly_eval([CArray(re[:, k], im[:, k]) for k in range(re.shape[1])], root)
+            dre, dim = _derivative_lanes(re, im, d)
+            derivative = _poly_eval([CArray(dre[:, k], dim[:, k])
+                                     for k in range(dre.shape[1])], root)
+            return value, derivative, _coeff_scale_lanes(dre, dim, d, root)
+
+        ve, de, cs_e = side(self._fe, s)
+        vf, df, cs_f = side(self._ff, w)
+        residual = abs(BArray.from_ringleb(ve, vf))
+        dscale = grad_tol * np.maximum(np.maximum(1.0, cs_e), cs_f)
+        a_de, a_df = abs(de), abs(df)
+        e_ok = a_de > dscale
+        f_ok = a_df > dscale
+        has_gradient = e_ok & f_ok & (ms == 1) & (mw == 1)
+        scalar = ~(np.isfinite(residual) & np.isfinite(a_de) & np.isfinite(a_df)
+                   & np.isfinite(cs_e) & np.isfinite(cs_f))
+
+        fq_inv = BArray.from_ringleb(1.0 / de, 1.0 / df)
+        g, bad = self._at_roots(data.G)
+        grad = _gradient(g, fq_inv)
+        n2, cn = _null_parts(grad)
+        a_cn = abs(cn)
+        degenerate = (a_cn <= GRAD_NULL_TOL * np.maximum(n2, 1e-300)) & (n2 > 0)
+        (dg, bad_dg), (d2g, bad_d2g), (d2h, bad_d2h) = (
+            self._at_roots(fn) for fn in (data.dG, data.d2G, data.d2H))
+        z = _Lanes(*(u[point] for u in self._z))
+        lap = _laplacian(g, dg, d2g, d2h, z, grad, fq_inv)
+        bad = bad | bad_dg | bad_d2g | bad_d2h | ~np.isfinite(n2) | ~np.isfinite(a_cn)
+        bad |= ~lap.isfinite()
+        for c in grad:
+            bad |= ~c.isfinite()
+        scalar |= has_gradient & bad
+
+        def parts(values):
+            return ([c.z1.complex().tolist() for c in values],
+                    [c.z2.complex().tolist() for c in values])
+
+        (g1, g2, g3), (h1, h2, h3) = parts(grad)
+        return _Implicit(
+            scalar=(np.bincount(point[scalar], minlength=len(self.points)) > 0).tolist(),
+            residual=residual.tolist(),
+            multiplicity=(ms * mw).tolist(),
+            has_gradient=has_gradient.tolist(),
+            degenerate=degenerate.tolist(),
+            partially_degenerate=(e_ok != f_ok).tolist(),
+            gradient=(list(zip(g1, g2, g3)), list(zip(h1, h2, h3))),
+            laplacian=(lap.z1.complex().tolist(), lap.z2.complex().tolist()),
+        )
+
+
+class _Implicit(NamedTuple):
+    """``RootBatch``'s derivative step: per point, whether it is left to the
+    scalar path; per root lane, the fields of its CongruenceSolution."""
+    scalar: list
+    residual: list
+    multiplicity: list
+    has_gradient: list
+    degenerate: list
+    partially_degenerate: list
+    gradient: tuple   # (z1 triples, z2 triples)
+    laplacian: tuple  # (z1 list, z2 list)
+
+
+def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9):
+    """``fibre_at`` at lanes where G and H take the values g and h: a
+    FibreDescription per lane, or None where the lane is left to
+    ``fibre_at`` (``flagged``, or a value or system ``fibre_at`` would
+    raise on)."""
+    n2 = g.norm2()
+    dist = abs(g.cn() + 1.0)
+    line = dist > degenerate_tol * np.maximum(1.0, n2)
+    bad = flagged | ~np.isfinite(n2) | ~np.isfinite(dist)
+    n = len(line)
+
+    # the non-null lines: one stacked solve
+    rows, rhs = _line_system(g, h)
+    a = np.empty((n, 3, 3), dtype=complex)
+    for r, row in enumerate(rows):
+        for c, entry in enumerate(row):
+            a[:, r, c] = entry.complex()
+    b = np.zeros((n, 3, 1), dtype=complex)
+    b[:, 0, 0] = rhs[0].complex()
+    b[:, 1, 0] = rhs[1].complex()
+    bad |= line & ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2)))
+    solved = np.flatnonzero(line & ~bad)
+    base = np.full((n, 3), np.nan, dtype=complex)
+    base[solved] = _stacked_solve(a[solved], b[solved])
+    bad |= line & ~np.isfinite(base).all(axis=1)
+
+    # CN(G) = -1: a degenerate plane when H is a complex multiple of G
+    g1, g2, h1, h2 = g.z1, g.z2, h.z1, h.z2
+    a_h1, a_h2 = abs(h1), abs(h2)
+    through_origin = (a_h1 <= degenerate_tol) & (a_h2 <= degenerate_tol)
+    by_g2 = abs(g2) > abs(g1)  # max((g1, g2), key=abs) keeps g1 on a tie
+    mu = _where(by_g2, h2 / g2, h1 / g1)
+    r1, r2 = abs(h1 - mu * g1), abs(h2 - mu * g2)
+    limit = degenerate_tol * np.maximum(np.maximum(1.0, a_h1), a_h2)
+    multiple = np.where(r2 > r1, r2, r1) <= limit
+    bad |= ~line & ~(np.isfinite(a_h1) & np.isfinite(a_h2) & np.isfinite(abs(g1))
+                     & np.isfinite(abs(g2)) & mu.isfinite()
+                     & np.isfinite(r1) & np.isfinite(r2))
+
+    gamma = [c.complex().tolist() for c in rows[2]]
+    base = base.tolist()
+    normal = (g1.complex().tolist(), g2.complex().tolist())
+    offset = (-mu).complex().tolist()
+    out = []
+    for k, (left, is_line, zero, is_multiple) in enumerate(zip(
+            bad.tolist(), line.tolist(), through_origin.tolist(), multiple.tolist())):
+        if left:
+            out.append(None)
+        elif is_line:
+            out.append(FibreDescription(FibreTag.NON_NULL_LINE, base=CVec3(*base[k]),
+                                        direction=CVec3(gamma[0][k], gamma[1][k],
+                                                        gamma[2][k])))
+        elif zero or is_multiple:
+            out.append(FibreDescription(FibreTag.DEGENERATE_PLANE,
+                                        normal=CVec3(1.0, normal[0][k], normal[1][k]),
+                                        offset=0j if zero else offset[k]))
+        else:
+            out.append(FibreDescription(FibreTag.EMPTY))
+    return out
+
+
+def _evaluate(fn: HoloFn, e: CArray, f: CArray):
+    """``fn(q)`` at lanes with ``q.ringleb() == (e, f)``, as
+    ``HoloFn.__call__`` computes it: (value, flagged lanes)."""
+    n = len(e.re)
+    env_e, env_f = Lanes(e), Lanes(f)
+    try:
+        parts = [fn.f1.evaluate(env_e), fn.f2.evaluate(env_f)]
+    except (BhmError, ArithmeticError, TypeError):
+        nan = np.full(n, np.nan)
+        return BArray(CArray(nan, nan), CArray(nan, nan)), np.ones(n, dtype=bool)
+    for k, v in enumerate(parts):
+        if not isinstance(v, CArray):  # a constant tree
+            parts[k] = CArray(np.full(n, v.real), np.full(n, v.imag))
+    value = BArray.from_ringleb(*parts)
+    return value, env_e.poles | env_f.poles | ~value.isfinite()
+
+
+def _derivative_lanes(re, im, deg):
+    """``_poly_derivative(_trim(coeffs))`` at every lane: columns k * c_k
+    for k = 1..deg, then exact zeros, which leave Horner's scheme at a
+    finite point as it was."""
+    k = np.arange(1, re.shape[1], dtype=float)
+    d = CArray(re[:, 1:], im[:, 1:]) * CArray(k, 0.0)  # int k promoted to k + 0j
+    keep = k <= deg[:, None]
+    return np.where(keep, d.re, 0.0), np.where(keep, d.im, 0.0)
+
+
+def _coeff_scale_lanes(re, im, deg, root):
+    """``_coeff_scale`` of the derivative columns at every lane: the terms
+    of its first ``deg`` columns added left to right from 0.0, as
+    Python 3.11's ``sum`` adds floats, with libm's ``pow``."""
+    a = abs(root)
+    total = 0.0
+    for k in range(re.shape[1]):
+        term = abs(CArray(re[:, k], im[:, k])) * np.float_power(a, k)
+        total = total + np.where(k < deg, term, 0.0)
+    return total
+
+
+def _stacked_solve(a, b):
+    """``np.linalg.solve`` of each system a[k] x = b[k]: one stacked call,
+    which gives the bits of single calls; where a system is singular, the
+    systems are solved one by one and a singular one gets NaN."""
+    try:
+        return np.linalg.solve(a, b)[:, :, 0]
+    except np.linalg.LinAlgError:
+        out = np.full(b.shape[:2], np.nan, dtype=complex)
+        for k in range(len(a)):
+            try:
+                out[k] = np.linalg.solve(a[k], b[k, :, 0])
+            except np.linalg.LinAlgError:
+                pass
+        return out
 
 
 def gauss_map(gradient: BVec3, tol=GRAD_NULL_TOL) -> CVec3:

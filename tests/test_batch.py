@@ -6,6 +6,7 @@ bit for bit: every comparison is on ``float.hex`` of each part, in order.
 """
 
 import io
+import json
 import math
 import random
 
@@ -16,15 +17,23 @@ from hypothesis import given, settings, strategies as st
 
 import bhm.cli
 from bhm.cli import run
-from bhm.core import CArray
+import bhm.weierstrass
+from bhm.core import I2, BArray, Bicomplex, CArray
+from bhm.errors import PoleEncounteredError
 from bhm.geometry import CVec3
-from bhm.holo import Const, HoloFn, Var
+from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var
 from bhm.weierstrass import (
     RootBatch,
     WeierstrassData,
     _canonical_roots,
+    _coeff_scale,
+    _coeff_scale_lanes,
+    _derivative_lanes,
+    _lane_fibres,
     _poly_roots,
     _side_roots,
+    _stacked_solve,
+    fibre_at,
     solve_phi,
     solve_roots,
 )
@@ -71,6 +80,8 @@ _OPS = {
     "int-rmul": lambda a, b: -2 * a,
     "int-mul": lambda a, b: a * 3,
     "float-div": lambda a, b: a / 2.0,
+    "complex-div": lambda a, b: a / (0.25 - 3j),
+    "complex-div-by-re": lambda a, b: a / (-1.5 + 0.75j),
     "complex-rmul": lambda a, b: 1j * a,
 }
 
@@ -483,3 +494,375 @@ def test_an_error_keeps_its_place_across_blocks(monkeypatch):
     for size in (1, 3):
         monkeypatch.setattr(bhm.cli, "BLOCK_POINTS", size)
         assert _cli_output(config) == default
+
+
+# ---------------------------------------------------------------------------
+# powers, trees and the derivative step over lanes
+
+
+def _nonfinite(z):
+    return not (math.isfinite(z.real) and math.isfinite(z.imag))
+
+
+class TestLanePowers:
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(a=st.lists(_complex, min_size=1, max_size=40), n=st.integers(-64, 64))
+    def test_power_matches_cpython(self, a, n):
+        lanes = _lanes(CArray.of(a) ** n)
+        for x, got in zip(a, lanes):
+            want = _scalar(lambda x: x ** n, x)
+            if isinstance(want, str):
+                # CPython raises on an infinite part (OverflowError) and on
+                # 1 / 0 (ZeroDivisionError): the lane is not finite
+                assert _nonfinite(got), (x, n)
+            else:
+                assert _bits(got) == want, (x, n)
+
+    def test_power_on_seeded_operands(self):
+        rng = random.Random(5)
+        special = [0.0, -0.0, 5e-324, -2.2e-308, 1e-160, 1e154, -1e300]
+
+        def part():
+            return rng.choice(special) if rng.random() < 0.05 else rng.uniform(-3, 3)
+
+        a = [complex(part(), part()) for _ in range(2000)]
+        arr = CArray.of(a)
+        for n in list(range(1, 65)) + [-1, -2, -3, -7]:
+            for x, got in zip(a, _lanes(arr ** n)):
+                want = _scalar(lambda x: x ** n, x)
+                if isinstance(want, str):
+                    assert _nonfinite(got), (x, n)
+                else:
+                    assert _bits(got) == want, (x, n)
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(x=st.lists(_finite.map(abs), min_size=1, max_size=40), k=st.integers(0, 8))
+    def test_float_power_is_cpython_float_pow(self, x, k):
+        # libm's pow, which CPython's float ** k calls and numpy's ** does not
+        with np.errstate(over="ignore"):
+            got = np.float_power(np.array(x), k).tolist()
+        for v, g in zip(x, got):
+            try:
+                want = v ** k
+            except OverflowError:
+                assert g == math.inf
+                continue
+            assert g.hex() == want.hex(), (v, k)
+
+
+def _seeded_parts(rng, n, special=(0.0, -0.0, 5e-324, 1e-160, 1e154, -1e300, 1.5e308)):
+    def part():
+        return rng.choice(special) if rng.random() < 0.05 else rng.uniform(-3, 3)
+    return [complex(part(), part()) for _ in range(n)]
+
+
+_LANE_OPS = {
+    "add": lambda a, b: a + b,
+    "sub": lambda a, b: a - b,
+    "rsub-bicomplex": lambda a, b: Bicomplex(0.0) - a,
+    "rsub-int": lambda a, b: 1 - a,
+    "mul": lambda a, b: a * b,
+    "rmul-int": lambda a, b: -2 * a,
+    "mul-i2": lambda a, b: a * I2,
+    "mul-complex": lambda a, b: a * b.z1,
+    "cn": lambda a, b: a.cn(),
+    "norm2": lambda a, b: a.norm2(),
+    "abs": lambda a, b: abs(a),
+    "ringleb": lambda a, b: a.ringleb()[1],
+    "from_ringleb": lambda a, b: type(a).from_ringleb(a.z1, b.z2),
+}
+
+
+def _lane_parts(value, k):
+    """Lane k of a BArray, CArray or float array as a tuple of part bits."""
+    if isinstance(value, BArray):
+        return _bits(complex(value.z1.re[k], value.z1.im[k])) + \
+            _bits(complex(value.z2.re[k], value.z2.im[k]))
+    if isinstance(value, CArray):
+        return _bits(complex(value.re[k], value.im[k]))
+    return _bits(complex(float(value[k]), 0.0))
+
+
+def _scalar_parts(value):
+    if isinstance(value, Bicomplex):
+        return _bits(value.z1) + _bits(value.z2)
+    return _bits(complex(value))
+
+
+@pytest.mark.parametrize("op", sorted(_LANE_OPS))
+def test_bicomplex_lanes_match_bicomplex(op):
+    # libm's pow (float ** 2) and numpy's x ** 2 part on about 1 operand in
+    # 1 000: norm2 and abs need 5 000 lanes to show it
+    rng = random.Random(sorted(_LANE_OPS).index(op))
+    z1, z2, w1, w2 = (_seeded_parts(rng, 5000) for _ in range(4))
+    fn = _LANE_OPS[op]
+    with np.errstate(all="ignore"):
+        lanes = fn(BArray(CArray.of(z1), CArray.of(z2)), BArray(CArray.of(w1), CArray.of(w2)))
+    for k in range(5000):
+        try:
+            want = _scalar_parts(fn(Bicomplex(z1[k], z2[k]), Bicomplex(w1[k], w2[k])))
+        except OverflowError:
+            continue  # CPython raises where the lane holds inf: callers check finiteness
+        assert _lane_parts(lanes, k) == want, (op, k)
+
+
+def test_coeff_scale_lanes_match_coeff_scale():
+    rng = random.Random(9)
+    width = 7
+    coeffs = [_seeded_parts(rng, width) for _ in range(3000)]
+    degs = [rng.randint(1, width - 1) for _ in coeffs]
+    roots = _seeded_parts(rng, 3000, special=(0.0, -0.0, 1e-160, 1e60))
+    a = np.array(coeffs)
+    d = np.array(degs)
+    with np.errstate(all="ignore"):
+        dre, dim = _derivative_lanes(a.real.copy(), a.imag.copy(), d)
+        got = _coeff_scale_lanes(dre, dim, d, CArray.of(roots)).tolist()
+    for c, deg, s, g in zip(coeffs, degs, roots, got):
+        dfe = [k * x for k, x in enumerate(c[:deg + 1])][1:]
+        try:
+            want = _coeff_scale(dfe, s)
+        except OverflowError:
+            assert g == math.inf or g != g
+            continue
+        assert g.hex() == want.hex() if want == want else g != g
+
+
+_near_pole = st.sampled_from([1e-12, 3e-12, -2e-12j, 1e-11 + 1e-11j, 5e-13, 1e-300, 0j,
+                              -0.0 + 0j])
+
+
+def _trees():
+    leaves = st.one_of(st.just(Var()), _coeff.map(Const))
+
+    def extend(t):
+        return st.one_of(st.builds(Add, t, t), st.builds(Sub, t, t), st.builds(Mul, t, t),
+                         st.builds(Div, t, _near_pole.map(Const)), st.builds(Div, t, t),
+                         st.builds(Pow, t, st.integers(-3, 4)))
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+def _evaluation(tree, x):
+    try:
+        return tree.evaluate({"q": x})
+    except Exception as exc:
+        return exc
+
+
+class TestLaneEvaluation:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(tree=_trees(), points=st.lists(
+        st.one_of(_coeff, st.sampled_from([0j, complex(-0.0, 0.0), 1e-12 + 0j, 1e-6j,
+                                           1.5e308 + 1.5e308j, -1e300j])),
+        min_size=1, max_size=16))
+    def test_lanes_flag_where_the_scalar_raises(self, tree, points):
+        env = Lanes(CArray.of(points))
+        try:
+            value = tree.evaluate(env)
+        except ArithmeticError:
+            # a subtree with no lane raised: it raises at every point
+            assert all(isinstance(_evaluation(tree, x), ArithmeticError) for x in points)
+            return
+        if not isinstance(value, CArray):
+            value = CArray.of([value] * len(points))
+        for x, got, flagged in zip(points, _lanes(value), env.poles.tolist()):
+            want = _evaluation(tree, x)
+            if isinstance(want, PoleEncounteredError):
+                assert flagged, (tree, x)
+            elif isinstance(want, Exception):
+                assert flagged, (tree, x, want)
+            elif not _nonfinite(want):
+                assert not flagged and _bits(got) == _bits(want), (tree, x)
+
+    def test_near_pole_constants_flag_by_magnitude(self):
+        # |den| <= 1e-12 * max(1, |num|): a 1e-11 divisor is a pole exactly
+        # where |num| >= 10
+        tree = Div(Mul(Const(20.0), Var()), Const(1e-11))
+        points = [0.1, 0.5, 0.49, 0.51, 1j, -0.0, 2.0]
+        env = Lanes(CArray.of(points))
+        tree.evaluate(env)
+        want = [isinstance(_evaluation(tree, complex(x)), PoleEncounteredError)
+                for x in points]
+        assert env.poles.tolist() == want
+        assert want == [False, True, False, True, True, False, True]
+
+    def test_an_overflowing_abs_is_flagged(self):
+        # |1.5e308 (1 + i)| is past the double range: CPython's abs raises
+        # in the pole check, the lane's hypot is inf
+        points = CArray.of([1.5e308 + 1.5e308j, 1 + 1j])
+        for tree in (Div(Const(1.0), Var()), Pow(Var(), -1)):
+            env = Lanes(points)
+            tree.evaluate(env)
+            assert env.poles.tolist() == [True, False]
+            assert isinstance(_evaluation(tree, complex(1.5e308, 1.5e308)), OverflowError)
+
+
+def _fibre_outcome(data, q):
+    try:
+        return repr(fibre_at(data, q))
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _assert_batch_matches_scalar(data, points):
+    batch = RootBatch(data, points)
+    for i, z in enumerate(points):
+        want = _solution_outcome(lambda: solve_phi(data, z))
+        assert _solution_outcome(lambda: batch.solutions(i)) == want
+        if isinstance(want, tuple):
+            continue  # the point raised
+        fibres = batch.fibres(i)
+        if fibres is None:
+            assert batch.roots(i) is None or not batch.roots(i)
+            continue
+        for q, fibre in zip(batch.roots(i), fibres):
+            scalar = _fibre_outcome(data, q)
+            if fibre is None:
+                continue  # the CLI asks fibre_at, which gives `scalar`
+            assert repr(fibre) == scalar
+
+
+class TestDerivativeStep:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(data=_data(max_deg=3),
+           points=st.lists(st.builds(CVec3, _coord, _coord, _coord), min_size=1, max_size=6))
+    def test_solutions_and_fibres_match_the_scalar_path(self, data, points):
+        with np.errstate(all="ignore"):
+            _assert_batch_matches_scalar(data, points)
+
+    @pytest.mark.parametrize("degree", [1, 2, 3])
+    def test_seeded_polynomial_data_is_batched(self, degree):
+        rng = random.Random(degree)
+
+        def rc():
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        data = WeierstrassData(HoloFn(_poly([rc() for _ in range(degree + 1)]),
+                                      _poly([rc() for _ in range(degree + 1)])),
+                               HoloFn(_poly([rc() for _ in range(degree + 1)]),
+                                      _poly([rc() for _ in range(degree + 1)])))
+        points = [CVec3(rc(), rc(), rc()) for _ in range(12)]
+        _assert_batch_matches_scalar(data, points)
+        batch = RootBatch(data, points)
+        assert not any(batch._implicit.scalar)
+        assert all(f is not None for i in range(len(points)) for f in batch.fibres(i))
+
+    def test_constant_g_with_cn_minus_one(self):
+        # CN(G) = G_e G_f = -1: the fibres at the roots are degenerate planes.
+        # F = A(z) - 2 H(q) with A(z) = -2 G z1 at z = (c, 0, 0), so there
+        # H(q) = -c G at the roots: a plane with offset c; at z = 0, H(q) = 0:
+        # a plane through the origin
+        a = 0.8 - 0.6j
+        data = WeierstrassData(HoloFn(Const(a), Const(-1 / a)),
+                               HoloFn(_poly([0.3, 1.0, 0.5j]), _poly([-0.2j, 0.7, 0.4])))
+        points = [CVec3(0.5 + 0.1j, 0, 0), CVec3(0, 0, 0), CVec3(-1.2, 0, 0),
+                  CVec3(0.3, 1.1, -0.2), CVec3(0.4j, -0.5, 0.9)]
+        _assert_batch_matches_scalar(data, points)
+        batch = RootBatch(data, points)
+        for i in range(len(points)):
+            assert {f.tag.value for f in batch.fibres(i)} == {"degenerate_plane"}
+        assert [f.offset for f in batch.fibres(1)] == [0j] * 4
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(g=st.sampled_from([0.8 - 0.6j, 2.0, 1e-3j, 30 + 40j]),
+           h=st.lists(_coeff, min_size=2, max_size=2), scale=_coeff,
+           qs=st.lists(st.one_of(_coeff, st.sampled_from([0j, complex(-0.0, -0.0)])),
+                       min_size=1, max_size=8))
+    def test_fibres_at_any_q_with_cn_minus_one(self, g, h, scale, qs):
+        # off the roots, H(q) may or may not be a multiple of G: planes
+        # through the origin, other planes and empty fibres
+        G = HoloFn(Const(g), Const(-1 / g))
+        cases = [WeierstrassData(G, HoloFn(_poly(h), _poly([h[0] * scale, h[1]]))),
+                 WeierstrassData(G, G * scale),
+                 WeierstrassData(G, HoloFn.const(0))]
+        q = [Bicomplex(x, y) for x, y in zip(qs, reversed(qs))]
+        e, f = BArray(CArray.of([p.z1 for p in q]), CArray.of([p.z2 for p in q])).ringleb()
+        with np.errstate(all="ignore"):
+            for data in cases:
+                (gv, bad_g), (hv, bad_h) = (bhm.weierstrass._evaluate(fn, e, f)
+                                            for fn in (data.G, data.H))
+                fibres = _lane_fibres(gv, hv, bad_g | bad_h)
+                assert [repr(fibre) for fibre in fibres] == \
+                    [_fibre_outcome(data, p) for p in q]
+
+    def test_fibres_at_any_q_take_every_branch(self):
+        rng = random.Random(2)
+        q = [Bicomplex(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)),
+                       complex(rng.uniform(-1, 1), rng.uniform(-1, 1))) for _ in range(8)]
+        e, f = BArray(CArray.of([p.z1 for p in q]), CArray.of([p.z2 for p in q])).ringleb()
+        # G's i2-parts 0.25 + 0.75j and 0.25 - 0.75j tie in |.|: fibre_at
+        # divides by the first
+        G = HoloFn(Const(1 + 1j), Const(-1 / (1 + 1j)))
+        g = G(Bicomplex(0.0))
+        assert abs(g.z1) == abs(g.z2)
+        tags = {}
+        for name, data in [("line", WeierstrassData(HoloFn(Q), HoloFn(Q * Q))),
+                           ("empty", WeierstrassData(G, HoloFn(Q))),
+                           ("plane", WeierstrassData(G, G * (0.3 + 2j))),
+                           ("origin", WeierstrassData(G, HoloFn.const(0)))]:
+            (gv, bad_g), (hv, bad_h) = (bhm.weierstrass._evaluate(fn, e, f)
+                                        for fn in (data.G, data.H))
+            fibres = _lane_fibres(gv, hv, bad_g | bad_h)
+            assert [repr(fibre) for fibre in fibres] == [_fibre_outcome(data, p) for p in q]
+            tags[name] = {(fibre.tag.value, fibre.offset == 0j) for fibre in fibres}
+        assert tags == {"line": {("non_null_line", False)}, "empty": {("empty", False)},
+                        "plane": {("degenerate_plane", False)},
+                        "origin": {("degenerate_plane", True)}}
+
+
+def test_stacked_solve_gives_single_call_bits_and_leaves_a_singular_system():
+    rng = random.Random(4)
+    a = np.array([[[complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)]
+                   for _ in range(3)] for _ in range(6)])
+    b = np.array([[[complex(rng.uniform(-1, 1), rng.uniform(-1, 1))] for _ in range(3)]
+                  for _ in range(6)])
+    single = [[_bits(complex(x)) for x in np.linalg.solve(a[k], b[k, :, 0])] for k in range(6)]
+    assert [[_bits(complex(x)) for x in row] for row in _stacked_solve(a, b)] == single
+    a[2] = [[1, 2, 3], [2, 4, 6], [0, 1, 1j]]  # rank 2: LAPACK finds a zero pivot
+    got = _stacked_solve(a, b)
+    assert np.isnan(got[2]).all()
+    assert [[_bits(complex(x)) for x in got[k]] for k in (0, 1, 3, 4, 5)] == \
+        [single[k] for k in (0, 1, 3, 4, 5)]
+
+
+def test_each_tree_is_evaluated_once_per_block(monkeypatch):
+    # a batched solve evaluates G, H, dG, d2G and d2H once per block over its
+    # root lanes, and never calls HoloFn for a root the batch solved
+    evaluated, called, parsed = [], [], []
+    evaluate, call, parse = bhm.weierstrass._evaluate, HoloFn.__call__, bhm.cli._parse_data
+
+    def counting_evaluate(fn, e, f):
+        evaluated.append((fn, len(e.re)))
+        return evaluate(fn, e, f)
+
+    def counting_call(fn, q):
+        called.append(q)
+        return call(fn, q)
+
+    def keeping_parse(config):
+        parsed.append(parse(config))
+        return parsed[-1]
+
+    monkeypatch.setattr(bhm.weierstrass, "_evaluate", counting_evaluate)
+    monkeypatch.setattr(HoloFn, "__call__", counting_call)
+    monkeypatch.setattr(bhm.cli, "_parse_data", keeping_parse)
+    monkeypatch.setattr(bhm.cli, "BLOCK_POINTS", 2)
+    config = {"task": "solve",
+              "data": {"G": {"f": {"op": "add", "args": [{"op": "var"},
+                                                         {"op": "const", "value": [0.3, 0]}]}},
+                       "H": {"f1": {"op": "mul", "args": [{"op": "const", "value": [0.5, 0]},
+                                                          {"op": "var"}]},
+                             "f2": {"op": "pow", "args": [{"op": "var"}], "exp": 2}}},
+              "points": [[0.3, 1.1, -0.2], [1.0, -0.5, [0.2, 0.4]], [0.7, 0.1, 0.9],
+                         [[0.2, -0.1], 0.4, 1.3], [-0.6, 0.8, 0.25]]}
+    report = json.loads(_cli_output(config))
+    (data,) = parsed
+    trees = {data.G, data.H, data.dG, data.d2G, data.d2H}
+    assert len(trees) == 5
+    blocks = [report["results"][k:k + 2] for k in range(0, 5, 2)]
+    assert len(evaluated) == 5 * len(blocks)
+    for b, block in enumerate(blocks):
+        fns, lanes = zip(*evaluated[5 * b:5 * b + 5])
+        assert set(fns) == trees
+        assert set(lanes) == {sum(len(res["roots"]) for res in block)}
+    assert called == []

@@ -314,6 +314,38 @@ class TestSchemaAndExitCodes:
         assert code == 3 and out == ""
         assert json.loads(err)["error"]["type"] == "OverflowError"
 
+    def test_exit_code_3_on_nan_congruence_coefficient(self, monkeypatch, capsys):
+        # the f-side G = 1e155 i squares past the double range, a congruence
+        # coefficient cancels to NaN, and the trim keeps a zero leading term:
+        # a domain error, not a ZeroDivisionError traceback
+        text = ('{"task":"solve","data":{"G":{"f1":{"op":"var"},"f2":{"op":"const",'
+                '"value":[0,1e155]}},"H":{"f":{"op":"sub","args":[{"op":"var"},'
+                '{"op":"var"}]}}},"points":[[0,1,1]]}')
+        monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+        code = main([])
+        out, err = capsys.readouterr()
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "InvalidInputError"
+
+    @pytest.mark.parametrize("g, code, error", [
+        # an op that is a list is unhashable: no op, not a TypeError traceback
+        ({"op": []}, 2, "ExprSchemaError"),
+        # a constant folded to zero, or underflowing to zero, to a negative
+        # power is a pole, not a ZeroDivisionError traceback
+        ({"op": "pow", "args": [{"op": "div", "args": [CONST0, VAR]}], "exp": -6},
+         3, "PoleEncounteredError"),
+        ({"op": "pow", "args": [{"op": "const", "value": -2.2e-308}], "exp": -2},
+         3, "PoleEncounteredError"),
+    ], ids=["list-op", "zero-negative-power", "underflow-negative-power"])
+    def test_fuzzer_crashes_exit_cleanly(self, g, code, error, monkeypatch, capsys):
+        config = {"task": "solve", "data": {"G": {"f": g}, "H": {"f": VAR}},
+                  "points": [[0, 1, 1]]}
+        got, out, err = main_in_process(config, monkeypatch, capsys)
+        assert got == code and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == error
+
     @pytest.mark.parametrize("g", [
         {"op": "pow", "args": [VAR], "exp": 100000},
         {"op": "pow", "args": [VAR], "exp": -100000},
