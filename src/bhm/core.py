@@ -15,6 +15,7 @@ from .errors import ZeroDivisorError
 
 __all__ = [
     "BACKEND",
+    "C_POWI_MAX",
     "ZERO_DIVISOR_RTOL",
     "BArray",
     "Bicomplex",
@@ -35,6 +36,10 @@ __all__ = [
 
 # |CN(q)| <= RTOL * max(1, |q|^2) classifies q as a non-unit
 ZERO_DIVISOR_RTOL = 1e-12
+
+# CPython's complex ** int squares and multiplies (c_powi) up to this |n|;
+# CArray copies it that far
+C_POWI_MAX = 100
 
 # the one scalar kernel; benchmark reports record its name
 BACKEND = "python"
@@ -321,7 +326,7 @@ class CArray:
       derived from an ``np.complex128`` scalar (``np.sqrt``, ``eigvals``)
       divides with numpy's rules up to its ``complex(...)`` conversion;
     * ``abs`` is ``np.hypot``;
-    * ``** n`` is CPython 3.11's ``c_powi`` for an int |n| <= 100;
+    * ``** n`` is CPython 3.11's ``c_powi`` for an int |n| <= C_POWI_MAX;
     * an ``int`` or ``float`` operand is promoted to ``x + 0j`` first, as
       CPython up to 3.13 does in mixed arithmetic.
 
@@ -402,11 +407,11 @@ class CArray:
         return _quotient(o, (self.re, self.im, self.numpy_typed))
 
     def __pow__(self, n):
-        """``complex ** n`` as CPython 3.11 computes it for an int |n| <= 100
-        (``c_powi``): square and multiply from 1 + 0j, then 1 / x**|n| for a
-        negative n.  numpy's own power rounds differently, and CPython takes
-        another algorithm past 100."""
-        if not isinstance(n, int) or abs(n) > 100 or self.numpy_typed:
+        """``complex ** n`` as CPython 3.11 computes it for an int
+        |n| <= C_POWI_MAX (``c_powi``): square and multiply from 1 + 0j, then
+        1 / x**|n| for a negative n.  numpy's own power rounds differently,
+        and CPython takes another algorithm past the limit."""
+        if not isinstance(n, int) or abs(n) > C_POWI_MAX or self.numpy_typed:
             return NotImplemented
         shape = np.shape(self.re)
         result = CArray(np.ones(shape), np.zeros(shape))
@@ -451,16 +456,6 @@ def _quotient(a, b):
         if a_np or b_np:
             q = CArray(ar, ai).complex() / CArray(br, bi).complex()
             return CArray(q.real, q.imag, True)
-        if isinstance(br, float) and isinstance(bi, float):
-            # one divisor for every lane: its branch is taken once
-            if abs(br) >= abs(bi) and br != 0.0:
-                ratio = bi / br
-                denom = br + bi * ratio
-                return CArray((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
-            if abs(bi) > abs(br):
-                ratio = br / bi
-                denom = br * ratio + bi
-                return CArray((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
         br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
         abs_br = np.abs(br)
         abs_bi = np.abs(bi)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Bicomplex, CArray
+from .core import C_POWI_MAX, Bicomplex, CArray
 from .errors import ExprSchemaError, InvalidInputError, PoleEncounteredError
 
 # a division node is a pole when |den| <= POLE_RTOL * max(1, |num|)
@@ -233,9 +233,7 @@ class Pow(Expr):
     def evaluate(self, env):
         b = self.base.evaluate(env)
         if type(env) is Lanes:
-            out = b ** self.exp
-            env.flag_power(b, out, self.exp < 0)
-            return out
+            return env.power(b, self.exp)
         if self.exp < 0 and abs(b) <= POLE_RTOL:
             raise PoleEncounteredError(f"negative power of {b!r}")
         return b ** self.exp
@@ -262,7 +260,8 @@ class Lanes(dict):
     Where the scalar evaluation raises at a lane -- a ``Div`` or ``Pow``
     node at a pole, an ``abs`` past the double range in its pole check, a
     power that overflows -- the ``Div`` and ``Pow`` nodes flag the lane in
-    ``poles`` and go on; a flagged lane's value means nothing.  A subtree
+    ``poles`` and go on; a flagged lane's value means nothing.  A power
+    past ``C_POWI_MAX`` flags every lane.  A subtree
     with no lane in it is evaluated as a scalar, and raises as one.
     """
 
@@ -275,14 +274,22 @@ class Lanes(dict):
         self.poles |= (_abs_overflows(den, a_den) | _abs_overflows(num, a_num)
                        | (a_den <= POLE_RTOL * np.fmax(1.0, a_num)))
 
-    def flag_power(self, base, out, negative):
+    def power(self, base, n):
+        """``base ** n``, with the lanes flagged where the scalar power raises."""
+        if isinstance(base, CArray) and abs(n) > C_POWI_MAX:
+            # CPython takes another algorithm past c_powi, which the lanes do
+            # not copy: every lane is flagged
+            self.poles[...] = True
+            return base
+        out = base ** n
         # CPython raises on an infinite part of a power, and on 1 / 0 when a
         # negative power's x**|n| underflows: a NaN or infinite lane
         bad = ~out.isfinite() if isinstance(out, CArray) else False
-        if negative:
+        if n < 0:
             a = abs(base)
             bad = bad | _abs_overflows(base, a) | (a <= POLE_RTOL)
         self.poles |= bad
+        return out
 
 
 def _abs_overflows(value, magnitude):

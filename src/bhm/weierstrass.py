@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -31,6 +32,8 @@ from .geometry import BVec3, CVec3
 from .holo import HoloFn, Lanes, poly_add, poly_coefficients, poly_mul
 
 GRAD_NULL_TOL = 1e-9
+# a side of dF/dq is zero below GRAD_TOL times its coefficient scale
+GRAD_TOL = 1e-8
 
 
 class WeierstrassData:
@@ -354,7 +357,7 @@ def solve_roots(data: WeierstrassData, z) -> list[Bicomplex]:
     return [pair[0] for pair in _canonical_roots(data, z)[2]]
 
 
-def solve_phi(data: WeierstrassData, z, grad_tol=1e-8) -> list[CongruenceSolution]:
+def solve_phi(data: WeierstrassData, z, grad_tol=GRAD_TOL) -> list[CongruenceSolution]:
     """All roots q of the congruence equation at z, in canonical order.
 
     The roots are those of ``solve_roots``; each carries its implicit
@@ -367,7 +370,7 @@ def solve_phi(data: WeierstrassData, z, grad_tol=1e-8) -> list[CongruenceSolutio
     return _solutions(data, z, *_canonical_roots(data, z), grad_tol=grad_tol)
 
 
-def _solutions(data: WeierstrassData, z: CVec3, fe, ff, pairs, grad_tol=1e-8):
+def _solutions(data: WeierstrassData, z: CVec3, fe, ff, pairs, grad_tol=GRAD_TOL):
     """``solve_phi``'s derivative step on the output of ``_canonical_roots``
     at z: each root with its implicit gradient, Laplacian and flags."""
     dfe = _poly_derivative(_trim(fe))
@@ -404,8 +407,13 @@ def _solutions(data: WeierstrassData, z: CVec3, fe, ff, pairs, grad_tol=1e-8):
 
 
 def _coeff_scale(coeffs, s):
+    # added left to right from 0.0, as _coeff_scale_lanes adds: sum() of
+    # floats rounds otherwise from Python 3.12 on
     a = abs(s)
-    return sum(abs(c) * a ** k for k, c in enumerate(coeffs))
+    total = 0.0
+    for k, c in enumerate(coeffs):
+        total += abs(c) * a ** k
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -588,9 +596,11 @@ class RootBatch:
     evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
     formulas are the scalar path's own helpers.  A point with a root lane
     where the scalar step would raise (a pole, an overflow) or whose values
-    are not finite gets its solutions from the scalar path; a root whose
-    fibre lane is flagged (so too a singular line system) gets None, for
-    the caller to solve with ``fibre_at``.
+    are not finite gets its solutions from the scalar path.  A root whose
+    fibre is not a non-null line solved here (a flagged lane, a singular
+    system, a degenerate plane or the empty set) gets None, for the caller
+    to solve with ``fibre_at``.  The results stay arrays until a point is
+    read.
     """
 
     def __init__(self, data: WeierstrassData, points):
@@ -683,13 +693,13 @@ class RootBatch:
         sols = []
         for k, q in zip(range(lo, hi), self.roots(i)):
             sol = CongruenceSolution(q=q, gradient=None, laplacian=None,
-                                     multiplicity=implicit.multiplicity[k],
-                                     residual=implicit.residual[k])
+                                     multiplicity=int(implicit.multiplicity[k]),
+                                     residual=float(implicit.residual[k]))
             if implicit.has_gradient[k]:
-                sol.gradient = BVec3(*map(_make, implicit.gradient[0][k],
-                                          implicit.gradient[1][k]))
-                sol.laplacian = _make(implicit.laplacian[0][k], implicit.laplacian[1][k])
-                sol.degenerate = implicit.degenerate[k]
+                g1, g2, g3, lap = (_make(a, b) for a, b in implicit.values[k].tolist())
+                sol.gradient = BVec3(g1, g2, g3)
+                sol.laplacian = lap
+                sol.degenerate = bool(implicit.degenerate[k])
             elif implicit.partially_degenerate[k]:
                 sol.partially_degenerate = True
             sols.append(sol)
@@ -701,7 +711,9 @@ class RootBatch:
         root lanes."""
         if not self._batched(i):
             return None
-        return self._fibres[self._span[i]:self._span[i + 1]]
+        line, base, direction = self._fibres
+        return [_line_fibre(base[k], direction[k]) if line[k] else None
+                for k in range(self._span[i], self._span[i + 1])]
 
     # -- the root lanes -----------------------------------------------------
 
@@ -729,7 +741,10 @@ class RootBatch:
     def _span(self):
         """Root lanes [span[i], span[i + 1]) are those of point i."""
         counts = np.bincount(self._roots[0], minlength=len(self.points))
-        return [0] + np.cumsum(counts).tolist()
+        # not np.cumsum: under numpy 2.4 its calls leave small blocks
+        # allocated after they return, and one left per block pins that
+        # block's allocator arena until the run ends
+        return [0, *accumulate(counts.tolist())]
 
     @cached_property
     def _ringleb(self):
@@ -756,7 +771,7 @@ class RootBatch:
         with np.errstate(all="ignore"):
             return _lane_fibres(g, h, bad_g | bad_h)
 
-    def _implicit_lanes(self, grad_tol=1e-8):
+    def _implicit_lanes(self):
         """``_solutions``' derivative step over the root lanes."""
         point, q, s, ms, w, mw = self._roots
         data = self.data
@@ -774,7 +789,7 @@ class RootBatch:
         ve, de, cs_e = side(self._fe, s)
         vf, df, cs_f = side(self._ff, w)
         residual = abs(BArray.from_ringleb(ve, vf))
-        dscale = grad_tol * np.maximum(np.maximum(1.0, cs_e), cs_f)
+        dscale = GRAD_TOL * np.maximum(np.maximum(1.0, cs_e), cs_f)
         a_de, a_df = abs(de), abs(df)
         e_ok = a_de > dscale
         f_ok = a_df > dscale
@@ -798,45 +813,51 @@ class RootBatch:
             bad |= ~c.isfinite()
         scalar |= has_gradient & bad
 
-        def parts(values):
-            return ([c.z1.complex().tolist() for c in values],
-                    [c.z2.complex().tolist() for c in values])
-
-        (g1, g2, g3), (h1, h2, h3) = parts(grad)
+        values = np.empty((len(point), 4, 2), dtype=complex)
+        for r, c in enumerate((*grad, lap)):
+            values[:, r, 0] = c.z1.complex()
+            values[:, r, 1] = c.z2.complex()
         return _Implicit(
             scalar=(np.bincount(point[scalar], minlength=len(self.points)) > 0).tolist(),
-            residual=residual.tolist(),
-            multiplicity=(ms * mw).tolist(),
-            has_gradient=has_gradient.tolist(),
-            degenerate=degenerate.tolist(),
-            partially_degenerate=(e_ok != f_ok).tolist(),
-            gradient=(list(zip(g1, g2, g3)), list(zip(h1, h2, h3))),
-            laplacian=(lap.z1.complex().tolist(), lap.z2.complex().tolist()),
+            residual=residual,
+            multiplicity=ms * mw,
+            has_gradient=has_gradient,
+            degenerate=degenerate,
+            partially_degenerate=e_ok != f_ok,
+            values=values,
         )
 
 
 class _Implicit(NamedTuple):
     """``RootBatch``'s derivative step: per point, whether it is left to the
-    scalar path; per root lane, the fields of its CongruenceSolution."""
+    scalar path; per root lane, the fields of its CongruenceSolution as
+    arrays, read into Python objects only for the points asked for."""
     scalar: list
-    residual: list
-    multiplicity: list
-    has_gradient: list
-    degenerate: list
-    partially_degenerate: list
-    gradient: tuple   # (z1 triples, z2 triples)
-    laplacian: tuple  # (z1 list, z2 list)
+    residual: np.ndarray
+    multiplicity: np.ndarray
+    has_gradient: np.ndarray
+    degenerate: np.ndarray
+    partially_degenerate: np.ndarray
+    values: np.ndarray  # (lanes, 4, 2): the gradient's and the Laplacian's z1, z2
+
+
+def _line_fibre(base, direction):
+    """The FibreDescription of a non-null line from lanes of
+    ``_lane_fibres``."""
+    return FibreDescription(FibreTag.NON_NULL_LINE, base=CVec3(*base.tolist()),
+                            direction=CVec3(*direction.tolist()))
 
 
 def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9):
-    """``fibre_at`` at lanes where G and H take the values g and h: a
-    FibreDescription per lane, or None where the lane is left to
-    ``fibre_at`` (``flagged``, or a value or system ``fibre_at`` would
-    raise on)."""
+    """``fibre_at``'s non-null lines at lanes where G and H take the values
+    g and h: (the lanes solved here, their bases, their directions).  A
+    lane that is ``flagged``, whose value or system ``fibre_at`` would
+    raise on, or whose fibre is a degenerate plane or empty (CN(G) = -1) is
+    left to ``fibre_at``."""
     n2 = g.norm2()
     dist = abs(g.cn() + 1.0)
     line = dist > degenerate_tol * np.maximum(1.0, n2)
-    bad = flagged | ~np.isfinite(n2) | ~np.isfinite(dist)
+    line &= ~flagged & np.isfinite(n2) & np.isfinite(dist)
     n = len(line)
 
     # the non-null lines: one stacked solve
@@ -848,45 +869,12 @@ def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9):
     b = np.zeros((n, 3, 1), dtype=complex)
     b[:, 0, 0] = rhs[0].complex()
     b[:, 1, 0] = rhs[1].complex()
-    bad |= line & ~(np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2)))
-    solved = np.flatnonzero(line & ~bad)
+    line &= np.isfinite(a).all(axis=(1, 2)) & np.isfinite(b).all(axis=(1, 2))
+    solved = np.flatnonzero(line)
     base = np.full((n, 3), np.nan, dtype=complex)
     base[solved] = _stacked_solve(a[solved], b[solved])
-    bad |= line & ~np.isfinite(base).all(axis=1)
-
-    # CN(G) = -1: a degenerate plane when H is a complex multiple of G
-    g1, g2, h1, h2 = g.z1, g.z2, h.z1, h.z2
-    a_h1, a_h2 = abs(h1), abs(h2)
-    through_origin = (a_h1 <= degenerate_tol) & (a_h2 <= degenerate_tol)
-    by_g2 = abs(g2) > abs(g1)  # max((g1, g2), key=abs) keeps g1 on a tie
-    mu = _where(by_g2, h2 / g2, h1 / g1)
-    r1, r2 = abs(h1 - mu * g1), abs(h2 - mu * g2)
-    limit = degenerate_tol * np.maximum(np.maximum(1.0, a_h1), a_h2)
-    multiple = np.where(r2 > r1, r2, r1) <= limit
-    bad |= ~line & ~(np.isfinite(a_h1) & np.isfinite(a_h2) & np.isfinite(abs(g1))
-                     & np.isfinite(abs(g2)) & mu.isfinite()
-                     & np.isfinite(r1) & np.isfinite(r2))
-
-    gamma = [c.complex().tolist() for c in rows[2]]
-    base = base.tolist()
-    normal = (g1.complex().tolist(), g2.complex().tolist())
-    offset = (-mu).complex().tolist()
-    out = []
-    for k, (left, is_line, zero, is_multiple) in enumerate(zip(
-            bad.tolist(), line.tolist(), through_origin.tolist(), multiple.tolist())):
-        if left:
-            out.append(None)
-        elif is_line:
-            out.append(FibreDescription(FibreTag.NON_NULL_LINE, base=CVec3(*base[k]),
-                                        direction=CVec3(gamma[0][k], gamma[1][k],
-                                                        gamma[2][k])))
-        elif zero or is_multiple:
-            out.append(FibreDescription(FibreTag.DEGENERATE_PLANE,
-                                        normal=CVec3(1.0, normal[0][k], normal[1][k]),
-                                        offset=0j if zero else offset[k]))
-        else:
-            out.append(FibreDescription(FibreTag.EMPTY))
-    return out
+    line &= np.isfinite(base).all(axis=1)
+    return line, base, a[:, 2, :]
 
 
 def _evaluate(fn: HoloFn, e: CArray, f: CArray):
@@ -896,7 +884,7 @@ def _evaluate(fn: HoloFn, e: CArray, f: CArray):
     env_e, env_f = Lanes(e), Lanes(f)
     try:
         parts = [fn.f1.evaluate(env_e), fn.f2.evaluate(env_f)]
-    except (BhmError, ArithmeticError, TypeError):
+    except (BhmError, ArithmeticError):
         nan = np.full(n, np.nan)
         return BArray(CArray(nan, nan), CArray(nan, nan)), np.ones(n, dtype=bool)
     for k, v in enumerate(parts):
@@ -918,8 +906,8 @@ def _derivative_lanes(re, im, deg):
 
 def _coeff_scale_lanes(re, im, deg, root):
     """``_coeff_scale`` of the derivative columns at every lane: the terms
-    of its first ``deg`` columns added left to right from 0.0, as
-    Python 3.11's ``sum`` adds floats, with libm's ``pow``."""
+    of its first ``deg`` columns added left to right from 0.0, with libm's
+    ``pow``."""
     a = abs(root)
     total = 0.0
     for k in range(re.shape[1]):
