@@ -19,6 +19,7 @@ import json
 import math
 import random
 import sys
+from functools import partial
 
 import numpy as np
 
@@ -33,11 +34,10 @@ from .slices import (
     in_slice,
     project_codomain,
     slice_data,
-    tracked_real_branch,
-    wave_residual,
+    wave_report,
     wave_stencil,
 )
-from .verify import classify_point, fd_residuals, fd_stencil, point_key, tracked_branch
+from .verify import branch_roots, classify_point, fd_report, fd_stencil, nearest_root
 from .weierstrass import (
     RootBatch,
     WeierstrassData,
@@ -53,7 +53,7 @@ MAX_POINTS = 100_000
 MAX_ROOTS = 100_000
 # points solved together in one block when both congruence components have
 # degree <= 2; components of degree d take 4/d^2 as many (at least one), so
-# the companion matrices, root pairs and root tables one block holds stay
+# the companion matrices, root pairs and root lists one block holds stay
 # bounded at the caps
 BLOCK_POINTS = 256
 
@@ -149,27 +149,78 @@ def _anchor(batch):
     return solved, None
 
 
-def _prefill(data, stencil, anchors):
-    """Solve the stencil points of a block's anchors in one RootBatch and
-    enter each in its anchor's root table.  ``anchors`` holds (table,
-    anchor) pairs and ``stencil(anchor)`` lists the anchor's stencil points.
-    An anchor whose points overflow, and a lane the batch leaves to the
-    scalar path, stay out: the table solves them on first read, raising
-    where a point-by-point run raises."""
-    filled = []
-    for table, anchor in anchors:
-        try:
-            filled.append((table, stencil(anchor)))
-        except ArithmeticError:
-            continue
-    batch = RootBatch(data, [z for _, points in filled for z in points])
+def _stencil_blocks(data, anchors, degrees, embed, select, stencil):
+    """The anchors in order, each as (anchor, its selected solutions, read).
+
+    A block's anchors, embedded in C^3 by ``embed``, are solved in one
+    RootBatch and ``select(sols)`` keeps the solutions to report; the
+    stencils ``stencil(anchor)`` -> (h, points) of those with a gradient
+    are solved in a second.  ``read(q0)`` gives (f0, values, h) of the
+    branch through q0: its value at the anchor and a lazy iterator of its
+    values at the stencil points, in reading order.  Each error surfaces
+    where a point-by-point run raises it: from ``read`` or the iterator,
+    or, for an anchor's solve, after the anchors before it."""
+    for block in _blocks(anchors, degrees):
+        zs = [embed(a) for a in block]
+        solved, error = _anchor(RootBatch(data, zs))
+        kept = [select(sols) for sols in solved]
+        stencils = []
+        for anchor, sols in zip(block, kept):
+            if stencil is None or all(sol.gradient is None for sol in sols):
+                stencils.append(None)
+                continue
+            try:
+                stencils.append(stencil(anchor))
+            except ArithmeticError as exc:
+                stencils.append(exc)
+        stencils = _stencil_roots(data, stencils)
+        for anchor, z, sols, chosen, found in zip(block, zs, solved, kept, stencils):
+            yield anchor, chosen, partial(_branch, z, sols, found)
+        if error is not None:
+            raise error
+
+
+def _stencil_roots(data, stencils):
+    """``stencils`` with each (h, points) replaced by (h, the roots at each
+    point, or the error reading them raises), all points solved in one
+    RootBatch.  The batch and the points go before the block's rows are
+    built: kept through the rows, they raised the 25 000-point slice
+    grid's peak RSS by 3 MB."""
+    batch = RootBatch(data, [z for found in stencils if isinstance(found, tuple)
+                             for z in found[1]])
     lane = 0
-    for table, points in filled:
-        for z in points:
-            roots = batch.roots(lane)
-            lane += 1
-            if roots is not None:
-                table.setdefault(point_key(z), roots)
+    out = []
+    for found in stencils:
+        if isinstance(found, tuple):
+            h, points = found
+            found = h, [_lane_roots(batch, k, z) for k, z in enumerate(points, lane)]
+            lane += len(points)
+        out.append(found)
+    return out
+
+
+def _lane_roots(batch, k, z):
+    """The roots at lane k, the point z, for a branch to pick from, or the
+    error reading them raises, to be raised when the branch reads z."""
+    try:
+        return branch_roots(batch.roots(k), z)
+    except Exception as exc:
+        return exc
+
+
+def _raised(found):
+    """``found``, raised if it is an error."""
+    if isinstance(found, Exception):
+        raise found
+    return found
+
+
+def _branch(z, sols, found, q0):
+    """``read(q0)`` of ``_stencil_blocks`` at the anchor z with solutions
+    sols and what its stencil reads, ``found``."""
+    h, lanes = _raised(found)
+    values = (nearest_root(_raised(roots), q0) for roots in lanes)
+    return nearest_root(branch_roots([sol.q for sol in sols], z), q0), values, h
 
 
 def _grid_points(grid):
@@ -202,9 +253,8 @@ def _grid_points(grid):
 # tasks
 
 
-def _root_json(data, sol, fibre):
-    """A root's report; its fibre from the batch, or, when the batch left it
-    to the scalar path (None), from ``fibre_at`` here, in the root's turn."""
+def _root_json(sol, fibre):
+    """A root's report, with its fibre."""
     out = {
         "q": _b(sol.q),
         "multiplicity": sol.multiplicity,
@@ -215,7 +265,7 @@ def _root_json(data, sol, fibre):
         "laplacian_abs": None,
         "nullness_abs": None,
         "gauss": None,
-        "fibre": _fibre_json(fibre if fibre is not None else fibre_at(data, sol.q), ()),
+        "fibre": _fibre_json(fibre, ()),
     }
     if sol.gradient is not None:
         out["gradient"] = [_b(q) for q in sol.gradient]
@@ -237,9 +287,8 @@ def _task_solve(config, tol, seed):
         batch = RootBatch(data, block)
         for i, z in enumerate(block):
             sols = batch.solutions(i)
-            fibres = batch.fibres(i) or [None] * len(sols)
             results.append({"point": _cvec(z),
-                            "roots": [_root_json(data, *args) for args in zip(sols, fibres)]})
+                            "roots": [_root_json(*args) for args in zip(sols, batch.fibres(i))]})
     return {"task": "solve", "results": results}
 
 
@@ -319,7 +368,9 @@ def _task_verify(config, tol, seed):
         raise ExprSchemaError("'verify' needs 'points' or 'samples'")
     pts = [_parse_point(p) for p in points]
 
-    def work(z, sols, table):
+    results = []
+    for z, sols, read in _stencil_blocks(data, pts, _cap_roots(data, len(pts)),
+                                         lambda z: z, list, fd_stencil):
         roots = []
         for sol in sols:
             entry = {"q": _b(sol.q),
@@ -330,23 +381,9 @@ def _task_verify(config, tol, seed):
                     "laplacian": _f(abs(sol.laplacian)),
                     "nullness": _f(abs(sol.gradient.square())),
                 }
-                phi = tracked_branch(data, z, q0=sol.q, roots=table)
-                entry["fd"] = fd_residuals(phi, z).to_json()
+                entry["fd"] = fd_report(*read(sol.q)).to_json()
             roots.append(entry)
-        return {"point": _cvec(z), "roots": roots}
-
-    results = []
-    for block in _blocks(pts, _cap_roots(data, len(pts))):
-        solved, error = _anchor(RootBatch(data, block))
-        # one root table per point: the stencils of all its roots share
-        # their solves, and the centre's roots are those just found
-        tables = [{point_key(z): [sol.q for sol in sols]} for z, sols in zip(block, solved)]
-        _prefill(data, lambda z: fd_stencil(z)[1],
-                 [(table, z) for z, sols, table in zip(block, solved, tables)
-                  if any(sol.gradient is not None for sol in sols)])
-        results += [work(*args) for args in zip(block, solved, tables)]
-        if error is not None:
-            raise error
+        results.append({"point": _cvec(z), "roots": roots})
     return {"task": "verify", "results": results}
 
 
@@ -377,10 +414,19 @@ def _task_slice(config, tol, seed):
     degrees = _cap_roots(data, len(pts))
     atol = tol if tol is not None else 1e-8
 
-    def work(x, sols, table):
-        rows = []
+    def project(q):
+        return project_codomain(kind, q, atol=atol)
+
+    def stencil(x):
+        _, h, points = wave_stencil(x)
+        return h, [embed_domain(kind, p) for p in points]
+
+    rows = []
+    for x, sols, read in _stencil_blocks(data, pts, degrees, partial(embed_domain, kind),
+                                         partial(in_slice, kind, atol=atol),
+                                         stencil if run_fd else None):
         for idx, sol in enumerate(sols):
-            value = project_codomain(kind, sol.q, atol=atol)
+            value = project(sol.q)
             row = {
                 "x": [_f(v) for v in x],
                 "branch": idx,
@@ -394,35 +440,14 @@ def _task_slice(config, tol, seed):
                 "null_res": None,
             }
             if run_fd and sol.gradient is not None:
-                phi = tracked_real_branch(kind, data, x, q0=sol.q, atol=atol, roots=table)
                 try:
-                    hr, nr = wave_residual(kind, phi, x)
+                    f0, values, h = read(sol.q)
+                    hr, nr = wave_report(kind, project(f0), map(project, values), h)
                     row["harmonic_res"] = _f(hr)
                     row["null_res"] = _f(nr)
-                except (BhmError,) as exc:
+                except BhmError as exc:
                     row["error"] = type(exc).__name__
             rows.append(row)
-        return rows
-
-    def stencil(x):
-        return [embed_domain(kind, p) for p in wave_stencil(x)[2]]
-
-    rows = []
-    for block in _blocks(pts, degrees):
-        zs = [embed_domain(kind, x) for x in block]
-        solved, error = _anchor(RootBatch(data, zs))
-        # one root table per point, as in 'verify', holding every root at
-        # the point, projectable or not
-        tables = [{point_key(z): [sol.q for sol in sols]} for z, sols in zip(zs, solved)]
-        kept = [in_slice(kind, sols, atol) for sols in solved]
-        if run_fd:
-            _prefill(data, stencil,
-                     [(table, x) for x, sols, table in zip(block, kept, tables)
-                      if any(sol.gradient is not None for sol in sols)])
-        for args in zip(block, kept, tables):
-            rows += work(*args)
-        if error is not None:
-            raise error
     return {"task": "slice", "slice": kind.value, "results": rows}
 
 

@@ -14,12 +14,13 @@ Kinds:
 from __future__ import annotations
 
 from enum import Enum
+from itertools import islice
 
 from .core import Bicomplex, Hyperbolic, I1
 from .errors import InvalidInputError, NotInSliceError
 from .geometry import CVec3, s2c_to_q2c, S2CPoint
 from .holo import HoloFn
-from .verify import DEFAULT_STEP, _richardson_line, point_key, tracked_branch
+from .verify import DEFAULT_STEP, _richardson_line, tracked_branch
 from .weierstrass import WeierstrassData, solve_phi
 
 NOT_IN_SLICE_ATOL = 1e-8
@@ -99,15 +100,20 @@ def wave_residual(kind, phi, x, h=None):
     Richardson-extrapolated central differences over (h, h/2); the two step
     scales must agree or BranchJumpError is raised.
     """
-    kind = _kind(kind)
-    signs = _signature(kind)
     x, h, points = wave_stencil(x, h)
-    f0 = phi(x)
+    return wave_report(kind, phi(x), map(phi, points), h)
 
+
+def wave_report(kind, f0, values, h):
+    """``wave_residual`` from phi's value f0 at x and its values at the
+    points of ``wave_stencil(x)``, in reading order, read four at a time as
+    ``verify.fd_report`` reads them."""
+    signs = _signature(kind)
+    values = iter(values)
     lap = None
     null = None
     for k in range(3):
-        d1, d2 = _richardson_line(f0, *map(phi, points[4 * k:4 * k + 4]), h)
+        d1, d2 = _richardson_line(f0, *islice(values, 4), h)
         term_l = d2 * signs[k]
         term_n = (d1 * d1) * signs[k]
         lap = term_l if lap is None else lap + term_l
@@ -116,23 +122,21 @@ def wave_residual(kind, phi, x, h=None):
 
 
 def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = None,
-                        branch: int = 0, atol=NOT_IN_SLICE_ATOL, roots: dict | None = None):
+                        branch: int = 0, atol=NOT_IN_SLICE_ATOL):
     """Branch of the congruence that stays in the slice, as a map of real points.
 
     At the anchor x0 the ``branch``-th projectable root (canonical order) is
     selected unless ``q0`` is given; nearby the nearest root is used and
     projected.  Raises NotInSliceError at the anchor when no root projects.
-    ``roots`` is the root table of ``verify.tracked_branch``, shared by the
-    branches tracked from one point.
     """
     kind = _kind(kind)
     if q0 is None:
-        anchors = projectable_roots(kind, data, x0, atol=atol, roots=roots)
+        anchors = projectable_roots(kind, data, x0, atol=atol)
         if not anchors:
             raise NotInSliceError(f"no root restricts to the slice at {x0!r}")
         q0 = anchors[branch].q
 
-    branch_q = tracked_branch(data, embed_domain(kind, x0), q0=q0, roots=roots)
+    branch_q = tracked_branch(data, embed_domain(kind, x0), q0=q0)
 
     def phi(x):
         return project_codomain(kind, branch_q(embed_domain(kind, x)), atol=atol)
@@ -140,19 +144,9 @@ def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = 
     return phi
 
 
-def projectable_roots(kind, data: WeierstrassData, x, atol=NOT_IN_SLICE_ATOL,
-                      roots: dict | None = None):
-    """Congruence solutions at the embedded point that restrict to the slice.
-
-    When a root table is given, every root at the point, projectable or
-    not, is entered in it, so branches tracked from x never solve x again.
-    """
-    kind = _kind(kind)
-    z = embed_domain(kind, x)
-    sols = solve_phi(data, z)
-    if roots is not None:
-        roots[point_key(z)] = [sol.q for sol in sols]
-    return in_slice(kind, sols, atol)
+def projectable_roots(kind, data: WeierstrassData, x, atol=NOT_IN_SLICE_ATOL):
+    """Congruence solutions at the embedded point that restrict to the slice."""
+    return in_slice(kind, solve_phi(data, embed_domain(kind, x)), atol)
 
 
 def in_slice(kind, sols, atol=NOT_IN_SLICE_ATOL):

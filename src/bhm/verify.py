@@ -17,9 +17,9 @@ breaks it by orders of magnitude.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice
 from math import sqrt
 
 from .core import Bicomplex
@@ -127,15 +127,21 @@ def fd_residuals(phi, z, h=None, tol=CLASSIFY_TOL) -> PdeResidualReport:
     if not isinstance(z, CVec3):
         z = CVec3(*z)
     h, points = fd_stencil(z, h)
-    f0 = phi(z)
+    return fd_report(phi(z), map(phi, points), h, tol=tol)
 
+
+def fd_report(f0, values, h, tol=CLASSIFY_TOL) -> PdeResidualReport:
+    """``fd_residuals`` from phi's value f0 at z and its values at the points
+    of ``fd_stencil(z)``, in reading order.  ``values`` is read four at a
+    time, one Richardson line after another, so a value that raises does so
+    where a point-by-point read raises."""
+    values = iter(values)
     grads = []
     seconds = []
     cr_worst = 0.0
     for k in range(3):
-        line = points[8 * k:8 * k + 8]
-        dx, dxx = _richardson_line(f0, *map(phi, line[:4]), h)
-        dy, dyy = _richardson_line(f0, *map(phi, line[4:]), h)
+        dx, dxx = _richardson_line(f0, *islice(values, 4), h)
+        dy, dyy = _richardson_line(f0, *islice(values, 4), h)
         grads.append((dx - 1j * dy) * 0.5)
         cr_worst = max(cr_worst, abs((dx + 1j * dy) * 0.5))
         # for holomorphic phi, d^2/dz^2 = (d_xx - d_yy)/2
@@ -153,16 +159,6 @@ def fd_residuals(phi, z, h=None, tol=CLASSIFY_TOL) -> PdeResidualReport:
     )
 
 
-_POINT_BITS = struct.Struct("<6d").pack
-
-
-def point_key(z: CVec3) -> bytes:
-    """Exact key of a point in a root table: its bits, since ``0j == -0j``
-    and the two zeros can give different roots."""
-    return _POINT_BITS(z.u1.real, z.u1.imag, z.u2.real, z.u2.imag,
-                       z.u3.real, z.u3.imag)
-
-
 def nearest_root(roots, q0: Bicomplex) -> Bicomplex:
     """The root closest to q0, the first one in the list on a tie: the same
     arithmetic as ``abs(q - q0)``, with no Bicomplex built for ``q - q0``."""
@@ -170,42 +166,33 @@ def nearest_root(roots, q0: Bicomplex) -> Bicomplex:
     return min(roots, key=lambda q: sqrt(abs(q.z1 - a) ** 2 + abs(q.z2 - b) ** 2))
 
 
+def branch_roots(roots, z: CVec3):
+    """The roots at z that a tracked branch picks from; raises
+    BranchJumpError when there are none."""
+    if not roots:
+        raise BranchJumpError(f"no roots at {z!r}")
+    return roots
+
+
 def tracked_branch(data: WeierstrassData, z0, q0: Bicomplex | None = None,
-                   branch: int = 0, roots: dict | None = None):
+                   branch: int = 0):
     """Single-valued branch of the congruence solutions near z0.
 
     The branch is anchored at the root ``q0`` (or the ``branch``-th root in
     canonical order at z0); at nearby points the nearest root is selected.
     Only the roots are solved for, never their derivatives: a stencil reads
     the values alone.
-
-    ``roots`` is a root table: a dict from ``point_key(z)`` to
-    ``solve_roots(data, z)``.  Every branch tracked from one point can share
-    one table, so each stencil point is solved once for all of them; a
-    caller that passes none gets a private table.
     """
     if not isinstance(z0, CVec3):
         z0 = CVec3(*z0)
-    table = {} if roots is None else roots
-
-    def roots_at(z):
-        key = point_key(z)
-        found = table.get(key)
-        if found is None:
-            found = table[key] = solve_roots(data, z)
-        return found
-
     if q0 is None:
-        anchor = roots_at(z0)
+        anchor = solve_roots(data, z0)
         if not anchor:
             raise InvalidInputError("no congruence solutions at the anchor point")
         q0 = anchor[branch]
 
     def phi(z):
-        found = roots_at(z)
-        if not found:
-            raise BranchJumpError(f"no roots at {z!r}")
-        return nearest_root(found, q0)
+        return nearest_root(branch_roots(solve_roots(data, z), z), q0)
 
     return phi
 

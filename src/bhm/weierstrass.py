@@ -25,6 +25,7 @@ from .core import BArray, Bicomplex, CArray, I2, _make
 from .errors import (
     BhmError,
     DegenerateAllComponentsError,
+    DegenerateDirectionError,
     DegeneratePointError,
     InvalidInputError,
 )
@@ -199,7 +200,11 @@ def fibre_at(data: WeierstrassData, q: Bicomplex, degenerate_tol=1e-9) -> FibreD
     cn_g = g.cn()
     scale = max(1.0, g.norm2())
     if abs(cn_g + 1.0) > degenerate_tol * scale:
-        rows, rhs = _line_system(g, h)
+        try:
+            rows, rhs = _line_system(g, h)
+        except ZeroDivisionError:  # CN(xi) = 2 (1 + CN(G))^2 rounded to 0
+            raise DegenerateDirectionError(
+                f"CN(xi) = 0 at q = {q!r}: the line fibre has no unit direction") from None
         c = np.linalg.solve(np.array(rows, dtype=complex),
                             np.array([*rhs, 0.0], dtype=complex))
         return FibreDescription(
@@ -367,12 +372,7 @@ def solve_phi(data: WeierstrassData, z, grad_tol=GRAD_TOL) -> list[CongruenceSol
     """
     if not isinstance(z, CVec3):
         z = CVec3(*z)
-    return _solutions(data, z, *_canonical_roots(data, z), grad_tol=grad_tol)
-
-
-def _solutions(data: WeierstrassData, z: CVec3, fe, ff, pairs, grad_tol=GRAD_TOL):
-    """``solve_phi``'s derivative step on the output of ``_canonical_roots``
-    at z: each root with its implicit gradient, Laplacian and flags."""
+    fe, ff, pairs = _canonical_roots(data, z)
     dfe = _poly_derivative(_trim(fe))
     dff = _poly_derivative(_trim(ff))
 
@@ -579,8 +579,8 @@ def _side_roots(re, im):
 
 
 class RootBatch:
-    """``_canonical_roots``, ``solve_phi`` and ``fibre_at`` at many points in
-    one array pass.
+    """``solve_roots``, ``solve_phi`` and ``fibre_at`` at many points in one
+    array pass.
 
     Each lane reproduces the scalar path bit for bit: the components are
     built by ``congruence_components`` itself over ``CArray`` lanes, the
@@ -588,19 +588,18 @@ class RootBatch:
     ``eigvals`` per trimmed degree, with its Newton step and clustering as
     masks, and the pairs are put in canonical order by ``np.lexsort``.  A
     lane whose values leave the finite range, or whose solve raises on the
-    scalar path, is left to that path: ``roots`` returns None for it, and
-    ``canonical`` solves it there, raising what the scalar path raises.
+    scalar path, is left to that path: reading it solves it there, raising
+    what the scalar path raises.
 
     On first use, ``solutions`` and ``fibres`` run the derivative step and
     the fibres over every root lane of the batch: G, H, dG, d2G and d2H are
     evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
     formulas are the scalar path's own helpers.  A point with a root lane
     where the scalar step would raise (a pole, an overflow) or whose values
-    are not finite gets its solutions from the scalar path.  A root whose
+    are not finite gets its solutions from ``solve_phi``.  A root whose
     fibre is not a non-null line solved here (a flagged lane, a singular
-    system, a degenerate plane or the empty set) gets None, for the caller
-    to solve with ``fibre_at``.  The results stay arrays until a point is
-    read.
+    system, a degenerate plane or the empty set) gets it from ``fibre_at``
+    in its turn.  The results stay arrays until a point is read.
     """
 
     def __init__(self, data: WeierstrassData, points):
@@ -660,34 +659,16 @@ class RootBatch:
         return len(self.points)
 
     def roots(self, i):
-        """``solve_roots(data, points[i])``, or None when the lane is left to
-        the scalar path."""
+        """``solve_roots(data, points[i])``."""
         if not self._ok[i]:
-            return None
+            return solve_roots(self.data, self.points[i])
         k = self._npairs[i]
         return list(map(_make, self._q1[i, :k].tolist(), self._q2[i, :k].tolist()))
-
-    def canonical(self, i):
-        """``_canonical_roots(data, points[i])``: (fe, ff, pairs)."""
-        if not self._ok[i]:
-            return _canonical_roots(self.data, self.points[i])
-        fe = CArray(*(part[i] for part in self._fe)).complex().tolist()
-        ff = CArray(*(part[i] for part in self._ff)).complex().tolist()
-        order = self._order[i, :self._npairs[i]]
-        (rep_e, mult_e), (rep_f, mult_f) = self._side_e, self._side_f
-        s = rep_e[i].complex().tolist()
-        w = rep_f[i].complex().tolist()
-        ms, mw = mult_e[i].tolist(), mult_f[i].tolist()
-        pairs = []
-        for q, k in zip(self.roots(i), order.tolist()):
-            a, b = divmod(k, self._mf)
-            pairs.append((q, s[a], ms[a], w[b], mw[b]))
-        return fe, ff, pairs
 
     def solutions(self, i):
         """``solve_phi(data, points[i])``."""
         if not self._batched(i) or self._implicit.scalar[i]:
-            return _solutions(self.data, self.points[i], *self.canonical(i))
+            return solve_phi(self.data, self.points[i])
         implicit = self._implicit
         lo, hi = self._span[i], self._span[i + 1]
         sols = []
@@ -706,14 +687,16 @@ class RootBatch:
         return sols
 
     def fibres(self, i):
-        """``[fibre_at(data, q) for q in roots(i)]``, with None for a root
-        whose fibre is left to ``fibre_at``; None when the point has no
-        root lanes."""
+        """``fibre_at(data, q)`` for each q of ``roots(i)``, one at a time:
+        the batch's non-null line, or else ``fibre_at``'s fibre, computed in
+        that root's turn."""
+        roots = self.roots(i)
         if not self._batched(i):
-            return None
+            yield from (fibre_at(self.data, q) for q in roots)
+            return
         line, base, direction = self._fibres
-        return [_line_fibre(base[k], direction[k]) if line[k] else None
-                for k in range(self._span[i], self._span[i + 1])]
+        for k, q in zip(range(self._span[i], self._span[i + 1]), roots):
+            yield _line_fibre(base[k], direction[k]) if line[k] else fibre_at(self.data, q)
 
     # -- the root lanes -----------------------------------------------------
 
@@ -772,7 +755,7 @@ class RootBatch:
             return _lane_fibres(g, h, bad_g | bad_h)
 
     def _implicit_lanes(self):
-        """``_solutions``' derivative step over the root lanes."""
+        """``solve_phi``'s derivative step over the root lanes."""
         point, q, s, ms, w, mw = self._roots
         data = self.data
 

@@ -1,8 +1,9 @@
 """The batched root pass against the scalar path it reproduces.
 
 ``CArray`` operations are held to CPython's (and numpy's scalar) complex
-arithmetic, and ``RootBatch`` lanes to ``_canonical_roots``/``solve_phi``,
-bit for bit: every comparison is on ``float.hex`` of each part, in order.
+arithmetic, and ``RootBatch`` lanes to ``solve_roots``, ``solve_phi`` and
+``fibre_at``, bit for bit: every comparison is on ``float.hex`` of each
+part, in order.
 """
 
 import gc
@@ -270,22 +271,30 @@ _coord = st.one_of(_coeff, st.builds(complex, _finite, _finite),
 _point = st.builds(CVec3, _coord, _coord, _coord)
 
 
-def _canon_outcome(fn):
-    try:
-        fe, ff, pairs = fn()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
-    return ([_bits(c) for c in fe], [_bits(c) for c in ff],
-            [(_bits(q.z1), _bits(q.z2), _bits(s), ms, _bits(w), mw)
-             for q, s, ms, w, mw in pairs])
-
-
 def _solution_outcome(fn):
     try:
         sols = fn()
     except Exception as exc:
         return type(exc).__name__, str(exc)
     return [repr(s) for s in sols]
+
+
+def _roots_outcome(fn):
+    try:
+        roots = fn()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return [(_bits(q.z1), _bits(q.z2)) for q in roots]
+
+
+def _assert_point_matches(data, batch, i, z):
+    """Lane i of the batch reads as the scalar path at z: its roots, bit for
+    bit, and its solutions (each root's multiplicity, residual and implicit
+    derivatives, which read the lane's side roots and components), or the
+    error the scalar path raises."""
+    assert _roots_outcome(lambda: batch.roots(i)) == _roots_outcome(lambda: solve_roots(data, z))
+    assert (_solution_outcome(lambda: batch.solutions(i))
+            == _solution_outcome(lambda: solve_phi(data, z)))
 
 
 class TestRootBatch:
@@ -295,12 +304,7 @@ class TestRootBatch:
         with np.errstate(all="ignore"):
             batch = RootBatch(data, points)
             for i, z in enumerate(points):
-                want = _canon_outcome(lambda: _canonical_roots(data, z))
-                assert _canon_outcome(lambda: batch.canonical(i)) == want
-                roots = batch.roots(i)
-                if roots is not None:
-                    assert [(_bits(q.z1), _bits(q.z2)) for q in roots] == \
-                        [(_bits(q.z1), _bits(q.z2)) for q in solve_roots(data, z)]
+                _assert_point_matches(data, batch, i, z)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(data=_data(max_deg=2),
@@ -329,9 +333,8 @@ class TestRootBatch:
         for i, z in enumerate(points):
             fe, ff, pairs = _canonical_roots(data, z)
             degrees.add((sum(m for _, m in _poly_roots(fe)), sum(m for _, m in _poly_roots(ff))))
-            assert batch.roots(i) is not None
-            assert _canon_outcome(lambda: batch.canonical(i)) == \
-                _canon_outcome(lambda: (fe, ff, pairs))
+            assert batch._ok[i]
+            _assert_point_matches(data, batch, i, z)
         assert len(degrees) >= 3
 
     def test_error_lanes_raise_on_read(self):
@@ -340,13 +343,13 @@ class TestRootBatch:
         data = WeierstrassData(HoloFn(Const(0)), HoloFn(Const(0)))
         points = [CVec3(1, 1, 1j), CVec3(0.5, 2j, 2)]
         batch = RootBatch(data, points)
-        for i in range(len(points)):
-            assert batch.roots(i) is None
-            with pytest.raises(Exception) as got:
-                batch.canonical(i)
+        for i, z in enumerate(points):
+            assert not batch._ok[i]
             with pytest.raises(Exception) as want:
-                _canonical_roots(data, points[i])
-            assert (type(got.value), str(got.value)) == (type(want.value), str(want.value))
+                _canonical_roots(data, z)
+            want = type(want.value).__name__, str(want.value)
+            for read in (batch.roots, batch.solutions, lambda i: list(batch.fibres(i))):
+                assert _solution_outcome(lambda: read(i)) == want
 
     def test_huge_lane_is_left_to_the_scalar_path(self):
         data = WeierstrassData(HoloFn(Const(0)), HoloFn(Q))
@@ -357,11 +360,10 @@ class TestRootBatch:
         # are errors in this suite); the scalar path it leaves the lane to
         # warns as it always did
         batch = RootBatch(data, points)
-        assert batch.roots(0) is None and batch.roots(1) is not None
+        assert batch._ok == [False, True]
         with np.errstate(all="ignore"):
             for i, z in enumerate(points):
-                assert _canon_outcome(lambda: batch.canonical(i)) == \
-                    _canon_outcome(lambda: _canonical_roots(data, z))
+                _assert_point_matches(data, batch, i, z)
 
 
 # ---------------------------------------------------------------------------
@@ -421,21 +423,22 @@ class TestCongruenceOracle:
         for (z, g, h), data in zip(cases, datas):
             zc = CVec3(*z)
             if path == "scalar":
-                pairs = _canonical_roots(data, zc)[2]
+                pairs = [(q, ms * mw) for q, _, ms, _, mw in _canonical_roots(data, zc)[2]]
             else:
                 batch = RootBatch(data, [zc])
-                assert batch.roots(0) is not None
-                pairs = batch.canonical(0)[2]
+                assert batch._ok[0]
+                pairs = [(sol.q, sol.multiplicity) for sol in batch.solutions(0)]
+                assert [q for q, _ in pairs] == batch.roots(0)
             fe, ff, _ = _canonical_roots(data, zc)
             d_e = sum(m for _, m in _poly_roots(fe))
             d_f = sum(m for _, m in _poly_roots(ff))
-            assert sum(ms * mw for _, _, ms, _, mw in pairs) == d_e * d_f
+            assert sum(m for _, m in pairs) == d_e * d_f
             mz = [mpmath.mpc(c) for c in z]
             ge = [mpmath.mpc(c) for c in g["e"]]
             gf = [mpmath.mpc(c) for c in g["f"]]
             he = [mpmath.mpc(c) for c in h["e"]]
             hf = [mpmath.mpc(c) for c in h["f"]]
-            for q, *_ in pairs:
+            for q, _ in pairs:
                 z1, z2 = mpmath.mpc(q.z1), mpmath.mpc(q.z2)
                 s, w = z1 + 1j * z2, z1 - 1j * z2
                 for coeffs_g, coeffs_h, x, unit in ((ge, he, s, 1j), (gf, hf, w, -1j)):
@@ -739,6 +742,18 @@ def _lane_fibre_reprs(data, q):
             for k in range(len(q))]
 
 
+def _fibres_outcome(fibres):
+    """The reprs of the fibres in turn, up to the error of the first that
+    raises."""
+    out = []
+    try:
+        for fibre in fibres:
+            out.append(repr(fibre))
+    except Exception as exc:
+        out.append((type(exc).__name__, str(exc)))
+    return out
+
+
 def _assert_batch_matches_scalar(data, points):
     batch = RootBatch(data, points)
     for i, z in enumerate(points):
@@ -746,13 +761,8 @@ def _assert_batch_matches_scalar(data, points):
         assert _solution_outcome(lambda: batch.solutions(i)) == want
         if isinstance(want, tuple):
             continue  # the point raised
-        fibres = batch.fibres(i)
-        if fibres is None:
-            assert batch.roots(i) is None or not batch.roots(i)
-            continue
-        for q, fibre in zip(batch.roots(i), fibres):
-            if fibre is not None:  # else the CLI asks fibre_at
-                assert repr(fibre) == _fibre_outcome(data, q)
+        assert _fibres_outcome(batch.fibres(i)) == \
+            _fibres_outcome(fibre_at(data, q) for q in solve_roots(data, z))
 
 
 class TestDerivativeStep:
@@ -778,7 +788,7 @@ class TestDerivativeStep:
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
         assert not any(batch._implicit.scalar)
-        assert all(f is not None for i in range(len(points)) for f in batch.fibres(i))
+        assert batch._fibres[0].all()  # every fibre a line solved in the batch
 
     def test_constant_g_with_cn_minus_one(self):
         # CN(G) = G_e G_f = -1: the fibres at the roots are degenerate planes.
@@ -794,10 +804,12 @@ class TestDerivativeStep:
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
         assert not any(batch._implicit.scalar)
+        assert not batch._fibres[0].any()  # no line: every fibre from fibre_at
         for i in range(len(points)):
-            assert batch.fibres(i) == [None] * 4
-            assert {fibre_at(data, q).tag.value for q in batch.roots(i)} == {"degenerate_plane"}
-        assert [fibre_at(data, q).offset for q in batch.roots(1)] == [0j] * 4
+            fibres = list(batch.fibres(i))
+            assert [repr(f) for f in fibres] == [repr(fibre_at(data, q)) for q in batch.roots(i)]
+            assert {f.tag.value for f in fibres} == {"degenerate_plane"}
+        assert [f.offset for f in batch.fibres(1)] == [0j] * 4
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(g=st.sampled_from([0.8 - 0.6j, 2.0, 1e-3j, 30 + 40j]),

@@ -328,6 +328,27 @@ class TestSchemaAndExitCodes:
         assert len(err.splitlines()) == 1
         assert json.loads(err)["error"]["type"] == "InvalidInputError"
 
+    # CN(G) lies just outside fibre_at's plane tolerance of -1 and
+    # CN(xi) = 2 (1 + CN(G))^2 rounds to exactly 0: the line system has no
+    # unit direction.  As a fibre at q, and as a root's fibre in a solve,
+    # where the batch leaves the lane's NaN line to fibre_at
+    CN_XI_ZERO_G = {"f1": {"op": "const", "value": [0.8444824278821867, 0.5754140548570819]},
+                    "f2": {"op": "const", "value": [-0.8086960820594995, 0.5510299283454252]}}
+
+    @pytest.mark.parametrize("config", [
+        {"task": "fibres", "data": {"G": CN_XI_ZERO_G,
+                                    "H": {"f": {"op": "const", "value": [0.3, 0]}}},
+         "params": [[0.1, 0, 0, 0]], "samples": 1},
+        {"task": "solve", "data": {"G": CN_XI_ZERO_G, "H": {"f": VAR}},
+         "points": [[0.3, 1.1, -0.2]]},
+    ], ids=["fibres", "solve"])
+    def test_exit_code_3_on_cn_xi_zero(self, config, monkeypatch, capsys):
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "DegenerateDirectionError" and "CN(xi) = 0" in error["message"]
+
     @pytest.mark.parametrize("g, code, error", [
         # an op that is a list is unhashable: no op, not a TypeError traceback
         ({"op": []}, 2, "ExprSchemaError"),

@@ -2,34 +2,39 @@
 
 import io
 import json
+import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bhm.cli
-import bhm.verify
+import bhm.weierstrass
 from bhm.cli import run
 from bhm.core import Bicomplex, I1, I2, J
 from bhm.errors import BhmError, BranchJumpError, DegenerateAllComponentsError
 from bhm.geometry import BVec3, CVec3
-from bhm.holo import Const, HoloFn, Var
+from bhm.holo import Const, HoloFn, Var, holofn_from_json
 from bhm.slices import (
     SliceKind,
+    embed_domain,
     projectable_roots,
     slice_data,
     tracked_real_branch,
     wave_residual,
+    wave_stencil,
 )
 from bhm.verify import (
+    DEFAULT_STEP,
     PointClass,
     classify_point,
     fd_residuals,
+    fd_stencil,
     nearest_root,
-    point_key,
     rank_one_degeneracy_check,
     tracked_branch,
 )
-from bhm.weierstrass import WeierstrassData, solve_phi
+from bhm.weierstrass import RootBatch, WeierstrassData, solve_phi, solve_roots
 
 from conftest import rand_complex
 
@@ -152,7 +157,8 @@ class TestRankOne:
 
 
 # ---------------------------------------------------------------------------
-# one root table per point, shared by every branch tracked from it
+# the CLI's stencils read their roots from a RootBatch by lane; the library's
+# fd_residuals/wave_residual over tracked branches are the reference
 
 VAR_JSON = {"op": "var"}
 CONST0_JSON = {"op": "const", "value": [0, 0]}
@@ -160,31 +166,43 @@ HALF_Q_JSON = {"op": "mul", "args": [{"op": "const", "value": [0.5, 0]}, VAR_JSO
 
 _complex = st.builds(complex, st.floats(-2, 2), st.floats(-2, 2))
 _gaussian_int = st.builds(complex, st.integers(-2, 2), st.integers(-2, 2))
+# a zero of either sign, in either part
+_signed_zero_part = st.sampled_from([0.0, -0.0])
+_zero_coord = st.one_of(st.builds(complex, _signed_zero_part, _signed_zero_part),
+                        st.builds(complex, _signed_zero_part, st.floats(-2, 2)),
+                        st.builds(complex, st.floats(-2, 2), _signed_zero_part))
+
+
+def _poly_json(c0, c1, c2):
+    def const(c):
+        return {"op": "const", "value": [c.real, c.imag]}
+    return {"op": "add", "args": [const(c0), {"op": "mul", "args": [const(c1), VAR_JSON]},
+                                  {"op": "mul", "args": [const(c2), {"op": "pow",
+                                                                     "args": [VAR_JSON],
+                                                                     "exp": 2}]}]}
 
 
 @st.composite
 def _quadratic(draw, coeff=_complex):
-    """Per-side quadratic data: the f-side polynomial may differ from the e-side."""
+    """Per-side quadratic data as CLI JSON: the f-side polynomial may differ
+    from the e-side."""
     def poly():
-        c0, c1, c2 = draw(st.lists(coeff, min_size=3, max_size=3))
-        return Const(c0) + Const(c1) * Q + Const(c2) * Q ** 2
+        return _poly_json(*(complex(c) for c in draw(st.lists(coeff, min_size=3,
+                                                              max_size=3))))
     f1 = poly()
-    return HoloFn(f1, poly() if draw(st.booleans()) else f1)
+    return {"f1": f1, "f2": poly()} if draw(st.booleans()) else {"f": f1}
 
 
-def _outcome(fn):
-    """repr of the result (exact, signed zeros kept), or the error raised."""
-    try:
-        return repr(fn())
-    except BhmError as exc:
-        return type(exc).__name__, str(exc)
+def _bits(z):
+    """Exact key of a point: its bits, since ``0j == -0j``."""
+    return tuple(x.hex() for c in (z.u1, z.u2, z.u3) for x in (c.real, c.imag))
 
 
 def _count_solves(monkeypatch):
     """Every point the CLI solves: the lanes of its batched root passes and
-    the points a root table solves one at a time."""
+    the lanes a batch leaves to the scalar path."""
     calls = []
-    solve = bhm.verify.solve_roots
+    solve = bhm.weierstrass.solve_roots
     batch = bhm.cli.RootBatch
 
     def counted(data, z):
@@ -195,7 +213,7 @@ def _count_solves(monkeypatch):
         calls.extend(points)
         return batch(data, points)
 
-    monkeypatch.setattr(bhm.verify, "solve_roots", counted)
+    monkeypatch.setattr(bhm.weierstrass, "solve_roots", counted)
     monkeypatch.setattr(bhm.cli, "RootBatch", counted_batch)
     return calls
 
@@ -206,7 +224,60 @@ def _report(config):
     return json.loads(out.getvalue())["results"]
 
 
+def _verify_fd(G, H, z):
+    """Per root of a ``verify --points`` run at z: its ``fd`` entry, or the
+    error the run raises.  The reference is ``fd_residuals`` over
+    ``tracked_branch``."""
+    config = {"task": "verify", "data": {"G": G, "H": H},
+              "points": [[[c.real, c.imag] for c in z]]}
+    data = WeierstrassData(holofn_from_json(G), holofn_from_json(H))
+    try:
+        roots = bhm.cli._task_verify(config, None, 0)["results"][0]["roots"]
+        got = [repr(r["fd"]) for r in roots]
+    except Exception as exc:
+        got = type(exc).__name__, str(exc)
+    try:
+        want = []
+        for sol in solve_phi(data, z):
+            want.append(repr(None if sol.gradient is None else fd_residuals(
+                tracked_branch(data, z, q0=sol.q), z).to_json()))
+    except Exception as exc:
+        want = type(exc).__name__, str(exc)
+    return got, want
+
+
+def _slice_rows(kind, G, H, x):
+    """Per row of a ``slice`` run at x: (harmonic_res, null_res, error), or
+    the error the run raises.  The reference is ``wave_residual`` over
+    ``tracked_real_branch``."""
+    config = {"slice": kind.value, "g": G, "h": H, "points": [list(x)]}
+    data = slice_data(kind, holofn_from_json(G), holofn_from_json(H))
+    try:
+        rows = bhm.cli._task_slice(config, None, 0)["results"]
+        got = [repr((r["harmonic_res"], r["null_res"], r.get("error"))) for r in rows]
+    except Exception as exc:
+        got = type(exc).__name__, str(exc)
+    try:
+        want = []
+        for sol in projectable_roots(kind, data, x):
+            row = None, None, None
+            if sol.gradient is not None:
+                phi = tracked_real_branch(kind, data, x, q0=sol.q)
+                try:
+                    hr, nr = wave_residual(kind, phi, x)
+                    row = hr + 0.0, nr + 0.0, None
+                except BhmError as exc:
+                    row = None, None, type(exc).__name__
+            want.append(repr(row))
+    except Exception as exc:
+        want = type(exc).__name__, str(exc)
+    return got, want
+
+
 class TestRootTable:
+    """The roots a point's stencils read: each stencil point solved once,
+    shared by every root of the point, and the nearest root on a tie."""
+
     @pytest.mark.parametrize("kind, g, h, points, n_rows", [
         ("euclidean", VAR_JSON, CONST0_JSON, [[0.3, 0.7, -0.4], [1.2, 0.5, 0.3]], 4),
         ("minkowski_d", VAR_JSON, CONST0_JSON, [[0.3, 0.7, -0.4]], 4),
@@ -222,7 +293,7 @@ class TestRootTable:
         # the centre and its 12 offsets, each solved once, however many
         # roots share them
         assert len(calls) == 13 * len(points)
-        assert len({point_key(z) for z in calls}) == len(calls)
+        assert len({_bits(z) for z in calls}) == len(calls)
 
     def test_verify_point_solves_its_stencil_once(self, monkeypatch):
         calls = _count_solves(monkeypatch)
@@ -231,46 +302,7 @@ class TestRootTable:
                            "data": {"G": {"f": VAR_JSON}, "H": {"f": CONST0_JSON}}})
         assert [sum(r["fd"] is not None for r in res["roots"]) for res in results] == [4, 4]
         assert len(calls) == 25 * len(points)
-        assert len({point_key(z) for z in calls}) == len(calls)
-
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(G=_quadratic(), H=_quadratic(),
-           z=st.tuples(*[_complex] * 3))
-    def test_fd_residuals_same_bits_through_a_shared_table(self, G, H, z):
-        data = WeierstrassData(G, H)
-        z = CVec3(*z)
-        try:
-            sols = solve_phi(data, z)
-        except DegenerateAllComponentsError:
-            return
-        table = {point_key(z): [s.q for s in sols]}
-        for sol in sols:
-            if sol.gradient is None:
-                continue
-            shared = tracked_branch(data, z, q0=sol.q, roots=table)
-            private = tracked_branch(data, z, q0=sol.q)
-            assert (_outcome(lambda: fd_residuals(shared, z).to_json())
-                    == _outcome(lambda: fd_residuals(private, z).to_json()))
-
-    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
-    # real coefficients: random complex ones leave almost no root in a slice
-    @given(G=_quadratic(st.floats(-2, 2)), H=_quadratic(st.floats(-2, 2)),
-           kind=st.sampled_from(list(SliceKind)),
-           x=st.tuples(*[st.floats(-1.5, 1.5)] * 3))
-    def test_wave_residual_same_bits_through_a_shared_table(self, G, H, kind, x):
-        data = slice_data(kind, G, H)
-        table = {}
-        try:
-            sols = projectable_roots(kind, data, x, roots=table)
-        except DegenerateAllComponentsError:
-            return
-        for sol in sols:
-            if sol.gradient is None:
-                continue
-            shared = tracked_real_branch(kind, data, x, q0=sol.q, roots=table)
-            private = tracked_real_branch(kind, data, x, q0=sol.q)
-            assert (_outcome(lambda: wave_residual(kind, shared, x))
-                    == _outcome(lambda: wave_residual(kind, private, x)))
+        assert len({_bits(z) for z in calls}) == len(calls)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
     @given(roots=st.lists(st.builds(Bicomplex, _gaussian_int, _gaussian_int),
@@ -286,12 +318,77 @@ class TestRootTable:
             order = roots[k:] + roots[:k]
             assert nearest_root(order, Bicomplex(0)) is order[0]
 
-    def test_signed_zero_misses_the_table(self):
-        plus, minus = CVec3(0j, 1, 0), CVec3(complex(-0.0, 0.0), 1, 0)
-        assert plus.u1 == minus.u1 and point_key(plus) != point_key(minus)
-        sentinel = Bicomplex(7.0)
-        table = {point_key(plus): [sentinel]}
-        phi = tracked_branch(RADIAL, plus, q0=sentinel, roots=table)
-        assert phi(CVec3(0j, 1, 0)) is sentinel  # the same bits hit
-        assert phi(minus) is not sentinel        # the other zero is solved
-        assert len(table) == 2
+
+class TestStencilLanes:
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(G=_quadratic(), H=_quadratic(), z=st.tuples(*[_complex] * 3))
+    def test_verify_fd_matches_fd_residuals(self, G, H, z):
+        got, want = _verify_fd(G, H, CVec3(*z))
+        assert got == want
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(G=_quadratic(), H=_quadratic(),
+           z=st.tuples(_zero_coord, st.one_of(_zero_coord, _complex), _complex))
+    def test_stencil_zeros_of_either_sign(self, G, H, z):
+        # a stencil point keeps the anchor's signed zeros in the coordinates
+        # it does not shift, and its shifted coordinate's zero real part
+        # turns +0.0 on the imaginary line (x + 0.0): each lane keeps its bits
+        got, want = _verify_fd(G, H, CVec3(*z))
+        assert got == want
+
+    def test_the_stencil_holds_both_zeros(self):
+        z = CVec3(complex(-0.0, 0.5), complex(-0.0, -0.0), -0.2)
+        points = fd_stencil(z)[1]
+        zeros = {math.copysign(1.0, x) for p in points
+                 for c in (p.u1, p.u2, p.u3) for x in (c.real, c.imag) if x == 0.0}
+        assert zeros == {1.0, -1.0}
+        assert math.copysign(1.0, points[4].u1.real) == 1.0
+
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    # real coefficients: random complex ones leave almost no root in a slice
+    @given(G=_quadratic(st.floats(-2, 2)), H=_quadratic(st.floats(-2, 2)),
+           kind=st.sampled_from(list(SliceKind)),
+           x=st.tuples(*[st.floats(-1.5, 1.5)] * 3))
+    def test_slice_rows_match_wave_residual(self, G, H, kind, x):
+        got, want = _slice_rows(kind, G, H, x)
+        assert got == want
+
+    # G = q, H = c q: at x = (a, 0, 0) both sides are linear with the root 0,
+    # in every slice; at x1 = -c both vanish identically.  With c = -(a + h)
+    # the stencil's first point x + h is such a point
+    SCALAR_LANE = (0.3, 0.0, 0.0)
+    SCALAR_C = -(0.3 + DEFAULT_STEP)
+
+    def _scalar_lane_data(self):
+        return {"f": VAR_JSON}, {"f": {"op": "mul", "args": [
+            {"op": "const", "value": [self.SCALAR_C, 0]}, VAR_JSON]}}
+
+    def test_a_raising_scalar_lane_is_a_slice_row_error(self):
+        G, H = self._scalar_lane_data()
+        x = self.SCALAR_LANE
+        data = slice_data(SliceKind.EUCLIDEAN, holofn_from_json(G), holofn_from_json(H))
+        stencil = [embed_domain(SliceKind.EUCLIDEAN, p) for p in wave_stencil(x)[2]]
+        # the batch leaves the lane to the scalar path, which raises
+        assert not RootBatch(data, stencil)._ok[0]
+        with pytest.raises(DegenerateAllComponentsError):
+            solve_roots(data, stencil[0])
+        got, want = _slice_rows(SliceKind.EUCLIDEAN, G, H, x)
+        assert got == want == [repr((None, None, "DegenerateAllComponentsError"))]
+
+    def test_a_raising_scalar_lane_fails_verify(self, monkeypatch, capsys):
+        G, H = self._scalar_lane_data()
+        z = CVec3(*self.SCALAR_LANE)
+        data = WeierstrassData(holofn_from_json(G), holofn_from_json(H))
+        assert not RootBatch(data, fd_stencil(z)[1])._ok[0]
+        got, want = _verify_fd(G, H, z)
+        assert got == want
+        assert want[0] == "DegenerateAllComponentsError"
+        config = {"task": "verify", "data": {"G": G, "H": H}, "points": [list(self.SCALAR_LANE)]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+        code = bhm.cli.main([])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        with pytest.raises(DegenerateAllComponentsError) as scalar:
+            solve_roots(data, fd_stencil(z)[1][0])
+        assert json.loads(err) == {"error": {"type": "DegenerateAllComponentsError",
+                                             "message": str(scalar.value)}}
