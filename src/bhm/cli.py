@@ -39,11 +39,13 @@ from .slices import (
 )
 from .verify import branch_roots, classify_point, fd_report, fd_stencil, nearest_root
 from .weierstrass import (
+    _TAGS,
+    FibreBatch,
     RootBatch,
     WeierstrassData,
+    _residual,
     fibre_at,
     gauss_map,
-    xi_direction,
 )
 
 TASKS = ("solve", "fibres", "verify", "slice", "charts")
@@ -56,6 +58,8 @@ MAX_ROOTS = 100_000
 # the companion matrices, root pairs and root lists one block holds stay
 # bounded at the caps
 BLOCK_POINTS = 256
+# a fibre's tag as the reports name it, by its index in a FibreBatch
+_TAG_NAMES = [tag.value for tag in _TAGS]
 
 
 def _f(x: float) -> float:
@@ -89,7 +93,7 @@ def _parse_complex(obj, what):
     if is_number(obj):
         return complex(obj)
     if (isinstance(obj, (list, tuple)) and len(obj) == 2
-            and all(is_number(v) for v in obj)):
+            and all(map(is_number, obj))):
         return complex(obj[0], obj[1])
     raise ExprSchemaError(f"{what} must be a number or [re, im], got {obj!r}")
 
@@ -102,7 +106,7 @@ def _parse_point(obj):
 
 def _parse_bicomplex(obj):
     if (isinstance(obj, (list, tuple)) and len(obj) == 4
-            and all(is_number(v) for v in obj)):
+            and all(map(is_number, obj))):
         return Bicomplex.from_reals(obj)
     raise ExprSchemaError(f"bicomplex value must be [x1, x2, x3, x4], got {obj!r}")
 
@@ -128,25 +132,25 @@ def _cap_roots(data: WeierstrassData, n_points):
     return d_e, d_f
 
 
-def _blocks(points, degrees):
+def _blocks(points, degrees=()):
     """The points in blocks of BLOCK_POINTS, fewer for higher degrees."""
-    d = max(2, *degrees)
+    d = max((2, *degrees))
     size = max(1, BLOCK_POINTS * 4 // (d * d))
     return [points[i:i + size] for i in range(0, len(points), size)]
 
 
-def _anchor(batch):
-    """``batch.solutions(i)`` for the block's points in order, up to the
-    first that raises: (the solutions, that exception or None).  The caller
-    finishes the points before it, then raises it, so errors surface in the
-    order of a point-by-point run."""
-    solved = []
-    for i in range(len(batch)):
+def _until_error(fn, items):
+    """``fn(item)`` for the items in order, up to the first that raises:
+    (the results, that exception or None).  The caller finishes the items
+    before it, then raises it, so errors surface in the order of a
+    point-by-point run."""
+    done = []
+    for item in items:
         try:
-            solved.append(batch.solutions(i))
+            done.append(fn(item))
         except Exception as exc:
-            return solved, exc
-    return solved, None
+            return done, exc
+    return done, None
 
 
 def _stencil_blocks(data, anchors, degrees, embed, select, stencil):
@@ -162,7 +166,7 @@ def _stencil_blocks(data, anchors, degrees, embed, select, stencil):
     or, for an anchor's solve, after the anchors before it."""
     for block in _blocks(anchors, degrees):
         zs = [embed(a) for a in block]
-        solved, error = _anchor(RootBatch(data, zs))
+        solved, error = _until_error(RootBatch(data, zs).solutions, range(len(zs)))
         kept = [select(sols) for sols in solved]
         stencils = []
         for anchor, sols in zip(block, kept):
@@ -327,18 +331,88 @@ def _task_fibres(config, tol, seed):
     ts = [rng.uniform(-2.0, 2.0) for _ in range(n_samples)]
     qs = [_parse_bicomplex(p) for p in params]
     results = []
-    for q in qs:
-        fibre = fibre_at(data, q)
-        row = {"q": _b(q)}
-        row.update(_fibre_json(fibre, ts))
-        results.append(row)
+    for block in _blocks(qs):
+        results.extend(_fibre_rows(FibreBatch(data, block), ts))
     return {"task": "fibres", "results": results}
 
 
+def _fibre_rows(batch, ts):
+    """The ``fibres`` rows of a batch's parameters, in order: a lane the
+    batch leaves to the scalar path is computed there in its turn."""
+    points, ok = batch.samples(ts)
+    fibres = batch.fibres
+    q = _reals(batch.qs)
+    # each field as lists, for the lanes of the tags that read it
+    tags = fibres.tag.tolist()
+    base, direction = ((_pairs(a) if 0 in tags else None)
+                       for a in (fibres.base, fibres.direction))
+    normal, offset = ((_pairs(a) if 1 in tags else None)
+                      for a in (fibres.normal, fibres.offset))
+    samples = _pairs(points)
+    rows = []
+    for k, (tag, computed) in enumerate(zip(tags, ok.tolist())):
+        if not computed:
+            rows.append({"q": q[k], **_fibre_json(batch.fibre(k), ts)})
+            continue
+        line = tag == 0
+        plane = tag == 1
+        rows.append({
+            "q": q[k],
+            "tag": _TAG_NAMES[tag],
+            "base": base[k] if line else None,
+            "direction": direction[k] if line else None,
+            "normal": normal[k] if plane else None,
+            "offset": offset[k] if plane else None,
+            "samples": samples[k] if line or plane else [],
+        })
+    return rows
+
+
+def _reals(qs):
+    """``[_b(q) for q in qs]``, ``_f``'s + 0.0 done over an array."""
+    return (np.array([q.to_reals() for q in qs]).reshape(-1, 4) + 0.0).tolist()
+
+
+def _pairs(a):
+    """A complex array as nested [re, im] lists, ``_f``'s + 0.0 done over
+    the array: ``_c`` of each entry."""
+    return (np.stack([a.real, a.imag], axis=-1) + 0.0).tolist()
+
+
 def _congruence_residual(data, q, z):
-    rhs = xi_direction(data, q)
-    val = (rhs.q1 * z.u1 + rhs.q2 * z.u2 + rhs.q3 * z.u3) - 2 * data.H(q)
-    return abs(val)
+    return _residual(data.G(q), data.H(q), z)
+
+
+def _parse_sample(s):
+    if not isinstance(s, dict) or "q" not in s or "z" not in s:
+        raise ExprSchemaError("each sample needs 'q' and 'z'")
+    return _parse_bicomplex(s["q"]), _parse_point(s["z"])
+
+
+def _sample_rows(data, samples, tol):
+    """The ``verify --samples`` rows of the parsed (q, z) samples, in
+    order: a lane the batch leaves to the scalar path is computed there in
+    its turn."""
+    qs = [q for q, _ in samples]
+    zs = [z for _, z in samples]
+    batch = FibreBatch(data, qs)
+    points = np.array([[p.u1, p.u2, p.u3] for p in zs], dtype=complex)
+    residual, on_fibre, ok = batch.checks(points, tol)
+    q = _reals(qs)
+    z = _pairs(points)
+    residual = (residual + 0.0).tolist()
+    on_fibre = on_fibre.tolist()
+    rows = []
+    for k, (tag, computed) in enumerate(zip(batch.fibres.tag.tolist(), ok.tolist())):
+        if computed:
+            rows.append({"q": q[k], "z": z[k], "tag": _TAG_NAMES[tag],
+                         "residual": residual[k], "on_fibre": on_fibre[k]})
+            continue
+        fibre = fibre_at(data, qs[k])
+        res = _congruence_residual(data, qs[k], zs[k])
+        rows.append({"q": q[k], "z": z[k], "tag": fibre.tag.value, "residual": _f(res),
+                     "on_fibre": bool(fibre.contains(zs[k], tol=tol))})
+    return rows
 
 
 def _task_verify(config, tol, seed):
@@ -348,19 +422,14 @@ def _task_verify(config, tol, seed):
         samples = config["samples"]
         if not isinstance(samples, list) or not samples:
             raise ExprSchemaError("'samples' must be a non-empty list")
+        # a point-by-point run parses a sample after the ones before it
+        # are checked: a malformed sample is raised after them
+        parsed, error = _until_error(_parse_sample, samples)
         results = []
-        for s in samples:
-            if not isinstance(s, dict) or "q" not in s or "z" not in s:
-                raise ExprSchemaError("each sample needs 'q' and 'z'")
-            q = _parse_bicomplex(s["q"])
-            z = _parse_point(s["z"])
-            fibre = fibre_at(data, q)
-            res = _congruence_residual(data, q, z)
-            results.append({
-                "q": _b(q), "z": _cvec(z), "tag": fibre.tag.value,
-                "residual": _f(res),
-                "on_fibre": bool(fibre.contains(z, tol=tol)),
-            })
+        for block in _blocks(parsed):
+            results.extend(_sample_rows(data, block, tol))
+        if error is not None:
+            raise error
         return {"task": "verify", "results": results}
 
     points = config.get("points")

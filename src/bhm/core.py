@@ -384,6 +384,9 @@ class CArray:
     def __neg__(self):
         return CArray(-self.re, -self.im, self.numpy_typed)
 
+    def conjugate(self):
+        return CArray(self.re, -self.im, self.numpy_typed)
+
     def __mul__(self, other):
         o = _operand(other)
         if o is None:

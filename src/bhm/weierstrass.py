@@ -13,6 +13,7 @@ polynomial, and combines their roots pairwise.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -79,8 +80,9 @@ def xi_direction(data: WeierstrassData, q: Bicomplex) -> BVec3:
     return BVec3(*_xi(data.G(q)))
 
 
-# The formulas below run on Bicomplex values and on BArray lanes alike: the
-# scalar path and RootBatch share them, so each lane gets the scalar bits.
+# The formulas below run on scalars (Bicomplex, complex) and on lanes
+# (BArray, CArray) alike: the scalar path, RootBatch and FibreBatch share
+# them, so each lane gets the scalar bits.
 
 
 def _xi(g):
@@ -135,6 +137,74 @@ def _laplacian(g, dg, d2g, d2h, z, grad, fq_inv):
     return lap
 
 
+def _dot(u, v):
+    """``CVec3.dot`` on triples."""
+    u1, u2, u3 = u
+    v1, v2, v3 = v
+    return u1 * v1 + u2 * v2 + u3 * v3
+
+
+def _square(x):
+    """``x ** 2`` by libm's ``pow``: CPython's float power on a float, which
+    raises OverflowError past the double range, ``np.float_power`` on lanes."""
+    return np.float_power(x, 2) if isinstance(x, np.ndarray) else x ** 2
+
+
+def _norm(u):
+    """``CVec3.norm`` on a triple."""
+    u1, u2, u3 = u
+    total = _square(abs(u1)) + _square(abs(u2)) + _square(abs(u3))
+    return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
+
+
+def _max(a, b):
+    """``max(a, b)`` as Python picks it: b only where b > a (``np.maximum``
+    differs on NaN)."""
+    greater = b > a
+    if isinstance(greater, np.ndarray):
+        return np.where(greater, b, a)
+    return b if greater else a
+
+
+def _line_point(base, direction, t):
+    """The point of a line at the parameter t (complex)."""
+    return tuple(b + d * t for b, d in zip(base, direction))
+
+
+def _plane_frame(normal, offset):
+    """The frame ``sample_points`` spans the plane <normal, z> = offset
+    with: its point nbar * offset / <normal, nbar> and the null direction
+    normal x nbar, where nbar is the conjugate normal."""
+    nbar = tuple(c.conjugate() for c in normal)
+    s = offset / _dot(normal, nbar)
+    return tuple(c * s for c in nbar), _cross(normal, nbar)
+
+
+def _plane_point(z0, normal, w2, t, s):
+    """The point of a plane's frame at the parameter t (complex), with
+    s = t * t / 4 (complex)."""
+    return tuple(a + n * t + w * s for a, n, w in zip(z0, normal, w2))
+
+
+def _line_miss(base, direction, z):
+    """The distance ``contains`` measures from z to a line: the norm of
+    d - direction (direction . d), with d = z - base."""
+    d = tuple(a - b for a, b in zip(z, base))
+    c = _dot(direction, d)
+    return _norm(tuple(a - u * c for a, u in zip(d, direction)))
+
+
+def _plane_miss(normal, offset, z):
+    """The distance ``contains`` measures from z to a plane."""
+    return abs(_dot(normal, z) - offset)
+
+
+def _residual(g, h, z):
+    """|xi(G) . z - 2H|, the congruence residual at z, from G's and H's
+    values."""
+    return abs(_dot(_xi(g), z) - 2 * h)
+
+
 @dataclass
 class XiValue:
     vec: BVec3
@@ -171,25 +241,22 @@ class FibreDescription:
 
     def contains(self, z: CVec3, tol=1e-8) -> bool:
         """Point-on-fibre test with residual relative to |z|."""
-        scale = max(1.0, z.norm())
+        scale = _max(1.0, _norm(z))
         if self.tag is FibreTag.NON_NULL_LINE:
-            d = z - self.base
-            r = d - self.direction * self.direction.dot(d)
-            return r.norm() <= tol * scale
+            return _line_miss(self.base, self.direction, z) <= tol * scale
         if self.tag is FibreTag.DEGENERATE_PLANE:
-            return abs(self.normal.dot(z) - self.offset) <= tol * scale
+            return _plane_miss(self.normal, self.offset, z) <= tol * scale
         return False
 
     def sample_points(self, params) -> list[CVec3]:
         """Points on the fibre at the given real/complex parameters."""
         if self.tag is FibreTag.NON_NULL_LINE:
-            return [self.base + self.direction * t for t in params]
+            return [CVec3(*_line_point(self.base, self.direction, complex(t))) for t in params]
         if self.tag is FibreTag.DEGENERATE_PLANE:
-            n = self.normal
-            nbar = n.conjugate()
-            z0 = nbar * (self.offset / n.dot(nbar))
-            w2 = n.cross(nbar)
-            return [z0 + n * t + w2 * (t * t / 4.0) for t in params]
+            n = tuple(self.normal)
+            z0, w2 = _plane_frame(n, self.offset)
+            return [CVec3(*_plane_point(z0, n, w2, complex(t), complex(t * t / 4.0)))
+                    for t in params]
         return []
 
 
@@ -296,6 +363,16 @@ def _poly_roots(coeffs):
             r2 = (-b - sq) / (2 * a)
         roots = [r1, r2]
     else:
+        desc = np.array(coeffs[::-1], dtype=complex)
+        # np.roots' companion row, from its first to its last nonzero
+        # coefficient: eigvals refuses an entry that overflows
+        nonzero = np.flatnonzero(desc)
+        desc = desc[nonzero[0]:nonzero[-1] + 1]
+        with np.errstate(all="ignore"):
+            finite = np.isfinite(-desc[1:] / desc[0]).all()
+        if not finite:
+            raise InvalidInputError("congruence component's companion matrix overflows: "
+                                    "the data overflow at this point")
         roots = list(np.roots(list(reversed(coeffs))))
     dcoeffs = _poly_derivative(coeffs)
     polished = []
@@ -596,10 +673,11 @@ class RootBatch:
     evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
     formulas are the scalar path's own helpers.  A point with a root lane
     where the scalar step would raise (a pole, an overflow) or whose values
-    are not finite gets its solutions from ``solve_phi``.  A root whose
-    fibre is not a non-null line solved here (a flagged lane, a singular
-    system, a degenerate plane or the empty set) gets it from ``fibre_at``
-    in its turn.  The results stay arrays until a point is read.
+    are not finite gets its solutions from ``solve_phi``.  The fibres are
+    ``_lane_fibres``' lines, planes and empty sets; a root whose lane it
+    leaves to ``fibre_at`` (a flagged lane, a value that is not finite, a
+    singular system) gets its fibre from ``fibre_at`` in its turn.  The
+    results stay arrays until a point is read.
     """
 
     def __init__(self, data: WeierstrassData, points):
@@ -655,9 +733,6 @@ class RootBatch:
         self._side_f = rep_f[:, :mf], mult_f
         self._z = lanes
 
-    def __len__(self):
-        return len(self.points)
-
     def roots(self, i):
         """``solve_roots(data, points[i])``."""
         if not self._ok[i]:
@@ -688,15 +763,15 @@ class RootBatch:
 
     def fibres(self, i):
         """``fibre_at(data, q)`` for each q of ``roots(i)``, one at a time:
-        the batch's non-null line, or else ``fibre_at``'s fibre, computed in
-        that root's turn."""
+        the batch's fibre, or for a lane it leaves to ``fibre_at``, that
+        fibre, computed in that root's turn."""
         roots = self.roots(i)
         if not self._batched(i):
             yield from (fibre_at(self.data, q) for q in roots)
             return
-        line, base, direction = self._fibres
+        fibres = self._fibres
         for k, q in zip(range(self._span[i], self._span[i + 1]), roots):
-            yield _line_fibre(base[k], direction[k]) if line[k] else fibre_at(self.data, q)
+            yield fibres.fibre(k) if fibres.tag[k] >= 0 else fibre_at(self.data, q)
 
     # -- the root lanes -----------------------------------------------------
 
@@ -824,23 +899,53 @@ class _Implicit(NamedTuple):
     values: np.ndarray  # (lanes, 4, 2): the gradient's and the Laplacian's z1, z2
 
 
-def _line_fibre(base, direction):
-    """The FibreDescription of a non-null line from lanes of
-    ``_lane_fibres``."""
-    return FibreDescription(FibreTag.NON_NULL_LINE, base=CVec3(*base.tolist()),
-                            direction=CVec3(*direction.tolist()))
+# the fibre tags of _Fibres.tag, by index; -1 is a lane left to fibre_at
+_TAGS = (FibreTag.NON_NULL_LINE, FibreTag.DEGENERATE_PLANE, FibreTag.EMPTY)
 
 
-def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9):
-    """``fibre_at``'s non-null lines at lanes where G and H take the values
-    g and h: (the lanes solved here, their bases, their directions).  A
-    lane that is ``flagged``, whose value or system ``fibre_at`` would
-    raise on, or whose fibre is a degenerate plane or empty (CN(G) = -1) is
-    left to ``fibre_at``."""
+class _Fibres(NamedTuple):
+    """``fibre_at``'s fibre at each lane, as arrays: the index of its tag in
+    ``_TAGS`` (-1 where the lane is left to ``fibre_at``), a line's base
+    and direction, a plane's normal, each (lanes, 3), and a plane's offset."""
+    tag: np.ndarray
+    base: np.ndarray
+    direction: np.ndarray
+    normal: np.ndarray
+    offset: np.ndarray
+
+    def fibre(self, k):
+        """The FibreDescription at lane k, which is not left to ``fibre_at``."""
+        tag = _TAGS[self.tag[k]]
+        if tag is FibreTag.NON_NULL_LINE:
+            return FibreDescription(tag, base=CVec3(*self.base[k].tolist()),
+                                    direction=CVec3(*self.direction[k].tolist()))
+        if tag is FibreTag.DEGENERATE_PLANE:
+            return FibreDescription(tag, normal=CVec3(*self.normal[k].tolist()),
+                                    offset=complex(self.offset[k]))
+        return FibreDescription(tag)
+
+
+def _lanes(a):
+    """A complex array as ``CArray`` lanes; a (lanes, 3) array as a triple
+    of them."""
+    if a.ndim == 2:
+        return tuple(_lanes(a[:, j]) for j in range(a.shape[1]))
+    return CArray(a.real, a.imag)
+
+
+def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9) -> _Fibres:
+    """``fibre_at`` at lanes where G and H take the values g and h, every
+    branch a mask: non-null lines by one stacked solve, and where CN(G) =
+    -1, planes through the origin (h = 0), planes <(1, g1, g2), z> = -mu
+    (h = mu g) and empty fibres.  A lane that is ``flagged``, whose values
+    ``fibre_at`` reads are not finite (an ``abs`` or ``float ** 2`` it would
+    raise OverflowError on), or whose line system is singular is left to
+    ``fibre_at``."""
     n2 = g.norm2()
     dist = abs(g.cn() + 1.0)
-    line = dist > degenerate_tol * np.maximum(1.0, n2)
-    line &= ~flagged & np.isfinite(n2) & np.isfinite(dist)
+    ok = ~flagged & np.isfinite(n2) & np.isfinite(dist)
+    far = dist > degenerate_tol * _max(1.0, n2)
+    line = ok & far
     n = len(line)
 
     # the non-null lines: one stacked solve
@@ -857,7 +962,107 @@ def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9):
     base = np.full((n, 3), np.nan, dtype=complex)
     base[solved] = _stacked_solve(a[solved], b[solved])
     line &= np.isfinite(base).all(axis=1)
-    return line, base, a[:, 2, :]
+
+    # CN(G) = -1: a plane when H is a complex multiple mu G (or 0), else empty
+    g1, g2, h1, h2 = g.z1, g.z2, h.z1, h.z2
+    a_h1, a_h2 = abs(h1), abs(h2)
+    origin = (a_h1 <= degenerate_tol) & (a_h2 <= degenerate_tol)
+    # k = max((g1, g2), key=abs) keeps g1 on a tie; k == g1 compares values
+    k = _where(abs(g2) > abs(g1), g2, g1)
+    mu = _where((k.re == g1.re) & (k.im == g1.im), h1 / k, h2 / k)
+    miss = _max(abs(h1 - mu * g1), abs(h2 - mu * g2))
+    multiple = miss <= degenerate_tol * _max(_max(1.0, a_h1), a_h2)
+    cn_plane = ok & ~far & np.isfinite(a_h1) & np.isfinite(a_h2)
+    cn_plane &= origin | (mu.isfinite() & np.isfinite(miss))
+
+    tag = np.full(n, -1, dtype=np.int8)
+    tag[line] = 0
+    tag[cn_plane] = np.where(origin | multiple, 1, 2)[cn_plane]
+    normal = np.empty((n, 3), dtype=complex)
+    normal[:, 0] = 1.0
+    normal[:, 1] = g1.complex()
+    normal[:, 2] = g2.complex()
+    offset = _where(origin, CArray(0.0, 0.0), -mu).complex()
+    return _Fibres(tag, base, a[:, 2, :], normal, offset)
+
+
+class FibreBatch:
+    """``fibre_at`` at many parameters in one array pass, with what is read
+    of each fibre: its sample points, and the point-on-fibre test and the
+    congruence residual at a point.
+
+    G and H are evaluated once each over the parameters' idempotent parts,
+    ``_lane_fibres`` classifies every lane, and the sample, ``contains``,
+    norm and residual formulas are the helpers that ``FibreDescription``
+    and the CLI's scalar residual run, here on ``CArray``/``BArray`` lanes,
+    so each lane has the scalar bits.  A lane left to ``fibre_at``, or whose
+    values are not finite (where a scalar ``abs`` or ``float ** 2`` may
+    raise), is outside the mask of lanes computed here that ``samples`` and
+    ``checks`` return: the caller computes it on the scalar path, in its
+    turn, and it raises what that path raises.
+    """
+
+    def __init__(self, data: WeierstrassData, qs):
+        self.data = data
+        self.qs = qs
+        q = BArray(CArray.of([p.z1 for p in qs]), CArray.of([p.z2 for p in qs]))
+        # a lane that overflows is left to the scalar path: no numpy warning
+        # of the array pass reaches the caller
+        with np.errstate(all="ignore"):
+            e, f = q.ringleb()
+            (self._g, bad_g), (self._h, bad_h) = (_evaluate(fn, e, f)
+                                                  for fn in (data.G, data.H))
+            self.fibres = _lane_fibres(self._g, self._h, bad_g | bad_h)
+
+    def fibre(self, k):
+        """``fibre_at(data, qs[k])``."""
+        if self.fibres.tag[k] < 0:
+            return fibre_at(self.data, self.qs[k])
+        return self.fibres.fibre(k)
+
+    def samples(self, ts):
+        """``fibre(k).sample_points(ts)`` at every lane k, for real ts:
+        (the points, (lanes, len(ts), 3) complex, and the lanes computed
+        here)."""
+        fibres = self.fibres
+        line = fibres.tag == 0
+        plane = fibres.tag == 1
+        base, direction, normal = (tuple(c[:, None] for c in _lanes(a))
+                                   for a in (fibres.base, fibres.direction, fibres.normal))
+        t = CArray.of(ts)
+        s = CArray.of([x * x / 4.0 for x in ts])
+        with np.errstate(all="ignore"):
+            on_line = _line_point(base, direction, t)
+            z0, w2 = _plane_frame(normal, _lanes(fibres.offset)[:, None])
+            on_plane = _plane_point(z0, normal, w2, t, s)
+        points = np.empty((len(line), len(ts), 3), dtype=complex)
+        for j in range(3):
+            points[:, :, j] = np.where(line[:, None], on_line[j].complex(),
+                                       on_plane[j].complex())
+        finite = np.isfinite(points).all(axis=(1, 2))
+        for c in (*z0, *w2):
+            plane &= c.isfinite()[:, 0]
+        return points, (fibres.tag == 2) | ((line | plane) & finite)
+
+    def checks(self, zs, tol):
+        """At every lane k, the congruence residual at the point zs[k] and
+        ``fibre(k).contains(zs[k], tol)``, for zs a (lanes, 3) complex
+        array: (residuals, on_fibre, the lanes computed here)."""
+        fibres = self.fibres
+        line = fibres.tag == 0
+        plane = fibres.tag == 1
+        z = _lanes(zs)
+        with np.errstate(all="ignore"):
+            residual = _residual(self._g, self._h, z)
+            scale = _max(1.0, _norm(z))
+            line_miss = _line_miss(_lanes(fibres.base), _lanes(fibres.direction), z)
+            plane_miss = _plane_miss(_lanes(fibres.normal), _lanes(fibres.offset), z)
+            bound = tol * scale
+        on_fibre = np.where(line, line_miss <= bound, plane & (plane_miss <= bound))
+        ok = (fibres.tag >= 0) & np.isfinite(residual) & np.isfinite(scale)
+        ok &= ~line | np.isfinite(line_miss)
+        ok &= ~plane | np.isfinite(plane_miss)
+        return residual, on_fibre, ok
 
 
 def _evaluate(fn: HoloFn, e: CArray, f: CArray):

@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bhm.cli
-from bhm.cli import run
+from bhm.cli import _congruence_residual, run
 import bhm.weierstrass
 from bhm.core import C_POWI_MAX, I2, BArray, Bicomplex, CArray
 from bhm.errors import PoleEncounteredError
 from bhm.geometry import CVec3
 from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var
 from bhm.weierstrass import (
+    FibreBatch,
     RootBatch,
     WeierstrassData,
     _canonical_roots,
@@ -34,7 +35,6 @@ from bhm.weierstrass import (
     _derivative_lanes,
     _evaluate,
     _lane_fibres,
-    _line_fibre,
     _poly_roots,
     _side_roots,
     _stacked_solve,
@@ -725,11 +725,11 @@ def _fibre_outcome(data, q):
         return type(exc).__name__, str(exc)
 
 
-def _line_or_none(data, q):
-    """``fibre_at``'s repr where it gives a non-null line, else None: the
-    lanes the batch leaves to it."""
+def _fibre_or_none(data, q):
+    """``fibre_at``'s repr, or None where it raises: the lanes the batch
+    leaves to it."""
     want = _fibre_outcome(data, q)
-    return want if isinstance(want, str) and "NON_NULL_LINE" in want else None
+    return want if isinstance(want, str) else None
 
 
 def _lane_fibre_reprs(data, q):
@@ -737,9 +737,8 @@ def _lane_fibre_reprs(data, q):
     it leaves the lane to ``fibre_at``."""
     e, f = BArray(CArray.of([p.z1 for p in q]), CArray.of([p.z2 for p in q])).ringleb()
     (gv, bad_g), (hv, bad_h) = (_evaluate(fn, e, f) for fn in (data.G, data.H))
-    line, base, direction = _lane_fibres(gv, hv, bad_g | bad_h)
-    return [repr(_line_fibre(base[k], direction[k])) if line[k] else None
-            for k in range(len(q))]
+    fibres = _lane_fibres(gv, hv, bad_g | bad_h)
+    return [repr(fibres.fibre(k)) if fibres.tag[k] >= 0 else None for k in range(len(q))]
 
 
 def _fibres_outcome(fibres):
@@ -788,14 +787,14 @@ class TestDerivativeStep:
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
         assert not any(batch._implicit.scalar)
-        assert batch._fibres[0].all()  # every fibre a line solved in the batch
+        assert (batch._fibres.tag == 0).all()  # every fibre a line solved in the batch
 
-    def test_constant_g_with_cn_minus_one(self):
+    def test_constant_g_with_cn_minus_one(self, monkeypatch):
         # CN(G) = G_e G_f = -1: the fibres at the roots are degenerate planes.
         # F = A(z) - 2 H(q) with A(z) = -2 G z1 at z = (c, 0, 0), so there
         # H(q) = -c G at the roots: a plane with offset c; at z = 0, H(q) = 0:
         # a plane through the origin.  The batch solves the derivative step
-        # and leaves the planes to fibre_at
+        # and the planes
         a = 0.8 - 0.6j
         data = WeierstrassData(HoloFn(Const(a), Const(-1 / a)),
                                HoloFn(_poly([0.3, 1.0, 0.5j]), _poly([-0.2j, 0.7, 0.4])))
@@ -804,12 +803,16 @@ class TestDerivativeStep:
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
         assert not any(batch._implicit.scalar)
-        assert not batch._fibres[0].any()  # no line: every fibre from fibre_at
+        assert (batch._fibres.tag == 1).all()  # every fibre a plane solved in the batch
+        want = [[repr(fibre_at(data, q)) for q in batch.roots(i)] for i in range(len(points))]
+        called = []
+        monkeypatch.setattr(bhm.weierstrass, "fibre_at", lambda *args: called.append(args))
         for i in range(len(points)):
             fibres = list(batch.fibres(i))
-            assert [repr(f) for f in fibres] == [repr(fibre_at(data, q)) for q in batch.roots(i)]
+            assert [repr(f) for f in fibres] == want[i]
             assert {f.tag.value for f in fibres} == {"degenerate_plane"}
         assert [f.offset for f in batch.fibres(1)] == [0j] * 4
+        assert called == []
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
     @given(g=st.sampled_from([0.8 - 0.6j, 2.0, 1e-3j, 30 + 40j]),
@@ -826,7 +829,7 @@ class TestDerivativeStep:
         q = [Bicomplex(x, y) for x, y in zip(qs, reversed(qs))]
         with np.errstate(all="ignore"):
             for data in cases:
-                assert _lane_fibre_reprs(data, q) == [_line_or_none(data, p) for p in q]
+                assert _lane_fibre_reprs(data, q) == [_fibre_or_none(data, p) for p in q]
 
     def test_fibres_at_any_q_take_every_branch(self):
         rng = random.Random(2)
@@ -839,12 +842,292 @@ class TestDerivativeStep:
                            ("plane", WeierstrassData(G, G * (0.3 + 2j))),
                            ("origin", WeierstrassData(G, HoloFn.const(0)))]:
             with np.errstate(all="ignore"):
-                assert _lane_fibre_reprs(data, q) == [_line_or_none(data, p) for p in q]
+                assert _lane_fibre_reprs(data, q) == [_fibre_or_none(data, p) for p in q]
             tags[name] = {(fibre_at(data, p).tag.value, fibre_at(data, p).offset == 0j)
                           for p in q}
         assert tags == {"line": {("non_null_line", False)}, "empty": {("empty", False)},
                         "plane": {("degenerate_plane", False)},
                         "origin": {("degenerate_plane", True)}}
+
+
+# ---------------------------------------------------------------------------
+# the parameter batch: fibres, samples, contains and residuals over lanes
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
+def _scalar_check(data, q, z, tol):
+    """What ``verify --samples`` reads at (q, z), in its order: fibre_at,
+    then the residual, then contains."""
+    fibre = fibre_at(data, q)
+    residual = _congruence_residual(data, q, z)
+    return residual.hex(), fibre.contains(z, tol=tol)
+
+
+def _assert_fibre_batch_matches(data, qs, zs, ts, tol=1e-8):
+    """Each lane of a FibreBatch reads as the scalar path: its fibre by
+    repr, its samples at ts, its residual and contains test at z, or the
+    error the scalar path raises.  Returns the lanes whose samples and whose
+    checks the batch computed itself."""
+    batch = FibreBatch(data, qs)
+    points, sampled = batch.samples(ts)
+    residual, on_fibre, checked = batch.checks(_array(zs), tol)
+    for k, (q, z) in enumerate(zip(qs, zs)):
+        want = _outcome(lambda: repr(fibre_at(data, q)))
+        assert _outcome(lambda: repr(batch.fibre(k))) == want
+        assert batch.fibres.tag[k] < 0 or isinstance(want, str)
+        if sampled[k]:
+            n = 0 if batch.fibres.tag[k] == 2 else len(ts)
+            assert [repr(CVec3(*p)) for p in points[k, :n].tolist()] == \
+                _outcome(lambda: [repr(p) for p in fibre_at(data, q).sample_points(ts)])
+        if checked[k]:
+            assert (float(residual[k]).hex(), bool(on_fibre[k])) == \
+                _outcome(lambda: _scalar_check(data, q, z, tol))
+    return sampled, checked
+
+
+def _array(points):
+    return np.array([[p.u1, p.u2, p.u3] for p in points], dtype=complex)
+
+
+def _on_fibre(data, q, z, t=0.7):
+    """A point of the fibre at q, or z where there is none."""
+    try:
+        points = fibre_at(data, q).sample_points([t])
+    except Exception:
+        return z
+    return points[0] if points else z
+
+
+_R = 1 / math.sqrt(2)
+# constant G with CN(G) = -1 whose i2-parts tie in modulus: from these
+# Ringleb parts G(q) is exactly g1 = g2 = i r, or g1 = i r, g2 = -0.0 - i r
+_TIES = [HoloFn(Const(complex(-_R, _R)), Const(complex(_R, _R))),
+         HoloFn(Const(complex(_R, _R)), Const(complex(-_R, _R)))]
+_e = st.one_of(st.sampled_from([0.8 - 0.6j, 2.0, 1e-3j, 30 + 40j, 1e155, 1e-155j]),
+               _coeff.filter(lambda z: abs(z) > 0.1))
+_extreme = st.sampled_from([0j, complex(-0.0, 0.0), complex(0.0, -0.0), complex(5e-324, -0.0),
+                            complex(2.2e-308, 1.0), complex(1e155, 0.0), complex(0.0, 1e300),
+                            complex(-1e300, 1e-160), 1j])
+_q = st.builds(Bicomplex, st.one_of(_coeff, _extreme), st.one_of(_coeff, _extreme))
+
+
+@st.composite
+def _fibre_data(draw):
+    """Data whose fibres are non-null lines, or, with CN(G) = -1, planes
+    through the origin (H = 0), planes (H = mu G) or empty (H a
+    polynomial); G may tie |g1| = |g2|, and data with a pole at q = 0."""
+    kind = draw(st.sampled_from(["multiple", "origin", "empty", "line", "pole"]))
+    if kind == "line":
+        return draw(_data(max_deg=2))
+    if kind == "pole":
+        pole = HoloFn(Const(1.0) / Q, Const(1.0) / Q)
+        other = draw(_data(max_deg=1))
+        return WeierstrassData(pole, other.H) if draw(st.booleans()) else \
+            WeierstrassData(other.G, pole)
+    G = draw(st.one_of(st.sampled_from(_TIES), st.builds(lambda e: HoloFn(Const(e), Const(-1 / e)), _e)))
+    if kind == "origin":
+        return WeierstrassData(G, HoloFn.const(0))
+    if kind == "multiple":
+        mu = draw(st.one_of(_coeff, st.sampled_from([1e155, 1e300, 5e-324, complex(-0.0, 0.0)])))
+        return WeierstrassData(G, G * mu)
+    return WeierstrassData(G, HoloFn(_poly(draw(st.lists(_coeff, min_size=1, max_size=3))),
+                                     _poly(draw(st.lists(_coeff, min_size=1, max_size=3)))))
+
+
+class TestFibreBatch:
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(data=_fibre_data(), qs=st.lists(_q, min_size=1, max_size=8),
+           zs=st.lists(_point, min_size=8, max_size=8),
+           on=st.lists(st.booleans(), min_size=8, max_size=8),
+           ts=st.lists(st.floats(-2, 2), max_size=3),
+           tol=st.sampled_from([1e-8, 0.0, 1e-3]))
+    def test_lanes_match_the_scalar_path(self, data, qs, zs, on, ts, tol):
+        with np.errstate(all="ignore"):
+            zs = [_on_fibre(data, q, z) if o else z for q, z, o in zip(qs, zs, on)]
+            _assert_fibre_batch_matches(data, qs, zs, ts, tol)
+
+    def test_every_kind_of_fibre_is_computed_here(self):
+        # lines, planes through the origin, planes H = mu G, empty fibres and
+        # both ties, at ordinary parameters: no lane is left to the scalar
+        # path, and each takes the branch fibre_at takes
+        rng = random.Random(5)
+
+        def rc():
+            return complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+
+        qs = [Bicomplex(rc(), rc()) for _ in range(10)] + [Bicomplex(0j, complex(-0.0, 0.0))]
+        ts = [rng.uniform(-2, 2) for _ in range(3)]
+        G = HoloFn(Const(0.8 - 0.6j), Const(-1 / (0.8 - 0.6j)))
+        cases = {"line": (WeierstrassData(HoloFn(_poly([rc(), rc(), rc()]), _poly([rc(), rc()])),
+                                          HoloFn(_poly([rc(), rc()]), _poly([rc(), rc(), rc()]))),
+                          {"non_null_line"}),
+                 "origin": (WeierstrassData(G, HoloFn.const(0)), {"degenerate_plane"}),
+                 "multiple": (WeierstrassData(G, G * (0.3 - 2j)), {"degenerate_plane"}),
+                 "empty": (WeierstrassData(G, HoloFn(_poly([rc(), 1.0]), _poly([rc()]))), {"empty"})}
+        for k, tie in enumerate(_TIES):
+            g = tie(qs[0])
+            assert abs(g.z1) == abs(g.z2) and (g.z1 == g.z2) == (k == 0)
+            cases[f"tie{k}"] = (WeierstrassData(tie, tie * (1.5 + 0.5j)), {"degenerate_plane"})
+            cases[f"tie{k}-empty"] = (WeierstrassData(tie, HoloFn(_poly([rc(), 1.0]), _poly([rc()]))),
+                                      {"empty"})
+        for name, (data, tags) in cases.items():
+            zs = [_on_fibre(data, q, CVec3(rc(), rc(), rc())) for q in qs]
+            sampled, checked = _assert_fibre_batch_matches(data, qs, zs, ts)
+            assert sampled.all() and checked.all(), name
+            assert {fibre_at(data, q).tag.value for q in qs} == tags, name
+            if tags != {"empty"}:
+                batch = FibreBatch(data, qs)
+                assert batch.checks(_array(zs), 1e-8)[1].all(), name  # the samples are on their fibres
+
+    def test_poles_and_overflows_are_left_to_the_scalar_path(self):
+        # G = 1/q: a pole at q = 0; at q = 1e300 the fibre is finite, but
+        # |z|^2 overflows at z = (1e200, 0, 0), where contains raises
+        data = WeierstrassData(HoloFn(Const(1.0) / Q, Const(1.0) / Q), HoloFn(Q, Q))
+        qs = [Bicomplex(0.5, 0.25j), Bicomplex(0.0, 0.0), Bicomplex(1e300, 0.0)]
+        zs = [CVec3(1, 0, 0), CVec3(1, 0, 0), CVec3(1e200, 0, 0)]
+        with np.errstate(all="ignore"):
+            sampled, checked = _assert_fibre_batch_matches(data, qs, zs, [0.5])
+        assert sampled.tolist() == [True, False, True]
+        assert checked.tolist() == [True, False, False]
+        assert _outcome(lambda: fibre_at(data, qs[1]))[0] == "PoleEncounteredError"
+        assert _outcome(lambda: _scalar_check(data, qs[2], zs[2], 1e-8))[0] == "OverflowError"
+
+
+def _point_by_point(config, tol=None, seed=0):
+    """The ``fibres`` or ``verify --samples`` report of a run that takes one
+    parameter at a time through fibre_at, sample_points, contains and the
+    scalar residual, formatted as ``run`` formats it."""
+    data = bhm.cli._parse_data(config)
+    if config["task"] == "fibres":
+        rng = random.Random(seed)
+        ts = [rng.uniform(-2.0, 2.0) for _ in range(config.get("samples", 3))]
+        results = []
+        for q in [bhm.cli._parse_bicomplex(p) for p in config["params"]]:
+            results.append({"q": bhm.cli._b(q), **bhm.cli._fibre_json(fibre_at(data, q), ts)})
+        report = {"task": "fibres", "results": results}
+    else:
+        tol = 1e-8 if tol is None else tol
+        results = []
+        for s in config["samples"]:
+            q, z = bhm.cli._parse_sample(s)
+            fibre = fibre_at(data, q)
+            res = _congruence_residual(data, q, z)
+            results.append({"q": bhm.cli._b(q), "z": bhm.cli._cvec(z), "tag": fibre.tag.value,
+                            "residual": bhm.cli._f(res),
+                            "on_fibre": bool(fibre.contains(z, tol=tol))})
+        report = {"task": "verify", "results": results}
+    out = io.StringIO()
+    if config.get("format") == "csv":
+        bhm.cli._csv_fibres(report, out)
+    else:
+        out.write(json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
+    return out.getvalue()
+
+
+def _fibre_configs():
+    rng = random.Random(9)
+
+    def rc():
+        return [rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5)]
+
+    def const(z):
+        return {"op": "const", "value": z}
+
+    def poly(n):
+        e = const(rc())
+        for _ in range(n):
+            e = {"op": "add", "args": [const(rc()), {"op": "mul", "args": [{"op": "var"}, e]}]}
+        return e
+
+    a = complex(*rc())
+    g = {"f1": const([a.real, a.imag]), "f2": const([(-1 / a).real, (-1 / a).imag])}
+    mu = complex(*rc())
+    planes = {"G": g, "H": {"f1": const([(mu * a).real, (mu * a).imag]),
+                            "f2": const([(-mu / a).real, (-mu / a).imag])}}
+    lines = {"G": {"f1": poly(2), "f2": poly(1)}, "H": {"f1": poly(1), "f2": poly(2)}}
+    empty = {"G": g, "H": {"f": poly(1)}}
+    pole = {"G": {"f": {"op": "div", "args": [const(1), {"op": "var"}]}}, "H": {"f": poly(1)}}
+    params = [[rng.uniform(-1.5, 1.5) for _ in range(4)] for _ in range(15)]
+    params[4] = [0.0, -0.0, 0.0, 0.0]
+    configs = []
+    for data in (lines, planes, empty, pole):
+        configs.append({"task": "fibres", "data": data, "params": params, "samples": 2})
+        configs.append({"task": "fibres", "data": data, "params": params, "samples": 1,
+                        "format": "csv"})
+        samples = [{"q": p, "z": [rc(), rc(), rc()]} for p in params]
+        configs.append({"task": "verify", "data": data, "samples": samples})
+    # a pole at the fifth sample comes before a malformed ninth
+    configs.append({"task": "verify", "data": pole,
+                    "samples": samples[:8] + [{"q": [1, 0, 0]}] + samples[9:]})
+    configs.append({"task": "verify", "data": lines,
+                    "samples": samples[:8] + [{"q": [1, 0, 0], "z": [0, 0, 0]}] + samples[9:]})
+    return configs
+
+
+@pytest.mark.parametrize("config", _fibre_configs())
+def test_fibre_tasks_match_a_point_by_point_run(config, monkeypatch):
+    want = _outcome(lambda: _point_by_point(config))
+    assert _cli_output(config) == want
+    for size in (1, 2, 7):
+        monkeypatch.setattr(bhm.cli, "BLOCK_POINTS", size)
+        assert _cli_output(config) == want
+
+
+def test_fibre_tasks_never_call_the_scalar_path(monkeypatch):
+    # the fibres-roundtrip benchmark's data: quadratic G and H (lines), and
+    # constant G with CN(G) = -1 and H = mu G (planes): no scalar fibre_at
+    # and no HoloFn call, in fibres or in verify --samples
+    called = []
+    call = HoloFn.__call__
+
+    def counting_call(fn, q):
+        called.append(q)
+        return call(fn, q)
+
+    def no_fibre_at(*args):
+        raise AssertionError("fibre_at called")
+
+    monkeypatch.setattr(HoloFn, "__call__", counting_call)
+    monkeypatch.setattr(bhm.cli, "fibre_at", no_fibre_at)
+    monkeypatch.setattr(bhm.weierstrass, "fibre_at", no_fibre_at)
+    for config in _fibre_configs()[:6]:
+        report = json.loads(_cli_output(config) if config.get("format") != "csv"
+                            else _cli_output(dict(config, format="json")))
+        if config["task"] == "fibres":
+            samples = [{"q": row["q"], "z": z} for row in report["results"]
+                       for z in row["samples"]]
+            verify = json.loads(_cli_output({"task": "verify", "data": config["data"],
+                                             "samples": samples}))
+            assert len(verify["results"]) == len(samples) > 0
+            assert all(row["on_fibre"] for row in verify["results"])
+    assert called == []
+
+
+def test_fibre_batches_leave_no_blocks_allocated():
+    a = 0.8 - 0.6j
+    data = WeierstrassData(HoloFn(Const(a), Const(-1 / a)), HoloFn(Q, Q * Q))
+    qs = [Bicomplex(0.3 + 0.01 * k, 0.5j) for k in range(16)]
+    zs = [CVec3(0.3, 0.5, 0.7)] * 16
+
+    def fibre_block():
+        batch = FibreBatch(data, qs)
+        batch.samples([0.5, -1.0])
+        batch.checks(_array(zs), 1e-8)
+
+    for _ in range(5):
+        fibre_block()
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(50):
+        fibre_block()
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 10
 
 
 def test_stacked_solve_gives_single_call_bits_and_leaves_a_singular_system():

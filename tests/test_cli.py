@@ -349,6 +349,48 @@ class TestSchemaAndExitCodes:
         error = json.loads(err)["error"]
         assert error["type"] == "DegenerateDirectionError" and "CN(xi) = 0" in error["message"]
 
+    # G = 1/q has a pole at the first parameter, and the second is malformed
+    POLE_DATA = {"G": {"f": {"op": "div", "args": [{"op": "const", "value": 1}, VAR]}},
+                 "H": {"f": {"op": "const", "value": 0}}}
+
+    def test_verify_samples_raise_a_pole_before_a_later_malformed_sample(
+            self, monkeypatch, capsys):
+        # a point-by-point run parses a sample after checking the ones before
+        # it: the pole at sample 0 is raised, not sample 1's schema error
+        config = {"task": "verify", "data": self.POLE_DATA,
+                  "samples": [{"q": [0, 0, 0, 0], "z": [1, 0, 0]},
+                              {"q": [1, 0, 0], "z": [1, 0, 0]}]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {"type": "PoleEncounteredError",
+                                            "message": "division by 0j"}
+
+    def test_fibres_parse_every_param_before_the_first_fibre(self, monkeypatch, capsys):
+        config = {"task": "fibres", "data": self.POLE_DATA,
+                  "params": [[0, 0, 0, 0], [1, 0, 0]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"]["type"] == "ExprSchemaError"
+
+    def test_exit_code_3_on_overflowing_companion_matrix(self, monkeypatch, capsys):
+        # G = 2 q^2 - 1.73 q - 1e155: finite congruence coefficients near the
+        # double range whose companion row overflows at the second point
+        g = {"op": "add", "args": [
+            {"op": "const", "value": -1e155},
+            {"op": "mul", "args": [{"op": "const", "value": -1.7334714896204129}, VAR]},
+            {"op": "mul", "args": [{"op": "const", "value": 2.0},
+                                   {"op": "pow", "args": [VAR], "exp": 2}]}]}
+        config = {"task": "verify", "data": {"G": {"f": g}, "H": {"f": {"op": "const", "value": 2}}},
+                  "points": [[2.0, -0.55, -1.25], [-1e155, 1.0, -2]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert "companion matrix overflows" in error["message"]
+
     @pytest.mark.parametrize("g, code, error", [
         # an op that is a list is unhashable: no op, not a TypeError traceback
         ({"op": []}, 2, "ExprSchemaError"),

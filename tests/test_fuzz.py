@@ -7,8 +7,10 @@ draws configurations for every task over the config and expression
 grammar: numbers of every kind (signed zeros, subnormals, 1e300 and
 1e155, whose square overflows) and the caps at and one past their limits;
 in a quarter of the draws one node, anywhere in the config, is then
-replaced by a boolean, a wrong shape or a missing value.  The caps are
-patched small so that a run at a limit stays fast.
+replaced by a boolean, a wrong shape or a missing value.  Data with a
+constant G of CN(G) = -1 take ``fibres`` and ``verify --samples`` to the
+degenerate-plane and empty fibres, which random trees almost never reach.
+The caps are patched small so that a run at a limit stays fast.
 """
 
 import contextlib
@@ -66,11 +68,35 @@ _poly = st.builds(
                                           {"op": "mul", "args": [{"op": "const", "value": c1},
                                                                  {"op": "var"}]}]},
     _complex, _complex)
+
+
+def _pair(z):
+    return {"op": "const", "value": [z.real, z.imag]}
+
+
+def _cn_minus_one(a, multiple, mu, h):
+    """Constant G = (a, -1/a), so CN(G) = -1 at every q: with H = mu G every
+    fibre is a degenerate plane (through the origin for mu = 0), with
+    H = mu + h(q) mostly the empty set."""
+    g = {"f1": _pair(a), "f2": _pair(-1 / a)}
+    if multiple:
+        return {"G": g, "H": {"f1": _pair(mu * a), "f2": _pair(-mu / a)}}
+    return {"G": g, "H": {"f": {"op": "add", "args": [_pair(mu), h]}}}
+
+
+_unit = st.one_of(st.complex_numbers(min_magnitude=1e-3, max_magnitude=1e3,
+                                     allow_nan=False, allow_infinity=False),
+                  st.sampled_from([1j, 1e155, 1e-155 + 1j, 1e300]))
+_cn_data = st.builds(_cn_minus_one, _unit, st.booleans(),
+                     st.one_of(st.just(0j), _unit), _poly)
 _data = st.one_of(
     st.fixed_dictionaries({"G": _holofn, "H": _holofn}),
     st.fixed_dictionaries({"G": st.builds(lambda f: {"f": f}, _poly),
                            "H": st.builds(lambda f: {"f": f}, _poly)}),
+    _cn_data,
 )
+# fibres and verify --samples draw the CN(G) = -1 data first
+_fibre_data = st.one_of(_cn_data, _data)
 _point = st.lists(_complex, min_size=3, max_size=3)
 _real_point = st.lists(_number, min_size=3, max_size=3)
 _bicomplex = st.lists(_number, min_size=4, max_size=4)
@@ -96,13 +122,13 @@ _fmt = st.sampled_from(["json", "csv"])
 _configs = st.one_of(
     st.fixed_dictionaries({"task": st.just("solve"), "data": _data, "points": _points(_point)},
                           optional={"format": _fmt}),
-    st.fixed_dictionaries({"task": st.just("fibres"), "data": _data,
+    st.fixed_dictionaries({"task": st.just("fibres"), "data": _fibre_data,
                            "params": st.lists(_bicomplex, min_size=1, max_size=6)},
                           optional={"samples": st.sampled_from(
                               [0, 1, 2, CAP_POINTS // 6, CAP_POINTS // 6 + 1]),
                               "format": _fmt}),
     st.fixed_dictionaries({"task": st.just("verify"), "data": _data, "points": _points(_point)}),
-    st.fixed_dictionaries({"task": st.just("verify"), "data": _data,
+    st.fixed_dictionaries({"task": st.just("verify"), "data": _fibre_data,
                            "samples": st.lists(st.fixed_dictionaries(
                                {"q": _bicomplex, "z": _point}), min_size=1, max_size=3)}),
     st.builds(lambda kind, g, h, where, fd, fmt: {"task": "slice", "slice": kind, "g": g,
