@@ -718,9 +718,9 @@ class TestLaneEvaluation:
             assert isinstance(_evaluation(tree, complex(1.5e308, 1.5e308)), OverflowError)
 
 
-def _fibre_outcome(data, q):
+def _outcome(fn):
     try:
-        return repr(fibre_at(data, q))
+        return fn()
     except Exception as exc:
         return type(exc).__name__, str(exc)
 
@@ -728,7 +728,7 @@ def _fibre_outcome(data, q):
 def _fibre_or_none(data, q):
     """``fibre_at``'s repr, or None where it raises: the lanes the batch
     leaves to it."""
-    want = _fibre_outcome(data, q)
+    want = _outcome(lambda: repr(fibre_at(data, q)))
     return want if isinstance(want, str) else None
 
 
@@ -852,13 +852,6 @@ class TestDerivativeStep:
 
 # ---------------------------------------------------------------------------
 # the parameter batch: fibres, samples, contains and residuals over lanes
-
-
-def _outcome(fn):
-    try:
-        return fn()
-    except Exception as exc:
-        return type(exc).__name__, str(exc)
 
 
 def _scalar_check(data, q, z, tol):
