@@ -19,11 +19,13 @@ import json
 import math
 import random
 import sys
+from bisect import bisect_left
 from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Bicomplex
+from .core import Bicomplex, _make
 from .errors import BhmError, ExprSchemaError
 from .geometry import CVec3, chart_to_point, point_to_chart, transition
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
@@ -34,10 +36,19 @@ from .slices import (
     in_slice,
     project_codomain,
     slice_data,
+    wave_lanes,
     wave_report,
     wave_stencil,
 )
-from .verify import branch_roots, classify_point, fd_report, fd_stencil, nearest_root
+from .verify import (
+    branch_roots,
+    classify_point,
+    fd_lanes,
+    fd_report,
+    fd_stencil,
+    nearest_lanes,
+    nearest_root,
+)
 from .weierstrass import (
     _TAGS,
     FibreBatch,
@@ -153,54 +164,125 @@ def _until_error(fn, items):
     return done, None
 
 
+class _Stencil(NamedTuple):
+    """A task's finite-difference check around an anchor.  ``points(anchor)``
+    gives (h, the stencil's points in C^3, in reading order).
+    ``lanes(z1, z2, h)`` computes the reports of many roots at once from
+    their branch values z1 + z2 i2 (complex arrays, one row per root: f0,
+    then the value at each point) and steps h: it gives ``report(k)``, which
+    builds row k's report, and a mask of the rows it flags.
+    ``scalar(f0, values, h)`` gives one root's report on the scalar path,
+    reading its values lazily."""
+    points: Callable
+    lanes: Callable
+    scalar: Callable
+
+
 def _stencil_blocks(data, anchors, degrees, embed, select, stencil):
     """The anchors in order, each as (anchor, its selected solutions, read).
 
     A block's anchors, embedded in C^3 by ``embed``, are solved in one
     RootBatch and ``select(sols)`` keeps the solutions to report; the
-    stencils ``stencil(anchor)`` -> (h, points) of those with a gradient
-    are solved in a second.  ``read(q0)`` gives (f0, values, h) of the
-    branch through q0: its value at the anchor and a lazy iterator of its
-    values at the stencil points, in reading order.  Each error surfaces
-    where a point-by-point run raises it: from ``read`` or the iterator,
-    or, for an anchor's solve, after the anchors before it."""
+    reports of ``stencil`` (a ``_Stencil``, or None for no check) at the
+    kept solutions with a gradient come from ``_stencil_reports``.
+    ``read(j)`` gives the report of the j-th kept solution, which has a
+    gradient.  Each error surfaces where a point-by-point run raises it:
+    from ``read``, or, for an anchor's solve, after the anchors before it."""
     for block in _blocks(anchors, degrees):
         zs = [embed(a) for a in block]
         solved, error = _until_error(RootBatch(data, zs).solutions, range(len(zs)))
         kept = [select(sols) for sols in solved]
-        stencils = []
-        for anchor, sols in zip(block, kept):
-            if stencil is None or all(sol.gradient is None for sol in sols):
-                stencils.append(None)
-                continue
-            try:
-                stencils.append(stencil(anchor))
-            except ArithmeticError as exc:
-                stencils.append(exc)
-        stencils = _stencil_roots(data, stencils)
-        for anchor, z, sols, chosen, found in zip(block, zs, solved, kept, stencils):
-            yield anchor, chosen, partial(_branch, z, sols, found)
+        reports = (_stencil_reports(data, stencil, block, solved, kept)
+                   if stencil is not None else [None] * len(kept))
+        for anchor, chosen, found in zip(block, kept, reports):
+            yield anchor, chosen, partial(_read, found)
         if error is not None:
             raise error
 
 
-def _stencil_roots(data, stencils):
-    """``stencils`` with each (h, points) replaced by (h, the roots at each
-    point, or the error reading them raises), all points solved in one
-    RootBatch.  The batch and the points go before the block's rows are
-    built: kept through the rows, they raised the 25 000-point slice
-    grid's peak RSS by 3 MB."""
-    batch = RootBatch(data, [z for found in stencils if isinstance(found, tuple)
-                             for z in found[1]])
-    lane = 0
-    out = []
-    for found in stencils:
-        if isinstance(found, tuple):
-            h, points = found
-            found = h, [_lane_roots(batch, k, z) for k, z in enumerate(points, lane)]
-            lane += len(points)
-        out.append(found)
-    return out
+def _read(found, j):
+    """``read(j)`` of ``_stencil_blocks`` for an anchor whose stencil gave
+    ``found``: report j, from the lanes or on the scalar path, or the error
+    computing the stencil raised."""
+    report, k0, js, scalar = _raised(found)
+    if j in scalar:
+        return scalar[j]()
+    return report(k0 + bisect_left(js, j))
+
+
+def _stencil_reports(data, stencil, block, solved, kept):
+    """Per anchor of a block: how to read the stencil reports of its kept
+    solutions with a gradient, or the error ``stencil.points`` raised, or
+    None when no kept solution has a gradient.
+
+    Every stencil point of the block is solved in one RootBatch.  For each
+    root with a gradient, ``verify.nearest_lanes`` picks its branch's value
+    at the anchor (the nearest of all the anchor's roots) and at every
+    stencil point, and ``stencil.lanes`` computes every report at once.  A
+    root with a pick that is not ``nearest_root``'s, or that the lanes
+    flag, gets its report from ``_branch`` instead, on the scalar path and
+    in that root's turn, so it raises what a point-by-point run raises.  The
+    batch goes before the block's rows are built, and a report's Python
+    objects are made only when its row is: held through the rows, the
+    objects of a block's stencils left the pools of the 25 000-point slice
+    grid's rows fragmented, and its peak RSS 2-6 MB higher."""
+    found = []
+    for anchor, chosen in zip(block, kept):
+        if all(sol.gradient is None for sol in chosen):
+            found.append(None)
+            continue
+        try:
+            found.append(stencil.points(anchor))
+        except ArithmeticError as exc:
+            found.append(exc)
+    live = [a for a, f in enumerate(found) if isinstance(f, tuple)]
+    if not live:
+        return found
+    n = len(found[live[0]][1])
+    batch = RootBatch(data, [z for a in live for z in found[a][1]])
+    # the roots to report: per live anchor, the indices in kept of those
+    # with a gradient; root k of the lanes is the k-th of them all
+    js = [[j for j, sol in enumerate(kept[a]) if sol.gradient is not None] for a in live]
+    owner = np.repeat(np.arange(len(live)), [len(jj) for jj in js])
+    q0 = [kept[a][j].q for a, jj in zip(live, js) for j in jj]
+    q1 = np.array([q.z1 for q in q0])
+    q2 = np.array([q.z2 for q in q0])
+    width = max(len(solved[a]) for a in live)
+    anchor_roots = [[sol.q for sol in solved[a]] for a in live]
+    a1, a2 = (np.array([[getattr(q, part) for q in roots] + [0j] * (width - len(roots))
+                        for roots in anchor_roots]) for part in ("z1", "z2"))
+    f1, f2, f_exact = nearest_lanes(a1, a2, np.array([len(r) for r in anchor_roots]),
+                                    owner, q1, q2)
+    r1, r2, count = batch.padded_roots()
+    v1, v2, v_exact = nearest_lanes(r1, r2, count, (owner[:, None] * n + np.arange(n)).ravel(),
+                                    np.repeat(q1, n), np.repeat(q2, n))
+    z1 = np.concatenate([f1[:, None], v1.reshape(-1, n)], axis=1)
+    z2 = np.concatenate([f2[:, None], v2.reshape(-1, n)], axis=1)
+    exact = np.concatenate([f_exact[:, None], v_exact.reshape(-1, n)], axis=1)
+    report, flagged = stencil.lanes(z1, z2, np.array([found[a][0] for a in live])[owner])
+    flagged = (flagged | ~exact.all(axis=1)).tolist()
+    lane_roots = {}
+
+    def picks(i, k):
+        # the branch's values for the scalar path: the exact picks, else
+        # the roots there (the anchor's, or a lane's or its error)
+        h, points = found[live[i]]
+        out = [_make(z1[k, 0].item(), z2[k, 0].item()) if exact[k, 0] else anchor_roots[i]]
+        for lane, (x, y, ok) in enumerate(zip(z1[k, 1:].tolist(), z2[k, 1:].tolist(),
+                                             exact[k, 1:].tolist()), i * n):
+            if not ok and lane not in lane_roots:
+                lane_roots[lane] = _lane_roots(batch, lane, points[lane - i * n])
+            out.append(_make(x, y) if ok else lane_roots[lane])
+        return out
+
+    k0 = 0
+    for i, (a, jj) in enumerate(zip(live, js)):
+        h = found[a][0]
+        scalar = {j: partial(_branch, stencil.scalar, picks(i, k), h, q0[k])
+                  for k, j in enumerate(jj, k0) if flagged[k]}
+        found[a] = report, k0, jj, scalar
+        k0 += len(jj)
+    return found
 
 
 def _lane_roots(batch, k, z):
@@ -219,12 +301,15 @@ def _raised(found):
     return found
 
 
-def _branch(z, sols, found, q0):
-    """``read(q0)`` of ``_stencil_blocks`` at the anchor z with solutions
-    sols and what its stencil reads, ``found``."""
-    h, lanes = _raised(found)
-    values = (nearest_root(_raised(roots), q0) for roots in lanes)
-    return nearest_root(branch_roots([sol.q for sol in sols], z), q0), values, h
+def _branch(scalar, picks, h, q0):
+    """One root's stencil report on the scalar path: ``scalar`` over the
+    branch through q0 at the anchor and then, lazily, at each stencil
+    point.  Each of ``picks`` is the branch's value there, or the roots
+    there to take the nearest of, or the error reading them raises."""
+    def value(pick):
+        return pick if isinstance(pick, Bicomplex) else nearest_root(_raised(pick), q0)
+
+    return scalar(value(picks[0]), map(value, picks[1:]), h)
 
 
 def _grid_points(grid):
@@ -415,6 +500,13 @@ def _sample_rows(data, samples, tol):
     return rows
 
 
+def _fd_json(f0, values, h):
+    return fd_report(f0, values, h).to_json()
+
+
+_FD_STENCIL = _Stencil(fd_stencil, fd_lanes, _fd_json)
+
+
 def _task_verify(config, tol, seed):
     data = _parse_data(config)
     tol = tol if tol is not None else 1e-8
@@ -439,9 +531,9 @@ def _task_verify(config, tol, seed):
 
     results = []
     for z, sols, read in _stencil_blocks(data, pts, _cap_roots(data, len(pts)),
-                                         lambda z: z, list, fd_stencil):
+                                         lambda z: z, list, _FD_STENCIL):
         roots = []
-        for sol in sols:
+        for j, sol in enumerate(sols):
             entry = {"q": _b(sol.q),
                      "implicit": None,
                      "fd": None}
@@ -450,7 +542,7 @@ def _task_verify(config, tol, seed):
                     "laplacian": _f(abs(sol.laplacian)),
                     "nullness": _f(abs(sol.gradient.square())),
                 }
-                entry["fd"] = fd_report(*read(sol.q)).to_json()
+                entry["fd"] = read(j)
             roots.append(entry)
         results.append({"point": _cvec(z), "roots": roots})
     return {"task": "verify", "results": results}
@@ -486,10 +578,14 @@ def _task_slice(config, tol, seed):
     def project(q):
         return project_codomain(kind, q, atol=atol)
 
-    def stencil(x):
+    def points(x):
         _, h, points = wave_stencil(x)
         return h, [embed_domain(kind, p) for p in points]
 
+    def scalar(f0, values, h):
+        return wave_report(kind, project(f0), map(project, values), h)
+
+    stencil = _Stencil(points, partial(wave_lanes, kind, atol=atol), scalar)
     rows = []
     for x, sols, read in _stencil_blocks(data, pts, degrees, partial(embed_domain, kind),
                                          partial(in_slice, kind, atol=atol),
@@ -510,8 +606,7 @@ def _task_slice(config, tol, seed):
             }
             if run_fd and sol.gradient is not None:
                 try:
-                    f0, values, h = read(sol.q)
-                    hr, nr = wave_report(kind, project(f0), map(project, values), h)
+                    hr, nr = read(idx)
                     row["harmonic_res"] = _f(hr)
                     row["null_res"] = _f(nr)
                 except BhmError as exc:

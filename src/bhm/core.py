@@ -20,6 +20,7 @@ __all__ = [
     "BArray",
     "Bicomplex",
     "CArray",
+    "HArray",
     "Hyperbolic",
     "ZERO",
     "ONE",
@@ -311,6 +312,56 @@ def _coerce_hyp(value):
     return None
 
 
+class HArray:
+    """Hyperbolic lanes x + y*j with float64 parts: the ``Hyperbolic``
+    operators, lane by lane, with the bits of the scalar ones.  An ``int``,
+    ``float`` or float-array operand is ``(v, 0.0)``, as ``_coerce_hyp``
+    makes it, so a product with it still adds ``y * 0.0``; ``abs`` is
+    ``sqrt(x*x + y*y)``, not ``hypot``."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x = x
+        self.y = y
+
+    def __getitem__(self, index):
+        return HArray(self.x[index], self.y[index])
+
+    def __add__(self, other):
+        o = _hyperbolic_operand(other)
+        if o is None:
+            return NotImplemented
+        return HArray(self.x + o[0], self.y + o[1])
+
+    def __sub__(self, other):
+        o = _hyperbolic_operand(other)
+        if o is None:
+            return NotImplemented
+        return HArray(self.x - o[0], self.y - o[1])
+
+    def __mul__(self, other):
+        o = _hyperbolic_operand(other)
+        if o is None:
+            return NotImplemented
+        return HArray(self.x * o[0] + self.y * o[1], self.x * o[1] + self.y * o[0])
+
+    __rmul__ = __mul__
+
+    def __abs__(self):
+        return np.sqrt(self.x * self.x + self.y * self.y)
+
+
+def _hyperbolic_operand(value):
+    if isinstance(value, HArray):
+        return value.x, value.y
+    if isinstance(value, np.ndarray):
+        return value, 0.0
+    if isinstance(value, (int, float)):
+        return float(value), 0.0
+    return None
+
+
 class CArray:
     """Complex float64 arrays whose arithmetic gives, lane by lane, the bits
     of the scalar ``complex`` arithmetic it stands for.
@@ -328,7 +379,8 @@ class CArray:
     * ``abs`` is ``np.hypot``;
     * ``** n`` is CPython 3.11's ``c_powi`` for an int |n| <= C_POWI_MAX;
     * an ``int`` or ``float`` operand is promoted to ``x + 0j`` first, as
-      CPython up to 3.13 does in mixed arithmetic.
+      CPython up to 3.13 does in mixed arithmetic, and so is a float array,
+      a real number per lane.
 
     Where CPython raises ZeroDivisionError, a Smith quotient gives a NaN lane,
     and where a power raises OverflowError, an infinite part: callers mask
@@ -449,6 +501,8 @@ def _operand(value):
         return value.real, value.imag, isinstance(value, np.complexfloating)
     if isinstance(value, (int, float)):
         return float(value), 0.0, False
+    if isinstance(value, np.ndarray):
+        return value, 0.0, False
     return None
 
 
@@ -480,8 +534,9 @@ class BArray:
     """Bicomplex lanes z1 + z2*i2 with ``CArray`` parts: the ``Bicomplex``
     operators and norms, lane by lane, with the bits of the scalar ones.
 
-    An operand may be lanes, a ``Bicomplex`` constant, or complex lanes or
-    a number in the i1-plane, promoted to (x + 0j, 0j) as ``_coerce`` does.
+    An operand may be lanes, a ``Bicomplex`` constant, or complex lanes,
+    float lanes or a number in the i1-plane, promoted to (x + 0j, 0j) as
+    ``_coerce`` does.
     A ``Bicomplex`` on the left hands its operator to these lanes, which
     compute it in the scalar operand order (the product commutes bit for
     bit).  ``** 2`` on a float is libm's ``pow``, which ``np.float_power``
@@ -494,6 +549,9 @@ class BArray:
     def __init__(self, z1: CArray, z2: CArray):
         self.z1 = z1
         self.z2 = z2
+
+    def __getitem__(self, index):
+        return BArray(self.z1[index], self.z2[index])
 
     def __add__(self, other):
         o = _bicomplex_operand(other)
@@ -567,6 +625,8 @@ def _bicomplex_operand(value):
     if isinstance(value, (int, float, complex)):
         value = complex(value)
         return value.real, value.imag, 0.0, 0.0
+    if isinstance(value, np.ndarray):
+        return value, 0.0, 0.0, 0.0
     return None
 
 

@@ -16,12 +16,14 @@ from __future__ import annotations
 from enum import Enum
 from itertools import islice
 
-from .core import Bicomplex, Hyperbolic, I1
+import numpy as np
+
+from .core import Bicomplex, CArray, HArray, Hyperbolic, I1
 from .errors import InvalidInputError, NotInSliceError
 from .geometry import CVec3, s2c_to_q2c, S2CPoint
 from .holo import HoloFn
-from .verify import DEFAULT_STEP, _richardson_line, tracked_branch
-from .weierstrass import WeierstrassData, solve_phi
+from .verify import DEFAULT_STEP, _richardson_lanes, _richardson_line, tracked_branch
+from .weierstrass import WeierstrassData, _max, solve_phi
 
 NOT_IN_SLICE_ATOL = 1e-8
 
@@ -61,15 +63,22 @@ def project_codomain(kind, q: Bicomplex, atol=NOT_IN_SLICE_ATOL):
     """Value of q in the slice codomain; raises NotInSliceError when q has
     components outside the embedded subalgebra."""
     kind = _kind(kind)
+    off, x, y = _projection(kind, q.z1, q.z2)
     if kind is SliceKind.MINKOWSKI_D:
-        off = max(abs(q.z1.imag), abs(q.z2.real))
         if off > atol:
             raise NotInSliceError(f"value off the hyperbolic plane by {off:.3e}")
-        return Hyperbolic(q.z1.real, q.z2.imag)
-    off = max(abs(q.z1.imag), abs(q.z2.imag))
+        return Hyperbolic(x, y)
     if off > atol:
         raise NotInSliceError(f"value off the complex plane by {off:.3e}")
-    return complex(q.z1.real, q.z2.real)
+    return complex(x, y)
+
+
+def _projection(kind, z1, z2):
+    """How far z1 + z2 i2 lies off the kind's codomain, and the two parts of
+    its value there, from complex scalars or complex arrays."""
+    if kind is SliceKind.MINKOWSKI_D:
+        return _max(abs(z1.imag), abs(z2.real)), z1.real, z2.imag
+    return _max(abs(z1.imag), abs(z2.imag)), z1.real, z2.real
 
 
 def _signature(kind):
@@ -110,15 +119,50 @@ def wave_report(kind, f0, values, h):
     ``verify.fd_report`` reads them."""
     signs = _signature(kind)
     values = iter(values)
+    lines = [_richardson_line(f0, *islice(values, 4), h) for _ in range(3)]
+    return _wave_sums(signs, lines)
+
+
+def _wave_sums(signs, lines):
+    """|harmonic| and |null| sums from the three lines' (d1, d2); squares
+    are taken in the codomain, with the kind's signature ``signs``."""
     lap = None
     null = None
-    for k in range(3):
-        d1, d2 = _richardson_line(f0, *islice(values, 4), h)
-        term_l = d2 * signs[k]
-        term_n = (d1 * d1) * signs[k]
+    for (d1, d2), sign in zip(lines, signs):
+        term_l = d2 * sign
+        term_n = (d1 * d1) * sign
         lap = term_l if lap is None else lap + term_l
         null = term_n if null is None else null + term_n
     return abs(lap), abs(null)
+
+
+def wave_lanes(kind, z1, z2, h, atol=NOT_IN_SLICE_ATOL):
+    """``wave_report(kind, project(f0), map(project, values), h)`` over
+    lanes, with its bits, where ``project`` is ``project_codomain`` at atol.
+
+    Lane r reads the branch values z1[r] + z2[r] i2 (complex arrays of
+    shape (lanes, 13)): f0 first, then the values at the points of
+    ``wave_stencil``, in reading order; ``h`` holds each lane's step.  The
+    values are ``HArray`` lanes on Minkowski -> D and ``CArray`` lanes
+    otherwise.  Returns (report, flagged), where ``report(r)`` gives lane
+    r's (harmonic, null) pair: a flagged lane's pair is not valid, since the
+    scalar report raises there (a value off the slice, a branch jump, an
+    ``abs`` past the double range) or compares or returns a value that is
+    not finite."""
+    kind = _kind(kind)
+    off, x, y = _projection(kind, z1, z2)
+    value = HArray(x, y) if kind is SliceKind.MINKOWSKI_D else CArray(x, y)
+    with np.errstate(all="ignore"):
+        d1, d2, flagged = _richardson_lanes(value[:, :1], value[:, 1::4], value[:, 2::4],
+                                            value[:, 3::4], value[:, 4::4], h[:, None])
+        lap, null = _wave_sums(_signature(kind), [(d1[:, k], d2[:, k]) for k in range(3)])
+    flagged = (flagged.any(axis=1) | (off > atol).any(axis=1)
+               | ~np.isfinite(lap) | ~np.isfinite(null))
+
+    def report(r):
+        return float(lap[r]), float(null[r])
+
+    return report, flagged
 
 
 def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = None,

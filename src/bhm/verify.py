@@ -22,10 +22,12 @@ from enum import Enum
 from itertools import islice
 from math import sqrt
 
-from .core import Bicomplex
+import numpy as np
+
+from .core import BArray, Bicomplex, CArray
 from .errors import BranchJumpError, InvalidInputError
 from .geometry import BVec3, CVec3
-from .weierstrass import WeierstrassData, solve_roots
+from .weierstrass import WeierstrassData, _max, _null_parts, solve_roots
 
 DEFAULT_STEP = 1e-3
 CLASSIFY_TOL = 1e-9
@@ -64,13 +66,25 @@ class PdeResidualReport:
 
 def classify_point(gradient: BVec3, tol=CLASSIFY_TOL) -> PointClassification:
     """Trichotomy: zero differential / regular / degenerate."""
-    n2 = gradient.norm2()
-    if n2 <= tol * tol:
+    n2, lam = _null_parts(tuple(gradient))
+    zero, regular = _classes(n2, abs(lam), tol)
+    if zero:
         return PointClassification(PointClass.ZERO_DIFFERENTIAL, 0j)
-    lam = gradient.cn()
-    if abs(lam) > tol * n2:
+    if regular:
         return PointClassification(PointClass.REGULAR, lam)
     return PointClassification(PointClass.DEGENERATE, lam)
+
+
+# The formulas below run on scalars (Bicomplex, complex, Hyperbolic) and on
+# lanes (BArray, CArray, HArray) alike: the scalar reports and their lane
+# forms share them, so each lane gets the scalar bits.
+
+
+def _classes(n2, lam_abs, tol):
+    """``classify_point``'s two tests from |grad|^2 and |CN(grad)|: a zero
+    differential, and else a regular point.  (|CN(grad)| <= |grad|^2, so
+    taking |CN(grad)| at a zero differential raises nothing.)"""
+    return n2 <= tol * tol, lam_abs > tol * n2
 
 
 def _shifted(z: CVec3, k: int, dz: complex) -> CVec3:
@@ -79,27 +93,73 @@ def _shifted(z: CVec3, k: int, dz: complex) -> CVec3:
     return CVec3(*c)
 
 
-def _richardson_line(f0, fp, fm, fp2, fm2, h):
-    """First and second derivative along one direction from values at
-    +-h and +-h/2, Richardson-extrapolated; raises on scale inconsistency."""
+def _estimates(f0, fp, fm, fp2, fm2, h):
+    """The first and the second derivative along one direction from the
+    values at +-h and at +-h/2: (d1 at h, d1 at h/2, d2 at h, d2 at h/2)."""
     d1_h = (fp - fm) * (0.5 / h)
     d1_h2 = (fp2 - fm2) * (1.0 / h)
     d2_h = (fp - 2 * f0 + fm) * (1.0 / (h * h))
     d2_h2 = (fp2 - 2 * f0 + fm2) * (4.0 / (h * h))
+    return d1_h, d1_h2, d2_h, d2_h2
+
+
+def _deviation(at_h, at_h2):
+    """How far the estimates at the two scales differ, and the bound they
+    must agree within: 0.4 times the larger of them."""
+    return abs(at_h - at_h2), 0.4 * _max(abs(at_h), abs(at_h2))
+
+
+def _extrapolated(at_h, at_h2):
+    return (4.0 * at_h2 - at_h) * (1.0 / 3.0)
+
+
+def _richardson_line(f0, fp, fm, fp2, fm2, h):
+    """First and second derivative along one direction from values at
+    +-h and +-h/2, Richardson-extrapolated; raises on scale inconsistency.
+    The second check's values are taken only after the first passes, so an
+    ``abs`` that overflows there raises only where it always did."""
+    d1_h, d1_h2, d2_h, d2_h2 = _estimates(f0, fp, fm, fp2, fm2, h)
     floor = 1e-6 * (abs(f0) + 1.0)
-    dev1 = abs(d1_h - d1_h2)
-    if dev1 > 0.4 * max(abs(d1_h), abs(d1_h2)) and dev1 > floor:
+    dev1, bound1 = _deviation(d1_h, d1_h2)
+    if dev1 > bound1 and dev1 > floor:
         raise BranchJumpError(
             f"first-derivative estimates disagree across scales ({dev1:.3e})"
         )
-    dev2 = abs(d2_h - d2_h2)
-    if dev2 > 0.4 * max(abs(d2_h), abs(d2_h2)) and dev2 > floor / h:
+    dev2, bound2 = _deviation(d2_h, d2_h2)
+    if dev2 > bound2 and dev2 > floor / h:
         raise BranchJumpError(
             f"second-derivative estimates disagree across scales ({dev2:.3e})"
         )
-    d1 = (4.0 * d1_h2 - d1_h) * (1.0 / 3.0)
-    d2 = (4.0 * d2_h2 - d2_h) * (1.0 / 3.0)
-    return d1, d2
+    return _extrapolated(d1_h, d1_h2), _extrapolated(d2_h, d2_h2)
+
+
+def _richardson_lanes(f0, fp, fm, fp2, fm2, h):
+    """``_richardson_line`` over lanes: (d1, d2, flagged), flagged where the
+    scalar line raises BranchJumpError, or where a value it compares is not
+    finite (an ``abs`` the scalar line may raise OverflowError on, or a NaN
+    it compares otherwise)."""
+    d1_h, d1_h2, d2_h, d2_h2 = _estimates(f0, fp, fm, fp2, fm2, h)
+    floor = 1e-6 * (abs(f0) + 1.0)
+    dev1, bound1 = _deviation(d1_h, d1_h2)
+    dev2, bound2 = _deviation(d2_h, d2_h2)
+    flagged = ((dev1 > bound1) & (dev1 > floor)) | ((dev2 > bound2) & (dev2 > floor / h))
+    for v in (floor, dev1, bound1, dev2, bound2):
+        flagged |= ~np.isfinite(v)
+    return _extrapolated(d1_h, d1_h2), _extrapolated(d2_h, d2_h2), flagged
+
+
+def _fd_coordinate(dx, dxx, dy, dyy):
+    """One coordinate's terms of ``fd_report`` from its real (x) and
+    imaginary (y) lines: the gradient entry, the Cauchy-Riemann residual and,
+    for holomorphic phi, d^2/dz^2 = (d_xx - d_yy)/2."""
+    return (dx - 1j * dy) * 0.5, abs((dx + 1j * dy) * 0.5), (dxx - dyy) * 0.5
+
+
+def _fd_sums(grads, seconds):
+    """|Laplacian| and |nullness| from the coordinates' terms."""
+    lap = seconds[0] + seconds[1] + seconds[2]
+    nullness = grads[0] * grads[0] + grads[1] * grads[1] + grads[2] * grads[2]
+    return abs(lap), abs(nullness)
 
 
 def fd_stencil(z: CVec3, h=None):
@@ -142,21 +202,67 @@ def fd_report(f0, values, h, tol=CLASSIFY_TOL) -> PdeResidualReport:
     for k in range(3):
         dx, dxx = _richardson_line(f0, *islice(values, 4), h)
         dy, dyy = _richardson_line(f0, *islice(values, 4), h)
-        grads.append((dx - 1j * dy) * 0.5)
-        cr_worst = max(cr_worst, abs((dx + 1j * dy) * 0.5))
-        # for holomorphic phi, d^2/dz^2 = (d_xx - d_yy)/2
-        seconds.append((dxx - dyy) * 0.5)
+        grad, cr, second = _fd_coordinate(dx, dxx, dy, dyy)
+        grads.append(grad)
+        cr_worst = _max(cr_worst, cr)
+        seconds.append(second)
 
     gradient = BVec3(*grads)
-    lap = seconds[0] + seconds[1] + seconds[2]
-    nullness = grads[0] * grads[0] + grads[1] * grads[1] + grads[2] * grads[2]
+    lap, nullness = _fd_sums(grads, seconds)
     return PdeResidualReport(
-        laplacian_residual=abs(lap),
-        nullness_residual=abs(nullness),
+        laplacian_residual=lap,
+        nullness_residual=nullness,
         cr_residual=cr_worst,
         classification=classify_point(gradient, tol=tol),
         gradient=gradient,
     )
+
+
+# the PointClass values by index, as fd_lanes numbers them
+_CLASS_NAMES = [kind.value for kind in PointClass]
+
+
+def fd_lanes(z1, z2, h, tol=CLASSIFY_TOL):
+    """``fd_report(f0, values, h).to_json()`` over lanes, with its bits.
+
+    Lane r reads the branch values z1[r] + z2[r] i2 (complex arrays of
+    shape (lanes, 25)): f0 first, then the values at the points of
+    ``fd_stencil``, in reading order; ``h`` holds each lane's step.  Returns
+    (report, flagged), where ``report(r)`` builds lane r's report from the
+    arrays: a flagged lane's report is not valid, since the scalar report
+    raises there (a branch jump, an ``abs`` past the double range) or
+    compares or returns a value that is not finite."""
+    with np.errstate(all="ignore"):
+        values = BArray(CArray(z1.real, z1.imag), CArray(z2.real, z2.imag))
+        d1, d2, flagged = _richardson_lanes(values[:, :1], values[:, 1::4], values[:, 2::4],
+                                            values[:, 3::4], values[:, 4::4], h[:, None])
+        flagged = flagged.any(axis=1)
+        grads = []
+        seconds = []
+        cr_worst = 0.0
+        for k in range(3):
+            grad, cr, second = _fd_coordinate(d1[:, 2 * k], d2[:, 2 * k],
+                                              d1[:, 2 * k + 1], d2[:, 2 * k + 1])
+            grads.append(grad)
+            cr_worst = _max(cr_worst, cr)
+            seconds.append(second)
+            flagged |= ~np.isfinite(cr)
+        lap, nullness = _fd_sums(grads, seconds)
+        n2, lam = _null_parts(grads)
+        lam_abs = abs(lam)
+    zero, regular = _classes(n2, lam_abs, tol)
+    for v in (lap, nullness, n2, lam_abs):
+        flagged |= ~np.isfinite(v)
+    kind = np.where(zero, 0, np.where(regular, 1, 2))
+    lam_re = np.where(zero, 0.0, lam.re)
+    lam_im = np.where(zero, 0.0, lam.im)
+
+    def report(r):
+        return {"laplacian": float(lap[r]), "nullness": float(nullness[r]),
+                "cr": float(cr_worst[r]), "class": _CLASS_NAMES[kind[r]],
+                "lambda": [float(lam_re[r]), float(lam_im[r])]}
+
+    return report, flagged
 
 
 def nearest_root(roots, q0: Bicomplex) -> Bicomplex:
@@ -164,6 +270,54 @@ def nearest_root(roots, q0: Bicomplex) -> Bicomplex:
     arithmetic as ``abs(q - q0)``, with no Bicomplex built for ``q - q0``."""
     a, b = q0.z1, q0.z2
     return min(roots, key=lambda q: sqrt(abs(q.z1 - a) ** 2 + abs(q.z2 - b) ** 2))
+
+
+# the largest distance table nearest_lanes holds at a time, in keys (at
+# least one lane's roots): it bounds the memory of a point with many roots
+NEAREST_CHUNK = 1 << 17
+
+
+def nearest_lanes(r1, r2, count, lane, q1, q2):
+    """``nearest_root`` at many queries, with its key's bits.
+
+    Query k picks, from the roots ``r1[j] + r2[j] i2`` of lane j = lane[k]
+    (complex arrays of shape (lanes, width), the first count[j] of a row
+    in canonical order), the root nearest q1[k] + q2[k] i2, the first on a
+    tie.  Returns the picked roots' z1 and z2, and whether each pick is
+    ``nearest_root``'s: not where the lane has no roots, or where a key may
+    not be finite (the scalar key raises OverflowError there, or compares a
+    NaN; a key past 1e150 counts as such).  The queries go in chunks of at
+    most NEAREST_CHUNK keys."""
+    width = r1.shape[1]
+    padding = np.arange(width) >= count[:, None]
+    z1 = np.empty(len(lane), dtype=complex)
+    z2 = np.empty(len(lane), dtype=complex)
+    exact = np.empty(len(lane), dtype=bool)
+    step = max(1, NEAREST_CHUNK // width)
+    for lo in range(0, len(lane), step):
+        rows = lane[lo:lo + step]
+        c1, c2 = r1[rows], r2[rows]
+        pad = padding[rows]
+        with np.errstate(all="ignore"):
+            d1 = c1 - q1[lo:lo + step, None]
+            d2 = c2 - q2[lo:lo + step, None]
+            # the key's square by plain products, within a relative 1e-14 of
+            # it (1e-300 near underflow) where it stays below 1e300: the key
+            # itself (libm's hypot and pow, 30 times as slow) is needed only
+            # where this is near its row's least, which keeps every root
+            # that wins or ties there
+            near = d1.real * d1.real + d1.imag * d1.imag + d2.real * d2.real + d2.imag * d2.imag
+            exact[lo:lo + step] = ((near <= 1e300) | pad).all(axis=1) & (count[rows] > 0)
+            np.putmask(near, pad, np.inf)
+            i, j = np.nonzero(near <= near.min(axis=1, keepdims=True) * (1.0 + 1e-12) + 1e-300)
+            e1, e2 = d1[i, j], d2[i, j]
+            key = np.full(near.shape, np.inf)
+            key[i, j] = np.sqrt(np.float_power(np.hypot(e1.real, e1.imag), 2)
+                                + np.float_power(np.hypot(e2.real, e2.imag), 2))
+        pick = key.argmin(axis=1)[:, None]
+        z1[lo:lo + step] = np.take_along_axis(c1, pick, axis=1)[:, 0]
+        z2[lo:lo + step] = np.take_along_axis(c2, pick, axis=1)[:, 0]
+    return z1, z2, exact
 
 
 def branch_roots(roots, z: CVec3):

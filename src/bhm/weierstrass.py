@@ -740,6 +740,12 @@ class RootBatch:
         k = self._npairs[i]
         return list(map(_make, self._q1[i, :k].tolist(), self._q2[i, :k].tolist()))
 
+    def padded_roots(self):
+        """Every lane's roots as arrays: (z1, z2, counts), the z1 and z2 parts
+        of shape (lanes, width), each row's first counts[i] entries
+        ``roots(i)`` bit for bit; a lane left to the scalar path counts 0."""
+        return self._q1, self._q2, np.where(self._ok, self._npairs, 0)
+
     def solutions(self, i):
         """``solve_phi(data, points[i])``."""
         if not self._batched(i) or self._implicit.scalar[i]:

@@ -1,14 +1,20 @@
 """Finite-difference verification against the exact implicit formulas."""
 
+import contextlib
+import gc
 import io
 import json
 import math
 import sys
+from functools import partial
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import bhm.cli
+import bhm.slices
+import bhm.verify
 import bhm.weierstrass
 from bhm.cli import run
 from bhm.core import Bicomplex, I1, I2, J
@@ -30,6 +36,7 @@ from bhm.verify import (
     classify_point,
     fd_residuals,
     fd_stencil,
+    nearest_lanes,
     nearest_root,
     rank_one_degeneracy_check,
     tracked_branch,
@@ -171,6 +178,22 @@ _signed_zero_part = st.sampled_from([0.0, -0.0])
 _zero_coord = st.one_of(st.builds(complex, _signed_zero_part, _signed_zero_part),
                         st.builds(complex, _signed_zero_part, st.floats(-2, 2)),
                         st.builds(complex, st.floats(-2, 2), _signed_zero_part))
+# Gaussian integers make exact ties; zeros of either sign keep their bits
+_coordinate = st.one_of(_complex, _gaussian_int, _zero_coord)
+_coefficient = st.one_of(_complex, _gaussian_int)
+_real_coordinate = st.one_of(st.floats(-1.5, 1.5), st.integers(-1, 1).map(float),
+                             _signed_zero_part)
+_real_coefficient = st.one_of(st.floats(-2, 2), st.integers(-2, 2).map(float))
+# near and past the edge of the double range of a square
+_huge = st.sampled_from([1e154, 1e155, -1e155, 1e300, -1e300])
+_huge_coordinate = st.one_of(_complex, st.builds(complex, _huge, st.floats(-2, 2)),
+                             st.builds(complex, st.floats(-2, 2), _huge))
+# G = q with H = 0 (radial) or H = q i2 (disc)
+_radial_or_disc = st.sampled_from([
+    ({"f": VAR_JSON}, {"f": CONST0_JSON}),
+    ({"f": VAR_JSON}, {"f1": {"op": "mul", "args": [{"op": "const", "value": [0, 1]}, VAR_JSON]},
+                       "f2": {"op": "mul", "args": [{"op": "const", "value": [0, -1]}, VAR_JSON]}}),
+])
 
 
 def _poly_json(c0, c1, c2):
@@ -224,54 +247,71 @@ def _report(config):
     return json.loads(out.getvalue())["results"]
 
 
-def _verify_fd(G, H, z):
-    """Per root of a ``verify --points`` run at z: its ``fd`` entry, or the
-    error the run raises.  The reference is ``fd_residuals`` over
-    ``tracked_branch``."""
+def _verify_fd(G, H, *zs):
+    """Per root of a ``verify --points`` run at the points zs: its ``fd``
+    entry, or the error the run raises.  The reference is ``fd_residuals``
+    over ``tracked_branch``, point by point."""
     config = {"task": "verify", "data": {"G": G, "H": H},
-              "points": [[[c.real, c.imag] for c in z]]}
+              "points": [[[c.real, c.imag] for c in z] for z in zs]}
     data = WeierstrassData(holofn_from_json(G), holofn_from_json(H))
     try:
-        roots = bhm.cli._task_verify(config, None, 0)["results"][0]["roots"]
-        got = [repr(r["fd"]) for r in roots]
+        with np.errstate(all="ignore"):  # as bhm.cli.main runs
+            results = bhm.cli._task_verify(config, None, 0)["results"]
+        got = [repr(r["fd"]) for res in results for r in res["roots"]]
     except Exception as exc:
         got = type(exc).__name__, str(exc)
     try:
         want = []
-        for sol in solve_phi(data, z):
-            want.append(repr(None if sol.gradient is None else fd_residuals(
-                tracked_branch(data, z, q0=sol.q), z).to_json()))
+        with np.errstate(all="ignore"):
+            for z in zs:
+                for sol in solve_phi(data, z):
+                    want.append(repr(None if sol.gradient is None else fd_residuals(
+                        tracked_branch(data, z, q0=sol.q), z).to_json()))
     except Exception as exc:
         want = type(exc).__name__, str(exc)
     return got, want
 
 
-def _slice_rows(kind, G, H, x):
-    """Per row of a ``slice`` run at x: (harmonic_res, null_res, error), or
-    the error the run raises.  The reference is ``wave_residual`` over
-    ``tracked_real_branch``."""
-    config = {"slice": kind.value, "g": G, "h": H, "points": [list(x)]}
+def _slice_rows(kind, G, H, *xs):
+    """Per row of a ``slice`` run at the real points xs: (harmonic_res,
+    null_res, error), or the error the run raises.  The reference is
+    ``wave_residual`` over ``tracked_real_branch``, point by point."""
+    config = {"slice": kind.value, "g": G, "h": H, "points": [list(x) for x in xs]}
     data = slice_data(kind, holofn_from_json(G), holofn_from_json(H))
     try:
-        rows = bhm.cli._task_slice(config, None, 0)["results"]
+        with np.errstate(all="ignore"):  # as bhm.cli.main runs
+            rows = bhm.cli._task_slice(config, None, 0)["results"]
         got = [repr((r["harmonic_res"], r["null_res"], r.get("error"))) for r in rows]
     except Exception as exc:
         got = type(exc).__name__, str(exc)
     try:
         want = []
-        for sol in projectable_roots(kind, data, x):
-            row = None, None, None
-            if sol.gradient is not None:
-                phi = tracked_real_branch(kind, data, x, q0=sol.q)
-                try:
-                    hr, nr = wave_residual(kind, phi, x)
-                    row = hr + 0.0, nr + 0.0, None
-                except BhmError as exc:
-                    row = None, None, type(exc).__name__
-            want.append(repr(row))
+        with np.errstate(all="ignore"):
+            for x in xs:
+                for sol in projectable_roots(kind, data, x):
+                    row = None, None, None
+                    if sol.gradient is not None:
+                        phi = tracked_real_branch(kind, data, x, q0=sol.q)
+                        try:
+                            hr, nr = wave_residual(kind, phi, x)
+                            row = hr + 0.0, nr + 0.0, None
+                        except BhmError as exc:
+                            row = None, None, type(exc).__name__
+                    want.append(repr(row))
     except Exception as exc:
         want = type(exc).__name__, str(exc)
     return got, want
+
+
+@contextlib.contextmanager
+def _block_points(n):
+    """``cli.BLOCK_POINTS`` set to n (None: left at its default)."""
+    saved = bhm.cli.BLOCK_POINTS
+    bhm.cli.BLOCK_POINTS = n or saved
+    try:
+        yield
+    finally:
+        bhm.cli.BLOCK_POINTS = saved
 
 
 class TestRootTable:
@@ -392,3 +432,373 @@ class TestStencilLanes:
             solve_roots(data, fd_stencil(z)[1][0])
         assert json.loads(err) == {"error": {"type": "DegenerateAllComponentsError",
                                              "message": str(scalar.value)}}
+
+    # -- blocks of many points, read over lanes ---------------------------
+
+    @pytest.mark.parametrize("block", [1, 2, 7, None])
+    @settings(max_examples=8, deadline=None, derandomize=True, database=None)
+    @given(G=_quadratic(_coefficient), H=_quadratic(_coefficient),
+           zs=st.lists(st.tuples(*[_coordinate] * 3), min_size=1, max_size=6))
+    def test_verify_blocks_match_fd_residuals(self, block, G, H, zs):
+        with _block_points(block):
+            got, want = _verify_fd(G, H, *(CVec3(*z) for z in zs))
+        assert got == want
+
+    @pytest.mark.parametrize("block", [1, 2, 7, None])
+    @settings(max_examples=12, deadline=None, derandomize=True, database=None)
+    @given(G=_quadratic(_real_coefficient), H=_quadratic(_real_coefficient),
+           kind=st.sampled_from(list(SliceKind)),
+           xs=st.lists(st.tuples(*[_real_coordinate] * 3), min_size=1, max_size=9))
+    def test_slice_blocks_match_wave_residual(self, block, G, H, kind, xs):
+        with _block_points(block):
+            got, want = _slice_rows(kind, G, H, *xs)
+        assert got == want
+
+    # G = q, H = c q with c = -(1 + 0.3 h): the anchor root at x = (1, 0, 0)
+    # is q = 0, and on the z2 lines of the stencil the four roots lie at
+    # distance exactly 1.0 from it.  The run reads those ties, though its
+    # output does not depend on them (an earlier line jumps); the first root
+    # winning a tie is TestNearestLanes' test
+    TIE_C = -(1.0 + 0.3 * DEFAULT_STEP)
+
+    def _tie_data(self):
+        return {"f": VAR_JSON}, {"f": {"op": "mul", "args": [
+            {"op": "const", "value": [self.TIE_C, 0]}, VAR_JSON]}}
+
+    def test_the_tie_data_ties(self):
+        G, H = self._tie_data()
+        data = WeierstrassData(holofn_from_json(G), holofn_from_json(H))
+        h, points = fd_stencil(CVec3(1.0, 0.0, 0.0))
+        keys = [abs(q) for q in solve_roots(data, points[12])]
+        assert len(keys) == 4 and keys.count(min(keys)) == 4
+
+    @pytest.mark.parametrize("block", [1, 2, None])
+    def test_verify_with_exact_ties(self, block):
+        G, H = self._tie_data()
+        with _block_points(block):
+            got, want = _verify_fd(G, H, CVec3(0.3, 0.5, 0.9), CVec3(1.0, 0.0, 0.0))
+        assert got == want
+        assert want[0] == "BranchJumpError"
+
+    @pytest.mark.parametrize("kind", list(SliceKind))
+    def test_slices_with_exact_ties(self, kind):
+        G, H = self._tie_data()
+        got, want = _slice_rows(kind, G, H, (0.3, 0.5, 0.9), (1.0, 0.0, 0.0), (2.0, 1.0, 0.0))
+        assert got == want
+
+    def test_a_branch_jump_is_a_slice_row_error(self):
+        # G = q, H = -h q at the origin of Minkowski -> D
+        G = {"f": VAR_JSON}
+        H = {"f": {"op": "mul", "args": [{"op": "const", "value": [-DEFAULT_STEP, 0]},
+                                         VAR_JSON]}}
+        got, want = _slice_rows(SliceKind.MINKOWSKI_D, G, H, (0.3, 0.2, 0.1), (0.0, 0.0, 0.0))
+        assert got == want
+        assert repr((None, None, "BranchJumpError")) in want
+
+    def test_a_branch_jump_fails_verify_with_the_scalar_message(self, monkeypatch, capsys):
+        # radial data a step from the root collision z.z = 0
+        G, H = {"f": VAR_JSON}, {"f": CONST0_JSON}
+        z = CVec3(1e-3, 1.0, 1j)
+        got, want = _verify_fd(G, H, CVec3(0.3, 1.1, -0.2), z)
+        assert got == want
+        assert want[0] == "BranchJumpError"
+        config = {"task": "verify", "data": {"G": G, "H": H},
+                  "points": [[0.3, 1.1, -0.2], [1e-3, 1.0, [0.0, 1.0]]]}
+        monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+        code = bhm.cli.main([])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert json.loads(err) == {"error": {"type": "BranchJumpError", "message": want[1]}}
+
+    def test_a_stencil_value_off_the_slice_is_a_row_error(self):
+        # radial data on Minkowski -> C, a step off the light cone
+        got, want = _slice_rows(SliceKind.MINKOWSKI_C, {"f": VAR_JSON}, {"f": CONST0_JSON},
+                                (0.3, 1.2, 0.4), (1.0 + DEFAULT_STEP, 1.0, 0.0))
+        assert got == want
+        assert repr((None, None, "NotInSliceError")) in want
+
+    @pytest.mark.parametrize("block", [1, 3, None])
+    def test_a_raising_lane_among_other_points(self, block):
+        G, H = self._scalar_lane_data()
+        with _block_points(block):
+            got, want = _slice_rows(SliceKind.EUCLIDEAN, G, H, (0.9, 0.4, -0.2),
+                                    self.SCALAR_LANE, (1.3, -0.5, 0.7))
+            assert got == want
+            assert repr((None, None, "DegenerateAllComponentsError")) in want
+            got, want = _verify_fd(G, H, CVec3(0.9, 0.4, -0.2), CVec3(*self.SCALAR_LANE))
+        assert got == want
+        assert want[0] == "DegenerateAllComponentsError"
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(GH=_radial_or_disc, zs=st.lists(st.tuples(*[_huge_coordinate] * 3),
+                                           min_size=1, max_size=3))
+    def test_values_past_the_double_range_of_squares(self, GH, zs):
+        # a key, an abs or a float ** 2 that overflows raises OverflowError on
+        # the scalar path, and a NaN compares otherwise; the lanes flag both
+        # and leave the root to that path
+        got, want = _verify_fd(*GH, *(CVec3(*z) for z in zs))
+        assert got == want
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(GH=_radial_or_disc, kind=st.sampled_from(list(SliceKind)),
+           xs=st.lists(st.tuples(*[st.one_of(st.floats(-1.5, 1.5), _huge)] * 3),
+                       min_size=1, max_size=3))
+    def test_slice_values_past_the_double_range_of_squares(self, GH, kind, xs):
+        got, want = _slice_rows(kind, *GH, *xs)
+        assert got == want
+
+
+def _const(z):
+    return {"op": "const", "value": [complex(z).real, complex(z).imag]}
+
+
+# slices whose stencils meet keys that are not finite: a NaN key, where
+# nearest_root keeps the first root (here one off the slice), and a key past
+# the double range
+@pytest.mark.parametrize("g, h, x", [
+    ({"f": {"op": "sub", "args": [_const(-1), VAR_JSON]}},
+     {"f1": {"op": "mul", "args": [_const(-2), VAR_JSON]},
+      "f2": {"op": "pow", "args": [VAR_JSON], "exp": 2}},
+     (0.0, -2.0, 0.0)),
+    ({"f": _poly_json(1, -1.4559415168715484 + 1j, -1.34 + 1.41j)},
+     {"f1": _poly_json(-2 + 0.2j, -1.125805460875931j, -1), "f2": _const(0.31 - 0.25j)},
+     (-1.2178561279776225, -1e155, 0.8013907338723274)),
+], ids=["nan-key", "huge-key"])
+def test_slice_rows_with_keys_that_are_not_finite(g, h, x):
+    got, want = _slice_rows(SliceKind.EUCLIDEAN, g, h, (0.9, 0.4, -0.2), x)
+    assert got == want
+    assert want[-1] != repr((None, None, None))
+
+
+class TestNearestLanes:
+    """``nearest_lanes`` picks what ``nearest_root`` picks, ties and all,
+    and says where it cannot."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(lanes=st.lists(st.lists(st.builds(Bicomplex, _gaussian_int, _gaussian_int),
+                                   max_size=6), min_size=1, max_size=4),
+           q0=st.builds(Bicomplex, st.one_of(_complex, st.builds(complex, _huge, _huge)),
+                        st.sampled_from([0j, 1j, -1 + 0.5j, 3e149 + 0j, 1e151j, 1e300 + 0j])))
+    def test_picks_nearest_root(self, lanes, q0):
+        # Gaussian-integer roots around q0 tie often: the first in a lane
+        # wins.  A pick is exact wherever the keys stay below 1e150, and
+        # never where one is not finite
+        width = max(1, max(map(len, lanes)))
+        r1, r2 = (np.array([[getattr(q, part) for q in lane] + [7j] * (width - len(lane))
+                            for lane in lanes]) for part in ("z1", "z2"))
+        count = np.array([len(lane) for lane in lanes])
+        queries = np.arange(len(lanes)).repeat(2)
+        z1, z2, exact = nearest_lanes(r1, r2, count, queries,
+                                      np.full(len(queries), q0.z1), np.full(len(queries), q0.z2))
+        for k, j in enumerate(queries):
+            try:
+                want = nearest_root(lanes[j], q0) if lanes[j] else None
+                keys = [math.sqrt(abs(q.z1 - q0.z1) ** 2 + abs(q.z2 - q0.z2) ** 2)
+                        for q in lanes[j]]
+                finite = want is not None and all(map(math.isfinite, keys))
+            except OverflowError:
+                finite = False
+            if finite and max(keys) < 1e150:
+                assert exact[k]
+            if exact[k]:
+                assert finite
+                assert _bits(CVec3(z1[k], z2[k], 0)) == _bits(CVec3(want.z1, want.z2, 0))
+
+    def test_chunks_give_the_same_picks(self):
+        roots = [[Bicomplex(complex(a, b), complex(b, -a)) for a in range(-2, 3)
+                  for b in range(-1, 2)][:n] for n in (15, 3, 0, 9)]
+        r1, r2 = (np.array([[getattr(q, part) for q in lane] + [0j] * (15 - len(lane))
+                            for lane in roots]) for part in ("z1", "z2"))
+        count = np.array([len(lane) for lane in roots])
+        lane = np.arange(4).repeat(5)
+        q1 = np.array([0.3 + 0.2j, 0j, -1 + 1j, 2.0 + 0j, 0.5j] * 4)
+        q2 = np.array([0j, 1j, 0.5 + 0j, -0.25j, 1.0 + 0j] * 4)
+        default = nearest_lanes(r1, r2, count, lane, q1, q2)
+        for chunk in (1, 3, 16, 17, 40):
+            with _patched(bhm.verify, "NEAREST_CHUNK", chunk):
+                got = nearest_lanes(r1, r2, count, lane, q1, q2)
+            for a, b in zip(got, default):
+                assert a.tobytes() == b.tobytes()
+
+
+@contextlib.contextmanager
+def _patched(module, name, value):
+    saved = getattr(module, name)
+    setattr(module, name, value)
+    try:
+        yield
+    finally:
+        setattr(module, name, saved)
+
+
+# cubic G and quadratic H on both sides: 36 roots at each point
+_CUBIC_DATA = {
+    "G": {"f1": {"op": "add", "args": [
+        {"op": "const", "value": [0.5, 0]},
+        {"op": "mul", "args": [{"op": "const", "value": [-1, 0]}, VAR_JSON]},
+        {"op": "mul", "args": [{"op": "const", "value": [0.25, 0]},
+                               {"op": "pow", "args": [VAR_JSON], "exp": 2}]},
+        {"op": "pow", "args": [VAR_JSON], "exp": 3}]},
+          "f2": {"op": "add", "args": [
+        {"op": "const", "value": [-0.5, 0]},
+        {"op": "mul", "args": [{"op": "const", "value": [0, 0.5]}, VAR_JSON]},
+        {"op": "pow", "args": [VAR_JSON], "exp": 2},
+        {"op": "pow", "args": [VAR_JSON], "exp": 3}]}},
+    "H": {"f1": _poly_json(0.5, 1j, -0.5), "f2": _poly_json(1, -0.5, 0.25)},
+}
+
+
+@pytest.mark.parametrize("chunk", [1, 3])
+def test_nearest_chunks_leave_verify_unchanged(chunk):
+    config = {"task": "verify", "data": _CUBIC_DATA,
+              "points": [[0.3, [0.7, 0.2], -0.4], [0.1, 0.9, [0.5, 0.5]],
+                         [[-0.6, 0.1], 0.4, 1.2]]}
+    default = _report(config)
+    assert [sum(r["fd"] is not None for r in res["roots"]) for res in default] == [36] * 3
+    with _patched(bhm.verify, "NEAREST_CHUNK", chunk):
+        assert _report(config) == default
+
+
+# benchmark-like scenes: radial and disc data at points off the singular sets
+_CLEAN_SCENES = [
+    {"task": "verify", "data": {"G": {"f": VAR_JSON}, "H": {"f": CONST0_JSON}},
+     "points": [[0.3, 1.1, -0.2], [1.0, -0.5, [0.2, 0.4]], [[0.4, -0.3], 0.8, 1.5]]},
+    {"task": "slice", "slice": "euclidean", "g": {"f": VAR_JSON}, "h": {"f": CONST0_JSON},
+     "grid": {"min": [0.5, 0.8, 0.2], "max": [0.9, 1.2, 0.6], "counts": [2, 2, 2]}},
+    {"task": "slice", "slice": "minkowski_c", "g": {"f": CONST0_JSON}, "h": {"f": HALF_Q_JSON},
+     "grid": {"min": [-0.5, 0.3, 0.2], "max": [0.5, 0.9, 0.6], "counts": [2, 2, 2]}},
+    {"task": "slice", "slice": "minkowski_d", "g": {"f": VAR_JSON},
+     "h": {"f1": {"op": "mul", "args": [{"op": "const", "value": [-1, 0]}, VAR_JSON]},
+           "f2": VAR_JSON},
+     "grid": {"min": [0.3, -0.1, 0.1], "max": [0.5, 0.1, 0.3], "counts": [2, 2, 2]}},
+]
+
+
+def test_clean_stencil_blocks_never_call_the_scalar_path(monkeypatch):
+    # no root of these scenes is flagged: every report comes from the lanes,
+    # with no nearest_root, no scalar report and no read of a stencil lane
+    def scalar(*args):
+        raise AssertionError("scalar stencil path called")
+
+    read = []
+    roots = RootBatch.roots
+
+    def counted_roots(batch, i):
+        read.append(len(batch.points))
+        return roots(batch, i)
+
+    for module, name in ((bhm.cli, "nearest_root"), (bhm.verify, "nearest_root"),
+                         (bhm.cli, "fd_report"), (bhm.cli, "wave_report")):
+        monkeypatch.setattr(module, name, scalar)
+    monkeypatch.setattr(RootBatch, "roots", counted_roots)
+    for config in _CLEAN_SCENES:
+        read.clear()
+        results = _report(config)
+        n = len(results) if config["task"] == "verify" else 8
+        # the anchors' own solutions read their batch; no stencil batch is read
+        assert set(read) == {n}
+        if config["task"] == "slice":
+            assert results and all(r["harmonic_res"] is not None for r in results)
+
+
+def test_stencil_batches_leave_no_blocks_allocated():
+    # a small block left allocated by each stencil pass pins one allocator
+    # arena per block of a long run, as np.cumsum once did in RootBatch
+    def stencil_blocks():
+        for config in _CLEAN_SCENES:
+            _report(config)
+
+    for _ in range(3):
+        stencil_blocks()
+    gc.collect()
+    before = sys.getallocatedblocks()
+    for _ in range(50 // len(_CLEAN_SCENES) + 1):
+        stencil_blocks()
+    gc.collect()
+    assert sys.getallocatedblocks() - before < 10
+
+
+# the lane formulas on their own: branch values drawn directly, each line of
+# a stencil quadratic in its step (so its scales agree) or, in a quarter of
+# the rows, noisy; in a quarter of the rows the base value, and in a quarter
+# the slopes, also take NaN and parts past the double range of a square
+_part = st.one_of(st.floats(-3, 3), _signed_zero_part)
+_rare_base = st.one_of(_part, st.sampled_from([1e154, -1e155, 1e300, -1e300, math.nan]))
+_rare_slope = st.one_of(_part, st.sampled_from([1e150, -1e152, 1e300]))
+
+
+@st.composite
+def _branch_rows(draw, width, parts=4):
+    """Rows of ``width`` branch values as (z1, z2) real parts: a base value,
+    then four values per line, in the stencils' reading order."""
+    lines = (width - 1) // 4
+    noisy = draw(st.integers(0, 4 * lines - 1))  # the noisy line, if < lines
+
+    def drawn(part):
+        return [draw(part) for _ in range(parts)] + [0.0] * (4 - parts)
+
+    base = drawn(_rare_base if draw(st.integers(0, 3)) == 0 else _part)
+    slopes = _rare_slope if draw(st.integers(0, 3)) == 0 else _part
+    row = [tuple(base)]
+    for line in range(lines):
+        slope, curve = drawn(slopes), drawn(slopes)
+        for t in (1.0, -1.0, 0.5, -0.5):
+            row.append(tuple(b + s * t + c * t * t + (draw(_part) if line == noisy else 0.0)
+                             for b, s, c in zip(base, slope, curve)))
+    return row
+
+
+def _lane_arrays(rows):
+    z1 = np.array([[complex(v[0], v[1]) for v in row] for row in rows])
+    z2 = np.array([[complex(v[2], v[3]) for v in row] for row in rows])
+    return z1, z2
+
+
+class TestLaneFormulas:
+    """``fd_lanes`` and ``wave_lanes`` give each lane the scalar report's
+    bits, and flag every lane where the scalar report raises."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(rows=st.lists(_branch_rows(25), min_size=1, max_size=4),
+           h=st.sampled_from([1e-3, 2.5e-3, 1e150]))
+    def test_fd_lanes_give_fd_report_bits(self, rows, h):
+        z1, z2 = _lane_arrays(rows)
+        report, flagged = bhm.verify.fd_lanes(z1, z2, np.full(len(rows), h))
+        for r, row in enumerate(rows):
+            values = [Bicomplex(complex(a, b), complex(c, d)) for a, b, c, d in row]
+            try:
+                with np.errstate(all="ignore"):
+                    want = bhm.verify.fd_report(values[0], values[1:], h).to_json()
+            except (BranchJumpError, OverflowError):
+                assert flagged[r]
+                continue
+            if not flagged[r]:
+                assert repr(report(r)) == repr(want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(list(SliceKind)), data=st.data(),
+           h=st.sampled_from([1e-3, 2.5e-3, 1e150]))
+    def test_wave_lanes_give_wave_report_bits(self, kind, data, h):
+        # values mostly in the slice: the parts off it are drawn as zeros
+        # for all but some rows
+        parts = data.draw(st.sampled_from([2, 4]))
+        rows = data.draw(st.lists(_branch_rows(13, parts), min_size=1, max_size=4))
+        if kind is SliceKind.MINKOWSKI_D:
+            # the slice parts of D are z1.real and z2.imag
+            rows = [[(a, c, d, b) for a, b, c, d in row] for row in rows]
+        elif parts == 2:
+            rows = [[(a, c, b, d) for a, b, c, d in row] for row in rows]
+        z1, z2 = _lane_arrays(rows)
+        report, flagged = bhm.slices.wave_lanes(kind, z1, z2, np.full(len(rows), h))
+        for r, row in enumerate(rows):
+            values = [Bicomplex(complex(a, b), complex(c, d)) for a, b, c, d in row]
+            try:
+                with np.errstate(all="ignore"):
+                    project = partial(bhm.slices.project_codomain, kind)
+                    want = bhm.slices.wave_report(kind, project(values[0]),
+                                                  map(project, values[1:]), h)
+            except (BhmError, OverflowError):
+                assert flagged[r]
+                continue
+            if not flagged[r]:
+                assert repr(report(r)) == repr(want)
