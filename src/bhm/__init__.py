@@ -62,6 +62,7 @@ from .slices import (
     embed_domain,
     project_codomain,
     projectable_roots,
+    slice_checks,
     slice_compactification_check,
     slice_data,
     tracked_real_branch,
@@ -73,6 +74,7 @@ from .verify import (
     PointClassification,
     classify_point,
     fd_residuals,
+    point_checks,
     rank_one_degeneracy_check,
     tracked_branch,
 )

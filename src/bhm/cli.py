@@ -19,42 +19,25 @@ import json
 import math
 import random
 import sys
-from bisect import bisect_left
-from functools import partial
-from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import Bicomplex, _make
+from .core import Bicomplex
 from .errors import BhmError, ExprSchemaError
 from .geometry import CVec3, chart_to_point, point_to_chart, transition
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
-from .holo import degree_bound, holofn_from_json, is_number
-from .slices import (
-    SliceKind,
-    embed_domain,
-    in_slice,
-    project_codomain,
-    slice_data,
-    wave_lanes,
-    wave_report,
-    wave_stencil,
-)
-from .verify import (
-    branch_roots,
-    classify_point,
-    fd_lanes,
-    fd_report,
-    fd_stencil,
-    nearest_lanes,
-    nearest_root,
-)
+from .holo import holofn_from_json, is_number
+from .slices import SliceKind, project_codomain, slice_checks, slice_data
+from .verify import classify_point, point_checks
 from .weierstrass import (
     _TAGS,
     FibreBatch,
     RootBatch,
     WeierstrassData,
+    _blocks,
+    _degrees,
     _residual,
+    _until_error,
     fibre_at,
     gauss_map,
 )
@@ -64,11 +47,6 @@ TASKS = ("solve", "fibres", "verify", "slice", "charts")
 MAX_POINTS = 100_000
 # cap on the roots one run can compute: points times the roots one point can have
 MAX_ROOTS = 100_000
-# points solved together in one block when both congruence components have
-# degree <= 2; components of degree d take 4/d^2 as many (at least one), so
-# the companion matrices, root pairs and root lists one block holds stay
-# bounded at the caps
-BLOCK_POINTS = 256
 # a fibre's tag as the reports name it, by its index in a FibreBatch
 _TAG_NAMES = [tag.value for tag in _TAGS]
 
@@ -131,185 +109,15 @@ def _parse_data(config) -> WeierstrassData:
 
 def _cap_roots(data: WeierstrassData, n_points):
     """Refuse, before any solve, a run whose points can have more than
-    MAX_ROOTS roots in all.  Each side's congruence has degree at most
-    max(2 deg G, deg H) on that side, and a point's roots pair the sides.
-    Returns those two degree bounds."""
-    d_e = max(2 * degree_bound(data.G.f1), degree_bound(data.H.f1))
-    d_f = max(2 * degree_bound(data.G.f2), degree_bound(data.H.f2))
+    MAX_ROOTS roots in all: a point's roots pair the two sides' roots, of
+    at most ``weierstrass._degrees`` each.  Returns those two degree
+    bounds."""
+    d_e, d_f = _degrees(data)
     n_roots = n_points * d_e * d_f
     if n_roots > MAX_ROOTS:
         raise ExprSchemaError(f"the run can reach {n_roots} roots ({n_points} points x "
                               f"{d_e} x {d_f}), more than {MAX_ROOTS}")
     return d_e, d_f
-
-
-def _blocks(points, degrees=()):
-    """The points in blocks of BLOCK_POINTS, fewer for higher degrees."""
-    d = max((2, *degrees))
-    size = max(1, BLOCK_POINTS * 4 // (d * d))
-    return [points[i:i + size] for i in range(0, len(points), size)]
-
-
-def _until_error(fn, items):
-    """``fn(item)`` for the items in order, up to the first that raises:
-    (the results, that exception or None).  The caller finishes the items
-    before it, then raises it, so errors surface in the order of a
-    point-by-point run."""
-    done = []
-    for item in items:
-        try:
-            done.append(fn(item))
-        except Exception as exc:
-            return done, exc
-    return done, None
-
-
-class _Stencil(NamedTuple):
-    """A task's finite-difference check around an anchor.  ``points(anchor)``
-    gives (h, the stencil's points in C^3, in reading order).
-    ``lanes(z1, z2, h)`` computes the reports of many roots at once from
-    their branch values z1 + z2 i2 (complex arrays, one row per root: f0,
-    then the value at each point) and steps h: it gives ``report(k)``, which
-    builds row k's report, and a mask of the rows it flags.
-    ``scalar(f0, values, h)`` gives one root's report on the scalar path,
-    reading its values lazily."""
-    points: Callable
-    lanes: Callable
-    scalar: Callable
-
-
-def _stencil_blocks(data, anchors, degrees, embed, select, stencil):
-    """The anchors in order, each as (anchor, its selected solutions, read).
-
-    A block's anchors, embedded in C^3 by ``embed``, are solved in one
-    RootBatch and ``select(sols)`` keeps the solutions to report; the
-    reports of ``stencil`` (a ``_Stencil``, or None for no check) at the
-    kept solutions with a gradient come from ``_stencil_reports``.
-    ``read(j)`` gives the report of the j-th kept solution, which has a
-    gradient.  Each error surfaces where a point-by-point run raises it:
-    from ``read``, or, for an anchor's solve, after the anchors before it."""
-    for block in _blocks(anchors, degrees):
-        zs = [embed(a) for a in block]
-        solved, error = _until_error(RootBatch(data, zs).solutions, range(len(zs)))
-        kept = [select(sols) for sols in solved]
-        reports = (_stencil_reports(data, stencil, block, solved, kept)
-                   if stencil is not None else [None] * len(kept))
-        for anchor, chosen, found in zip(block, kept, reports):
-            yield anchor, chosen, partial(_read, found)
-        if error is not None:
-            raise error
-
-
-def _read(found, j):
-    """``read(j)`` of ``_stencil_blocks`` for an anchor whose stencil gave
-    ``found``: report j, from the lanes or on the scalar path, or the error
-    computing the stencil raised."""
-    report, k0, js, scalar = _raised(found)
-    if j in scalar:
-        return scalar[j]()
-    return report(k0 + bisect_left(js, j))
-
-
-def _stencil_reports(data, stencil, block, solved, kept):
-    """Per anchor of a block: how to read the stencil reports of its kept
-    solutions with a gradient, or the error ``stencil.points`` raised, or
-    None when no kept solution has a gradient.
-
-    Every stencil point of the block is solved in one RootBatch.  For each
-    root with a gradient, ``verify.nearest_lanes`` picks its branch's value
-    at the anchor (the nearest of all the anchor's roots) and at every
-    stencil point, and ``stencil.lanes`` computes every report at once.  A
-    root with a pick that is not ``nearest_root``'s, or that the lanes
-    flag, gets its report from ``_branch`` instead, on the scalar path and
-    in that root's turn, so it raises what a point-by-point run raises.  The
-    batch goes before the block's rows are built, and a report's Python
-    objects are made only when its row is: held through the rows, the
-    objects of a block's stencils left the pools of the 25 000-point slice
-    grid's rows fragmented, and its peak RSS 2-6 MB higher."""
-    found = []
-    for anchor, chosen in zip(block, kept):
-        if all(sol.gradient is None for sol in chosen):
-            found.append(None)
-            continue
-        try:
-            found.append(stencil.points(anchor))
-        except ArithmeticError as exc:
-            found.append(exc)
-    live = [a for a, f in enumerate(found) if isinstance(f, tuple)]
-    if not live:
-        return found
-    n = len(found[live[0]][1])
-    batch = RootBatch(data, [z for a in live for z in found[a][1]])
-    # the roots to report: per live anchor, the indices in kept of those
-    # with a gradient; root k of the lanes is the k-th of them all
-    js = [[j for j, sol in enumerate(kept[a]) if sol.gradient is not None] for a in live]
-    owner = np.repeat(np.arange(len(live)), [len(jj) for jj in js])
-    q0 = [kept[a][j].q for a, jj in zip(live, js) for j in jj]
-    q1 = np.array([q.z1 for q in q0])
-    q2 = np.array([q.z2 for q in q0])
-    width = max(len(solved[a]) for a in live)
-    anchor_roots = [[sol.q for sol in solved[a]] for a in live]
-    a1, a2 = (np.array([[getattr(q, part) for q in roots] + [0j] * (width - len(roots))
-                        for roots in anchor_roots]) for part in ("z1", "z2"))
-    f1, f2, f_exact = nearest_lanes(a1, a2, np.array([len(r) for r in anchor_roots]),
-                                    owner, q1, q2)
-    r1, r2, count = batch.padded_roots()
-    v1, v2, v_exact = nearest_lanes(r1, r2, count, (owner[:, None] * n + np.arange(n)).ravel(),
-                                    np.repeat(q1, n), np.repeat(q2, n))
-    z1 = np.concatenate([f1[:, None], v1.reshape(-1, n)], axis=1)
-    z2 = np.concatenate([f2[:, None], v2.reshape(-1, n)], axis=1)
-    exact = np.concatenate([f_exact[:, None], v_exact.reshape(-1, n)], axis=1)
-    report, flagged = stencil.lanes(z1, z2, np.array([found[a][0] for a in live])[owner])
-    flagged = (flagged | ~exact.all(axis=1)).tolist()
-    lane_roots = {}
-
-    def picks(i, k):
-        # the branch's values for the scalar path: the exact picks, else
-        # the roots there (the anchor's, or a lane's or its error)
-        h, points = found[live[i]]
-        out = [_make(z1[k, 0].item(), z2[k, 0].item()) if exact[k, 0] else anchor_roots[i]]
-        for lane, (x, y, ok) in enumerate(zip(z1[k, 1:].tolist(), z2[k, 1:].tolist(),
-                                             exact[k, 1:].tolist()), i * n):
-            if not ok and lane not in lane_roots:
-                lane_roots[lane] = _lane_roots(batch, lane, points[lane - i * n])
-            out.append(_make(x, y) if ok else lane_roots[lane])
-        return out
-
-    k0 = 0
-    for i, (a, jj) in enumerate(zip(live, js)):
-        h = found[a][0]
-        scalar = {j: partial(_branch, stencil.scalar, picks(i, k), h, q0[k])
-                  for k, j in enumerate(jj, k0) if flagged[k]}
-        found[a] = report, k0, jj, scalar
-        k0 += len(jj)
-    return found
-
-
-def _lane_roots(batch, k, z):
-    """The roots at lane k, the point z, for a branch to pick from, or the
-    error reading them raises, to be raised when the branch reads z."""
-    try:
-        return branch_roots(batch.roots(k), z)
-    except Exception as exc:
-        return exc
-
-
-def _raised(found):
-    """``found``, raised if it is an error."""
-    if isinstance(found, Exception):
-        raise found
-    return found
-
-
-def _branch(scalar, picks, h, q0):
-    """One root's stencil report on the scalar path: ``scalar`` over the
-    branch through q0 at the anchor and then, lazily, at each stencil
-    point.  Each of ``picks`` is the branch's value there, or the roots
-    there to take the nearest of, or the error reading them raises."""
-    def value(pick):
-        return pick if isinstance(pick, Bicomplex) else nearest_root(_raised(pick), q0)
-
-    return scalar(value(picks[0]), map(value, picks[1:]), h)
 
 
 def _grid_points(grid):
@@ -500,13 +308,6 @@ def _sample_rows(data, samples, tol):
     return rows
 
 
-def _fd_json(f0, values, h):
-    return fd_report(f0, values, h).to_json()
-
-
-_FD_STENCIL = _Stencil(fd_stencil, fd_lanes, _fd_json)
-
-
 def _task_verify(config, tol, seed):
     data = _parse_data(config)
     tol = tol if tol is not None else 1e-8
@@ -528,12 +329,12 @@ def _task_verify(config, tol, seed):
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'verify' needs 'points' or 'samples'")
     pts = [_parse_point(p) for p in points]
+    _cap_roots(data, len(pts))
 
     results = []
-    for z, sols, read in _stencil_blocks(data, pts, _cap_roots(data, len(pts)),
-                                         lambda z: z, list, _FD_STENCIL):
+    for z, checks in point_checks(data, pts):
         roots = []
-        for j, sol in enumerate(sols):
+        for sol, check in checks:
             entry = {"q": _b(sol.q),
                      "implicit": None,
                      "fd": None}
@@ -542,7 +343,7 @@ def _task_verify(config, tol, seed):
                     "laplacian": _f(abs(sol.laplacian)),
                     "nullness": _f(abs(sol.gradient.square())),
                 }
-                entry["fd"] = read(j)
+                entry["fd"] = check()
             roots.append(entry)
         results.append({"point": _cvec(z), "roots": roots})
     return {"task": "verify", "results": results}
@@ -572,26 +373,12 @@ def _task_slice(config, tol, seed):
             pts.append(tuple(float(v) for v in p))
     else:
         raise ExprSchemaError("'slice' task needs 'grid' or 'points'")
-    degrees = _cap_roots(data, len(pts))
+    _cap_roots(data, len(pts))
     atol = tol if tol is not None else 1e-8
-
-    def project(q):
-        return project_codomain(kind, q, atol=atol)
-
-    def points(x):
-        _, h, points = wave_stencil(x)
-        return h, [embed_domain(kind, p) for p in points]
-
-    def scalar(f0, values, h):
-        return wave_report(kind, project(f0), map(project, values), h)
-
-    stencil = _Stencil(points, partial(wave_lanes, kind, atol=atol), scalar)
     rows = []
-    for x, sols, read in _stencil_blocks(data, pts, degrees, partial(embed_domain, kind),
-                                         partial(in_slice, kind, atol=atol),
-                                         stencil if run_fd else None):
-        for idx, sol in enumerate(sols):
-            value = project(sol.q)
+    for x, checks in slice_checks(kind, data, pts, atol=atol, fd=run_fd):
+        for idx, (sol, check) in enumerate(checks):
+            value = project_codomain(kind, sol.q, atol=atol)
             row = {
                 "x": [_f(v) for v in x],
                 "branch": idx,
@@ -604,9 +391,9 @@ def _task_slice(config, tol, seed):
                 "harmonic_res": None,
                 "null_res": None,
             }
-            if run_fd and sol.gradient is not None:
+            if check is not None:
                 try:
-                    hr, nr = read(idx)
+                    hr, nr = check()
                     row["harmonic_res"] = _f(hr)
                     row["null_res"] = _f(nr)
                 except BhmError as exc:

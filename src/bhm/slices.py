@@ -14,6 +14,7 @@ Kinds:
 from __future__ import annotations
 
 from enum import Enum
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -22,7 +23,8 @@ from .core import Bicomplex, CArray, HArray, Hyperbolic, I1
 from .errors import InvalidInputError, NotInSliceError
 from .geometry import CVec3, s2c_to_q2c, S2CPoint
 from .holo import HoloFn
-from .verify import DEFAULT_STEP, _richardson_lanes, _richardson_line, tracked_branch
+from .verify import DEFAULT_STEP, _richardson_lanes, _richardson_line, _stencil_checks
+from .verify import tracked_branch
 from .weierstrass import WeierstrassData, _max, solve_phi
 
 NOT_IN_SLICE_ATOL = 1e-8
@@ -163,6 +165,32 @@ def wave_lanes(kind, z1, z2, h, atol=NOT_IN_SLICE_ATOL):
         return float(lap[r]), float(null[r])
 
     return report, flagged
+
+
+def slice_checks(kind, data: WeierstrassData, xs, h=None, atol=NOT_IN_SLICE_ATOL, fd=True):
+    """``wave_residual`` at every projectable root of every real point,
+    batched.
+
+    Yields, per point x of xs in order, (x, [(sol, check), ...]) for the
+    solutions of ``projectable_roots(kind, data, x, atol)``: ``check()``
+    gives ``wave_residual(kind, tracked_real_branch(kind, data, x,
+    q0=sol.q, atol=atol), x, h)``, with its bits, or is None where the root
+    has no gradient or ``fd`` is off.  A point's solve error is raised
+    after the points before it; a check raises where the reference raises
+    (``BranchJumpError``, ``NotInSliceError``, a stencil point's solve
+    error), when it is called."""
+    kind = _kind(kind)
+
+    def points(x):
+        _, step, stencil = wave_stencil(x, h)
+        return step, [embed_domain(kind, p) for p in stencil]
+
+    def reference(x, q):
+        return wave_residual(kind, tracked_real_branch(kind, data, x, q0=q, atol=atol), x, h)
+
+    stencil = (points, partial(wave_lanes, kind, atol=atol), reference) if fd else None
+    return _stencil_checks(data, xs, partial(embed_domain, kind),
+                           partial(in_slice, kind, atol=atol), stencil)
 
 
 def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = None,

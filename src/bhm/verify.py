@@ -19,7 +19,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice
+from functools import partial
+from itertools import accumulate, islice
 from math import sqrt
 
 import numpy as np
@@ -27,7 +28,8 @@ import numpy as np
 from .core import BArray, Bicomplex, CArray
 from .errors import BranchJumpError, InvalidInputError
 from .geometry import BVec3, CVec3
-from .weierstrass import WeierstrassData, _max, _null_parts, solve_roots
+from .weierstrass import RootBatch, WeierstrassData, _blocks, _degrees, _max, _null_parts
+from .weierstrass import _until_error, solve_roots
 
 DEFAULT_STEP = 1e-3
 CLASSIFY_TOL = 1e-9
@@ -349,6 +351,126 @@ def tracked_branch(data: WeierstrassData, z0, q0: Bicomplex | None = None,
         return nearest_root(branch_roots(solve_roots(data, z), z), q0)
 
     return phi
+
+
+def point_checks(data: WeierstrassData, zs):
+    """``fd_residuals`` at every root of every point, batched.
+
+    Yields, per point z (a CVec3) of zs in order, (z, [(sol, check), ...])
+    for the solutions of ``solve_phi(data, z)``: ``check()`` gives
+    ``fd_residuals(tracked_branch(data, z, q0=sol.q), z).to_json()``, with
+    its bits, or is None where the root has no gradient.  A point's solve
+    error is raised after the points before it; a check raises where the
+    reference raises, when it is called."""
+
+    def reference(z, q):
+        return fd_residuals(tracked_branch(data, z, q0=q), z).to_json()
+
+    return _stencil_checks(data, zs, lambda z: z, list, (fd_stencil, fd_lanes, reference))
+
+
+def _stencil_checks(data, anchors, embed, select, stencil):
+    """The loop of ``point_checks`` and ``slices.slice_checks``: per anchor,
+    in order, (anchor, [(sol, check), ...]).
+
+    A block of anchors, embedded in C^3 by ``embed``, is solved in one
+    RootBatch, and ``select(sols)`` keeps the solutions to check.
+    ``stencil`` is None (no checks) or (points, lanes, reference):
+    ``points(anchor)`` gives (h, the stencil's points in C^3, in reading
+    order), ``lanes`` is ``fd_lanes`` or ``wave_lanes``, and
+    ``reference(anchor, q)`` is the library's scalar check of the branch
+    through the root q.  A kept root with a gradient gets its report from
+    the lanes (``_stencil_lanes``) or, where they flag it, from
+    ``reference`` itself, called in that root's turn, so it raises what a
+    point-by-point run raises.  A report's Python objects are made only when
+    its check is called: held through a block's rows, they fragmented the
+    pools of the 25 000-point slice grid's rows and raised its peak RSS.
+    numpy's warnings are off while a block is solved and while a reference
+    runs, as in the CLI: the scalar path a lane falls back on warns where
+    its values leave the double range."""
+    if stencil is not None:
+        points, lanes, reference = stencil
+    for block in _blocks(anchors, _degrees(data)):
+        with np.errstate(all="ignore"):
+            solved, error = _until_error(RootBatch(data, [embed(a) for a in block]).solutions,
+                                         range(len(block)))
+            kept = [select(sols) for sols in solved]
+            report, flagged, first = None, None, [None] * len(block)
+            if stencil is not None:
+                report, flagged, first = _stencil_lanes(data, points, lanes, block, solved, kept)
+        for anchor, chosen, k in zip(block, kept, first):
+            pairs = []
+            for sol in chosen:
+                check = None
+                if stencil is not None and sol.gradient is not None:
+                    check = (partial(_quietly, reference, anchor, sol.q) if flagged[k]
+                             else partial(report, k))
+                    k += 1
+                pairs.append((sol, check))
+            yield anchor, pairs
+        if error is not None:
+            raise error
+
+
+def _quietly(fn, *args):
+    """``fn(*args)`` with numpy's floating-point warnings off."""
+    with np.errstate(all="ignore"):
+        return fn(*args)
+
+
+def _stencil_lanes(data, points, lanes, block, solved, kept):
+    """The reports of a block's kept roots with a gradient, over lanes:
+    (report, flagged, first).  The roots of anchor a are lanes first[a],
+    first[a] + 1, ...; ``report(k)`` builds lane k's report, which is valid
+    where flagged[k] is false.  Every lane of an anchor whose stencil
+    points raise is flagged: its roots' references raise that error.
+
+    Every stencil point of the block is solved in one RootBatch.  For each
+    root, ``nearest_lanes`` picks its branch's value at the anchor (the
+    nearest of all the anchor's roots) and at every stencil point, and
+    ``lanes`` computes every report at once.  A root with a pick that is
+    not ``nearest_root``'s is flagged too."""
+    found = [None] * len(block)
+    first = [None] * len(block)
+    raised = []
+    for a, (anchor, chosen) in enumerate(zip(block, kept)):
+        n_roots = sum(sol.gradient is not None for sol in chosen)
+        if n_roots:
+            try:
+                found[a] = points(anchor)
+            except ArithmeticError:
+                raised.append((a, n_roots))
+    live = [a for a, f in enumerate(found) if f is not None]
+    report = None
+    flagged = []
+    if live:
+        n = len(found[live[0]][1])
+        batch = RootBatch(data, [z for a in live for z in found[a][1]])
+        q0 = [[sol.q for sol in kept[a] if sol.gradient is not None] for a in live]
+        owner = np.repeat(np.arange(len(live)), [len(qs) for qs in q0])
+        q1 = np.array([q.z1 for qs in q0 for q in qs])
+        q2 = np.array([q.z2 for qs in q0 for q in qs])
+        width = max(len(solved[a]) for a in live)
+        anchor_roots = [[sol.q for sol in solved[a]] for a in live]
+        a1, a2 = (np.array([[getattr(q, part) for q in roots] + [0j] * (width - len(roots))
+                            for roots in anchor_roots]) for part in ("z1", "z2"))
+        f1, f2, f_exact = nearest_lanes(a1, a2, np.array([len(r) for r in anchor_roots]),
+                                        owner, q1, q2)
+        r1, r2, count = batch.padded_roots()
+        v1, v2, v_exact = nearest_lanes(r1, r2, count,
+                                        (owner[:, None] * n + np.arange(n)).ravel(),
+                                        np.repeat(q1, n), np.repeat(q2, n))
+        z1 = np.concatenate([f1[:, None], v1.reshape(-1, n)], axis=1)
+        z2 = np.concatenate([f2[:, None], v2.reshape(-1, n)], axis=1)
+        exact = np.concatenate([f_exact[:, None], v_exact.reshape(-1, n)], axis=1)
+        report, flagged = lanes(z1, z2, np.array([found[a][0] for a in live])[owner])
+        flagged = (flagged | ~exact.all(axis=1)).tolist()
+        for a, k in zip(live, accumulate([0] + [len(qs) for qs in q0])):
+            first[a] = k
+    for a, n_roots in raised:
+        first[a] = len(flagged)
+        flagged += [True] * n_roots
+    return report, flagged, first
 
 
 def rank_one_degeneracy_check(phi, points, tol=1e-8, h=None) -> dict:

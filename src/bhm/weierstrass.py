@@ -31,11 +31,16 @@ from .errors import (
     InvalidInputError,
 )
 from .geometry import BVec3, CVec3
-from .holo import HoloFn, Lanes, poly_add, poly_coefficients, poly_mul
+from .holo import HoloFn, Lanes, degree_bound, poly_add, poly_coefficients, poly_mul
 
 GRAD_NULL_TOL = 1e-9
 # a side of dF/dq is zero below GRAD_TOL times its coefficient scale
 GRAD_TOL = 1e-8
+# points solved together in one block when both congruence components have
+# degree <= 2; components of degree d take 4/d^2 as many (at least one), so
+# the companion matrices, root pairs and root lists one block holds stay
+# bounded at the CLI's caps
+BLOCK_POINTS = 256
 
 
 class WeierstrassData:
@@ -653,6 +658,34 @@ def _side_roots(re, im):
         count[idx] = c
         ok[idx[overflow]] = False
     return ok, CArray(rep_re, rep_im), mult, count
+
+
+def _degrees(data: WeierstrassData):
+    """Bounds on the degrees of the two congruence components: each side's
+    congruence has degree at most max(2 deg G, deg H) on that side."""
+    return (max(2 * degree_bound(data.G.f1), degree_bound(data.H.f1)),
+            max(2 * degree_bound(data.G.f2), degree_bound(data.H.f2)))
+
+
+def _blocks(points, degrees=()):
+    """The points in blocks of BLOCK_POINTS, fewer for higher degrees."""
+    d = max((2, *degrees))
+    size = max(1, BLOCK_POINTS * 4 // (d * d))
+    return [points[i:i + size] for i in range(0, len(points), size)]
+
+
+def _until_error(fn, items):
+    """``fn(item)`` for the items in order, up to the first that raises:
+    (the results, that exception or None).  The caller finishes the items
+    before it, then raises it, so errors surface in the order of a
+    point-by-point run."""
+    done = []
+    for item in items:
+        try:
+            done.append(fn(item))
+        except Exception as exc:
+            return done, exc
+    return done, None
 
 
 class RootBatch:

@@ -29,12 +29,7 @@ from bhm.geometry import (
     transition,
 )
 from bhm.holo import Const, HoloFn, Var
-from bhm.slices import (
-    projectable_roots,
-    slice_data,
-    tracked_real_branch,
-    wave_residual,
-)
+from bhm.slices import projectable_roots, slice_checks, slice_data
 from bhm.verify import PointClass, classify_point, fd_residuals, tracked_branch
 from bhm.weierstrass import (
     FibreTag,
@@ -346,10 +341,11 @@ def _slice_residual_sweep(kind, data, points, pick, n_target=1000,
                           forbid_degenerate=False, min_separation=0.2,
                           h=3e-4):
     checked = 0
-    for x in points:
+    for x, pairs in slice_checks(kind, data, points, h=h):
         if checked >= n_target:
             break
-        all_roots = projectable_roots(kind, data, x)
+        all_roots = [sol for sol, _ in pairs]
+        checks = {id(sol): check for sol, check in pairs}
         roots = [r for r in all_roots
                  if r.gradient is not None and r.multiplicity == 1]
 
@@ -373,9 +369,8 @@ def _slice_residual_sweep(kind, data, points, pick, n_target=1000,
         for sol in roots:
             if forbid_degenerate:
                 assert not sol.degenerate, (kind, x)
-            phi = tracked_real_branch(kind, data, x, q0=sol.q)
             try:
-                hr, nr = wave_residual(kind, phi, x, h=h)
+                hr, nr = checks[id(sol)]()
             except NotInSliceError:
                 continue
             assert hr <= 1e-6, (kind, x, sol.q, hr)

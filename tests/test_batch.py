@@ -485,7 +485,7 @@ def test_block_size_does_not_change_the_output(config, monkeypatch):
     default = _cli_output(config)
     assert isinstance(default, str) and default
     for size in (1, 3):
-        monkeypatch.setattr(bhm.cli, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
         assert _cli_output(config) == default
 
 
@@ -499,7 +499,7 @@ def test_an_error_keeps_its_place_across_blocks(monkeypatch):
     default = _cli_output(config)
     assert isinstance(default, tuple)
     for size in (1, 3):
-        monkeypatch.setattr(bhm.cli, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
         assert _cli_output(config) == default
 
 
@@ -1068,7 +1068,7 @@ def test_fibre_tasks_match_a_point_by_point_run(config, monkeypatch):
     want = _outcome(lambda: _point_by_point(config))
     assert _cli_output(config) == want
     for size in (1, 2, 7):
-        monkeypatch.setattr(bhm.cli, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
         assert _cli_output(config) == want
 
 
@@ -1159,7 +1159,7 @@ def test_each_tree_is_evaluated_once_per_block(monkeypatch):
     monkeypatch.setattr(bhm.weierstrass, "_evaluate", counting_evaluate)
     monkeypatch.setattr(HoloFn, "__call__", counting_call)
     monkeypatch.setattr(bhm.cli, "_parse_data", keeping_parse)
-    monkeypatch.setattr(bhm.cli, "BLOCK_POINTS", 2)
+    monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", 2)
     config = {"task": "solve",
               "data": {"G": {"f": {"op": "add", "args": [{"op": "var"},
                                                          {"op": "const", "value": [0.3, 0]}]}},

@@ -25,6 +25,7 @@ from bhm.slices import (
     SliceKind,
     embed_domain,
     projectable_roots,
+    slice_checks,
     slice_data,
     tracked_real_branch,
     wave_residual,
@@ -38,6 +39,7 @@ from bhm.verify import (
     fd_stencil,
     nearest_lanes,
     nearest_root,
+    point_checks,
     rank_one_degeneracy_check,
     tracked_branch,
 )
@@ -164,8 +166,9 @@ class TestRankOne:
 
 
 # ---------------------------------------------------------------------------
-# the CLI's stencils read their roots from a RootBatch by lane; the library's
-# fd_residuals/wave_residual over tracked branches are the reference
+# point_checks and slice_checks, and the CLI on them, read their stencils'
+# roots from a RootBatch by lane; the library's fd_residuals/wave_residual
+# over tracked branches are the reference
 
 VAR_JSON = {"op": "var"}
 CONST0_JSON = {"op": "const", "value": [0, 0]}
@@ -226,7 +229,7 @@ def _count_solves(monkeypatch):
     the lanes a batch leaves to the scalar path."""
     calls = []
     solve = bhm.weierstrass.solve_roots
-    batch = bhm.cli.RootBatch
+    batch = bhm.verify.RootBatch
 
     def counted(data, z):
         calls.append(z)
@@ -237,7 +240,7 @@ def _count_solves(monkeypatch):
         return batch(data, points)
 
     monkeypatch.setattr(bhm.weierstrass, "solve_roots", counted)
-    monkeypatch.setattr(bhm.cli, "RootBatch", counted_batch)
+    monkeypatch.setattr(bhm.verify, "RootBatch", counted_batch)
     return calls
 
 
@@ -247,71 +250,93 @@ def _report(config):
     return json.loads(out.getvalue())["results"]
 
 
+def _outcome(fn):
+    """``fn()``, or the type and message of the error it raises."""
+    try:
+        return fn()
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+
+
 def _verify_fd(G, H, *zs):
     """Per root of a ``verify --points`` run at the points zs: its ``fd``
     entry, or the error the run raises.  The reference is ``fd_residuals``
-    over ``tracked_branch``, point by point."""
+    over ``tracked_branch``, point by point; ``point_checks``, run with no
+    ``np.errstate``, must give it too."""
     config = {"task": "verify", "data": {"G": G, "H": H},
               "points": [[[c.real, c.imag] for c in z] for z in zs]}
     data = WeierstrassData(holofn_from_json(G), holofn_from_json(H))
-    try:
+
+    def cli():
         with np.errstate(all="ignore"):  # as bhm.cli.main runs
             results = bhm.cli._task_verify(config, None, 0)["results"]
-        got = [repr(r["fd"]) for res in results for r in res["roots"]]
-    except Exception as exc:
-        got = type(exc).__name__, str(exc)
-    try:
-        want = []
+        return [repr(r["fd"]) for res in results for r in res["roots"]]
+
+    def library():
+        return [repr(None if check is None else check())
+                for _, checks in point_checks(data, zs) for _, check in checks]
+
+    def reference():
         with np.errstate(all="ignore"):
-            for z in zs:
-                for sol in solve_phi(data, z):
-                    want.append(repr(None if sol.gradient is None else fd_residuals(
-                        tracked_branch(data, z, q0=sol.q), z).to_json()))
-    except Exception as exc:
-        want = type(exc).__name__, str(exc)
-    return got, want
+            return [repr(None if sol.gradient is None else fd_residuals(
+                        tracked_branch(data, z, q0=sol.q), z).to_json())
+                    for z in zs for sol in solve_phi(data, z)]
+
+    want = _outcome(reference)
+    assert _outcome(library) == want
+    return _outcome(cli), want
+
+
+def _slice_row(check):
+    """A slice row's (harmonic_res, null_res, error) from its check."""
+    if check is None:
+        return repr((None, None, None))
+    try:
+        hr, nr = check()
+    except BhmError as exc:
+        return repr((None, None, type(exc).__name__))
+    return repr((hr + 0.0, nr + 0.0, None))
 
 
 def _slice_rows(kind, G, H, *xs):
     """Per row of a ``slice`` run at the real points xs: (harmonic_res,
     null_res, error), or the error the run raises.  The reference is
-    ``wave_residual`` over ``tracked_real_branch``, point by point."""
+    ``wave_residual`` over ``tracked_real_branch``, point by point;
+    ``slice_checks``, run with no ``np.errstate``, must give it too, at the
+    default step and at h = 3e-4."""
     config = {"slice": kind.value, "g": G, "h": H, "points": [list(x) for x in xs]}
     data = slice_data(kind, holofn_from_json(G), holofn_from_json(H))
-    try:
+
+    def cli():
         with np.errstate(all="ignore"):  # as bhm.cli.main runs
             rows = bhm.cli._task_slice(config, None, 0)["results"]
-        got = [repr((r["harmonic_res"], r["null_res"], r.get("error"))) for r in rows]
-    except Exception as exc:
-        got = type(exc).__name__, str(exc)
-    try:
-        want = []
+        return [repr((r["harmonic_res"], r["null_res"], r.get("error"))) for r in rows]
+
+    def library(h):
+        return [_slice_row(check) for _, checks in slice_checks(kind, data, xs, h=h)
+                for _, check in checks]
+
+    def reference(h):
         with np.errstate(all="ignore"):
-            for x in xs:
-                for sol in projectable_roots(kind, data, x):
-                    row = None, None, None
-                    if sol.gradient is not None:
-                        phi = tracked_real_branch(kind, data, x, q0=sol.q)
-                        try:
-                            hr, nr = wave_residual(kind, phi, x)
-                            row = hr + 0.0, nr + 0.0, None
-                        except BhmError as exc:
-                            row = None, None, type(exc).__name__
-                    want.append(repr(row))
-    except Exception as exc:
-        want = type(exc).__name__, str(exc)
-    return got, want
+            return [_slice_row(None if sol.gradient is None else partial(
+                        wave_residual, kind, tracked_real_branch(kind, data, x, q0=sol.q), x, h))
+                    for x in xs for sol in projectable_roots(kind, data, x)]
+
+    want = _outcome(partial(reference, None))
+    assert _outcome(partial(library, None)) == want
+    assert _outcome(partial(library, 3e-4)) == _outcome(partial(reference, 3e-4))
+    return _outcome(cli), want
 
 
 @contextlib.contextmanager
 def _block_points(n):
-    """``cli.BLOCK_POINTS`` set to n (None: left at its default)."""
-    saved = bhm.cli.BLOCK_POINTS
-    bhm.cli.BLOCK_POINTS = n or saved
+    """``weierstrass.BLOCK_POINTS`` set to n (None: left at its default)."""
+    saved = bhm.weierstrass.BLOCK_POINTS
+    bhm.weierstrass.BLOCK_POINTS = n or saved
     try:
         yield
     finally:
-        bhm.cli.BLOCK_POINTS = saved
+        bhm.weierstrass.BLOCK_POINTS = saved
 
 
 class TestRootTable:
@@ -676,8 +701,9 @@ _CLEAN_SCENES = [
 
 def test_clean_stencil_blocks_never_call_the_scalar_path(monkeypatch):
     # no root of these scenes is flagged: every report comes from the lanes,
-    # with no nearest_root, no scalar report and no read of a stencil lane
-    def scalar(*args):
+    # with no call of the reference the loop falls back on, no nearest_root,
+    # no scalar report and no read of a stencil lane
+    def scalar(*args, **kwargs):
         raise AssertionError("scalar stencil path called")
 
     read = []
@@ -687,8 +713,10 @@ def test_clean_stencil_blocks_never_call_the_scalar_path(monkeypatch):
         read.append(len(batch.points))
         return roots(batch, i)
 
-    for module, name in ((bhm.cli, "nearest_root"), (bhm.verify, "nearest_root"),
-                         (bhm.cli, "fd_report"), (bhm.cli, "wave_report")):
+    for module, name in ((bhm.verify, "fd_residuals"), (bhm.verify, "tracked_branch"),
+                         (bhm.slices, "wave_residual"), (bhm.slices, "tracked_real_branch"),
+                         (bhm.verify, "nearest_root"), (bhm.verify, "fd_report"),
+                         (bhm.slices, "wave_report")):
         monkeypatch.setattr(module, name, scalar)
     monkeypatch.setattr(RootBatch, "roots", counted_roots)
     for config in _CLEAN_SCENES:
@@ -699,6 +727,94 @@ def test_clean_stencil_blocks_never_call_the_scalar_path(monkeypatch):
         assert set(read) == {n}
         if config["task"] == "slice":
             assert results and all(r["harmonic_res"] is not None for r in results)
+
+
+# flagged roots, each next to a clean anchor: a branch jump (G = q, H = -h q
+# at the origin of Minkowski -> D), a stencil lane that raises (G = q,
+# H = c q, see TestStencilLanes.SCALAR_LANE) and stencil values off the
+# slice (radial data on Minkowski -> C, a step off the light cone)
+_FLAGGED_SCENES = [
+    (SliceKind.MINKOWSKI_D, {"f": VAR_JSON}, {"f": {"op": "mul", "args": [
+        {"op": "const", "value": [-DEFAULT_STEP, 0]}, VAR_JSON]}}, (0.0, 0.0, 0.0),
+     "BranchJumpError"),
+    (SliceKind.EUCLIDEAN, {"f": VAR_JSON}, {"f": {"op": "mul", "args": [
+        {"op": "const", "value": [-(0.3 + DEFAULT_STEP), 0]}, VAR_JSON]}}, (0.3, 0.0, 0.0),
+     "DegenerateAllComponentsError"),
+    (SliceKind.MINKOWSKI_C, {"f": VAR_JSON}, {"f": CONST0_JSON}, (1.0 + DEFAULT_STEP, 1.0, 0.0),
+     "NotInSliceError"),
+]
+
+
+def _counted(monkeypatch, module, name):
+    """Patch ``module.name`` to log each call in the list it returns."""
+    calls = []
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("kind, G, H, x, error", _FLAGGED_SCENES,
+                         ids=["branch-jump", "raising-lane", "off-slice"])
+def test_each_flagged_root_calls_the_reference_once_in_its_turn(kind, G, H, x, error,
+                                                                monkeypatch):
+    calls = _counted(monkeypatch, bhm.slices, "wave_residual")
+    data = slice_data(kind, holofn_from_json(G), holofn_from_json(H))
+    rows = []
+    for _, pairs in slice_checks(kind, data, [(0.9, 0.4, -0.2), x]):
+        for _, check in pairs:
+            before = len(calls)
+            row = _slice_row(check)
+            rows.append((row, len(calls) - before))
+    # every call is made in a check's turn: one per flagged root, none for
+    # the others
+    assert sum(n for _, n in rows) == len(calls)
+    assert all(n == (1 if "Error" in row else 0) for row, n in rows)
+    assert repr((None, None, error)) in [row for row, _ in rows]
+
+
+def test_a_raising_lane_calls_the_verify_reference_once(monkeypatch):
+    calls = _counted(monkeypatch, bhm.verify, "fd_residuals")
+    G, H = TestStencilLanes()._scalar_lane_data()
+    data = WeierstrassData(holofn_from_json(G), holofn_from_json(H))
+    checks = point_checks(data, [CVec3(0.9, 0.4, -0.2), CVec3(*TestStencilLanes.SCALAR_LANE)])
+    (_, clean), (_, raising) = checks
+    for _, check in clean:
+        check()
+    assert calls == []
+    (_, check), = raising
+    with pytest.raises(DegenerateAllComponentsError):
+        check()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("kind, G, H, x, error", _FLAGGED_SCENES,
+                         ids=["branch-jump", "raising-lane", "off-slice"])
+def test_the_reference_shares_no_batch_code(kind, G, H, x, error, monkeypatch):
+    # once the loop has made the checks, none reads the batch: a flagged
+    # root's runs the scalar reference alone
+    data = slice_data(kind, holofn_from_json(G), holofn_from_json(H))
+    xs = [(0.9, 0.4, -0.2), x]
+    checks = [check for _, pairs in slice_checks(kind, data, xs) for _, check in pairs]
+
+    def batch(*args, **kwargs):
+        raise AssertionError("batch code called")
+
+    for module, name in ((bhm.verify, "RootBatch"), (bhm.weierstrass, "RootBatch"),
+                         (bhm.verify, "nearest_lanes"), (bhm.verify, "fd_lanes"),
+                         (bhm.slices, "wave_lanes")):
+        monkeypatch.setattr(module, name, batch)
+    got = [_slice_row(check) for check in checks]
+    with np.errstate(all="ignore"):
+        want = [_slice_row(None if sol.gradient is None else partial(
+                    wave_residual, kind, tracked_real_branch(kind, data, y, q0=sol.q), y))
+                for y in xs for sol in projectable_roots(kind, data, y)]
+    assert got == want
+    assert repr((None, None, error)) in got
 
 
 def test_stencil_batches_leave_no_blocks_allocated():
@@ -716,6 +832,18 @@ def test_stencil_batches_leave_no_blocks_allocated():
         stencil_blocks()
     gc.collect()
     assert sys.getallocatedblocks() - before < 10
+
+
+def test_a_root_without_a_gradient_has_no_check():
+    # radial data at (1, i, 0): one root, of multiplicity 4 and with no
+    # gradient, in one block with a point whose roots all have one
+    zs = [CVec3(1, 1j, 0), CVec3(0.3, 0.2, 0.1)]
+    (_, first), (z, second) = point_checks(RADIAL, zs)
+    assert [(sol.multiplicity, sol.gradient, check) for sol, check in first] == [(4, None, None)]
+    assert len(second) == 4
+    for sol, check in second:
+        assert repr(check()) == repr(fd_residuals(tracked_branch(RADIAL, z, q0=sol.q),
+                                                  z).to_json())
 
 
 # the lane formulas on their own: branch values drawn directly, each line of
