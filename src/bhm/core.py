@@ -364,7 +364,7 @@ def _hyperbolic_operand(value):
 
 class CArray:
     """Complex float64 arrays whose arithmetic gives, lane by lane, the bits
-    of the scalar ``complex`` arithmetic it stands for.
+    of CPython's ``complex`` arithmetic.
 
     numpy's own complex ``*``, ``/`` and ``abs`` round differently from
     CPython's, so each operation is written out on the real and imaginary
@@ -372,10 +372,7 @@ class CArray:
 
     * ``+``, ``-`` and negation act on each part;
     * ``*`` is the split-real product ``(ar*br - ai*bi, ar*bi + ai*br)``;
-    * ``/`` is Smith's algorithm as in CPython's ``_Py_c_quot``, or numpy's
-      complex division when either operand is ``numpy_typed``: a value
-      derived from an ``np.complex128`` scalar (``np.sqrt``, ``eigvals``)
-      divides with numpy's rules up to its ``complex(...)`` conversion;
+    * ``/`` is Smith's algorithm as in CPython's ``_Py_c_quot``;
     * ``abs`` is ``np.hypot``;
     * ``** n`` is CPython 3.11's ``c_powi`` for an int |n| <= C_POWI_MAX;
     * an ``int`` or ``float`` operand is promoted to ``x + 0j`` first, as
@@ -384,20 +381,23 @@ class CArray:
 
     Where CPython raises ZeroDivisionError, a Smith quotient gives a NaN lane,
     and where a power raises OverflowError, an infinite part: callers mask
-    those lanes.
+    those lanes.  The arithmetic runs under the caller's numpy error state,
+    as ``BArray``'s and ``HArray``'s do.
     """
 
-    __slots__ = ("re", "im", "numpy_typed")
+    __slots__ = ("re", "im")
+    # numpy defers to these lanes: float lanes minus a CArray (as in
+    # BArray's reflected -) is __rsub__, not an object array
+    __array_ufunc__ = None
 
-    def __init__(self, re, im, numpy_typed=False):
+    def __init__(self, re, im):
         self.re = re
         self.im = im
-        self.numpy_typed = numpy_typed
 
     @classmethod
-    def of(cls, values, numpy_typed=False):
+    def of(cls, values):
         a = np.asarray(values, dtype=np.complex128)
-        return cls(a.real.copy(), a.imag.copy(), numpy_typed)
+        return cls(a.real.copy(), a.imag.copy())
 
     def complex(self):
         """The lanes as one complex128 array; assembled part by part, since
@@ -408,14 +408,13 @@ class CArray:
         return out
 
     def __getitem__(self, index):
-        return CArray(self.re[index], self.im[index], self.numpy_typed)
+        return CArray(self.re[index], self.im[index])
 
     def __add__(self, other):
         o = _operand(other)
         if o is None:
             return NotImplemented
-        with np.errstate(all="ignore"):
-            return CArray(self.re + o[0], self.im + o[1], self.numpy_typed or o[2])
+        return CArray(self.re + o[0], self.im + o[1])
 
     __radd__ = __add__
 
@@ -423,29 +422,26 @@ class CArray:
         o = _operand(other)
         if o is None:
             return NotImplemented
-        with np.errstate(all="ignore"):
-            return CArray(self.re - o[0], self.im - o[1], self.numpy_typed or o[2])
+        return CArray(self.re - o[0], self.im - o[1])
 
     def __rsub__(self, other):
         o = _operand(other)
         if o is None:
             return NotImplemented
-        with np.errstate(all="ignore"):
-            return CArray(o[0] - self.re, o[1] - self.im, self.numpy_typed or o[2])
+        return CArray(o[0] - self.re, o[1] - self.im)
 
     def __neg__(self):
-        return CArray(-self.re, -self.im, self.numpy_typed)
+        return CArray(-self.re, -self.im)
 
     def conjugate(self):
-        return CArray(self.re, -self.im, self.numpy_typed)
+        return CArray(self.re, -self.im)
 
     def __mul__(self, other):
         o = _operand(other)
         if o is None:
             return NotImplemented
-        with np.errstate(all="ignore"):
-            return CArray(*_product(self.re, self.im, o[0], o[1]),
-                          self.numpy_typed or o[2])
+        br, bi = o
+        return CArray(self.re * br - self.im * bi, self.re * bi + self.im * br)
 
     __rmul__ = __mul__  # both parts of the product commute
 
@@ -453,20 +449,20 @@ class CArray:
         o = _operand(other)
         if o is None:
             return NotImplemented
-        return _quotient((self.re, self.im, self.numpy_typed), o)
+        return _quotient(self.re, self.im, *o)
 
     def __rtruediv__(self, other):
         o = _operand(other)
         if o is None:
             return NotImplemented
-        return _quotient(o, (self.re, self.im, self.numpy_typed))
+        return _quotient(*o, self.re, self.im)
 
     def __pow__(self, n):
         """``complex ** n`` as CPython 3.11 computes it for an int
         |n| <= C_POWI_MAX (``c_powi``): square and multiply from 1 + 0j, then
         1 / x**|n| for a negative n.  numpy's own power rounds differently,
         and CPython takes another algorithm past the limit."""
-        if not isinstance(n, int) or abs(n) > C_POWI_MAX or self.numpy_typed:
+        if not isinstance(n, int) or abs(n) > C_POWI_MAX:
             return NotImplemented
         shape = np.shape(self.re)
         result = CArray(np.ones(shape), np.zeros(shape))
@@ -482,57 +478,47 @@ class CArray:
         return result if n > 0 else 1.0 / result
 
     def __abs__(self):
-        with np.errstate(all="ignore"):
-            return np.hypot(self.re, self.im)
+        return np.hypot(self.re, self.im)
 
     def isfinite(self):
         return np.isfinite(self.re) & np.isfinite(self.im)
 
 
-def _product(ar, ai, br, bi):
-    """CPython's complex product on real and imaginary parts."""
-    return ar * br - ai * bi, ar * bi + ai * br
-
-
 def _operand(value):
     if isinstance(value, CArray):
-        return value.re, value.im, value.numpy_typed
+        return value.re, value.im
     if isinstance(value, complex):
-        return value.real, value.imag, isinstance(value, np.complexfloating)
+        return value.real, value.imag
     if isinstance(value, (int, float)):
-        return float(value), 0.0, False
+        return float(value), 0.0
     if isinstance(value, np.ndarray):
-        return value, 0.0, False
+        return value, 0.0
     return None
 
 
-def _quotient(a, b):
-    ar, ai, a_np = a
-    br, bi, b_np = b
-    with np.errstate(all="ignore"):
-        if a_np or b_np:
-            q = CArray(ar, ai).complex() / CArray(br, bi).complex()
-            return CArray(q.real, q.imag, True)
-        br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
-        abs_br = np.abs(br)
-        abs_bi = np.abs(bi)
-        # _Py_c_quot: |br| >= |bi| divides through by br, |bi| > |br| by bi;
-        # a NaN part takes neither branch, and a zero divisor raises there
-        by_re = (abs_br >= abs_bi) & (abs_br != 0.0)
-        by_im = abs_bi > abs_br
-        ratio = np.where(by_re, bi / br, br / bi)
-        denom_re = br + bi * ratio
-        denom_im = br * ratio + bi
-        re = np.where(by_re, (ar + ai * ratio) / denom_re,
-                      np.where(by_im, (ar * ratio + ai) / denom_im, np.nan))
-        im = np.where(by_re, (ai - ar * ratio) / denom_re,
-                      np.where(by_im, (ai * ratio - ar) / denom_im, np.nan))
+def _quotient(ar, ai, br, bi):
+    """CPython's ``_Py_c_quot`` on real and imaginary parts."""
+    br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
+    abs_br = np.abs(br)
+    abs_bi = np.abs(bi)
+    # |br| >= |bi| divides through by br, |bi| > |br| by bi; a NaN part
+    # takes neither branch, and a zero divisor raises there
+    by_re = (abs_br >= abs_bi) & (abs_br != 0.0)
+    by_im = abs_bi > abs_br
+    ratio = np.where(by_re, bi / br, br / bi)
+    denom_re = br + bi * ratio
+    denom_im = br * ratio + bi
+    re = np.where(by_re, (ar + ai * ratio) / denom_re,
+                  np.where(by_im, (ar * ratio + ai) / denom_im, np.nan))
+    im = np.where(by_re, (ai - ar * ratio) / denom_re,
+                  np.where(by_im, (ai * ratio - ar) / denom_im, np.nan))
     return CArray(re, im)
 
 
 class BArray:
     """Bicomplex lanes z1 + z2*i2 with ``CArray`` parts: the ``Bicomplex``
-    operators and norms, lane by lane, with the bits of the scalar ones.
+    operators and norms, lane by lane, written with ``CArray``'s, so each
+    lane has the bits of the scalar ones.
 
     An operand may be lanes, a ``Bicomplex`` constant, or complex lanes,
     float lanes or a number in the i1-plane, promoted to (x + 0j, 0j) as
@@ -540,8 +526,7 @@ class BArray:
     A ``Bicomplex`` on the left hands its operator to these lanes, which
     compute it in the scalar operand order (the product commutes bit for
     bit).  ``** 2`` on a float is libm's ``pow``, which ``np.float_power``
-    calls and numpy's ``**`` does not.  The arithmetic runs under the
-    caller's ``np.errstate``: ``RootBatch`` holds one for its whole pass.
+    calls and numpy's ``**`` does not.
     """
 
     __slots__ = ("z1", "z2")
@@ -557,8 +542,7 @@ class BArray:
         o = _bicomplex_operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.z1, self.z2
-        return BArray(CArray(a.re + o[0], a.im + o[1]), CArray(b.re + o[2], b.im + o[3]))
+        return BArray(self.z1 + o[0], self.z2 + o[1])
 
     __radd__ = __add__
 
@@ -566,28 +550,21 @@ class BArray:
         o = _bicomplex_operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.z1, self.z2
-        return BArray(CArray(a.re - o[0], a.im - o[1]), CArray(b.re - o[2], b.im - o[3]))
+        return BArray(self.z1 - o[0], self.z2 - o[1])
 
     def __rsub__(self, other):
         o = _bicomplex_operand(other)
         if o is None:
             return NotImplemented
-        a, b = self.z1, self.z2
-        return BArray(CArray(o[0] - a.re, o[1] - a.im), CArray(o[2] - b.re, o[3] - b.im))
+        return BArray(o[0] - self.z1, o[1] - self.z2)
 
     def __mul__(self, other):
         o = _bicomplex_operand(other)
         if o is None:
             return NotImplemented
-        ar, ai, br, bi = self.z1.re, self.z1.im, self.z2.re, self.z2.im
-        cr, ci, dr, di = o
-        # (a*c - b*d, a*d + b*c), each product CPython's
-        acr, aci = _product(ar, ai, cr, ci)
-        bdr, bdi = _product(br, bi, dr, di)
-        adr, adi = _product(ar, ai, dr, di)
-        bcr, bci = _product(br, bi, cr, ci)
-        return BArray(CArray(acr - bdr, aci - bdi), CArray(adr + bcr, adi + bci))
+        a, b = self.z1, self.z2
+        c, d = o
+        return BArray(a * c - b * d, a * d + b * c)
 
     __rmul__ = __mul__
 
@@ -598,10 +575,7 @@ class BArray:
         return np.float_power(abs(self.z1), 2) + np.float_power(abs(self.z2), 2)
 
     def cn(self):
-        a, b = self.z1, self.z2
-        pr, pi = _product(a.re, a.im, a.re, a.im)
-        qr, qi = _product(b.re, b.im, b.re, b.im)
-        return CArray(pr + qr, pi + qi)
+        return self.z1 * self.z1 + self.z2 * self.z2
 
     def ringleb(self):
         return (self.z1 + 1j * self.z2, self.z1 - 1j * self.z2)
@@ -615,18 +589,14 @@ class BArray:
 
 
 def _bicomplex_operand(value):
-    """An operand of ``BArray`` arithmetic as its four parts, or None."""
-    if isinstance(value, BArray):
-        return value.z1.re, value.z1.im, value.z2.re, value.z2.im
-    if isinstance(value, Bicomplex):
-        return value.z1.real, value.z1.imag, value.z2.real, value.z2.imag
-    if isinstance(value, CArray):
-        return value.re, value.im, 0.0, 0.0
+    """An operand of ``BArray`` arithmetic as its two parts (z1, z2), or
+    None."""
+    if isinstance(value, (BArray, Bicomplex)):
+        return value.z1, value.z2
+    if isinstance(value, (CArray, np.ndarray)):
+        return value, 0.0
     if isinstance(value, (int, float, complex)):
-        value = complex(value)
-        return value.real, value.imag, 0.0, 0.0
-    if isinstance(value, np.ndarray):
-        return value, 0.0, 0.0, 0.0
+        return complex(value), 0.0
     return None
 
 

@@ -1,8 +1,17 @@
 """Independent numerical verification of candidate complex-harmonic morphisms.
 
-Everything here works from point evaluations of a map C^3 -> B only, so it
-cross-checks the exact implicit formulas of the solver with no shared code
-path.  Each complex coordinate is treated as two real directions; holomorphy
+The reference check, ``fd_residuals``, works from point evaluations of a
+map C^3 -> B only, so it cross-checks the solver's implicit formulas.  It
+shares two helpers with them: ``weierstrass._null_parts`` (|grad|^2 and
+CN(grad), summed), which ``classify_point`` calls, and
+``weierstrass._max`` (Python's ``max``), which ``fd_report`` calls; and
+``tracked_branch`` reads its roots from ``solve_roots``.  The batched
+checks, ``point_checks`` and the loop it shares with
+``slices.slice_checks``, solve each block's stencil points in one
+``RootBatch`` and compute the reports over lanes with the reference's bits
+(``fd_lanes``); a root they flag gets the reference's own report.
+
+Each complex coordinate is treated as two real directions; holomorphy
 in each variable is itself measured (the Cauchy-Riemann residual) since the
 complex Laplacian only means anything for holomorphic maps.
 

@@ -34,6 +34,9 @@ from .geometry import BVec3, CVec3
 from .holo import HoloFn, Lanes, degree_bound, poly_add, poly_coefficients, poly_mul
 
 GRAD_NULL_TOL = 1e-9
+# a fibre is a degenerate plane or empty where |CN(G) + 1| is below
+# DEGENERATE_TOL times max(1, |G|^2)
+DEGENERATE_TOL = 1e-9
 # a side of dF/dq is zero below GRAD_TOL times its coefficient scale
 GRAD_TOL = 1e-8
 # points solved together in one block when both congruence components have
@@ -265,13 +268,13 @@ class FibreDescription:
         return []
 
 
-def fibre_at(data: WeierstrassData, q: Bicomplex, degenerate_tol=1e-9) -> FibreDescription:
+def fibre_at(data: WeierstrassData, q: Bicomplex) -> FibreDescription:
     """Classify and solve the congruence equation at the parameter q."""
     g = data.G(q)
     h = data.H(q)
     cn_g = g.cn()
     scale = max(1.0, g.norm2())
-    if abs(cn_g + 1.0) > degenerate_tol * scale:
+    if abs(cn_g + 1.0) > DEGENERATE_TOL * scale:
         try:
             rows, rhs = _line_system(g, h)
         except ZeroDivisionError:  # CN(xi) = 2 (1 + CN(G))^2 rounded to 0
@@ -288,11 +291,11 @@ def fibre_at(data: WeierstrassData, q: Bicomplex, degenerate_tol=1e-9) -> FibreD
     g1, g2 = g.z1, g.z2
     h1, h2 = h.z1, h.z2
     normal = CVec3(1.0, g1, g2)
-    if abs(h1) <= degenerate_tol and abs(h2) <= degenerate_tol:
+    if abs(h1) <= DEGENERATE_TOL and abs(h2) <= DEGENERATE_TOL:
         return FibreDescription(FibreTag.DEGENERATE_PLANE, normal=normal, offset=0j)
     k = max((g1, g2), key=abs)
     mu = (h1 / k) if k == g1 else (h2 / k)
-    if max(abs(h1 - mu * g1), abs(h2 - mu * g2)) <= degenerate_tol * max(1.0, abs(h.z1), abs(h.z2)):
+    if max(abs(h1 - mu * g1), abs(h2 - mu * g2)) <= DEGENERATE_TOL * max(1.0, abs(h.z1), abs(h.z2)):
         return FibreDescription(FibreTag.DEGENERATE_PLANE, normal=normal, offset=-mu)
     return FibreDescription(FibreTag.EMPTY)
 
@@ -336,67 +339,72 @@ def _poly_derivative(coeffs):
 def _poly_roots(coeffs):
     """Roots of an ascending-coefficient complex polynomial, with
     multiplicities by clustering; degree <= 2 in closed form, companion
-    matrix above that, one Newton polish step per root."""
-    coeffs = _trim(coeffs)
-    if not coeffs:
-        raise DegenerateAllComponentsError(
-            "congruence component vanishes identically; solution set is not discrete"
-        )
-    deg = len(coeffs) - 1
-    if deg == 0:
-        return []
-    if deg == 1:
-        b, a = coeffs
-        if a == 0:
-            # a NaN coefficient (an overflow cancelled) compares false and
-            # stops the trim, which keeps this zero leading term
-            raise InvalidInputError("congruence component has a NaN coefficient: "
-                                    "the data overflow at this point")
-        return [(-b / a, 1)]
-    if deg == 2:
-        c, b, a = coeffs
-        disc = b * b - 4 * a * c
-        sq = np.sqrt(complex(disc))
-        # stable quadratic: avoid cancellation in the small root
-        if abs(-b + sq) >= abs(-b - sq):
-            r1 = (-b + sq) / (2 * a)
+    matrix above that, one Newton polish step per root.
+
+    numpy's warnings are off while it runs, as in the batch: a quotient of
+    np.complex128 values overflows at a subnormal coordinate, and a caller
+    gets the roots, not a warning.
+    """
+    with np.errstate(all="ignore"):
+        coeffs = _trim(coeffs)
+        if not coeffs:
+            raise DegenerateAllComponentsError(
+                "congruence component vanishes identically; solution set is not discrete"
+            )
+        deg = len(coeffs) - 1
+        if deg == 0:
+            return []
+        if deg == 1:
+            b, a = coeffs
+            if a == 0:
+                # a NaN coefficient (an overflow cancelled) compares false and
+                # stops the trim, which keeps this zero leading term
+                raise InvalidInputError("congruence component has a NaN coefficient: "
+                                        "the data overflow at this point")
+            return [(-b / a, 1)]
+        if deg == 2:
+            c, b, a = coeffs
+            disc = b * b - 4 * a * c
+            sq = np.sqrt(complex(disc))
+            # stable quadratic: avoid cancellation in the small root
+            if abs(-b + sq) >= abs(-b - sq):
+                r1 = (-b + sq) / (2 * a)
+            else:
+                r1 = (-b - sq) / (2 * a)
+            if abs(r1) > 0:
+                r2 = c / (a * r1)
+            else:
+                r2 = (-b - sq) / (2 * a)
+            roots = [r1, r2]
         else:
-            r1 = (-b - sq) / (2 * a)
-        if abs(r1) > 0:
-            r2 = c / (a * r1)
-        else:
-            r2 = (-b - sq) / (2 * a)
-        roots = [r1, r2]
-    else:
-        desc = np.array(coeffs[::-1], dtype=complex)
-        # np.roots' companion row, from its first to its last nonzero
-        # coefficient: eigvals refuses an entry that overflows
-        nonzero = np.flatnonzero(desc)
-        desc = desc[nonzero[0]:nonzero[-1] + 1]
-        with np.errstate(all="ignore"):
+            desc = np.array(coeffs[::-1], dtype=complex)
+            # np.roots' companion row, from its first to its last nonzero
+            # coefficient: eigvals refuses an entry that overflows
+            nonzero = np.flatnonzero(desc)
+            desc = desc[nonzero[0]:nonzero[-1] + 1]
             finite = np.isfinite(-desc[1:] / desc[0]).all()
-        if not finite:
-            raise InvalidInputError("congruence component's companion matrix overflows: "
-                                    "the data overflow at this point")
-        roots = list(np.roots(list(reversed(coeffs))))
-    dcoeffs = _poly_derivative(coeffs)
-    polished = []
-    for r in roots:
-        d = _poly_eval(dcoeffs, r)
-        if abs(d) > 1e-12:
-            r = r - _poly_eval(coeffs, r) / d
-        polished.append(complex(r))
-    # cluster for multiplicities
-    scale = max(1.0, max(abs(r) for r in polished))
-    out = []
-    for r in polished:
-        for i, (rep, m) in enumerate(out):
-            if abs(r - rep) <= 1e-7 * scale:
-                out[i] = ((rep * m + r) / (m + 1), m + 1)
-                break
-        else:
-            out.append((r, 1))
-    return out
+            if not finite:
+                raise InvalidInputError("congruence component's companion matrix overflows: "
+                                        "the data overflow at this point")
+            roots = list(np.roots(list(reversed(coeffs))))
+        dcoeffs = _poly_derivative(coeffs)
+        polished = []
+        for r in roots:
+            d = _poly_eval(dcoeffs, r)
+            if abs(d) > 1e-12:
+                r = r - _poly_eval(coeffs, r) / d
+            polished.append(complex(r))
+        # cluster for multiplicities
+        scale = max(1.0, max(abs(r) for r in polished))
+        out = []
+        for r in polished:
+            for i, (rep, m) in enumerate(out):
+                if abs(r - rep) <= 1e-7 * scale:
+                    out[i] = ((rep * m + r) / (m + 1), m + 1)
+                    break
+            else:
+                out.append((r, 1))
+        return out
 
 
 def congruence_components(data: WeierstrassData, z: CVec3):
@@ -444,7 +452,7 @@ def solve_roots(data: WeierstrassData, z) -> list[Bicomplex]:
     return [pair[0] for pair in _canonical_roots(data, z)[2]]
 
 
-def solve_phi(data: WeierstrassData, z, grad_tol=GRAD_TOL) -> list[CongruenceSolution]:
+def solve_phi(data: WeierstrassData, z) -> list[CongruenceSolution]:
     """All roots q of the congruence equation at z, in canonical order.
 
     The roots are those of ``solve_roots``; each carries its implicit
@@ -467,7 +475,7 @@ def solve_phi(data: WeierstrassData, z, grad_tol=GRAD_TOL) -> list[CongruenceSol
             q=q, gradient=None, laplacian=None,
             multiplicity=ms * mw, residual=residual,
         )
-        dscale = grad_tol * max(1.0, _coeff_scale(dfe, s), _coeff_scale(dff, w))
+        dscale = GRAD_TOL * max(1.0, _coeff_scale(dfe, s), _coeff_scale(dff, w))
         e_ok = abs(de) > dscale
         f_ok = abs(df) > dscale
         if e_ok and f_ok and ms == 1 and mw == 1:
@@ -510,8 +518,15 @@ class _Lanes(NamedTuple):
 
 
 def _where(mask, a: CArray, b: CArray) -> CArray:
-    return CArray(np.where(mask, a.re, b.re), np.where(mask, a.im, b.im),
-                  a.numpy_typed or b.numpy_typed)
+    return CArray(np.where(mask, a.re, b.re), np.where(mask, a.im, b.im))
+
+
+def _numpy_quotient(a: CArray, b: CArray) -> CArray:
+    """``a / b`` by numpy's complex128 division, which rounds otherwise than
+    CPython's: the scalar ``_poly_roots`` divides so where a value comes
+    from ``np.sqrt`` or ``np.roots``, before its ``complex(...)``."""
+    q = a.complex() / b.complex()
+    return CArray(q.real, q.imag)
 
 
 def _stack(coeffs, n):
@@ -526,15 +541,16 @@ def _stack(coeffs, n):
 
 
 def _closed_form(coeffs):
-    """The two roots of ``_poly_roots``' quadratic branch, numpy-typed."""
+    """The two roots of ``_poly_roots``' quadratic branch."""
     c, b, a = coeffs
     disc = b * b - 4 * a * c
     sq = np.sqrt(disc.complex())
-    sq = CArray(sq.real, sq.imag, True)
+    sq = CArray(sq.real, sq.imag)
     plus = -b + sq
     minus = -b - sq
-    r1 = _where(abs(plus) >= abs(minus), plus / (2 * a), minus / (2 * a))
-    r2 = _where(abs(r1) > 0, c / (a * r1), minus / (2 * a))
+    low = _numpy_quotient(minus, 2 * a)
+    r1 = _where(abs(plus) >= abs(minus), _numpy_quotient(plus, 2 * a), low)
+    r2 = _where(abs(r1) > 0, _numpy_quotient(c, a * r1), low)
     return r1, r2
 
 
@@ -554,7 +570,7 @@ def _companion_roots(re, im, deg, trailing):
         roots[ok, :size] = np.linalg.eigvals(companion[ok])
     except np.linalg.LinAlgError:
         ok[:] = False
-    return CArray(roots.real.copy(), roots.imag.copy(), True), ok
+    return CArray(roots.real.copy(), roots.imag.copy()), ok
 
 
 def _polish_and_cluster(coeffs, roots):
@@ -563,8 +579,8 @@ def _polish_and_cluster(coeffs, roots):
     overflow and are left to the scalar path)."""
     dcoeffs = _poly_derivative(coeffs)
     d = _poly_eval(dcoeffs, roots)
-    polished = _where(abs(d) > 1e-12, roots - _poly_eval(coeffs, roots) / d, roots)
-    polished = CArray(polished.re, polished.im)  # complex(r): Python-typed
+    step = _numpy_quotient(_poly_eval(coeffs, roots), d)
+    polished = _where(abs(d) > 1e-12, roots - step, roots)
     mag = abs(polished)
     overflow = ~np.isfinite(mag).all(axis=1)
     tol = 1e-7 * np.maximum(1.0, mag.max(axis=1))
@@ -586,7 +602,7 @@ def _polish_and_cluster(coeffs, roots):
             hit = live & (dist <= tol)
             if hit.any():
                 m = mult[:, i].astype(float)
-                merged = (rep * CArray(m, 0.0) + r) / CArray(m + 1.0, 0.0)
+                merged = (rep * m + r) / (m + 1.0)
                 rep_re[:, i] = np.where(hit, merged.re, rep_re[:, i])
                 rep_im[:, i] = np.where(hit, merged.im, rep_im[:, i])
                 mult[:, i] += hit
@@ -644,7 +660,7 @@ def _side_roots(re, im):
         if d == 2:
             r1, r2 = _closed_form(coeffs)
             roots = CArray(np.concatenate([r1.re, r2.re], axis=1),
-                           np.concatenate([r1.im, r2.im], axis=1), True)
+                           np.concatenate([r1.im, r2.im], axis=1))
         elif t == d:
             ok[idx] = False
             continue
@@ -850,11 +866,11 @@ class RootBatch:
     def _at_roots(self, fn: HoloFn):
         """``fn(q)`` at every root lane, evaluated once per batch: (value,
         lanes where the scalar evaluation raises or the value is not
-        finite).  A tree whose lane evaluation raises flags every lane."""
+        finite).  A tree whose lane evaluation raises flags every lane.
+        Runs under its caller's numpy error state."""
         found = self._values.get(fn)
         if found is None:
-            with np.errstate(all="ignore"):
-                found = self._values[fn] = _evaluate(fn, *self._ringleb)
+            found = self._values[fn] = _evaluate(fn, *self._ringleb)
         return found
 
     @cached_property
@@ -864,8 +880,8 @@ class RootBatch:
 
     @cached_property
     def _fibres(self):
-        (g, bad_g), (h, bad_h) = (self._at_roots(fn) for fn in (self.data.G, self.data.H))
         with np.errstate(all="ignore"):
+            (g, bad_g), (h, bad_h) = (self._at_roots(fn) for fn in (self.data.G, self.data.H))
             return _lane_fibres(g, h, bad_g | bad_h)
 
     def _implicit_lanes(self):
@@ -972,7 +988,7 @@ def _lanes(a):
     return CArray(a.real, a.imag)
 
 
-def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9) -> _Fibres:
+def _lane_fibres(g: BArray, h: BArray, flagged) -> _Fibres:
     """``fibre_at`` at lanes where G and H take the values g and h, every
     branch a mask: non-null lines by one stacked solve, and where CN(G) =
     -1, planes through the origin (h = 0), planes <(1, g1, g2), z> = -mu
@@ -983,7 +999,7 @@ def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9) -> _Fibres:
     n2 = g.norm2()
     dist = abs(g.cn() + 1.0)
     ok = ~flagged & np.isfinite(n2) & np.isfinite(dist)
-    far = dist > degenerate_tol * _max(1.0, n2)
+    far = dist > DEGENERATE_TOL * _max(1.0, n2)
     line = ok & far
     n = len(line)
 
@@ -1005,12 +1021,12 @@ def _lane_fibres(g: BArray, h: BArray, flagged, degenerate_tol=1e-9) -> _Fibres:
     # CN(G) = -1: a plane when H is a complex multiple mu G (or 0), else empty
     g1, g2, h1, h2 = g.z1, g.z2, h.z1, h.z2
     a_h1, a_h2 = abs(h1), abs(h2)
-    origin = (a_h1 <= degenerate_tol) & (a_h2 <= degenerate_tol)
+    origin = (a_h1 <= DEGENERATE_TOL) & (a_h2 <= DEGENERATE_TOL)
     # k = max((g1, g2), key=abs) keeps g1 on a tie; k == g1 compares values
     k = _where(abs(g2) > abs(g1), g2, g1)
     mu = _where((k.re == g1.re) & (k.im == g1.im), h1 / k, h2 / k)
     miss = _max(abs(h1 - mu * g1), abs(h2 - mu * g2))
-    multiple = miss <= degenerate_tol * _max(_max(1.0, a_h1), a_h2)
+    multiple = miss <= DEGENERATE_TOL * _max(_max(1.0, a_h1), a_h2)
     cn_plane = ok & ~far & np.isfinite(a_h1) & np.isfinite(a_h2)
     cn_plane &= origin | (mu.isfinite() & np.isfinite(miss))
 
@@ -1126,7 +1142,7 @@ def _derivative_lanes(re, im, deg):
     for k = 1..deg, then exact zeros, which leave Horner's scheme at a
     finite point as it was."""
     k = np.arange(1, re.shape[1], dtype=float)
-    d = CArray(re[:, 1:], im[:, 1:]) * CArray(k, 0.0)  # int k promoted to k + 0j
+    d = CArray(re[:, 1:], im[:, 1:]) * k  # int k promoted to k + 0j
     keep = k <= deg[:, None]
     return np.where(keep, d.re, 0.0), np.where(keep, d.im, 0.0)
 

@@ -1,9 +1,11 @@
 """The batched root pass against the scalar path it reproduces.
 
-``CArray`` operations are held to CPython's (and numpy's scalar) complex
-arithmetic, and ``RootBatch`` lanes to ``solve_roots``, ``solve_phi`` and
-``fibre_at``, bit for bit: every comparison is on ``float.hex`` of each
-part, in order.
+``CArray`` operations are held to CPython's complex arithmetic, the
+batch's numpy quotient to numpy's scalar one, and ``RootBatch`` lanes to
+``solve_roots``, ``solve_phi`` and ``fibre_at``, bit for bit: every
+comparison is on ``float.hex`` of each part, in order.  Lane arithmetic
+runs under the caller's ``np.errstate``, so the tests that call it directly
+hold one, as the library's batches do.
 """
 
 import gc
@@ -12,6 +14,7 @@ import json
 import math
 import random
 import sys
+from collections import Counter
 
 import mpmath
 import numpy as np
@@ -35,6 +38,7 @@ from bhm.weierstrass import (
     _derivative_lanes,
     _evaluate,
     _lane_fibres,
+    _numpy_quotient,
     _poly_roots,
     _side_roots,
     _stacked_solve,
@@ -98,7 +102,8 @@ class TestExactArrays:
     def test_each_op_matches_cpython(self, a, data, op):
         b = data.draw(st.lists(_complex, min_size=len(a), max_size=len(a)))
         fn = _OPS[op]
-        lanes = _lanes(fn(CArray.of(a), CArray.of(b)))
+        with np.errstate(all="ignore"):
+            lanes = _lanes(fn(CArray.of(a), CArray.of(b)))
         for x, y, got in zip(a, b, lanes):
             want = _scalar(fn, x, y)
             if want == "ZeroDivisionError":
@@ -118,7 +123,8 @@ class TestExactArrays:
         a = [complex(part(), part()) for _ in range(2000)]
         b = [complex(part(), part()) for _ in range(2000)]
         fn = _OPS[op]
-        lanes = _lanes(fn(CArray.of(a), CArray.of(b)))
+        with np.errstate(all="ignore"):
+            lanes = _lanes(fn(CArray.of(a), CArray.of(b)))
         for x, y, got in zip(a, b, lanes):
             want = _scalar(fn, x, y)
             if want != "ZeroDivisionError":
@@ -126,19 +132,21 @@ class TestExactArrays:
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(a=st.lists(_complex, min_size=1, max_size=40), data=st.data())
-    def test_numpy_typed_division_matches_numpy_scalars(self, a, data):
+    def test_numpy_quotient_matches_numpy_scalars(self, a, data):
+        # the scalar _poly_roots divides np.complex128 values (np.sqrt's,
+        # np.roots') by Python complex ones and Python ones by them
         b = data.draw(st.lists(_complex, min_size=len(a), max_size=len(a)))
         with np.errstate(all="ignore"):
-            got = _lanes(CArray.of(a, numpy_typed=True) / CArray.of(b))
-            got_r = _lanes(CArray.of(a) / CArray.of(b, numpy_typed=True))
-            for x, y, g, gr in zip(a, b, got, got_r):
-                want = _bits(complex(np.complex128(x) / np.complex128(y)))
-                assert _bits(g) == want and _bits(gr) == want
+            got = _lanes(_numpy_quotient(CArray.of(a), CArray.of(b)))
+            for x, y, g in zip(a, b, got):
+                assert _bits(g) == _bits(complex(np.complex128(x) / y)) == \
+                    _bits(complex(x / np.complex128(y)))
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(a=st.lists(_complex, min_size=1, max_size=40))
     def test_abs_is_hypot_and_sqrt_is_numpy(self, a):
-        mag = abs(CArray.of(a))
+        with np.errstate(all="ignore"):
+            mag = abs(CArray.of(a))
         for x, m in zip(a, mag.tolist()):
             want = _scalar(abs, x)
             if want != "OverflowError":  # hypot past the double range
@@ -515,7 +523,8 @@ class TestLanePowers:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(a=st.lists(_complex, min_size=1, max_size=40), n=st.integers(-64, 64))
     def test_power_matches_cpython(self, a, n):
-        lanes = _lanes(CArray.of(a) ** n)
+        with np.errstate(all="ignore"):
+            lanes = _lanes(CArray.of(a) ** n)
         for x, got in zip(a, lanes):
             want = _scalar(lambda x: x ** n, x)
             if isinstance(want, str):
@@ -535,7 +544,9 @@ class TestLanePowers:
         a = [complex(part(), part()) for _ in range(2000)]
         arr = CArray.of(a)
         for n in list(range(1, 65)) + [-1, -2, -3, -7]:
-            for x, got in zip(a, _lanes(arr ** n)):
+            with np.errstate(all="ignore"):
+                lanes = _lanes(arr ** n)
+            for x, got in zip(a, lanes):
                 want = _scalar(lambda x: x ** n, x)
                 if isinstance(want, str):
                     assert _nonfinite(got), (x, n)
@@ -665,7 +676,8 @@ class TestLaneEvaluation:
     def test_lanes_flag_where_the_scalar_raises(self, tree, points):
         env = Lanes(CArray.of(points))
         try:
-            value = tree.evaluate(env)
+            with np.errstate(all="ignore"):
+                value = tree.evaluate(env)
         except ArithmeticError:
             # a subtree with no lane raised: it raises at every point
             assert all(isinstance(_evaluation(tree, x), ArithmeticError) for x in points)
@@ -687,7 +699,8 @@ class TestLaneEvaluation:
         tree = Div(Mul(Const(20.0), Var()), Const(1e-11))
         points = [0.1, 0.5, 0.49, 0.51, 1j, -0.0, 2.0]
         env = Lanes(CArray.of(points))
-        tree.evaluate(env)
+        with np.errstate(all="ignore"):
+            tree.evaluate(env)
         want = [isinstance(_evaluation(tree, complex(x)), PoleEncounteredError)
                 for x in points]
         assert env.poles.tolist() == want
@@ -697,14 +710,15 @@ class TestLaneEvaluation:
         # CPython's complex ** n leaves c_powi past |n| = C_POWI_MAX: those
         # lanes are the scalar path's
         e = CArray.of([0.5, 1 + 1j, -0.0])
-        for n in (C_POWI_MAX + 1, -C_POWI_MAX - 1):
+        with np.errstate(all="ignore"):
+            for n in (C_POWI_MAX + 1, -C_POWI_MAX - 1):
+                env = Lanes(e)
+                Pow(Var(), n).evaluate(env)
+                assert env.poles.tolist() == [True] * 3
+                value, flagged = _evaluate(HoloFn(Pow(Var(), n)), e, e)
+                assert flagged.tolist() == [True] * 3
             env = Lanes(e)
-            Pow(Var(), n).evaluate(env)
-            assert env.poles.tolist() == [True] * 3
-            value, flagged = _evaluate(HoloFn(Pow(Var(), n)), e, e)
-            assert flagged.tolist() == [True] * 3
-        env = Lanes(e)
-        Pow(Var(), C_POWI_MAX).evaluate(env)
+            Pow(Var(), C_POWI_MAX).evaluate(env)
         assert env.poles.tolist() == [False] * 3
 
     def test_an_overflowing_abs_is_flagged(self):
@@ -713,7 +727,8 @@ class TestLaneEvaluation:
         points = CArray.of([1.5e308 + 1.5e308j, 1 + 1j])
         for tree in (Div(Const(1.0), Var()), Pow(Var(), -1)):
             env = Lanes(points)
-            tree.evaluate(env)
+            with np.errstate(all="ignore"):
+                tree.evaluate(env)
             assert env.poles.tolist() == [True, False]
             assert isinstance(_evaluation(tree, complex(1.5e308, 1.5e308)), OverflowError)
 
@@ -1201,3 +1216,21 @@ def test_batches_leave_no_blocks_allocated():
         solve_block()
     gc.collect()
     assert sys.getallocatedblocks() - before < 10
+
+
+@pytest.mark.parametrize("config", [*_BLOCK_CONFIGS, _fibre_configs()[0]],
+                         ids=["slice-grid", "slice-points", "verify", "solve", "fibres"])
+def test_numpy_error_state_is_entered_per_batch(config, monkeypatch):
+    # lane arithmetic runs under its caller's np.errstate: the library
+    # enters one per batch or pass over a batch, none per operation
+    entered = Counter()
+    errstate = np.errstate
+
+    def counting(**kwargs):
+        entered[sys._getframe(1).f_globals["__name__"]] += 1
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counting)
+    run(config, io.StringIO())
+    assert "bhm.core" not in entered
+    assert sum(entered.values()) <= 12, entered  # each config is one block
