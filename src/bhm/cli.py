@@ -151,7 +151,7 @@ def _grid_points(grid):
 
 
 def _root_json(sol, fibre):
-    """A root's report, with its fibre."""
+    """A root's report, with its fibre's row."""
     out = {
         "q": _b(sol.q),
         "multiplicity": sol.multiplicity,
@@ -162,7 +162,7 @@ def _root_json(sol, fibre):
         "laplacian_abs": None,
         "nullness_abs": None,
         "gauss": None,
-        "fibre": _fibre_json(fibre, ()),
+        "fibre": fibre,
     }
     if sol.gradient is not None:
         out["gradient"] = [_b(q) for q in sol.gradient]
@@ -181,11 +181,16 @@ def _task_solve(config, tol, seed):
     pts = [_parse_point(p) for p in points]
     results = []
     for block in _blocks(pts, _cap_roots(data, len(pts))):
-        batch = RootBatch(data, block)
-        for i, z in enumerate(block):
-            sols = batch.solutions(i)
+        # the points up to the first whose solve raises; that error is
+        # raised after their rows, and each root's fibre row is built in
+        # its turn, so errors surface in a point-by-point run's order
+        solved, error = _until_error(RootBatch(data, block).solutions, range(len(block)))
+        fibres = _fibre_rows(FibreBatch(data, [sol.q for sols in solved for sol in sols]), ())
+        for z, sols in zip(block, solved):
             results.append({"point": _cvec(z),
-                            "roots": [_root_json(*args) for args in zip(sols, batch.fibres(i))]})
+                            "roots": [_root_json(sol, next(fibres)) for sol in sols]})
+        if error is not None:
+            raise error
     return {"task": "solve", "results": results}
 
 
@@ -225,16 +230,17 @@ def _task_fibres(config, tol, seed):
     qs = [_parse_bicomplex(p) for p in params]
     results = []
     for block in _blocks(qs):
-        results.extend(_fibre_rows(FibreBatch(data, block), ts))
+        rows = _fibre_rows(FibreBatch(data, block), ts)
+        results.extend({"q": q, **row} for q, row in zip(_reals(block), rows))
     return {"task": "fibres", "results": results}
 
 
 def _fibre_rows(batch, ts):
-    """The ``fibres`` rows of a batch's parameters, in order: a lane the
-    batch leaves to the scalar path is computed there in its turn."""
+    """The fibre rows, without "q", of a batch's parameters, one at a time
+    in order: a lane the batch leaves to the scalar path is computed there
+    in its turn."""
     points, ok = batch.samples(ts)
     fibres = batch.fibres
-    q = _reals(batch.qs)
     # each field as lists, for the lanes of the tags that read it
     tags = fibres.tag.tolist()
     base, direction = ((_pairs(a) if 0 in tags else None)
@@ -242,23 +248,20 @@ def _fibre_rows(batch, ts):
     normal, offset = ((_pairs(a) if 1 in tags else None)
                       for a in (fibres.normal, fibres.offset))
     samples = _pairs(points)
-    rows = []
     for k, (tag, computed) in enumerate(zip(tags, ok.tolist())):
         if not computed:
-            rows.append({"q": q[k], **_fibre_json(batch.fibre(k), ts)})
+            yield _fibre_json(batch.fibre(k), ts)
             continue
         line = tag == 0
         plane = tag == 1
-        rows.append({
-            "q": q[k],
+        yield {
             "tag": _TAG_NAMES[tag],
             "base": base[k] if line else None,
             "direction": direction[k] if line else None,
             "normal": normal[k] if plane else None,
             "offset": offset[k] if plane else None,
             "samples": samples[k] if line or plane else [],
-        })
-    return rows
+        }
 
 
 def _reals(qs):

@@ -7,7 +7,8 @@ read as an element of the i1-plane, i.e. z -> z + 0*i2.  Everything
 downstream imports the type from here.
 """
 
-from math import sqrt
+import cmath
+from math import nan, sqrt
 
 import numpy as np
 
@@ -44,6 +45,16 @@ C_POWI_MAX = 100
 
 # the one scalar kernel; benchmark reports record its name
 BACKEND = "python"
+
+
+def _abs(x):
+    """``abs(x)``, NaN where x is a Python complex with a NaN part and no
+    infinite one.  CPython 3.10-3.13's complex ``abs`` leaves errno as it
+    finds it on that path, so there it raises OverflowError whenever an
+    earlier C call left errno at ERANGE; a genuine overflow still raises."""
+    if isinstance(x, complex) and cmath.isnan(x) and not cmath.isinf(x):
+        return nan
+    return abs(x)
 
 
 class Bicomplex:
@@ -151,11 +162,11 @@ class Bicomplex:
         return result
 
     def __abs__(self):
-        return sqrt(abs(self.z1) ** 2 + abs(self.z2) ** 2)
+        return sqrt(_abs(self.z1) ** 2 + _abs(self.z2) ** 2)
 
     def norm2(self):
         """Squared real norm |q|^2 = |z1|^2 + |z2|^2."""
-        return abs(self.z1) ** 2 + abs(self.z2) ** 2
+        return _abs(self.z1) ** 2 + _abs(self.z2) ** 2
 
     def cn(self):
         """Complex (square) norm CN(q) = z1^2 + z2^2."""

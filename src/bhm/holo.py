@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import C_POWI_MAX, Bicomplex, CArray
+from .core import C_POWI_MAX, Bicomplex, CArray, _abs
 from .errors import ExprSchemaError, InvalidInputError, PoleEncounteredError
 
 # a division node is a pole when |den| <= POLE_RTOL * max(1, |num|)
@@ -204,7 +204,7 @@ class Div(_Binary):
         den = self.b.evaluate(env)
         if type(env) is Lanes:
             env.flag_quotient(num, den)
-        elif abs(den) <= POLE_RTOL * max(1.0, abs(num)):
+        elif _abs(den) <= POLE_RTOL * max(1.0, _abs(num)):
             raise PoleEncounteredError(f"division by {den!r}")
         return num / den
 
@@ -270,7 +270,7 @@ class Lanes(dict):
         self.poles = np.zeros(np.shape(value.re), dtype=bool)
 
     def flag_quotient(self, num, den):
-        a_den, a_num = abs(den), abs(num)
+        a_den, a_num = _abs(den), _abs(num)
         self.poles |= (_abs_overflows(den, a_den) | _abs_overflows(num, a_num)
                        | (a_den <= POLE_RTOL * np.fmax(1.0, a_num)))
 

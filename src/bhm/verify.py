@@ -331,14 +331,6 @@ def nearest_lanes(r1, r2, count, lane, q1, q2):
     return z1, z2, exact
 
 
-def branch_roots(roots, z: CVec3):
-    """The roots at z that a tracked branch picks from; raises
-    BranchJumpError when there are none."""
-    if not roots:
-        raise BranchJumpError(f"no roots at {z!r}")
-    return roots
-
-
 def tracked_branch(data: WeierstrassData, z0, q0: Bicomplex | None = None,
                    branch: int = 0):
     """Single-valued branch of the congruence solutions near z0.
@@ -357,7 +349,10 @@ def tracked_branch(data: WeierstrassData, z0, q0: Bicomplex | None = None,
         q0 = anchor[branch]
 
     def phi(z):
-        return nearest_root(branch_roots(solve_roots(data, z), z), q0)
+        roots = solve_roots(data, z)
+        if not roots:
+            raise BranchJumpError(f"no roots at {z!r}")
+        return nearest_root(roots, q0)
 
     return phi
 

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .core import BArray, Bicomplex, CArray, I2, _make
+from .core import BArray, Bicomplex, CArray, I2, _abs, _make
 from .errors import (
     BhmError,
     DegenerateAllComponentsError,
@@ -161,7 +161,7 @@ def _square(x):
 def _norm(u):
     """``CVec3.norm`` on a triple."""
     u1, u2, u3 = u
-    total = _square(abs(u1)) + _square(abs(u2)) + _square(abs(u3))
+    total = _square(_abs(u1)) + _square(_abs(u2)) + _square(_abs(u3))
     return np.sqrt(total) if isinstance(total, np.ndarray) else math.sqrt(total)
 
 
@@ -204,7 +204,7 @@ def _line_miss(base, direction, z):
 
 def _plane_miss(normal, offset, z):
     """The distance ``contains`` measures from z to a plane."""
-    return abs(_dot(normal, z) - offset)
+    return _abs(_dot(normal, z) - offset)
 
 
 def _residual(g, h, z):
@@ -274,7 +274,7 @@ def fibre_at(data: WeierstrassData, q: Bicomplex) -> FibreDescription:
     h = data.H(q)
     cn_g = g.cn()
     scale = max(1.0, g.norm2())
-    if abs(cn_g + 1.0) > DEGENERATE_TOL * scale:
+    if _abs(cn_g + 1.0) > DEGENERATE_TOL * scale:
         try:
             rows, rhs = _line_system(g, h)
         except ZeroDivisionError:  # CN(xi) = 2 (1 + CN(G))^2 rounded to 0
@@ -291,11 +291,11 @@ def fibre_at(data: WeierstrassData, q: Bicomplex) -> FibreDescription:
     g1, g2 = g.z1, g.z2
     h1, h2 = h.z1, h.z2
     normal = CVec3(1.0, g1, g2)
-    if abs(h1) <= DEGENERATE_TOL and abs(h2) <= DEGENERATE_TOL:
+    if _abs(h1) <= DEGENERATE_TOL and _abs(h2) <= DEGENERATE_TOL:
         return FibreDescription(FibreTag.DEGENERATE_PLANE, normal=normal, offset=0j)
-    k = max((g1, g2), key=abs)
+    k = max((g1, g2), key=_abs)
     mu = (h1 / k) if k == g1 else (h2 / k)
-    if max(abs(h1 - mu * g1), abs(h2 - mu * g2)) <= DEGENERATE_TOL * max(1.0, abs(h.z1), abs(h.z2)):
+    if max(_abs(h1 - mu * g1), _abs(h2 - mu * g2)) <= DEGENERATE_TOL * max(1.0, _abs(h.z1), _abs(h.z2)):
         return FibreDescription(FibreTag.DEGENERATE_PLANE, normal=normal, offset=-mu)
     return FibreDescription(FibreTag.EMPTY)
 
@@ -316,11 +316,11 @@ class CongruenceSolution:
 
 
 def _trim(coeffs, rtol=1e-12):
-    top = max(abs(c) for c in coeffs)
+    top = max(_abs(c) for c in coeffs)
     if top == 0.0:
         return []
     out = list(coeffs)
-    while out and abs(out[-1]) <= rtol * top:
+    while out and _abs(out[-1]) <= rtol * top:
         out.pop()
     return out
 
@@ -395,11 +395,11 @@ def _poly_roots(coeffs):
                 r = r - _poly_eval(coeffs, r) / d
             polished.append(complex(r))
         # cluster for multiplicities
-        scale = max(1.0, max(abs(r) for r in polished))
+        scale = max(1.0, max(_abs(r) for r in polished))
         out = []
         for r in polished:
             for i, (rep, m) in enumerate(out):
-                if abs(r - rep) <= 1e-7 * scale:
+                if _abs(r - rep) <= 1e-7 * scale:
                     out[i] = ((rep * m + r) / (m + 1), m + 1)
                     break
             else:
@@ -476,8 +476,8 @@ def solve_phi(data: WeierstrassData, z) -> list[CongruenceSolution]:
             multiplicity=ms * mw, residual=residual,
         )
         dscale = GRAD_TOL * max(1.0, _coeff_scale(dfe, s), _coeff_scale(dff, w))
-        e_ok = abs(de) > dscale
-        f_ok = abs(df) > dscale
+        e_ok = _abs(de) > dscale
+        f_ok = _abs(df) > dscale
         if e_ok and f_ok and ms == 1 and mw == 1:
             # invert dF/dq componentwise: both parts are bounded away
             # from zero here, even when their product would trip the
@@ -499,10 +499,10 @@ def solve_phi(data: WeierstrassData, z) -> list[CongruenceSolution]:
 def _coeff_scale(coeffs, s):
     # added left to right from 0.0, as _coeff_scale_lanes adds: sum() of
     # floats rounds otherwise from Python 3.12 on
-    a = abs(s)
+    a = _abs(s)
     total = 0.0
     for k, c in enumerate(coeffs):
-        total += abs(c) * a ** k
+        total += _abs(c) * a ** k
     return total
 
 
@@ -705,8 +705,7 @@ def _until_error(fn, items):
 
 
 class RootBatch:
-    """``solve_roots``, ``solve_phi`` and ``fibre_at`` at many points in one
-    array pass.
+    """``solve_roots`` and ``solve_phi`` at many points in one array pass.
 
     Each lane reproduces the scalar path bit for bit: the components are
     built by ``congruence_components`` itself over ``CArray`` lanes, the
@@ -717,22 +716,18 @@ class RootBatch:
     scalar path, is left to that path: reading it solves it there, raising
     what the scalar path raises.
 
-    On first use, ``solutions`` and ``fibres`` run the derivative step and
-    the fibres over every root lane of the batch: G, H, dG, d2G and d2H are
-    evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
-    formulas are the scalar path's own helpers.  A point with a root lane
-    where the scalar step would raise (a pole, an overflow) or whose values
-    are not finite gets its solutions from ``solve_phi``.  The fibres are
-    ``_lane_fibres``' lines, planes and empty sets; a root whose lane it
-    leaves to ``fibre_at`` (a flagged lane, a value that is not finite, a
-    singular system) gets its fibre from ``fibre_at`` in its turn.  The
-    results stay arrays until a point is read.
+    On first use, ``solutions`` runs the derivative step over every root
+    lane of the batch: G, dG, d2G and d2H are evaluated once each by
+    ``Expr.evaluate`` on ``BArray`` lanes, and the formulas are the scalar
+    path's own helpers.  A point with a root lane where the scalar step
+    would raise (a pole, an overflow) or whose values are not finite gets
+    its solutions from ``solve_phi``.  The results stay arrays until a point
+    is read.  The roots' fibres come from a ``FibreBatch`` over them.
     """
 
     def __init__(self, data: WeierstrassData, points):
         self.data = data
         self.points = points
-        self._values = {}
         # a lane that overflows is left to the scalar path: no numpy warning
         # of the array pass reaches the caller
         with np.errstate(all="ignore"):
@@ -797,7 +792,7 @@ class RootBatch:
 
     def solutions(self, i):
         """``solve_phi(data, points[i])``."""
-        if not self._batched(i) or self._implicit.scalar[i]:
+        if not (self._ok[i] and self._npairs[i]) or self._implicit.scalar[i]:
             return solve_phi(self.data, self.points[i])
         implicit = self._implicit
         lo, hi = self._span[i], self._span[i + 1]
@@ -816,23 +811,7 @@ class RootBatch:
             sols.append(sol)
         return sols
 
-    def fibres(self, i):
-        """``fibre_at(data, q)`` for each q of ``roots(i)``, one at a time:
-        the batch's fibre, or for a lane it leaves to ``fibre_at``, that
-        fibre, computed in that root's turn."""
-        roots = self.roots(i)
-        if not self._batched(i):
-            yield from (fibre_at(self.data, q) for q in roots)
-            return
-        fibres = self._fibres
-        for k, q in zip(range(self._span[i], self._span[i + 1]), roots):
-            yield fibres.fibre(k) if fibres.tag[k] >= 0 else fibre_at(self.data, q)
-
     # -- the root lanes -----------------------------------------------------
-
-    def _batched(self, i):
-        """Whether point i has roots, and they are lanes of the batch."""
-        return self._ok[i] and self._npairs[i] > 0
 
     @cached_property
     def _roots(self):
@@ -860,29 +839,9 @@ class RootBatch:
         return [0, *accumulate(counts.tolist())]
 
     @cached_property
-    def _ringleb(self):
-        return self._roots[1].ringleb()
-
-    def _at_roots(self, fn: HoloFn):
-        """``fn(q)`` at every root lane, evaluated once per batch: (value,
-        lanes where the scalar evaluation raises or the value is not
-        finite).  A tree whose lane evaluation raises flags every lane.
-        Runs under its caller's numpy error state."""
-        found = self._values.get(fn)
-        if found is None:
-            found = self._values[fn] = _evaluate(fn, *self._ringleb)
-        return found
-
-    @cached_property
     def _implicit(self):
         with np.errstate(all="ignore"):
             return self._implicit_lanes()
-
-    @cached_property
-    def _fibres(self):
-        with np.errstate(all="ignore"):
-            (g, bad_g), (h, bad_h) = (self._at_roots(fn) for fn in (self.data.G, self.data.H))
-            return _lane_fibres(g, h, bad_g | bad_h)
 
     def _implicit_lanes(self):
         """``solve_phi``'s derivative step over the root lanes."""
@@ -911,13 +870,13 @@ class RootBatch:
                    & np.isfinite(cs_e) & np.isfinite(cs_f))
 
         fq_inv = BArray.from_ringleb(1.0 / de, 1.0 / df)
-        g, bad = self._at_roots(data.G)
+        e, f = q.ringleb()
+        (g, bad), (dg, bad_dg), (d2g, bad_d2g), (d2h, bad_d2h) = (
+            _evaluate(fn, e, f) for fn in (data.G, data.dG, data.d2G, data.d2H))
         grad = _gradient(g, fq_inv)
         n2, cn = _null_parts(grad)
         a_cn = abs(cn)
         degenerate = (a_cn <= GRAD_NULL_TOL * np.maximum(n2, 1e-300)) & (n2 > 0)
-        (dg, bad_dg), (d2g, bad_d2g), (d2h, bad_d2h) = (
-            self._at_roots(fn) for fn in (data.dG, data.d2G, data.d2H))
         z = _Lanes(*(u[point] for u in self._z))
         lap = _laplacian(g, dg, d2g, d2h, z, grad, fq_inv)
         bad = bad | bad_dg | bad_d2g | bad_d2h | ~np.isfinite(n2) | ~np.isfinite(a_cn)
@@ -967,17 +926,6 @@ class _Fibres(NamedTuple):
     direction: np.ndarray
     normal: np.ndarray
     offset: np.ndarray
-
-    def fibre(self, k):
-        """The FibreDescription at lane k, which is not left to ``fibre_at``."""
-        tag = _TAGS[self.tag[k]]
-        if tag is FibreTag.NON_NULL_LINE:
-            return FibreDescription(tag, base=CVec3(*self.base[k].tolist()),
-                                    direction=CVec3(*self.direction[k].tolist()))
-        if tag is FibreTag.DEGENERATE_PLANE:
-            return FibreDescription(tag, normal=CVec3(*self.normal[k].tolist()),
-                                    offset=complex(self.offset[k]))
-        return FibreDescription(tag)
 
 
 def _lanes(a):
@@ -1071,9 +1019,17 @@ class FibreBatch:
 
     def fibre(self, k):
         """``fibre_at(data, qs[k])``."""
-        if self.fibres.tag[k] < 0:
+        fibres = self.fibres
+        if fibres.tag[k] < 0:
             return fibre_at(self.data, self.qs[k])
-        return self.fibres.fibre(k)
+        tag = _TAGS[fibres.tag[k]]
+        if tag is FibreTag.NON_NULL_LINE:
+            return FibreDescription(tag, base=CVec3(*fibres.base[k].tolist()),
+                                    direction=CVec3(*fibres.direction[k].tolist()))
+        if tag is FibreTag.DEGENERATE_PLANE:
+            return FibreDescription(tag, normal=CVec3(*fibres.normal[k].tolist()),
+                                    offset=complex(fibres.offset[k]))
+        return FibreDescription(tag)
 
     def samples(self, ts):
         """``fibre(k).sample_points(ts)`` at every lane k, for real ts:

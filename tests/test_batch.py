@@ -1,11 +1,11 @@
 """The batched root pass against the scalar path it reproduces.
 
 ``CArray`` operations are held to CPython's complex arithmetic, the
-batch's numpy quotient to numpy's scalar one, and ``RootBatch`` lanes to
-``solve_roots``, ``solve_phi`` and ``fibre_at``, bit for bit: every
-comparison is on ``float.hex`` of each part, in order.  Lane arithmetic
-runs under the caller's ``np.errstate``, so the tests that call it directly
-hold one, as the library's batches do.
+batch's numpy quotient to numpy's scalar one, ``RootBatch`` lanes to
+``solve_roots`` and ``solve_phi``, and ``FibreBatch`` lanes to
+``fibre_at``, bit for bit: every comparison is on ``float.hex`` of each
+part, in order.  Lane arithmetic runs under the caller's ``np.errstate``,
+so the tests that call it directly hold one, as the library's batches do.
 """
 
 import gc
@@ -37,7 +37,6 @@ from bhm.weierstrass import (
     _coeff_scale_lanes,
     _derivative_lanes,
     _evaluate,
-    _lane_fibres,
     _numpy_quotient,
     _poly_roots,
     _side_roots,
@@ -356,7 +355,8 @@ class TestRootBatch:
             with pytest.raises(Exception) as want:
                 _canonical_roots(data, z)
             want = type(want.value).__name__, str(want.value)
-            for read in (batch.roots, batch.solutions, lambda i: list(batch.fibres(i))):
+            for read in (batch.roots, batch.solutions,
+                         lambda i: list(_batch_fibres(data, batch.roots(i)))):
                 assert _solution_outcome(lambda: read(i)) == want
 
     def test_huge_lane_is_left_to_the_scalar_path(self):
@@ -750,10 +750,15 @@ def _fibre_or_none(data, q):
 def _lane_fibre_reprs(data, q):
     """The repr of ``_lane_fibres``' fibre at each parameter in q, None where
     it leaves the lane to ``fibre_at``."""
-    e, f = BArray(CArray.of([p.z1 for p in q]), CArray.of([p.z2 for p in q])).ringleb()
-    (gv, bad_g), (hv, bad_h) = (_evaluate(fn, e, f) for fn in (data.G, data.H))
-    fibres = _lane_fibres(gv, hv, bad_g | bad_h)
-    return [repr(fibres.fibre(k)) if fibres.tag[k] >= 0 else None for k in range(len(q))]
+    batch = FibreBatch(data, q)
+    return [repr(batch.fibre(k)) if batch.fibres.tag[k] >= 0 else None for k in range(len(q))]
+
+
+def _batch_fibres(data, roots):
+    """The fibres at the roots, one at a time, read from a FibreBatch over
+    them as the CLI's ``solve`` reads them."""
+    batch = FibreBatch(data, roots)
+    return (batch.fibre(k) for k in range(len(roots)))
 
 
 def _fibres_outcome(fibres):
@@ -775,7 +780,7 @@ def _assert_batch_matches_scalar(data, points):
         assert _solution_outcome(lambda: batch.solutions(i)) == want
         if isinstance(want, tuple):
             continue  # the point raised
-        assert _fibres_outcome(batch.fibres(i)) == \
+        assert _fibres_outcome(_batch_fibres(data, [s.q for s in batch.solutions(i)])) == \
             _fibres_outcome(fibre_at(data, q) for q in solve_roots(data, z))
 
 
@@ -802,7 +807,8 @@ class TestDerivativeStep:
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
         assert not any(batch._implicit.scalar)
-        assert (batch._fibres.tag == 0).all()  # every fibre a line solved in the batch
+        fibres = FibreBatch(data, [q for i in range(len(points)) for q in batch.roots(i)]).fibres
+        assert (fibres.tag == 0).all()  # every fibre a line solved in the batch
 
     def test_constant_g_with_cn_minus_one(self, monkeypatch):
         # CN(G) = G_e G_f = -1: the fibres at the roots are degenerate planes.
@@ -818,15 +824,16 @@ class TestDerivativeStep:
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
         assert not any(batch._implicit.scalar)
-        assert (batch._fibres.tag == 1).all()  # every fibre a plane solved in the batch
+        fibres = FibreBatch(data, [q for i in range(len(points)) for q in batch.roots(i)]).fibres
+        assert (fibres.tag == 1).all()  # every fibre a plane solved in the batch
         want = [[repr(fibre_at(data, q)) for q in batch.roots(i)] for i in range(len(points))]
         called = []
         monkeypatch.setattr(bhm.weierstrass, "fibre_at", lambda *args: called.append(args))
         for i in range(len(points)):
-            fibres = list(batch.fibres(i))
+            fibres = list(_batch_fibres(data, batch.roots(i)))
             assert [repr(f) for f in fibres] == want[i]
             assert {f.tag.value for f in fibres} == {"degenerate_plane"}
-        assert [f.offset for f in batch.fibres(1)] == [0j] * 4
+        assert [f.offset for f in _batch_fibres(data, batch.roots(1))] == [0j] * 4
         assert called == []
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -1008,11 +1015,19 @@ class TestFibreBatch:
 
 
 def _point_by_point(config, tol=None, seed=0):
-    """The ``fibres`` or ``verify --samples`` report of a run that takes one
-    parameter at a time through fibre_at, sample_points, contains and the
-    scalar residual, formatted as ``run`` formats it."""
+    """The ``solve``, ``fibres`` or ``verify --samples`` report of a run that
+    takes one point or parameter at a time through solve_phi, fibre_at,
+    sample_points, contains and the scalar residual, formatted as ``run``
+    formats it."""
     data = bhm.cli._parse_data(config)
-    if config["task"] == "fibres":
+    if config["task"] == "solve":
+        results = []
+        for z in [bhm.cli._parse_point(p) for p in config["points"]]:
+            roots = [bhm.cli._root_json(sol, bhm.cli._fibre_json(fibre_at(data, sol.q), ()))
+                     for sol in solve_phi(data, z)]
+            results.append({"point": bhm.cli._cvec(z), "roots": roots})
+        report = {"task": "solve", "results": results}
+    elif config["task"] == "fibres":
         rng = random.Random(seed)
         ts = [rng.uniform(-2.0, 2.0) for _ in range(config.get("samples", 3))]
         results = []
@@ -1087,6 +1102,29 @@ def test_fibre_tasks_match_a_point_by_point_run(config, monkeypatch):
         assert _cli_output(config) == want
 
 
+def test_solve_errors_keep_a_point_by_point_order():
+    # G = q and H = q / 1e-3, whose scalar Div finds a pole where a part of
+    # q passes 1e9.  At z1 = 1e163 the one root is about 1e-163: the
+    # squares of its gradient underflow, so gauss_map finds CN(gradient) = 0
+    # and the root's report raises.  At z1 = 1e10 three roots have a part
+    # near 2e10, and their fibres raise at H's pole.  At z = (-1000, 0, 0)
+    # both components vanish and the solve raises.  In one block, each
+    # error comes before the next one's, as in a point-by-point run
+    var = {"op": "var"}
+    data = {"G": {"f": var},
+            "H": {"f": {"op": "div", "args": [var, {"op": "const", "value": [1e-3, 0]}]}}}
+    report_error = [1e163, 0.3, 0.2]
+    fibre_error = [1e10, [0.3, 0.1], 0.7]
+    solve_error = [-1000, 0, 0]
+    for points, first in [([report_error, fibre_error], "DegeneratePointError"),
+                          ([fibre_error, solve_error], "PoleEncounteredError")]:
+        config = {"task": "solve", "data": data, "points": points}
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: _point_by_point(config))
+        assert want[0] == first
+        assert _cli_output(config) == want
+
+
 def test_fibre_tasks_never_call_the_scalar_path(monkeypatch):
     # the fibres-roundtrip benchmark's data: quadratic G and H (lines), and
     # constant G with CN(G) = -1 and H = mu G (planes): no scalar fibre_at
@@ -1154,8 +1192,10 @@ def test_stacked_solve_gives_single_call_bits_and_leaves_a_singular_system():
 
 
 def test_each_tree_is_evaluated_once_per_block(monkeypatch):
-    # a batched solve evaluates G, H, dG, d2G and d2H once per block over its
-    # root lanes, and never calls HoloFn for a root the batch solved
+    # a batched solve evaluates G, dG, d2G and d2H once per block over its
+    # root lanes in the RootBatch, then G and H once over the same lanes in
+    # the FibreBatch of its fibres, and never calls HoloFn for a root the
+    # batch solved
     evaluated, called, parsed = [], [], []
     evaluate, call, parse = bhm.weierstrass._evaluate, HoloFn.__call__, bhm.cli._parse_data
 
@@ -1185,13 +1225,14 @@ def test_each_tree_is_evaluated_once_per_block(monkeypatch):
                          [[0.2, -0.1], 0.4, 1.3], [-0.6, 0.8, 0.25]]}
     report = json.loads(_cli_output(config))
     (data,) = parsed
-    trees = {data.G, data.H, data.dG, data.d2G, data.d2H}
-    assert len(trees) == 5
+    roots = {data.G, data.dG, data.d2G, data.d2H}
+    fibres = {data.G, data.H}
+    assert len(roots | fibres) == 5
     blocks = [report["results"][k:k + 2] for k in range(0, 5, 2)]
-    assert len(evaluated) == 5 * len(blocks)
+    assert len(evaluated) == 6 * len(blocks)
     for b, block in enumerate(blocks):
-        fns, lanes = zip(*evaluated[5 * b:5 * b + 5])
-        assert set(fns) == trees
+        fns, lanes = zip(*evaluated[6 * b:6 * b + 6])
+        assert set(fns[:4]) == roots and set(fns[4:]) == fibres
         assert set(lanes) == {sum(len(res["roots"]) for res in block)}
     assert called == []
 

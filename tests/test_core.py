@@ -265,3 +265,20 @@ class TestModuleFunctions:
     def test_real_norm_value(self):
         q = core.Bicomplex(3 + 4j, 0)
         assert math.isclose(abs(q), 5.0)
+
+    def test_abs_of_a_nan_part_reads_no_errno(self):
+        # after a caught overflow errno is ERANGE, which CPython's complex
+        # abs raises on where a part is NaN; _abs gives NaN there, and abs's
+        # own answer everywhere else
+        nan, inf = math.nan, math.inf
+        try:
+            math.exp(1000.0)
+        except OverflowError:
+            pass
+        assert math.isnan(core._abs(complex(nan, 1.0)))
+        assert math.isnan(abs(core.Bicomplex(complex(nan, nan), 0)))
+        assert core._abs(complex(inf, nan)) == inf
+        assert core._abs(3 + 4j) == 5.0
+        assert core._abs(-2.0) == 2.0
+        with pytest.raises(OverflowError, match="absolute value too large"):
+            core._abs(complex(1.5e308, 1.5e308))

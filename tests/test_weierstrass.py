@@ -1,5 +1,6 @@
 """Null data, congruence fibres, root solving and reconstruction."""
 
+import math
 import random
 import warnings
 
@@ -481,6 +482,31 @@ class TestSolveRoots:
                 got = repr(call())
             with np.errstate(all="ignore"):
                 assert got == repr(call())
+
+    def test_nan_coefficients_do_not_read_a_stale_errno(self):
+        # at z1 = 1.7e308 the components' coefficients overflow to NaN parts.
+        # CPython's complex abs leaves errno as it finds it on a NaN part, so
+        # a caught overflow just before (errno ERANGE) once turned the NaN
+        # roots into OverflowError
+        data = WeierstrassData(HoloFn.identity(), HoloFn.const(0.0))
+        z = CVec3(1.7e308, 0, 0)
+
+        def outcome(solve, stale):
+            math.exp(0.0)  # leaves errno at 0
+            if stale:
+                try:
+                    math.exp(1000.0)  # leaves errno at ERANGE
+                except OverflowError:
+                    pass
+            try:
+                return repr(solve(data, z))
+            except Exception as exc:
+                return type(exc).__name__, str(exc)
+
+        nan = "Bicomplex((nan+nanj), (nan+nanj))"
+        assert outcome(solve_roots, False) == f"[{', '.join([nan] * 4)}]"
+        for solve in (solve_roots, solve_phi):
+            assert outcome(solve, True) == outcome(solve, False)
 
     def test_non_polynomial_data_serves_fibres(self):
         # the coefficients are built lazily, so non-polynomial data still
