@@ -22,8 +22,8 @@ import sys
 
 import numpy as np
 
-from .core import Bicomplex
-from .errors import BhmError, ExprSchemaError
+from .core import BArray, Bicomplex
+from .errors import BhmError, DegeneratePointError, ExprSchemaError
 from .geometry import CVec3, chart_to_point, point_to_chart, transition
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
 from .holo import holofn_from_json, is_number
@@ -150,27 +150,39 @@ def _grid_points(grid):
 # tasks
 
 
-def _root_json(sol, fibre):
-    """A root's report, with its fibre's row."""
-    out = {
-        "q": _b(sol.q),
-        "multiplicity": sol.multiplicity,
-        "residual": _f(sol.residual),
-        "degenerate": sol.degenerate,
-        "partially_degenerate": sol.partially_degenerate,
-        "gradient": None,
-        "laplacian_abs": None,
-        "nullness_abs": None,
-        "gauss": None,
+def _root_row(q, multiplicity, residual, degenerate, partially_degenerate,
+              gradient, laplacian_abs, nullness_abs, gauss, fibre):
+    """A root's report: the one layout of the rows that ``_root_json``
+    builds from a solution and ``_solve_rows`` from the lanes."""
+    return {
+        "q": q,
+        "multiplicity": multiplicity,
+        "residual": residual,
+        "degenerate": degenerate,
+        "partially_degenerate": partially_degenerate,
+        "gradient": gradient,
+        "laplacian_abs": laplacian_abs,
+        "nullness_abs": nullness_abs,
+        "gauss": gauss,
         "fibre": fibre,
     }
+
+
+def _root_json(sol, fibre):
+    """A root's report from its CongruenceSolution, with its fibre's row."""
+    gradient = laplacian_abs = nullness_abs = gauss = None
     if sol.gradient is not None:
-        out["gradient"] = [_b(q) for q in sol.gradient]
-        out["laplacian_abs"] = _f(abs(sol.laplacian))
-        out["nullness_abs"] = _f(abs(sol.gradient.square()))
+        gradient = [_b(q) for q in sol.gradient]
+        laplacian_abs = _f(abs(sol.laplacian))
+        nullness_abs = _f(abs(sol.gradient.square()))
         if not sol.degenerate:
-            out["gauss"] = _cvec(gauss_map(sol.gradient))
-    return out
+            try:
+                gauss = _cvec(gauss_map(sol.gradient))
+            except DegeneratePointError:
+                pass  # |gradient|^2 underflows to 0: no direction, and not degenerate
+    return _root_row(_b(sol.q), sol.multiplicity, _f(sol.residual), sol.degenerate,
+                     sol.partially_degenerate, gradient, laplacian_abs, nullness_abs, gauss,
+                     fibre)
 
 
 def _task_solve(config, tol, seed):
@@ -181,17 +193,72 @@ def _task_solve(config, tol, seed):
     pts = [_parse_point(p) for p in points]
     results = []
     for block in _blocks(pts, _cap_roots(data, len(pts))):
-        # the points up to the first whose solve raises; that error is
-        # raised after their rows, and each root's fibre row is built in
-        # its turn, so errors surface in a point-by-point run's order
-        solved, error = _until_error(RootBatch(data, block).solutions, range(len(block)))
-        fibres = _fibre_rows(FibreBatch(data, [sol.q for sols in solved for sol in sols]), ())
-        for z, sols in zip(block, solved):
-            results.append({"point": _cvec(z),
-                            "roots": [_root_json(sol, next(fibres)) for sol in sols]})
+        batch = RootBatch(data, block)
+
+        def solved(i):
+            lanes = batch.lanes(i)
+            return batch.solutions(i) if lanes is None else lanes
+
+        # each point's root lanes, or its solutions where the batch leaves it
+        # to solve_phi, up to the first point whose solve raises; that error
+        # is raised after their rows, and each root's fibre and report row
+        # is built in its turn, so errors surface in a point-by-point run's
+        # order
+        roots, error = _until_error(solved, range(len(block)))
+        q = [batch.implicit.q[r.start:r.stop] if isinstance(r, range) else
+             BArray.of([sol.q for sol in r]) for r in roots]
+        fibres = _fibre_rows(FibreBatch(data, BArray.concatenate(q)), ())
+        for z, rows in zip(block, _solve_rows(batch, roots, fibres)):
+            results.append({"point": _cvec(z), "roots": rows})
         if error is not None:
             raise error
     return {"task": "solve", "results": results}
+
+
+def _solve_rows(batch, roots, fibres):
+    """The root rows of each solved point, in order, each root's fibre row
+    taken from ``fibres`` in its turn.  ``roots`` holds each point's root
+    lanes in the batch (a range) or its solutions: a clean root lane's row
+    is built from ``.tolist()`` of the batch's lanes, any other root's by
+    ``_root_json`` from its solution, in its turn."""
+    lanes = None
+    for i, sols in enumerate(roots):
+        if not isinstance(sols, range):
+            yield [_root_json(sol, next(fibres)) for sol in sols]
+            continue
+        if lanes is None:
+            lanes = _lane_lists(batch.implicit, batch.report)
+        q, multiplicity, residual, degenerate, partially, has_gradient, gradient, \
+            laplacian_abs, nullness_abs, gauss, oriented, clean = lanes
+        rows = []
+        solutions = None
+        for k in sols:
+            fibre = next(fibres)
+            if not clean[k]:
+                solutions = solutions or batch.solutions(i)
+                rows.append(_root_json(solutions[k - sols.start], fibre))
+            elif has_gradient[k]:
+                rows.append(_root_row(q[k], multiplicity[k], residual[k], degenerate[k],
+                                      partially[k], gradient[k], laplacian_abs[k],
+                                      nullness_abs[k], gauss[k] if oriented[k] else None,
+                                      fibre))
+            else:
+                rows.append(_root_row(q[k], multiplicity[k], residual[k], degenerate[k],
+                                      partially[k], None, None, None, None, fibre))
+        yield rows
+
+
+def _lane_lists(implicit, report):
+    """The fields of the root lanes' rows as lists, ``_f``'s + 0.0 done over
+    the arrays."""
+    gradient = np.stack([c.reals() for c in implicit.gradient], axis=1)
+    gauss = np.stack([np.stack([c.re, c.im], axis=-1) for c in report.gauss], axis=1)
+    return (_reals(implicit.q), implicit.multiplicity.tolist(),
+            (implicit.residual + 0.0).tolist(), implicit.degenerate.tolist(),
+            implicit.partially_degenerate.tolist(), implicit.has_gradient.tolist(),
+            (gradient + 0.0).tolist(), (report.laplacian_abs + 0.0).tolist(),
+            (report.nullness_abs + 0.0).tolist(), (gauss + 0.0).tolist(),
+            implicit.oriented.tolist(), report.clean.tolist())
 
 
 def _fibre_json(fibre, ts):
@@ -230,8 +297,9 @@ def _task_fibres(config, tol, seed):
     qs = [_parse_bicomplex(p) for p in params]
     results = []
     for block in _blocks(qs):
-        rows = _fibre_rows(FibreBatch(data, block), ts)
-        results.extend({"q": q, **row} for q, row in zip(_reals(block), rows))
+        batch = FibreBatch(data, block)
+        rows = _fibre_rows(batch, ts)
+        results.extend({"q": q, **row} for q, row in zip(_reals(batch.q), rows))
     return {"task": "fibres", "results": results}
 
 
@@ -264,9 +332,10 @@ def _fibre_rows(batch, ts):
         }
 
 
-def _reals(qs):
-    """``[_b(q) for q in qs]``, ``_f``'s + 0.0 done over an array."""
-    return (np.array([q.to_reals() for q in qs]).reshape(-1, 4) + 0.0).tolist()
+def _reals(q):
+    """``[_b(p) for p in ...]`` of ``BArray`` lanes, ``_f``'s + 0.0 done
+    over the array."""
+    return (q.reals() + 0.0).tolist()
 
 
 def _pairs(a):
@@ -294,7 +363,7 @@ def _sample_rows(data, samples, tol):
     batch = FibreBatch(data, qs)
     points = np.array([[p.u1, p.u2, p.u3] for p in zs], dtype=complex)
     residual, on_fibre, ok = batch.checks(points, tol)
-    q = _reals(qs)
+    q = _reals(batch.q)
     z = _pairs(points)
     residual = (residual + 0.0).tolist()
     on_fibre = on_fibre.tolist()

@@ -546,8 +546,32 @@ class BArray:
         self.z1 = z1
         self.z2 = z2
 
+    @classmethod
+    def of(cls, values):
+        """``Bicomplex`` values as lanes."""
+        return cls(CArray.of([q.z1 for q in values]), CArray.of([q.z2 for q in values]))
+
+    @classmethod
+    def concatenate(cls, parts):
+        """The lanes of the parts, one after another."""
+        def joined(cs):
+            empty = np.empty(0)
+            return CArray(np.concatenate([empty, *(c.re for c in cs)]),
+                          np.concatenate([empty, *(c.im for c in cs)]))
+        return cls(joined([p.z1 for p in parts]), joined([p.z2 for p in parts]))
+
     def __getitem__(self, index):
         return BArray(self.z1[index], self.z2[index])
+
+    def item(self, k):
+        """Lane k as a ``Bicomplex``, with its bits."""
+        z1, z2 = self.z1, self.z2
+        return _make(complex(z1.re[k], z1.im[k]), complex(z2.re[k], z2.im[k]))
+
+    def reals(self):
+        """The lanes' coefficients [x1, x2, x3, x4] (``Bicomplex.to_reals``)
+        along a new last axis."""
+        return np.stack([self.z1.re, self.z1.im, self.z2.re, self.z2.im], axis=-1)
 
     def __add__(self, other):
         o = _bicomplex_operand(other)

@@ -106,6 +106,14 @@ def _cross(u, v):
             u[0] * v[1] - u[1] * v[0])
 
 
+def _unit_cross(u, v, cn):
+    """gamma = (u x v) * 2 / cn, the unit direction of w = u + v i2 with
+    CN(w) = cn (u^2 = cn / 2 where w is null): ``gauss_map``'s direction,
+    and the line fibre's, where w = xi."""
+    k = 2.0 / cn
+    return tuple(c * k for c in _cross(u, v))
+
+
 def _line_system(g, h):
     """The non-null line fibre at G = g, H = h as a linear system: the rows
     u, v and gamma = (u x v) * 2 / CN(xi) of its matrix, where xi = u + v i2
@@ -114,8 +122,7 @@ def _line_system(g, h):
     xi = _xi(g)
     u = tuple(c.z1 for c in xi)
     v = tuple(c.z2 for c in xi)
-    k = 2.0 / (xi[0].cn() + xi[1].cn() + xi[2].cn())  # u^2 = CN(xi)/2
-    gamma = tuple(c * k for c in _cross(u, v))
+    gamma = _unit_cross(u, v, xi[0].cn() + xi[1].cn() + xi[2].cn())
     return (u, v, gamma), (2 * h.z1, 2 * h.z2)
 
 
@@ -716,13 +723,15 @@ class RootBatch:
     scalar path, is left to that path: reading it solves it there, raising
     what the scalar path raises.
 
-    On first use, ``solutions`` runs the derivative step over every root
-    lane of the batch: G, dG, d2G and d2H are evaluated once each by
-    ``Expr.evaluate`` on ``BArray`` lanes, and the formulas are the scalar
-    path's own helpers.  A point with a root lane where the scalar step
-    would raise (a pole, an overflow) or whose values are not finite gets
-    its solutions from ``solve_phi``.  The results stay arrays until a point
-    is read.  The roots' fibres come from a ``FibreBatch`` over them.
+    On first use, ``lanes`` and ``solutions`` run the derivative step over
+    every root lane of the batch (``implicit``): G, dG, d2G and d2H are
+    evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
+    formulas are the scalar path's own helpers.  A point with a root lane
+    where the scalar step would raise (a pole, an overflow) or whose values
+    are not finite gets its solutions from ``solve_phi``.  The results stay
+    arrays until a point is read; ``report`` gives, as arrays too, the
+    values a solution's report reads (|Laplacian|, |nullness| and the Gauss
+    map).  The roots' fibres come from a ``FibreBatch`` over them.
     """
 
     def __init__(self, data: WeierstrassData, points):
@@ -790,19 +799,27 @@ class RootBatch:
         ``roots(i)`` bit for bit; a lane left to the scalar path counts 0."""
         return self._q1, self._q2, np.where(self._ok, self._npairs, 0)
 
+    def lanes(self, i):
+        """The root lanes of point i, a range over ``implicit``'s arrays,
+        where its solutions are read from them; None where ``solutions(i)``
+        runs ``solve_phi``."""
+        if not (self._ok[i] and self._npairs[i]) or self.implicit.scalar[i]:
+            return None
+        return range(self._span[i], self._span[i + 1])
+
     def solutions(self, i):
         """``solve_phi(data, points[i])``."""
-        if not (self._ok[i] and self._npairs[i]) or self._implicit.scalar[i]:
+        lanes = self.lanes(i)
+        if lanes is None:
             return solve_phi(self.data, self.points[i])
-        implicit = self._implicit
-        lo, hi = self._span[i], self._span[i + 1]
+        implicit = self.implicit
         sols = []
-        for k, q in zip(range(lo, hi), self.roots(i)):
+        for k, q in zip(lanes, self.roots(i)):
             sol = CongruenceSolution(q=q, gradient=None, laplacian=None,
                                      multiplicity=int(implicit.multiplicity[k]),
                                      residual=float(implicit.residual[k]))
             if implicit.has_gradient[k]:
-                g1, g2, g3, lap = (_make(a, b) for a, b in implicit.values[k].tolist())
+                g1, g2, g3, lap = (_make(a, b) for a, b in self._values[k].tolist())
                 sol.gradient = BVec3(g1, g2, g3)
                 sol.laplacian = lap
                 sol.degenerate = bool(implicit.degenerate[k])
@@ -839,9 +856,22 @@ class RootBatch:
         return [0, *accumulate(counts.tolist())]
 
     @cached_property
-    def _implicit(self):
+    def implicit(self) -> "_Implicit":
+        """The derivative step over every root lane of the batch."""
         with np.errstate(all="ignore"):
             return self._implicit_lanes()
+
+    @cached_property
+    def _values(self):
+        """The gradient's and the Laplacian's z1, z2 at every root lane, as
+        one (lanes, 4, 2) complex array that ``solutions`` reads root by
+        root."""
+        implicit = self.implicit
+        values = np.empty((len(implicit.residual), 4, 2), dtype=complex)
+        for r, c in enumerate((*implicit.gradient, implicit.laplacian)):
+            values[:, r, 0] = c.z1.complex()
+            values[:, r, 1] = c.z2.complex()
+        return values
 
     def _implicit_lanes(self):
         """``solve_phi``'s derivative step over the root lanes."""
@@ -876,7 +906,8 @@ class RootBatch:
         grad = _gradient(g, fq_inv)
         n2, cn = _null_parts(grad)
         a_cn = abs(cn)
-        degenerate = (a_cn <= GRAD_NULL_TOL * np.maximum(n2, 1e-300)) & (n2 > 0)
+        null_bound = GRAD_NULL_TOL * np.maximum(n2, 1e-300)
+        degenerate = (a_cn <= null_bound) & (n2 > 0)
         z = _Lanes(*(u[point] for u in self._z))
         lap = _laplacian(g, dg, d2g, d2h, z, grad, fq_inv)
         bad = bad | bad_dg | bad_d2g | bad_d2h | ~np.isfinite(n2) | ~np.isfinite(a_cn)
@@ -885,32 +916,65 @@ class RootBatch:
             bad |= ~c.isfinite()
         scalar |= has_gradient & bad
 
-        values = np.empty((len(point), 4, 2), dtype=complex)
-        for r, c in enumerate((*grad, lap)):
-            values[:, r, 0] = c.z1.complex()
-            values[:, r, 1] = c.z2.complex()
         return _Implicit(
             scalar=(np.bincount(point[scalar], minlength=len(self.points)) > 0).tolist(),
+            q=q,
             residual=residual,
             multiplicity=ms * mw,
             has_gradient=has_gradient,
-            degenerate=degenerate,
-            partially_degenerate=e_ok != f_ok,
-            values=values,
+            degenerate=has_gradient & degenerate,
+            partially_degenerate=~has_gradient & (e_ok != f_ok),
+            gradient=grad,
+            laplacian=lap,
+            cn=cn,
+            oriented=has_gradient & (a_cn > null_bound),
         )
+
+    @cached_property
+    def report(self) -> "_Report":
+        """The values a solution's report reads, at every root lane: what
+        ``cli._root_json`` computes from the root's CongruenceSolution."""
+        implicit = self.implicit
+        grad = implicit.gradient
+        with np.errstate(all="ignore"):
+            laplacian_abs = abs(implicit.laplacian)
+            nullness_abs = abs(_dot(grad, grad))
+            gauss = _unit_cross(tuple(c.z1 for c in grad), tuple(c.z2 for c in grad),
+                                implicit.cn)
+        finite = np.isfinite(laplacian_abs) & np.isfinite(nullness_abs)
+        oriented = implicit.oriented
+        finite &= ~oriented | (gauss[0].isfinite() & gauss[1].isfinite() & gauss[2].isfinite())
+        return _Report(laplacian_abs, nullness_abs, gauss, ~implicit.has_gradient | finite)
 
 
 class _Implicit(NamedTuple):
     """``RootBatch``'s derivative step: per point, whether it is left to the
     scalar path; per root lane, the fields of its CongruenceSolution as
-    arrays, read into Python objects only for the points asked for."""
+    arrays, read into Python objects only for the points asked for.  A
+    field that needs a gradient holds garbage at a lane with none."""
     scalar: list
+    q: BArray
     residual: np.ndarray
     multiplicity: np.ndarray
     has_gradient: np.ndarray
     degenerate: np.ndarray
     partially_degenerate: np.ndarray
-    values: np.ndarray  # (lanes, 4, 2): the gradient's and the Laplacian's z1, z2
+    gradient: tuple             # three BArray
+    laplacian: BArray
+    cn: CArray                  # CN(gradient)
+    oriented: np.ndarray        # a gradient whose CN passes gauss_map's test
+
+
+class _Report(NamedTuple):
+    """``RootBatch.report``: per root lane, ``abs(laplacian)``,
+    ``abs(gradient.square())``, ``gauss_map(gradient)``'s three CArray
+    (where the lane is oriented), and whether every value the lane's report
+    reads is finite: where one is not, or where the scalar ``abs`` or
+    ``** 2`` would raise OverflowError, the report takes the scalar path."""
+    laplacian_abs: np.ndarray
+    nullness_abs: np.ndarray
+    gauss: tuple
+    clean: np.ndarray
 
 
 # the fibre tags of _Fibres.tag, by index; -1 is a lane left to fibre_at
@@ -1005,23 +1069,23 @@ class FibreBatch:
     turn, and it raises what that path raises.
     """
 
-    def __init__(self, data: WeierstrassData, qs):
+    def __init__(self, data: WeierstrassData, q):
+        """q: the parameters, as ``BArray`` lanes or a list of Bicomplex."""
         self.data = data
-        self.qs = qs
-        q = BArray(CArray.of([p.z1 for p in qs]), CArray.of([p.z2 for p in qs]))
+        self.q = q if isinstance(q, BArray) else BArray.of(q)
         # a lane that overflows is left to the scalar path: no numpy warning
         # of the array pass reaches the caller
         with np.errstate(all="ignore"):
-            e, f = q.ringleb()
+            e, f = self.q.ringleb()
             (self._g, bad_g), (self._h, bad_h) = (_evaluate(fn, e, f)
                                                   for fn in (data.G, data.H))
             self.fibres = _lane_fibres(self._g, self._h, bad_g | bad_h)
 
     def fibre(self, k):
-        """``fibre_at(data, qs[k])``."""
+        """``fibre_at(data, q.item(k))``."""
         fibres = self.fibres
         if fibres.tag[k] < 0:
-            return fibre_at(self.data, self.qs[k])
+            return fibre_at(self.data, self.q.item(k))
         tag = _TAGS[fibres.tag[k]]
         if tag is FibreTag.NON_NULL_LINE:
             return FibreDescription(tag, base=CVec3(*fibres.base[k].tolist()),
@@ -1137,8 +1201,7 @@ def gauss_map(gradient: BVec3, tol=GRAD_NULL_TOL) -> CVec3:
     if abs(cn) <= tol * max(gradient.norm2(), 1e-300):
         raise DegeneratePointError("CN(gradient) = 0: no oriented direction")
     u, v = gradient.split()
-    w = u.cross(v) * (2.0 / cn)
-    return w
+    return CVec3(*_unit_cross(tuple(u), tuple(v), cn))
 
 
 def fibre_position_via_chart(data: WeierstrassData, q: Bicomplex) -> CVec3:

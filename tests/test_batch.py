@@ -806,7 +806,7 @@ class TestDerivativeStep:
         points = [CVec3(rc(), rc(), rc()) for _ in range(12)]
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
-        assert not any(batch._implicit.scalar)
+        assert not any(batch.implicit.scalar)
         fibres = FibreBatch(data, [q for i in range(len(points)) for q in batch.roots(i)]).fibres
         assert (fibres.tag == 0).all()  # every fibre a line solved in the batch
 
@@ -823,7 +823,7 @@ class TestDerivativeStep:
                   CVec3(0.3, 1.1, -0.2), CVec3(0.4j, -0.5, 0.9)]
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
-        assert not any(batch._implicit.scalar)
+        assert not any(batch.implicit.scalar)
         fibres = FibreBatch(data, [q for i in range(len(points)) for q in batch.roots(i)]).fibres
         assert (fibres.tag == 1).all()  # every fibre a plane solved in the batch
         want = [[repr(fibre_at(data, q)) for q in batch.roots(i)] for i in range(len(points))]
@@ -1047,7 +1047,7 @@ def _point_by_point(config, tol=None, seed=0):
         report = {"task": "verify", "results": results}
     out = io.StringIO()
     if config.get("format") == "csv":
-        bhm.cli._csv_fibres(report, out)
+        bhm.cli._CSV_WRITERS[config["task"]](report, out)
     else:
         out.write(json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
     return out.getvalue()
@@ -1102,27 +1102,187 @@ def test_fibre_tasks_match_a_point_by_point_run(config, monkeypatch):
         assert _cli_output(config) == want
 
 
-def test_solve_errors_keep_a_point_by_point_order():
+def _shift_laplacian(monkeypatch):
+    """Shift the implicit Laplacian helper, which solve_phi and the batch
+    both run, by 1e200 z1: at a point with z1 = 1 its |Laplacian|^2 passes
+    the double range, so the scalar abs raises OverflowError while the
+    root's report row is built; at z1 = 0 nothing changes.  (A harmonic
+    morphism's Laplacian vanishes up to rounding, so unshifted data does
+    not get there.)"""
+    laplacian = bhm.weierstrass._laplacian
+
+    def shifted(g, dg, d2g, d2h, z, grad, fq_inv):
+        return laplacian(g, dg, d2g, d2h, z, grad, fq_inv) + z.u1 * 1e200
+
+    monkeypatch.setattr(bhm.weierstrass, "_laplacian", shifted)
+
+
+def test_solve_errors_keep_a_point_by_point_order(monkeypatch):
     # G = q and H = q / 1e-3, whose scalar Div finds a pole where a part of
-    # q passes 1e9.  At z1 = 1e163 the one root is about 1e-163: the
-    # squares of its gradient underflow, so gauss_map finds CN(gradient) = 0
-    # and the root's report raises.  At z1 = 1e10 three roots have a part
-    # near 2e10, and their fibres raise at H's pole.  At z = (-1000, 0, 0)
-    # both components vanish and the solve raises.  In one block, each
-    # error comes before the next one's, as in a point-by-point run
+    # q passes 1e9.  With the Laplacian shifted (_shift_laplacian), the
+    # report row of the first root at z = (1, 0.3, 0.2) raises.  At
+    # z1 = 1e10 three roots have a part near 2e10, and their fibres raise at
+    # H's pole.  At z = (-1000, 0, 0) both components vanish and the solve
+    # raises.  In one block, each error comes before the next one's, as in
+    # a point-by-point run
     var = {"op": "var"}
     data = {"G": {"f": var},
             "H": {"f": {"op": "div", "args": [var, {"op": "const", "value": [1e-3, 0]}]}}}
-    report_error = [1e163, 0.3, 0.2]
+    report_error = [1, 0.3, 0.2]
     fibre_error = [1e10, [0.3, 0.1], 0.7]
     solve_error = [-1000, 0, 0]
-    for points, first in [([report_error, fibre_error], "DegeneratePointError"),
-                          ([fibre_error, solve_error], "PoleEncounteredError")]:
+    for points, first, shift in [([report_error, fibre_error], "OverflowError", True),
+                                 ([fibre_error, solve_error], "PoleEncounteredError", False)]:
         config = {"task": "solve", "data": data, "points": points}
-        with np.errstate(all="ignore"):
-            want = _outcome(lambda: _point_by_point(config))
-        assert want[0] == first
-        assert _cli_output(config) == want
+        with monkeypatch.context() as m:
+            if shift:
+                _shift_laplacian(m)
+            with np.errstate(all="ignore"):
+                want = _outcome(lambda: _point_by_point(config))
+            assert want[0] == first
+            assert _cli_output(config) == want
+
+
+def _horner(coeffs):
+    """c0 + q (c1 + q (c2 + ...)) as expression JSON, coefficients [re, im]."""
+    e = {"op": "const", "value": coeffs[-1]}
+    for c in reversed(coeffs[:-1]):
+        e = {"op": "add", "args": [{"op": "const", "value": c},
+                                   {"op": "mul", "args": [{"op": "var"}, e]}]}
+    return e
+
+
+def _cubic_solve_config(seed, n_points):
+    """``solve`` on seeded per-side cubic G and quadratic H, the shape of
+    the solve-dense benchmark's scenes: degree-6 components, 36 roots a
+    point where z2 -+ i z3 stays away from 0."""
+    rng = random.Random(seed)
+
+    def rc(lo=0.0):
+        while True:
+            z = complex(rng.uniform(-1, 1), rng.uniform(-1, 1))
+            if abs(z) >= lo:
+                return [z.real, z.imag]
+
+    g = {f: _horner([rc() for _ in range(3)] + [rc(0.5)]) for f in ("f1", "f2")}
+    h = {f: _horner([rc() for _ in range(3)]) for f in ("f1", "f2")}
+    points = []
+    while len(points) < n_points:
+        z = [complex(*rc()) for _ in range(3)]
+        if min(abs(z[1] - 1j * z[2]), abs(z[1] + 1j * z[2])) >= 0.3:
+            points.append([[c.real, c.imag] for c in z])
+    return {"task": "solve", "data": {"G": g, "H": h}, "points": points}
+
+
+def _solve_row_configs():
+    var = {"op": "var"}
+    zero = {"op": "const", "value": [0, 0]}
+    radial = {"G": {"f": var}, "H": {"f": zero}}
+    # the e-side alone has a double root on the null cone z = (1, i, 0)
+    partial = {"G": {"f": var}, "H": {"f1": zero, "f2": {"op": "const", "value": [0.5, 0]}}}
+    # the one root at z1 = 1e163 is about 1e-163: its gradient's squares
+    # underflow, so |gradient|^2 = 0 and CN(gradient) = 0, yet it is not
+    # degenerate
+    underflow = {"G": {"f": var},
+                 "H": {"f": {"op": "div", "args": [var, {"op": "const", "value": [1e-3, 0]}]}}}
+    cubic = _cubic_solve_config(1, 9)
+    return {
+        "cubic": cubic,
+        # z2 = +-i z3 drops a component's degree, and z = 0 leaves -2H
+        "cubic-mixed-degrees": dict(cubic, points=cubic["points"][:6] + [
+            [0.3, [0.5, 0], [0, 0.5]], [0, 1, [0, -1]], [0, 0, 0]]),
+        "radial": {"task": "solve", "data": radial,
+                   "points": [[0, 1, 0], [1, [0, 1], 0], [0.31, 1.07, -0.55],
+                              [[-0.0, 0.0], [0.5, -0.0], -0.0], [-0.0, [-0.0, -0.0], 1]]},
+        "partial": {"task": "solve", "data": partial,
+                    "points": [[1, [0, 1], 0], [0.3, 1.1, -0.2], [[0, -0.0], 1, 0]]},
+        "underflow": {"task": "solve", "data": underflow,
+                      "points": [[0.3, 1.1, -0.2], [1e163, 0.3, 0.2], [0.7, -0.2, 0.4]]},
+    }
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("name", list(_solve_row_configs()))
+def test_solve_rows_from_lanes_match_a_point_by_point_run(name, fmt, monkeypatch):
+    # every root's row, built from the batch's lanes, equals _root_json's
+    # row of solve_phi's solution, at any block size
+    config = dict(_solve_row_configs()[name], format=fmt)
+    with np.errstate(all="ignore"):
+        want = _point_by_point(config)
+    assert isinstance(want, str)
+    for size in (None, 1, 2, 7):
+        if size is not None:
+            monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+        assert _cli_output(config) == want, size
+    if fmt == "json":
+        roots = [r for res in json.loads(want)["results"] for r in res["roots"]]
+        flags = {(r["multiplicity"] > 1, r["degenerate"], r["partially_degenerate"],
+                  r["gradient"] is None, r["gauss"] is None) for r in roots}
+        if name == "radial":  # a degenerate root, a multiple one, a regular one
+            assert {(False, True, False, False, True), (True, False, False, True, True),
+                    (False, False, False, False, False)} <= flags
+        if name == "partial":
+            assert (True, False, True, True, True) in flags
+        if name == "underflow":  # reported with no Gauss map, and not degenerate
+            assert (False, False, False, False, True) in flags
+
+
+def test_solve_scene_reads_every_row_from_the_lanes(monkeypatch):
+    # a scene of the solve-dense benchmark's shape builds no
+    # CongruenceSolution, and calls neither gauss_map nor _root_json
+    config = _cubic_solve_config(0, 32)
+    called = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(bhm.weierstrass, "CongruenceSolution",
+                        counting("CongruenceSolution", bhm.weierstrass.CongruenceSolution))
+    for name in ("gauss_map", "_root_json"):
+        monkeypatch.setattr(bhm.cli, name, counting(name, getattr(bhm.cli, name)))
+    report = json.loads(_cli_output(config))
+    assert [len(res["roots"]) for res in report["results"]] == [36] * 32
+    assert sum(r["gauss"] is not None for res in report["results"] for r in res["roots"]) > 0
+    assert called == Counter()
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_overflowing_laplacian_abs_takes_the_scalar_row_in_its_turn(fmt, monkeypatch):
+    # with the Laplacian shifted (_shift_laplacian), the roots at z1 = 1
+    # have a finite Laplacian whose abs overflows: the batch keeps the
+    # point, its lanes mark the roots' rows as not clean, and the first of
+    # them is built by _root_json from its solution and raises its
+    # OverflowError; the point before reads its rows from the lanes
+    _shift_laplacian(monkeypatch)
+    var = {"op": "var"}
+    config = {"task": "solve", "format": fmt,
+              "data": {"G": {"f": var}, "H": {"f": {"op": "const", "value": [0.2, 0.1]}}},
+              "points": [[0, 1.1, -0.2], [1, 0.3, 0.2], [0, [0.5, -0.3], 0.7]]}
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _point_by_point(config))
+        batch = RootBatch(bhm.cli._parse_data(config),
+                          [bhm.cli._parse_point(p) for p in config["points"]])
+        assert batch.lanes(1) is not None
+        assert not any(batch.report.clean[batch.lanes(1)])
+        assert all(batch.report.clean[batch.lanes(0)])
+    assert want == ("OverflowError", "(34, 'Numerical result out of range')")
+    built = []
+    root_json = bhm.cli._root_json
+
+    def counting(sol, fibre):
+        built.append(sol)
+        return root_json(sol, fibre)
+
+    monkeypatch.setattr(bhm.cli, "_root_json", counting)
+    assert _cli_output(config) == want
+    assert len(built) == 1  # the raising root's; the point before read the lanes
+    del config["points"][1]
+    with np.errstate(all="ignore"):
+        want = _point_by_point(config)
+    assert isinstance(want, str) and _cli_output(config) == want
 
 
 def test_fibre_tasks_never_call_the_scalar_path(monkeypatch):
