@@ -27,8 +27,8 @@ from .errors import BhmError, DegeneratePointError, ExprSchemaError
 from .geometry import CVec3, chart_to_point, point_to_chart, transition
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
 from .holo import holofn_from_json, is_number
-from .slices import SliceKind, project_codomain, slice_checks, slice_data
-from .verify import classify_point, point_checks
+from .slices import SliceKind, _projection, _slice_roots, project_codomain, slice_data
+from .verify import _CLASS_NAMES, CLASSIFY_TOL, _class_index, _point_roots, classify_point
 from .weierstrass import (
     _TAGS,
     FibreBatch,
@@ -227,7 +227,7 @@ def _solve_rows(batch, roots, fibres):
             yield [_root_json(sol, next(fibres)) for sol in sols]
             continue
         if lanes is None:
-            lanes = _lane_lists(batch.implicit, batch.report)
+            lanes = _lane_lists(batch)
         q, multiplicity, residual, degenerate, partially, has_gradient, gradient, \
             laplacian_abs, nullness_abs, gauss, oriented, clean = lanes
         rows = []
@@ -248,17 +248,19 @@ def _solve_rows(batch, roots, fibres):
         yield rows
 
 
-def _lane_lists(implicit, report):
-    """The fields of the root lanes' rows as lists, ``_f``'s + 0.0 done over
+def _lane_lists(batch):
+    """The fields of a batch's root rows as lists, ``_f``'s + 0.0 done over
     the arrays."""
+    implicit, report = batch.implicit, batch.report
+    gauss, clean = batch.gauss
     gradient = np.stack([c.reals() for c in implicit.gradient], axis=1)
-    gauss = np.stack([np.stack([c.re, c.im], axis=-1) for c in report.gauss], axis=1)
+    gauss = np.stack([np.stack([c.re, c.im], axis=-1) for c in gauss], axis=1)
     return (_reals(implicit.q), implicit.multiplicity.tolist(),
             (implicit.residual + 0.0).tolist(), implicit.degenerate.tolist(),
             implicit.partially_degenerate.tolist(), implicit.has_gradient.tolist(),
             (gradient + 0.0).tolist(), (report.laplacian_abs + 0.0).tolist(),
             (report.nullness_abs + 0.0).tolist(), (gauss + 0.0).tolist(),
-            implicit.oriented.tolist(), report.clean.tolist())
+            implicit.oriented.tolist(), clean.tolist())
 
 
 def _fibre_json(fibre, ts):
@@ -404,21 +406,52 @@ def _task_verify(config, tol, seed):
     _cap_roots(data, len(pts))
 
     results = []
-    for z, checks in point_checks(data, pts):
+    listed = lists = None
+    for z, block, checks in _point_roots(data, pts):
         roots = []
-        for sol, check in checks:
-            entry = {"q": _b(sol.q),
-                     "implicit": None,
-                     "fd": None}
-            if sol.gradient is not None:
-                entry["implicit"] = {
-                    "laplacian": _f(abs(sol.laplacian)),
-                    "nullness": _f(abs(sol.gradient.square())),
-                }
-                entry["fd"] = check()
-            roots.append(entry)
+        for root, check in checks:
+            if isinstance(root, int):
+                if block is not listed:
+                    listed, lists = block, _verify_lists(block)
+                q, has_gradient, laplacian, nullness, clean = lists
+                if clean[root]:
+                    roots.append(_verify_row(q[root], has_gradient[root], laplacian[root],
+                                             nullness[root], check))
+                    continue
+                root = block.solution(root)
+            roots.append(_verify_json(root, check))
         results.append({"point": _cvec(z), "roots": roots})
     return {"task": "verify", "results": results}
+
+
+def _verify_row(q, has_gradient, laplacian, nullness, check):
+    """A root's ``verify --points`` row: the one layout of the rows that
+    ``_verify_json`` builds from a solution and ``_task_verify`` from the
+    lanes.  ``check()`` runs here, in the root's turn."""
+    row = {"q": q, "implicit": None, "fd": None}
+    if has_gradient:
+        row["implicit"] = {"laplacian": laplacian, "nullness": nullness}
+        row["fd"] = check()
+    return row
+
+
+def _verify_json(sol, check):
+    """A root's ``verify --points`` row from its CongruenceSolution."""
+    if sol.gradient is None:
+        return _verify_row(_b(sol.q), False, None, None, check)
+    return _verify_row(_b(sol.q), True, _f(abs(sol.laplacian)),
+                       _f(abs(sol.gradient.square())), check)
+
+
+def _verify_lists(block):
+    """The fields of the ``verify --points`` rows of a block's kept root
+    lanes (``block.kept``) as lists, ``_f``'s + 0.0 done over the arrays,
+    and where each row is clean (else it is built from its solution)."""
+    implicit, report = block.batch.implicit, block.batch.report
+    k = block.kept
+    return (_reals(implicit.q[k]), implicit.has_gradient[k].tolist(),
+            (report.laplacian_abs[k] + 0.0).tolist(), (report.nullness_abs[k] + 0.0).tolist(),
+            report.clean[k].tolist())
 
 
 def _task_slice(config, tol, seed):
@@ -448,21 +481,25 @@ def _task_slice(config, tol, seed):
     _cap_roots(data, len(pts))
     atol = tol if tol is not None else 1e-8
     rows = []
-    for x, checks in slice_checks(kind, data, pts, atol=atol, fd=run_fd):
-        for idx, (sol, check) in enumerate(checks):
-            value = project_codomain(kind, sol.q, atol=atol)
-            row = {
-                "x": [_f(v) for v in x],
-                "branch": idx,
-                "q": _b(sol.q),
-                "value": _c(value) if isinstance(value, complex) else
-                         [_f(value.x), _f(value.y)],
-                "degenerate": sol.degenerate,
-                "class": (classify_point(sol.gradient).kind.value
-                          if sol.gradient is not None else None),
-                "harmonic_res": None,
-                "null_res": None,
-            }
+    listed = lists = None
+    for x, block, checks in _slice_roots(kind, data, pts, atol=atol, fd=run_fd):
+        # one "x" list for the point's rows: the 25 000-point grid holds
+        # about 50 000 rows until the report is written
+        x = [_f(v) for v in x]
+        for idx, (root, check) in enumerate(checks):
+            if isinstance(root, int):
+                if block is not listed:
+                    listed, lists = block, _slice_lists(kind, block)
+                q, value, degenerate, cls = lists
+                row = _slice_row(x, idx, q[root], value[root], degenerate[root], cls[root])
+            else:
+                value = project_codomain(kind, root.q, atol=atol)
+                row = _slice_row(x, idx, _b(root.q),
+                                 _c(value) if isinstance(value, complex) else
+                                 [_f(value.x), _f(value.y)],
+                                 root.degenerate,
+                                 (classify_point(root.gradient).kind.value
+                                  if root.gradient is not None else None))
             if check is not None:
                 try:
                     hr, nr = check()
@@ -472,6 +509,39 @@ def _task_slice(config, tol, seed):
                     row["error"] = type(exc).__name__
             rows.append(row)
     return {"task": "slice", "slice": kind.value, "results": rows}
+
+
+def _slice_row(x, branch, q, value, degenerate, cls):
+    """A kept root's ``slice`` row, before its residuals: the one layout of
+    the rows built from a solution and from the lanes."""
+    return {
+        "x": x,
+        "branch": branch,
+        "q": q,
+        "value": value,
+        "degenerate": degenerate,
+        "class": cls,
+        "harmonic_res": None,
+        "null_res": None,
+    }
+
+
+def _slice_lists(kind, block):
+    """The fields of the ``slice`` rows of a block's kept root lanes
+    (``block.kept``) as lists, ``_f``'s + 0.0 done over the arrays: q, the
+    value ``project_codomain`` gives, ``degenerate`` and the class
+    ``classify_point`` gives (None without a gradient).  The lanes' values
+    are finite where the batch reads a point from them, so no row here
+    raises where its solution's would."""
+    implicit = block.batch.implicit
+    k = block.kept
+    q = implicit.q[k]
+    _, x, y = _projection(kind, q.z1.complex(), q.z2.complex())
+    kinds = _class_index(implicit.n2[k], implicit.cn_abs[k], CLASSIFY_TOL).tolist()
+    cls = [_CLASS_NAMES[c] if g else None
+           for c, g in zip(kinds, implicit.has_gradient[k].tolist())]
+    return (_reals(q), (np.stack([x, y], axis=-1) + 0.0).tolist(),
+            implicit.degenerate[k].tolist(), cls)
 
 
 # a point of each space as JSON: its coordinate lists and their lengths

@@ -410,6 +410,15 @@ class CArray:
         a = np.asarray(values, dtype=np.complex128)
         return cls(a.real.copy(), a.imag.copy())
 
+    @classmethod
+    def stack(cls, parts):
+        """Lanes of the same shape stacked along a new last axis: each part a
+        CArray or float lanes, promoted to x + 0j as the operators promote
+        them."""
+        return cls(np.stack([p.re if isinstance(p, CArray) else p for p in parts], axis=-1),
+                   np.stack([p.im if isinstance(p, CArray) else np.zeros_like(p)
+                             for p in parts], axis=-1))
+
     def complex(self):
         """The lanes as one complex128 array; assembled part by part, since
         ``re + 1j*im`` would turn a -0.0 real part into +0.0."""
@@ -493,6 +502,11 @@ class CArray:
 
     def isfinite(self):
         return np.isfinite(self.re) & np.isfinite(self.im)
+
+
+# 1j as a CArray operand: with float lanes x, ``x * I_LANE`` and
+# ``I_LANE * x`` have the bits of CPython's ``x * 1j`` and ``1j * x``
+I_LANE = CArray(0.0, 1.0)
 
 
 def _operand(value):

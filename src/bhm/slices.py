@@ -19,12 +19,12 @@ from itertools import islice
 
 import numpy as np
 
-from .core import Bicomplex, CArray, HArray, Hyperbolic, I1
+from .core import I_LANE, Bicomplex, CArray, HArray, Hyperbolic, I1
 from .errors import InvalidInputError, NotInSliceError
 from .geometry import CVec3, s2c_to_q2c, S2CPoint
 from .holo import HoloFn
-from .verify import DEFAULT_STEP, _richardson_lanes, _richardson_line, _stencil_checks
-from .verify import tracked_branch
+from .verify import DEFAULT_STEP, _richardson_lanes, _richardson_line, _solutions
+from .verify import _stencil_checks, tracked_branch
 from .weierstrass import WeierstrassData, _max, solve_phi
 
 NOT_IN_SLICE_ATOL = 1e-8
@@ -43,13 +43,25 @@ def _kind(k) -> SliceKind:
 
 
 def embed_domain(kind, x) -> CVec3:
-    kind = _kind(kind)
     x1, x2, x3 = map(float, x)
+    return CVec3(*_embedding(_kind(kind), x1, x2, x3, 1j))
+
+
+def _embedding(kind, x1, x2, x3, i):
+    """``embed_domain``'s three coordinates of the real point (x1, x2, x3):
+    floats with i = 1j, or float lanes with i = ``I_LANE``, which promotes
+    them to x + 0j as CPython does."""
     if kind is SliceKind.EUCLIDEAN:
-        return CVec3(x1, x2, x3)
+        return x1, x2, x3
     if kind is SliceKind.MINKOWSKI_C:
-        return CVec3(x1, x2 * 1j, x3 * 1j)
-    return CVec3(x3, x1 * 1j, -x2)
+        return x1, x2 * i, x3 * i
+    return x3, x1 * i, -x2
+
+
+def _embedded(kind, x):
+    """``embed_domain`` over float lanes x of shape (..., 3): CArray lanes
+    of the same shape, with its bits."""
+    return CArray.stack(_embedding(kind, x[..., 0], x[..., 1], x[..., 2], I_LANE))
 
 
 def slice_data(kind, g: HoloFn, h: HoloFn) -> WeierstrassData:
@@ -92,15 +104,39 @@ def wave_stencil(x, h=None):
     ``wave_residual`` reads phi around x, in reading order: per coordinate,
     x + h, x - h, x + h/2, x - h/2."""
     x = [float(v) for v in x]
-    scale = max(1.0, max(abs(v) for v in x))
-    h = h if h is not None else DEFAULT_STEP * scale
+    h = _wave_step(*x, h)
     points = []
     for k in range(3):
-        for step in (h, -h, 0.5 * h, -0.5 * h):
+        for step in _wave_offsets(h):
             xs = list(x)
             xs[k] += step
             points.append(xs)
     return x, h, points
+
+
+def _wave_step(x1, x2, x3, h):
+    """``wave_stencil``'s step at (x1, x2, x3), floats or float lanes: h, or
+    DEFAULT_STEP times the scale max(1, max(|x1|, |x2|, |x3|))."""
+    scale = _max(1.0, _max(_max(abs(x1), abs(x2)), abs(x3)))
+    return h if h is not None else DEFAULT_STEP * scale
+
+
+def _wave_offsets(h):
+    """``wave_stencil``'s four steps along a coordinate, in reading order."""
+    return h, -h, 0.5 * h, -0.5 * h
+
+
+def _wave_stencils(kind, h, anchors, x):
+    """``wave_stencil`` at the anchors, embedded, as lanes with its bits:
+    (steps, raised, points) as ``verify._fd_stencils`` gives them, for the
+    real anchors x (float lanes of shape (n, 3)); no scale raises here.
+    The points are CArray lanes of shape (12 n, 3)."""
+    step = np.broadcast_to(_wave_step(x[:, 0], x[:, 1], x[:, 2], h), len(x))
+    xs = np.repeat(x[:, None, :], 12, axis=1)
+    offsets = np.stack(_wave_offsets(step), axis=1)
+    for k in range(3):
+        xs[:, 4 * k:4 * k + 4, k] = x[:, k:k + 1] + offsets
+    return step, np.zeros(len(x), dtype=bool), _embedded(kind, xs.reshape(-1, 3))
 
 
 def wave_residual(kind, phi, x, h=None):
@@ -178,19 +214,29 @@ def slice_checks(kind, data: WeierstrassData, xs, h=None, atol=NOT_IN_SLICE_ATOL
     has no gradient or ``fd`` is off.  A point's solve error is raised
     after the points before it; a check raises where the reference raises
     (``BranchJumpError``, ``NotInSliceError``, a stencil point's solve
-    error), when it is called."""
+    error), when it is called.  The anchors, the stencil points and the
+    ``in_slice`` test run over lanes (``verify._stencil_checks``), and a
+    root that is not in the slice gets no CongruenceSolution."""
+    return _solutions(_slice_roots(kind, data, xs, h, atol, fd))
+
+
+def _slice_roots(kind, data, xs, h=None, atol=NOT_IN_SLICE_ATOL, fd=True):
+    """``slice_checks`` with each root as ``verify._stencil_checks`` gives
+    it."""
     kind = _kind(kind)
 
-    def points(x):
-        _, step, stencil = wave_stencil(x, h)
-        return step, [embed_domain(kind, p) for p in stencil]
+    def lanes(block):
+        x = np.array(block, dtype=float)
+        return x, _embedded(kind, x)
 
     def reference(x, q):
         return wave_residual(kind, tracked_real_branch(kind, data, x, q0=q, atol=atol), x, h)
 
-    stencil = (points, partial(wave_lanes, kind, atol=atol), reference) if fd else None
-    return _stencil_checks(data, xs, partial(embed_domain, kind),
-                           partial(in_slice, kind, atol=atol), stencil)
+    stencil = None
+    if fd:
+        stencil = (partial(_wave_stencils, kind, h), partial(wave_lanes, kind, atol=atol),
+                   reference)
+    return _stencil_checks(data, xs, lanes, partial(_in_slice, kind, atol=atol), stencil)
 
 
 def tracked_real_branch(kind, data: WeierstrassData, x0, q0: Bicomplex | None = None,
@@ -231,6 +277,13 @@ def in_slice(kind, sols, atol=NOT_IN_SLICE_ATOL):
             continue
         out.append(sol)
     return out
+
+
+def _in_slice(kind, z1, z2, atol):
+    """``in_slice``'s test as a mask over complex arrays of roots' z1 and
+    z2: the roots ``project_codomain`` does not refuse, ~(off > atol), so a
+    NaN offset is kept.  ``in_slice`` stays the tests' reference."""
+    return ~(_projection(kind, z1, z2)[0] > atol)
 
 
 def _surface_residual(kind, x):

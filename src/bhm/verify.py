@@ -7,9 +7,13 @@ CN(grad), summed), which ``classify_point`` calls, and
 ``weierstrass._max`` (Python's ``max``), which ``fd_report`` calls; and
 ``tracked_branch`` reads its roots from ``solve_roots``.  The batched
 checks, ``point_checks`` and the loop it shares with
-``slices.slice_checks``, solve each block's stencil points in one
-``RootBatch`` and compute the reports over lanes with the reference's bits
-(``fd_lanes``); a root they flag gets the reference's own report.
+``slices.slice_checks`` (``_stencil_checks``), work on lanes: a block's
+anchors and their stencil points are built as CArray lanes with the bits
+of ``fd_stencil`` (``_fd_points``), each solved in one ``RootBatch``, and
+the reports are computed over lanes with the reference's bits
+(``fd_lanes``); a root they flag gets the reference's own report.  A root
+read from the lanes is handed on as its lane, from which the CLI builds
+its row and ``point_checks`` its CongruenceSolution.
 
 Each complex coordinate is treated as two real directions; holomorphy
 in each variable is itself measured (the Cauchy-Riemann residual) since the
@@ -29,12 +33,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import accumulate, islice
+from itertools import compress, islice
 from math import sqrt
+from typing import NamedTuple
 
 import numpy as np
 
-from .core import BArray, Bicomplex, CArray
+from .core import BArray, Bicomplex, CArray, I_LANE
 from .errors import BranchJumpError, InvalidInputError
 from .geometry import BVec3, CVec3
 from .weierstrass import RootBatch, WeierstrassData, _blocks, _degrees, _max, _null_parts
@@ -102,6 +107,22 @@ def _shifted(z: CVec3, k: int, dz: complex) -> CVec3:
     c = [z.u1, z.u2, z.u3]
     c[k] = c[k] + dz
     return CVec3(*c)
+
+
+def _fd_step(z: CVec3, h):
+    """``fd_stencil``'s step at z: h, or DEFAULT_STEP times the scale
+    max(1, |z|); raises OverflowError where ``z.norm()`` does, h given or
+    not."""
+    scale = max(1.0, z.norm())
+    return h if h is not None else DEFAULT_STEP * scale
+
+
+def _fd_offsets(h, i):
+    """``fd_stencil``'s four steps along one line, in reading order: i is
+    1.0 on a real line and the imaginary unit on an imaginary one, 1j for a
+    float h and ``I_LANE`` for float lanes h (h promoted to h + 0j, as
+    CPython promotes it)."""
+    return i * h, -i * h, i * h * 0.5, -i * h * 0.5
 
 
 def _estimates(f0, fp, fm, fp2, fm2, h):
@@ -177,14 +198,41 @@ def fd_stencil(z: CVec3, h=None):
     """The step h and the 24 points at which ``fd_residuals`` reads phi around
     z, in reading order: per coordinate, the real line at +h, -h, +h/2,
     -h/2, then the imaginary line at the same steps."""
-    scale = max(1.0, z.norm())
-    h = h if h is not None else DEFAULT_STEP * scale
+    h = _fd_step(z, h)
     points = []
     for k in range(3):
-        for step in (1.0, 1j):
-            points += (_shifted(z, k, step * h), _shifted(z, k, -step * h),
-                       _shifted(z, k, step * h * 0.5), _shifted(z, k, -step * h * 0.5))
+        for i in (1.0, 1j):
+            points += [_shifted(z, k, dz) for dz in _fd_offsets(h, i)]
     return h, points
+
+
+def _fd_points(z: CArray, h):
+    """``fd_stencil``'s points around n anchors, as lanes with its bits: z
+    holds the anchors as CArray lanes of shape (n, 3), h their steps.
+    Returns the points as CArray lanes of shape (24 n, 3), anchor by
+    anchor, each in reading order."""
+    dz = CArray.stack([d for i in (1.0, I_LANE) for d in _fd_offsets(h, i)])
+    re = np.repeat(z.re[:, None, :], 24, axis=1)
+    im = np.repeat(z.im[:, None, :], 24, axis=1)
+    for k in range(3):
+        shifted = z[:, k:k + 1] + dz
+        re[:, 8 * k:8 * k + 8, k] = shifted.re
+        im[:, 8 * k:8 * k + 8, k] = shifted.im
+    return CArray(re.reshape(-1, 3), im.reshape(-1, 3))
+
+
+def _fd_stencils(anchors, z: CArray):
+    """``fd_stencil`` at the anchors (CVec3s; z their CArray lanes, shape
+    (n, 3)): (h, raised, points), each anchor's step, whether its scale
+    raises (its step is then 0), and ``_fd_points`` of those that do not."""
+    h = np.zeros(len(anchors))
+    raised = np.zeros(len(anchors), dtype=bool)
+    for a, anchor in enumerate(anchors):
+        try:
+            h[a] = _fd_step(anchor, None)
+        except ArithmeticError:
+            raised[a] = True
+    return h, raised, _fd_points(z[~raised], h[~raised])
 
 
 def fd_residuals(phi, z, h=None, tol=CLASSIFY_TOL) -> PdeResidualReport:
@@ -229,8 +277,15 @@ def fd_report(f0, values, h, tol=CLASSIFY_TOL) -> PdeResidualReport:
     )
 
 
-# the PointClass values by index, as fd_lanes numbers them
+# the PointClass values by index, as _class_index numbers them
 _CLASS_NAMES = [kind.value for kind in PointClass]
+
+
+def _class_index(n2, lam_abs, tol):
+    """``classify_point``'s kind over lanes, from |grad|^2 and |CN(grad)|,
+    as an index into _CLASS_NAMES."""
+    zero, regular = _classes(n2, lam_abs, tol)
+    return np.where(zero, 0, np.where(regular, 1, 2))
 
 
 def fd_lanes(z1, z2, h, tol=CLASSIFY_TOL):
@@ -261,10 +316,10 @@ def fd_lanes(z1, z2, h, tol=CLASSIFY_TOL):
         lap, nullness = _fd_sums(grads, seconds)
         n2, lam = _null_parts(grads)
         lam_abs = abs(lam)
-    zero, regular = _classes(n2, lam_abs, tol)
+    kind = _class_index(n2, lam_abs, tol)
+    zero = kind == 0
     for v in (lap, nullness, n2, lam_abs):
         flagged |= ~np.isfinite(v)
-    kind = np.where(zero, 0, np.where(regular, 1, 2))
     lam_re = np.where(zero, 0.0, lam.re)
     lam_im = np.where(zero, 0.0, lam.im)
 
@@ -366,54 +421,136 @@ def point_checks(data: WeierstrassData, zs):
     its bits, or is None where the root has no gradient.  A point's solve
     error is raised after the points before it; a check raises where the
     reference raises, when it is called."""
+    return _solutions(_point_roots(data, zs))
+
+
+def _point_roots(data, zs):
+    """``point_checks`` with each root as ``_stencil_checks`` gives it."""
 
     def reference(z, q):
         return fd_residuals(tracked_branch(data, z, q0=q), z).to_json()
 
-    return _stencil_checks(data, zs, lambda z: z, list, (fd_stencil, fd_lanes, reference))
+    def lanes(block):
+        z = CArray.of([tuple(p) for p in block])
+        return z, z
+
+    return _stencil_checks(data, zs, lanes, None, (_fd_stencils, fd_lanes, reference))
 
 
-def _stencil_checks(data, anchors, embed, select, stencil):
+def _solutions(checks):
+    """``_stencil_checks``' items with each root as its CongruenceSolution."""
+    for anchor, block, pairs in checks:
+        yield anchor, [(block.solution(r) if isinstance(r, int) else r, check)
+                       for r, check in pairs]
+
+
+class _Block(NamedTuple):
+    """A block of anchors as ``_stencil_checks`` solves them: their
+    RootBatch, and ``kept``, the root lanes (of ``batch.implicit``) of the
+    block's kept roots that are read from the lanes, in order."""
+    batch: RootBatch
+    kept: np.ndarray
+
+    def solution(self, j):
+        """The CongruenceSolution of the kept root ``kept[j]``."""
+        return self.batch.solution(self.kept[j])
+
+
+def _stencil_checks(data, anchors, lanes, keep, stencil):
     """The loop of ``point_checks`` and ``slices.slice_checks``: per anchor,
-    in order, (anchor, [(sol, check), ...]).
+    in order, (anchor, block, [(root, check), ...]) for its kept roots.
 
-    A block of anchors, embedded in C^3 by ``embed``, is solved in one
-    RootBatch, and ``select(sols)`` keeps the solutions to check.
+    A block of anchors is solved in one RootBatch: ``lanes(anchors)`` gives
+    their coordinates as lanes, one row per anchor, and their points in C^3
+    as CArray lanes of shape (n, 3).  ``keep`` is None, and every root is
+    kept, or gives the mask of the roots to keep from complex arrays of
+    their q's z1 and z2.  A kept root is j, an index into ``block.kept``
+    (``block.solution(j)`` builds its CongruenceSolution), where its point's
+    solutions are read from the batch's lanes, and its CongruenceSolution
+    where they come from ``solve_phi``; no CongruenceSolution is built for
+    a root on the lanes.
+
     ``stencil`` is None (no checks) or (points, lanes, reference):
-    ``points(anchor)`` gives (h, the stencil's points in C^3, in reading
-    order), ``lanes`` is ``fd_lanes`` or ``wave_lanes``, and
+    ``points(anchors, coordinates)`` gives the anchors' steps, where their
+    scale raises, and the stencil points of the others as lanes
+    (``_fd_stencils``), ``lanes`` is ``fd_lanes`` or ``wave_lanes``, and
     ``reference(anchor, q)`` is the library's scalar check of the branch
     through the root q.  A kept root with a gradient gets its report from
     the lanes (``_stencil_lanes``) or, where they flag it, from
     ``reference`` itself, called in that root's turn, so it raises what a
-    point-by-point run raises.  A report's Python objects are made only when
-    its check is called: held through a block's rows, they fragmented the
-    pools of the 25 000-point slice grid's rows and raised its peak RSS.
-    numpy's warnings are off while a block is solved and while a reference
-    runs, as in the CLI: the scalar path a lane falls back on warns where
-    its values leave the double range."""
-    if stencil is not None:
-        points, lanes, reference = stencil
+    point-by-point run raises; any other root's check is None.  A report's
+    Python objects are made only when its check is called: held through a
+    block's rows, they fragmented the pools of the 25 000-point slice
+    grid's rows and raised its peak RSS.  numpy's warnings are off while a
+    block is solved and while a reference runs, as in the CLI: the scalar
+    path a lane falls back on warns where its values leave the double
+    range."""
     for block in _blocks(anchors, _degrees(data)):
+        coords, points = lanes(block)
         with np.errstate(all="ignore"):
-            solved, error = _until_error(RootBatch(data, [embed(a) for a in block]).solutions,
-                                         range(len(block)))
-            kept = [select(sols) for sols in solved]
+            batch = RootBatch(data, points)
+
+            def solve(i):
+                roots = batch.lanes(i)
+                return batch.solutions(i) if roots is None else roots
+
+            # each point's root lanes (a range), or its solutions where the
+            # batch leaves it to solve_phi, up to the first whose solve raises
+            solved, error = _until_error(solve, range(len(block)))
+            kept = _kept(batch, keep, solved)
+            on_lanes = [isinstance(roots, range) for roots in solved]
+            has_gradient = batch.implicit.has_gradient.tolist() if any(on_lanes) else None
+            gradients = [[has_gradient[k] for k in roots] if lane
+                         else [sol.gradient is not None for sol in roots]
+                         for roots, lane in zip(kept, on_lanes)]
             report, flagged, first = None, None, [None] * len(block)
             if stencil is not None:
-                report, flagged, first = _stencil_lanes(data, points, lanes, block, solved, kept)
-        for anchor, chosen, k in zip(block, kept, first):
+                checked = [list(compress(*pair)) for pair in zip(kept, gradients)]
+                report, flagged, first = _stencil_lanes(data, stencil, block, coords, batch,
+                                                        solved, checked)
+        rows = _Block(batch, np.array([k for roots, lane in zip(kept, on_lanes) if lane
+                                       for k in roots], dtype=np.intp))
+        j = 0
+        for anchor, roots, lane, grads, c in zip(block, kept, on_lanes, gradients, first):
             pairs = []
-            for sol in chosen:
+            for root, has in zip(roots, grads):
                 check = None
-                if stencil is not None and sol.gradient is not None:
-                    check = (partial(_quietly, reference, anchor, sol.q) if flagged[k]
-                             else partial(report, k))
-                    k += 1
-                pairs.append((sol, check))
-            yield anchor, pairs
+                if stencil is not None and has:
+                    if flagged[c]:
+                        q = batch.implicit.q.item(root) if lane else root.q
+                        check = partial(_quietly, stencil[2], anchor, q)
+                    else:
+                        check = partial(report, c)
+                    c += 1
+                if lane:
+                    root = j
+                    j += 1
+                pairs.append((root, check))
+            yield anchor, rows, pairs
         if error is not None:
             raise error
+
+
+def _kept(batch, keep, solved):
+    """Each solved point's kept roots: root lane numbers where ``solved``
+    holds its root lanes (a range), else its kept solutions."""
+    mask = None
+    out = []
+    for roots in solved:
+        if not isinstance(roots, range):
+            if keep is not None:
+                z1 = np.array([sol.q.z1 for sol in roots], dtype=complex)
+                z2 = np.array([sol.q.z2 for sol in roots], dtype=complex)
+                roots = list(compress(roots, keep(z1, z2).tolist()))
+        elif keep is None:
+            roots = list(roots)
+        else:
+            if mask is None:
+                q = batch.implicit.q
+                mask = keep(q.z1.complex(), q.z2.complex()).tolist()
+            roots = [k for k in roots if mask[k]]
+        out.append(roots)
+    return out
 
 
 def _quietly(fn, *args):
@@ -422,58 +559,75 @@ def _quietly(fn, *args):
         return fn(*args)
 
 
-def _stencil_lanes(data, points, lanes, block, solved, kept):
-    """The reports of a block's kept roots with a gradient, over lanes:
-    (report, flagged, first).  The roots of anchor a are lanes first[a],
-    first[a] + 1, ...; ``report(k)`` builds lane k's report, which is valid
-    where flagged[k] is false.  Every lane of an anchor whose stencil
-    points raise is flagged: its roots' references raise that error.
+def _stencil_lanes(data, stencil, block, coords, batch, solved, checked):
+    """The reports of a block's roots to check, over lanes: (report,
+    flagged, first).  ``checked[a]`` holds anchor a's kept roots with a
+    gradient: root lane numbers of ``batch.implicit`` where solved[a] is
+    the anchor's root lanes (a range), else solutions.  They are lanes
+    first[a], first[a] + 1, ...; ``report(k)`` builds lane k's report,
+    which is valid where flagged[k] is false.  Every lane of an anchor
+    whose scale raises is flagged: its roots' references raise that error.
 
     Every stencil point of the block is solved in one RootBatch.  For each
     root, ``nearest_lanes`` picks its branch's value at the anchor (the
     nearest of all the anchor's roots) and at every stencil point, and
     ``lanes`` computes every report at once.  A root with a pick that is
     not ``nearest_root``'s is flagged too."""
-    found = [None] * len(block)
+    points, lanes, _ = stencil
     first = [None] * len(block)
-    raised = []
-    for a, (anchor, chosen) in enumerate(zip(block, kept)):
-        n_roots = sum(sol.gradient is not None for sol in chosen)
-        if n_roots:
-            try:
-                found[a] = points(anchor)
-            except ArithmeticError:
-                raised.append((a, n_roots))
-    live = [a for a, f in enumerate(found) if f is not None]
+    live = [a for a, roots in enumerate(checked) if roots]
     report = None
     flagged = []
-    if live:
-        n = len(found[live[0]][1])
-        batch = RootBatch(data, [z for a in live for z in found[a][1]])
-        q0 = [[sol.q for sol in kept[a] if sol.gradient is not None] for a in live]
-        owner = np.repeat(np.arange(len(live)), [len(qs) for qs in q0])
-        q1 = np.array([q.z1 for qs in q0 for q in qs])
-        q2 = np.array([q.z2 for qs in q0 for q in qs])
-        width = max(len(solved[a]) for a in live)
-        anchor_roots = [[sol.q for sol in solved[a]] for a in live]
-        a1, a2 = (np.array([[getattr(q, part) for q in roots] + [0j] * (width - len(roots))
-                            for roots in anchor_roots]) for part in ("z1", "z2"))
-        f1, f2, f_exact = nearest_lanes(a1, a2, np.array([len(r) for r in anchor_roots]),
-                                        owner, q1, q2)
+    if not live:
+        return report, flagged, first
+    h, raised, found = points([block[a] for a in live], coords[live])
+    raised = raised.tolist()
+    ok = [a for a, r in zip(live, raised) if not r]
+    if ok:
+        owner = np.repeat(np.arange(len(ok)), [len(checked[a]) for a in ok])
+        q1 = np.empty(len(owner), dtype=complex)
+        q2 = np.empty(len(owner), dtype=complex)
         r1, r2, count = batch.padded_roots()
+        a1, a2, n_roots = r1[ok], r2[ok], count[ok]
+        at, lane_roots = [], []
+        k = 0
+        for j, a in enumerate(ok):
+            roots = checked[a]
+            first[a] = k
+            if isinstance(solved[a], range):
+                at += range(k, k + len(roots))
+                lane_roots += roots
+            else:
+                q1[k:k + len(roots)] = [sol.q.z1 for sol in roots]
+                q2[k:k + len(roots)] = [sol.q.z2 for sol in roots]
+                # the anchor's roots, which the batch may not hold
+                qs = [sol.q for sol in solved[a]]
+                width = len(qs) - a1.shape[1]
+                if width > 0:
+                    a1, a2 = (np.pad(r, ((0, 0), (0, width))) for r in (a1, a2))
+                a1[j, :len(qs)] = [q.z1 for q in qs]
+                a2[j, :len(qs)] = [q.z2 for q in qs]
+                n_roots[j] = len(qs)
+            k += len(roots)
+        if lane_roots:
+            q = batch.implicit.q[lane_roots]
+            q1[at] = q.z1.complex()
+            q2[at] = q.z2.complex()
+        f1, f2, f_exact = nearest_lanes(a1, a2, n_roots, owner, q1, q2)
+        n = len(found.re) // len(ok)
+        r1, r2, count = RootBatch(data, found).padded_roots()
         v1, v2, v_exact = nearest_lanes(r1, r2, count,
                                         (owner[:, None] * n + np.arange(n)).ravel(),
                                         np.repeat(q1, n), np.repeat(q2, n))
         z1 = np.concatenate([f1[:, None], v1.reshape(-1, n)], axis=1)
         z2 = np.concatenate([f2[:, None], v2.reshape(-1, n)], axis=1)
         exact = np.concatenate([f_exact[:, None], v_exact.reshape(-1, n)], axis=1)
-        report, flagged = lanes(z1, z2, np.array([found[a][0] for a in live])[owner])
+        report, flagged = lanes(z1, z2, h[np.logical_not(raised)][owner])
         flagged = (flagged | ~exact.all(axis=1)).tolist()
-        for a, k in zip(live, accumulate([0] + [len(qs) for qs in q0])):
-            first[a] = k
-    for a, n_roots in raised:
-        first[a] = len(flagged)
-        flagged += [True] * n_roots
+    for a, r in zip(live, raised):
+        if r:
+            first[a] = len(flagged)
+            flagged += [True] * len(checked[a])
     return report, flagged, first
 
 

@@ -386,10 +386,12 @@ def _poly_roots(coeffs):
         else:
             desc = np.array(coeffs[::-1], dtype=complex)
             # np.roots' companion row, from its first to its last nonzero
-            # coefficient: eigvals refuses an entry that overflows
+            # coefficient: eigvals refuses an entry that overflows, and a
+            # lone coefficient that is not finite (a NaN stops _trim at
+            # zero leading terms) leaves np.roots no row and no roots
             nonzero = np.flatnonzero(desc)
             desc = desc[nonzero[0]:nonzero[-1] + 1]
-            finite = np.isfinite(-desc[1:] / desc[0]).all()
+            finite = np.isfinite(np.append(-desc[1:] / desc[0], desc[-1])).all()
             if not finite:
                 raise InvalidInputError("congruence component's companion matrix overflows: "
                                         "the data overflow at this point")
@@ -522,6 +524,14 @@ class _Lanes(NamedTuple):
     u1: CArray
     u2: CArray
     u3: CArray
+
+    @classmethod
+    def of(cls, points):
+        """CVec3s, or their coordinates as CArray lanes of shape (n, 3)."""
+        if isinstance(points, CArray):
+            return cls(points[:, 0], points[:, 1], points[:, 2])
+        return cls(CArray.of([z.u1 for z in points]), CArray.of([z.u2 for z in points]),
+                   CArray.of([z.u3 for z in points]))
 
 
 def _where(mask, a: CArray, b: CArray) -> CArray:
@@ -729,24 +739,31 @@ class RootBatch:
     formulas are the scalar path's own helpers.  A point with a root lane
     where the scalar step would raise (a pole, an overflow) or whose values
     are not finite gets its solutions from ``solve_phi``.  The results stay
-    arrays until a point is read; ``report`` gives, as arrays too, the
-    values a solution's report reads (|Laplacian|, |nullness| and the Gauss
-    map).  The roots' fibres come from a ``FibreBatch`` over them.
+    arrays until a point is read; ``report`` and ``gauss`` give, as arrays
+    too, the values a solution's report reads (|Laplacian| and |nullness|,
+    and the Gauss map), and ``solution(k)`` builds one root lane's
+    CongruenceSolution.  The roots' fibres come from a ``FibreBatch`` over
+    them.
+
+    The points are CVec3s, or their coordinates as CArray lanes of shape
+    (n, 3), as the stencil checks build them: a CVec3 is then made only for
+    a point left to the scalar path (``point``).
     """
 
     def __init__(self, data: WeierstrassData, points):
         self.data = data
-        self.points = points
+        self._z = _Lanes.of(points)
         # a lane that overflows is left to the scalar path: no numpy warning
         # of the array pass reaches the caller
         with np.errstate(all="ignore"):
-            self._solve(data, points)
+            self._solve(data, self._z)
 
-    def _solve(self, data, points):
-        n = len(points)
-        lanes = _Lanes(CArray.of([z.u1 for z in points]),
-                       CArray.of([z.u2 for z in points]),
-                       CArray.of([z.u3 for z in points]))
+    def point(self, i) -> CVec3:
+        """Point i as a CVec3."""
+        return CVec3(*(complex(u.re[i], u.im[i]) for u in self._z))
+
+    def _solve(self, data, lanes):
+        n = len(lanes.u1.re)
         fe, ff = congruence_components(data, lanes)
         self._fe = _stack(fe, n)
         self._ff = _stack(ff, n)
@@ -784,12 +801,11 @@ class RootBatch:
         self._mf = mf
         self._side_e = rep_e[:, :me], mult_e
         self._side_f = rep_f[:, :mf], mult_f
-        self._z = lanes
 
     def roots(self, i):
         """``solve_roots(data, points[i])``."""
         if not self._ok[i]:
-            return solve_roots(self.data, self.points[i])
+            return solve_roots(self.data, self.point(i))
         k = self._npairs[i]
         return list(map(_make, self._q1[i, :k].tolist(), self._q2[i, :k].tolist()))
 
@@ -811,22 +827,23 @@ class RootBatch:
         """``solve_phi(data, points[i])``."""
         lanes = self.lanes(i)
         if lanes is None:
-            return solve_phi(self.data, self.points[i])
+            return solve_phi(self.data, self.point(i))
+        return [self.solution(k) for k in lanes]
+
+    def solution(self, k):
+        """The CongruenceSolution of root lane k, one of ``lanes(i)``."""
         implicit = self.implicit
-        sols = []
-        for k, q in zip(lanes, self.roots(i)):
-            sol = CongruenceSolution(q=q, gradient=None, laplacian=None,
-                                     multiplicity=int(implicit.multiplicity[k]),
-                                     residual=float(implicit.residual[k]))
-            if implicit.has_gradient[k]:
-                g1, g2, g3, lap = (_make(a, b) for a, b in self._values[k].tolist())
-                sol.gradient = BVec3(g1, g2, g3)
-                sol.laplacian = lap
-                sol.degenerate = bool(implicit.degenerate[k])
-            elif implicit.partially_degenerate[k]:
-                sol.partially_degenerate = True
-            sols.append(sol)
-        return sols
+        sol = CongruenceSolution(q=implicit.q.item(k), gradient=None, laplacian=None,
+                                 multiplicity=int(implicit.multiplicity[k]),
+                                 residual=float(implicit.residual[k]))
+        if implicit.has_gradient[k]:
+            g1, g2, g3, lap = (_make(a, b) for a, b in self._values[k].tolist())
+            sol.gradient = BVec3(g1, g2, g3)
+            sol.laplacian = lap
+            sol.degenerate = bool(implicit.degenerate[k])
+        elif implicit.partially_degenerate[k]:
+            sol.partially_degenerate = True
+        return sol
 
     # -- the root lanes -----------------------------------------------------
 
@@ -849,7 +866,7 @@ class RootBatch:
     @cached_property
     def _span(self):
         """Root lanes [span[i], span[i + 1]) are those of point i."""
-        counts = np.bincount(self._roots[0], minlength=len(self.points))
+        counts = np.bincount(self._roots[0], minlength=len(self._ok))
         # not np.cumsum: under numpy 2.4 its calls leave small blocks
         # allocated after they return, and one left per block pins that
         # block's allocator arena until the run ends
@@ -917,11 +934,13 @@ class RootBatch:
         scalar |= has_gradient & bad
 
         return _Implicit(
-            scalar=(np.bincount(point[scalar], minlength=len(self.points)) > 0).tolist(),
+            scalar=(np.bincount(point[scalar], minlength=len(self._ok)) > 0).tolist(),
             q=q,
             residual=residual,
             multiplicity=ms * mw,
             has_gradient=has_gradient,
+            n2=n2,
+            cn_abs=a_cn,
             degenerate=has_gradient & degenerate,
             partially_degenerate=~has_gradient & (e_ok != f_ok),
             gradient=grad,
@@ -932,19 +951,30 @@ class RootBatch:
 
     @cached_property
     def report(self) -> "_Report":
-        """The values a solution's report reads, at every root lane: what
-        ``cli._root_json`` computes from the root's CongruenceSolution."""
+        """|Laplacian| and |nullness| at every root lane, as ``cli`` reads
+        them from a root's CongruenceSolution."""
         implicit = self.implicit
         grad = implicit.gradient
         with np.errstate(all="ignore"):
             laplacian_abs = abs(implicit.laplacian)
             nullness_abs = abs(_dot(grad, grad))
+        finite = np.isfinite(laplacian_abs) & np.isfinite(nullness_abs)
+        return _Report(laplacian_abs, nullness_abs, ~implicit.has_gradient | finite)
+
+    @cached_property
+    def gauss(self):
+        """``gauss_map(gradient)``'s three CArray at every root lane (valid
+        where ``implicit.oriented``), and where a ``solve`` row, which reads
+        ``report`` and them, is clean: ``report.clean`` and, where oriented,
+        a finite Gauss map.  Kept apart from ``report``: the stencil tasks
+        read no Gauss map."""
+        implicit = self.implicit
+        grad = implicit.gradient
+        with np.errstate(all="ignore"):
             gauss = _unit_cross(tuple(c.z1 for c in grad), tuple(c.z2 for c in grad),
                                 implicit.cn)
-        finite = np.isfinite(laplacian_abs) & np.isfinite(nullness_abs)
-        oriented = implicit.oriented
-        finite &= ~oriented | (gauss[0].isfinite() & gauss[1].isfinite() & gauss[2].isfinite())
-        return _Report(laplacian_abs, nullness_abs, gauss, ~implicit.has_gradient | finite)
+        finite = gauss[0].isfinite() & gauss[1].isfinite() & gauss[2].isfinite()
+        return gauss, self.report.clean & (~implicit.oriented | finite)
 
 
 class _Implicit(NamedTuple):
@@ -957,6 +987,8 @@ class _Implicit(NamedTuple):
     residual: np.ndarray
     multiplicity: np.ndarray
     has_gradient: np.ndarray
+    n2: np.ndarray              # |gradient|^2
+    cn_abs: np.ndarray          # |CN(gradient)|
     degenerate: np.ndarray
     partially_degenerate: np.ndarray
     gradient: tuple             # three BArray
@@ -967,13 +999,11 @@ class _Implicit(NamedTuple):
 
 class _Report(NamedTuple):
     """``RootBatch.report``: per root lane, ``abs(laplacian)``,
-    ``abs(gradient.square())``, ``gauss_map(gradient)``'s three CArray
-    (where the lane is oriented), and whether every value the lane's report
-    reads is finite: where one is not, or where the scalar ``abs`` or
-    ``** 2`` would raise OverflowError, the report takes the scalar path."""
+    ``abs(gradient.square())``, and whether both are finite or the lane has
+    no gradient: where one is not, or where the scalar ``abs`` or ``** 2``
+    would raise OverflowError, the report takes the scalar path."""
     laplacian_abs: np.ndarray
     nullness_abs: np.ndarray
-    gauss: tuple
     clean: np.ndarray
 
 

@@ -25,9 +25,23 @@ import bhm.cli
 from bhm.cli import _congruence_residual, run
 import bhm.weierstrass
 from bhm.core import C_POWI_MAX, I2, BArray, Bicomplex, CArray
-from bhm.errors import PoleEncounteredError
+from bhm.errors import BhmError, PoleEncounteredError
 from bhm.geometry import CVec3
-from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var
+from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var, holofn_from_json
+from bhm.slices import (
+    SliceKind,
+    _embedded,
+    _wave_stencils,
+    embed_domain,
+    project_codomain,
+    projectable_roots,
+    slice_checks,
+    slice_data,
+    tracked_real_branch,
+    wave_residual,
+    wave_stencil,
+)
+from bhm.verify import _fd_stencils, classify_point, fd_stencil
 from bhm.weierstrass import (
     FibreBatch,
     RootBatch,
@@ -1435,3 +1449,319 @@ def test_numpy_error_state_is_entered_per_batch(config, monkeypatch):
     run(config, io.StringIO())
     assert "bhm.core" not in entered
     assert sum(entered.values()) <= 12, entered  # each config is one block
+
+
+# ---------------------------------------------------------------------------
+# the stencil tasks over lanes: points, rows and their order
+
+# coordinates of every kind: signed zeros, subnormals, and values past the
+# range of a square (1e155), of a step (1.7e308) and between them
+_stencil_edges = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, 1e154,
+                                  1.34e154, 1e155, -1e155, 1e300, -1e300, 1.7e308, -1.7e308])
+_stencil_finite = st.one_of(_stencil_edges, st.floats(-4, 4),
+                            st.floats(allow_nan=False, allow_infinity=False))
+
+
+def _cvec_reprs(points):
+    """CArray lanes of shape (n, 3) as the reprs of the CVec3s they hold."""
+    return [repr(CVec3(*z)) for z in points.complex().tolist()]
+
+
+class TestStencilPoints:
+    """The stencil points ``slice`` and ``verify --points`` solve, built
+    over lanes, against ``wave_stencil`` + ``embed_domain`` and
+    ``fd_stencil``, by repr."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(kind=st.sampled_from(list(SliceKind)),
+           xs=st.lists(st.tuples(*[st.one_of(_stencil_finite, st.sampled_from(
+               [math.inf, -math.inf, math.nan]))] * 3), min_size=1, max_size=4),
+           h=st.one_of(st.none(), st.sampled_from([3e-4, 1e-3, 2.5])))
+    def test_slice_points_match_wave_stencil(self, kind, xs, h):
+        x = np.array(xs, dtype=float)
+        with np.errstate(all="ignore"):
+            anchors = _embedded(kind, x)
+            steps, raised, points = _wave_stencils(kind, h, xs, x)
+        assert _cvec_reprs(anchors) == [repr(embed_domain(kind, p)) for p in xs]
+        want = [wave_stencil(p, h) for p in xs]
+        assert [repr(s) for s in steps.tolist()] == [repr(step) for _, step, _ in want]
+        assert not raised.any()
+        assert _cvec_reprs(points) == [repr(embed_domain(kind, p))
+                                       for _, _, stencil in want for p in stencil]
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(zs=st.lists(st.tuples(*[st.builds(complex, _stencil_finite, _stencil_finite)] * 3),
+                       min_size=1, max_size=4))
+    def test_verify_points_match_fd_stencil(self, zs):
+        zs = [CVec3(*z) for z in zs]
+        with np.errstate(all="ignore"):
+            steps, raised, points = _fd_stencils(zs, CArray.of([tuple(z) for z in zs]))
+        want = []
+        for z, step, flagged in zip(zs, steps.tolist(), raised.tolist()):
+            try:
+                h, stencil = fd_stencil(z)
+            except OverflowError:
+                assert flagged  # its scale raises
+                continue
+            assert not flagged and repr(step) == repr(h)
+            want += stencil
+        assert _cvec_reprs(points) == [repr(p) for p in want]
+
+    def test_an_anchor_whose_norm_overflows_is_flagged(self, monkeypatch):
+        # |z|^2 passes the double range at z1 = 1e155, where z.norm() raises;
+        # at 1e154 in every coordinate each square is finite and their sum
+        # is inf, a scale that raises nothing (and an infinite step)
+        zs = [CVec3(0.3, 1.1, -0.2), CVec3(1e155, 0, 0), CVec3(1e154, 1e154, 1e154)]
+        with np.errstate(all="ignore"):
+            steps, raised, points = _fd_stencils(zs, CArray.of([tuple(z) for z in zs]))
+        assert raised.tolist() == [False, True, False]
+        assert steps[2] == math.inf == fd_stencil(zs[2])[0]
+        assert _cvec_reprs(points) == [repr(p) for z in (zs[0], zs[2]) for p in fd_stencil(z)[1]]
+        # every root of the raising anchor takes the reference, which raises
+        # the scale's OverflowError when its check is called, in its turn
+        data = WeierstrassData(HoloFn(Var()), HoloFn(Const(0.0)))
+        references = []
+        fd_residuals = bhm.verify.fd_residuals
+
+        def counted(phi, z, *args):
+            references.append(z)
+            return fd_residuals(phi, z, *args)
+
+        monkeypatch.setattr(bhm.verify, "fd_residuals", counted)
+        checks = iter(bhm.verify.point_checks(data, zs[:2]))
+        z, pairs = next(checks)
+        assert [check() is not None for _, check in pairs] == [True] * 4
+        z, pairs = next(checks)
+        assert pairs and references == []
+        with pytest.raises(OverflowError, match="Numerical result out of range"):
+            pairs[0][1]()
+        assert references == [zs[1]]
+
+
+# slice and verify --points configs of the stencil benchmark's shape: the
+# quadratic radial, projection and disc data (h = q j for Minkowski -> D),
+# off their singular sets
+_VAR = {"op": "var"}
+
+
+def _times(c):
+    return {"op": "mul", "args": [{"op": "const", "value": c}, _VAR]}
+
+
+_RADIAL = ({"f": _VAR}, {"f": {"op": "const", "value": [0, 0]}})
+_DISC = ({"f": _VAR}, {"f1": _times([0, 1]), "f2": _times([0, -1])})
+_STENCIL_SCENES = [
+    *({"task": "slice", "slice": kind, "g": g, "h": h,
+       "grid": {"min": [0.6, 0.7, 0.5], "max": [0.9, 1.2, 0.8], "counts": [2, 3, 2]}}
+      for kind in ("euclidean", "minkowski_c")
+      for g, h in [_RADIAL, ({"f": {"op": "const", "value": [0, 0]}}, {"f": _times([0.5, 0])}),
+                   _DISC]),
+    {"task": "slice", "slice": "minkowski_d", "g": {"f": _VAR},
+     "h": {"f1": _times([-1, 0]), "f2": _VAR},
+     "grid": {"min": [0.3, -0.1, 0.1], "max": [0.5, 0.1, 0.3], "counts": [2, 2, 3]}},
+    *({"task": "verify", "data": {"G": g, "H": h},
+       "points": [[[0.3, 0.1], [1.1, -0.2], [-0.2, 0.4]], [1.0, -0.5, [0.2, 0.4]],
+                  [0.7, [0.1, 0.3], 0.9]]}
+      for g, h in (_RADIAL, _DISC)),
+]
+
+
+def test_stencil_scenes_build_no_solution_on_the_lanes(monkeypatch):
+    # every root of these scenes is read from the lanes: no
+    # CongruenceSolution (so none for a root the slice drops), no
+    # classify_point and no CVec3 but verify's parsed points
+    called = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    init = CVec3.__init__
+    monkeypatch.setattr(bhm.weierstrass, "CongruenceSolution",
+                        counting("CongruenceSolution", bhm.weierstrass.CongruenceSolution))
+    monkeypatch.setattr(bhm.cli, "classify_point", counting("classify_point",
+                                                            bhm.cli.classify_point))
+    monkeypatch.setattr(CVec3, "__init__", counting("CVec3", init))
+    dropped = 0
+    for config in _STENCIL_SCENES:
+        if config["task"] == "slice":
+            kind = SliceKind(config["slice"])
+            data = slice_data(kind, holofn_from_json(config["g"]), holofn_from_json(config["h"]))
+            roots = sum(len(solve_roots(data, embed_domain(kind, x)))
+                        for x in bhm.cli._grid_points(config["grid"]))
+        called.clear()
+        report = json.loads(_cli_output(config))
+        if config["task"] == "slice":
+            rows = report["results"]
+            assert rows and all(r["class"] is not None and r["harmonic_res"] is not None
+                                for r in rows)
+            dropped += roots - len(rows)
+            assert called == Counter()
+        else:
+            assert [len(res["roots"]) for res in report["results"]] == [4, 4, 4]
+            assert all(r["fd"] is not None for res in report["results"] for r in res["roots"])
+            assert called == Counter(CVec3=3)
+    assert dropped > 0
+
+
+def test_slice_checks_build_a_solution_per_kept_root(monkeypatch):
+    # the library's slice_checks gives each kept root's CongruenceSolution,
+    # built from the lanes, and builds none for a root it drops
+    data = slice_data(SliceKind.EUCLIDEAN, HoloFn(Var()), HoloFn(Const(0.0)))
+    xs = [(0.6, 0.7, 0.5), (0.8, 1.2, 0.6), (0.9, 0.7, 0.8)]
+    built = []
+    solution = bhm.weierstrass.CongruenceSolution
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return solution(*args, **kwargs)
+
+    with monkeypatch.context() as m:
+        m.setattr(bhm.weierstrass, "CongruenceSolution", counting)
+        got = [(x, [(repr(sol), check()) for sol, check in pairs])
+               for x, pairs in slice_checks(SliceKind.EUCLIDEAN, data, xs)]
+    kept = sum(len(pairs) for _, pairs in got)
+    assert 0 < kept < 4 * len(xs) and len(built) == kept
+    with np.errstate(all="ignore"):
+        want = [(x, [(repr(sol), wave_residual(
+                    SliceKind.EUCLIDEAN,
+                    tracked_real_branch(SliceKind.EUCLIDEAN, data, x, q0=sol.q), x))
+                     for sol in projectable_roots(SliceKind.EUCLIDEAN, data, x)])
+                for x in xs]
+    assert got == want
+
+
+def _stencil_point_by_point(config):
+    """The ``verify --points`` or ``slice`` report of a run that takes one
+    point at a time through solve_phi (projectable_roots) and the library's
+    scalar references, formatted as ``run`` formats it."""
+    cli = bhm.cli
+    if config["task"] == "verify":
+        data = cli._parse_data(config)
+        results = []
+        for z in [cli._parse_point(p) for p in config["points"]]:
+            roots = []
+            for sol in solve_phi(data, z):
+                entry = {"q": cli._b(sol.q), "implicit": None, "fd": None}
+                if sol.gradient is not None:
+                    entry["implicit"] = {"laplacian": cli._f(abs(sol.laplacian)),
+                                         "nullness": cli._f(abs(sol.gradient.square()))}
+                    entry["fd"] = bhm.verify.fd_residuals(
+                        bhm.verify.tracked_branch(data, z, q0=sol.q), z).to_json()
+                roots.append(entry)
+            results.append({"point": cli._cvec(z), "roots": roots})
+        report = {"task": "verify", "results": results}
+    else:
+        kind = SliceKind(config["slice"])
+        data = slice_data(kind, holofn_from_json(config["g"]), holofn_from_json(config["h"]))
+        rows = []
+        for x in [tuple(float(v) for v in p) for p in config["points"]]:
+            for idx, sol in enumerate(projectable_roots(kind, data, x)):
+                value = project_codomain(kind, sol.q)
+                row = {"x": [cli._f(v) for v in x], "branch": idx, "q": cli._b(sol.q),
+                       "value": cli._c(value) if isinstance(value, complex) else
+                                [cli._f(value.x), cli._f(value.y)],
+                       "degenerate": sol.degenerate,
+                       "class": (classify_point(sol.gradient).kind.value
+                                 if sol.gradient is not None else None),
+                       "harmonic_res": None, "null_res": None}
+                if sol.gradient is not None:
+                    try:
+                        hr, nr = bhm.slices.wave_residual(
+                            kind, tracked_real_branch(kind, data, x, q0=sol.q), x)
+                        row["harmonic_res"] = cli._f(hr)
+                        row["null_res"] = cli._f(nr)
+                    except BhmError as exc:
+                        row["error"] = type(exc).__name__
+                rows.append(row)
+        report = {"task": "slice", "slice": kind.value, "results": rows}
+    out = io.StringIO()
+    out.write(json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
+    return out.getvalue()
+
+
+def _leave_to_the_scalar_path(monkeypatch, z1):
+    """Leave every point whose first coordinate is z1 to the scalar path,
+    as a batch does where a point's derivative step overflows."""
+    implicit_lanes = RootBatch._implicit_lanes
+
+    def leave(batch):
+        implicit = implicit_lanes(batch)
+        return implicit._replace(scalar=[s or u == z1 for s, u in
+                                         zip(implicit.scalar, batch._z.u1.re.tolist())])
+
+    monkeypatch.setattr(RootBatch, "_implicit_lanes", leave)
+
+
+# G = q and H = -h q, h the step at |z| <= 1 (DEFAULT_STEP): at z = 0 the
+# root q = 0 is kept and regular, and its stencil's first point z + h e1,
+# where both components vanish, makes the root's check raise
+# DegenerateAllComponentsError from the reference; at z = (h, 0, 0) the
+# solve itself raises it.  z = (0, 1.5e308 i, -1.5e308 i) is left to the
+# scalar path, whose solve raises OverflowError (absolute value too large)
+_JUMP_DATA = {"G": {"f": _VAR}, "H": {"f": _times([-1e-3, 0])}}
+_CHECK_ERROR = [0, 0, 0]
+_SOLVE_ERROR = [0, [0, 1.5e308], [0, -1.5e308]]
+
+
+@pytest.mark.parametrize("points, first, scalar", [
+    # a check's error before a later root's row that is not clean, and after
+    ([_CHECK_ERROR, [1, 0.3, 0.2]], "DegenerateAllComponentsError", None),
+    ([[1, 0.3, 0.2], _CHECK_ERROR], "OverflowError", None),
+    # a point left to the scalar path, whose rows raise, before and after
+    ([[2, 0.3, 0.2], _CHECK_ERROR], "OverflowError", 2),
+    ([_CHECK_ERROR, [2, 0.3, 0.2]], "DegenerateAllComponentsError", 2),
+    # a check on the scalar path before a later point's solve error
+    ([_CHECK_ERROR, _SOLVE_ERROR], "DegenerateAllComponentsError", 0),
+    ([[1, 0.3, 0.2], _SOLVE_ERROR], "OverflowError", None),
+])
+def test_verify_errors_keep_a_point_by_point_order(points, first, scalar, monkeypatch):
+    # with the Laplacian shifted (_shift_laplacian), a row at z1 = 1 or 2 is
+    # not clean: its solution's abs raises OverflowError as the row is
+    # built.  In one block, each error comes before the next one's, as in a
+    # point-by-point run
+    _shift_laplacian(monkeypatch)
+    if scalar is not None:
+        _leave_to_the_scalar_path(monkeypatch, scalar)
+    config = {"task": "verify", "data": _JUMP_DATA, "points": points}
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _stencil_point_by_point(config))
+    assert want[0] == first
+    assert _cli_output(config) == want
+    if scalar is not None:  # the forced point really left the lanes
+        with np.errstate(all="ignore"):
+            batch = RootBatch(bhm.cli._parse_data(config),
+                              [bhm.cli._parse_point(p) for p in points])
+        assert [batch.lanes(i) is None for i in range(len(points))] == \
+            [p[0] == scalar for p in points]
+
+
+@pytest.mark.parametrize("points, first, scalar", [
+    ([[0, 0, 0], [1e-3, 0, 0]], "ArithmeticError", None),
+    ([[0, 0, 0], [1e-3, 0, 0]], "ArithmeticError", 0),
+    ([[1e-3, 0, 0], [0, 0, 0]], "DegenerateAllComponentsError", None),
+    ([[0.6, 0.7, 0.5], [0, 0, 0], [1e-3, 0, 0]], "ArithmeticError", 0.6),
+])
+def test_slice_errors_keep_a_point_by_point_order(points, first, scalar, monkeypatch):
+    # slice rows take a check's BhmError as the row's "error"; any other
+    # error of the reference is raised, in the root's turn.  Here the
+    # reference raises ArithmeticError at the origin, whose root's check is
+    # flagged, and the solve at (h, 0, 0) raises DegenerateAllComponentsError
+    wave = bhm.slices.wave_residual
+
+    def raising(kind, phi, x, h=None):
+        if tuple(x) == (0, 0, 0):
+            raise ArithmeticError("the reference raises")
+        return wave(kind, phi, x, h)
+
+    monkeypatch.setattr(bhm.slices, "wave_residual", raising)
+    if scalar is not None:
+        _leave_to_the_scalar_path(monkeypatch, scalar)
+    config = {"task": "slice", "slice": "euclidean", "g": _JUMP_DATA["G"], "h": _JUMP_DATA["H"],
+              "points": points}
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _stencil_point_by_point(config))
+    assert want[0] == first
+    assert _cli_output(config) == want

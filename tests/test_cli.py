@@ -391,6 +391,24 @@ class TestSchemaAndExitCodes:
         assert error["type"] == "InvalidInputError"
         assert "companion matrix overflows" in error["message"]
 
+    def test_exit_code_3_on_a_lone_nan_companion_coefficient(self, monkeypatch, capsys):
+        # G's e-side -1e155 i + q + q^2 at z = 0: the component's one nonzero
+        # coefficient is NaN, and np.roots found no root (a ValueError from
+        # max() of an empty list)
+        f1 = {"op": "add", "args": [
+            {"op": "const", "value": [0, -1e155]},
+            {"op": "mul", "args": [VAR, {"op": "add", "args": [
+                {"op": "const", "value": [1, 0]}, VAR]}]}]}
+        config = {"task": "solve",
+                  "data": {"G": {"f1": f1, "f2": {"op": "const", "value": [1, 0]}},
+                           "H": {"f": {"op": "const", "value": [0, 0]}}},
+                  "points": [[[0, 0], [0, 0], [0, 0]]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        error = json.loads(err)["error"]
+        assert error["type"] == "InvalidInputError"
+        assert "the data overflow at this point" in error["message"]
+
     @pytest.mark.parametrize("g, code, error", [
         # an op that is a list is unhashable: no op, not a TypeError traceback
         ({"op": []}, 2, "ExprSchemaError"),

@@ -508,6 +508,16 @@ class TestSolveRoots:
         for solve in (solve_roots, solve_phi):
             assert outcome(solve, True) == outcome(solve, False)
 
+    def test_a_lone_nan_companion_coefficient_is_an_overflow(self):
+        # G's e-side -1e155 i + q + q^2 at z = 0: the degree-4 component is
+        # [0, 0, 0, 0, nan + nan i] from its leading term down, so np.roots
+        # sees one NaN coefficient and no companion row, and returned no roots
+        g = HoloFn(Const(-1e155j) + Q * (1 + Q), Const(1.0))
+        data = WeierstrassData(g, HoloFn.const(0.0))
+        for solve in (solve_roots, solve_phi):
+            with pytest.raises(InvalidInputError, match="the data overflow at this point"):
+                solve(data, CVec3(0, 0, 0))
+
     def test_non_polynomial_data_serves_fibres(self):
         # the coefficients are built lazily, so non-polynomial data still
         # constructs and classifies fibres; only solving rejects it, each time
