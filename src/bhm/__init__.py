@@ -25,6 +25,7 @@ from .errors import (
     NotInSliceError,
     OutOfDomainError,
     PoleEncounteredError,
+    RangeOverflowError,
     ZeroDivisorError,
 )
 from .geometry import (

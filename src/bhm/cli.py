@@ -19,14 +19,15 @@ import json
 import math
 import random
 import sys
+from itertools import chain
 
 import numpy as np
 
 from .core import BArray, Bicomplex
 from .errors import BhmError, DegeneratePointError, ExprSchemaError
-from .geometry import CVec3, chart_to_point, point_to_chart, transition
+from .geometry import CVec3, chart_to_point, point_to_chart, transition, transition_holofn
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
-from .holo import holofn_from_json, is_number
+from .holo import _evaluate, holofn_from_json, is_number
 from .slices import SliceKind, _projection, _slice_roots, project_codomain, slice_data
 from .verify import _CLASS_NAMES, CLASSIFY_TOL, _class_index, _point_roots, classify_point
 from .weierstrass import (
@@ -98,6 +99,32 @@ def _parse_bicomplex(obj):
             and all(map(is_number, obj))):
         return Bicomplex.from_reals(obj)
     raise ExprSchemaError(f"bicomplex value must be [x1, x2, x3, x4], got {obj!r}")
+
+
+def _number_rows(values, *shape):
+    """``values`` as a float array of shape (len(values), *shape) when each
+    value is lists of that shape holding JSON numbers (no bool), else None:
+    the types are checked over all entries at once, and the per-item
+    parsers then give the error."""
+    entries = values
+    for n in shape:
+        if set(map(type, entries)) != {list} or set(map(len, entries)) != {n}:
+            return None
+        entries = list(chain.from_iterable(entries))
+    if not set(map(type, entries)) <= {int, float}:
+        return None
+    return np.array(values, dtype=float)
+
+
+def _bicomplex_rows(values):
+    """Bicomplex values as an (n, 4) float array of [x1, x2, x3, x4] rows,
+    and the error of the first malformed value or None: the rows stop
+    before it, and the caller finishes them before raising it."""
+    rows = _number_rows(values, 4)
+    if rows is not None:
+        return rows, None
+    parsed, error = _until_error(_parse_bicomplex, values)
+    return np.array([q.to_reals() for q in parsed], dtype=float).reshape(-1, 4), error
 
 
 def _parse_data(config) -> WeierstrassData:
@@ -296,10 +323,12 @@ def _task_fibres(config, tol, seed):
                               f"more than {MAX_POINTS}")
     rng = random.Random(seed)
     ts = [rng.uniform(-2.0, 2.0) for _ in range(n_samples)]
-    qs = [_parse_bicomplex(p) for p in params]
+    qs, error = _bicomplex_rows(params)
+    if error is not None:
+        raise error
     results = []
     for block in _blocks(qs):
-        batch = FibreBatch(data, block)
+        batch = FibreBatch(data, BArray.from_reals(block))
         rows = _fibre_rows(batch, ts)
         results.extend({"q": q, **row} for q, row in zip(_reals(batch.q), rows))
     return {"task": "fibres", "results": results}
@@ -356,14 +385,29 @@ def _parse_sample(s):
     return _parse_bicomplex(s["q"]), _parse_point(s["z"])
 
 
-def _sample_rows(data, samples, tol):
-    """The ``verify --samples`` rows of the parsed (q, z) samples, in
-    order: a lane the batch leaves to the scalar path is computed there in
-    its turn."""
-    qs = [q for q, _ in samples]
-    zs = [z for _, z in samples]
-    batch = FibreBatch(data, qs)
-    points = np.array([[p.u1, p.u2, p.u3] for p in zs], dtype=complex)
+def _sample_arrays(samples):
+    """The ``verify --samples`` samples as arrays: q as (n, 4) float rows,
+    z as an (n, 3) complex array (assembled part by part, which keeps
+    signed zeros), and the error of the first malformed sample or None:
+    the arrays stop before it."""
+    if set(map(type, samples)) == {dict}:
+        q = _number_rows([s.get("q") for s in samples], 4)
+        z = _number_rows([s.get("z") for s in samples], 3, 2)
+        if q is not None and z is not None:
+            points = np.empty(z.shape[:2], dtype=complex)
+            points.real, points.imag = z[..., 0], z[..., 1]
+            return q, points, None
+    parsed, error = _until_error(_parse_sample, samples)
+    q = np.array([p.to_reals() for p, _ in parsed], dtype=float).reshape(-1, 4)
+    return q, np.array([list(z) for _, z in parsed], dtype=complex).reshape(-1, 3), error
+
+
+def _sample_rows(data, q, points, tol):
+    """The ``verify --samples`` rows of the samples with parameters ``q``
+    ((n, 4) float rows) and points ``points`` ((n, 3) complex), in order: a
+    lane the batch leaves to the scalar path is computed there in its
+    turn."""
+    batch = FibreBatch(data, BArray.from_reals(q))
     residual, on_fibre, ok = batch.checks(points, tol)
     q = _reals(batch.q)
     z = _pairs(points)
@@ -375,10 +419,11 @@ def _sample_rows(data, samples, tol):
             rows.append({"q": q[k], "z": z[k], "tag": _TAG_NAMES[tag],
                          "residual": residual[k], "on_fibre": on_fibre[k]})
             continue
-        fibre = fibre_at(data, qs[k])
-        res = _congruence_residual(data, qs[k], zs[k])
+        qk, zk = batch.q.item(k), CVec3(*points[k].tolist())
+        fibre = fibre_at(data, qk)
+        res = _congruence_residual(data, qk, zk)
         rows.append({"q": q[k], "z": z[k], "tag": fibre.tag.value, "residual": _f(res),
-                     "on_fibre": bool(fibre.contains(zs[k], tol=tol))})
+                     "on_fibre": bool(fibre.contains(zk, tol=tol))})
     return rows
 
 
@@ -391,10 +436,10 @@ def _task_verify(config, tol, seed):
             raise ExprSchemaError("'samples' must be a non-empty list")
         # a point-by-point run parses a sample after the ones before it
         # are checked: a malformed sample is raised after them
-        parsed, error = _until_error(_parse_sample, samples)
+        q, z, error = _sample_arrays(samples)
         results = []
-        for block in _blocks(parsed):
-            results.extend(_sample_rows(data, block, tol))
+        for q_block, z_block in zip(_blocks(q), _blocks(z)):
+            results.extend(_sample_rows(data, q_block, z_block, tol))
         if error is not None:
             raise error
         return {"task": "verify", "results": results}
@@ -577,9 +622,22 @@ def _task_charts(config, tol, seed):
             dst = Chart(section.get("to"))
         except ValueError:
             raise ExprSchemaError("transition needs valid 'from'/'to' charts")
-        for v in values:
-            q = _parse_bicomplex(v)
-            results.append({"value": _b(q), "result": _b(transition(src, dst, q))})
+        # a value is parsed after the ones before it are transitioned: a
+        # malformed value is raised after them
+        rows, error = _bicomplex_rows(values)
+        fn = transition_holofn(src, dst)
+        for block in _blocks(rows):
+            q = BArray.from_reals(block)
+            with np.errstate(all="ignore"):
+                value, flagged = _evaluate(fn, *q.ringleb())
+            result = _reals(value)
+            # a flagged lane (a pole, an overflow) takes the scalar path in
+            # its turn, which raises OutOfDomainError where it does
+            for k in np.flatnonzero(flagged).tolist():
+                result[k] = _b(transition(src, dst, q.item(k)))
+            results.extend({"value": v, "result": r} for v, r in zip(_reals(q), result))
+        if error is not None:
+            raise error
     elif op in ("to_point", "from_point"):
         try:
             space = Space(section.get("space"))

@@ -566,6 +566,12 @@ class BArray:
         return cls(CArray.of([q.z1 for q in values]), CArray.of([q.z2 for q in values]))
 
     @classmethod
+    def from_reals(cls, rows):
+        """Lanes from a float array of [x1, x2, x3, x4] rows
+        (``Bicomplex.from_reals``)."""
+        return cls(CArray(rows[:, 0], rows[:, 1]), CArray(rows[:, 2], rows[:, 3]))
+
+    @classmethod
     def concatenate(cls, parts):
         """The lanes of the parts, one after another."""
         def joined(cs):

@@ -25,6 +25,10 @@ class DegeneratePointError(BhmError):
     """Gauss map requested at a gradient with vanishing complex norm."""
 
 
+class RangeOverflowError(BhmError, OverflowError):
+    """A result left the double range, such as |G(q)|^2 at a large parameter."""
+
+
 class InvalidInputError(BhmError, ValueError):
     """Input violates a stated precondition."""
 

@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import C_POWI_MAX, Bicomplex, CArray, _abs
-from .errors import ExprSchemaError, InvalidInputError, PoleEncounteredError
+from .core import C_POWI_MAX, BArray, Bicomplex, CArray, _abs
+from .errors import BhmError, ExprSchemaError, InvalidInputError, PoleEncounteredError
 
 # a division node is a pole when |den| <= POLE_RTOL * max(1, |num|)
 POLE_RTOL = 1e-12
@@ -298,6 +298,23 @@ def _abs_overflows(value, magnitude):
     if isinstance(value, CArray):
         return np.isinf(magnitude) & value.isfinite()
     return False
+
+
+def _evaluate(fn: HoloFn, e: CArray, f: CArray):
+    """``fn(q)`` at lanes with ``q.ringleb() == (e, f)``, as
+    ``HoloFn.__call__`` computes it: (value, flagged lanes)."""
+    n = len(e.re)
+    env_e, env_f = Lanes(e), Lanes(f)
+    try:
+        parts = [fn.f1.evaluate(env_e), fn.f2.evaluate(env_f)]
+    except (BhmError, ArithmeticError):
+        nan = np.full(n, np.nan)
+        return BArray(CArray(nan, nan), CArray(nan, nan)), np.ones(n, dtype=bool)
+    for k, v in enumerate(parts):
+        if not isinstance(v, CArray):  # a constant tree
+            parts[k] = CArray(np.full(n, v.real), np.full(n, v.imag))
+    value = BArray.from_ringleb(*parts)
+    return value, env_e.poles | env_f.poles | ~value.isfinite()
 
 
 def _to_expr(value):

@@ -24,14 +24,14 @@ import numpy as np
 
 from .core import BArray, Bicomplex, CArray, I2, _abs, _make
 from .errors import (
-    BhmError,
     DegenerateAllComponentsError,
     DegenerateDirectionError,
     DegeneratePointError,
     InvalidInputError,
+    RangeOverflowError,
 )
 from .geometry import BVec3, CVec3
-from .holo import HoloFn, Lanes, degree_bound, poly_add, poly_coefficients, poly_mul
+from .holo import HoloFn, _evaluate, degree_bound, poly_add, poly_coefficients, poly_mul
 
 GRAD_NULL_TOL = 1e-9
 # a fibre is a degenerate plane or empty where |CN(G) + 1| is below
@@ -280,15 +280,22 @@ def fibre_at(data: WeierstrassData, q: Bicomplex) -> FibreDescription:
     g = data.G(q)
     h = data.H(q)
     cn_g = g.cn()
-    scale = max(1.0, g.norm2())
+    try:
+        scale = max(1.0, g.norm2())
+    except OverflowError:  # a part of G past about 1.34e154
+        raise RangeOverflowError(f"|G(q)|^2 overflows at q = {q!r}") from None
     if _abs(cn_g + 1.0) > DEGENERATE_TOL * scale:
         try:
             rows, rhs = _line_system(g, h)
         except ZeroDivisionError:  # CN(xi) = 2 (1 + CN(G))^2 rounded to 0
             raise DegenerateDirectionError(
                 f"CN(xi) = 0 at q = {q!r}: the line fibre has no unit direction") from None
-        c = np.linalg.solve(np.array(rows, dtype=complex),
-                            np.array([*rhs, 0.0], dtype=complex))
+        try:
+            c = np.linalg.solve(np.array(rows, dtype=complex),
+                                np.array([*rhs, 0.0], dtype=complex))
+        except np.linalg.LinAlgError:
+            raise DegenerateDirectionError(
+                f"the line fibre's system is singular at q = {q!r}") from None
         return FibreDescription(
             FibreTag.NON_NULL_LINE,
             base=CVec3(*c),
@@ -1168,23 +1175,6 @@ class FibreBatch:
         ok &= ~line | np.isfinite(line_miss)
         ok &= ~plane | np.isfinite(plane_miss)
         return residual, on_fibre, ok
-
-
-def _evaluate(fn: HoloFn, e: CArray, f: CArray):
-    """``fn(q)`` at lanes with ``q.ringleb() == (e, f)``, as
-    ``HoloFn.__call__`` computes it: (value, flagged lanes)."""
-    n = len(e.re)
-    env_e, env_f = Lanes(e), Lanes(f)
-    try:
-        parts = [fn.f1.evaluate(env_e), fn.f2.evaluate(env_f)]
-    except (BhmError, ArithmeticError):
-        nan = np.full(n, np.nan)
-        return BArray(CArray(nan, nan), CArray(nan, nan)), np.ones(n, dtype=bool)
-    for k, v in enumerate(parts):
-        if not isinstance(v, CArray):  # a constant tree
-            parts[k] = CArray(np.full(n, v.real), np.full(n, v.imag))
-    value = BArray.from_ringleb(*parts)
-    return value, env_e.poles | env_f.poles | ~value.isfinite()
 
 
 def _derivative_lanes(re, im, deg):

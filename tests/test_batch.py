@@ -15,6 +15,7 @@ import math
 import random
 import sys
 from collections import Counter
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -26,7 +27,7 @@ from bhm.cli import _congruence_residual, run
 import bhm.weierstrass
 from bhm.core import C_POWI_MAX, I2, BArray, Bicomplex, CArray
 from bhm.errors import BhmError, PoleEncounteredError
-from bhm.geometry import CVec3
+from bhm.geometry import Chart, CVec3, transition
 from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var, holofn_from_json
 from bhm.slices import (
     SliceKind,
@@ -55,6 +56,7 @@ from bhm.weierstrass import (
     _poly_roots,
     _side_roots,
     _stacked_solve,
+    _until_error,
     fibre_at,
     solve_phi,
     solve_roots,
@@ -1765,3 +1767,186 @@ def test_slice_errors_keep_a_point_by_point_order(points, first, scalar, monkeyp
         want = _outcome(lambda: _stencil_point_by_point(config))
     assert want[0] == first
     assert _cli_output(config) == want
+
+
+# ---------------------------------------------------------------------------
+# bulk values as arrays: the list parsers and the chart transitions
+
+# JSON numbers of every kind: ints past 2**53 and near the double range,
+# signed zeros, subnormals, and values from 1e155 to 1.7e308
+_json_number = st.one_of(
+    st.integers(-2 ** 70, 2 ** 70),
+    st.sampled_from([2 ** 53 + 1, -(2 ** 63) - 1, 10 ** 308, -(10 ** 300)]),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585e-313, 1e155, -1e155,
+                     1e300, 1.7e308, -1.7e308]),
+    st.floats(-4, 4),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+# what else JSON can put where a number is due
+_json_other = st.one_of(st.booleans(), st.none(), st.just("1"),
+                        st.lists(_json_number, max_size=2), st.just({"x": 1}))
+
+
+def _numbers(n):
+    return st.lists(_json_number, min_size=n, max_size=n)
+
+
+def _spoiled(row):
+    """The list ``row`` with one entry replaced by a non-number, one too few
+    or too many entries, or something else in its place."""
+    return st.one_of(
+        st.builds(lambda k, x: row[:k] + [x] + row[k + 1:],
+                  st.integers(0, len(row) - 1), _json_other),
+        st.just(row[:-1]), st.just(row + [0.5]), _json_other, _json_number)
+
+
+@st.composite
+def _json_rows(draw, row):
+    """Lists of valid rows, some of them (often none) spoiled."""
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    for k in draw(st.sets(st.integers(0, len(rows) - 1), max_size=2)):
+        rows[k] = draw(_spoiled(rows[k]))
+    return rows
+
+
+@st.composite
+def _json_sample(draw):
+    """A valid sample, or one with its q or z spoiled, a point component
+    given as a bare number, a key missing, or no object at all."""
+    sample = {"q": draw(_numbers(4)), "z": draw(st.lists(_numbers(2), min_size=3,
+                                                         max_size=3))}
+    how = draw(st.sampled_from(["valid", "valid", "q", "z", "component", "bare", "key",
+                                "other"]))
+    if how in ("q", "z"):
+        sample[how] = draw(_spoiled(sample[how]))
+    elif how in ("component", "bare"):
+        k = draw(st.integers(0, 2))
+        sample["z"][k] = draw(_spoiled(sample["z"][k]) if how == "component"
+                              else _json_number)
+    elif how == "key":
+        del sample[draw(st.sampled_from(["q", "z"]))]
+    elif how == "other":
+        return draw(_json_other)
+    return sample
+
+
+def _error(exc):
+    return None if exc is None else (type(exc).__name__, str(exc))
+
+
+class TestArrayParsing:
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(values=_json_rows(_numbers(4)))
+    def test_bicomplex_rows_match_the_item_parser(self, values):
+        parsed, want = _until_error(bhm.cli._parse_bicomplex, values)
+        # the array parser takes exactly the lists the item parser takes
+        rows = bhm.cli._number_rows(values, 4)
+        assert (rows is None) == (want is not None)
+        rows, error = bhm.cli._bicomplex_rows(values)
+        assert repr(rows.tolist()) == repr([q.to_reals() for q in parsed])
+        assert _error(error) == _error(want)
+
+    @settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @given(samples=st.lists(_json_sample(), min_size=1, max_size=6))
+    def test_sample_arrays_match_the_item_parser(self, samples):
+        parsed, want = _until_error(bhm.cli._parse_sample, samples)
+        q, z, error = bhm.cli._sample_arrays(samples)
+        assert repr(q.tolist()) == repr([p.to_reals() for p, _ in parsed])
+        assert repr(z.tolist()) == repr([list(p) for _, p in parsed])
+        assert _error(error) == _error(want)
+        if all(isinstance(s, dict) for s in samples):
+            # a point's [re, im] components are read as arrays exactly
+            # where the item parser takes them all
+            zs = [s.get("z") for s in samples]
+            pairs = bhm.cli._number_rows(zs, 3, 2)
+            taken = _outcome(lambda: [bhm.cli._parse_point(p) for p in zs])
+            all_pairs = all(isinstance(p, list) and all(isinstance(c, list) for c in p)
+                            for p in zs)
+            assert (pairs is not None) == (not isinstance(taken, tuple) and all_pairs)
+
+
+def _charts_point_by_point(src, dst, values):
+    """The ``charts`` transition results of a run that parses and maps one
+    value at a time, up to the first error."""
+    results = []
+    for v in values:
+        q = bhm.cli._parse_bicomplex(v)
+        results.append({"value": bhm.cli._b(q), "result": bhm.cli._b(transition(src, dst, q))})
+    return results
+
+
+def _charts_config(src, dst, values):
+    return {"task": "charts", "charts": {"op": "transition", "from": src.value,
+                                         "to": dst.value, "values": values}}
+
+
+# idempotent parts at the poles of every transition (e or f at 0, -1, 1,
+# -i and i), next to them, and past the range of a square
+_pole_parts = st.one_of(
+    st.sampled_from([0j, complex(-0.0, 0.0), 1 + 0j, -1 + 0j, 1j, -1j, 1e-13 + 0j,
+                     complex(-1, 1e-13), 1e155 + 0j, 1e300j, 5e-324 + 0j]),
+    st.builds(complex, st.floats(-3, 3), st.floats(-3, 3)),
+)
+_chart_value = st.one_of(
+    st.builds(lambda e, f: Bicomplex.from_ringleb(e, f).to_reals(), _pole_parts, _pole_parts),
+    _numbers(4),
+)
+
+
+class TestLaneCharts:
+    @pytest.mark.parametrize("src, dst", [(a, b) for a in Chart for b in Chart],
+                             ids=lambda c: c.value)
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(values=_json_rows(_chart_value))
+    def test_lane_transitions_match_transition(self, src, dst, values):
+        # outside the CLI's np.errstate: the lane pass holds its own
+        want = _outcome(lambda: _charts_point_by_point(src, dst, values))
+        config = _charts_config(src, dst, values)
+        with mock.patch.object(bhm.weierstrass, "BLOCK_POINTS", 2):
+            got = _outcome(lambda: bhm.cli._task_charts(config, None, 0)["results"])
+        assert repr(got) == repr(want)
+
+    @pytest.mark.parametrize("values, error", [
+        ([[1, 0, 0, 0], [-1, 0, 0, 0], [1, 2, 3]], "OutOfDomainError"),
+        ([[1, 0, 0, 0], [1, 2, 3], [-1, 0, 0, 0]], "ExprSchemaError"),
+        ([[0.5, 0, 0, 0], [0, 0, 0, 0], [-1, 0, 0, 0], [True, 0, 0, 0]], "OutOfDomainError"),
+    ], ids=["pole-then-malformed", "malformed-then-pole", "pole-in-a-later-block"])
+    def test_charts_raise_in_a_point_by_point_order(self, values, error, monkeypatch):
+        # G -> L has its pole at q = -1
+        want = _outcome(lambda: _charts_point_by_point(Chart.G, Chart.L, values))
+        assert want[0] == error
+        for size in (1, 2, 256):
+            monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+            assert _cli_output(_charts_config(Chart.G, Chart.L, values)) == want
+
+
+def test_bulk_value_tasks_never_call_the_per_item_path(monkeypatch):
+    # valid lists: the fibres-roundtrip benchmark's fibres, verify --samples
+    # and charts configs parse their lists as arrays and map them on lanes
+    called = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            called[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(HoloFn, "__call__", counting("HoloFn.__call__", HoloFn.__call__))
+    for name in ("transition", "_parse_bicomplex", "_parse_sample"):
+        monkeypatch.setattr(bhm.cli, name, counting(name, getattr(bhm.cli, name)))
+    for config in _fibre_configs()[:6]:
+        report = json.loads(_cli_output(dict(config, format="json")))
+        if config["task"] == "fibres":
+            samples = [{"q": row["q"], "z": z} for row in report["results"]
+                       for z in row["samples"]]
+            verify = json.loads(_cli_output({"task": "verify", "data": config["data"],
+                                             "samples": samples}))
+            assert len(verify["results"]) == len(samples) > 0
+    rng = random.Random(16)
+    values = [[rng.uniform(-0.4, 0.4) for _ in range(4)] for _ in range(300)]
+    for chart in (Chart.GCHECK, Chart.L, Chart.K):
+        report = json.loads(_cli_output(_charts_config(Chart.G, chart, values)))
+        back = [row["result"] for row in report["results"]]
+        assert len(json.loads(_cli_output(_charts_config(chart, Chart.G, back)))["results"]) \
+            == len(values)
+    assert called == Counter()

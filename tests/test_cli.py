@@ -349,6 +349,45 @@ class TestSchemaAndExitCodes:
         error = json.loads(err)["error"]
         assert error["type"] == "DegenerateDirectionError" and "CN(xi) = 0" in error["message"]
 
+    # a constant G whose line system rounds to a singular matrix
+    SINGULAR_G = {"op": "const", "value": [-8.518165536645671e+76, -8.006406169830353e+76]}
+    SINGULAR_DATA = {"G": {"f1": SINGULAR_G, "f2": SINGULAR_G},
+                     "H": {"f": {"op": "const", "value": [1, 0]}}}
+
+    @pytest.mark.parametrize("config", [
+        {"task": "fibres", "data": SINGULAR_DATA, "params": [[0.0, 0.0, 0.0, 0.0]],
+         "samples": 1},
+        {"task": "verify", "data": SINGULAR_DATA,
+         "samples": [{"q": [0.0, 0.0, 0.0, 0.0], "z": [0, 0, 0]}]},
+    ], ids=["fibres", "verify-samples"])
+    def test_exit_code_3_on_a_singular_line_system(self, config, monkeypatch, capsys):
+        # was numpy's LinAlgError: Singular matrix
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "type": "DegenerateDirectionError",
+            "message": "the line fibre's system is singular at q = Bicomplex(0j, 0j)"}
+
+    @pytest.mark.parametrize("config", [
+        {"task": "fibres", "data": RADIAL, "samples": 1,
+         "params": [[0.5, 0, 0, 0], [1e155, 0, 0, 0], [0, 0, 2e155, 0]]},
+        {"task": "verify", "data": RADIAL,
+         "samples": [{"q": [0.5, 0, 0, 0], "z": [0, 0, 0]},
+                     {"q": [1e155, 0, 0, 0], "z": [0, 0, 0]},
+                     {"q": [0, 0, 2e155, 0], "z": [0, 0, 0]},
+                     {"q": [1, 0, 0], "z": [0, 0, 0]}]},
+    ], ids=["fibres", "verify-samples"])
+    def test_exit_code_3_on_an_overflowing_g_norm(self, config, monkeypatch, capsys):
+        # |G(q)|^2 past the double range at G = q, the first such parameter
+        # named: was the bare OverflowError (34, 'Numerical result out of range')
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "|G(q)|^2 overflows at q = Bicomplex((1e+155+0j), 0j)"}
+
     # G = 1/q has a pole at the first parameter, and the second is malformed
     POLE_DATA = {"G": {"f": {"op": "div", "args": [{"op": "const", "value": 1}, VAR]}},
                  "H": {"f": {"op": "const", "value": 0}}}
