@@ -28,8 +28,8 @@ from .errors import BhmError, DegeneratePointError, ExprSchemaError
 from .geometry import CVec3, chart_to_point, point_to_chart, transition, transition_holofn
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
 from .holo import _evaluate, holofn_from_json, is_number
-from .slices import SliceKind, _projection, _slice_roots, project_codomain, slice_data
-from .verify import _CLASS_NAMES, CLASSIFY_TOL, _class_index, _point_roots, classify_point
+from .slices import SliceKind, _projection, _slice_roots, slice_data
+from .verify import _CLASS_NAMES, CLASSIFY_TOL, _class_index, _point_roots
 from .weierstrass import (
     _TAGS,
     FibreBatch,
@@ -221,20 +221,14 @@ def _task_solve(config, tol, seed):
     results = []
     for block in _blocks(pts, _cap_roots(data, len(pts))):
         batch = RootBatch(data, block)
-
-        def solved(i):
-            lanes = batch.lanes(i)
-            return batch.solutions(i) if lanes is None else lanes
-
-        # each point's root lanes, or its solutions where the batch leaves it
-        # to solve_phi, up to the first point whose solve raises; that error
-        # is raised after their rows, and each root's fibre and report row
-        # is built in its turn, so errors surface in a point-by-point run's
+        # the points up to the first whose solve raises; that error is
+        # raised after their rows, and each root's fibre and report row is
+        # built in its turn, so errors surface in a point-by-point run's
         # order
-        roots, error = _until_error(solved, range(len(block)))
-        q = [batch.implicit.q[r.start:r.stop] if isinstance(r, range) else
-             BArray.of([sol.q for sol in r]) for r in roots]
-        fibres = _fibre_rows(FibreBatch(data, BArray.concatenate(q)), ())
+        n, error = batch.solve_points()
+        roots = [batch.lanes(i) for i in range(n)]
+        q = batch.implicit.q[:roots[-1].stop if roots else 0]
+        fibres = _fibre_rows(FibreBatch(data, q), ())
         for z, rows in zip(block, _solve_rows(batch, roots, fibres)):
             results.append({"point": _cvec(z), "roots": rows})
         if error is not None:
@@ -245,25 +239,17 @@ def _task_solve(config, tol, seed):
 def _solve_rows(batch, roots, fibres):
     """The root rows of each solved point, in order, each root's fibre row
     taken from ``fibres`` in its turn.  ``roots`` holds each point's root
-    lanes in the batch (a range) or its solutions: a clean root lane's row
-    is built from ``.tolist()`` of the batch's lanes, any other root's by
-    ``_root_json`` from its solution, in its turn."""
-    lanes = None
-    for i, sols in enumerate(roots):
-        if not isinstance(sols, range):
-            yield [_root_json(sol, next(fibres)) for sol in sols]
-            continue
-        if lanes is None:
-            lanes = _lane_lists(batch)
-        q, multiplicity, residual, degenerate, partially, has_gradient, gradient, \
-            laplacian_abs, nullness_abs, gauss, oriented, clean = lanes
+    lanes in the batch: a clean root lane's row is built from ``.tolist()``
+    of the batch's lanes, any other's by ``_root_json`` from
+    ``batch.solution(k)``, in its turn."""
+    q, multiplicity, residual, degenerate, partially, has_gradient, gradient, \
+        laplacian_abs, nullness_abs, gauss, oriented, clean = _lane_lists(batch)
+    for lanes in roots:
         rows = []
-        solutions = None
-        for k in sols:
+        for k in lanes:
             fibre = next(fibres)
             if not clean[k]:
-                solutions = solutions or batch.solutions(i)
-                rows.append(_root_json(solutions[k - sols.start], fibre))
+                rows.append(_root_json(batch.solution(k), fibre))
             elif has_gradient[k]:
                 rows.append(_root_row(q[k], multiplicity[k], residual[k], degenerate[k],
                                       partially[k], gradient[k], laplacian_abs[k],
@@ -452,19 +438,17 @@ def _task_verify(config, tol, seed):
 
     results = []
     listed = lists = None
-    for z, block, checks in _point_roots(data, pts):
+    for z, batch, checks in _point_roots(data, pts):
+        if batch is not listed:
+            listed, lists = batch, _verify_lists(batch)
+        q, has_gradient, laplacian, nullness, clean = lists
         roots = []
-        for root, check in checks:
-            if isinstance(root, int):
-                if block is not listed:
-                    listed, lists = block, _verify_lists(block)
-                q, has_gradient, laplacian, nullness, clean = lists
-                if clean[root]:
-                    roots.append(_verify_row(q[root], has_gradient[root], laplacian[root],
-                                             nullness[root], check))
-                    continue
-                root = block.solution(root)
-            roots.append(_verify_json(root, check))
+        for k, check in checks:
+            if clean[k]:
+                roots.append(_verify_row(q[k], has_gradient[k], laplacian[k], nullness[k],
+                                         check))
+            else:
+                roots.append(_verify_json(batch.solution(k), check))
         results.append({"point": _cvec(z), "roots": roots})
     return {"task": "verify", "results": results}
 
@@ -488,15 +472,14 @@ def _verify_json(sol, check):
                        _f(abs(sol.gradient.square())), check)
 
 
-def _verify_lists(block):
-    """The fields of the ``verify --points`` rows of a block's kept root
-    lanes (``block.kept``) as lists, ``_f``'s + 0.0 done over the arrays,
-    and where each row is clean (else it is built from its solution)."""
-    implicit, report = block.batch.implicit, block.batch.report
-    k = block.kept
-    return (_reals(implicit.q[k]), implicit.has_gradient[k].tolist(),
-            (report.laplacian_abs[k] + 0.0).tolist(), (report.nullness_abs[k] + 0.0).tolist(),
-            report.clean[k].tolist())
+def _verify_lists(batch):
+    """The fields of the ``verify --points`` rows of a batch's root lanes
+    as lists, ``_f``'s + 0.0 done over the arrays, and where each row is
+    clean (else it is built from its solution)."""
+    implicit, report = batch.implicit, batch.report
+    return (_reals(implicit.q), implicit.has_gradient.tolist(),
+            (report.laplacian_abs + 0.0).tolist(), (report.nullness_abs + 0.0).tolist(),
+            report.clean.tolist())
 
 
 def _task_slice(config, tol, seed):
@@ -527,24 +510,15 @@ def _task_slice(config, tol, seed):
     atol = tol if tol is not None else 1e-8
     rows = []
     listed = lists = None
-    for x, block, checks in _slice_roots(kind, data, pts, atol=atol, fd=run_fd):
+    for x, batch, checks in _slice_roots(kind, data, pts, atol=atol, fd=run_fd):
+        if batch is not listed:
+            listed, lists = batch, _slice_lists(kind, batch)
+        q, value, degenerate, cls = lists
         # one "x" list for the point's rows: the 25 000-point grid holds
         # about 50 000 rows until the report is written
         x = [_f(v) for v in x]
-        for idx, (root, check) in enumerate(checks):
-            if isinstance(root, int):
-                if block is not listed:
-                    listed, lists = block, _slice_lists(kind, block)
-                q, value, degenerate, cls = lists
-                row = _slice_row(x, idx, q[root], value[root], degenerate[root], cls[root])
-            else:
-                value = project_codomain(kind, root.q, atol=atol)
-                row = _slice_row(x, idx, _b(root.q),
-                                 _c(value) if isinstance(value, complex) else
-                                 [_f(value.x), _f(value.y)],
-                                 root.degenerate,
-                                 (classify_point(root.gradient).kind.value
-                                  if root.gradient is not None else None))
+        for idx, (k, check) in enumerate(checks):
+            row = _slice_row(x, idx, q[k], value[k], degenerate[k], cls[k])
             if check is not None:
                 try:
                     hr, nr = check()
@@ -571,22 +545,22 @@ def _slice_row(x, branch, q, value, degenerate, cls):
     }
 
 
-def _slice_lists(kind, block):
-    """The fields of the ``slice`` rows of a block's kept root lanes
-    (``block.kept``) as lists, ``_f``'s + 0.0 done over the arrays: q, the
-    value ``project_codomain`` gives, ``degenerate`` and the class
-    ``classify_point`` gives (None without a gradient).  The lanes' values
-    are finite where the batch reads a point from them, so no row here
-    raises where its solution's would."""
-    implicit = block.batch.implicit
-    k = block.kept
-    q = implicit.q[k]
+def _slice_lists(kind, batch):
+    """The fields of the ``slice`` rows of a batch's root lanes as lists,
+    ``_f``'s + 0.0 done over the arrays: q, the value ``project_codomain``
+    gives, ``degenerate`` and the class ``classify_point`` gives (None
+    without a gradient).  A root lane's row here is its solution's
+    wherever ``solve_phi`` returns, since the lanes hold its values and
+    ``classify_point`` runs the ``_null_parts`` that ``solve_phi`` ran, so
+    no row here raises where its solution's would."""
+    implicit = batch.implicit
+    q = implicit.q
     _, x, y = _projection(kind, q.z1.complex(), q.z2.complex())
-    kinds = _class_index(implicit.n2[k], implicit.cn_abs[k], CLASSIFY_TOL).tolist()
+    kinds = _class_index(implicit.n2, implicit.cn_abs, CLASSIFY_TOL).tolist()
     cls = [_CLASS_NAMES[c] if g else None
-           for c, g in zip(kinds, implicit.has_gradient[k].tolist())]
+           for c, g in zip(kinds, implicit.has_gradient.tolist())]
     return (_reals(q), (np.stack([x, y], axis=-1) + 0.0).tolist(),
-            implicit.degenerate[k].tolist(), cls)
+            implicit.degenerate.tolist(), cls)
 
 
 # a point of each space as JSON: its coordinate lists and their lengths

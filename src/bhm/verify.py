@@ -11,9 +11,10 @@ checks, ``point_checks`` and the loop it shares with
 anchors and their stencil points are built as CArray lanes with the bits
 of ``fd_stencil`` (``_fd_points``), each solved in one ``RootBatch``, and
 the reports are computed over lanes with the reference's bits
-(``fd_lanes``); a root they flag gets the reference's own report.  A root
-read from the lanes is handed on as its lane, from which the CLI builds
-its row and ``point_checks`` its CongruenceSolution.
+(``fd_lanes``); a root they flag gets the reference's own report.  Every
+root is handed on as its root lane in the block's RootBatch, into which
+an anchor left to ``solve_phi`` is merged first, and the CLI builds its
+row, and ``point_checks`` its CongruenceSolution, from that lane.
 
 Each complex coordinate is treated as two real directions; holomorphy
 in each variable is itself measured (the Cauchy-Riemann residual) since the
@@ -33,9 +34,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
-from itertools import compress, islice
+from itertools import accumulate, compress, islice
 from math import sqrt
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,7 +43,7 @@ from .core import BArray, Bicomplex, CArray, I_LANE
 from .errors import BranchJumpError, InvalidInputError
 from .geometry import BVec3, CVec3
 from .weierstrass import RootBatch, WeierstrassData, _blocks, _degrees, _max, _null_parts
-from .weierstrass import _until_error, solve_roots
+from .weierstrass import solve_roots
 
 DEFAULT_STEP = 1e-3
 CLASSIFY_TOL = 1e-9
@@ -439,36 +439,23 @@ def _point_roots(data, zs):
 
 def _solutions(checks):
     """``_stencil_checks``' items with each root as its CongruenceSolution."""
-    for anchor, block, pairs in checks:
-        yield anchor, [(block.solution(r) if isinstance(r, int) else r, check)
-                       for r, check in pairs]
-
-
-class _Block(NamedTuple):
-    """A block of anchors as ``_stencil_checks`` solves them: their
-    RootBatch, and ``kept``, the root lanes (of ``batch.implicit``) of the
-    block's kept roots that are read from the lanes, in order."""
-    batch: RootBatch
-    kept: np.ndarray
-
-    def solution(self, j):
-        """The CongruenceSolution of the kept root ``kept[j]``."""
-        return self.batch.solution(self.kept[j])
+    for anchor, batch, pairs in checks:
+        yield anchor, [(batch.solution(k), check) for k, check in pairs]
 
 
 def _stencil_checks(data, anchors, lanes, keep, stencil):
     """The loop of ``point_checks`` and ``slices.slice_checks``: per anchor,
-    in order, (anchor, block, [(root, check), ...]) for its kept roots.
+    in order, (anchor, batch, [(k, check), ...]) for its kept roots, each
+    k a root lane of ``batch``, the block's RootBatch
+    (``batch.solution(k)`` builds its CongruenceSolution).
 
     A block of anchors is solved in one RootBatch: ``lanes(anchors)`` gives
     their coordinates as lanes, one row per anchor, and their points in C^3
-    as CArray lanes of shape (n, 3).  ``keep`` is None, and every root is
-    kept, or gives the mask of the roots to keep from complex arrays of
-    their q's z1 and z2.  A kept root is j, an index into ``block.kept``
-    (``block.solution(j)`` builds its CongruenceSolution), where its point's
-    solutions are read from the batch's lanes, and its CongruenceSolution
-    where they come from ``solve_phi``; no CongruenceSolution is built for
-    a root on the lanes.
+    as CArray lanes of shape (n, 3).  ``RootBatch.solve_points`` puts the
+    solutions of an anchor left to ``solve_phi`` on root lanes too, so every
+    root is read from the lanes.  ``keep`` is None, and every root is kept,
+    or gives the mask of the roots to keep from complex arrays of their q's
+    z1 and z2.
 
     ``stencil`` is None (no checks) or (points, lanes, reference):
     ``points(anchors, coordinates)`` gives the anchors' steps, where their
@@ -489,68 +476,40 @@ def _stencil_checks(data, anchors, lanes, keep, stencil):
         coords, points = lanes(block)
         with np.errstate(all="ignore"):
             batch = RootBatch(data, points)
-
-            def solve(i):
-                roots = batch.lanes(i)
-                return batch.solutions(i) if roots is None else roots
-
-            # each point's root lanes (a range), or its solutions where the
-            # batch leaves it to solve_phi, up to the first whose solve raises
-            solved, error = _until_error(solve, range(len(block)))
-            kept = _kept(batch, keep, solved)
-            on_lanes = [isinstance(roots, range) for roots in solved]
-            has_gradient = batch.implicit.has_gradient.tolist() if any(on_lanes) else None
-            gradients = [[has_gradient[k] for k in roots] if lane
-                         else [sol.gradient is not None for sol in roots]
-                         for roots, lane in zip(kept, on_lanes)]
-            report, flagged, first = None, None, [None] * len(block)
+            # the anchors before the first whose solve raises, which is
+            # raised after their rows
+            n, error = batch.solve_points()
+            kept = _kept(batch, keep, n)
+            has_gradient = batch.implicit.has_gradient.tolist()
+            report, flagged, first = None, None, [None] * n
             if stencil is not None:
-                checked = [list(compress(*pair)) for pair in zip(kept, gradients)]
+                checked = [[k for k in roots if has_gradient[k]] for roots in kept]
                 report, flagged, first = _stencil_lanes(data, stencil, block, coords, batch,
-                                                        solved, checked)
-        rows = _Block(batch, np.array([k for roots, lane in zip(kept, on_lanes) if lane
-                                       for k in roots], dtype=np.intp))
-        j = 0
-        for anchor, roots, lane, grads, c in zip(block, kept, on_lanes, gradients, first):
+                                                        checked)
+        for anchor, roots, c in zip(block, kept, first):
             pairs = []
-            for root, has in zip(roots, grads):
+            for k in roots:
                 check = None
-                if stencil is not None and has:
+                if stencil is not None and has_gradient[k]:
                     if flagged[c]:
-                        q = batch.implicit.q.item(root) if lane else root.q
-                        check = partial(_quietly, stencil[2], anchor, q)
+                        check = partial(_quietly, stencil[2], anchor, batch.implicit.q.item(k))
                     else:
                         check = partial(report, c)
                     c += 1
-                if lane:
-                    root = j
-                    j += 1
-                pairs.append((root, check))
-            yield anchor, rows, pairs
+                pairs.append((k, check))
+            yield anchor, batch, pairs
         if error is not None:
             raise error
 
 
-def _kept(batch, keep, solved):
-    """Each solved point's kept roots: root lane numbers where ``solved``
-    holds its root lanes (a range), else its kept solutions."""
-    mask = None
-    out = []
-    for roots in solved:
-        if not isinstance(roots, range):
-            if keep is not None:
-                z1 = np.array([sol.q.z1 for sol in roots], dtype=complex)
-                z2 = np.array([sol.q.z2 for sol in roots], dtype=complex)
-                roots = list(compress(roots, keep(z1, z2).tolist()))
-        elif keep is None:
-            roots = list(roots)
-        else:
-            if mask is None:
-                q = batch.implicit.q
-                mask = keep(q.z1.complex(), q.z2.complex()).tolist()
-            roots = [k for k in roots if mask[k]]
-        out.append(roots)
-    return out
+def _kept(batch, keep, n):
+    """The kept root lanes of each of the batch's first n points."""
+    roots = [batch.lanes(i) for i in range(n)]
+    if keep is None:
+        return roots
+    q = batch.implicit.q
+    mask = keep(q.z1.complex(), q.z2.complex()).tolist()
+    return [list(compress(r, mask[r.start:r.stop])) for r in roots]
 
 
 def _quietly(fn, *args):
@@ -559,14 +518,13 @@ def _quietly(fn, *args):
         return fn(*args)
 
 
-def _stencil_lanes(data, stencil, block, coords, batch, solved, checked):
+def _stencil_lanes(data, stencil, block, coords, batch, checked):
     """The reports of a block's roots to check, over lanes: (report,
-    flagged, first).  ``checked[a]`` holds anchor a's kept roots with a
-    gradient: root lane numbers of ``batch.implicit`` where solved[a] is
-    the anchor's root lanes (a range), else solutions.  They are lanes
-    first[a], first[a] + 1, ...; ``report(k)`` builds lane k's report,
-    which is valid where flagged[k] is false.  Every lane of an anchor
-    whose scale raises is flagged: its roots' references raise that error.
+    flagged, first).  ``checked[a]`` holds anchor a's kept root lanes with
+    a gradient.  They are lanes first[a], first[a] + 1, ...; ``report(k)``
+    builds lane k's report, which is valid where flagged[k] is false.
+    Every lane of an anchor whose scale raises is flagged: its roots'
+    references raise that error.
 
     Every stencil point of the block is solved in one RootBatch.  For each
     root, ``nearest_lanes`` picks its branch's value at the anchor (the
@@ -574,7 +532,7 @@ def _stencil_lanes(data, stencil, block, coords, batch, solved, checked):
     ``lanes`` computes every report at once.  A root with a pick that is
     not ``nearest_root``'s is flagged too."""
     points, lanes, _ = stencil
-    first = [None] * len(block)
+    first = [None] * len(checked)
     live = [a for a, roots in enumerate(checked) if roots]
     report = None
     flagged = []
@@ -584,36 +542,14 @@ def _stencil_lanes(data, stencil, block, coords, batch, solved, checked):
     raised = raised.tolist()
     ok = [a for a, r in zip(live, raised) if not r]
     if ok:
-        owner = np.repeat(np.arange(len(ok)), [len(checked[a]) for a in ok])
-        q1 = np.empty(len(owner), dtype=complex)
-        q2 = np.empty(len(owner), dtype=complex)
-        r1, r2, count = batch.padded_roots()
-        a1, a2, n_roots = r1[ok], r2[ok], count[ok]
-        at, lane_roots = [], []
-        k = 0
-        for j, a in enumerate(ok):
-            roots = checked[a]
+        sizes = [len(checked[a]) for a in ok]
+        owner = np.repeat(np.arange(len(ok)), sizes)
+        for a, k in zip(ok, accumulate(sizes, initial=0)):
             first[a] = k
-            if isinstance(solved[a], range):
-                at += range(k, k + len(roots))
-                lane_roots += roots
-            else:
-                q1[k:k + len(roots)] = [sol.q.z1 for sol in roots]
-                q2[k:k + len(roots)] = [sol.q.z2 for sol in roots]
-                # the anchor's roots, which the batch may not hold
-                qs = [sol.q for sol in solved[a]]
-                width = len(qs) - a1.shape[1]
-                if width > 0:
-                    a1, a2 = (np.pad(r, ((0, 0), (0, width))) for r in (a1, a2))
-                a1[j, :len(qs)] = [q.z1 for q in qs]
-                a2[j, :len(qs)] = [q.z2 for q in qs]
-                n_roots[j] = len(qs)
-            k += len(roots)
-        if lane_roots:
-            q = batch.implicit.q[lane_roots]
-            q1[at] = q.z1.complex()
-            q2[at] = q.z2.complex()
-        f1, f2, f_exact = nearest_lanes(a1, a2, n_roots, owner, q1, q2)
+        q = batch.implicit.q[[k for a in ok for k in checked[a]]]
+        q1, q2 = q.z1.complex(), q.z2.complex()
+        r1, r2, count = batch.padded_roots()
+        f1, f2, f_exact = nearest_lanes(r1[ok], r2[ok], count[ok], owner, q1, q2)
         n = len(found.re) // len(ok)
         r1, r2, count = RootBatch(data, found).padded_roots()
         v1, v2, v_exact = nearest_lanes(r1, r2, count,

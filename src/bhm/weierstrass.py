@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, chain, compress, count, islice
 from typing import NamedTuple
 
 import numpy as np
@@ -308,6 +308,8 @@ def fibre_at(data: WeierstrassData, q: Bicomplex) -> FibreDescription:
     if _abs(h1) <= DEGENERATE_TOL and _abs(h2) <= DEGENERATE_TOL:
         return FibreDescription(FibreTag.DEGENERATE_PLANE, normal=normal, offset=0j)
     k = max((g1, g2), key=_abs)
+    if k == 0:  # g1 = 0 and g2 has a NaN part, which no finite G has here
+        raise RangeOverflowError(f"G(q) is not finite at q = {q!r}")
     mu = (h1 / k) if k == g1 else (h2 / k)
     if max(_abs(h1 - mu * g1), _abs(h2 - mu * g2)) <= DEGENERATE_TOL * max(1.0, _abs(h.z1), _abs(h.z2)):
         return FibreDescription(FibreTag.DEGENERATE_PLANE, normal=normal, offset=-mu)
@@ -737,20 +739,21 @@ class RootBatch:
     ``eigvals`` per trimmed degree, with its Newton step and clustering as
     masks, and the pairs are put in canonical order by ``np.lexsort``.  A
     lane whose values leave the finite range, or whose solve raises on the
-    scalar path, is left to that path: reading it solves it there, raising
-    what the scalar path raises.
+    scalar path, is left to that path.
 
-    On first use, ``lanes`` and ``solutions`` run the derivative step over
-    every root lane of the batch (``implicit``): G, dG, d2G and d2H are
-    evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
-    formulas are the scalar path's own helpers.  A point with a root lane
-    where the scalar step would raise (a pole, an overflow) or whose values
-    are not finite gets its solutions from ``solve_phi``.  The results stay
-    arrays until a point is read; ``report`` and ``gauss`` give, as arrays
-    too, the values a solution's report reads (|Laplacian| and |nullness|,
-    and the Gauss map), and ``solution(k)`` builds one root lane's
-    CongruenceSolution.  The roots' fibres come from a ``FibreBatch`` over
-    them.
+    On first use, ``implicit`` runs the derivative step over every root
+    lane of the batch: G, dG, d2G and d2H are evaluated once each by
+    ``Expr.evaluate`` on ``BArray`` lanes, and the formulas are the scalar
+    path's own helpers.  A point with a root lane where the scalar step
+    would raise (a pole, an overflow) or whose values are not finite is
+    left to ``solve_phi`` too (``implicit.scalar``).  ``solve_points`` runs
+    ``solve_phi`` at those points, in order, and puts each one's solutions
+    on root lanes of the batch, so every solved point is read the same way:
+    ``lanes(i)``, its root lanes.  The results stay arrays until a root is
+    read; ``report`` and ``gauss`` give, as arrays too, the values a
+    solution's report reads (|Laplacian| and |nullness|, and the Gauss
+    map), and ``solution(k)`` builds one root lane's CongruenceSolution.
+    The roots' fibres come from a ``FibreBatch`` over them.
 
     The points are CVec3s, or their coordinates as CArray lanes of shape
     (n, 3), as the stencil checks build them: a CVec3 is then made only for
@@ -804,6 +807,7 @@ class RootBatch:
                             for p in (z2.re, z2.im))).complex()
         self._ok = ok.tolist()
         self._npairs = (count_e * count_f).tolist()
+        self._counts = np.where(ok, count_e * count_f, 0)
         self._order = order
         self._mf = mf
         self._side_e = rep_e[:, :me], mult_e
@@ -819,14 +823,15 @@ class RootBatch:
     def padded_roots(self):
         """Every lane's roots as arrays: (z1, z2, counts), the z1 and z2 parts
         of shape (lanes, width), each row's first counts[i] entries
-        ``roots(i)`` bit for bit; a lane left to the scalar path counts 0."""
-        return self._q1, self._q2, np.where(self._ok, self._npairs, 0)
+        ``roots(i)`` bit for bit; a lane left to the scalar path counts 0
+        until ``solve_points`` merges its roots."""
+        return self._q1, self._q2, self._counts
 
     def lanes(self, i):
-        """The root lanes of point i, a range over ``implicit``'s arrays,
-        where its solutions are read from them; None where ``solutions(i)``
-        runs ``solve_phi``."""
-        if not (self._ok[i] and self._npairs[i]) or self.implicit.scalar[i]:
+        """The root lanes of point i, a range over ``implicit``'s arrays;
+        None while its solutions come from ``solve_phi``
+        (``implicit.scalar``)."""
+        if self.implicit.scalar[i]:
             return None
         return range(self._span[i], self._span[i + 1])
 
@@ -837,6 +842,48 @@ class RootBatch:
             return solve_phi(self.data, self.point(i))
         return [self.solution(k) for k in lanes]
 
+    def solve_points(self):
+        """Run ``solve_phi``, in point order, at every point left to it, up
+        to the first whose solve raises, and put each one's solutions on
+        root lanes of the batch, in point order: ``implicit``, ``report``,
+        ``gauss`` and ``padded_roots`` then hold them.  Returns (n, error):
+        points [0, n) are solved, each read by ``lanes(i)``, and error is
+        the exception of point n, or None (n is then every point)."""
+        scalar = self.implicit.scalar
+        left = list(compress(range(len(scalar)), scalar))
+        solved, error = _until_error(lambda i: solve_phi(self.data, self.point(i)), left)
+        if solved:
+            with np.errstate(all="ignore"):
+                self._merge(dict(zip(left, solved)))
+        return (len(scalar) if error is None else left[len(solved)]), error
+
+    def _merge(self, solved):
+        """Put the solutions of each point in ``solved`` (point -> its
+        ``solve_phi`` list) on root lanes of its own, in place of any it
+        had; ``report`` and ``gauss``, read from the old lanes, are
+        dropped."""
+        implicit, span = self.implicit, self._span
+        # each point's lanes in the joined arrays: a merged point's follow
+        # the old lanes, in point order
+        new = count(len(implicit.residual))
+        pieces = [list(islice(new, len(solved[i]))) if i in solved else range(span[i], span[i + 1])
+                  for i in range(len(span) - 1)]
+        lanes = _solution_lanes([sol for sols in solved.values() for sol in sols])
+        self.implicit = _Implicit(
+            [s and i not in solved for i, s in enumerate(implicit.scalar)],
+            *_joined(implicit[1:], lanes[1:], np.fromiter(chain.from_iterable(pieces), np.intp)))
+        self._span = [0, *accumulate(map(len, pieces))]
+        for name in ("report", "gauss"):
+            self.__dict__.pop(name, None)
+        # the padded roots, wide enough for every merged point's
+        width = max(map(len, solved.values())) - self._q1.shape[1]
+        if width > 0:
+            self._q1, self._q2 = (np.pad(a, ((0, 0), (0, width))) for a in (self._q1, self._q2))
+        for i, sols in solved.items():
+            self._q1[i, :len(sols)] = [sol.q.z1 for sol in sols]
+            self._q2[i, :len(sols)] = [sol.q.z2 for sol in sols]
+            self._counts[i] = len(sols)
+
     def solution(self, k):
         """The CongruenceSolution of root lane k, one of ``lanes(i)``."""
         implicit = self.implicit
@@ -844,9 +891,8 @@ class RootBatch:
                                  multiplicity=int(implicit.multiplicity[k]),
                                  residual=float(implicit.residual[k]))
         if implicit.has_gradient[k]:
-            g1, g2, g3, lap = (_make(a, b) for a, b in self._values[k].tolist())
-            sol.gradient = BVec3(g1, g2, g3)
-            sol.laplacian = lap
+            sol.gradient = BVec3(*(c.item(k) for c in implicit.gradient))
+            sol.laplacian = implicit.laplacian.item(k)
             sol.degenerate = bool(implicit.degenerate[k])
         elif implicit.partially_degenerate[k]:
             sol.partially_degenerate = True
@@ -856,7 +902,7 @@ class RootBatch:
 
     @cached_property
     def _roots(self):
-        """Every root of the batched points as one lane, point by point in
+        """Every root of the array pass as one lane, point by point in
         canonical order: (point index, q, e-side root s, multiplicity ms,
         f-side root w, multiplicity mw)."""
         width = self._order.shape[1]
@@ -872,7 +918,8 @@ class RootBatch:
 
     @cached_property
     def _span(self):
-        """Root lanes [span[i], span[i + 1]) are those of point i."""
+        """Root lanes [span[i], span[i + 1]) are those of point i (as
+        ``solve_points`` leaves them once it merges a point)."""
         counts = np.bincount(self._roots[0], minlength=len(self._ok))
         # not np.cumsum: under numpy 2.4 its calls leave small blocks
         # allocated after they return, and one left per block pins that
@@ -885,21 +932,11 @@ class RootBatch:
         with np.errstate(all="ignore"):
             return self._implicit_lanes()
 
-    @cached_property
-    def _values(self):
-        """The gradient's and the Laplacian's z1, z2 at every root lane, as
-        one (lanes, 4, 2) complex array that ``solutions`` reads root by
-        root."""
-        implicit = self.implicit
-        values = np.empty((len(implicit.residual), 4, 2), dtype=complex)
-        for r, c in enumerate((*implicit.gradient, implicit.laplacian)):
-            values[:, r, 0] = c.z1.complex()
-            values[:, r, 1] = c.z2.complex()
-        return values
-
     def _implicit_lanes(self):
         """``solve_phi``'s derivative step over the root lanes."""
         point, q, s, ms, w, mw = self._roots
+        if not len(point):  # no root lane, and maybe constant components
+            return _solution_lanes([])._replace(scalar=[not ok for ok in self._ok])
         data = self.data
 
         def side(coeffs, root):
@@ -941,7 +978,8 @@ class RootBatch:
         scalar |= has_gradient & bad
 
         return _Implicit(
-            scalar=(np.bincount(point[scalar], minlength=len(self._ok)) > 0).tolist(),
+            scalar=((np.bincount(point[scalar], minlength=len(self._ok)) > 0)
+                    | ~np.array(self._ok, dtype=bool)).tolist(),
             q=q,
             residual=residual,
             multiplicity=ms * mw,
@@ -985,10 +1023,12 @@ class RootBatch:
 
 
 class _Implicit(NamedTuple):
-    """``RootBatch``'s derivative step: per point, whether it is left to the
-    scalar path; per root lane, the fields of its CongruenceSolution as
-    arrays, read into Python objects only for the points asked for.  A
-    field that needs a gradient holds garbage at a lane with none."""
+    """``RootBatch``'s derivative step: per point, whether its solutions
+    come from ``solve_phi`` (the array pass or the step left it there, and
+    ``solve_points`` has not merged it); per root lane, the fields of its
+    CongruenceSolution as arrays, read into Python objects only for the
+    roots asked for.  A field that needs a gradient holds garbage at a lane
+    with none."""
     scalar: list
     q: BArray
     residual: np.ndarray
@@ -1012,6 +1052,47 @@ class _Report(NamedTuple):
     laplacian_abs: np.ndarray
     nullness_abs: np.ndarray
     clean: np.ndarray
+
+
+def _solution_lanes(sols) -> _Implicit:
+    """CongruenceSolutions as root lanes, with their bits: an ``_Implicit``
+    with no ``scalar``, whose nullness fields come from the gradients by the
+    formulas of ``_implicit_lanes``, and whose flags are the solutions'."""
+    values = np.zeros((len(sols), 4, 2), dtype=complex)
+    for k, sol in enumerate(sols):
+        if sol.gradient is not None:
+            values[k] = [(c.z1, c.z2) for c in (*sol.gradient, sol.laplacian)]
+    *grad, lap = (BArray(*_lanes(values[:, r])) for r in range(4))
+    n2, cn = _null_parts(grad)
+    a_cn = abs(cn)
+    has_gradient = np.array([sol.gradient is not None for sol in sols], dtype=bool)
+    return _Implicit(
+        scalar=None,
+        q=BArray.of([sol.q for sol in sols]),
+        residual=np.array([sol.residual for sol in sols], dtype=float),
+        multiplicity=np.array([sol.multiplicity for sol in sols], dtype=np.int64),
+        has_gradient=has_gradient,
+        n2=n2,
+        cn_abs=a_cn,
+        degenerate=np.array([sol.degenerate for sol in sols], dtype=bool),
+        partially_degenerate=np.array([sol.partially_degenerate for sol in sols], dtype=bool),
+        gradient=tuple(grad),
+        laplacian=lap,
+        cn=cn,
+        oriented=has_gradient & (a_cn > GRAD_NULL_TOL * np.maximum(n2, 1e-300)),
+    )
+
+
+def _joined(a, b, index):
+    """Lanes a, then lanes b, taken at ``index``: arrays, ``CArray`` or
+    ``BArray`` lanes, or tuples of them."""
+    if isinstance(a, tuple):
+        return tuple(_joined(x, y, index) for x, y in zip(a, b))
+    if isinstance(a, BArray):
+        return BArray(*_joined((a.z1, a.z2), (b.z1, b.z2), index))
+    if isinstance(a, CArray):
+        return CArray(*_joined((a.re, a.im), (b.re, b.im), index))
+    return np.concatenate([a, b])[index]
 
 
 # the fibre tags of _Fibres.tag, by index; -1 is a lane left to fibre_at

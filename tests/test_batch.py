@@ -10,6 +10,7 @@ so the tests that call it directly hold one, as the library's batches do.
 
 import gc
 import io
+import itertools
 import json
 import math
 import random
@@ -32,8 +33,10 @@ from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var, holofn_
 from bhm.slices import (
     SliceKind,
     _embedded,
+    _in_slice,
     _wave_stencils,
     embed_domain,
+    in_slice,
     project_codomain,
     projectable_roots,
     slice_checks,
@@ -1583,8 +1586,8 @@ def test_stencil_scenes_build_no_solution_on_the_lanes(monkeypatch):
     init = CVec3.__init__
     monkeypatch.setattr(bhm.weierstrass, "CongruenceSolution",
                         counting("CongruenceSolution", bhm.weierstrass.CongruenceSolution))
-    monkeypatch.setattr(bhm.cli, "classify_point", counting("classify_point",
-                                                            bhm.cli.classify_point))
+    monkeypatch.setattr(bhm.verify, "classify_point", counting("classify_point",
+                                                               bhm.verify.classify_point))
     monkeypatch.setattr(CVec3, "__init__", counting("CVec3", init))
     dropped = 0
     for config in _STENCIL_SCENES:
@@ -1767,6 +1770,117 @@ def test_slice_errors_keep_a_point_by_point_order(points, first, scalar, monkeyp
         want = _outcome(lambda: _stencil_point_by_point(config))
     assert want[0] == first
     assert _cli_output(config) == want
+
+
+def _stencil_csv(text):
+    """A ``slice`` report's CSV, written from its JSON as ``run`` writes
+    it."""
+    out = io.StringIO()
+    bhm.cli._CSV_WRITERS["slice"](json.loads(text), out)
+    return out.getvalue()
+
+
+def _forced_configs():
+    """Clean ``solve``, ``verify --points`` and ``slice`` configs, each with
+    the first coordinates (in C^3) of the points to force onto the scalar
+    path: the first, middle and last point's.  The radial ``solve`` data
+    has a multiple and a degenerate root, the partial data a partially
+    degenerate one; a forced z1 also forces any other point with that z1."""
+    rows = _solve_row_configs()
+    solve = [rows["radial"], rows["partial"], rows["cubic-mixed-degrees"]]
+    verify = [c for c in _STENCIL_SCENES if c["task"] == "verify"]
+    slices = []
+    for kind, g, h, points in [
+            ("euclidean", *_RADIAL, [[0.6, 0.7, 0.5], [0.75, 1.2, 0.8], [0.9, 0.95, 0.65]]),
+            ("minkowski_c", *_DISC, [[0.6, 0.7, 0.5], [0.75, 1.2, 0.8], [0.9, 0.95, 0.65]]),
+            ("minkowski_d", {"f": _VAR}, {"f1": _times([-1, 0]), "f2": _VAR},
+             [[0.3, -0.1, 0.1], [0.4, 0.0, 0.2], [0.5, 0.1, 0.3]])]:
+        slices.append({"task": "slice", "slice": kind, "g": g, "h": h, "points": points})
+    configs = []
+    for config in solve + verify + slices:
+        if config["task"] == "slice":
+            zs = [embed_domain(SliceKind(config["slice"]), x) for x in config["points"]]
+        else:
+            zs = [bhm.cli._parse_point(p) for p in config["points"]]
+        forced = [zs[0].u1.real, zs[len(zs) // 2].u1.real, zs[-1].u1.real]
+        for fmt in ("json", "csv") if config["task"] != "verify" else ("json",):
+            configs.append((dict(config, format=fmt), forced))
+    return configs
+
+
+@pytest.mark.parametrize("config, forced", _forced_configs())
+def test_points_forced_onto_the_scalar_path_match_a_point_by_point_run(config, forced,
+                                                                       monkeypatch):
+    # a point whose solutions come from solve_phi gives the rows of a
+    # point-by-point run, byte for byte, wherever it sits in its block and
+    # whatever the block size
+    if config["task"] == "solve":
+        want = _point_by_point(config)
+    else:
+        want = _stencil_point_by_point(config)
+        if config["format"] == "csv":
+            want = _stencil_csv(want)
+    assert isinstance(want, str)
+    for z1 in forced:
+        with monkeypatch.context() as m:
+            _leave_to_the_scalar_path(m, z1)
+            for size in (None, 1, 2, 7):
+                if size is not None:
+                    m.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+                assert _cli_output(config) == want, (z1, size)
+            # the forced points really leave the lanes
+            if config["task"] == "slice":
+                kind = SliceKind(config["slice"])
+                points = _embedded(kind, np.array(config["points"], dtype=float))
+                data = slice_data(kind, holofn_from_json(config["g"]),
+                                  holofn_from_json(config["h"]))
+            else:
+                points = [bhm.cli._parse_point(p) for p in config["points"]]
+                data = bhm.cli._parse_data(config)
+            with np.errstate(all="ignore"):
+                batch = RootBatch(data, points)
+            left = [batch.lanes(i) is None for i in range(len(config["points"]))]
+            assert any(left) and left == [u == z1 for u in batch._z.u1.re.tolist()]
+
+
+def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
+    # where the lanes leave a point to solve_phi and it returns, the slice
+    # row fields read from the merged root lanes (cli._slice_lists) are the
+    # ones its solutions give through project_codomain and classify_point:
+    # slice rows need no fallback onto the solutions
+    values = [0.5, -1.3, 1e154, -3e154, 1e200, 1.7e308, 5e-324]
+    xs = [x for x in itertools.product(values, repeat=3)]
+    cli = bhm.cli
+    merged = 0
+    for kind in SliceKind:
+        for g, h in [_RADIAL, _DISC, ({"f": {"op": "mul", "args": [_VAR, _VAR]}}, {"f": _VAR})]:
+            data = slice_data(kind, holofn_from_json(g), holofn_from_json(h))
+            with np.errstate(all="ignore"):
+                solved = [(x, _outcome(lambda: solve_phi(data, embed_domain(kind, x))))
+                          for x in xs]
+                solved = [(x, sols) for x, sols in solved if isinstance(sols, list)]
+                batch = RootBatch(data, _embedded(kind, np.array([x for x, _ in solved])))
+                left = list(batch.implicit.scalar)
+                assert batch.solve_points() == (len(solved), None)
+                q, value, degenerate, cls = cli._slice_lists(kind, batch)
+            merged += sum(left)
+            for i, (x, sols) in enumerate(solved):
+                want = []
+                for sol in in_slice(kind, sols):
+                    v = project_codomain(kind, sol.q)
+                    want.append((cli._b(sol.q),
+                                 cli._c(v) if isinstance(v, complex) else
+                                 [cli._f(v.x), cli._f(v.y)],
+                                 sol.degenerate,
+                                 (classify_point(sol.gradient).kind.value
+                                  if sol.gradient is not None else None)))
+                lanes = batch.lanes(i)
+                z1 = batch.implicit.q.z1.complex()[lanes.start:lanes.stop]
+                z2 = batch.implicit.q.z2.complex()[lanes.start:lanes.stop]
+                kept = [k for k, keep in zip(lanes, _in_slice(kind, z1, z2, 1e-8)) if keep]
+                got = [(q[k], value[k], degenerate[k], cls[k]) for k in kept]
+                assert repr(got) == repr(want), (kind, g, h, x)
+    assert merged > 1000
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,27 @@ class TestSchemaAndExitCodes:
             "type": "RangeOverflowError",
             "message": "|G(q)|^2 overflows at q = Bicomplex((1e+155+0j), 0j)"}
 
+    # G = q, H = q + 0.5: at this q the Ringleb part f - e overflows, so
+    # G(q) = (0, nan + nan j) and CN(G) = -1 is taken with k = g1 = 0
+    NAN_G_DATA = {"G": {"f": VAR},
+                  "H": {"f": {"op": "add", "args": [VAR, {"op": "const", "value": [0.5, 0]}]}}}
+    NAN_G_Q = [-0.107, -0.859, -1.7e308, 1e155]
+
+    @pytest.mark.parametrize("config", [
+        {"task": "fibres", "data": NAN_G_DATA, "params": [[0.5, 0, 0, 0], NAN_G_Q]},
+        {"task": "verify", "data": NAN_G_DATA,
+         "samples": [{"q": [0.5, 0, 0, 0], "z": [0, 0, 0]}, {"q": NAN_G_Q, "z": [0, 0, 0]},
+                     {"q": [1, 0, 0], "z": [0, 0, 0]}]},
+    ], ids=["fibres", "verify-samples"])
+    def test_exit_code_3_names_a_g_value_that_is_not_finite(self, config, monkeypatch, capsys):
+        # was the bare ZeroDivisionError: complex division by zero
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "G(q) is not finite at q = Bicomplex((-0.107-0.859j), (-1.7e+308+1e+155j))"}
+
     # G = 1/q has a pole at the first parameter, and the second is malformed
     POLE_DATA = {"G": {"f": {"op": "div", "args": [{"op": "const", "value": 1}, VAR]}},
                  "H": {"f": {"op": "const", "value": 0}}}
