@@ -19,6 +19,7 @@ import json
 import math
 import random
 import sys
+from functools import cache
 from itertools import chain
 
 import numpy as np
@@ -723,7 +724,8 @@ def run(config, out, fmt=None, tol=None, seed=0) -> int:
     return 0
 
 
-def main(argv=None) -> int:
+@cache  # built on the first call: building it cost more than parsing with it
+def _parser():
     parser = argparse.ArgumentParser(
         prog="bhm",
         description="Solve, classify and verify bicomplex Weierstrass congruences.",
@@ -737,7 +739,11 @@ def main(argv=None) -> int:
                         help="residual/projection tolerance override")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sampling tasks")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
 
     def fail(code, exc):
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},

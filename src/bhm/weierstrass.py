@@ -16,9 +16,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import accumulate, chain, compress, count, islice
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -454,8 +454,10 @@ def _canonical_roots(data: WeierstrassData, z: CVec3):
     """The components (fe, ff) at z and every pairwise root combination
     (q, s, ms, w, mw) of e-side root s and f-side root w, in canonical order."""
     fe, ff = congruence_components(data, z)
-    roots_e = _poly_roots(fe)
-    roots_f = _poly_roots(ff)
+    try:
+        roots_e, roots_f = _poly_roots(fe), _poly_roots(ff)
+    except OverflowError:  # a modulus past the double range, of finite parts
+        raise RangeOverflowError(f"a coefficient or root overflows at z = {z!r}") from None
     pairs = [(Bicomplex.from_ringleb(s, w), s, ms, w, mw)
              for s, ms in roots_e for w, mw in roots_f]
     pairs.sort(key=lambda pair: _canonical_key(pair[0]))
@@ -555,14 +557,16 @@ def _numpy_quotient(a: CArray, b: CArray) -> CArray:
     return CArray(q.real, q.imag)
 
 
-def _stack(coeffs, n):
-    """Real and imaginary parts, shape (n, len(coeffs)), of a coefficient
-    list whose entries are lanes or constants."""
-    re = np.empty((n, len(coeffs)))
-    im = np.empty((n, len(coeffs)))
-    for k, c in enumerate(coeffs):
-        re[:, k] = c.re if isinstance(c, CArray) else c.real
-        im[:, k] = c.im if isinstance(c, CArray) else c.imag
+def _stack(sides, n):
+    """Real and imaginary parts, rows [s * n, (s + 1) * n) those of list s
+    of coefficients (lanes or constants), zero-padded to the widest."""
+    width = max(map(len, sides))
+    re = np.zeros((len(sides) * n, width))
+    im = np.zeros((len(sides) * n, width))
+    for s, coeffs in enumerate(sides):
+        for k, c in enumerate(coeffs):
+            re[s * n:(s + 1) * n, k] = c.re if isinstance(c, CArray) else c.real
+            im[s * n:(s + 1) * n, k] = c.im if isinstance(c, CArray) else c.imag
     return re, im
 
 
@@ -735,18 +739,20 @@ class RootBatch:
 
     Each lane reproduces the scalar path bit for bit: the components are
     built by ``congruence_components`` itself over ``CArray`` lanes, the
-    roots of each side come from ``_poly_roots``' closed form or one stacked
-    ``eigvals`` per trimmed degree, with its Newton step and clustering as
-    masks, and the pairs are put in canonical order by ``np.lexsort``.  A
-    lane whose values leave the finite range, or whose solve raises on the
-    scalar path, is left to that path.
+    roots of both sides come from one pass of ``_poly_roots``' closed form
+    or one stacked ``eigvals`` per trimmed degree, with its Newton step and
+    clustering as masks, and the pairs are put in canonical order by
+    ``np.lexsort``.  A lane whose values leave the finite range, or whose
+    solve raises on the scalar path, is left to that path.
 
     On first use, ``implicit`` runs the derivative step over every root
     lane of the batch: G, dG, d2G and d2H are evaluated once each by
     ``Expr.evaluate`` on ``BArray`` lanes, and the formulas are the scalar
     path's own helpers.  A point with a root lane where the scalar step
     would raise (a pole, an overflow) or whose values are not finite is
-    left to ``solve_phi`` too (``implicit.scalar``).  ``solve_points`` runs
+    left to ``solve_phi`` too (``implicit.scalar``); the Laplacian, which
+    ``report`` and ``solution`` read and ``slice`` does not, is built on the
+    first read (``implicit.laplacian()``).  ``solve_points`` runs
     ``solve_phi`` at those points, in order, and puts each one's solutions
     on root lanes of the batch, so every solved point is read the same way:
     ``lanes(i)``, its root lanes.  The results stay arrays until a root is
@@ -775,11 +781,14 @@ class RootBatch:
     def _solve(self, data, lanes):
         n = len(lanes.u1.re)
         fe, ff = congruence_components(data, lanes)
-        self._fe = _stack(fe, n)
-        self._ff = _stack(ff, n)
-        ok_e, rep_e, mult_e, count_e = _side_roots(*self._fe)
-        ok_f, rep_f, mult_f, count_f = _side_roots(*self._ff)
-        ok = ok_e & ok_f
+        # one root pass over both sides: the narrower one's padding is trimmed
+        re, im = _stack((fe, ff), n)
+        self._fe = re[:n, :len(fe)], im[:n, :len(fe)]
+        self._ff = re[n:, :len(ff)], im[n:, :len(ff)]
+        ok, rep, mult, count = _side_roots(re, im)
+        rep_e, rep_f, mult_e, mult_f = rep[:n], rep[n:], mult[:n], mult[n:]
+        count_e, count_f = count[:n], count[n:]
+        ok = ok[:n] & ok[n:]
         me = max(int(count_e[ok].max(initial=0)), 1)
         mf = max(int(count_f[ok].max(initial=0)), 1)
 
@@ -892,7 +901,7 @@ class RootBatch:
                                  residual=float(implicit.residual[k]))
         if implicit.has_gradient[k]:
             sol.gradient = BVec3(*(c.item(k) for c in implicit.gradient))
-            sol.laplacian = implicit.laplacian.item(k)
+            sol.laplacian = implicit.laplacian().item(k)
             sol.degenerate = bool(implicit.degenerate[k])
         elif implicit.partially_degenerate[k]:
             sol.partially_degenerate = True
@@ -969,13 +978,18 @@ class RootBatch:
         a_cn = abs(cn)
         null_bound = GRAD_NULL_TOL * np.maximum(n2, 1e-300)
         degenerate = (a_cn <= null_bound) & (n2 > 0)
-        z = _Lanes(*(u[point] for u in self._z))
-        lap = _laplacian(g, dg, d2g, d2h, z, grad, fq_inv)
+        # no flag for the Laplacian: the scalar one only adds, subtracts and
+        # multiplies, which never raise, and report.clean sends it to a row
         bad = bad | bad_dg | bad_d2g | bad_d2h | ~np.isfinite(n2) | ~np.isfinite(a_cn)
-        bad |= ~lap.isfinite()
         for c in grad:
             bad |= ~c.isfinite()
         scalar |= has_gradient & bad
+
+        @cache
+        def laplacian(z=self._z):
+            # each lane's point gathered on the call: held, they raised the grid's peak RSS
+            with np.errstate(all="ignore"):
+                return _laplacian(g, dg, d2g, d2h, _Lanes(*(u[point] for u in z)), grad, fq_inv)
 
         return _Implicit(
             scalar=((np.bincount(point[scalar], minlength=len(self._ok)) > 0)
@@ -989,7 +1003,7 @@ class RootBatch:
             degenerate=has_gradient & degenerate,
             partially_degenerate=~has_gradient & (e_ok != f_ok),
             gradient=grad,
-            laplacian=lap,
+            laplacian=laplacian,
             cn=cn,
             oriented=has_gradient & (a_cn > null_bound),
         )
@@ -1001,7 +1015,7 @@ class RootBatch:
         implicit = self.implicit
         grad = implicit.gradient
         with np.errstate(all="ignore"):
-            laplacian_abs = abs(implicit.laplacian)
+            laplacian_abs = abs(implicit.laplacian())
             nullness_abs = abs(_dot(grad, grad))
         finite = np.isfinite(laplacian_abs) & np.isfinite(nullness_abs)
         return _Report(laplacian_abs, nullness_abs, ~implicit.has_gradient | finite)
@@ -1039,7 +1053,7 @@ class _Implicit(NamedTuple):
     degenerate: np.ndarray
     partially_degenerate: np.ndarray
     gradient: tuple             # three BArray
-    laplacian: BArray
+    laplacian: Callable[[], BArray]  # the Laplacian, built on the first call
     cn: CArray                  # CN(gradient)
     oriented: np.ndarray        # a gradient whose CN passes gauss_map's test
 
@@ -1077,7 +1091,7 @@ def _solution_lanes(sols) -> _Implicit:
         degenerate=np.array([sol.degenerate for sol in sols], dtype=bool),
         partially_degenerate=np.array([sol.partially_degenerate for sol in sols], dtype=bool),
         gradient=tuple(grad),
-        laplacian=lap,
+        laplacian=lambda: lap,
         cn=cn,
         oriented=has_gradient & (a_cn > GRAD_NULL_TOL * np.maximum(n2, 1e-300)),
     )
@@ -1085,7 +1099,9 @@ def _solution_lanes(sols) -> _Implicit:
 
 def _joined(a, b, index):
     """Lanes a, then lanes b, taken at ``index``: arrays, ``CArray`` or
-    ``BArray`` lanes, or tuples of them."""
+    ``BArray`` lanes, tuples of them, or functions that build them."""
+    if callable(a):
+        return cache(lambda: _joined(a(), b(), index))
     if isinstance(a, tuple):
         return tuple(_joined(x, y, index) for x, y in zip(a, b))
     if isinstance(a, BArray):

@@ -1438,6 +1438,173 @@ def test_batches_leave_no_blocks_allocated():
     assert sys.getallocatedblocks() - before < 10
 
 
+# CArray's operators, each a few numpy calls on a block's small arrays
+_CARRAY_OPERATORS = ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "__mul__",
+                     "__rmul__", "__truediv__", "__rtruediv__", "__pow__", "__abs__")
+_RADIAL_SLICE = {"task": "slice", "slice": "euclidean", "g": {"f": {"op": "var"}},
+                 "h": {"f": {"op": "const", "value": [0, 0]}}}
+_RADIAL_DATA = {"G": {"f": {"op": "var"}}, "H": {"f": {"op": "const", "value": [0, 0]}}}
+
+
+def _counted(monkeypatch, owner, names):
+    """A Counter of the calls of ``owner``'s functions ``names``, patched."""
+    calls = Counter()
+    for name in names:
+        def counting(*args, _fn=getattr(owner, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
+@pytest.mark.parametrize("config, bound", [
+    (dict(_RADIAL_SLICE, points=[[0.3, 0.5, 0.7]]), 320),
+    ({"task": "verify", "data": _RADIAL_DATA, "points": [[0.3, 1.1, -0.2]]}, 780),
+], ids=["slice", "verify"])
+def test_a_one_point_block_is_a_bounded_number_of_lane_operations(config, bound, monkeypatch):
+    # a block's cost is mostly fixed: one root pass over both sides of its
+    # components, and no Laplacian where no row reads one (588 and 839
+    # operations with a pass per side and an eager Laplacian)
+    run(config, io.StringIO())
+    calls = _counted(monkeypatch, CArray, _CARRAY_OPERATORS)
+    with np.errstate(all="ignore"):
+        run(config, io.StringIO())
+    assert 0 < sum(calls.values()) <= bound, calls
+
+
+@pytest.mark.parametrize("config, blocks", [
+    (dict(_RADIAL_SLICE, grid={"min": [0.3, 0.4, 0.5], "max": [1.7, 1.9, 1.2],
+                               "counts": [3, 2, 1]}), 0),
+    ({"task": "verify", "data": _RADIAL_DATA,
+      "points": [[0.3, 1.1, -0.2], [1.0, -0.5, [0.2, 0.4]], [0.7, 0.1, 0.9]]}, 2),
+    ({"task": "solve", "data": _RADIAL_DATA,
+      "points": [[0.3, 1.1, -0.2], [1.0, -0.5, [0.2, 0.4]], [0.7, 0.1, 0.9]]}, 2),
+], ids=["slice", "verify", "solve"])
+def test_the_laplacian_is_built_once_per_block_that_reads_it(config, blocks, monkeypatch):
+    # slice rows read no Laplacian: its lanes are never built; a solve or
+    # verify --points block builds them once, for its report
+    monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", 2)
+    want = _cli_output(config)
+    calls = _counted(monkeypatch, bhm.weierstrass, ["_laplacian", "solve_phi"])
+    assert _cli_output(config) == want
+    assert calls == Counter({"_laplacian": blocks} if blocks else {})
+
+
+def _fused_configs():
+    """Data whose e- and f-sides differ in width and degree, at points
+    where a side's degree drops, a side has zero roots (np.roots'
+    trailing zeros) or a side vanishes."""
+    rng = random.Random(18)
+
+    def rc():
+        return complex(rng.uniform(-1.5, 1.5), rng.uniform(-1.5, 1.5))
+
+    def poly(coeffs):
+        return _horner([[c.real, c.imag] for c in coeffs])
+
+    points = []
+    for _ in range(6):
+        z2 = rc()
+        points += [[[c.real, c.imag] for c in (rc(), rc(), rc())],
+                   # z2 + i z3 = 0: with G(0) = H(0) = 0 on the e-side, its
+                   # constant term vanishes, and a linear f-side's quadratic
+                   # term with it
+                   [[c.real, c.imag] for c in (rc(), z2, 1j * z2)],
+                   # z2 - i z3 = 0: an f-side of G = H = 0 vanishes, and a
+                   # linear e-side's quadratic term
+                   [[c.real, c.imag] for c in (rc(), z2, -1j * z2)]]
+    points += [[0, 0, 0], [[0.5, 0.2], 0, 0]]
+    # a cubic e-side G with a linear f-side G: e-side width 7, f-side 3
+    cubic = {"G": {"f1": poly([0, rc(), rc(), rc()]), "f2": poly([rc(), rc()])},
+             "H": {"f1": poly([0, rc()]), "f2": poly([rc(), rc(), rc()])}}
+    # e-side as above, a constant f-side: width 1, and 0 where z2 = i z3
+    constant = {"G": {"f1": poly([0, rc(), rc(), rc()]), "f2": poly([0])},
+                "H": {"f1": poly([0, rc()]), "f2": poly([0])}}
+    # a linear e-side G with a cubic f-side: the f-side is the wider one
+    linear = {"G": {"f1": poly([rc(), rc()]), "f2": poly([0, rc(), 0, rc()])},
+              "H": {"f1": poly([rc(), rc()]), "f2": poly([0, rc()])}}
+    return [{"task": "solve", "data": data, "points": points}
+            for data in (cubic, constant, linear)]
+
+
+@pytest.mark.parametrize("config", _fused_configs(), ids=["cubic-linear", "cubic-constant",
+                                                          "linear-cubic"])
+@pytest.mark.parametrize("size", [None, 1, 2, 7])
+def test_one_root_pass_over_both_sides_matches_the_scalar_path(config, size, monkeypatch):
+    # both sides' lanes share one _side_roots pass, the narrower side zero-
+    # padded: each lane still reads as _canonical_roots and solve_phi, in
+    # every block, and the CLI's report is a point-by-point run's
+    if size is not None:
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+    data = bhm.cli._parse_data(config)
+    points = [bhm.cli._parse_point(p) for p in config["points"]]
+    kinds = Counter()
+    with np.errstate(all="ignore"):
+        for block in bhm.weierstrass._blocks(points, bhm.weierstrass._degrees(data)):
+            batch = RootBatch(data, block)
+            for i, z in enumerate(block):
+                _assert_point_matches(data, batch, i, z)
+                fe, ff = bhm.weierstrass.congruence_components(data, z)
+                for side in (fe, ff):
+                    outcome = _outcome(lambda: _poly_roots(side))
+                    kinds[("raises" if isinstance(outcome, tuple)
+                           else "zero-root" if any(r == 0 for r, _ in outcome)
+                           else len(outcome))] += 1
+        want = _outcome(lambda: _point_by_point(config))
+    assert "zero-root" in kinds and len(kinds) >= 4, kinds
+    assert _cli_output(config) == want
+
+
+# G = 1e154 q + 1e7, H = 2e9 q + 1e60 q^2: at z = (0.02, 0, 0) a root's
+# gradient is finite and its Laplacian is not
+_LAPLACIAN_OVERFLOW = {
+    "G": {"f": {"op": "add", "args": [{"op": "const", "value": [1e7, 0]},
+                                      {"op": "mul", "args": [{"op": "const", "value": [1e154, 0]},
+                                                             {"op": "var"}]}]}},
+    "H": {"f": {"op": "add", "args": [
+        {"op": "mul", "args": [{"op": "const", "value": [2e9, 0]}, {"op": "var"}]},
+        {"op": "mul", "args": [{"op": "const", "value": [1e60, 0]},
+                               {"op": "pow", "args": [{"op": "var"}], "exp": 2}]}]}}}
+_OUT_OF_RANGE = {"type": "ValueError",
+                 "message": "Out of range float values are not JSON compliant"}
+_VANISHES = {"type": "DegenerateAllComponentsError",
+             "message": "congruence component vanishes identically; solution set is not discrete"}
+
+
+@pytest.mark.parametrize("task", ["solve", "verify"])
+@pytest.mark.parametrize("points, want", [
+    ([[0.02, 0, 0]], _OUT_OF_RANGE),
+    ([[0.5, 0.2, 0.1], [0.02, 0, 0]], _OUT_OF_RANGE),
+    # a later point's solve error comes first: the report is refused only
+    # once it is written
+    ([[0.02, 0, 0], [0.5, 1e300, 0]], _VANISHES),
+])
+def test_a_laplacian_that_is_not_finite_keeps_its_lanes_and_its_output(task, points, want,
+                                                                      monkeypatch, capsys):
+    # the scalar Laplacian cannot raise, so such a root stays on the lanes
+    # (it took the scalar path while every batch built the Laplacian), its
+    # row is built from its solution, and main's exit code, stdout and
+    # stderr are those recorded when it took the scalar path
+    config = {"task": task, "data": _LAPLACIAN_OVERFLOW, "points": points}
+    with np.errstate(all="ignore"):
+        batch = RootBatch(bhm.cli._parse_data(config),
+                          [bhm.cli._parse_point(p) for p in points])
+        k = points.index([0.02, 0, 0])
+        lanes = batch.lanes(k)
+        assert lanes is not None
+        assert not batch.implicit.laplacian()[lanes].isfinite().all()
+        assert batch.implicit.has_gradient[lanes].any()
+        for c in batch.implicit.gradient:
+            assert c[lanes].isfinite().all()
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    assert bhm.cli.main([]) == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err == json.dumps({"error": want}) + "\n"
+    if task == "solve":
+        with np.errstate(all="ignore"):
+            assert _outcome(lambda: _point_by_point(config)) == tuple(want.values())
+
+
 @pytest.mark.parametrize("config", [*_BLOCK_CONFIGS, _fibre_configs()[0]],
                          ids=["slice-grid", "slice-points", "verify", "solve", "fibres"])
 def test_numpy_error_state_is_entered_per_batch(config, monkeypatch):
@@ -1705,7 +1872,8 @@ def _leave_to_the_scalar_path(monkeypatch, z1):
 # where both components vanish, makes the root's check raise
 # DegenerateAllComponentsError from the reference; at z = (h, 0, 0) the
 # solve itself raises it.  z = (0, 1.5e308 i, -1.5e308 i) is left to the
-# scalar path, whose solve raises OverflowError (absolute value too large)
+# scalar path, whose solve raises RangeOverflowError (a congruence
+# coefficient's modulus is past the double range)
 _JUMP_DATA = {"G": {"f": _VAR}, "H": {"f": _times([-1e-3, 0])}}
 _CHECK_ERROR = [0, 0, 0]
 _SOLVE_ERROR = [0, [0, 1.5e308], [0, -1.5e308]]

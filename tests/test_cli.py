@@ -451,6 +451,25 @@ class TestSchemaAndExitCodes:
         assert error["type"] == "InvalidInputError"
         assert "companion matrix overflows" in error["message"]
 
+    # z2 = 1.3e308 (1 + i): a congruence coefficient has finite parts and a
+    # modulus past the double range
+    HUGE_Z2 = [[0, 0], [1.3e308, 1.3e308], [0, 0]]
+
+    @pytest.mark.parametrize("config", [
+        {"task": "solve", "data": RADIAL, "points": [[0.3, 1.1, -0.2], HUGE_Z2, [1, 0, 0]]},
+        {"task": "verify", "data": RADIAL, "points": [[0.3, 1.1, -0.2], HUGE_Z2, [1, 0, 0]]},
+    ], ids=["solve", "verify-points"])
+    def test_exit_code_3_names_a_coefficient_modulus_past_the_double_range(
+            self, config, monkeypatch, capsys):
+        # was the bare OverflowError: absolute value too large
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "a coefficient or root overflows at "
+                       "z = CVec3(0j, (1.3e+308+1.3e+308j), 0j)"}
+
     def test_exit_code_3_on_a_lone_nan_companion_coefficient(self, monkeypatch, capsys):
         # G's e-side -1e155 i + q + q^2 at z = 0: the component's one nonzero
         # coefficient is NaN, and np.roots found no root (a ValueError from
@@ -636,3 +655,39 @@ class TestSchemaAndExitCodes:
                               input=text.encode(), capture_output=True)
         assert proc.returncode == 2
         assert json.loads(proc.stderr)["error"]["type"] == "RecursionError"
+
+
+# argv for main, each on one config: the task override, CSV, a bad format
+# (argparse's exit 2 with usage), a tolerance and a bad tolerance
+_ARGV = [[], ["--task", "verify"], ["--format", "csv"], ["--format", "xml"],
+         ["--tol", "1e-6"], ["--tol", "nan"], ["--format", "csv", "--task", "slice"],
+         ["--seed", "3", "--task", "fibres"]]
+
+
+def _main_outcome(config, argv, monkeypatch, capsys):
+    """main(argv) on a config: (exit code, stdout, stderr), argparse's
+    SystemExit included."""
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def test_the_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
+    # main parses with one parser, built on its first call; calls in one
+    # process, in turn, give what a parser built for each call gives
+    config = {"task": "solve", "data": RADIAL, "points": [[0.3, 1.1, -0.2]],
+              "slice": "euclidean", "g": {"f": VAR}, "h": {"f": CONST0},
+              "params": [[0.5, 0.1, 0.2, 0.3]]}
+    shared = [_main_outcome(config, argv, monkeypatch, capsys) for argv in _ARGV * 2]
+    assert cli._parser() is cli._parser()
+    monkeypatch.setattr(cli, "_parser", cli._parser.__wrapped__)  # a parser per call
+    fresh = [_main_outcome(config, argv, monkeypatch, capsys) for argv in _ARGV * 2]
+    assert shared == fresh
+    codes = [code for code, _, _ in shared[:len(_ARGV)]]
+    assert codes == [0, 0, 0, 2, 0, 2, 0, 0]
+    assert shared[3][2].startswith("usage: bhm") and "invalid choice: 'xml'" in shared[3][2]
+    assert shared[1][1] != shared[0][1] and shared[2][1].startswith("p1_re,")
