@@ -25,23 +25,22 @@ from itertools import chain
 import numpy as np
 
 from .core import BArray, Bicomplex
-from .errors import BhmError, DegeneratePointError, ExprSchemaError
+from .errors import BhmError, ExprSchemaError, RangeOverflowError
 from .geometry import CVec3, chart_to_point, point_to_chart, transition, transition_holofn
 from .geometry import Space, Chart, S2CPoint, QuadricPointB, QuadricPointC
 from .holo import _evaluate, holofn_from_json, is_number
 from .slices import SliceKind, _projection, _slice_roots, slice_data
-from .verify import _CLASS_NAMES, CLASSIFY_TOL, _class_index, _point_roots
+from .verify import _CLASS_NAMES, CLASSIFY_TOL, _class_index, _point_lanes, _point_roots
+from .verify import _stencil_checks
 from .weierstrass import (
     _TAGS,
     FibreBatch,
-    RootBatch,
     WeierstrassData,
     _blocks,
     _degrees,
     _residual,
     _until_error,
     fibre_at,
-    gauss_map,
 )
 
 TASKS = ("solve", "fibres", "verify", "slice", "charts")
@@ -138,14 +137,12 @@ def _parse_data(config) -> WeierstrassData:
 def _cap_roots(data: WeierstrassData, n_points):
     """Refuse, before any solve, a run whose points can have more than
     MAX_ROOTS roots in all: a point's roots pair the two sides' roots, of
-    at most ``weierstrass._degrees`` each.  Returns those two degree
-    bounds."""
+    at most ``weierstrass._degrees`` each."""
     d_e, d_f = _degrees(data)
     n_roots = n_points * d_e * d_f
     if n_roots > MAX_ROOTS:
         raise ExprSchemaError(f"the run can reach {n_roots} roots ({n_points} points x "
                               f"{d_e} x {d_f}), more than {MAX_ROOTS}")
-    return d_e, d_f
 
 
 def _grid_points(grid):
@@ -178,103 +175,73 @@ def _grid_points(grid):
 # tasks
 
 
-def _root_row(q, multiplicity, residual, degenerate, partially_degenerate,
-              gradient, laplacian_abs, nullness_abs, gauss, fibre):
-    """A root's report: the one layout of the rows that ``_root_json``
-    builds from a solution and ``_solve_rows`` from the lanes."""
-    return {
-        "q": q,
-        "multiplicity": multiplicity,
-        "residual": residual,
-        "degenerate": degenerate,
-        "partially_degenerate": partially_degenerate,
-        "gradient": gradient,
-        "laplacian_abs": laplacian_abs,
-        "nullness_abs": nullness_abs,
-        "gauss": gauss,
-        "fibre": fibre,
-    }
-
-
-def _root_json(sol, fibre):
-    """A root's report from its CongruenceSolution, with its fibre's row."""
-    gradient = laplacian_abs = nullness_abs = gauss = None
-    if sol.gradient is not None:
-        gradient = [_b(q) for q in sol.gradient]
-        laplacian_abs = _f(abs(sol.laplacian))
-        nullness_abs = _f(abs(sol.gradient.square()))
-        if not sol.degenerate:
-            try:
-                gauss = _cvec(gauss_map(sol.gradient))
-            except DegeneratePointError:
-                pass  # |gradient|^2 underflows to 0: no direction, and not degenerate
-    return _root_row(_b(sol.q), sol.multiplicity, _f(sol.residual), sol.degenerate,
-                     sol.partially_degenerate, gradient, laplacian_abs, nullness_abs, gauss,
-                     fibre)
-
-
 def _task_solve(config, tol, seed):
     data = _parse_data(config)
     points = config.get("points")
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'solve' needs a non-empty 'points' list")
     pts = [_parse_point(p) for p in points]
+    _cap_roots(data, len(pts))
     results = []
-    for block in _blocks(pts, _cap_roots(data, len(pts))):
-        batch = RootBatch(data, block)
-        # the points up to the first whose solve raises; that error is
-        # raised after their rows, and each root's fibre and report row is
-        # built in its turn, so errors surface in a point-by-point run's
-        # order
-        n, error = batch.solve_points()
-        roots = [batch.lanes(i) for i in range(n)]
-        q = batch.implicit.q[:roots[-1].stop if roots else 0]
-        fibres = _fibre_rows(FibreBatch(data, q), ())
-        for z, rows in zip(block, _solve_rows(batch, roots, fibres)):
-            results.append({"point": _cvec(z), "roots": rows})
-        if error is not None:
-            raise error
+    listed = lists = fibres = None
+    for z, batch, roots in _stencil_checks(data, pts, _point_lanes, None, None):
+        if batch is not listed:
+            # one FibreBatch over the block's root lanes, read lane by lane
+            listed, lists = batch, _lane_lists(batch)
+            fibres = _fibre_rows(FibreBatch(data, batch.implicit.q), ())
+        results.append({"point": _cvec(z), "roots": _solve_rows(z, batch, roots, lists, fibres)})
     return {"task": "solve", "results": results}
 
 
-def _solve_rows(batch, roots, fibres):
-    """The root rows of each solved point, in order, each root's fibre row
-    taken from ``fibres`` in its turn.  ``roots`` holds each point's root
-    lanes in the batch: a clean root lane's row is built from ``.tolist()``
-    of the batch's lanes, any other's by ``_root_json`` from
-    ``batch.solution(k)``, in its turn."""
+def _solve_rows(z, batch, roots, lists, fibres):
+    """The root rows of point z, from its ``(k, None)`` pairs of root lanes
+    k of ``batch``, whose fields ``lists`` holds (``_lane_lists``); each
+    root's fibre row is taken from ``fibres`` in its turn, and then its
+    |Laplacian| and |nullness| may raise (``_overflow``), so errors surface
+    in a point-by-point run's order."""
     q, multiplicity, residual, degenerate, partially, has_gradient, gradient, \
-        laplacian_abs, nullness_abs, gauss, oriented, clean = _lane_lists(batch)
-    for lanes in roots:
-        rows = []
-        for k in lanes:
-            fibre = next(fibres)
-            if not clean[k]:
-                rows.append(_root_json(batch.solution(k), fibre))
-            elif has_gradient[k]:
-                rows.append(_root_row(q[k], multiplicity[k], residual[k], degenerate[k],
-                                      partially[k], gradient[k], laplacian_abs[k],
-                                      nullness_abs[k], gauss[k] if oriented[k] else None,
-                                      fibre))
-            else:
-                rows.append(_root_row(q[k], multiplicity[k], residual[k], degenerate[k],
-                                      partially[k], None, None, None, None, fibre))
-        yield rows
+        laplacian_abs, nullness_abs, gauss, oriented, overflow = lists
+    rows = []
+    for k, _ in roots:
+        fibre = next(fibres)
+        if overflow[k]:
+            raise _overflow(batch, k, z)
+        g = has_gradient[k]
+        rows.append({
+            "q": q[k],
+            "multiplicity": multiplicity[k],
+            "residual": residual[k],
+            "degenerate": degenerate[k],
+            "partially_degenerate": partially[k],
+            "gradient": gradient[k] if g else None,
+            "laplacian_abs": laplacian_abs[k] if g else None,
+            "nullness_abs": nullness_abs[k] if g else None,
+            "gauss": gauss[k] if oriented[k] else None,
+            "fibre": fibre,
+        })
+    return rows
+
+
+def _overflow(batch, k, z):
+    """The error of root lane k of ``batch``, a root of z, whose scalar
+    |Laplacian| or |nullness| passes the double range
+    (``RootBatch.report.overflow``)."""
+    return RangeOverflowError(f"|Laplacian| or |nullness| overflows at the root "
+                              f"q = {batch.implicit.q.item(k)!r} of z = {z!r}")
 
 
 def _lane_lists(batch):
     """The fields of a batch's root rows as lists, ``_f``'s + 0.0 done over
     the arrays."""
     implicit, report = batch.implicit, batch.report
-    gauss, clean = batch.gauss
     gradient = np.stack([c.reals() for c in implicit.gradient], axis=1)
-    gauss = np.stack([np.stack([c.re, c.im], axis=-1) for c in gauss], axis=1)
+    gauss = np.stack([np.stack([c.re, c.im], axis=-1) for c in batch.gauss], axis=1)
     return (_reals(implicit.q), implicit.multiplicity.tolist(),
             (implicit.residual + 0.0).tolist(), implicit.degenerate.tolist(),
             implicit.partially_degenerate.tolist(), implicit.has_gradient.tolist(),
             (gradient + 0.0).tolist(), (report.laplacian_abs + 0.0).tolist(),
             (report.nullness_abs + 0.0).tolist(), (gauss + 0.0).tolist(),
-            implicit.oriented.tolist(), clean.tolist())
+            implicit.oriented.tolist(), report.overflow.tolist())
 
 
 def _fibre_json(fibre, ts):
@@ -408,9 +375,14 @@ def _sample_rows(data, q, points, tol):
             continue
         qk, zk = batch.q.item(k), CVec3(*points[k].tolist())
         fibre = fibre_at(data, qk)
-        res = _congruence_residual(data, qk, zk)
+        try:
+            res = _congruence_residual(data, qk, zk)
+            contained = bool(fibre.contains(zk, tol=tol))
+        except OverflowError:  # an abs or a square past the double range, of finite parts
+            raise RangeOverflowError(f"the residual or the fibre test overflows at the "
+                                     f"sample q = {qk!r}, z = {zk!r}") from None
         rows.append({"q": q[k], "z": z[k], "tag": fibre.tag.value, "residual": _f(res),
-                     "on_fibre": bool(fibre.contains(zk, tol=tol))})
+                     "on_fibre": contained})
     return rows
 
 
@@ -442,45 +414,29 @@ def _task_verify(config, tol, seed):
     for z, batch, checks in _point_roots(data, pts):
         if batch is not listed:
             listed, lists = batch, _verify_lists(batch)
-        q, has_gradient, laplacian, nullness, clean = lists
+        q, has_gradient, laplacian, nullness, overflow = lists
         roots = []
+        # each root's check runs in its turn, after its |Laplacian| and
+        # |nullness| may raise
         for k, check in checks:
-            if clean[k]:
-                roots.append(_verify_row(q[k], has_gradient[k], laplacian[k], nullness[k],
-                                         check))
-            else:
-                roots.append(_verify_json(batch.solution(k), check))
+            if overflow[k]:
+                raise _overflow(batch, k, z)
+            row = {"q": q[k], "implicit": None, "fd": None}
+            if has_gradient[k]:
+                row["implicit"] = {"laplacian": laplacian[k], "nullness": nullness[k]}
+                row["fd"] = check()
+            roots.append(row)
         results.append({"point": _cvec(z), "roots": roots})
     return {"task": "verify", "results": results}
 
 
-def _verify_row(q, has_gradient, laplacian, nullness, check):
-    """A root's ``verify --points`` row: the one layout of the rows that
-    ``_verify_json`` builds from a solution and ``_task_verify`` from the
-    lanes.  ``check()`` runs here, in the root's turn."""
-    row = {"q": q, "implicit": None, "fd": None}
-    if has_gradient:
-        row["implicit"] = {"laplacian": laplacian, "nullness": nullness}
-        row["fd"] = check()
-    return row
-
-
-def _verify_json(sol, check):
-    """A root's ``verify --points`` row from its CongruenceSolution."""
-    if sol.gradient is None:
-        return _verify_row(_b(sol.q), False, None, None, check)
-    return _verify_row(_b(sol.q), True, _f(abs(sol.laplacian)),
-                       _f(abs(sol.gradient.square())), check)
-
-
 def _verify_lists(batch):
     """The fields of the ``verify --points`` rows of a batch's root lanes
-    as lists, ``_f``'s + 0.0 done over the arrays, and where each row is
-    clean (else it is built from its solution)."""
+    as lists, ``_f``'s + 0.0 done over the arrays."""
     implicit, report = batch.implicit, batch.report
     return (_reals(implicit.q), implicit.has_gradient.tolist(),
             (report.laplacian_abs + 0.0).tolist(), (report.nullness_abs + 0.0).tolist(),
-            report.clean.tolist())
+            report.overflow.tolist())
 
 
 def _task_slice(config, tol, seed):

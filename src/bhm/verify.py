@@ -430,11 +430,14 @@ def _point_roots(data, zs):
     def reference(z, q):
         return fd_residuals(tracked_branch(data, z, q0=q), z).to_json()
 
-    def lanes(block):
-        z = CArray.of([tuple(p) for p in block])
-        return z, z
+    return _stencil_checks(data, zs, _point_lanes, None, (_fd_stencils, fd_lanes, reference))
 
-    return _stencil_checks(data, zs, lanes, None, (_fd_stencils, fd_lanes, reference))
+
+def _point_lanes(block):
+    """Points in C^3 (CVec3s) as ``_stencil_checks`` reads its anchors: one
+    CArray of shape (n, 3), both their coordinates and their points."""
+    z = CArray.of([tuple(p) for p in block])
+    return z, z
 
 
 def _solutions(checks):
@@ -444,10 +447,11 @@ def _solutions(checks):
 
 
 def _stencil_checks(data, anchors, lanes, keep, stencil):
-    """The loop of ``point_checks`` and ``slices.slice_checks``: per anchor,
-    in order, (anchor, batch, [(k, check), ...]) for its kept roots, each
-    k a root lane of ``batch``, the block's RootBatch
-    (``batch.solution(k)`` builds its CongruenceSolution).
+    """The loop of ``point_checks``, ``slices.slice_checks`` and the CLI's
+    ``solve`` (``stencil`` None): per anchor, in order, (anchor, batch,
+    [(k, check), ...]) for its kept roots, each k a root lane of ``batch``,
+    the block's RootBatch (``batch.solution(k)`` builds its
+    CongruenceSolution).
 
     A block of anchors is solved in one RootBatch: ``lanes(anchors)`` gives
     their coordinates as lanes, one row per anchor, and their points in C^3

@@ -659,10 +659,11 @@ def _trimmed_degree(re, im):
 
 def _side_roots(re, im):
     """``_poly_roots`` of one side's components at every lane, grouped by
-    trimmed degree.  Returns (ok, representatives, multiplicities, counts);
-    ok is False on a lane left to the scalar path: a non-finite
-    coefficient or value, a vanishing component (the scalar path raises),
-    a failing eigvals, or ``np.roots``' real-typed all-zero case."""
+    trimmed degree.  Returns (ok, representatives, multiplicities, counts,
+    trimmed degrees); ok is False on a lane left to the scalar path: a
+    non-finite coefficient or value, a vanishing component (the scalar path
+    raises), a failing eigvals, or ``np.roots``' real-typed all-zero
+    case."""
     lanes, width = re.shape
     ok, deg = _trimmed_degree(re, im)
     nonzero = (re != 0.0) | (im != 0.0)
@@ -703,7 +704,7 @@ def _side_roots(re, im):
         mult[idx, :d] = m
         count[idx] = c
         ok[idx[overflow]] = False
-    return ok, CArray(rep_re, rep_im), mult, count
+    return ok, CArray(rep_re, rep_im), mult, count, deg
 
 
 def _degrees(data: WeierstrassData):
@@ -781,11 +782,12 @@ class RootBatch:
     def _solve(self, data, lanes):
         n = len(lanes.u1.re)
         fe, ff = congruence_components(data, lanes)
-        # one root pass over both sides: the narrower one's padding is trimmed
+        # one root pass over both sides: the narrower one's padding is
+        # trimmed, so each side keeps its own coefficients' trimmed degrees
         re, im = _stack((fe, ff), n)
-        self._fe = re[:n, :len(fe)], im[:n, :len(fe)]
-        self._ff = re[n:, :len(ff)], im[n:, :len(ff)]
-        ok, rep, mult, count = _side_roots(re, im)
+        ok, rep, mult, count, deg = _side_roots(re, im)
+        self._fe = re[:n, :len(fe)], im[:n, :len(fe)], deg[:n]
+        self._ff = re[n:, :len(ff)], im[n:, :len(ff)], deg[n:]
         rep_e, rep_f, mult_e, mult_f = rep[:n], rep[n:], mult[:n], mult[n:]
         count_e, count_f = count[:n], count[n:]
         ok = ok[:n] & ok[n:]
@@ -950,8 +952,7 @@ class RootBatch:
 
         def side(coeffs, root):
             # F at the root, F' there, and _coeff_scale(F', root)
-            d = _trimmed_degree(*coeffs)[1][point]
-            re, im = (part[point] for part in coeffs)
+            re, im, d = (part[point] for part in coeffs)
             value = _poly_eval([CArray(re[:, k], im[:, k]) for k in range(re.shape[1])], root)
             dre, dim = _derivative_lanes(re, im, d)
             derivative = _poly_eval([CArray(dre[:, k], dim[:, k])
@@ -979,7 +980,7 @@ class RootBatch:
         null_bound = GRAD_NULL_TOL * np.maximum(n2, 1e-300)
         degenerate = (a_cn <= null_bound) & (n2 > 0)
         # no flag for the Laplacian: the scalar one only adds, subtracts and
-        # multiplies, which never raise, and report.clean sends it to a row
+        # multiplies, which never raise
         bad = bad | bad_dg | bad_d2g | bad_d2h | ~np.isfinite(n2) | ~np.isfinite(a_cn)
         for c in grad:
             bad |= ~c.isfinite()
@@ -1010,30 +1011,26 @@ class RootBatch:
 
     @cached_property
     def report(self) -> "_Report":
-        """|Laplacian| and |nullness| at every root lane, as ``cli`` reads
-        them from a root's CongruenceSolution."""
+        """|Laplacian| and |nullness| at every root lane, as ``abs`` of a
+        root's CongruenceSolution gives them, and where that ``abs`` raises
+        OverflowError."""
         implicit = self.implicit
-        grad = implicit.gradient
         with np.errstate(all="ignore"):
-            laplacian_abs = abs(implicit.laplacian())
-            nullness_abs = abs(_dot(grad, grad))
-        finite = np.isfinite(laplacian_abs) & np.isfinite(nullness_abs)
-        return _Report(laplacian_abs, nullness_abs, ~implicit.has_gradient | finite)
+            laplacian = implicit.laplacian()
+            nullness = _dot(implicit.gradient, implicit.gradient)
+            overflow = _abs_raises(laplacian) | _abs_raises(nullness)
+            return _Report(abs(laplacian), abs(nullness), implicit.has_gradient & overflow)
 
     @cached_property
     def gauss(self):
-        """``gauss_map(gradient)``'s three CArray at every root lane (valid
-        where ``implicit.oriented``), and where a ``solve`` row, which reads
-        ``report`` and them, is clean: ``report.clean`` and, where oriented,
-        a finite Gauss map.  Kept apart from ``report``: the stencil tasks
-        read no Gauss map."""
-        implicit = self.implicit
-        grad = implicit.gradient
+        """``gauss_map(gradient)``'s three CArray at every root lane, valid
+        where ``implicit.oriented``: the scalar map's bits, finite or not,
+        since its arithmetic never raises there.  Kept apart from
+        ``report``: the stencil tasks read no Gauss map."""
+        grad = self.implicit.gradient
         with np.errstate(all="ignore"):
-            gauss = _unit_cross(tuple(c.z1 for c in grad), tuple(c.z2 for c in grad),
-                                implicit.cn)
-        finite = gauss[0].isfinite() & gauss[1].isfinite() & gauss[2].isfinite()
-        return gauss, self.report.clean & (~implicit.oriented | finite)
+            return _unit_cross(tuple(c.z1 for c in grad), tuple(c.z2 for c in grad),
+                               self.implicit.cn)
 
 
 class _Implicit(NamedTuple):
@@ -1059,13 +1056,22 @@ class _Implicit(NamedTuple):
 
 
 class _Report(NamedTuple):
-    """``RootBatch.report``: per root lane, ``abs(laplacian)``,
-    ``abs(gradient.square())``, and whether both are finite or the lane has
-    no gradient: where one is not, or where the scalar ``abs`` or ``** 2``
-    would raise OverflowError, the report takes the scalar path."""
+    """``RootBatch.report``: per root lane, ``abs(laplacian)`` and
+    ``abs(gradient.square())``, and whether the lane has a gradient and one
+    of these is a scalar ``abs`` that raises OverflowError."""
     laplacian_abs: np.ndarray
     nullness_abs: np.ndarray
-    clean: np.ndarray
+    overflow: np.ndarray
+
+
+def _abs_raises(x: BArray):
+    """Where ``abs`` of the Bicomplex at x's lanes raises OverflowError: a
+    part with finite components whose modulus, or its square, passes the
+    double range (a part that is not finite gives inf or NaN instead)."""
+    raises = False
+    for c in (x.z1, x.z2):
+        raises = raises | (c.isfinite() & np.isinf(np.float_power(np.hypot(c.re, c.im), 2)))
+    return raises
 
 
 def _solution_lanes(sols) -> _Implicit:

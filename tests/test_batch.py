@@ -27,7 +27,7 @@ import bhm.cli
 from bhm.cli import _congruence_residual, run
 import bhm.weierstrass
 from bhm.core import C_POWI_MAX, I2, BArray, Bicomplex, CArray
-from bhm.errors import BhmError, PoleEncounteredError
+from bhm.errors import BhmError, DegeneratePointError, PoleEncounteredError, RangeOverflowError
 from bhm.geometry import Chart, CVec3, transition
 from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var, holofn_from_json
 from bhm.slices import (
@@ -59,8 +59,10 @@ from bhm.weierstrass import (
     _poly_roots,
     _side_roots,
     _stacked_solve,
+    _trim,
     _until_error,
     fibre_at,
+    gauss_map,
     solve_phi,
     solve_roots,
 )
@@ -250,12 +252,14 @@ class TestSideRoots:
         a = np.array(lanes, dtype=complex)
         re, im = a.real.copy(), a.imag.copy()
         with np.errstate(all="ignore"):
-            ok, reps, mult, count = _side_roots(re, im)
+            ok, reps, mult, count, deg = _side_roots(re, im)
         for lane in range(len(lanes)):
             want = _side_outcome(re, im, lane)
             if not ok[lane]:
                 assert _scalar_only(re, im, lane, want)
                 continue
+            # the trimmed degree the derivative step reads
+            assert deg[lane] == len(_trim(lanes[lane])) - 1
             got = [(_bits(complex(reps.re[lane, k], reps.im[lane, k])), int(mult[lane, k]))
                    for k in range(count[lane])]
             assert got == want
@@ -1033,6 +1037,38 @@ class TestFibreBatch:
         assert _outcome(lambda: _scalar_check(data, qs[2], zs[2], 1e-8))[0] == "OverflowError"
 
 
+def _implicit_abs(sol, z):
+    """|Laplacian| and |nullness| of a root's row by the scalar ``abs``,
+    whose OverflowError past the double range the CLI names, naming the
+    root q and the point z."""
+    cli = bhm.cli
+    try:
+        return cli._f(abs(sol.laplacian)), cli._f(abs(sol.gradient.square()))
+    except OverflowError:
+        raise RangeOverflowError(f"|Laplacian| or |nullness| overflows at the root "
+                                 f"q = {sol.q!r} of z = {z!r}") from None
+
+
+def _root_json(sol, z, fibre):
+    """Root ``sol`` of point z's ``solve`` row, built from its
+    CongruenceSolution, with its fibre's row."""
+    cli = bhm.cli
+    gradient = laplacian_abs = nullness_abs = gauss = None
+    if sol.gradient is not None:
+        gradient = [cli._b(q) for q in sol.gradient]
+        laplacian_abs, nullness_abs = _implicit_abs(sol, z)
+        if not sol.degenerate:
+            try:
+                gauss = cli._cvec(gauss_map(sol.gradient))
+            except DegeneratePointError:
+                pass  # |gradient|^2 underflows to 0: no direction, and not degenerate
+    return {"q": cli._b(sol.q), "multiplicity": sol.multiplicity,
+            "residual": cli._f(sol.residual), "degenerate": sol.degenerate,
+            "partially_degenerate": sol.partially_degenerate, "gradient": gradient,
+            "laplacian_abs": laplacian_abs, "nullness_abs": nullness_abs, "gauss": gauss,
+            "fibre": fibre}
+
+
 def _point_by_point(config, tol=None, seed=0):
     """The ``solve``, ``fibres`` or ``verify --samples`` report of a run that
     takes one point or parameter at a time through solve_phi, fibre_at,
@@ -1042,7 +1078,7 @@ def _point_by_point(config, tol=None, seed=0):
     if config["task"] == "solve":
         results = []
         for z in [bhm.cli._parse_point(p) for p in config["points"]]:
-            roots = [bhm.cli._root_json(sol, bhm.cli._fibre_json(fibre_at(data, sol.q), ()))
+            roots = [_root_json(sol, z, bhm.cli._fibre_json(fibre_at(data, sol.q), ()))
                      for sol in solve_phi(data, z)]
             results.append({"point": bhm.cli._cvec(z), "roots": roots})
         report = {"task": "solve", "results": results}
@@ -1059,10 +1095,14 @@ def _point_by_point(config, tol=None, seed=0):
         for s in config["samples"]:
             q, z = bhm.cli._parse_sample(s)
             fibre = fibre_at(data, q)
-            res = _congruence_residual(data, q, z)
+            try:
+                res = _congruence_residual(data, q, z)
+                on_fibre = bool(fibre.contains(z, tol=tol))
+            except OverflowError:  # named by the CLI
+                raise RangeOverflowError(f"the residual or the fibre test overflows at the "
+                                         f"sample q = {q!r}, z = {z!r}") from None
             results.append({"q": bhm.cli._b(q), "z": bhm.cli._cvec(z), "tag": fibre.tag.value,
-                            "residual": bhm.cli._f(res),
-                            "on_fibre": bool(fibre.contains(z, tol=tol))})
+                            "residual": bhm.cli._f(res), "on_fibre": on_fibre})
         report = {"task": "verify", "results": results}
     out = io.StringIO()
     if config.get("format") == "csv":
@@ -1121,13 +1161,41 @@ def test_fibre_tasks_match_a_point_by_point_run(config, monkeypatch):
         assert _cli_output(config) == want
 
 
+@pytest.mark.parametrize("config", [c for c in _fibre_configs() if c["task"] == "verify"])
+def test_samples_forced_onto_the_scalar_path_match_a_point_by_point_run(config, monkeypatch):
+    # a verify --samples lane left to the scalar path, every other lane
+    # here, gives a point-by-point run's row or error, and so does each lane
+    # after it; with a sample whose residual overflows (xi(G(q)) . z at
+    # z = (1e155, 0, 0)) added at the end, that sample's named error follows
+    # the rows before it
+    checks = FibreBatch.checks
+
+    def every_other(batch, zs, tol):
+        residual, on_fibre, ok = checks(batch, zs, tol)
+        return residual, on_fibre, ok & (np.arange(len(ok)) % 2 == 1)
+
+    overflowing = dict(config, samples=config["samples"] + [{"q": [0.5, 0, 0, 0],
+                                                             "z": [1e155, 0, 0]}])
+    outcomes = []
+    for cfg in (config, overflowing):
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: _point_by_point(cfg))
+        outcomes.append(want)
+        assert _cli_output(cfg) == want
+        with monkeypatch.context() as m:
+            m.setattr(FibreBatch, "checks", every_other)
+            assert _cli_output(cfg) == want
+    if isinstance(outcomes[0], str):  # no earlier error: the added sample's is raised
+        assert outcomes[1][0] == "RangeOverflowError"
+
+
 def _shift_laplacian(monkeypatch):
     """Shift the implicit Laplacian helper, which solve_phi and the batch
     both run, by 1e200 z1: at a point with z1 = 1 its |Laplacian|^2 passes
-    the double range, so the scalar abs raises OverflowError while the
-    root's report row is built; at z1 = 0 nothing changes.  (A harmonic
-    morphism's Laplacian vanishes up to rounding, so unshifted data does
-    not get there.)"""
+    the double range, so the scalar abs raises OverflowError, which the CLI
+    names RangeOverflowError, while the root's report row is built; at
+    z1 = 0 nothing changes.  (A harmonic morphism's Laplacian vanishes up
+    to rounding, so unshifted data does not get there.)"""
     laplacian = bhm.weierstrass._laplacian
 
     def shifted(g, dg, d2g, d2h, z, grad, fq_inv):
@@ -1139,18 +1207,18 @@ def _shift_laplacian(monkeypatch):
 def test_solve_errors_keep_a_point_by_point_order(monkeypatch):
     # G = q and H = q / 1e-3, whose scalar Div finds a pole where a part of
     # q passes 1e9.  With the Laplacian shifted (_shift_laplacian), the
-    # report row of the first root at z = (1, 0.3, 0.2) raises.  At
-    # z1 = 1e10 three roots have a part near 2e10, and their fibres raise at
-    # H's pole.  At z = (-1000, 0, 0) both components vanish and the solve
-    # raises.  In one block, each error comes before the next one's, as in
-    # a point-by-point run
+    # report row of the first root at z = (1, 0.3, 0.2) raises
+    # RangeOverflowError.  At z1 = 1e10 three roots have a part near 2e10,
+    # and their fibres raise at H's pole.  At z = (-1000, 0, 0) both
+    # components vanish and the solve raises.  In one block, each error
+    # comes before the next one's, as in a point-by-point run
     var = {"op": "var"}
     data = {"G": {"f": var},
             "H": {"f": {"op": "div", "args": [var, {"op": "const", "value": [1e-3, 0]}]}}}
     report_error = [1, 0.3, 0.2]
     fibre_error = [1e10, [0.3, 0.1], 0.7]
     solve_error = [-1000, 0, 0]
-    for points, first, shift in [([report_error, fibre_error], "OverflowError", True),
+    for points, first, shift in [([report_error, fibre_error], "RangeOverflowError", True),
                                  ([fibre_error, solve_error], "PoleEncounteredError", False)]:
         config = {"task": "solve", "data": data, "points": points}
         with monkeypatch.context() as m:
@@ -1217,6 +1285,11 @@ def _solve_row_configs():
                     "points": [[1, [0, 1], 0], [0.3, 1.1, -0.2], [[0, -0.0], 1, 0]]},
         "underflow": {"task": "solve", "data": underflow,
                       "points": [[0.3, 1.1, -0.2], [1e163, 0.3, 0.2], [0.7, -0.2, 0.4]]},
+        # at z1 = 1e154 the root's CN(gradient) is 5e-309, a subnormal that
+        # passes gauss_map's test: the root is oriented, and its Gauss map's
+        # 2 / CN(gradient) overflows, so the map is not finite
+        "subnormal-cn": {"task": "solve", "data": underflow,
+                         "points": [[0.3, 1.1, -0.2], [1e154, 0.3, 0.2], [0.7, -0.2, 0.4]]},
     }
 
 
@@ -1227,13 +1300,24 @@ def test_solve_rows_from_lanes_match_a_point_by_point_run(name, fmt, monkeypatch
     # row of solve_phi's solution, at any block size
     config = dict(_solve_row_configs()[name], format=fmt)
     with np.errstate(all="ignore"):
-        want = _point_by_point(config)
-    assert isinstance(want, str)
+        want = _outcome(lambda: _point_by_point(config))
+    if name == "subnormal-cn":
+        data = bhm.cli._parse_data(config)
+        with np.errstate(all="ignore"):
+            batch = RootBatch(data, [bhm.cli._parse_point(p) for p in config["points"]])
+            finite = [c.isfinite() for c in batch.gauss]
+        assert (batch.implicit.oriented & ~(finite[0] & finite[1] & finite[2])).any()
+    if name == "subnormal-cn" and fmt == "json":
+        # the JSON report is refused with the constant message; the CSV
+        # report has no Gauss map column
+        assert want == tuple(_OUT_OF_RANGE.values())
+    else:
+        assert isinstance(want, str)
     for size in (None, 1, 2, 7):
         if size is not None:
             monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
         assert _cli_output(config) == want, size
-    if fmt == "json":
+    if fmt == "json" and isinstance(want, str):
         roots = [r for res in json.loads(want)["results"] for r in res["roots"]]
         flags = {(r["multiplicity"] > 1, r["degenerate"], r["partially_degenerate"],
                   r["gradient"] is None, r["gauss"] is None) for r in roots}
@@ -1248,7 +1332,7 @@ def test_solve_rows_from_lanes_match_a_point_by_point_run(name, fmt, monkeypatch
 
 def test_solve_scene_reads_every_row_from_the_lanes(monkeypatch):
     # a scene of the solve-dense benchmark's shape builds no
-    # CongruenceSolution, and calls neither gauss_map nor _root_json
+    # CongruenceSolution, and calls neither gauss_map nor RootBatch.solution
     config = _cubic_solve_config(0, 32)
     called = Counter()
 
@@ -1260,8 +1344,9 @@ def test_solve_scene_reads_every_row_from_the_lanes(monkeypatch):
 
     monkeypatch.setattr(bhm.weierstrass, "CongruenceSolution",
                         counting("CongruenceSolution", bhm.weierstrass.CongruenceSolution))
-    for name in ("gauss_map", "_root_json"):
-        monkeypatch.setattr(bhm.cli, name, counting(name, getattr(bhm.cli, name)))
+    monkeypatch.setattr(bhm.weierstrass, "gauss_map",
+                        counting("gauss_map", bhm.weierstrass.gauss_map))
+    monkeypatch.setattr(RootBatch, "solution", counting("solution", RootBatch.solution))
     report = json.loads(_cli_output(config))
     assert [len(res["roots"]) for res in report["results"]] == [36] * 32
     assert sum(r["gauss"] is not None for res in report["results"] for r in res["roots"]) > 0
@@ -1271,33 +1356,41 @@ def test_solve_scene_reads_every_row_from_the_lanes(monkeypatch):
 @pytest.mark.parametrize("fmt", ["json", "csv"])
 def test_an_overflowing_laplacian_abs_takes_the_scalar_row_in_its_turn(fmt, monkeypatch):
     # with the Laplacian shifted (_shift_laplacian), the roots at z1 = 1
-    # have a finite Laplacian whose abs overflows: the batch keeps the
-    # point, its lanes mark the roots' rows as not clean, and the first of
-    # them is built by _root_json from its solution and raises its
-    # OverflowError; the point before reads its rows from the lanes
+    # have a finite Laplacian whose scalar abs overflows: the batch keeps
+    # the point, its report marks the roots, and the first of them raises
+    # RangeOverflowError naming its q and z after its fibre row, in the
+    # turn where a point-by-point run's scalar abs raises; the point before
+    # reads its rows from the lanes
     _shift_laplacian(monkeypatch)
     var = {"op": "var"}
     config = {"task": "solve", "format": fmt,
               "data": {"G": {"f": var}, "H": {"f": {"op": "const", "value": [0.2, 0.1]}}},
               "points": [[0, 1.1, -0.2], [1, 0.3, 0.2], [0, [0.5, -0.3], 0.7]]}
+    data = bhm.cli._parse_data(config)
+    z = bhm.cli._parse_point(config["points"][1])
     with np.errstate(all="ignore"):
         want = _outcome(lambda: _point_by_point(config))
-        batch = RootBatch(bhm.cli._parse_data(config),
-                          [bhm.cli._parse_point(p) for p in config["points"]])
+        batch = RootBatch(data, [bhm.cli._parse_point(p) for p in config["points"]])
         assert batch.lanes(1) is not None
-        assert not any(batch.report.clean[batch.lanes(1)])
-        assert all(batch.report.clean[batch.lanes(0)])
-    assert want == ("OverflowError", "(34, 'Numerical result out of range')")
-    built = []
-    root_json = bhm.cli._root_json
+        assert all(batch.report.overflow[batch.lanes(1)])
+        assert not any(batch.report.overflow[batch.lanes(0)])
+        q = solve_phi(data, z)[0].q
+        assert _outcome(lambda: abs(solve_phi(data, z)[0].laplacian)) == \
+            ("OverflowError", "(34, 'Numerical result out of range')")
+    assert want == ("RangeOverflowError",
+                    f"|Laplacian| or |nullness| overflows at the root q = {q!r} of z = {z!r}")
+    rows = Counter()
+    fibre_rows = bhm.cli._fibre_rows
 
-    def counting(sol, fibre):
-        built.append(sol)
-        return root_json(sol, fibre)
+    def counting(batch, ts):
+        for row in fibre_rows(batch, ts):
+            rows["fibre"] += 1
+            yield row
 
-    monkeypatch.setattr(bhm.cli, "_root_json", counting)
+    monkeypatch.setattr(bhm.cli, "_fibre_rows", counting)
     assert _cli_output(config) == want
-    assert len(built) == 1  # the raising root's; the point before read the lanes
+    # the rows of point 0's roots and the raising root's fibre row
+    assert rows["fibre"] == len(batch.lanes(0)) + 1
     del config["points"][1]
     with np.errstate(all="ignore"):
         want = _point_by_point(config)
@@ -1818,8 +1911,8 @@ def _stencil_point_by_point(config):
             for sol in solve_phi(data, z):
                 entry = {"q": cli._b(sol.q), "implicit": None, "fd": None}
                 if sol.gradient is not None:
-                    entry["implicit"] = {"laplacian": cli._f(abs(sol.laplacian)),
-                                         "nullness": cli._f(abs(sol.gradient.square()))}
+                    laplacian, nullness = _implicit_abs(sol, z)
+                    entry["implicit"] = {"laplacian": laplacian, "nullness": nullness}
                     entry["fd"] = bhm.verify.fd_residuals(
                         bhm.verify.tracked_branch(data, z, q0=sol.q), z).to_json()
                 roots.append(entry)
@@ -1880,21 +1973,22 @@ _SOLVE_ERROR = [0, [0, 1.5e308], [0, -1.5e308]]
 
 
 @pytest.mark.parametrize("points, first, scalar", [
-    # a check's error before a later root's row that is not clean, and after
+    # a check's error before a later root's row that overflows, and after
     ([_CHECK_ERROR, [1, 0.3, 0.2]], "DegenerateAllComponentsError", None),
-    ([[1, 0.3, 0.2], _CHECK_ERROR], "OverflowError", None),
+    ([[1, 0.3, 0.2], _CHECK_ERROR], "RangeOverflowError", None),
     # a point left to the scalar path, whose rows raise, before and after
-    ([[2, 0.3, 0.2], _CHECK_ERROR], "OverflowError", 2),
+    ([[2, 0.3, 0.2], _CHECK_ERROR], "RangeOverflowError", 2),
     ([_CHECK_ERROR, [2, 0.3, 0.2]], "DegenerateAllComponentsError", 2),
     # a check on the scalar path before a later point's solve error
     ([_CHECK_ERROR, _SOLVE_ERROR], "DegenerateAllComponentsError", 0),
-    ([[1, 0.3, 0.2], _SOLVE_ERROR], "OverflowError", None),
+    ([[1, 0.3, 0.2], _SOLVE_ERROR], "RangeOverflowError", None),
 ])
 def test_verify_errors_keep_a_point_by_point_order(points, first, scalar, monkeypatch):
-    # with the Laplacian shifted (_shift_laplacian), a row at z1 = 1 or 2 is
-    # not clean: its solution's abs raises OverflowError as the row is
-    # built.  In one block, each error comes before the next one's, as in a
-    # point-by-point run
+    # with the Laplacian shifted (_shift_laplacian), a row at z1 = 1 or 2
+    # overflows: a point-by-point run's abs raises OverflowError as the row
+    # is built, and the CLI raises RangeOverflowError there, before the
+    # root's check.  In one block, each error comes before the next one's,
+    # as in a point-by-point run
     _shift_laplacian(monkeypatch)
     if scalar is not None:
         _leave_to_the_scalar_path(monkeypatch, scalar)
@@ -2009,6 +2103,31 @@ def test_points_forced_onto_the_scalar_path_match_a_point_by_point_run(config, f
                 batch = RootBatch(data, points)
             left = [batch.lanes(i) is None for i in range(len(config["points"]))]
             assert any(left) and left == [u == z1 for u in batch._z.u1.re.tolist()]
+
+
+def test_the_cli_builds_no_row_from_a_solution(monkeypatch):
+    # every solve, verify --points and slice row is read from root lanes:
+    # with points forced onto the scalar path, rows whose Laplacian is not
+    # finite, and rows that overflow (_shift_laplacian) and raise, no
+    # RootBatch.solution is built
+    calls = _counted(monkeypatch, RootBatch, ["solution"])
+    outputs = Counter()
+    for config, forced in _forced_configs():
+        for z1 in forced:
+            with monkeypatch.context() as m:
+                _leave_to_the_scalar_path(m, z1)
+                outputs[type(_cli_output(config))] += 1
+    for config in _solve_row_configs().values():
+        outputs[type(_cli_output(config))] += 1
+    for task in ("solve", "verify"):
+        outputs[type(_cli_output({"task": task, "data": _LAPLACIAN_OVERFLOW,
+                                  "points": [[0.5, 0.2, 0.1], [0.02, 0, 0]]}))] += 1
+        with monkeypatch.context() as m:
+            _shift_laplacian(m)
+            outputs[type(_cli_output({"task": task, "data": _JUMP_DATA,
+                                      "points": [[0.5, 0.3, 0.2], [1, 0.3, 0.2]]}))] += 1
+    assert outputs[str] >= 40 and outputs[tuple] == 5, outputs
+    assert calls == Counter()
 
 
 def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():

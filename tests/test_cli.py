@@ -409,6 +409,29 @@ class TestSchemaAndExitCodes:
             "type": "RangeOverflowError",
             "message": "G(q) is not finite at q = Bicomplex((-0.107-0.859j), (-1.7e+308+1e+155j))"}
 
+    @pytest.mark.parametrize("z, shown", [
+        ([1e155, 0, 0], "CVec3((1e+155+0j), 0j, 0j)"),
+        ([[1.7e308, 1.3e308], 0, 0], "CVec3((1.7e+308+1.3e+308j), 0j, 0j)"),
+        ([0, 0, [0, -1e155]], "CVec3(0j, 0j, -1e+155j)"),
+    ], ids=["1e155", "abs-too-large", "u3"])
+    def test_exit_code_3_names_a_sample_whose_checks_overflow(self, z, shown, monkeypatch,
+                                                              capsys):
+        # G = q, H = 0: the residual |xi(G) . z| and the fibre test's |z|
+        # pass the double range on the scalar path the sample's lane is left
+        # to, in its turn, before the malformed sample after it: was the bare
+        # OverflowError of a float square or of a complex abs
+        config = {"task": "verify", "data": RADIAL,
+                  "samples": [{"q": [0.5, 0, 0, 0], "z": [0, 0, 0]},
+                              {"q": [0.5, 0, 0, 0], "z": z},
+                              {"q": [1, 0, 0], "z": [0, 0, 0]}]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "the residual or the fibre test overflows at the sample "
+                       f"q = Bicomplex((0.5+0j), 0j), z = {shown}"}
+
     # G = 1/q has a pole at the first parameter, and the second is malformed
     POLE_DATA = {"G": {"f": {"op": "div", "args": [{"op": "const", "value": 1}, VAR]}},
                  "H": {"f": {"op": "const", "value": 0}}}
