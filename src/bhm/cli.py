@@ -18,9 +18,10 @@ import io
 import json
 import math
 import random
+import re
 import sys
 from functools import cache
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -602,57 +603,72 @@ _RUNNERS = {
 # output formatting
 
 
-def _csv_rows(out):
-    """Row writer for a CSV report; like the JSON report, it refuses a
-    non-finite value (ValueError)."""
-    writer = csv.writer(out, lineterminator="\n")
+# a whole CSV field that is a non-finite float's repr: no tag, class or
+# number field reads that way
+_NON_FINITE_FIELD = re.compile(r"(?<![^,\n])(?:-?inf|nan)(?![^,\n])")
+# rows written and checked at a time: the text held beside the report
+CSV_CHUNK_ROWS = 1024
 
-    def writerow(row):
-        for v in row:
-            if isinstance(v, float) and not math.isfinite(v):
-                raise ValueError(f"non-finite value {v!r} in the CSV report")
-        writer.writerow(row)
 
-    return writerow
+def _write_csv(out, header, rows):
+    """Write a CSV report with the C ``csv.writer``: the header, then the
+    rows.  Like the JSON report, it refuses a non-finite value
+    (ValueError), naming the first in row order: each chunk of rows is
+    written to a buffer, searched, and copied to ``out``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    rows = iter(rows)
+    chunk = [header]
+    while chunk:
+        writer.writerows(chunk)
+        text = buffer.getvalue()
+        # a plain substring search first: the pattern is the slower scan
+        bad = ("inf" in text or "nan" in text) and _NON_FINITE_FIELD.search(text)
+        if bad:
+            raise ValueError(f"non-finite value {bad.group()} in the CSV report")
+        out.write(text)
+        buffer.seek(0)
+        buffer.truncate()
+        chunk = list(islice(rows, CSV_CHUNK_ROWS))
 
 
 def _csv_solve(report, out):
-    writerow = _csv_rows(out)
-    writerow(["p1_re", "p1_im", "p2_re", "p2_im", "p3_re", "p3_im",
-              "q_x1", "q_x2", "q_x3", "q_x4", "multiplicity", "residual",
-              "degenerate", "partially_degenerate",
-              "laplacian_abs", "nullness_abs"])
-    for res in report["results"]:
-        p = [v for c in res["point"] for v in c]
-        for r in res["roots"]:
-            writerow(p + r["q"] + [r["multiplicity"], r["residual"],
-                                   int(r["degenerate"]),
-                                   int(r["partially_degenerate"]),
-                                   r["laplacian_abs"], r["nullness_abs"]])
+    def rows():
+        for res in report["results"]:
+            p = [v for c in res["point"] for v in c]
+            for r in res["roots"]:
+                yield p + r["q"] + [r["multiplicity"], r["residual"],
+                                    int(r["degenerate"]),
+                                    int(r["partially_degenerate"]),
+                                    r["laplacian_abs"], r["nullness_abs"]]
+
+    _write_csv(out, ["p1_re", "p1_im", "p2_re", "p2_im", "p3_re", "p3_im",
+                     "q_x1", "q_x2", "q_x3", "q_x4", "multiplicity", "residual",
+                     "degenerate", "partially_degenerate",
+                     "laplacian_abs", "nullness_abs"], rows())
 
 
 def _csv_fibres(report, out):
-    writerow = _csv_rows(out)
-    writerow(["q_x1", "q_x2", "q_x3", "q_x4", "tag",
-              "base_1re", "base_1im", "base_2re", "base_2im", "base_3re", "base_3im",
-              "dir_1re", "dir_1im", "dir_2re", "dir_2im", "dir_3re", "dir_3im"])
-    for r in report["results"]:
-        base = r["base"]
-        if base is None and r["samples"]:
-            base = r["samples"][0]
-        base = [v for c in (base or [[0, 0]] * 3) for v in c]
-        vec = r["direction"] if r["direction"] is not None else r["normal"]
-        vec = [v for c in (vec or [[0, 0]] * 3) for v in c]
-        writerow(r["q"] + [r["tag"]] + base + vec)
+    def rows():
+        for r in report["results"]:
+            base = r["base"]
+            if base is None and r["samples"]:
+                base = r["samples"][0]
+            base = [v for c in (base or [[0, 0]] * 3) for v in c]
+            vec = r["direction"] if r["direction"] is not None else r["normal"]
+            vec = [v for c in (vec or [[0, 0]] * 3) for v in c]
+            yield r["q"] + [r["tag"]] + base + vec
+
+    _write_csv(out, ["q_x1", "q_x2", "q_x3", "q_x4", "tag",
+                     "base_1re", "base_1im", "base_2re", "base_2im", "base_3re", "base_3im",
+                     "dir_1re", "dir_1im", "dir_2re", "dir_2im", "dir_3re", "dir_3im"], rows())
 
 
 def _csv_slice(report, out):
-    writerow = _csv_rows(out)
-    writerow(["x1", "x2", "x3", "branch", "q_x1", "q_x2", "q_x3", "q_x4",
-              "value_1", "value_2", "class", "harmonic_res", "null_res"])
-    for r in report["results"]:
-        writerow(r["x"] + [r["branch"]] + r["q"] + r["value"]
-                 + [r["class"], r["harmonic_res"], r["null_res"]])
+    _write_csv(out, ["x1", "x2", "x3", "branch", "q_x1", "q_x2", "q_x3", "q_x4",
+                     "value_1", "value_2", "class", "harmonic_res", "null_res"],
+               (r["x"] + [r["branch"]] + r["q"] + r["value"]
+                + [r["class"], r["harmonic_res"], r["null_res"]] for r in report["results"]))
 
 
 _CSV_WRITERS = {"solve": _csv_solve, "fibres": _csv_fibres, "slice": _csv_slice}

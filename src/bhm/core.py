@@ -383,7 +383,8 @@ class CArray:
 
     * ``+``, ``-`` and negation act on each part;
     * ``*`` is the split-real product ``(ar*br - ai*bi, ar*bi + ai*br)``;
-    * ``/`` is Smith's algorithm as in CPython's ``_Py_c_quot``;
+    * ``/`` is Smith's algorithm as in CPython's ``_Py_c_quot``, whose
+      branch is taken once where the divisor is one number for every lane;
     * ``abs`` is ``np.hypot``;
     * ``** n`` is CPython 3.11's ``c_powi`` for an int |n| <= C_POWI_MAX;
     * an ``int`` or ``float`` operand is promoted to ``x + 0j`` first, as
@@ -523,6 +524,8 @@ def _operand(value):
 
 def _quotient(ar, ai, br, bi):
     """CPython's ``_Py_c_quot`` on real and imaginary parts."""
+    if isinstance(br, float) and isinstance(bi, float):
+        return _scalar_quotient(ar, ai, br, bi)
     br, bi = np.asarray(br, dtype=float), np.asarray(bi, dtype=float)
     abs_br = np.abs(br)
     abs_bi = np.abs(bi)
@@ -538,6 +541,22 @@ def _quotient(ar, ai, br, bi):
     im = np.where(by_re, (ai - ar * ratio) / denom_re,
                   np.where(by_im, (ai * ratio - ar) / denom_im, np.nan))
     return CArray(re, im)
+
+
+def _scalar_quotient(ar, ai, br, bi):
+    """``_quotient`` by one divisor br + bi i for every lane (floats): its
+    branch is taken once, and only that branch is computed."""
+    abs_br, abs_bi = abs(br), abs(bi)
+    if abs_br >= abs_bi and abs_br != 0.0:
+        ratio = bi / br
+        denom = br + bi * ratio
+        return CArray((ar + ai * ratio) / denom, (ai - ar * ratio) / denom)
+    if abs_bi > abs_br:
+        ratio = br / bi
+        denom = br * ratio + bi
+        return CArray((ar * ratio + ai) / denom, (ai * ratio - ar) / denom)
+    nan = np.full(np.broadcast(ar, ai).shape, np.nan)
+    return CArray(nan, nan.copy())
 
 
 class BArray:

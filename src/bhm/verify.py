@@ -9,8 +9,8 @@ CN(grad), summed), which ``classify_point`` calls, and
 checks, ``point_checks`` and the loop it shares with
 ``slices.slice_checks`` (``_stencil_checks``), work on lanes: a block's
 anchors and their stencil points are built as CArray lanes with the bits
-of ``fd_stencil`` (``_fd_points``), each solved in one ``RootBatch``, and
-the reports are computed over lanes with the reference's bits
+of ``fd_stencil`` (``_fd_points``), all solved in one ``RootBatch`` root
+pass, and the reports are computed over lanes with the reference's bits
 (``fd_lanes``); a root they flag gets the reference's own report.  Every
 root is handed on as its root lane in the block's RootBatch, into which
 an anchor left to ``solve_phi`` is merged first, and the CLI builds its
@@ -40,7 +40,7 @@ from math import sqrt
 import numpy as np
 
 from .core import BArray, Bicomplex, CArray, I_LANE
-from .errors import BranchJumpError, InvalidInputError
+from .errors import BranchJumpError, InvalidInputError, RangeOverflowError
 from .geometry import BVec3, CVec3
 from .weierstrass import RootBatch, WeierstrassData, _blocks, _degrees, _max, _null_parts
 from .weierstrass import solve_roots
@@ -111,9 +111,12 @@ def _shifted(z: CVec3, k: int, dz: complex) -> CVec3:
 
 def _fd_step(z: CVec3, h):
     """``fd_stencil``'s step at z: h, or DEFAULT_STEP times the scale
-    max(1, |z|); raises OverflowError where ``z.norm()`` does, h given or
-    not."""
-    scale = max(1.0, z.norm())
+    max(1, |z|); raises RangeOverflowError where ``z.norm()`` overflows, h
+    given or not."""
+    try:
+        scale = max(1.0, z.norm())
+    except OverflowError:  # a component's modulus, or its square, past the double range
+        raise RangeOverflowError(f"the stencil scale |z| overflows at z = {z!r}") from None
     return h if h is not None else DEFAULT_STEP * scale
 
 
@@ -455,17 +458,21 @@ def _stencil_checks(data, anchors, lanes, keep, stencil):
 
     A block of anchors is solved in one RootBatch: ``lanes(anchors)`` gives
     their coordinates as lanes, one row per anchor, and their points in C^3
-    as CArray lanes of shape (n, 3).  ``RootBatch.solve_points`` puts the
-    solutions of an anchor left to ``solve_phi`` on root lanes too, so every
-    root is read from the lanes.  ``keep`` is None, and every root is kept,
+    as CArray lanes of shape (n, 3).  With a stencil, the anchors' stencil
+    points are built first, from their coordinates alone, and solved in the
+    anchors' root pass (``RootBatch(data, points, stencil=...)``), whether
+    or not an anchor turns out to have a root to check; the derivative step
+    and every read take the anchors alone.  ``RootBatch.solve_points`` puts
+    the solutions of an anchor left to ``solve_phi`` on root lanes too, so
+    every root is read from the lanes.  ``keep`` is None, and every root is kept,
     or gives the mask of the roots to keep from complex arrays of their q's
     z1 and z2.
 
     ``stencil`` is None (no checks) or (points, lanes, reference):
     ``points(anchors, coordinates)`` gives the anchors' steps, where their
-    scale raises, and the stencil points of the others as lanes
-    (``_fd_stencils``), ``lanes`` is ``fd_lanes`` or ``wave_lanes``, and
-    ``reference(anchor, q)`` is the library's scalar check of the branch
+    scale raises, and the stencil points of the others as lanes, anchor by
+    anchor (``_fd_stencils``); ``lanes`` is ``fd_lanes`` or ``wave_lanes``;
+    and ``reference(anchor, q)`` is the library's scalar check of the branch
     through the root q.  A kept root with a gradient gets its report from
     the lanes (``_stencil_lanes``) or, where they flag it, from
     ``reference`` itself, called in that root's turn, so it raises what a
@@ -479,7 +486,10 @@ def _stencil_checks(data, anchors, lanes, keep, stencil):
     for block in _blocks(anchors, _degrees(data)):
         coords, points = lanes(block)
         with np.errstate(all="ignore"):
-            batch = RootBatch(data, points)
+            found = None
+            if stencil is not None:
+                h, raised, found = stencil[0](block, coords)
+            batch = RootBatch(data, points, stencil=found)
             # the anchors before the first whose solve raises, which is
             # raised after their rows
             n, error = batch.solve_points()
@@ -488,7 +498,7 @@ def _stencil_checks(data, anchors, lanes, keep, stencil):
             report, flagged, first = None, None, [None] * n
             if stencil is not None:
                 checked = [[k for k in roots if has_gradient[k]] for roots in kept]
-                report, flagged, first = _stencil_lanes(data, stencil, block, coords, batch,
+                report, flagged, first = _stencil_lanes(stencil[1], h, raised.tolist(), batch,
                                                         checked)
         for anchor, roots, c in zip(block, kept, first):
             pairs = []
@@ -522,29 +532,28 @@ def _quietly(fn, *args):
         return fn(*args)
 
 
-def _stencil_lanes(data, stencil, block, coords, batch, checked):
+def _stencil_lanes(lanes, h, raised, batch, checked):
     """The reports of a block's roots to check, over lanes: (report,
     flagged, first).  ``checked[a]`` holds anchor a's kept root lanes with
     a gradient.  They are lanes first[a], first[a] + 1, ...; ``report(k)``
     builds lane k's report, which is valid where flagged[k] is false.
-    Every lane of an anchor whose scale raises is flagged: its roots'
-    references raise that error.
+    Anchor a's step is h[a]; every lane of an anchor whose scale raised
+    (raised[a]) is flagged: its roots' references raise that error.
 
-    Every stencil point of the block is solved in one RootBatch.  For each
-    root, ``nearest_lanes`` picks its branch's value at the anchor (the
-    nearest of all the anchor's roots) and at every stencil point, and
-    ``lanes`` computes every report at once.  A root with a pick that is
-    not ``nearest_root``'s is flagged too."""
-    points, lanes, _ = stencil
+    The stencil points of the anchors whose scale did not raise, in anchor
+    order, were solved with the anchors, in ``batch``'s root pass.  Every
+    branch pick of the block is one ``nearest_lanes`` call: for each root,
+    its branch's value at the anchor (the nearest of all the anchor's
+    roots) and at each of the anchor's stencil points.  ``lanes`` then
+    computes every report at once.  A root with a pick that is not
+    ``nearest_root``'s is flagged too.  The stencil points' roots are
+    dropped once the picks are made."""
+    s1, s2, s_count = batch.stencil_roots()
     first = [None] * len(checked)
     live = [a for a, roots in enumerate(checked) if roots]
     report = None
     flagged = []
-    if not live:
-        return report, flagged, first
-    h, raised, found = points([block[a] for a in live], coords[live])
-    raised = raised.tolist()
-    ok = [a for a, r in zip(live, raised) if not r]
+    ok = [a for a in live if not raised[a]]
     if ok:
         sizes = [len(checked[a]) for a in ok]
         owner = np.repeat(np.arange(len(ok)), sizes)
@@ -553,22 +562,37 @@ def _stencil_lanes(data, stencil, block, coords, batch, checked):
         q = batch.implicit.q[[k for a in ok for k in checked[a]]]
         q1, q2 = q.z1.complex(), q.z2.complex()
         r1, r2, count = batch.padded_roots()
-        f1, f2, f_exact = nearest_lanes(r1[ok], r2[ok], count[ok], owner, q1, q2)
-        n = len(found.re) // len(ok)
-        r1, r2, count = RootBatch(data, found).padded_roots()
-        v1, v2, v_exact = nearest_lanes(r1, r2, count,
-                                        (owner[:, None] * n + np.arange(n)).ravel(),
-                                        np.repeat(q1, n), np.repeat(q2, n))
-        z1 = np.concatenate([f1[:, None], v1.reshape(-1, n)], axis=1)
-        z2 = np.concatenate([f2[:, None], v2.reshape(-1, n)], axis=1)
-        exact = np.concatenate([f_exact[:, None], v_exact.reshape(-1, n)], axis=1)
-        report, flagged = lanes(z1, z2, h[np.logical_not(raised)][owner])
-        flagged = (flagged | ~exact.all(axis=1)).tolist()
-    for a, r in zip(live, raised):
-        if r:
+        # the table: the anchors' rows, then every stencil point's; anchor
+        # a's stencil points are rows start[a], start[a] + 1, ...
+        solved = [a for a, r in enumerate(raised) if not r]
+        n = len(s1) // len(solved)
+        start = np.zeros(len(raised), dtype=np.intp)
+        start[solved] = np.arange(len(ok), len(ok) + len(s1), n)
+        rows = np.empty((len(owner), n + 1), dtype=np.intp)
+        rows[:, 0] = owner
+        rows[:, 1:] = start[ok][owner][:, None] + np.arange(n)
+        t1, t2 = (_rows(a[ok], b) for a, b in ((r1, s1), (r2, s2)))
+        # each copy freed as soon as it is read: held through the picks,
+        # they raised the 2 000-point verify --points run's peak RSS
+        del s1, s2
+        z1, z2, exact = nearest_lanes(t1, t2, np.concatenate((count[ok], s_count)),
+                                      rows.ravel(), np.repeat(q1, n + 1), np.repeat(q2, n + 1))
+        del t1, t2
+        report, flagged = lanes(z1.reshape(-1, n + 1), z2.reshape(-1, n + 1), h[ok][owner])
+        flagged = (flagged | ~exact.reshape(-1, n + 1).all(axis=1)).tolist()
+    for a in live:
+        if raised[a]:
             first[a] = len(flagged)
             flagged += [True] * len(checked[a])
     return report, flagged, first
+
+
+def _rows(a, b):
+    """The rows of a, then those of b, zero-padded to the wider."""
+    out = np.zeros((len(a) + len(b), max(a.shape[1], b.shape[1])), dtype=a.dtype)
+    out[:len(a), :a.shape[1]] = a
+    out[len(a):, :b.shape[1]] = b
+    return out
 
 
 def rank_one_degeneracy_check(phi, points, tol=1e-8, h=None) -> dict:

@@ -707,6 +707,46 @@ def _side_roots(re, im):
     return ok, CArray(rep_re, rep_im), mult, count, deg
 
 
+def _paired(rep_e, rep_f, count_e, count_f, ok):
+    """``_canonical_roots``' pairs at every lane, from the roots of each
+    side (``_side_roots``' representatives and counts) and the lanes both
+    sides solved (ok): (q1, q2, counts, ok, order, me, mf).  q1 and q2 are
+    the pairs' z1 and z2 parts, each row's first count_e * count_f in
+    canonical order; ok is narrowed to lanes whose sort keys are finite;
+    counts is the pairs of an ok lane, else 0; and row i of ``order`` gives
+    each sorted pair of e-side root a < me and f-side root b < mf as
+    a * mf + b."""
+    n = len(ok)
+    me = max(int(count_e[ok].max(initial=0)), 1)
+    mf = max(int(count_f[ok].max(initial=0)), 1)
+
+    def flat(a):
+        # pair (a, b) at a * mf + b, the order of _canonical_roots' list
+        # before its sort
+        return np.broadcast_to(a, (n, me, mf)).reshape(n, me * mf)
+
+    s = rep_e[:, :me, None]
+    w = rep_f[:, None, :mf]
+    # Bicomplex.from_ringleb(s, w), and the sort key from its ringleb()
+    z1 = (s + w) / 2.0
+    z2 = 1j * (w - s) / 2.0
+    iz2 = 1j * z2
+    ke = z1 + iz2
+    kf = z1 - iz2
+    valid = flat((np.arange(me)[:, None] < count_e[:, None, None])
+                 & (np.arange(mf) < count_f[:, None, None]))
+    keys = [flat(part) for part in (kf.im, kf.re, ke.im, ke.re)]
+    finite = np.isfinite(keys[0])
+    for part in keys[1:]:
+        finite &= np.isfinite(part)
+    ok &= finite.all(axis=1, where=valid)
+    order = np.lexsort(keys + [~valid], axis=-1)
+    # each row's pairs gathered in that order from the flattened lanes
+    at = order + (me * mf) * np.arange(n)[:, None]
+    q1, q2 = (flat(z.complex()).reshape(-1)[at] for z in (z1, z2))
+    return q1, q2, np.where(ok, count_e * count_f, 0), ok, order, me, mf
+
+
 def _degrees(data: WeierstrassData):
     """Bounds on the degrees of the two congruence components: each side's
     congruence has degree at most max(2 deg G, deg H) on that side."""
@@ -764,65 +804,61 @@ class RootBatch:
 
     The points are CVec3s, or their coordinates as CArray lanes of shape
     (n, 3), as the stencil checks build them: a CVec3 is then made only for
-    a point left to the scalar path (``point``).
+    a point left to the scalar path (``point``).  ``stencil``, more points
+    given either way, shares the root pass and nothing else:
+    ``stencil_roots`` hands over their roots, and every other read reads
+    the points alone.
     """
 
-    def __init__(self, data: WeierstrassData, points):
+    def __init__(self, data: WeierstrassData, points, stencil=None):
         self.data = data
         self._z = _Lanes.of(points)
         # a lane that overflows is left to the scalar path: no numpy warning
         # of the array pass reaches the caller
         with np.errstate(all="ignore"):
-            self._solve(data, self._z)
+            self._solve(data, self._z, stencil)
 
     def point(self, i) -> CVec3:
         """Point i as a CVec3."""
         return CVec3(*(complex(u.re[i], u.im[i]) for u in self._z))
 
-    def _solve(self, data, lanes):
+    def _solve(self, data, lanes, stencil):
         n = len(lanes.u1.re)
+        if stencil is not None:
+            # the stencil points' lanes after the points': one root pass and
+            # one pairing of the roots for both
+            lanes = _Lanes(*(CArray(np.concatenate((u.re, s.re)), np.concatenate((u.im, s.im)))
+                             for u, s in zip(lanes, _Lanes.of(stencil))))
+        total = len(lanes.u1.re)
         fe, ff = congruence_components(data, lanes)
         # one root pass over both sides: the narrower one's padding is
         # trimmed, so each side keeps its own coefficients' trimmed degrees
-        re, im = _stack((fe, ff), n)
+        re, im = _stack((fe, ff), total)
         ok, rep, mult, count, deg = _side_roots(re, im)
-        self._fe = re[:n, :len(fe)], im[:n, :len(fe)], deg[:n]
-        self._ff = re[n:, :len(ff)], im[n:, :len(ff)], deg[n:]
-        rep_e, rep_f, mult_e, mult_f = rep[:n], rep[n:], mult[:n], mult[n:]
-        count_e, count_f = count[:n], count[n:]
-        ok = ok[:n] & ok[n:]
-        me = max(int(count_e[ok].max(initial=0)), 1)
-        mf = max(int(count_f[ok].max(initial=0)), 1)
-
-        def flat(a):
-            # pair (a, b) of e-side root a and f-side root b at a * mf + b,
-            # the order of _canonical_roots' list before its sort
-            return np.broadcast_to(a, (n, me, mf)).reshape(n, me * mf)
-
-        s = rep_e[:, :me, None]
-        w = rep_f[:, None, :mf]
-        # Bicomplex.from_ringleb(s, w), and the sort key from its ringleb()
-        z1 = (s + w) / 2.0
-        z2 = 1j * (w - s) / 2.0
-        ke = z1 + 1j * z2
-        kf = z1 - 1j * z2
-        valid = flat((np.arange(me)[:, None] < count_e[:, None, None])
-                     & (np.arange(mf) < count_f[:, None, None]))
-        keys = [flat(part) for part in (kf.im, kf.re, ke.im, ke.re)]
-        for part in keys:
-            ok &= np.isfinite(part).all(axis=1, where=valid)
-        order = np.lexsort(keys + [~valid], axis=-1)
-        self._q1 = CArray(*(np.take_along_axis(flat(p), order, axis=1)
-                            for p in (z1.re, z1.im))).complex()
-        self._q2 = CArray(*(np.take_along_axis(flat(p), order, axis=1)
-                            for p in (z2.re, z2.im))).complex()
-        self._ok = ok.tolist()
-        self._npairs = (count_e * count_f).tolist()
-        self._counts = np.where(ok, count_e * count_f, 0)
-        self._order = order
+        e, f = slice(0, total), slice(total, 2 * total)
+        q1, q2, counts, ok, order, me, mf = _paired(rep[e], rep[f], count[e], count[f],
+                                                    ok[e] & ok[f])
+        # the points' rows, copied: a view would keep the stencil points'
+        # rows alive as long as the batch
+        e, f = slice(0, n), slice(total, total + n)
+        self._fe = re[e, :len(fe)].copy(), im[e, :len(fe)].copy(), deg[e].copy()
+        self._ff = re[f, :len(ff)].copy(), im[f, :len(ff)].copy(), deg[f].copy()
+        self._q1, self._q2, self._counts, self._order = (a[:n].copy()
+                                                         for a in (q1, q2, counts, order))
+        self._ok = ok[:n].tolist()
+        self._npairs = (count[e] * count[f]).tolist()
         self._mf = mf
-        self._side_e = rep_e[:, :me], mult_e
-        self._side_f = rep_f[:, :mf], mult_f
+        self._side_e = CArray(rep.re[e, :me].copy(), rep.im[e, :me].copy()), mult[e].copy()
+        self._side_f = CArray(rep.re[f, :mf].copy(), rep.im[f, :mf].copy()), mult[f].copy()
+        self._stencil = None if stencil is None else (q1[n:], q2[n:], counts[n:])
+
+    def stencil_roots(self):
+        """The stencil points' roots as ``padded_roots`` gives a batch's:
+        each row's first counts[i] entries are those of a RootBatch of the
+        stencil points alone, bit for bit.  Handed over once: the batch
+        then drops them."""
+        roots, self._stencil = self._stencil, None
+        return roots
 
     def roots(self, i):
         """``solve_roots(data, points[i])``."""

@@ -14,6 +14,10 @@ gate's bound:
 - the stencil benchmark's seeded radial ``verify --points`` data at 2 000
   points (the one stencil task whose rows read the Laplacian), within 10 %
   of the 54.5 MB it read when the gate was added;
+- an 8 000-point ``minkowski_d`` grid (CSV) of g = q and the stencil
+  benchmark's ``disc`` h, whose four roots at every point all leave the
+  slice: the header alone, though every anchor's stencil points are solved
+  with it, within 10 % of the 37.0 MB it read when the gate was added;
 - three seeded configs of 100 000 values each, ``fibres``,
   ``verify --samples`` and ``charts`` G -> L, within about 10 % of their
   381.7, 306.7 and 207.4 MB before their lists were parsed into arrays.
@@ -58,6 +62,14 @@ def _verify_points():
     return workloads._verify_scene(random.Random(1), "radial").stdin()
 
 
+def _outside_grid():
+    import workloads
+    return json.dumps({"task": "slice", "slice": "minkowski_d", "g": {"f": workloads.VAR},
+                       "h": workloads.SLICE_DATA["disc"][1],
+                       "grid": {"min": [0.3, 0.4, 0.5], "max": [1.7, 1.9, 1.2],
+                                "counts": [20, 20, 20]}})
+
+
 def _value_lists():
     """The three 100 000-value configs, drawn in this order from one seeded
     generator."""
@@ -93,6 +105,9 @@ GATES = {
         [], "be13728c9aabda6fdd8bf4d5b8010e5826e023f287afb674db9d0e00082e27c5", 600),
     "2 000-point verify --points": (
         [], "e8dd9d3181f25801fe90bbb206e1dc83fcba62d20d173093128dc2ef1e182a45", 54.5 * 1.1),
+    "8 000-point slice grid, no root in the slice": (
+        ["--format", "csv"], "2133371294bad7f40cdb4a295b112b8744b6338f401992c0ad97fb2781daecf2",
+        37.0 * 1.1),
     "100 000-value fibres": (
         [], "dc1a346b7fac7e0f011d44c91d0d795ad4f5cff3f16787a2e9533a0beea3300b", 420),
     "100 000-value verify --samples": (
@@ -107,6 +122,7 @@ def stdins():
     fibres, samples, charts = _value_lists()
     return {"25 000-point slice grid": _grid(), "root-cap solve": _root_cap_solve(),
             "2 000-point verify --points": _verify_points(),
+            "8 000-point slice grid, no root in the slice": _outside_grid(),
             "100 000-value fibres": fibres, "100 000-value verify --samples": samples,
             "100 000-value charts G->L": charts}
 

@@ -112,6 +112,14 @@ _OPS = {
     "complex-div": lambda a, b: a / (0.25 - 3j),
     "complex-div-by-re": lambda a, b: a / (-1.5 + 0.75j),
     "complex-rmul": lambda a, b: 1j * a,
+    # one divisor for every lane: each of _Py_c_quot's branches, signed
+    # zeros, a subnormal, and an infinite or NaN divisor
+    "neg-float-div": lambda a, b: a / -2.0,
+    "imag-div": lambda a, b: a / 3j,
+    "neg-imag-div": lambda a, b: a / -0.5j,
+    "subnormal-div": lambda a, b: a / 5e-324,
+    "inf-div": lambda a, b: a / complex(math.inf, 1),
+    "nan-div": lambda a, b: a / complex(math.nan, 0),
 }
 
 
@@ -1551,13 +1559,15 @@ def _counted(monkeypatch, owner, names):
 
 
 @pytest.mark.parametrize("config, bound", [
-    (dict(_RADIAL_SLICE, points=[[0.3, 0.5, 0.7]]), 320),
-    ({"task": "verify", "data": _RADIAL_DATA, "points": [[0.3, 1.1, -0.2]]}, 780),
+    (dict(_RADIAL_SLICE, points=[[0.3, 0.5, 0.7]]), 245),
+    ({"task": "verify", "data": _RADIAL_DATA, "points": [[0.3, 1.1, -0.2]]}, 702),
 ], ids=["slice", "verify"])
 def test_a_one_point_block_is_a_bounded_number_of_lane_operations(config, bound, monkeypatch):
-    # a block's cost is mostly fixed: one root pass over both sides of its
-    # components, and no Laplacian where no row reads one (588 and 839
-    # operations with a pass per side and an eager Laplacian)
+    # a block's cost is mostly fixed: one root pass over both sides of the
+    # components of its anchors and their stencil points together, and no
+    # Laplacian where no row reads one (588 and 839 operations with a pass
+    # per side and an eager Laplacian, 318 and 775 with a pass for the
+    # anchors and one for the stencil points)
     run(config, io.StringIO())
     calls = _counted(monkeypatch, CArray, _CARRAY_OPERATORS)
     with np.errstate(all="ignore"):
@@ -1783,7 +1793,8 @@ class TestStencilPoints:
         assert steps[2] == math.inf == fd_stencil(zs[2])[0]
         assert _cvec_reprs(points) == [repr(p) for z in (zs[0], zs[2]) for p in fd_stencil(z)[1]]
         # every root of the raising anchor takes the reference, which raises
-        # the scale's OverflowError when its check is called, in its turn
+        # the scale's OverflowError, named, when its check is called, in its
+        # turn
         data = WeierstrassData(HoloFn(Var()), HoloFn(Const(0.0)))
         references = []
         fd_residuals = bhm.verify.fd_residuals
@@ -1798,7 +1809,8 @@ class TestStencilPoints:
         assert [check() is not None for _, check in pairs] == [True] * 4
         z, pairs = next(checks)
         assert pairs and references == []
-        with pytest.raises(OverflowError, match="Numerical result out of range"):
+        named = r"^the stencil scale \|z\| overflows at z = CVec3\(\(1e\+155\+0j\)"
+        with pytest.raises(RangeOverflowError, match=named):
             pairs[0][1]()
         assert references == [zs[1]]
 
@@ -2103,6 +2115,107 @@ def test_points_forced_onto_the_scalar_path_match_a_point_by_point_run(config, f
                 batch = RootBatch(data, points)
             left = [batch.lanes(i) is None for i in range(len(config["points"]))]
             assert any(left) and left == [u == z1 for u in batch._z.u1.re.tolist()]
+
+
+def _array_bits(x):
+    """Every array in x (arrays, lists, CArray or BArray lanes, tuples of
+    them, functions that build them) as (dtype, shape, bytes), in order."""
+    if callable(x):
+        return _array_bits(x())
+    if isinstance(x, BArray):
+        return _array_bits((x.z1, x.z2))
+    if isinstance(x, CArray):
+        return _array_bits((x.re, x.im))
+    if isinstance(x, tuple):
+        return [bits for part in x for bits in _array_bits(part)]
+    a = np.asarray(x)
+    return [(a.dtype.str, a.shape, a.tobytes())]
+
+
+def _padded_bits(roots):
+    """``RootBatch.padded_roots``' roots: each row's first counts[i]
+    entries, as bits, the width and the padding aside."""
+    z1, z2, counts = roots
+    return [_array_bits((r1[:c], r2[:c])) for r1, r2, c in zip(z1, z2, counts.tolist())]
+
+
+class _SpiedBatch(RootBatch):
+    """A block's RootBatch, which keeps its points and stencil points and
+    the stencil roots it hands over."""
+
+    def __init__(self, made, data, points, stencil=None):
+        super().__init__(data, points, stencil=stencil)
+        self.args = data, points, stencil
+        self.handed = []
+        made.append(self)
+
+    def stencil_roots(self):
+        self.handed.append(super().stencil_roots())
+        return self.handed[-1]
+
+
+# a verify --points block with an anchor whose scale raises (z1 = 1e155),
+# one left to solve_phi (z1 = 1.0), and one where the e-side's leading
+# coefficient i z3 - z2 vanishes, so that the anchor has fewer roots than
+# its stencil points; a minkowski_d slice block, G = q and H = 0, whose
+# points at x = (1.2, 0.4, x3) have no root in the slice, with those at
+# x3 = 0.5 left to solve_phi
+_FUSED_CASES = [
+    ({"task": "verify", "data": _RADIAL_DATA,
+      "points": [[0.3, 1.1, -0.2], [1e155, 0.5, 0.2], [1.0, -0.5, [0.2, 0.4]],
+                 [0.7, 0.1, 0.9], [0.5, [0.2, 0.1], 0.1], [0.3, [0, 0.5], 0.5]]}, 1.0),
+    ({"task": "slice", "slice": "minkowski_d", "g": {"f": _VAR},
+      "h": {"f": {"op": "const", "value": [0, 0]}},
+      "points": [[a, b, c] for a in (0.3, 1.2) for b in (0.4, 1.5) for c in (0.5, -0.7)]},
+     0.5),
+]
+
+
+@pytest.mark.parametrize("size", [None, 1, 2, 7])
+@pytest.mark.parametrize("config, z1", _FUSED_CASES, ids=["verify", "slice"])
+def test_one_root_pass_reads_as_separate_batches(config, z1, size, monkeypatch):
+    # a block's anchors and stencil points share one root pass: what the
+    # loop reads of the anchors (implicit, report, padded roots, lanes)
+    # equals a RootBatch of the anchors alone, and the stencil roots it
+    # hands over once equal a RootBatch of the stencil points alone, bit
+    # for bit; the output stays a point-by-point run's
+    with np.errstate(all="ignore"):
+        want = _outcome(lambda: _stencil_point_by_point(config))
+    made = []
+    _leave_to_the_scalar_path(monkeypatch, z1)
+    if size is not None:
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+    monkeypatch.setattr(bhm.verify, "RootBatch", lambda *args, **kw: _SpiedBatch(made, *args, **kw))
+    assert _cli_output(config) == want
+    # every block, with no check called: the verify run stops at the
+    # anchor whose scale raises
+    made.clear()
+    if config["task"] == "verify":
+        items = list(bhm.verify._point_roots(bhm.cli._parse_data(config),
+                                             [bhm.cli._parse_point(p) for p in config["points"]]))
+    else:
+        kind = SliceKind(config["slice"])
+        data = slice_data(kind, holofn_from_json(config["g"]), holofn_from_json(config["h"]))
+        items = list(bhm.slices._slice_roots(kind, data, config["points"]))
+    assert len(made) == len(bhm.weierstrass._blocks(config["points"], (2, 2)))
+    assert {bool(pairs) for _, _, pairs in items} == ({True} if config["task"] == "verify"
+                                                     else {True, False})
+    merged = 0
+    for batch in made:
+        data, points, stencil = batch.args
+        with np.errstate(all="ignore"):
+            alone = RootBatch(data, points)
+            n = len(alone._ok)
+            assert batch.solve_points() == alone.solve_points() == (n, None)
+            assert len(batch.handed) == 1 and batch.stencil_roots() is None
+            assert _padded_bits(batch.handed[0]) == _padded_bits(
+                RootBatch(data, stencil).padded_roots())
+            for read in ("implicit", "report"):
+                assert _array_bits(getattr(batch, read)) == _array_bits(getattr(alone, read))
+            assert _padded_bits(batch.padded_roots()) == _padded_bits(alone.padded_roots())
+            assert [batch.lanes(i) for i in range(n)] == [alone.lanes(i) for i in range(n)]
+        merged += sum(u == z1 for u in batch._z.u1.re.tolist())
+    assert merged
 
 
 def test_the_cli_builds_no_row_from_a_solution(monkeypatch):

@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import subprocess
 import sys
 import time
@@ -306,6 +307,41 @@ class TestSchemaAndExitCodes:
         assert len(proc.stderr.splitlines()) == 1
         assert json.loads(proc.stderr)["error"]["type"] == "ValueError"
 
+    @pytest.mark.parametrize("chunk", [None, 1, 2])
+    def test_exit_code_3_names_the_first_non_finite_csv_value(self, chunk, monkeypatch,
+                                                               capsys):
+        # a crafted slice report: finite rows, then a NaN, an inf and a -inf
+        # in later rows, the rows written a chunk at a time
+        def row(q0, harmonic):
+            return {"x": [0.5, 1.0, -0.25], "branch": 1, "q": [q0, 0.0, 1.5, -2.0],
+                    "value": [1.0, 5e-324], "class": "regular", "harmonic_res": harmonic,
+                    "null_res": 1e-9}
+
+        finite = [row(0.5, 1e-9), row(-0.5, 2e-9), row(1e300, 0.0)]
+        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk or cli.CSV_CHUNK_ROWS)
+
+        def outcome(rows):
+            report = {"results": rows}
+            monkeypatch.setitem(cli._RUNNERS, "slice", lambda config, tol, seed: report)
+            return main_in_process({"task": "slice"}, monkeypatch, capsys, "--format", "csv")
+
+        code, out, err = outcome(finite)
+        assert code == 0 and err == ""
+        fields = "0.5,1.0,-0.25,1,{},0.0,1.5,-2.0,1.0,5e-324,regular,{},1e-09"
+        assert out.splitlines()[1:] == [fields.format("0.5", "1e-09"),
+                                        fields.format("-0.5", "2e-09"),
+                                        fields.format("1e+300", "0.0")]
+        for rows, first in [
+            ([row(0.5, math.nan), row(math.inf, 1e-9), row(0.5, -math.inf)], "nan"),
+            ([row(math.inf, 1e-9), row(0.5, math.nan)], "inf"),
+            ([row(0.5, -math.inf), row(math.nan, 1e-9)], "-inf"),
+            ([row(0.5, 1e-9), row(0.5, 1e-9), row(0.5, 2e-9), row(0.5, math.nan)], "nan"),
+        ]:
+            code, out, err = outcome(finite + rows)
+            assert code == 3 and out == ""
+            assert json.loads(err) == {"error": {
+                "type": "ValueError", "message": f"non-finite value {first} in the CSV report"}}
+
     def test_exit_code_3_on_overflowing_constant(self, monkeypatch, capsys):
         g = {"op": "pow", "args": [{"op": "const", "value": [1e300, 0]}], "exp": 2}
         config = {"task": "solve", "data": {"G": {"f": g}, "H": {"f": CONST0}},
@@ -348,6 +384,20 @@ class TestSchemaAndExitCodes:
         assert len(err.splitlines()) == 1
         error = json.loads(err)["error"]
         assert error["type"] == "DegenerateDirectionError" and "CN(xi) = 0" in error["message"]
+
+    def test_exit_code_3_names_an_anchor_whose_stencil_scale_overflows(self, monkeypatch,
+                                                                        capsys):
+        # |z|^2 passes the double range at z1 = 1e155: the anchor's first
+        # root's check raises, after the rows of the points before it; was
+        # the bare OverflowError: (34, 'Numerical result out of range')
+        config = {"task": "verify", "data": RADIAL,
+                  "points": [[0.3, 1.1, -0.2], [1e155, 0.5, 0.2], [0.7, 0.1, 0.9]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err) == {"error": {
+            "type": "RangeOverflowError",
+            "message": "the stencil scale |z| overflows at z = CVec3((1e+155+0j), (0.5+0j), "
+                       "(0.2+0j))"}}
 
     # a constant G whose line system rounds to a singular matrix
     SINGULAR_G = {"op": "const", "value": [-8.518165536645671e+76, -8.006406169830353e+76]}

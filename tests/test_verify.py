@@ -224,9 +224,11 @@ def _bits(z):
     return tuple(x.hex() for c in (z.u1, z.u2, z.u3) for x in (c.real, c.imag))
 
 
-def _count_solves(monkeypatch):
-    """Every point the CLI solves: the lanes of its batched root passes and
-    the lanes a batch leaves to the scalar path."""
+def _count_solves(monkeypatch, batches=None):
+    """Every point the CLI solves: the lanes of its batched root passes (the
+    anchors and the stencil points that share their pass) and the lanes a
+    batch leaves to the scalar path.  Each RootBatch built is appended to
+    ``batches``, if given."""
     calls = []
     solve = bhm.weierstrass.solve_roots
     batch = bhm.verify.RootBatch
@@ -235,12 +237,22 @@ def _count_solves(monkeypatch):
         calls.append(z)
         return solve(data, z)
 
-    def counted_batch(data, points):
+    def points_of(points):
         # the stencil checks hand the batch their points as (n, 3) lanes
         if isinstance(points, CArray):
-            points = [CVec3(*z) for z in points.complex().tolist()]
+            return [CVec3(*z) for z in points.complex().tolist()]
+        return list(points)
+
+    def counted_batch(data, points, stencil=None):
+        points = points_of(points)
         calls.extend(points)
-        return batch(data, points)
+        if stencil is not None:
+            stencil = points_of(stencil)
+            calls.extend(stencil)
+        made = batch(data, points, stencil=stencil)
+        if batches is not None:
+            batches.append(made)
+        return made
 
     monkeypatch.setattr(bhm.weierstrass, "solve_roots", counted)
     monkeypatch.setattr(bhm.verify, "RootBatch", counted_batch)
@@ -353,7 +365,8 @@ class TestRootTable:
     ], ids=["euclidean-2-roots", "minkowski_d-4-roots", "projection-1-root"])
     def test_slice_point_solves_its_stencil_once(self, kind, g, h, points, n_rows,
                                                  monkeypatch):
-        calls = _count_solves(monkeypatch)
+        batches = []
+        calls = _count_solves(monkeypatch, batches)
         rows = _report({"task": "slice", "slice": kind, "g": {"f": g}, "h": {"f": h},
                         "points": points})
         assert len(rows) == n_rows
@@ -362,14 +375,38 @@ class TestRootTable:
         # roots share them
         assert len(calls) == 13 * len(points)
         assert len({_bits(z) for z in calls}) == len(calls)
+        # the anchors and their stencil points share one root pass
+        assert len(batches) == 1
 
     def test_verify_point_solves_its_stencil_once(self, monkeypatch):
-        calls = _count_solves(monkeypatch)
+        batches = []
+        calls = _count_solves(monkeypatch, batches)
         points = [[0.3, 1.1, -0.2], [1.0, -0.5, [0.2, 0.4]]]
         results = _report({"task": "verify", "points": points,
                            "data": {"G": {"f": VAR_JSON}, "H": {"f": CONST0_JSON}}})
         assert [sum(r["fd"] is not None for r in res["roots"]) for res in results] == [4, 4]
         assert len(calls) == 25 * len(points)
+        assert len({_bits(z) for z in calls}) == len(calls)
+        assert len(batches) == 1
+
+    @pytest.mark.parametrize("block", [None, 1, 2])
+    @pytest.mark.parametrize("config, per_point", [
+        ({"task": "slice", "slice": "euclidean", "g": {"f": VAR_JSON},
+          "h": {"f": CONST0_JSON}}, 13),
+        ({"task": "verify", "data": {"G": {"f": VAR_JSON}, "H": {"f": CONST0_JSON}}}, 25),
+        ({"task": "slice", "slice": "euclidean", "g": {"f": VAR_JSON},
+          "h": {"f": CONST0_JSON}, "fd": False}, 1),
+    ], ids=["slice", "verify", "slice-no-fd"])
+    def test_one_root_pass_per_block(self, config, per_point, block, monkeypatch):
+        # the anchors of a block and their stencil points are solved in one
+        # RootBatch, each point once; with "fd" off no stencil point is built
+        points = [[0.3, 1.1, -0.2], [1.0, -0.5, 0.2], [0.7, 0.1, 0.9]]
+        batches = []
+        calls = _count_solves(monkeypatch, batches)
+        with _block_points(block):
+            _report(dict(config, points=points))
+        assert len(batches) == {None: 1, 1: 3, 2: 2}[block]
+        assert len(calls) == per_point * len(points)
         assert len({_bits(z) for z in calls}) == len(calls)
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
