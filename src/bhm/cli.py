@@ -7,6 +7,16 @@ too-deep nesting and the degree, grid-size and sample-count limits included),
 3 domain error (a non-finite or overflowing result, or running out of memory,
 included).
 
+The report is written as text from each block's lanes while the task runs.
+Each row kind is declared once (``_Row``): its JSON keys, its CSV columns and
+the lane each field reads.  A block's float fields are one (lanes, k) array,
+``+ 0.0`` over the whole of it, read by one ``.tolist()``; each row fills the
+``%`` template of its combination of flags, which gives the bytes of
+``json.dumps(report, sort_keys=True, separators=(",", ":"),
+allow_nan=False)``.  CSV rows come from the same declarations through the C
+``csv.writer``.  ``main`` holds the pieces written and writes them out once
+the run succeeds.
+
     bhm --task solve --input scene.json --output - --format json
 """
 
@@ -21,7 +31,8 @@ import random
 import re
 import sys
 from functools import cache
-from itertools import chain, islice
+from itertools import chain
+from operator import itemgetter
 
 import numpy as np
 
@@ -57,16 +68,8 @@ def _f(x: float) -> float:
     return float(x) + 0.0  # normalize -0.0 for byte-stable output
 
 
-def _c(z: complex):
-    return [_f(z.real), _f(z.imag)]
-
-
 def _b(q: Bicomplex):
     return [_f(v) for v in q.to_reals()]
-
-
-def _cvec(v):
-    return [_c(c) for c in v]
 
 
 def _finite(parse):
@@ -78,6 +81,51 @@ def _finite(parse):
             raise ExprSchemaError(f"number {token:.32} is not a finite double")
         return value
     return number
+
+
+# the config text with every digit read as 0, and "E" and "+" as "e": a
+# number token that may parse past the double range then shows as a run of
+# 100 digits (an int, or a mantissa, of 1e99 or more) or as an exponent of
+# three digits or more ("e000"; "e+400" reads "ee000"); short of both, a
+# literal is below 1e99 * 1e99.  The exponent is found by the pattern's
+# literal scan, which is quicker here than a substring search, whose last
+# character, 0, is everywhere
+_NUMBER_SHAPES = str.maketrans("123456789E+", "000000000ee")
+_LONG_DIGITS = "0" * 100
+_LONG_EXPONENT = re.compile("e000")
+# recursion levels kept spare while the C scanner parses the numbers itself
+_HOOK_LEVELS = 50
+
+
+def _large_number(text):
+    """Whether the text may hold a number token past the double range."""
+    shapes = text.translate(_NUMBER_SHAPES)
+    return _LONG_DIGITS in shapes or _LONG_EXPONENT.search(shapes) is not None
+
+
+def _load(text):
+    """The config JSON, its numbers checked by ``_finite``.
+
+    Unless the text holds a number token that could pass the double range,
+    the C scanner parses the numbers itself, with no Python call per
+    number: each is then finite, and only NaN and the infinities are
+    refused.  Otherwise the numbers go through ``_finite``, which names the
+    first, and so does a document nested within ``_HOOK_LEVELS`` of the
+    recursion limit, where the hooks' own frames change how deep a
+    document can nest: the outcome, error and message, is the hooked
+    parse's in every case."""
+    if not _large_number(text):
+        limit = sys.getrecursionlimit()
+        try:
+            sys.setrecursionlimit(limit - _HOOK_LEVELS)
+            try:
+                return json.loads(text, parse_constant=_finite(float))
+            finally:
+                sys.setrecursionlimit(limit)
+        except RecursionError:
+            pass
+    return json.loads(text, parse_float=_finite(float), parse_int=_finite(int),
+                      parse_constant=_finite(float))
 
 
 def _parse_complex(obj, what):
@@ -173,54 +221,393 @@ def _grid_points(grid):
 
 
 # ---------------------------------------------------------------------------
+# report rows: one declaration per row kind
+
+
+def _numbers(shape):
+    """The ``%`` template of one number (shape ()) or of a JSON list of
+    numbers of that shape: ``%r`` is ``float.__repr__`` for a float and
+    ``int.__repr__`` for an int, as ``json.dumps`` writes them."""
+    if not shape:
+        return "%r"
+    return "[" + ",".join([_numbers(shape[1:])] * shape[0]) + "]"
+
+
+def _literal(value):
+    """A fixed JSON value (null, true, false, [], a tag, a class or an error
+    name) as template text."""
+    return json.dumps(value).replace("%", "%%")
+
+
+def _getter(columns):
+    """A row's values at these indices, as a tuple."""
+    if len(columns) == 1:
+        i = columns[0]
+        return lambda row: (row[i],)
+    return itemgetter(*columns) if columns else (lambda row: ())
+
+
+class _Row:
+    """One row kind, declared once: the lanes each field reads, the JSON
+    object and the CSV columns.
+
+    ``fields`` lays out a row's values, a flat list, in order: each field
+    is a number or a list of numbers (its shape), a count ("%d", an int), or
+    a nested row (a ``_Row``, its values inline).  A task fills the leading
+    fields of a block's rows from the lanes (``values``) and appends the
+    rest to each row.
+
+    ``layout(*variant)`` gives, for one combination of a row's flags (its
+    variant), the row's JSON object: each key maps to True (the field's
+    numbers), to a nested row's own variant, or to a literal that the
+    template holds (null, true, false, [], a tag, a class).  ``csv`` gives
+    the CSV columns as (headers, key) pairs, each read as the JSON object
+    reads its key, unless ``csv_layout(*variant)`` maps the key to another
+    field or to literals; a flag is written 0 or 1 and null as an empty
+    field.
+
+    ``json(variant)`` is the variant's ``%`` template, in sorted-key order,
+    and the getter of the values it reads; ``csv_plan(variant)`` is the
+    getter of a CSV row and the literals it reads after a row's values.
+    Each is built on first use: the bytes are ``json.dumps``' with
+    ``sort_keys=True, separators=(",", ":")``, and csv.writer's."""
+
+    def __init__(self, fields, layout, csv=(), csv_layout=None):
+        self.fields = fields
+        self.layout = layout
+        self.csv = csv
+        self.csv_layout = csv_layout
+        self.spans = {}
+        start = 0
+        for key, kind in fields.items():
+            width = (kind.width if isinstance(kind, _Row)
+                     else 1 if kind == "%d" else math.prod(kind))
+            self.spans[key] = range(start, start + width)
+            start += width
+        self.width = start
+        self.header = [name for names, _ in csv for name in names]
+
+    def block(self, **fields):
+        """The leading fields of a block's rows as one (lanes, k) float
+        array, from arrays with one lane per row (complex ones as [re, im]
+        pairs); every field up to the last one given is given."""
+        n = len(next(iter(fields.values())))
+        spans = [self.spans[key] for key in fields]
+        block = np.empty((n, max(span.stop for span in spans)))
+        for span, value in zip(spans, fields.values()):
+            if np.iscomplexobj(value):
+                value = np.stack([value.real, value.imag], axis=-1)
+            block[:, span.start:span.stop] = np.reshape(value, (n, len(span)))
+        return block
+
+    def values(self, **fields):
+        """``block``'s rows as one list per lane: ``+ 0.0`` over the whole
+        array (no -0.0 is written), then one ``.tolist()``; and whether the
+        array is finite, so that no text written from these values alone
+        needs the report's non-finite search."""
+        block = self.block(**fields)
+        block += 0.0
+        return block.tolist(), bool(np.isfinite(block).all())
+
+    def _template(self, variant, offset):
+        parts = []
+        columns = []
+        layout = self.layout(*variant)
+        for key in sorted(layout):
+            spec, kind = layout[key], self.fields.get(key)
+            start = offset + self.spans[key].start if key in self.spans else None
+            if isinstance(kind, _Row) and spec is not None:
+                text, read = kind._template(spec, start)
+                columns += read
+            elif kind is not None and spec is True:
+                text = "%d" if kind == "%d" else _numbers(kind)
+                columns += range(start, offset + self.spans[key].stop)
+            else:
+                text = _literal(spec)
+            parts.append(f"{_literal(key)}:{text}")
+        return "{" + ",".join(parts) + "}", columns
+
+    @cache
+    def json(self, variant):
+        template, columns = self._template(variant, 0)
+        return template, _getter(columns)
+
+    @cache
+    def csv_plan(self, variant):
+        layout = self.layout(*variant)
+        if self.csv_layout is not None:
+            layout.update(self.csv_layout(*variant))
+        columns = []
+        literals = []
+        for names, key in self.csv:
+            spec = layout.get(key, True)
+            if key in self.spans and (spec is True or isinstance(spec, str)):
+                # a number field: its own values, or those of the field named
+                start = self.spans[key if spec is True else spec].start
+                columns += range(start, start + len(names))
+                continue
+            if not isinstance(spec, list):
+                spec = [spec] * len(names)
+            columns += range(self.width + len(literals), self.width + len(literals) + len(names))
+            literals += [int(v) if isinstance(v, bool) else v for v in spec]
+        return _getter(columns), tuple(literals)
+
+    def text(self, row, variant):
+        """A row's JSON text."""
+        template, get = self.json(variant)
+        return template % get(row)
+
+    def csv_row(self, row, variant):
+        """A row's CSV fields, from its ``width`` values."""
+        get, literals = self.csv_plan(variant)
+        row += literals
+        return get(row)
+
+
+_CVEC = (3, 2)  # a point of C^3 as three [re, im]
+_COMPLEX = (2,)
+_BICOMPLEX = (4,)  # [x1, x2, x3, x4]
+
+
+@cache
+def _fibre_row(n_samples, with_q=False):
+    """A fibre, with ``n_samples`` sample points: a ``fibres`` row (with
+    q), or a ``solve`` root's "fibre".  Its variant is its tag's index."""
+    fields = {"base": _CVEC, "direction": _CVEC, "normal": _CVEC, "offset": _COMPLEX,
+              "samples": (n_samples, *_CVEC)}
+    csv = ()
+    if with_q:
+        fields["q"] = _BICOMPLEX
+        csv = ((["q_x1", "q_x2", "q_x3", "q_x4"], "q"), (["tag"], "tag"),
+               ([f"base_{i}{p}" for i in (1, 2, 3) for p in ("re", "im")], "base"),
+               ([f"dir_{i}{p}" for i in (1, 2, 3) for p in ("re", "im")], "direction"))
+
+    def layout(tag):
+        line = tag == 0 or None
+        plane = tag == 1 or None
+        out = {"tag": _TAG_NAMES[tag], "base": line, "direction": line, "normal": plane,
+               "offset": plane, "samples": line or plane or []}
+        if with_q:
+            out["q"] = True
+        return out
+
+    def csv_layout(tag):
+        # a plane's CSV base is its first sample; what is missing is zeros
+        zeros = [0] * 6
+        return {"base": "base" if tag == 0 else "samples" if tag == 1 and n_samples else zeros,
+                "direction": "direction" if tag == 0 else "normal" if tag == 1 else zeros}
+
+    return _Row(fields, layout, csv, csv_layout)
+
+
+def _root_layout(degenerate, partially, gradient, oriented, fibre):
+    g = gradient or None
+    return {"q": True, "multiplicity": True, "residual": True, "degenerate": degenerate,
+            "partially_degenerate": partially, "gradient": g, "laplacian_abs": g,
+            "nullness_abs": g, "gauss": oriented or None, "fibre": (fibre,)}
+
+
+# a solve root: (degenerate, partially degenerate, has a gradient, oriented,
+# its fibre's tag); its point is read by the CSV row alone
+_ROOT = _Row(
+    {"q": _BICOMPLEX, "residual": (), "gradient": (3, 4), "laplacian_abs": (),
+     "nullness_abs": (), "gauss": _CVEC, "fibre": _fibre_row(0), "multiplicity": "%d",
+     "point": _CVEC},
+    _root_layout,
+    csv=((["p1_re", "p1_im", "p2_re", "p2_im", "p3_re", "p3_im"], "point"),
+         (["q_x1", "q_x2", "q_x3", "q_x4"], "q"), (["multiplicity"], "multiplicity"),
+         (["residual"], "residual"), (["degenerate"], "degenerate"),
+         (["partially_degenerate"], "partially_degenerate"),
+         (["laplacian_abs"], "laplacian_abs"), (["nullness_abs"], "nullness_abs")))
+
+# a verify --points root: (has a gradient, its fd report's class)
+_CHECKED_ROOT = _Row(
+    {"q": _BICOMPLEX,
+     "implicit": _Row({"laplacian": (), "nullness": ()},
+                      lambda: {"laplacian": True, "nullness": True}),
+     "fd": _Row({"cr": (), "lambda": _COMPLEX, "laplacian": (), "nullness": ()},
+                lambda cls: {"class": cls, "cr": True, "lambda": True, "laplacian": True,
+                             "nullness": True})},
+    lambda gradient, cls: {"q": True, "implicit": () if gradient else None,
+                           "fd": (cls,) if gradient else None})
+
+# a verify --samples row: (its fibre's tag, on the fibre)
+_SAMPLE = _Row({"q": _BICOMPLEX, "z": _CVEC, "residual": ()},
+               lambda tag, on_fibre: {"q": True, "z": True, "residual": True,
+                                      "tag": _TAG_NAMES[tag], "on_fibre": on_fibre})
+
+
+def _slice_layout(cls, degenerate, outcome):
+    """A slice row's object: outcome is None (no check), True (the
+    residuals) or the name of the error its check raised."""
+    res = outcome is True or None
+    out = {"x": True, "branch": True, "q": True, "value": True, "degenerate": degenerate,
+           "class": cls, "harmonic_res": res, "null_res": res}
+    if isinstance(outcome, str):
+        out["error"] = outcome
+    return out
+
+
+# a slice row: (its class, degenerate, its check's outcome)
+_SLICE = _Row(
+    {"q": _BICOMPLEX, "value": (2,), "x": (3,), "branch": "%d", "harmonic_res": (),
+     "null_res": ()},
+    _slice_layout,
+    csv=((["x1", "x2", "x3"], "x"), (["branch"], "branch"),
+         (["q_x1", "q_x2", "q_x3", "q_x4"], "q"), (["value_1", "value_2"], "value"),
+         (["class"], "class"), (["harmonic_res"], "harmonic_res"), (["null_res"], "null_res")))
+
+
+@cache
+def _chart_row(value, result):
+    """A charts value and its result, of these shapes."""
+    return _Row({"value": value, "result": result}, lambda: {"value": True, "result": True})
+
+
+# a solve or verify --points result, before its roots: its point, then
+# "roots", in sorted-key order
+_POINT = '{"point":' + _numbers(_CVEC) + ',"roots":['
+
+
+def _point(z):
+    """The values of a point of C^3 (a CVec3)."""
+    return tuple(_f(v) for c in z for v in (c.real, c.imag))
+
+
+# ---------------------------------------------------------------------------
+# the report
+
+
+# a non-finite float's repr as a JSON value: no key, tag, class or error
+# name reads that way
+_NON_FINITE_JSON = re.compile(r"[\[,:]-?(?:inf|nan)[,\]}]")
+# a whole CSV field that is a non-finite float's repr: no tag, class or
+# number field reads that way
+_NON_FINITE_FIELD = re.compile(r"(?<![^,\n])(?:-?inf|nan)(?![^,\n])")
+
+
+class _Report:
+    """A task's report, written to ``out`` block by block as the task makes
+    it: JSON, ``{"results": [...], ...}`` with the results as each row
+    kind's text, or CSV rows by the C ``csv.writer``.
+
+    Each block's text is searched for a non-finite value, which the report
+    refuses: the first one is raised (ValueError) by ``close``, after the
+    run, so a later domain error comes first, as when the report was
+    written whole after the run.  JSON keeps ``json.dumps``' message; CSV
+    names the value."""
+
+    def __init__(self, out, fmt):
+        self.out = out
+        self.csv = fmt == "csv"
+        self.bad = None
+        self._separator = ""
+        if self.csv:
+            self._buffer = io.StringIO()
+            self._writer = csv.writer(self._buffer, lineterminator="\n")
+
+    def begin(self, header=()):
+        """Start the report: the CSV header, or the JSON results list."""
+        if self.csv:
+            self.extend([header])
+        else:
+            self.out.write('{"results":[')
+
+    def extend(self, items, finite=False):
+        """Write result items: JSON texts, or CSV rows; ``finite``: their
+        values are known to be finite, and the text is not searched."""
+        if self.csv:
+            self._writer.writerows(items)
+            text = self._buffer.getvalue()
+            self._buffer.seek(0)
+            self._buffer.truncate()
+            # a plain substring search first: the pattern is the slower scan
+            if not finite and self.bad is None and ("inf" in text or "nan" in text):
+                bad = _NON_FINITE_FIELD.search(text)
+                self.bad = bad and f"non-finite value {bad.group()} in the CSV report"
+        elif items:
+            text = self._separator + ",".join(items)
+            self._separator = ","
+            if not finite and self.bad is None and ("inf" in text or "nan" in text):
+                self.bad = (_NON_FINITE_JSON.search(text)
+                            and "Out of range float values are not JSON compliant")
+        else:
+            return
+        self.out.write(text)
+
+    def end(self, **tail):
+        """Finish the report: the JSON keys after "results"."""
+        if not self.csv:
+            self.out.write("]" + "".join(f",{_literal(k)}:{_literal(v)}"
+                                         for k, v in sorted(tail.items())) + "}\n")
+
+    def close(self):
+        """Refuse the report if it holds a non-finite value."""
+        if self.bad:
+            raise ValueError(self.bad)
+
+    def writer(self, row):
+        """Row kind ``row``'s writer in this report's format: ``(values,
+        variant) -> item``."""
+        return row.csv_row if self.csv else row.text
+
+
+# ---------------------------------------------------------------------------
 # tasks
 
 
-def _task_solve(config, tol, seed):
+def _task_solve(config, tol, seed, report):
     data = _parse_data(config)
     points = config.get("points")
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'solve' needs a non-empty 'points' list")
     pts = [_parse_point(p) for p in points]
     _cap_roots(data, len(pts))
-    results = []
-    listed = lists = fibres = None
+    write = report.writer(_ROOT)
+    report.begin(_ROOT.header)
+    items = []
+    listed = finite = None
     for z, batch, roots in _stencil_checks(data, pts, _point_lanes, None, None):
         if batch is not listed:
+            report.extend(items, finite)
+            items = []
+            listed = batch
             # one FibreBatch over the block's root lanes, read lane by lane
-            listed, lists = batch, _lane_lists(batch)
-            fibres = _fibre_rows(FibreBatch(data, batch.implicit.q), ())
-        results.append({"point": _cvec(z), "roots": _solve_rows(z, batch, roots, lists, fibres)})
-    return {"task": "solve", "results": results}
+            fibre_batch = FibreBatch(data, batch.implicit.q)
+            fibre, ok = _fibre_lanes(fibre_batch, ())
+            rows, finite, flags, multiplicity, overflow = _root_lanes(batch, fibre)
+            finite = finite and ok.all()
+            fibres = _fibre_rows(fibre_batch, (), ok, rows, _ROOT.spans["fibre"].start)
+        point = _point(z)
+        first = len(items)
+        for k, _ in roots:
+            tag = next(fibres)
+            if overflow[k]:
+                raise _overflow(batch, k, z)
+            row = rows[k]
+            row.append(multiplicity[k])
+            row += point
+            items.append(write(row, (*flags[k], tag)))
+        if not report.csv:
+            items[first:] = [_POINT % point + ",".join(items[first:]) + "]}"]
+    report.extend(items, finite)
+    report.end(task="solve")
 
 
-def _solve_rows(z, batch, roots, lists, fibres):
-    """The root rows of point z, from its ``(k, None)`` pairs of root lanes
-    k of ``batch``, whose fields ``lists`` holds (``_lane_lists``); each
-    root's fibre row is taken from ``fibres`` in its turn, and then its
-    |Laplacian| and |nullness| may raise (``_overflow``), so errors surface
-    in a point-by-point run's order."""
-    q, multiplicity, residual, degenerate, partially, has_gradient, gradient, \
-        laplacian_abs, nullness_abs, gauss, oriented, overflow = lists
-    rows = []
-    for k, _ in roots:
-        fibre = next(fibres)
-        if overflow[k]:
-            raise _overflow(batch, k, z)
-        g = has_gradient[k]
-        rows.append({
-            "q": q[k],
-            "multiplicity": multiplicity[k],
-            "residual": residual[k],
-            "degenerate": degenerate[k],
-            "partially_degenerate": partially[k],
-            "gradient": gradient[k] if g else None,
-            "laplacian_abs": laplacian_abs[k] if g else None,
-            "nullness_abs": nullness_abs[k] if g else None,
-            "gauss": gauss[k] if oriented[k] else None,
-            "fibre": fibre,
-        })
-    return rows
+def _root_lanes(batch, fibre):
+    """A ``solve`` block's root lanes: each lane's leading ``_ROOT`` values,
+    with its fibre's fields ``fibre``, and whether they are all finite; each
+    lane's flags but the fibre's, its multiplicity, and whether its scalar
+    |Laplacian| or |nullness| overflows (``RootBatch.report.overflow``)."""
+    implicit, report = batch.implicit, batch.report
+    rows, finite = _ROOT.values(q=implicit.q.reals(), residual=implicit.residual,
+                        gradient=np.stack([c.reals() for c in implicit.gradient], axis=1),
+                        laplacian_abs=report.laplacian_abs, nullness_abs=report.nullness_abs,
+                        gauss=np.stack([c.complex() for c in batch.gauss], axis=1),
+                        fibre=_fibre_row(0).block(**fibre))
+    flags = list(zip(implicit.degenerate.tolist(), implicit.partially_degenerate.tolist(),
+                     implicit.has_gradient.tolist(), implicit.oriented.tolist()))
+    return rows, finite, flags, implicit.multiplicity.tolist(), report.overflow.tolist()
 
 
 def _overflow(batch, k, z):
@@ -231,40 +618,44 @@ def _overflow(batch, k, z):
                               f"q = {batch.implicit.q.item(k)!r} of z = {z!r}")
 
 
-def _lane_lists(batch):
-    """The fields of a batch's root rows as lists, ``_f``'s + 0.0 done over
-    the arrays."""
-    implicit, report = batch.implicit, batch.report
-    gradient = np.stack([c.reals() for c in implicit.gradient], axis=1)
-    gauss = np.stack([np.stack([c.re, c.im], axis=-1) for c in batch.gauss], axis=1)
-    return (_reals(implicit.q), implicit.multiplicity.tolist(),
-            (implicit.residual + 0.0).tolist(), implicit.degenerate.tolist(),
-            implicit.partially_degenerate.tolist(), implicit.has_gradient.tolist(),
-            (gradient + 0.0).tolist(), (report.laplacian_abs + 0.0).tolist(),
-            (report.nullness_abs + 0.0).tolist(), (gauss + 0.0).tolist(),
-            implicit.oriented.tolist(), report.overflow.tolist())
+def _fibre_lanes(batch, ts):
+    """A FibreBatch's fibres as ``_fibre_row(len(ts))`` fields, and the
+    lanes computed here (``FibreBatch.samples``)."""
+    points, ok = batch.samples(ts)
+    fibres = batch.fibres
+    return {"base": fibres.base, "direction": fibres.direction, "normal": fibres.normal,
+            "offset": fibres.offset, "samples": points}, ok
 
 
-def _fibre_json(fibre, ts):
-    out = {
-        "tag": fibre.tag.value,
-        "base": None,
-        "direction": None,
-        "normal": None,
-        "offset": None,
-        "samples": [_cvec(z) for z in fibre.sample_points(ts)],
-    }
-    if fibre.base is not None:
-        out["base"] = _cvec(fibre.base)
-    if fibre.direction is not None:
-        out["direction"] = _cvec(fibre.direction)
-    if fibre.normal is not None:
-        out["normal"] = _cvec(fibre.normal)
-        out["offset"] = _c(fibre.offset)
-    return out
+def _fibre_rows(batch, ts, ok, rows, start):
+    """The fibre of each of a FibreBatch's lanes, one at a time in order:
+    its tag's index.  ``rows[k]`` holds lane k's ``_fibre_row(len(ts))``
+    values from ``start`` on; a lane the batch leaves to the scalar path
+    (not ``ok``) is computed there (``fibre_at``) in its turn, and its
+    values are written there."""
+    row = _fibre_row(len(ts))
+    for k, (tag, computed) in enumerate(zip(batch.fibres.tag.tolist(), ok.tolist())):
+        if not computed:
+            fibre = batch.fibre(k)
+            tag = _TAGS.index(fibre.tag)
+            rows[k][start:start + row.width] = row.values(**_scalar_fibre(fibre, ts))[0][0]
+        yield tag
 
 
-def _task_fibres(config, tol, seed):
+def _scalar_fibre(fibre, ts):
+    """A FibreDescription's ``_fibre_lanes`` fields, as one lane; zeros
+    where it has none."""
+    def lane(values, n):
+        return np.array([[0j] * n if values is None else list(values)], dtype=complex)
+
+    samples = fibre.sample_points(ts)
+    return {"base": lane(fibre.base, 3), "direction": lane(fibre.direction, 3),
+            "normal": lane(fibre.normal, 3),
+            "offset": lane(None if fibre.offset is None else [fibre.offset], 1),
+            "samples": lane([c for p in samples for c in p] if samples else None, 3 * len(ts))}
+
+
+def _task_fibres(config, tol, seed, report):
     data = _parse_data(config)
     params = config.get("params")
     if not isinstance(params, list) or not params:
@@ -281,53 +672,16 @@ def _task_fibres(config, tol, seed):
     qs, error = _bicomplex_rows(params)
     if error is not None:
         raise error
-    results = []
+    row = _fibre_row(n_samples, with_q=True)
+    write = report.writer(row)
+    report.begin(row.header)
     for block in _blocks(qs):
         batch = FibreBatch(data, BArray.from_reals(block))
-        rows = _fibre_rows(batch, ts)
-        results.extend({"q": q, **row} for q, row in zip(_reals(batch.q), rows))
-    return {"task": "fibres", "results": results}
-
-
-def _fibre_rows(batch, ts):
-    """The fibre rows, without "q", of a batch's parameters, one at a time
-    in order: a lane the batch leaves to the scalar path is computed there
-    in its turn."""
-    points, ok = batch.samples(ts)
-    fibres = batch.fibres
-    # each field as lists, for the lanes of the tags that read it
-    tags = fibres.tag.tolist()
-    base, direction = ((_pairs(a) if 0 in tags else None)
-                       for a in (fibres.base, fibres.direction))
-    normal, offset = ((_pairs(a) if 1 in tags else None)
-                      for a in (fibres.normal, fibres.offset))
-    samples = _pairs(points)
-    for k, (tag, computed) in enumerate(zip(tags, ok.tolist())):
-        if not computed:
-            yield _fibre_json(batch.fibre(k), ts)
-            continue
-        line = tag == 0
-        plane = tag == 1
-        yield {
-            "tag": _TAG_NAMES[tag],
-            "base": base[k] if line else None,
-            "direction": direction[k] if line else None,
-            "normal": normal[k] if plane else None,
-            "offset": offset[k] if plane else None,
-            "samples": samples[k] if line or plane else [],
-        }
-
-
-def _reals(q):
-    """``[_b(p) for p in ...]`` of ``BArray`` lanes, ``_f``'s + 0.0 done
-    over the array."""
-    return (q.reals() + 0.0).tolist()
-
-
-def _pairs(a):
-    """A complex array as nested [re, im] lists, ``_f``'s + 0.0 done over
-    the array: ``_c`` of each entry."""
-    return (np.stack([a.real, a.imag], axis=-1) + 0.0).tolist()
+        fields, ok = _fibre_lanes(batch, ts)
+        rows, finite = row.values(q=batch.q.reals(), **fields)
+        tags = _fibre_rows(batch, ts, ok, rows, 0)
+        report.extend([write(r, (tag,)) for r, tag in zip(rows, tags)], finite and ok.all())
+    report.end(task="fibres")
 
 
 def _congruence_residual(data, q, z):
@@ -359,35 +713,34 @@ def _sample_arrays(samples):
 
 def _sample_rows(data, q, points, tol):
     """The ``verify --samples`` rows of the samples with parameters ``q``
-    ((n, 4) float rows) and points ``points`` ((n, 3) complex), in order: a
+    ((n, 4) float rows) and points ``points`` ((n, 3) complex), in order, as
+    (values, variant) pairs, and whether their values are all finite: a
     lane the batch leaves to the scalar path is computed there in its
     turn."""
     batch = FibreBatch(data, BArray.from_reals(q))
     residual, on_fibre, ok = batch.checks(points, tol)
-    q = _reals(batch.q)
-    z = _pairs(points)
-    residual = (residual + 0.0).tolist()
-    on_fibre = on_fibre.tolist()
-    rows = []
-    for k, (tag, computed) in enumerate(zip(batch.fibres.tag.tolist(), ok.tolist())):
-        if computed:
-            rows.append({"q": q[k], "z": z[k], "tag": _TAG_NAMES[tag],
-                         "residual": residual[k], "on_fibre": on_fibre[k]})
-            continue
-        qk, zk = batch.q.item(k), CVec3(*points[k].tolist())
-        fibre = fibre_at(data, qk)
-        try:
-            res = _congruence_residual(data, qk, zk)
-            contained = bool(fibre.contains(zk, tol=tol))
-        except OverflowError:  # an abs or a square past the double range, of finite parts
-            raise RangeOverflowError(f"the residual or the fibre test overflows at the "
-                                     f"sample q = {qk!r}, z = {zk!r}") from None
-        rows.append({"q": q[k], "z": z[k], "tag": fibre.tag.value, "residual": _f(res),
-                     "on_fibre": contained})
-    return rows
+    rows, finite = _SAMPLE.values(q=batch.q.reals(), z=points, residual=residual)
+    at = _SAMPLE.spans["residual"].start
+
+    def lanes():
+        for k, (row, tag, contained, computed) in enumerate(zip(
+                rows, batch.fibres.tag.tolist(), on_fibre.tolist(), ok.tolist())):
+            if not computed:
+                qk, zk = batch.q.item(k), CVec3(*points[k].tolist())
+                fibre = fibre_at(data, qk)
+                try:
+                    row[at] = _f(_congruence_residual(data, qk, zk))
+                    contained = bool(fibre.contains(zk, tol=tol))
+                except OverflowError:  # an abs or a square past the double range, of finite parts
+                    raise RangeOverflowError(f"the residual or the fibre test overflows at the "
+                                             f"sample q = {qk!r}, z = {zk!r}") from None
+                tag = _TAGS.index(fibre.tag)
+            yield row, (tag, contained)
+
+    return lanes(), finite and ok.all()
 
 
-def _task_verify(config, tol, seed):
+def _task_verify(config, tol, seed, report):
     data = _parse_data(config)
     tol = tol if tol is not None else 1e-8
     if "samples" in config:
@@ -397,50 +750,52 @@ def _task_verify(config, tol, seed):
         # a point-by-point run parses a sample after the ones before it
         # are checked: a malformed sample is raised after them
         q, z, error = _sample_arrays(samples)
-        results = []
+        report.begin()
         for q_block, z_block in zip(_blocks(q), _blocks(z)):
-            results.extend(_sample_rows(data, q_block, z_block, tol))
+            rows, finite = _sample_rows(data, q_block, z_block, tol)
+            report.extend([_SAMPLE.text(row, variant) for row, variant in rows], finite)
         if error is not None:
             raise error
-        return {"task": "verify", "results": results}
+        report.end(task="verify")
+        return
 
     points = config.get("points")
     if not isinstance(points, list) or not points:
         raise ExprSchemaError("'verify' needs 'points' or 'samples'")
     pts = [_parse_point(p) for p in points]
     _cap_roots(data, len(pts))
-
-    results = []
-    listed = lists = None
+    report.begin()
+    items = []
+    listed = None
     for z, batch, checks in _point_roots(data, pts):
         if batch is not listed:
-            listed, lists = batch, _verify_lists(batch)
-        q, has_gradient, laplacian, nullness, overflow = lists
-        roots = []
+            report.extend(items)
+            items = []
+            listed = batch
+            implicit, lanes = batch.implicit, batch.report
+            # the fd reports' values are searched as written
+            rows, _ = _CHECKED_ROOT.values(q=implicit.q.reals(), implicit=np.stack(
+                [lanes.laplacian_abs, lanes.nullness_abs], axis=1))
+            has_gradient, overflow = implicit.has_gradient.tolist(), lanes.overflow.tolist()
+        texts = []
         # each root's check runs in its turn, after its |Laplacian| and
         # |nullness| may raise
         for k, check in checks:
             if overflow[k]:
                 raise _overflow(batch, k, z)
-            row = {"q": q[k], "implicit": None, "fd": None}
+            row = rows[k]
+            cls = None
             if has_gradient[k]:
-                row["implicit"] = {"laplacian": laplacian[k], "nullness": nullness[k]}
-                row["fd"] = check()
-            roots.append(row)
-        results.append({"point": _cvec(z), "roots": roots})
-    return {"task": "verify", "results": results}
+                fd = check()
+                cls = fd["class"]
+                row += (fd["cr"], *fd["lambda"], fd["laplacian"], fd["nullness"])
+            texts.append(_CHECKED_ROOT.text(row, (has_gradient[k], cls)))
+        items.append(_POINT % _point(z) + ",".join(texts) + "]}")
+    report.extend(items)
+    report.end(task="verify")
 
 
-def _verify_lists(batch):
-    """The fields of the ``verify --points`` rows of a batch's root lanes
-    as lists, ``_f``'s + 0.0 done over the arrays."""
-    implicit, report = batch.implicit, batch.report
-    return (_reals(implicit.q), implicit.has_gradient.tolist(),
-            (report.laplacian_abs + 0.0).tolist(), (report.nullness_abs + 0.0).tolist(),
-            report.overflow.tolist())
-
-
-def _task_slice(config, tol, seed):
+def _task_slice(config, tol, seed, report):
     kind = config.get("slice")
     try:
         kind = SliceKind(kind)
@@ -466,49 +821,42 @@ def _task_slice(config, tol, seed):
         raise ExprSchemaError("'slice' task needs 'grid' or 'points'")
     _cap_roots(data, len(pts))
     atol = tol if tol is not None else 1e-8
-    rows = []
-    listed = lists = None
+    write = report.writer(_SLICE)
+    report.begin(_SLICE.header)
+    items = []
+    listed = None
     for x, batch, checks in _slice_roots(kind, data, pts, atol=atol, fd=run_fd):
         if batch is not listed:
-            listed, lists = batch, _slice_lists(kind, batch)
-        q, value, degenerate, cls = lists
-        # one "x" list for the point's rows: the 25 000-point grid holds
-        # about 50 000 rows until the report is written
+            report.extend(items)
+            items = []
+            listed = batch
+            rows, flags = _slice_lanes(kind, batch)
         x = [_f(v) for v in x]
-        for idx, (k, check) in enumerate(checks):
-            row = _slice_row(x, idx, q[k], value[k], degenerate[k], cls[k])
+        for branch, (k, check) in enumerate(checks):
+            row = rows[k]
+            row += x
+            row.append(branch)
+            outcome = None
+            residuals = (None, None)
             if check is not None:
                 try:
                     hr, nr = check()
-                    row["harmonic_res"] = _f(hr)
-                    row["null_res"] = _f(nr)
+                    residuals = (_f(hr), _f(nr))
+                    outcome = True
                 except BhmError as exc:
-                    row["error"] = type(exc).__name__
-            rows.append(row)
-    return {"task": "slice", "slice": kind.value, "results": rows}
+                    outcome = type(exc).__name__
+            row += residuals
+            items.append(write(row, (*flags[k], outcome)))
+    report.extend(items)
+    report.end(slice=kind.value, task="slice")
 
 
-def _slice_row(x, branch, q, value, degenerate, cls):
-    """A kept root's ``slice`` row, before its residuals: the one layout of
-    the rows built from a solution and from the lanes."""
-    return {
-        "x": x,
-        "branch": branch,
-        "q": q,
-        "value": value,
-        "degenerate": degenerate,
-        "class": cls,
-        "harmonic_res": None,
-        "null_res": None,
-    }
-
-
-def _slice_lists(kind, batch):
-    """The fields of the ``slice`` rows of a batch's root lanes as lists,
-    ``_f``'s + 0.0 done over the arrays: q, the value ``project_codomain``
-    gives, ``degenerate`` and the class ``classify_point`` gives (None
-    without a gradient).  A root lane's row here is its solution's
-    wherever ``solve_phi`` returns, since the lanes hold its values and
+def _slice_lanes(kind, batch):
+    """The ``slice`` rows of a batch's root lanes: each lane's leading
+    ``_SLICE`` values (q, and the value ``project_codomain`` gives) and its
+    class (``classify_point``'s, None without a gradient) and
+    ``degenerate``.  A root lane's row here is its solution's wherever
+    ``solve_phi`` returns, since the lanes hold its values and
     ``classify_point`` runs the ``_null_parts`` that ``solve_phi`` ran, so
     no row here raises where its solution's would."""
     implicit = batch.implicit
@@ -517,8 +865,9 @@ def _slice_lists(kind, batch):
     kinds = _class_index(implicit.n2, implicit.cn_abs, CLASSIFY_TOL).tolist()
     cls = [_CLASS_NAMES[c] if g else None
            for c, g in zip(kinds, implicit.has_gradient.tolist())]
-    return (_reals(q), (np.stack([x, y], axis=-1) + 0.0).tolist(),
-            implicit.degenerate.tolist(), cls)
+    # the residuals' values are searched as written
+    rows, _ = _SLICE.values(q=q.reals(), value=np.stack([x, y], axis=-1))
+    return rows, list(zip(cls, implicit.degenerate.tolist()))
 
 
 # a point of each space as JSON: its coordinate lists and their lengths
@@ -539,7 +888,7 @@ def _parse_space_point(space, value):
     return cls.from_json(value)
 
 
-def _task_charts(config, tol, seed):
+def _task_charts(config, tol, seed, report):
     section = config.get("charts")
     if not isinstance(section, dict):
         raise ExprSchemaError("'charts' task needs a 'charts' object")
@@ -547,27 +896,30 @@ def _task_charts(config, tol, seed):
     values = section.get("values")
     if not isinstance(values, list) or not values:
         raise ExprSchemaError("'charts' needs a non-empty 'values' list")
-    results = []
     if op == "transition":
         try:
             src = Chart(section.get("from"))
             dst = Chart(section.get("to"))
         except ValueError:
             raise ExprSchemaError("transition needs valid 'from'/'to' charts")
+        report.begin()
+        row = _chart_row(_BICOMPLEX, _BICOMPLEX)
+        at = row.spans["result"].start
         # a value is parsed after the ones before it are transitioned: a
         # malformed value is raised after them
-        rows, error = _bicomplex_rows(values)
+        parsed, error = _bicomplex_rows(values)
         fn = transition_holofn(src, dst)
-        for block in _blocks(rows):
+        for block in _blocks(parsed):
             q = BArray.from_reals(block)
             with np.errstate(all="ignore"):
                 value, flagged = _evaluate(fn, *q.ringleb())
-            result = _reals(value)
+            rows, finite = row.values(value=q.reals(), result=value.reals())
             # a flagged lane (a pole, an overflow) takes the scalar path in
             # its turn, which raises OutOfDomainError where it does
-            for k in np.flatnonzero(flagged).tolist():
-                result[k] = _b(transition(src, dst, q.item(k)))
-            results.extend({"value": v, "result": r} for v, r in zip(_reals(q), result))
+            scalar = np.flatnonzero(flagged).tolist()
+            for k in scalar:
+                rows[k][at:] = _b(transition(src, dst, q.item(k)))
+            report.extend([row.text(r, ()) for r in rows], finite and not scalar)
         if error is not None:
             raise error
     elif op in ("to_point", "from_point"):
@@ -576,18 +928,25 @@ def _task_charts(config, tol, seed):
             ch = Chart(section.get("from") or section.get("chart"))
         except ValueError:
             raise ExprSchemaError(f"'{op}' needs valid 'space' and chart")
+        report.begin()
+        _, n, k = _SPACE_POINTS[space]
+        # a point's values are the numbers of its JSON, as given or as to_json gives them
+        if op == "to_point":
+            row = _chart_row(_BICOMPLEX, (n, k))
+        else:
+            row = _chart_row((n, k), _BICOMPLEX)
         for v in values:
             if op == "to_point":
                 q = _parse_bicomplex(v)
-                point = chart_to_point(space, ch, q)
-                results.append({"value": _b(q), "result": point.to_json()})
+                point = chart_to_point(space, ch, q).to_json()
+                values_ = _b(q) + [x for c in point for x in c]
             else:
                 point = _parse_space_point(space, v)
-                results.append({"value": v,
-                                "result": _b(point_to_chart(space, ch, point))})
+                values_ = [x for c in v for x in c] + _b(point_to_chart(space, ch, point))
+            report.extend([row.text(values_, ())])
     else:
         raise ExprSchemaError(f"unknown charts op {op!r}")
-    return {"task": "charts", "results": results}
+    report.end(task="charts")
 
 
 _RUNNERS = {
@@ -597,85 +956,13 @@ _RUNNERS = {
     "slice": _task_slice,
     "charts": _task_charts,
 }
-
-
-# ---------------------------------------------------------------------------
-# output formatting
-
-
-# a whole CSV field that is a non-finite float's repr: no tag, class or
-# number field reads that way
-_NON_FINITE_FIELD = re.compile(r"(?<![^,\n])(?:-?inf|nan)(?![^,\n])")
-# rows written and checked at a time: the text held beside the report
-CSV_CHUNK_ROWS = 1024
-
-
-def _write_csv(out, header, rows):
-    """Write a CSV report with the C ``csv.writer``: the header, then the
-    rows.  Like the JSON report, it refuses a non-finite value
-    (ValueError), naming the first in row order: each chunk of rows is
-    written to a buffer, searched, and copied to ``out``."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    rows = iter(rows)
-    chunk = [header]
-    while chunk:
-        writer.writerows(chunk)
-        text = buffer.getvalue()
-        # a plain substring search first: the pattern is the slower scan
-        bad = ("inf" in text or "nan" in text) and _NON_FINITE_FIELD.search(text)
-        if bad:
-            raise ValueError(f"non-finite value {bad.group()} in the CSV report")
-        out.write(text)
-        buffer.seek(0)
-        buffer.truncate()
-        chunk = list(islice(rows, CSV_CHUNK_ROWS))
-
-
-def _csv_solve(report, out):
-    def rows():
-        for res in report["results"]:
-            p = [v for c in res["point"] for v in c]
-            for r in res["roots"]:
-                yield p + r["q"] + [r["multiplicity"], r["residual"],
-                                    int(r["degenerate"]),
-                                    int(r["partially_degenerate"]),
-                                    r["laplacian_abs"], r["nullness_abs"]]
-
-    _write_csv(out, ["p1_re", "p1_im", "p2_re", "p2_im", "p3_re", "p3_im",
-                     "q_x1", "q_x2", "q_x3", "q_x4", "multiplicity", "residual",
-                     "degenerate", "partially_degenerate",
-                     "laplacian_abs", "nullness_abs"], rows())
-
-
-def _csv_fibres(report, out):
-    def rows():
-        for r in report["results"]:
-            base = r["base"]
-            if base is None and r["samples"]:
-                base = r["samples"][0]
-            base = [v for c in (base or [[0, 0]] * 3) for v in c]
-            vec = r["direction"] if r["direction"] is not None else r["normal"]
-            vec = [v for c in (vec or [[0, 0]] * 3) for v in c]
-            yield r["q"] + [r["tag"]] + base + vec
-
-    _write_csv(out, ["q_x1", "q_x2", "q_x3", "q_x4", "tag",
-                     "base_1re", "base_1im", "base_2re", "base_2im", "base_3re", "base_3im",
-                     "dir_1re", "dir_1im", "dir_2re", "dir_2im", "dir_3re", "dir_3im"], rows())
-
-
-def _csv_slice(report, out):
-    _write_csv(out, ["x1", "x2", "x3", "branch", "q_x1", "q_x2", "q_x3", "q_x4",
-                     "value_1", "value_2", "class", "harmonic_res", "null_res"],
-               (r["x"] + [r["branch"]] + r["q"] + r["value"]
-                + [r["class"], r["harmonic_res"], r["null_res"]] for r in report["results"]))
-
-
-_CSV_WRITERS = {"solve": _csv_solve, "fibres": _csv_fibres, "slice": _csv_slice}
+# the tasks with a CSV form
+_CSV_TASKS = ("solve", "fibres", "slice")
 
 
 def run(config, out, fmt=None, tol=None, seed=0) -> int:
-    """Execute one scene configuration, writing the report to ``out``."""
+    """Execute one scene configuration, writing the report to ``out`` as the
+    task makes it: on an error, ``out`` may hold part of it."""
     if not isinstance(config, dict):
         raise ExprSchemaError("configuration must be a JSON object")
     task = config.get("task")
@@ -684,16 +971,20 @@ def run(config, out, fmt=None, tol=None, seed=0) -> int:
     fmt = fmt or config.get("format", "json")
     if fmt not in ("json", "csv"):
         raise ExprSchemaError(f"format must be 'json' or 'csv', got {fmt!r}")
-    report = _RUNNERS[task](config, tol, seed)
-    if fmt == "csv":
-        writer = _CSV_WRITERS.get(task)
-        if writer is None:
-            raise ExprSchemaError(f"task {task!r} has no CSV form; use json")
-        writer(report, out)
-    else:
-        out.write(json.dumps(report, sort_keys=True, separators=(",", ":"),
-                             allow_nan=False) + "\n")
+    if fmt == "csv" and task not in _CSV_TASKS:
+        # the run's own errors come first, as when the report was written
+        # after the run
+        _RUNNERS[task](config, tol, seed, _Report(io.StringIO(), "json"))
+        raise ExprSchemaError(f"task {task!r} has no CSV form; use json")
+    report = _Report(out, fmt)
+    _RUNNERS[task](config, tol, seed, report)
+    report.close()
     return 0
+
+
+class _Pieces(list):
+    """A report's text as the pieces written to it."""
+    write = list.append
 
 
 @cache  # built on the first call: building it cost more than parsing with it
@@ -729,8 +1020,7 @@ def main(argv=None) -> int:
         else:
             with open(args.input, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        config = json.loads(text, parse_float=_finite(float),
-                            parse_int=_finite(int), parse_constant=_finite(float))
+        config = _load(text)
     except (OSError, ValueError, RecursionError) as exc:
         return fail(2, exc)
     except MemoryError as exc:
@@ -742,7 +1032,9 @@ def main(argv=None) -> int:
         config = dict(config)
         config["task"] = args.task
 
-    buffer = io.StringIO()
+    # the report's pieces, as run writes them: one string of the whole
+    # report, and its encoded copy, doubled the peak of a large report
+    buffer = _Pieces()
     try:
         # numpy scalars warn on overflow; the report's finiteness check
         # turns such a result into exit 3, and stderr carries only its error
@@ -758,10 +1050,10 @@ def main(argv=None) -> int:
 
     try:
         if args.output == "-":
-            sys.stdout.write(buffer.getvalue())
+            sys.stdout.writelines(buffer)
         else:
             with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(buffer.getvalue())
+                fh.writelines(buffer)
     except OSError as exc:
         return fail(3, exc)
     return 0

@@ -277,8 +277,11 @@ class FibreDescription:
 
 def fibre_at(data: WeierstrassData, q: Bicomplex) -> FibreDescription:
     """Classify and solve the congruence equation at the parameter q."""
-    g = data.G(q)
-    h = data.H(q)
+    try:
+        g = data.G(q)
+        h = data.H(q)
+    except OverflowError:  # a power past the double range, such as q**3 at q = 1.7e308
+        raise RangeOverflowError(f"G(q) or H(q) overflows at q = {q!r}") from None
     cn_g = g.cn()
     try:
         scale = max(1.0, g.norm2())

@@ -9,8 +9,10 @@ gate's bound:
   94 MB;
 - a ``solve`` of 2 777 points on the solve-dense benchmark's seeded data
   (99 972 roots, just under the CLI's root cap; the one run that takes
-  ``solve`` across many blocks), within 600 MB (547.7 MB when the gate was
-  added);
+  ``solve`` across many blocks), within 10 % of the 140.5 MB it read once
+  its report was written as text from the lanes and held as the pieces
+  written (547.7 MB when the gate was added, with the report held as a
+  dict tree, then as one string);
 - the stencil benchmark's seeded radial ``verify --points`` data at 2 000
   points (the one stencil task whose rows read the Laplacian), within 10 %
   of the 54.5 MB it read when the gate was added;
@@ -19,8 +21,10 @@ gate's bound:
   slice: the header alone, though every anchor's stencil points are solved
   with it, within 10 % of the 37.0 MB it read when the gate was added;
 - three seeded configs of 100 000 values each, ``fibres``,
-  ``verify --samples`` and ``charts`` G -> L, within about 10 % of their
-  381.7, 306.7 and 207.4 MB before their lists were parsed into arrays.
+  ``verify --samples`` and ``charts`` G -> L, within 10 % of the 119.5,
+  184.9 and 82.8 MB they read once their reports were written as text
+  from the lanes (381.7, 306.7 and 207.4 MB before their lists were parsed
+  into arrays).
 
 Run from the repository root, with ``bhm`` importable (installed, or
 ``PYTHONPATH=src``):
@@ -102,18 +106,18 @@ GATES = {
     "25 000-point slice grid": (
         ["--format", "csv"], "42de71b1e508c2084decccddd8dc5e2c505d710c5d5869eb5fa6387eb874d1ca", 94),
     "root-cap solve": (
-        [], "be13728c9aabda6fdd8bf4d5b8010e5826e023f287afb674db9d0e00082e27c5", 600),
+        [], "be13728c9aabda6fdd8bf4d5b8010e5826e023f287afb674db9d0e00082e27c5", 140.5 * 1.1),
     "2 000-point verify --points": (
         [], "e8dd9d3181f25801fe90bbb206e1dc83fcba62d20d173093128dc2ef1e182a45", 54.5 * 1.1),
     "8 000-point slice grid, no root in the slice": (
         ["--format", "csv"], "2133371294bad7f40cdb4a295b112b8744b6338f401992c0ad97fb2781daecf2",
         37.0 * 1.1),
     "100 000-value fibres": (
-        [], "dc1a346b7fac7e0f011d44c91d0d795ad4f5cff3f16787a2e9533a0beea3300b", 420),
+        [], "dc1a346b7fac7e0f011d44c91d0d795ad4f5cff3f16787a2e9533a0beea3300b", 119.5 * 1.1),
     "100 000-value verify --samples": (
-        [], "b880ec1ebd46e660de97acf408828ef0663510fc9b150172b4bcb8d12c9f2b7a", 340),
+        [], "b880ec1ebd46e660de97acf408828ef0663510fc9b150172b4bcb8d12c9f2b7a", 184.9 * 1.1),
     "100 000-value charts G->L": (
-        [], "558e32110101ec8b87e2c04698b5bfd47482299a2b7a724b74f18b696f59ef0a", 230),
+        [], "558e32110101ec8b87e2c04698b5bfd47482299a2b7a724b74f18b696f59ef0a", 82.8 * 1.1),
 }
 
 

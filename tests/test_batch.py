@@ -26,8 +26,10 @@ from hypothesis import given, settings, strategies as st
 import bhm.cli
 from bhm.cli import _congruence_residual, run
 import bhm.weierstrass
+import report_rows as rr
 from bhm.core import C_POWI_MAX, I2, BArray, Bicomplex, CArray
-from bhm.errors import BhmError, DegeneratePointError, PoleEncounteredError, RangeOverflowError
+from bhm.errors import (BhmError, BranchJumpError, DegeneratePointError, PoleEncounteredError,
+                        RangeOverflowError)
 from bhm.geometry import Chart, CVec3, transition
 from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var, holofn_from_json
 from bhm.slices import (
@@ -1051,7 +1053,7 @@ def _implicit_abs(sol, z):
     root q and the point z."""
     cli = bhm.cli
     try:
-        return cli._f(abs(sol.laplacian)), cli._f(abs(sol.gradient.square()))
+        return rr.f(abs(sol.laplacian)), rr.f(abs(sol.gradient.square()))
     except OverflowError:
         raise RangeOverflowError(f"|Laplacian| or |nullness| overflows at the root "
                                  f"q = {sol.q!r} of z = {z!r}") from None
@@ -1063,15 +1065,15 @@ def _root_json(sol, z, fibre):
     cli = bhm.cli
     gradient = laplacian_abs = nullness_abs = gauss = None
     if sol.gradient is not None:
-        gradient = [cli._b(q) for q in sol.gradient]
+        gradient = [rr.b(q) for q in sol.gradient]
         laplacian_abs, nullness_abs = _implicit_abs(sol, z)
         if not sol.degenerate:
             try:
-                gauss = cli._cvec(gauss_map(sol.gradient))
+                gauss = rr.cvec(gauss_map(sol.gradient))
             except DegeneratePointError:
                 pass  # |gradient|^2 underflows to 0: no direction, and not degenerate
-    return {"q": cli._b(sol.q), "multiplicity": sol.multiplicity,
-            "residual": cli._f(sol.residual), "degenerate": sol.degenerate,
+    return {"q": rr.b(sol.q), "multiplicity": sol.multiplicity,
+            "residual": rr.f(sol.residual), "degenerate": sol.degenerate,
             "partially_degenerate": sol.partially_degenerate, "gradient": gradient,
             "laplacian_abs": laplacian_abs, "nullness_abs": nullness_abs, "gauss": gauss,
             "fibre": fibre}
@@ -1086,16 +1088,16 @@ def _point_by_point(config, tol=None, seed=0):
     if config["task"] == "solve":
         results = []
         for z in [bhm.cli._parse_point(p) for p in config["points"]]:
-            roots = [_root_json(sol, z, bhm.cli._fibre_json(fibre_at(data, sol.q), ()))
+            roots = [_root_json(sol, z, rr.fibre_json(fibre_at(data, sol.q), ()))
                      for sol in solve_phi(data, z)]
-            results.append({"point": bhm.cli._cvec(z), "roots": roots})
+            results.append({"point": rr.cvec(z), "roots": roots})
         report = {"task": "solve", "results": results}
     elif config["task"] == "fibres":
         rng = random.Random(seed)
         ts = [rng.uniform(-2.0, 2.0) for _ in range(config.get("samples", 3))]
         results = []
         for q in [bhm.cli._parse_bicomplex(p) for p in config["params"]]:
-            results.append({"q": bhm.cli._b(q), **bhm.cli._fibre_json(fibre_at(data, q), ts)})
+            results.append({"q": rr.b(q), **rr.fibre_json(fibre_at(data, q), ts)})
         report = {"task": "fibres", "results": results}
     else:
         tol = 1e-8 if tol is None else tol
@@ -1109,15 +1111,10 @@ def _point_by_point(config, tol=None, seed=0):
             except OverflowError:  # named by the CLI
                 raise RangeOverflowError(f"the residual or the fibre test overflows at the "
                                          f"sample q = {q!r}, z = {z!r}") from None
-            results.append({"q": bhm.cli._b(q), "z": bhm.cli._cvec(z), "tag": fibre.tag.value,
-                            "residual": bhm.cli._f(res), "on_fibre": on_fibre})
+            results.append({"q": rr.b(q), "z": rr.cvec(z), "tag": fibre.tag.value,
+                            "residual": rr.f(res), "on_fibre": on_fibre})
         report = {"task": "verify", "results": results}
-    out = io.StringIO()
-    if config.get("format") == "csv":
-        bhm.cli._CSV_WRITERS[config["task"]](report, out)
-    else:
-        out.write(json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
-    return out.getvalue()
+    return rr.write(report, config.get("format", "json"))
 
 
 def _fibre_configs():
@@ -1390,10 +1387,10 @@ def test_an_overflowing_laplacian_abs_takes_the_scalar_row_in_its_turn(fmt, monk
     rows = Counter()
     fibre_rows = bhm.cli._fibre_rows
 
-    def counting(batch, ts):
-        for row in fibre_rows(batch, ts):
+    def counting(*args):
+        for tag in fibre_rows(*args):
             rows["fibre"] += 1
-            yield row
+            yield tag
 
     monkeypatch.setattr(bhm.cli, "_fibre_rows", counting)
     assert _cli_output(config) == want
@@ -1708,6 +1705,34 @@ def test_a_laplacian_that_is_not_finite_keeps_its_lanes_and_its_output(task, poi
             assert _outcome(lambda: _point_by_point(config)) == tuple(want.values())
 
 
+@pytest.mark.parametrize("size", [None, 1, 2])
+@pytest.mark.parametrize("task, fmt", [("solve", "json"), ("solve", "csv"), ("verify", "json")])
+@pytest.mark.parametrize("points, first", [
+    ([[0.02, 0, 0]], None),
+    ([[0.5, 0.2, 0.1], [0.02, 0, 0], [0.4, 0.3, 0.1]], None),
+    ([[0.02, 0, 0], [0.4, 0.3, 0.1], [0.5, 1e300, 0]], _VANISHES),
+])
+def test_a_non_finite_value_in_an_early_block_is_refused_after_the_run(task, fmt, points, first,
+                                                                       size, monkeypatch,
+                                                                       capsys):
+    # the report is written block by block, and a block's non-finite
+    # Laplacian is refused only once the run is done: a later block's
+    # domain error still comes first, and stdout stays empty
+    if size is not None:
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+    config = {"task": task, "data": _LAPLACIAN_OVERFLOW, "points": points, "format": fmt}
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
+    assert bhm.cli.main([]) == 3
+    out, err = capsys.readouterr()
+    if first is None:
+        first = (_OUT_OF_RANGE if fmt == "json" else
+                 {"type": "ValueError", "message": "non-finite value nan in the CSV report"})
+    assert out == "" and json.loads(err) == {"error": first}
+    if task == "solve":
+        with np.errstate(all="ignore"):
+            assert _outcome(lambda: _point_by_point(config)) == tuple(first.values())
+
+
 @pytest.mark.parametrize("config", [*_BLOCK_CONFIGS, _fibre_configs()[0]],
                          ids=["slice-grid", "slice-points", "verify", "solve", "fibres"])
 def test_numpy_error_state_is_entered_per_batch(config, monkeypatch):
@@ -1921,14 +1946,14 @@ def _stencil_point_by_point(config):
         for z in [cli._parse_point(p) for p in config["points"]]:
             roots = []
             for sol in solve_phi(data, z):
-                entry = {"q": cli._b(sol.q), "implicit": None, "fd": None}
+                entry = {"q": rr.b(sol.q), "implicit": None, "fd": None}
                 if sol.gradient is not None:
                     laplacian, nullness = _implicit_abs(sol, z)
                     entry["implicit"] = {"laplacian": laplacian, "nullness": nullness}
                     entry["fd"] = bhm.verify.fd_residuals(
                         bhm.verify.tracked_branch(data, z, q0=sol.q), z).to_json()
                 roots.append(entry)
-            results.append({"point": cli._cvec(z), "roots": roots})
+            results.append({"point": rr.cvec(z), "roots": roots})
         report = {"task": "verify", "results": results}
     else:
         kind = SliceKind(config["slice"])
@@ -1937,26 +1962,24 @@ def _stencil_point_by_point(config):
         for x in [tuple(float(v) for v in p) for p in config["points"]]:
             for idx, sol in enumerate(projectable_roots(kind, data, x)):
                 value = project_codomain(kind, sol.q)
-                row = {"x": [cli._f(v) for v in x], "branch": idx, "q": cli._b(sol.q),
-                       "value": cli._c(value) if isinstance(value, complex) else
-                                [cli._f(value.x), cli._f(value.y)],
+                row = {"x": [rr.f(v) for v in x], "branch": idx, "q": rr.b(sol.q),
+                       "value": rr.c(value) if isinstance(value, complex) else
+                                [rr.f(value.x), rr.f(value.y)],
                        "degenerate": sol.degenerate,
                        "class": (classify_point(sol.gradient).kind.value
                                  if sol.gradient is not None else None),
                        "harmonic_res": None, "null_res": None}
-                if sol.gradient is not None:
+                if sol.gradient is not None and config.get("fd", True):
                     try:
                         hr, nr = bhm.slices.wave_residual(
                             kind, tracked_real_branch(kind, data, x, q0=sol.q), x)
-                        row["harmonic_res"] = cli._f(hr)
-                        row["null_res"] = cli._f(nr)
+                        row["harmonic_res"] = rr.f(hr)
+                        row["null_res"] = rr.f(nr)
                     except BhmError as exc:
                         row["error"] = type(exc).__name__
                 rows.append(row)
         report = {"task": "slice", "slice": kind.value, "results": rows}
-    out = io.StringIO()
-    out.write(json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n")
-    return out.getvalue()
+    return rr.dumps(report)
 
 
 def _leave_to_the_scalar_path(monkeypatch, z1):
@@ -2049,9 +2072,7 @@ def test_slice_errors_keep_a_point_by_point_order(points, first, scalar, monkeyp
 def _stencil_csv(text):
     """A ``slice`` report's CSV, written from its JSON as ``run`` writes
     it."""
-    out = io.StringIO()
-    bhm.cli._CSV_WRITERS["slice"](json.loads(text), out)
-    return out.getvalue()
+    return rr.csv_text("slice", json.loads(text))
 
 
 def _forced_configs():
@@ -2245,7 +2266,7 @@ def test_the_cli_builds_no_row_from_a_solution(monkeypatch):
 
 def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
     # where the lanes leave a point to solve_phi and it returns, the slice
-    # row fields read from the merged root lanes (cli._slice_lists) are the
+    # row fields read from the merged root lanes (cli._slice_lanes) are the
     # ones its solutions give through project_codomain and classify_point:
     # slice rows need no fallback onto the solutions
     values = [0.5, -1.3, 1e154, -3e154, 1e200, 1.7e308, 5e-324]
@@ -2262,15 +2283,15 @@ def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
                 batch = RootBatch(data, _embedded(kind, np.array([x for x, _ in solved])))
                 left = list(batch.implicit.scalar)
                 assert batch.solve_points() == (len(solved), None)
-                q, value, degenerate, cls = cli._slice_lists(kind, batch)
+                rows, flags = cli._slice_lanes(kind, batch)
             merged += sum(left)
             for i, (x, sols) in enumerate(solved):
                 want = []
                 for sol in in_slice(kind, sols):
                     v = project_codomain(kind, sol.q)
-                    want.append((cli._b(sol.q),
-                                 cli._c(v) if isinstance(v, complex) else
-                                 [cli._f(v.x), cli._f(v.y)],
+                    want.append((rr.b(sol.q),
+                                 rr.c(v) if isinstance(v, complex) else
+                                 [rr.f(v.x), rr.f(v.y)],
                                  sol.degenerate,
                                  (classify_point(sol.gradient).kind.value
                                   if sol.gradient is not None else None)))
@@ -2278,7 +2299,7 @@ def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
                 z1 = batch.implicit.q.z1.complex()[lanes.start:lanes.stop]
                 z2 = batch.implicit.q.z2.complex()[lanes.start:lanes.stop]
                 kept = [k for k, keep in zip(lanes, _in_slice(kind, z1, z2, 1e-8)) if keep]
-                got = [(q[k], value[k], degenerate[k], cls[k]) for k in kept]
+                got = [(rows[k][:4], rows[k][4:6], flags[k][1], flags[k][0]) for k in kept]
                 assert repr(got) == repr(want), (kind, g, h, x)
     assert merged > 1000
 
@@ -2385,7 +2406,8 @@ def _charts_point_by_point(src, dst, values):
     results = []
     for v in values:
         q = bhm.cli._parse_bicomplex(v)
-        results.append({"value": bhm.cli._b(q), "result": bhm.cli._b(transition(src, dst, q))})
+        # in the report's sorted-key order
+        results.append({"result": rr.b(transition(src, dst, q)), "value": rr.b(q)})
     return results
 
 
@@ -2417,7 +2439,7 @@ class TestLaneCharts:
         want = _outcome(lambda: _charts_point_by_point(src, dst, values))
         config = _charts_config(src, dst, values)
         with mock.patch.object(bhm.weierstrass, "BLOCK_POINTS", 2):
-            got = _outcome(lambda: bhm.cli._task_charts(config, None, 0)["results"])
+            got = _outcome(lambda: rr.results("charts", config))
         assert repr(got) == repr(want)
 
     @pytest.mark.parametrize("values, error", [
@@ -2464,3 +2486,119 @@ def test_bulk_value_tasks_never_call_the_per_item_path(monkeypatch):
         assert len(json.loads(_cli_output(_charts_config(chart, Chart.G, back)))["results"]) \
             == len(values)
     assert called == Counter()
+
+
+def _row_kinds():
+    cli = bhm.cli
+    return {id(cli._ROOT): "solve", id(cli._fibre_row(2, with_q=True)): "fibres",
+            id(cli._fibre_row(1, with_q=True)): "fibres", id(cli._SAMPLE): "samples",
+            id(cli._CHECKED_ROOT): "verify", id(cli._SLICE): "slice",
+            id(cli._chart_row((4,), (4,))): "charts"}
+
+
+def _record_variants(monkeypatch):
+    """The (row kind, variant) pairs the report's rows fill, as they are
+    written."""
+    seen = set()
+    kinds = _row_kinds()
+    for name in ("text", "csv_row"):
+        def record(row, values, variant, write=getattr(bhm.cli._Row, name)):
+            seen.add((kinds.get(id(row)), variant))
+            return write(row, values, variant)
+        monkeypatch.setattr(bhm.cli._Row, name, record)
+    return seen
+
+
+def _variant_configs():
+    """Configs whose rows reach every template variant: each fibre tag in
+    solve and fibres, roots with and without a gradient, oriented or not,
+    degenerate and partially degenerate; verify --samples on and off
+    their fibres; slice rows of every class, with residuals, an error or
+    no check; charts values."""
+    rows = _solve_row_configs()
+    fibres = _fibre_configs()
+    configs = [rows["radial"], rows["partial"], rows["cubic"], rows["underflow"]]
+    configs += [dict(rows["radial"], format="csv"), dict(rows["partial"], format="csv")]
+    lines, planes, empty = (c["data"] for c in fibres[0:9:3])
+    for data in (lines, planes, empty):
+        configs.append({"task": "solve", "data": data,
+                        "points": [[0.3, 1.1, -0.2], [[0.5, 0.1], 0.2, -0.7]]})
+    configs += fibres
+    # samples on their fibres, as the fibres task exports them
+    exported = json.loads(_point_by_point(fibres[0]))["results"]
+    configs.append({"task": "verify", "data": lines,
+                    "samples": [{"q": r["q"], "z": z} for r in exported for z in r["samples"]]})
+    configs += [c for c in _STENCIL_SCENES if c["task"] == "verify"]
+    configs.append(dict(rows["radial"], task="verify"))  # roots with no gradient
+    for kind, (g, h) in [("euclidean", _RADIAL), ("minkowski_c", _DISC)]:
+        for fd, fmt in [(True, "json"), (True, "csv"), (False, "json")]:
+            configs.append({"task": "slice", "slice": kind, "g": g, "h": h, "fd": fd,
+                            "format": fmt,
+                            "points": [[0.6, 0.7, 0.5], [0.75, 1.2, 0.8], [0.9, 0.95, 0.65]]})
+    configs.append({"task": "slice", "slice": "minkowski_d", "g": _RADIAL[0], "h": _RADIAL[1],
+                    "points": [[0, 1, 0], [0, 0, 1]]})  # degenerate and regular rows
+    # the origin's check is flagged, and its reference raises (see below)
+    for fmt in ("json", "csv"):
+        configs.append({"task": "slice", "slice": "euclidean", "g": _JUMP_DATA["G"],
+                        "h": _JUMP_DATA["H"], "format": fmt, "points": [[0, 0, 0], [0.6, 0.7, 0.5]]})
+    configs.append(_charts_config(Chart.G, Chart.L, [[0.5, 0.2, -0.1, 0.3], [1.5, 0, 0.2, 0]]))
+    return configs
+
+
+def _reference_output(config):
+    if config["task"] == "charts":
+        section = config["charts"]
+        src, dst = Chart(section["from"]), Chart(section["to"])
+        return rr.dumps({"task": "charts", "results": _charts_point_by_point(
+            src, dst, section["values"])})
+    if config["task"] in ("solve", "fibres") or "samples" in config:
+        return _point_by_point(config)
+    want = _stencil_point_by_point(config)
+    return _stencil_csv(want) if config.get("format") == "csv" else want
+
+
+@pytest.mark.parametrize("size", [None, 1, 2])
+def test_every_row_variant_matches_a_point_by_point_run(size, monkeypatch):
+    # each row kind's template, in every variant the configs reach, gives
+    # a point-by-point run's bytes (or its error), with every other fibre
+    # lane and every other sample lane left to the scalar path, and a
+    # slice check's BhmError at the origin written as the row's "error"
+    if size is not None:
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+    samples, checks = FibreBatch.samples, FibreBatch.checks
+
+    def every_other(ok):
+        return ok & (np.arange(len(ok)) % 2 == 1)
+
+    monkeypatch.setattr(FibreBatch, "samples",
+                        lambda batch, ts: (lambda p, ok: (p, every_other(ok)))(*samples(batch, ts)))
+    monkeypatch.setattr(FibreBatch, "checks", lambda batch, zs, tol: (
+        lambda r, on, ok: (r, on, every_other(ok)))(*checks(batch, zs, tol)))
+    wave = bhm.slices.wave_residual
+
+    def jumping(kind, phi, x, h=None):
+        if tuple(x) == (0, 0, 0):
+            raise BranchJumpError("the reference jumps at the origin")
+        return wave(kind, phi, x, h)
+
+    monkeypatch.setattr(bhm.slices, "wave_residual", jumping)
+    seen = _record_variants(monkeypatch)
+    for config in _variant_configs():
+        with np.errstate(all="ignore"):
+            want = _outcome(lambda: _reference_output(config))
+        assert _cli_output(config) == want, config
+    solve = {v for kind, v in seen if kind == "solve"}
+    # line and plane fibres (a root's fibre holds its point, so an empty one
+    # is left to the template test)
+    assert {v[4] for v in solve} >= {0, 1}
+    assert {v[2] for v in solve} == {True, False}  # with and without a gradient
+    assert {v[3] for v in solve if v[2]} == {True, False}  # oriented or not
+    assert any(v[0] for v in solve) and any(v[1] for v in solve)
+    assert {v[0] for kind, v in seen if kind == "fibres"} == {0, 1, 2}
+    samples = {v for kind, v in seen if kind == "samples"}
+    assert {v[0] for v in samples} == {0, 1, 2} and {v[1] for v in samples} == {True, False}
+    assert {v[0] for kind, v in seen if kind == "verify"} == {True, False}
+    slices = {v for kind, v in seen if kind == "slice"}
+    assert {v[2] for v in slices} == {None, True, "BranchJumpError"}
+    assert {v[0] for v in slices} >= {"regular", "degenerate"}
+    assert ("charts", ()) in seen

@@ -11,6 +11,7 @@ import pytest
 
 from bhm import cli
 from bhm.cli import main, run
+from bhm.core import Bicomplex
 from bhm.errors import ExprSchemaError
 
 VAR = {"op": "var"}
@@ -310,19 +311,23 @@ class TestSchemaAndExitCodes:
     @pytest.mark.parametrize("chunk", [None, 1, 2])
     def test_exit_code_3_names_the_first_non_finite_csv_value(self, chunk, monkeypatch,
                                                                capsys):
-        # a crafted slice report: finite rows, then a NaN, an inf and a -inf
-        # in later rows, the rows written a chunk at a time
+        # crafted slice rows: finite rows, then a NaN, an inf and a -inf in
+        # later rows, the rows written a block of `chunk` rows at a time
+        # (None: all at once)
         def row(q0, harmonic):
-            return {"x": [0.5, 1.0, -0.25], "branch": 1, "q": [q0, 0.0, 1.5, -2.0],
-                    "value": [1.0, 5e-324], "class": "regular", "harmonic_res": harmonic,
-                    "null_res": 1e-9}
+            return [0.5, 1.0, -0.25, 1, q0, 0.0, 1.5, -2.0, 1.0, 5e-324, "regular", harmonic,
+                    1e-9]
 
         finite = [row(0.5, 1e-9), row(-0.5, 2e-9), row(1e300, 0.0)]
-        monkeypatch.setattr(cli, "CSV_CHUNK_ROWS", chunk or cli.CSV_CHUNK_ROWS)
 
         def outcome(rows):
-            report = {"results": rows}
-            monkeypatch.setitem(cli._RUNNERS, "slice", lambda config, tol, seed: report)
+            def crafted(config, tol, seed, report):
+                report.begin(cli._SLICE.header)
+                size = chunk or len(rows)
+                for i in range(0, len(rows), size):
+                    report.extend(rows[i:i + size])
+
+            monkeypatch.setitem(cli._RUNNERS, "slice", crafted)
             return main_in_process({"task": "slice"}, monkeypatch, capsys, "--format", "csv")
 
         code, out, err = outcome(finite)
@@ -764,3 +769,116 @@ def test_the_shared_parser_answers_as_a_fresh_one(monkeypatch, capsys):
     assert codes == [0, 0, 0, 2, 0, 2, 0, 0]
     assert shared[3][2].startswith("usage: bhm") and "invalid choice: 'xml'" in shared[3][2]
     assert shared[1][1] != shared[0][1] and shared[2][1].startswith("p1_re,")
+
+
+# G = 7.6e153 q^3 and H = 0: at q = (1.7e308, 0, 0, 0) the power q^3 passes
+# the double range, and so does G(q)
+_POWER_OVERFLOW = {
+    "G": {"f": {"op": "mul", "args": [{"op": "const", "value": [7.6e153, 0]},
+                                      {"op": "pow", "args": [VAR], "exp": 3}]}},
+    "H": {"f": CONST0}}
+
+
+@pytest.mark.parametrize("config", [
+    {"task": "fibres", "data": _POWER_OVERFLOW, "params": [[1.7e308, 0, 0, 0]]},
+    {"task": "verify", "data": _POWER_OVERFLOW,
+     "samples": [{"q": [1.7e308, 0, 0, 0], "z": [0, 0, 0]}]},
+], ids=["fibres", "verify-samples"])
+def test_exit_code_3_names_a_power_that_overflows_in_fibre_at(config, monkeypatch, capsys):
+    code, out, err = main_in_process(config, monkeypatch, capsys)
+    assert code == 3 and out == ""
+    q = Bicomplex(1.7e308, 0)
+    assert json.loads(err)["error"] == {"type": "RangeOverflowError",
+                                        "message": f"G(q) or H(q) overflows at q = {q!r}"}
+
+
+def _main_on_text(text, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    code = main([])
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+def _every_number_hooked(monkeypatch):
+    """Parse every config with the ``_finite`` hook on each number, as the
+    C scanner's own number parse is not used."""
+    monkeypatch.setattr(cli, "_large_number", lambda text: True)
+
+
+class TestConfigNumbers:
+    """The config's numbers are parsed by the C scanner unless a token
+    could pass the double range; every outcome is the hooked parse's."""
+
+    @pytest.mark.parametrize("token, error", [
+        ("1e400", "number 1e400 is not a finite double"),
+        ("-1e400", "number -1e400 is not a finite double"),
+        ("1e308", None),
+        ("1E+400", "number 1E+400 is not a finite double"),
+        ("-1e0099", None),  # a three-digit exponent, parsed with the hook, is still finite
+        ("1" + "0" * 250 + "e99", "number 1" + "0" * 31 + " is not a finite double"),
+        ("9" * 309, "number " + "9" * 32 + " is not a finite double"),
+        ("9" * 4301, "ValueError"),
+        ("NaN", "number NaN is not a finite double"),
+        ("Infinity", "number Infinity is not a finite double"),
+        ("-Infinity", "number -Infinity is not a finite double"),
+        ('"1e400"', "bicomplex value must be"),
+    ], ids=["1e400", "-1e400", "1e308", "1E+400", "-1e0099", "250-zeros-e99", "309-digits", "4301-digits", "nan",
+            "inf", "-inf", "in-a-string"])
+    def test_numbers_past_the_double_range(self, token, error, monkeypatch, capsys):
+        # constant G and H: any finite parameter has its fibre
+        text = ('{"task": "fibres", "note": "1e999", "samples": 0, "data": {"G": {"f": '
+                '{"op": "const", "value": [0.5, 0]}}, "H": {"f": {"op": "const", "value": '
+                '[0, 1]}}}, "params": [[%s, 0, 0, 0]]}' % token)
+        got = _main_on_text(text, monkeypatch, capsys)
+        _every_number_hooked(monkeypatch)
+        assert _main_on_text(text, monkeypatch, capsys) == got
+        code, out, err = got
+        if error is None:
+            assert code == 0 and json.loads(out)["results"][0]["q"][0] == float(token)
+        elif error == "ValueError":
+            # the int conversion's own limit, as json.loads raises it
+            with pytest.raises(ValueError) as raised:
+                int(token)
+            assert code == 2 and json.loads(err)["error"] == {"type": "ValueError",
+                                                              "message": str(raised.value)}
+        else:
+            assert code == 2 and out == ""
+            assert error in json.loads(err)["error"]["message"]
+
+    def test_plain_numbers_skip_the_number_hook(self, monkeypatch, capsys):
+        calls = []
+        finite = cli._finite
+
+        def counting(parse):
+            check = finite(parse)
+
+            def number(token):
+                calls.append(token)
+                return check(token)
+            return number
+
+        monkeypatch.setattr(cli, "_finite", counting)
+        config = {"task": "solve", "data": RADIAL, "points": [[0.5, 1, -2e-3]]}
+        got = main_in_process(config, monkeypatch, capsys)
+        assert got[0] == 0 and calls == []
+        _every_number_hooked(monkeypatch)
+        assert main_in_process(config, monkeypatch, capsys) == got
+        assert "-2e-3" in calls or "-0.002" in calls
+
+    @pytest.mark.parametrize("leaf", ["1", "-2.5e-3", "[]", '"x"'])
+    def test_nesting_at_the_recursion_limit_ends_as_the_hooked_parse(self, leaf, monkeypatch,
+                                                                     capsys):
+        # a number at the deepest level calls the hook, whose frames count
+        # against the limit: near it, the parse must end as the hooked one
+        limit = sys.getrecursionlimit()
+        outcomes = []
+        for depth in range(limit - 80, limit + 5):
+            text = "[" * depth + leaf + "]" * depth
+            with monkeypatch.context() as m:
+                got = _main_on_text(text, m, capsys)
+                _every_number_hooked(m)
+                want = _main_on_text(text, m, capsys)
+            assert got == want, depth
+            outcomes.append(json.loads(got[2])["error"]["type"])
+        # both sides of the limit were reached
+        assert "ExprSchemaError" in outcomes and "RecursionError" in outcomes

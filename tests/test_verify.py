@@ -46,6 +46,7 @@ from bhm.verify import (
 from bhm.weierstrass import RootBatch, WeierstrassData, solve_phi, solve_roots
 
 from conftest import rand_complex
+import report_rows as rr
 
 Q = Var()
 RADIAL = WeierstrassData(HoloFn(Q), HoloFn(Const(0)))
@@ -273,6 +274,10 @@ def _outcome(fn):
         return type(exc).__name__, str(exc)
 
 
+# the keys of PdeResidualReport.to_json, in its order
+_FD_KEYS = ("laplacian", "nullness", "cr", "class", "lambda")
+
+
 def _verify_fd(G, H, *zs):
     """Per root of a ``verify --points`` run at the points zs: its ``fd``
     entry, or the error the run raises.  The reference is ``fd_residuals``
@@ -284,8 +289,10 @@ def _verify_fd(G, H, *zs):
 
     def cli():
         with np.errstate(all="ignore"):  # as bhm.cli.main runs
-            results = bhm.cli._task_verify(config, None, 0)["results"]
-        return [repr(r["fd"]) for res in results for r in res["roots"]]
+            results = rr.results("verify", config)
+        # the report's keys are sorted; to_json's order is the reference's
+        return [repr(r["fd"] and {key: r["fd"][key] for key in _FD_KEYS})
+                for res in results for r in res["roots"]]
 
     def library():
         return [repr(None if check is None else check())
@@ -324,7 +331,7 @@ def _slice_rows(kind, G, H, *xs):
 
     def cli():
         with np.errstate(all="ignore"):  # as bhm.cli.main runs
-            rows = bhm.cli._task_slice(config, None, 0)["results"]
+            rows = rr.results("slice", config)
         return [repr((r["harmonic_res"], r["null_res"], r.get("error"))) for r in rows]
 
     def library(h):
