@@ -931,19 +931,16 @@ def _task_charts(config, tol, seed, report):
         report.begin()
         _, n, k = _SPACE_POINTS[space]
         # a point's values are the numbers of its JSON, as given or as to_json gives them
-        if op == "to_point":
-            row = _chart_row(_BICOMPLEX, (n, k))
-        else:
-            row = _chart_row((n, k), _BICOMPLEX)
+        to_point = op == "to_point"
+        row = _chart_row(_BICOMPLEX, (n, k)) if to_point else _chart_row((n, k), _BICOMPLEX)
         for v in values:
-            if op == "to_point":
+            if to_point:
                 q = _parse_bicomplex(v)
-                point = chart_to_point(space, ch, q).to_json()
-                values_ = _b(q) + [x for c in point for x in c]
+                numbers = _b(q) + [x for c in chart_to_point(space, ch, q).to_json() for x in c]
             else:
                 point = _parse_space_point(space, v)
-                values_ = [x for c in v for x in c] + _b(point_to_chart(space, ch, point))
-            report.extend([row.text(values_, ())])
+                numbers = [x for c in v for x in c] + _b(point_to_chart(space, ch, point))
+            report.extend([row.text(numbers, ())])
     else:
         raise ExprSchemaError(f"unknown charts op {op!r}")
     report.end(task="charts")
