@@ -13,9 +13,10 @@ the lane each field reads.  A block's float fields are one (lanes, k) array,
 ``+ 0.0`` over the whole of it, read by one ``.tolist()``; each row fills the
 ``%`` template of its combination of flags, which gives the bytes of
 ``json.dumps(report, sort_keys=True, separators=(",", ":"),
-allow_nan=False)``.  CSV rows come from the same declarations through the C
-``csv.writer``.  ``main`` holds the pieces written and writes them out once
-the run succeeds.
+allow_nan=False)``.  Where a block repeats its values, its rows hold their
+text, one ``float.__repr__`` per distinct value (``_block_rows``).  CSV rows
+come from the same declarations through the C ``csv.writer``.  ``main``
+holds the pieces written and writes them out once the run succeeds.
 
     bhm --task solve --input scene.json --output - --format json
 """
@@ -226,10 +227,11 @@ def _grid_points(grid):
 
 def _numbers(shape):
     """The ``%`` template of one number (shape ()) or of a JSON list of
-    numbers of that shape: ``%r`` is ``float.__repr__`` for a float and
-    ``int.__repr__`` for an int, as ``json.dumps`` writes them."""
+    numbers of that shape: ``%s`` is ``float.__repr__`` for a float and
+    ``int.__repr__`` for an int, as ``json.dumps`` writes them, and a
+    number's text as it is."""
     if not shape:
-        return "%r"
+        return "%s"
     return "[" + ",".join([_numbers(shape[1:])] * shape[0]) + "]"
 
 
@@ -301,13 +303,13 @@ class _Row:
         return block
 
     def values(self, **fields):
-        """``block``'s rows as one list per lane: ``+ 0.0`` over the whole
-        array (no -0.0 is written), then one ``.tolist()``; and whether the
+        """``block``'s rows as one list per lane (``_block_rows``), after
+        ``+ 0.0`` over the whole array (no -0.0 is written); and whether the
         array is finite, so that no text written from these values alone
         needs the report's non-finite search."""
         block = self.block(**fields)
         block += 0.0
-        return block.tolist(), bool(np.isfinite(block).all())
+        return _block_rows(block), bool(np.isfinite(block).all())
 
     def _template(self, variant, offset):
         parts = []
@@ -362,6 +364,49 @@ class _Row:
         get, literals = self.csv_plan(variant)
         row += literals
         return get(row)
+
+
+# a block is written from its distinct values where a sample of at least
+# _SAMPLED of its values holds at most _DISTINCT_SHARE distinct ones: on a
+# 1024 x 30 block the pass breaks even at about 85 % distinct values
+_SAMPLED = 64
+_DISTINCT_SHARE = 0.75
+
+
+def _repeats(block):
+    """Whether a sample of the block's values repeats enough of them to
+    write it from its distinct values: whole rows, spread through the
+    block, so that a column of one value shows as repeats."""
+    n, k = block.shape
+    rows = -(-_SAMPLED // k)
+    sample = np.sort(block[::max(1, n // rows)][:rows], axis=None)
+    distinct = 1 + np.count_nonzero(sample[1:] != sample[:-1])
+    return distinct <= _DISTINCT_SHARE * sample.size
+
+
+def _block_rows(block):
+    """A (lanes, k) float array, with no -0.0, as one list per lane: its
+    floats (one ``.tolist()``), or, where its values repeat, their text,
+    one ``repr`` per distinct value.  Equal floats have equal text, so
+    sorting the values and comparing neighbours finds them (``argsort``:
+    ``np.unique`` imports ``numpy.ma`` on its first call); each NaN is
+    written on its own.  Each text is repeated over its run of the sorted
+    values and put back in place: ``np.cumsum`` of the run starts, the
+    other way to number the runs, leaves a small block allocated now and
+    then, which pins allocator arenas over a long run."""
+    if block.size < 2 or not _repeats(block):
+        return block.tolist()
+    flat = block.ravel()
+    order = np.argsort(flat)
+    ordered = flat[order]
+    first = np.empty(flat.size, dtype=bool)
+    first[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=first[1:])
+    starts = np.flatnonzero(first)
+    texts = np.array(list(map(repr, ordered[starts].tolist())), dtype=object)
+    rows = np.empty(flat.size, dtype=object)
+    rows[order] = np.repeat(texts, np.diff(starts, append=flat.size))
+    return rows.reshape(block.shape).tolist()
 
 
 _CVEC = (3, 2)  # a point of C^3 as three [re, im]
@@ -808,8 +853,13 @@ def _task_slice(config, tol, seed, report):
     if not isinstance(run_fd, bool):
         raise ExprSchemaError(f"'fd' must be true or false, got {run_fd!r}")
     data = slice_data(kind, holofn_from_json(config["g"]), holofn_from_json(config["h"]))
+    coords = _f
     if "grid" in config:
         pts = _grid_points(config["grid"])
+        # a grid's coordinates repeat from row to row: each one's text is
+        # made once per run
+        texts = {v: repr(v + 0.0) for v in set(chain.from_iterable(pts))}
+        coords = texts.__getitem__
     elif isinstance(config.get("points"), list) and config["points"]:
         pts = []
         for p in config["points"]:
@@ -831,7 +881,7 @@ def _task_slice(config, tol, seed, report):
             items = []
             listed = batch
             rows, flags = _slice_lanes(kind, batch)
-        x = [_f(v) for v in x]
+        x = list(map(coords, x))
         for branch, (k, check) in enumerate(checks):
             row = rows[k]
             row += x
@@ -934,12 +984,17 @@ def _task_charts(config, tol, seed, report):
         to_point = op == "to_point"
         row = _chart_row(_BICOMPLEX, (n, k)) if to_point else _chart_row((n, k), _BICOMPLEX)
         for v in values:
-            if to_point:
-                q = _parse_bicomplex(v)
-                numbers = _b(q) + [x for c in chart_to_point(space, ch, q).to_json() for x in c]
-            else:
-                point = _parse_space_point(space, v)
-                numbers = [x for c in v for x in c] + _b(point_to_chart(space, ch, point))
+            try:
+                if to_point:
+                    q = _parse_bicomplex(v)
+                    numbers = _b(q) + [x for c in chart_to_point(space, ch, q).to_json()
+                                       for x in c]
+                else:
+                    point = _parse_space_point(space, v)
+                    numbers = [x for c in v for x in c] + _b(point_to_chart(space, ch, point))
+            except OverflowError:  # a norm or a power of finite parts past the double range
+                raise RangeOverflowError(f"'{op}' overflows at the {space.value} chart "
+                                         f"{ch.value} value {v!r}") from None
             report.extend([row.text(numbers, ())])
     else:
         raise ExprSchemaError(f"unknown charts op {op!r}")

@@ -13,7 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from .core import C_POWI_MAX, BArray, Bicomplex, CArray, _abs
-from .errors import BhmError, ExprSchemaError, InvalidInputError, PoleEncounteredError
+from .errors import (BhmError, ExprSchemaError, InvalidInputError, PoleEncounteredError,
+                     RangeOverflowError)
 
 # a division node is a pole when |den| <= POLE_RTOL * max(1, |num|)
 POLE_RTOL = 1e-12
@@ -211,7 +212,12 @@ class Div(_Binary):
     def diff(self, var=VAR):
         # (u/v)' = (u'v - uv')/v^2
         num = _sub(_mul(self.a.diff(var), self.b), _mul(self.a, self.b.diff(var)))
-        return _div(num, _pow(self.b, 2))
+        try:
+            square = _pow(self.b, 2)
+        except OverflowError:  # a constant v whose square is folded past the double range
+            raise RangeOverflowError(f"the square of the divisor {self.b.value!r} "
+                                     f"overflows in the derivative of a quotient") from None
+        return _div(num, square)
 
     def subs(self, mapping):
         return _div(self.a.subs(mapping), self.b.subs(mapping))

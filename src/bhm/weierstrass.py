@@ -39,11 +39,11 @@ GRAD_NULL_TOL = 1e-9
 DEGENERATE_TOL = 1e-9
 # a side of dF/dq is zero below GRAD_TOL times its coefficient scale
 GRAD_TOL = 1e-8
-# points solved together in one block when both congruence components have
-# degree <= 2; components of degree d take 4/d^2 as many (at least one), so
-# the companion matrices, root pairs and root lists one block holds stay
-# bounded at the CLI's caps
-BLOCK_POINTS = 256
+# lanes one block holds: a root pass takes BLOCK_LANES / d^2 anchors (at
+# least one) for components of degree d >= 2, so the companion matrices,
+# root pairs and root lists one block holds stay bounded at the CLI's caps;
+# a one-lane pass (fibres, verify --samples, charts) takes BLOCK_LANES values
+BLOCK_LANES = 1024
 
 
 class WeierstrassData:
@@ -491,14 +491,18 @@ def solve_phi(data: WeierstrassData, z) -> list[CongruenceSolution]:
 
     sols = []
     for q, s, ms, w, mw in pairs:
-        residual = abs(Bicomplex.from_ringleb(_poly_eval(fe, s), _poly_eval(ff, w)))
+        try:
+            residual = abs(Bicomplex.from_ringleb(_poly_eval(fe, s), _poly_eval(ff, w)))
+            dscale = GRAD_TOL * max(1.0, _coeff_scale(dfe, s), _coeff_scale(dff, w))
+        except OverflowError:  # a square or an abs of finite parts past the double range
+            raise RangeOverflowError(f"the residual or the derivative scale overflows at the "
+                                     f"root q = {q!r} of z = {z!r}") from None
         de = _poly_eval(dfe, s) if dfe else 0j
         df = _poly_eval(dff, w) if dff else 0j
         sol = CongruenceSolution(
             q=q, gradient=None, laplacian=None,
             multiplicity=ms * mw, residual=residual,
         )
-        dscale = GRAD_TOL * max(1.0, _coeff_scale(dfe, s), _coeff_scale(dff, w))
         e_ok = _abs(de) > dscale
         f_ok = _abs(df) > dscale
         if e_ok and f_ok and ms == 1 and mw == 1:
@@ -757,10 +761,13 @@ def _degrees(data: WeierstrassData):
             max(2 * degree_bound(data.G.f2), degree_bound(data.H.f2)))
 
 
-def _blocks(points, degrees=()):
-    """The points in blocks of BLOCK_POINTS, fewer for higher degrees."""
-    d = max((2, *degrees))
-    size = max(1, BLOCK_POINTS * 4 // (d * d))
+def _blocks(points, degrees=None):
+    """The points in blocks of BLOCK_LANES lanes: one lane per value, or,
+    given the components' degree bounds, d^2 per anchor of a root pass
+    (d at least 2)."""
+    size = BLOCK_LANES
+    if degrees is not None:
+        size = max(1, size // max(2, *degrees) ** 2)
     return [points[i:i + size] for i in range(0, len(points), size)]
 
 

@@ -24,7 +24,13 @@ gate's bound:
   ``verify --samples`` and ``charts`` G -> L, within 10 % of the 119.5,
   184.9 and 82.8 MB they read once their reports were written as text
   from the lanes (381.7, 306.7 and 207.4 MB before their lists were parsed
-  into arrays).
+  into arrays);
+- a seeded 100 000-parameter ``fibres`` run on constant G with
+  CN(G) = -1 and H a multiple of G, whose every fibre is one degenerate
+  plane: each block is written from its distinct values, within 10 % of
+  the 107.2 MB it read when the gate was added (104.6 MB, with the same
+  sha256, before blocks were written from their distinct values and the
+  one-lane passes took 1 024 values a block).
 
 Run from the repository root, with ``bhm`` importable (installed, or
 ``PYTHONPATH=src``):
@@ -101,6 +107,22 @@ def _value_lists():
     return [json.dumps(config) for config in (fibres, samples, charts)]
 
 
+def _degenerate_fibres():
+    """100 000 seeded parameters of constant G = (a, -1/a) in Ringleb parts
+    and H = mu G: every fibre is one degenerate plane."""
+    rng = random.Random(22)
+    a, mu = complex(0.8, -0.3), complex(0.4, 0.7)
+
+    def const(z):
+        return {"op": "const", "value": [z.real, z.imag]}
+
+    data = {"G": {"f1": const(a), "f2": const(-1 / a)},
+            "H": {"f1": const(mu * a), "f2": const(-mu / a)}}
+    return json.dumps({"task": "fibres", "data": data, "samples": 1,
+                       "params": [[rng.uniform(-1.5, 1.5) for _ in range(4)]
+                                  for _ in range(100_000)]})
+
+
 # name: (CLI arguments, sha256 of stdout, peak RSS bound in MB)
 GATES = {
     "25 000-point slice grid": (
@@ -118,6 +140,8 @@ GATES = {
         [], "b880ec1ebd46e660de97acf408828ef0663510fc9b150172b4bcb8d12c9f2b7a", 184.9 * 1.1),
     "100 000-value charts G->L": (
         [], "558e32110101ec8b87e2c04698b5bfd47482299a2b7a724b74f18b696f59ef0a", 82.8 * 1.1),
+    "100 000-parameter degenerate-plane fibres": (
+        [], "8568bb9dd109c1589b7b3cacf4eba9de24f19348d15f8d0eb6f19e8ecec0ddfc", 107.2 * 1.1),
 }
 
 
@@ -128,7 +152,8 @@ def stdins():
             "2 000-point verify --points": _verify_points(),
             "8 000-point slice grid, no root in the slice": _outside_grid(),
             "100 000-value fibres": fibres, "100 000-value verify --samples": samples,
-            "100 000-value charts G->L": charts}
+            "100 000-value charts G->L": charts,
+            "100 000-parameter degenerate-plane fibres": _degenerate_fibres()}
 
 
 def run_child(path, args):

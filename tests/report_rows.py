@@ -120,3 +120,12 @@ def results(task, config, tol=None, seed=0):
     text = _NON_FINITE_JSON.sub(lambda m: m[1] + ("Infinity" if m[2] == "inf" else "NaN"),
                                 out.getvalue())
     return json.loads(text)["results"]
+
+
+def block_lanes(n, config):
+    """The ``weierstrass.BLOCK_LANES`` that runs ``config`` in blocks of n:
+    n anchors per root pass of components of degree 2 (``solve``,
+    ``verify --points``, ``slice``: 4 lanes an anchor), n values per
+    one-lane pass (``fibres``, ``verify --samples``, ``charts``)."""
+    one_lane = config["task"] in ("fibres", "charts") or "samples" in config
+    return n if one_lane else 4 * n

@@ -526,8 +526,25 @@ def test_block_size_does_not_change_the_output(config, monkeypatch):
     default = _cli_output(config)
     assert isinstance(default, str) and default
     for size in (1, 3):
-        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
         assert _cli_output(config) == default
+
+
+def test_blocks_share_one_lane_budget(monkeypatch):
+    # a root pass takes BLOCK_LANES / d^2 anchors (d at least 2), a one-lane
+    # pass BLOCK_LANES values; rr.block_lanes sets either to n
+    blocks = bhm.weierstrass._blocks
+    points = list(range(3000))
+    assert [len(b) for b in blocks(points)] == [1024, 1024, 952]
+    assert {len(b) for b in blocks(points, (2, 1))[:-1]} == {256}
+    assert {len(b) for b in blocks(points, (6, 4))[:-1]} == {28}
+    assert {len(b) for b in blocks(points, (48, 2))} == {1}
+    for n in (1, 2, 7):
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(n, {"task": "solve"}))
+        assert len(blocks(points, (2, 2))[0]) == n
+        for config in ({"task": "fibres"}, {"task": "verify", "samples": []}, {"task": "charts"}):
+            monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(n, config))
+            assert len(blocks(points)[0]) == n
 
 
 def test_an_error_keeps_its_place_across_blocks(monkeypatch):
@@ -540,7 +557,7 @@ def test_an_error_keeps_its_place_across_blocks(monkeypatch):
     default = _cli_output(config)
     assert isinstance(default, tuple)
     for size in (1, 3):
-        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
         assert _cli_output(config) == default
 
 
@@ -1162,7 +1179,7 @@ def test_fibre_tasks_match_a_point_by_point_run(config, monkeypatch):
     want = _outcome(lambda: _point_by_point(config))
     assert _cli_output(config) == want
     for size in (1, 2, 7):
-        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
         assert _cli_output(config) == want
 
 
@@ -1320,7 +1337,7 @@ def test_solve_rows_from_lanes_match_a_point_by_point_run(name, fmt, monkeypatch
         assert isinstance(want, str)
     for size in (None, 1, 2, 7):
         if size is not None:
-            monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+            monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
         assert _cli_output(config) == want, size
     if fmt == "json" and isinstance(want, str):
         roots = [r for res in json.loads(want)["results"] for r in res["roots"]]
@@ -1491,7 +1508,7 @@ def test_each_tree_is_evaluated_once_per_block(monkeypatch):
     monkeypatch.setattr(bhm.weierstrass, "_evaluate", counting_evaluate)
     monkeypatch.setattr(HoloFn, "__call__", counting_call)
     monkeypatch.setattr(bhm.cli, "_parse_data", keeping_parse)
-    monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", 2)
+    monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", 4 * 2)  # 2 anchors
     config = {"task": "solve",
               "data": {"G": {"f": {"op": "add", "args": [{"op": "var"},
                                                          {"op": "const", "value": [0.3, 0]}]}},
@@ -1583,7 +1600,7 @@ def test_a_one_point_block_is_a_bounded_number_of_lane_operations(config, bound,
 def test_the_laplacian_is_built_once_per_block_that_reads_it(config, blocks, monkeypatch):
     # slice rows read no Laplacian: its lanes are never built; a solve or
     # verify --points block builds them once, for its report
-    monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", 2)
+    monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(2, config))
     want = _cli_output(config)
     calls = _counted(monkeypatch, bhm.weierstrass, ["_laplacian", "solve_phi"])
     assert _cli_output(config) == want
@@ -1635,7 +1652,7 @@ def test_one_root_pass_over_both_sides_matches_the_scalar_path(config, size, mon
     # padded: each lane still reads as _canonical_roots and solve_phi, in
     # every block, and the CLI's report is a point-by-point run's
     if size is not None:
-        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
     data = bhm.cli._parse_data(config)
     points = [bhm.cli._parse_point(p) for p in config["points"]]
     kinds = Counter()
@@ -1718,9 +1735,9 @@ def test_a_non_finite_value_in_an_early_block_is_refused_after_the_run(task, fmt
     # the report is written block by block, and a block's non-finite
     # Laplacian is refused only once the run is done: a later block's
     # domain error still comes first, and stdout stays empty
-    if size is not None:
-        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
     config = {"task": task, "data": _LAPLACIAN_OVERFLOW, "points": points, "format": fmt}
+    if size is not None:
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
     monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(config)))
     assert bhm.cli.main([]) == 3
     out, err = capsys.readouterr()
@@ -2121,7 +2138,7 @@ def test_points_forced_onto_the_scalar_path_match_a_point_by_point_run(config, f
             _leave_to_the_scalar_path(m, z1)
             for size in (None, 1, 2, 7):
                 if size is not None:
-                    m.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+                    m.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
                 assert _cli_output(config) == want, (z1, size)
             # the forced points really leave the lanes
             if config["task"] == "slice":
@@ -2205,7 +2222,7 @@ def test_one_root_pass_reads_as_separate_batches(config, z1, size, monkeypatch):
     made = []
     _leave_to_the_scalar_path(monkeypatch, z1)
     if size is not None:
-        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
+        monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
     monkeypatch.setattr(bhm.verify, "RootBatch", lambda *args, **kw: _SpiedBatch(made, *args, **kw))
     assert _cli_output(config) == want
     # every block, with no check called: the verify run stops at the
@@ -2268,7 +2285,9 @@ def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
     # where the lanes leave a point to solve_phi and it returns, the slice
     # row fields read from the merged root lanes (cli._slice_lanes) are the
     # ones its solutions give through project_codomain and classify_point:
-    # slice rows need no fallback onto the solutions
+    # slice rows need no fallback onto the solutions.  A block whose values
+    # repeat holds their text, so both sides are compared as the text each
+    # value is written as: float.__repr__'s
     values = [0.5, -1.3, 1e154, -3e154, 1e200, 1.7e308, 5e-324]
     xs = [x for x in itertools.product(values, repeat=3)]
     cli = bhm.cli
@@ -2289,9 +2308,9 @@ def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
                 want = []
                 for sol in in_slice(kind, sols):
                     v = project_codomain(kind, sol.q)
-                    want.append((rr.b(sol.q),
-                                 rr.c(v) if isinstance(v, complex) else
-                                 [rr.f(v.x), rr.f(v.y)],
+                    value = rr.c(v) if isinstance(v, complex) else [rr.f(v.x), rr.f(v.y)]
+                    want.append((list(map(float.__repr__, rr.b(sol.q))),
+                                 list(map(float.__repr__, value)),
                                  sol.degenerate,
                                  (classify_point(sol.gradient).kind.value
                                   if sol.gradient is not None else None)))
@@ -2299,7 +2318,8 @@ def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
                 z1 = batch.implicit.q.z1.complex()[lanes.start:lanes.stop]
                 z2 = batch.implicit.q.z2.complex()[lanes.start:lanes.stop]
                 kept = [k for k, keep in zip(lanes, _in_slice(kind, z1, z2, 1e-8)) if keep]
-                got = [(rows[k][:4], rows[k][4:6], flags[k][1], flags[k][0]) for k in kept]
+                got = [(list(map(str, rows[k][:4])), list(map(str, rows[k][4:6])),
+                        flags[k][1], flags[k][0]) for k in kept]
                 assert repr(got) == repr(want), (kind, g, h, x)
     assert merged > 1000
 
@@ -2438,7 +2458,7 @@ class TestLaneCharts:
         # outside the CLI's np.errstate: the lane pass holds its own
         want = _outcome(lambda: _charts_point_by_point(src, dst, values))
         config = _charts_config(src, dst, values)
-        with mock.patch.object(bhm.weierstrass, "BLOCK_POINTS", 2):
+        with mock.patch.object(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(2, config)):
             got = _outcome(lambda: rr.results("charts", config))
         assert repr(got) == repr(want)
 
@@ -2451,9 +2471,10 @@ class TestLaneCharts:
         # G -> L has its pole at q = -1
         want = _outcome(lambda: _charts_point_by_point(Chart.G, Chart.L, values))
         assert want[0] == error
+        config = _charts_config(Chart.G, Chart.L, values)
         for size in (1, 2, 256):
-            monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
-            assert _cli_output(_charts_config(Chart.G, Chart.L, values)) == want
+            monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
+            assert _cli_output(config) == want
 
 
 def test_bulk_value_tasks_never_call_the_per_item_path(monkeypatch):
@@ -2563,8 +2584,6 @@ def test_every_row_variant_matches_a_point_by_point_run(size, monkeypatch):
     # a point-by-point run's bytes (or its error), with every other fibre
     # lane and every other sample lane left to the scalar path, and a
     # slice check's BhmError at the origin written as the row's "error"
-    if size is not None:
-        monkeypatch.setattr(bhm.weierstrass, "BLOCK_POINTS", size)
     samples, checks = FibreBatch.samples, FibreBatch.checks
 
     def every_other(ok):
@@ -2584,6 +2603,8 @@ def test_every_row_variant_matches_a_point_by_point_run(size, monkeypatch):
     monkeypatch.setattr(bhm.slices, "wave_residual", jumping)
     seen = _record_variants(monkeypatch)
     for config in _variant_configs():
+        if size is not None:
+            monkeypatch.setattr(bhm.weierstrass, "BLOCK_LANES", rr.block_lanes(size, config))
         with np.errstate(all="ignore"):
             want = _outcome(lambda: _reference_output(config))
         assert _cli_output(config) == want, config

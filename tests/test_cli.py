@@ -548,6 +548,70 @@ class TestSchemaAndExitCodes:
             "message": "a coefficient or root overflows at "
                        "z = CVec3(0j, (1.3e+308+1.3e+308j), 0j)"}
 
+    # G = a + b q and a constant H: at z1 = 2.2e-313 + 1e300 i the lanes
+    # leave the point to solve_phi, where a root's residual |F(q)| passes
+    # the double range
+    RESIDUAL_DATA = {
+        "G": {"f": {"op": "add", "args": [
+            {"op": "const", "value": [-1.3137242841125454, -0.9568882131323629]},
+            {"op": "mul", "args": [{"op": "const", "value": [-0.9619186360980944,
+                                                             -0.1443993241113284]}, VAR]}]}},
+        "H": {"f1": {"op": "const", "value": [-1.3947840619881147, 0.1270633057973003]},
+              "f2": {"op": "const", "value": [-1.4155030180971613, -1.2473327340074034]}}}
+    RESIDUAL_Z = [[2.2250738585e-313, 1e300], [-0.7767057333411369, -1.3598024676251217],
+                  -0.17526737933791026]
+
+    @pytest.mark.parametrize("task", ["solve", "verify"])
+    def test_exit_code_3_names_a_root_whose_residual_overflows(self, task, monkeypatch,
+                                                               capsys):
+        # was the bare OverflowError: (34, 'Numerical result out of range')
+        config = {"task": task, "data": self.RESIDUAL_DATA,
+                  "points": [[0.3, 1.1, -0.2], self.RESIDUAL_Z, [1, 0, 0]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "the residual or the derivative scale overflows at the root "
+                       "q = Bicomplex((-1.4816749283813189-0.7723473972133715j), 0j) of "
+                       "z = CVec3((2.2250738585e-313+1e+300j), "
+                       "(-0.7767057333411369-1.3598024676251217j), (-0.17526737933791026+0j))"}
+
+    def test_exit_code_3_names_a_divisor_whose_folded_square_overflows(self, monkeypatch,
+                                                                       capsys):
+        # H = q / 1e155: dH folds the constant 1e155^2; was the bare
+        # OverflowError: complex exponentiation, before any point was solved
+        config = {"task": "solve",
+                  "data": {"G": {"f": VAR}, "H": {"f": {"op": "div", "args": [
+                      VAR, {"op": "const", "value": [1e155, 0]}]}}},
+                  "points": [[0.3, 1.1, -0.2]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "the square of the divisor (1e+155+0j) overflows in the derivative "
+                       "of a quotient"}
+
+    @pytest.mark.parametrize("op, value, shown", [
+        ("to_point", [-1.39889134076066, -1.488864268588745, -0.5047852197115589, 1e300],
+         "[-1.39889134076066, -1.488864268588745, -0.5047852197115589, 1e+300]"),
+        ("from_point", [[1e300, 0], [1e300, 0], [0, 0], [0, 0]],
+         "[[1e+300, 0], [1e+300, 0], [0, 0], [0, 0]]"),
+    ], ids=["to_point", "from_point"])
+    def test_exit_code_3_names_a_chart_value_whose_q2c_norm_overflows(self, op, value, shown,
+                                                                      monkeypatch, capsys):
+        # QuadricPointC's |zeta|^2 passes the double range; was the bare
+        # OverflowError: (34, 'Numerical result out of range')
+        config = {"task": "charts", "charts": {"op": op, "space": "Q2C", "chart": "L",
+                                               "values": [[0, 0, 0, 0] if op == "to_point"
+                                                          else [[1, 0], [1, 0], [0, 0], [0, 0]],
+                                                          value]}}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": f"'{op}' overflows at the Q2C chart L value {shown}"}
+
     def test_exit_code_3_on_a_lone_nan_companion_coefficient(self, monkeypatch, capsys):
         # G's e-side -1e155 i + q + q^2 at z = 0: the component's one nonzero
         # coefficient is NaN, and np.roots found no root (a ValueError from

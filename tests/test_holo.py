@@ -6,7 +6,7 @@ import pytest
 
 from bhm.core import Bicomplex, I2, J, embed_complex, embed_complex_i1, embed_hyperbolic
 from bhm.core import Hyperbolic
-from bhm.errors import ExprSchemaError, InvalidInputError, PoleEncounteredError
+from bhm.errors import ExprSchemaError, InvalidInputError, PoleEncounteredError, RangeOverflowError
 from bhm.holo import (
     Const,
     HoloFn,
@@ -56,6 +56,16 @@ class TestExpr:
                 continue
             expected = 2 / (z + 1) ** 2
             assert abs(df(z) - expected) <= 1e-10 * max(1.0, abs(expected))
+
+    def test_a_quotient_derivative_folds_the_square_of_a_constant_divisor(self):
+        # (q / c)' = c / c^2, with c^2 folded to one constant where it is
+        # finite; where it passes the double range the derivative names the
+        # divisor (was the bare OverflowError: complex exponentiation)
+        c = complex(1e150, -3e149)
+        assert expr_to_json((Q / Const(c)).diff()) == {
+            "op": "div", "args": [expr_to_json(Const(c)), expr_to_json(Const(c ** 2))]}
+        with pytest.raises(RangeOverflowError, match=r"divisor \(1e\+155\+0j\) overflows"):
+            (Q / Const(1e155)).diff()
 
     def test_pole_detection(self):
         f = 1 / (Q - 1)

@@ -1,10 +1,15 @@
 """The report writer: each row kind's template text equals ``json.dumps``'
 of the row's dict, and its CSV row equals the dict's CSV row."""
 
+import contextlib
 import csv
 import io
 import json
+import random
+from unittest import mock
 
+import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bhm import cli
@@ -170,3 +175,98 @@ def test_charts_row_text_is_the_dict(data, shapes):
 
     row = {"value": draw(value_shape), "result": draw(result_shape)}
     assert cli._chart_row(*shapes).text(list(v.values), ()) == _dumps(row)
+
+
+# ---------------------------------------------------------------------------
+# a block written from its distinct values
+
+_BLOCK_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 1e16,
+                 9999999999999998.0, 1e-5, 0.1, -1.5]
+
+
+@st.composite
+def _blocks(draw):
+    """A (rows, 30) block of a ``fibres`` row's values: repeated values,
+    columns equal to other columns, all-equal blocks, single rows."""
+    n = draw(st.sampled_from([1, 2, 3, 17, 70]))
+    pool = draw(st.lists(st.one_of(st.sampled_from(_BLOCK_FLOATS), st.floats()),
+                         min_size=1, max_size=12))
+    rows = draw(st.one_of(
+        st.just([[pool[0]] * 30] * n),
+        st.lists(st.lists(st.sampled_from(pool), min_size=30, max_size=30),
+                 min_size=n, max_size=n)))
+    block = np.array(rows, dtype=float)
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=8)):
+        block[:, i] = block[:, j]
+    if draw(st.booleans()):  # a block of distinct values, but for a few columns
+        distinct = draw(st.lists(st.floats(), min_size=n * 30, max_size=n * 30))
+        block = np.where(block == pool[0], np.reshape(distinct, (n, 30)), block)
+    return block
+
+
+@pytest.mark.parametrize("dedup", [None, True, False], ids=["sampled", "forced", "never"])
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(block=_blocks(), tag=_TAGS)
+def test_a_block_is_written_as_its_values_one_by_one(dedup, block, tag):
+    # each row's JSON text and CSV row from the block's rows equal those
+    # from its values each written by its own %r, whether the block is
+    # written from its distinct values or not
+    kind = cli._fibre_row(1, with_q=True)
+    q, base, direction, normal, offset, samples = np.split(block, [4, 10, 16, 22, 24], axis=1)
+
+    def complex_lanes(pairs):
+        lanes = np.empty((len(pairs), pairs.shape[1] // 2), dtype=complex)
+        lanes.real, lanes.imag = pairs[:, 0::2], pairs[:, 1::2]
+        return lanes
+
+    fields = {"base": complex_lanes(base), "direction": complex_lanes(direction),
+              "normal": complex_lanes(normal), "offset": complex_lanes(offset)[:, 0],
+              "samples": complex_lanes(samples), "q": q}
+    with mock.patch.object(cli, "_repeats", lambda b: dedup) if dedup is not None \
+            else contextlib.nullcontext():
+        rows, finite = kind.values(**fields)
+    values = (np.concatenate([base, direction, normal, offset, samples, q], axis=1) + 0.0)
+    assert finite == bool(np.isfinite(values).all())
+    template, get = kind.json((tag,))
+    by_value = template.replace("%s", "%r")
+    for row, want in zip(rows, values.tolist()):
+        assert kind.text(row, (tag,)) == by_value % get(want)
+        assert _csv(row, (tag,), kind) == _csv(want, (tag,), kind)
+        assert [str(v) for v in row] == [repr(v) for v in want]
+
+
+def test_a_degenerate_plane_block_writes_each_distinct_value_once(monkeypatch):
+    # constant G with CN(G) = -1 and H a multiple of G: every fibre is one
+    # degenerate plane, so a block repeats one normal, offset and sample in
+    # every row; each distinct value of a block gets one repr, and no float
+    # is left in a row for its template to repr again
+    a, mu = complex(0.8, -0.3), complex(0.4, 0.7)
+    data = {"G": {"f1": {"op": "const", "value": [a.real, a.imag]},
+                  "f2": {"op": "const", "value": [(-1 / a).real, (-1 / a).imag]}},
+            "H": {"f1": {"op": "const", "value": [(mu * a).real, (mu * a).imag]},
+                  "f2": {"op": "const", "value": [(-mu / a).real, (-mu / a).imag]}}}
+    rng = random.Random(22)
+    config = {"task": "fibres", "data": data, "samples": 2,
+              "params": [[rng.uniform(-1.5, 1.5) for _ in range(4)] for _ in range(1500)]}
+    calls = []
+    distinct = []
+    block_rows = cli._block_rows
+
+    def counting_repr(x):
+        calls.append(x)
+        return repr(x)
+
+    def recording(block):
+        distinct.append(len(set(block.ravel().tolist())))
+        rows = block_rows(block)
+        assert all(type(v) is str for row in rows for v in row)
+        return rows
+
+    monkeypatch.setattr(cli, "repr", counting_repr, raising=False)
+    monkeypatch.setattr(cli, "_block_rows", recording)
+    out = io.StringIO()
+    cli.run(config, out)
+    assert len(distinct) == 2  # 1 024 values, then 476
+    assert len(calls) == sum(distinct) < 0.3 * 1500 * cli._fibre_row(2, with_q=True).width
+    monkeypatch.undo()
+    assert out.getvalue() == rr.write({"task": "fibres", "results": rr.results("fibres", config)})

@@ -352,13 +352,15 @@ def _slice_rows(kind, G, H, *xs):
 
 @contextlib.contextmanager
 def _block_points(n):
-    """``weierstrass.BLOCK_POINTS`` set to n (None: left at its default)."""
-    saved = bhm.weierstrass.BLOCK_POINTS
-    bhm.weierstrass.BLOCK_POINTS = n or saved
+    """Root passes in blocks of n anchors where both components have degree
+    2 (4 lanes an anchor), as ``weierstrass.BLOCK_LANES`` 4n (None: left at
+    its default)."""
+    saved = bhm.weierstrass.BLOCK_LANES
+    bhm.weierstrass.BLOCK_LANES = 4 * n if n else saved
     try:
         yield
     finally:
-        bhm.weierstrass.BLOCK_POINTS = saved
+        bhm.weierstrass.BLOCK_LANES = saved
 
 
 class TestRootTable:
