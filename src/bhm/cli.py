@@ -525,7 +525,7 @@ def _point(z):
 
 # a non-finite float's repr as a JSON value: no key, tag, class or error
 # name reads that way
-_NON_FINITE_JSON = re.compile(r"[\[,:]-?(?:inf|nan)[,\]}]")
+_NON_FINITE_JSON = re.compile(r"(?<=[\[,:])-?(?:inf|nan)(?=[,\]}])")
 # a whole CSV field that is a non-finite float's repr: no tag, class or
 # number field reads that way
 _NON_FINITE_FIELD = re.compile(r"(?<![^,\n])(?:-?inf|nan)(?![^,\n])")
@@ -539,8 +539,7 @@ class _Report:
     Each block's text is searched for a non-finite value, which the report
     refuses: the first one is raised (ValueError) by ``close``, after the
     run, so a later domain error comes first, as when the report was
-    written whole after the run.  JSON keeps ``json.dumps``' message; CSV
-    names the value."""
+    written whole after the run.  Its message names the value."""
 
     def __init__(self, out, fmt):
         self.out = out
@@ -566,18 +565,16 @@ class _Report:
             text = self._buffer.getvalue()
             self._buffer.seek(0)
             self._buffer.truncate()
-            # a plain substring search first: the pattern is the slower scan
-            if not finite and self.bad is None and ("inf" in text or "nan" in text):
-                bad = _NON_FINITE_FIELD.search(text)
-                self.bad = bad and f"non-finite value {bad.group()} in the CSV report"
         elif items:
             text = self._separator + ",".join(items)
             self._separator = ","
-            if not finite and self.bad is None and ("inf" in text or "nan" in text):
-                self.bad = (_NON_FINITE_JSON.search(text)
-                            and "Out of range float values are not JSON compliant")
         else:
             return
+        # a plain substring search first: the pattern is the slower scan
+        if not finite and self.bad is None and ("inf" in text or "nan" in text):
+            bad = (_NON_FINITE_FIELD if self.csv else _NON_FINITE_JSON).search(text)
+            self.bad = bad and (f"non-finite value {bad.group()} in the "
+                                f"{'CSV' if self.csv else 'JSON'} report")
         self.out.write(text)
 
     def end(self, **tail):
@@ -610,32 +607,27 @@ def _task_solve(config, tol, seed, report):
     _cap_roots(data, len(pts))
     write = report.writer(_ROOT)
     report.begin(_ROOT.header)
-    items = []
-    listed = finite = None
-    for z, batch, roots in _stencil_checks(data, pts, _point_lanes, None, None):
-        if batch is not listed:
-            report.extend(items, finite)
-            items = []
-            listed = batch
-            # one FibreBatch over the block's root lanes, read lane by lane
-            fibre_batch = FibreBatch(data, batch.implicit.q)
-            fibre, ok = _fibre_lanes(fibre_batch, ())
-            rows, finite, flags, multiplicity, overflow = _root_lanes(batch, fibre)
-            finite = finite and ok.all()
-            fibres = _fibre_rows(fibre_batch, (), ok, rows, _ROOT.spans["fibre"].start)
-        point = _point(z)
-        first = len(items)
-        for k, _ in roots:
-            tag = next(fibres)
-            if overflow[k]:
-                raise _overflow(batch, k, z)
-            row = rows[k]
-            row.append(multiplicity[k])
-            row += point
-            items.append(write(row, (*flags[k], tag)))
-        if not report.csv:
-            items[first:] = [_POINT % point + ",".join(items[first:]) + "]}"]
-    report.extend(items, finite)
+    for batch, points in _stencil_checks(data, pts, _point_lanes, None, None):
+        # one FibreBatch over the block's root lanes, read lane by lane
+        fibre_batch = FibreBatch(data, batch.implicit.q)
+        fibre, ok = _fibre_lanes(fibre_batch, ())
+        rows, finite, flags, multiplicity, overflow = _root_lanes(batch, fibre)
+        fibres = _fibre_rows(fibre_batch, (), ok, rows, _ROOT.spans["fibre"].start)
+        items = []
+        for z, roots in points:
+            point = _point(z)
+            first = len(items)
+            for k, _ in roots:
+                tag = next(fibres)
+                if overflow[k]:
+                    raise _overflow(batch, k, z)
+                row = rows[k]
+                row.append(multiplicity[k])
+                row += point
+                items.append(write(row, (*flags[k], tag)))
+            if not report.csv:
+                items[first:] = [_POINT % point + ",".join(items[first:]) + "]}"]
+        report.extend(items, finite and ok.all())
     report.end(task="solve")
 
 
@@ -810,33 +802,29 @@ def _task_verify(config, tol, seed, report):
     pts = [_parse_point(p) for p in points]
     _cap_roots(data, len(pts))
     report.begin()
-    items = []
-    listed = None
-    for z, batch, checks in _point_roots(data, pts):
-        if batch is not listed:
-            report.extend(items)
-            items = []
-            listed = batch
-            implicit, lanes = batch.implicit, batch.report
-            # the fd reports' values are searched as written
-            rows, _ = _CHECKED_ROOT.values(q=implicit.q.reals(), implicit=np.stack(
-                [lanes.laplacian_abs, lanes.nullness_abs], axis=1))
-            has_gradient, overflow = implicit.has_gradient.tolist(), lanes.overflow.tolist()
-        texts = []
-        # each root's check runs in its turn, after its |Laplacian| and
-        # |nullness| may raise
-        for k, check in checks:
-            if overflow[k]:
-                raise _overflow(batch, k, z)
-            row = rows[k]
-            cls = None
-            if has_gradient[k]:
-                fd = check()
-                cls = fd["class"]
-                row += (fd["cr"], *fd["lambda"], fd["laplacian"], fd["nullness"])
-            texts.append(_CHECKED_ROOT.text(row, (has_gradient[k], cls)))
-        items.append(_POINT % _point(z) + ",".join(texts) + "]}")
-    report.extend(items)
+    for batch, points in _point_roots(data, pts):
+        implicit, lanes = batch.implicit, batch.report
+        # the fd reports' values are searched as written
+        rows, _ = _CHECKED_ROOT.values(q=implicit.q.reals(), implicit=np.stack(
+            [lanes.laplacian_abs, lanes.nullness_abs], axis=1))
+        has_gradient, overflow = implicit.has_gradient.tolist(), lanes.overflow.tolist()
+        items = []
+        for z, checks in points:
+            texts = []
+            # each root's check runs in its turn, after its |Laplacian| and
+            # |nullness| may raise
+            for k, check in checks:
+                if overflow[k]:
+                    raise _overflow(batch, k, z)
+                row = rows[k]
+                cls = None
+                if has_gradient[k]:
+                    fd = check()
+                    cls = fd["class"]
+                    row += (fd["cr"], *fd["lambda"], fd["laplacian"], fd["nullness"])
+                texts.append(_CHECKED_ROOT.text(row, (has_gradient[k], cls)))
+            items.append(_POINT % _point(z) + ",".join(texts) + "]}")
+        report.extend(items)
     report.end(task="verify")
 
 
@@ -873,31 +861,27 @@ def _task_slice(config, tol, seed, report):
     atol = tol if tol is not None else 1e-8
     write = report.writer(_SLICE)
     report.begin(_SLICE.header)
-    items = []
-    listed = None
-    for x, batch, checks in _slice_roots(kind, data, pts, atol=atol, fd=run_fd):
-        if batch is not listed:
-            report.extend(items)
-            items = []
-            listed = batch
-            rows, flags = _slice_lanes(kind, batch)
-        x = list(map(coords, x))
-        for branch, (k, check) in enumerate(checks):
-            row = rows[k]
-            row += x
-            row.append(branch)
-            outcome = None
-            residuals = (None, None)
-            if check is not None:
-                try:
-                    hr, nr = check()
-                    residuals = (_f(hr), _f(nr))
-                    outcome = True
-                except BhmError as exc:
-                    outcome = type(exc).__name__
-            row += residuals
-            items.append(write(row, (*flags[k], outcome)))
-    report.extend(items)
+    for batch, points in _slice_roots(kind, data, pts, atol=atol, fd=run_fd):
+        rows, flags = _slice_lanes(kind, batch)
+        items = []
+        for x, checks in points:
+            x = list(map(coords, x))
+            for branch, (k, check) in enumerate(checks):
+                row = rows[k]
+                row += x
+                row.append(branch)
+                outcome = None
+                residuals = (None, None)
+                if check is not None:
+                    try:
+                        hr, nr = check()
+                        residuals = (_f(hr), _f(nr))
+                        outcome = True
+                    except BhmError as exc:
+                        outcome = type(exc).__name__
+                row += residuals
+                items.append(write(row, (*flags[k], outcome)))
+        report.extend(items)
     report.end(slice=kind.value, task="slice")
 
 

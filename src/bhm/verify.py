@@ -12,9 +12,10 @@ anchors and their stencil points are built as CArray lanes with the bits
 of ``fd_stencil`` (``_fd_points``), all solved in one ``RootBatch`` root
 pass, and the reports are computed over lanes with the reference's bits
 (``fd_lanes``); a root they flag gets the reference's own report.  Every
-root is handed on as its root lane in the block's RootBatch, into which
-an anchor left to ``solve_phi`` is merged first, and the CLI builds its
-row, and ``point_checks`` its CongruenceSolution, from that lane.
+root is handed on as its root lane in the block's RootBatch, which has
+merged the solutions of any anchor left to ``solve_phi`` when it was
+built, one block at a time, and the CLI builds its rows, and
+``point_checks`` each CongruenceSolution, from those lanes.
 
 Each complex coordinate is treated as two real directions; holomorphy
 in each variable is itself measured (the Cauchy-Riemann residual) since the
@@ -443,18 +444,23 @@ def _point_lanes(block):
     return z, z
 
 
-def _solutions(checks):
-    """``_stencil_checks``' items with each root as its CongruenceSolution."""
-    for anchor, batch, pairs in checks:
-        yield anchor, [(batch.solution(k), check) for k, check in pairs]
+def _solutions(blocks):
+    """``_stencil_checks``' blocks as one item per anchor, with each root as
+    its CongruenceSolution."""
+    for batch, items in blocks:
+        for anchor, pairs in items:
+            yield anchor, [(batch.solution(k), check) for k, check in pairs]
 
 
 def _stencil_checks(data, anchors, lanes, keep, stencil):
     """The loop of ``point_checks``, ``slices.slice_checks`` and the CLI's
-    ``solve`` (``stencil`` None): per anchor, in order, (anchor, batch,
-    [(k, check), ...]) for its kept roots, each k a root lane of ``batch``,
-    the block's RootBatch (``batch.solution(k)`` builds its
-    CongruenceSolution).
+    ``solve`` (``stencil`` None): per block of anchors, in order, (batch,
+    [(anchor, [(k, check), ...]), ...]) for the block's solved anchors and
+    their kept roots, each k a root lane of ``batch``, the block's RootBatch
+    (``batch.solution(k)`` builds its CongruenceSolution).  The error of
+    the block's first anchor whose solve raises (``batch.error``) is raised
+    when the loop is resumed after the block, so errors come in the order
+    of a point-by-point run.
 
     A block of anchors is solved in one RootBatch: ``lanes(anchors)`` gives
     their coordinates as lanes, one row per anchor, and their points in C^3
@@ -462,9 +468,9 @@ def _stencil_checks(data, anchors, lanes, keep, stencil):
     points are built first, from their coordinates alone, and solved in the
     anchors' root pass (``RootBatch(data, points, stencil=...)``), whether
     or not an anchor turns out to have a root to check; the derivative step
-    and every read take the anchors alone.  ``RootBatch.solve_points`` puts
-    the solutions of an anchor left to ``solve_phi`` on root lanes too, so
-    every root is read from the lanes.  ``keep`` is None, and every root is kept,
+    and every read take the anchors alone.  The RootBatch puts the
+    solutions of an anchor left to ``solve_phi`` on root lanes too, so every
+    root is read from the lanes.  ``keep`` is None, and every root is kept,
     or gives the mask of the roots to keep from complex arrays of their q's
     z1 and z2.
 
@@ -490,16 +496,14 @@ def _stencil_checks(data, anchors, lanes, keep, stencil):
             if stencil is not None:
                 h, raised, found = stencil[0](block, coords)
             batch = RootBatch(data, points, stencil=found)
-            # the anchors before the first whose solve raises, which is
-            # raised after their rows
-            n, error = batch.solve_points()
-            kept = _kept(batch, keep, n)
+            kept = _kept(batch, keep)
             has_gradient = batch.implicit.has_gradient.tolist()
-            report, flagged, first = None, None, [None] * n
+            report, flagged, first = None, None, [None] * batch.solved
             if stencil is not None:
                 checked = [[k for k in roots if has_gradient[k]] for roots in kept]
                 report, flagged, first = _stencil_lanes(stencil[1], h, raised.tolist(), batch,
                                                         checked)
+        items = []
         for anchor, roots, c in zip(block, kept, first):
             pairs = []
             for k in roots:
@@ -511,14 +515,15 @@ def _stencil_checks(data, anchors, lanes, keep, stencil):
                         check = partial(report, c)
                     c += 1
                 pairs.append((k, check))
-            yield anchor, batch, pairs
-        if error is not None:
-            raise error
+            items.append((anchor, pairs))
+        yield batch, items
+        if batch.error is not None:
+            raise batch.error
 
 
-def _kept(batch, keep, n):
-    """The kept root lanes of each of the batch's first n points."""
-    roots = [batch.lanes(i) for i in range(n)]
+def _kept(batch, keep):
+    """The kept root lanes of each of the batch's solved points."""
+    roots = [batch.lanes(i) for i in range(batch.solved)]
     if keep is None:
         return roots
     q = batch.implicit.q

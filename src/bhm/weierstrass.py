@@ -22,7 +22,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .core import BArray, Bicomplex, CArray, I2, _abs, _make
+from .core import BArray, Bicomplex, CArray, I2, _abs
 from .errors import (
     DegenerateAllComponentsError,
     DegenerateDirectionError,
@@ -796,17 +796,19 @@ class RootBatch:
     ``np.lexsort``.  A lane whose values leave the finite range, or whose
     solve raises on the scalar path, is left to that path.
 
-    On first use, ``implicit`` runs the derivative step over every root
-    lane of the batch: G, dG, d2G and d2H are evaluated once each by
-    ``Expr.evaluate`` on ``BArray`` lanes, and the formulas are the scalar
-    path's own helpers.  A point with a root lane where the scalar step
-    would raise (a pole, an overflow) or whose values are not finite is
-    left to ``solve_phi`` too (``implicit.scalar``); the Laplacian, which
-    ``report`` and ``solution`` read and ``slice`` does not, is built on the
-    first read (``implicit.laplacian()``).  ``solve_points`` runs
-    ``solve_phi`` at those points, in order, and puts each one's solutions
-    on root lanes of the batch, so every solved point is read the same way:
-    ``lanes(i)``, its root lanes.  The results stay arrays until a root is
+    The batch is finished when it is built.  The derivative step runs over
+    every root lane of the batch (``implicit``): G, dG, d2G and d2H are
+    evaluated once each by ``Expr.evaluate`` on ``BArray`` lanes, and the
+    formulas are the scalar path's own helpers.  A point with a root lane
+    where the scalar step would raise (a pole, an overflow) or whose values
+    are not finite is left to ``solve_phi`` too.  ``left`` lists the points
+    left to ``solve_phi``; it runs at each, in point order, up to the first
+    that raises, and each one's solutions are put on root lanes of the
+    batch.  Points [0, ``solved``) are then read the same way: ``lanes(i)``,
+    their root lanes; ``error`` is the exception of point ``solved``, or
+    None when every point is solved.  The Laplacian, which ``report`` and
+    ``solution`` read and ``slice`` does not, is built on the first read
+    (``implicit.laplacian()``).  The results stay arrays until a root is
     read; ``report`` and ``gauss`` give, as arrays too, the values a
     solution's report reads (|Laplacian| and |nullness|, and the Gauss
     map), and ``solution(k)`` builds one root lane's CongruenceSolution.
@@ -824,9 +826,16 @@ class RootBatch:
         self.data = data
         self._z = _Lanes.of(points)
         # a lane that overflows is left to the scalar path: no numpy warning
-        # of the array pass reaches the caller
+        # of the array pass, or of the scalar path, reaches the caller
         with np.errstate(all="ignore"):
             self._solve(data, self._z, stencil)
+            self.implicit, scalar = self._implicit_lanes()
+            self.left = list(compress(range(len(scalar)), scalar))
+            solved, self.error = _until_error(lambda i: solve_phi(data, self.point(i)),
+                                              self.left)
+            self.solved = len(scalar) if self.error is None else self.left[len(solved)]
+            if solved:
+                self._merge(dict(zip(self.left, solved)))
 
     def point(self, i) -> CVec3:
         """Point i as a CVec3."""
@@ -870,55 +879,22 @@ class RootBatch:
         roots, self._stencil = self._stencil, None
         return roots
 
-    def roots(self, i):
-        """``solve_roots(data, points[i])``."""
-        if not self._ok[i]:
-            return solve_roots(self.data, self.point(i))
-        k = self._npairs[i]
-        return list(map(_make, self._q1[i, :k].tolist(), self._q2[i, :k].tolist()))
-
     def padded_roots(self):
-        """Every lane's roots as arrays: (z1, z2, counts), the z1 and z2 parts
-        of shape (lanes, width), each row's first counts[i] entries
-        ``roots(i)`` bit for bit; a lane left to the scalar path counts 0
-        until ``solve_points`` merges its roots."""
+        """Every point's roots as arrays: (z1, z2, counts), the z1 and z2
+        parts of shape (points, width), row i's first counts[i] entries
+        ``solve_roots(data, points[i])`` bit for bit for i < ``solved`` and
+        wherever the array pass found the roots; any other point counts 0."""
         return self._q1, self._q2, self._counts
 
     def lanes(self, i):
-        """The root lanes of point i, a range over ``implicit``'s arrays;
-        None while its solutions come from ``solve_phi``
-        (``implicit.scalar``)."""
-        if self.implicit.scalar[i]:
-            return None
+        """The root lanes of point i < ``solved``, a range over ``implicit``'s
+        arrays."""
         return range(self._span[i], self._span[i + 1])
-
-    def solutions(self, i):
-        """``solve_phi(data, points[i])``."""
-        lanes = self.lanes(i)
-        if lanes is None:
-            return solve_phi(self.data, self.point(i))
-        return [self.solution(k) for k in lanes]
-
-    def solve_points(self):
-        """Run ``solve_phi``, in point order, at every point left to it, up
-        to the first whose solve raises, and put each one's solutions on
-        root lanes of the batch, in point order: ``implicit``, ``report``,
-        ``gauss`` and ``padded_roots`` then hold them.  Returns (n, error):
-        points [0, n) are solved, each read by ``lanes(i)``, and error is
-        the exception of point n, or None (n is then every point)."""
-        scalar = self.implicit.scalar
-        left = list(compress(range(len(scalar)), scalar))
-        solved, error = _until_error(lambda i: solve_phi(self.data, self.point(i)), left)
-        if solved:
-            with np.errstate(all="ignore"):
-                self._merge(dict(zip(left, solved)))
-        return (len(scalar) if error is None else left[len(solved)]), error
 
     def _merge(self, solved):
         """Put the solutions of each point in ``solved`` (point -> its
         ``solve_phi`` list) on root lanes of its own, in place of any it
-        had; ``report`` and ``gauss``, read from the old lanes, are
-        dropped."""
+        had."""
         implicit, span = self.implicit, self._span
         # each point's lanes in the joined arrays: a merged point's follow
         # the old lanes, in point order
@@ -927,11 +903,8 @@ class RootBatch:
                   for i in range(len(span) - 1)]
         lanes = _solution_lanes([sol for sols in solved.values() for sol in sols])
         self.implicit = _Implicit(
-            [s and i not in solved for i, s in enumerate(implicit.scalar)],
-            *_joined(implicit[1:], lanes[1:], np.fromiter(chain.from_iterable(pieces), np.intp)))
+            *_joined(implicit, lanes, np.fromiter(chain.from_iterable(pieces), np.intp)))
         self._span = [0, *accumulate(map(len, pieces))]
-        for name in ("report", "gauss"):
-            self.__dict__.pop(name, None)
         # the padded roots, wide enough for every merged point's
         width = max(map(len, solved.values())) - self._q1.shape[1]
         if width > 0:
@@ -963,7 +936,8 @@ class RootBatch:
         canonical order: (point index, q, e-side root s, multiplicity ms,
         f-side root w, multiplicity mw)."""
         width = self._order.shape[1]
-        batched = np.array(self._ok)[:, None] & (np.arange(width) < np.array(self._npairs)[:, None])
+        batched = (np.array(self._ok, dtype=bool)[:, None]
+                   & (np.arange(width) < np.array(self._npairs)[:, None]))
         point, slot = np.nonzero(batched)
         a, b = np.divmod(self._order[point, slot], self._mf)
         (rep_e, mult_e), (rep_f, mult_f) = self._side_e, self._side_f
@@ -975,25 +949,21 @@ class RootBatch:
 
     @cached_property
     def _span(self):
-        """Root lanes [span[i], span[i + 1]) are those of point i (as
-        ``solve_points`` leaves them once it merges a point)."""
+        """Root lanes [span[i], span[i + 1]) are those of point i of the
+        array pass (``_merge`` replaces them)."""
         counts = np.bincount(self._roots[0], minlength=len(self._ok))
         # not np.cumsum: under numpy 2.4 its calls leave small blocks
         # allocated after they return, and one left per block pins that
         # block's allocator arena until the run ends
         return [0, *accumulate(counts.tolist())]
 
-    @cached_property
-    def implicit(self) -> "_Implicit":
-        """The derivative step over every root lane of the batch."""
-        with np.errstate(all="ignore"):
-            return self._implicit_lanes()
-
     def _implicit_lanes(self):
-        """``solve_phi``'s derivative step over the root lanes."""
+        """``solve_phi``'s derivative step over the root lanes: (the
+        ``_Implicit`` lanes, and per point whether it is left to
+        ``solve_phi``)."""
         point, q, s, ms, w, mw = self._roots
         if not len(point):  # no root lane, and maybe constant components
-            return _solution_lanes([])._replace(scalar=[not ok for ok in self._ok])
+            return _solution_lanes([]), [not ok for ok in self._ok]
         data = self.data
 
         def side(coeffs, root):
@@ -1038,9 +1008,9 @@ class RootBatch:
             with np.errstate(all="ignore"):
                 return _laplacian(g, dg, d2g, d2h, _Lanes(*(u[point] for u in z)), grad, fq_inv)
 
+        left = ((np.bincount(point[scalar], minlength=len(self._ok)) > 0)
+                | ~np.array(self._ok, dtype=bool))
         return _Implicit(
-            scalar=((np.bincount(point[scalar], minlength=len(self._ok)) > 0)
-                    | ~np.array(self._ok, dtype=bool)).tolist(),
             q=q,
             residual=residual,
             multiplicity=ms * mw,
@@ -1053,7 +1023,7 @@ class RootBatch:
             laplacian=laplacian,
             cn=cn,
             oriented=has_gradient & (a_cn > null_bound),
-        )
+        ), left.tolist()
 
     @cached_property
     def report(self) -> "_Report":
@@ -1080,13 +1050,10 @@ class RootBatch:
 
 
 class _Implicit(NamedTuple):
-    """``RootBatch``'s derivative step: per point, whether its solutions
-    come from ``solve_phi`` (the array pass or the step left it there, and
-    ``solve_points`` has not merged it); per root lane, the fields of its
+    """``RootBatch``'s derivative step: per root lane, the fields of its
     CongruenceSolution as arrays, read into Python objects only for the
     roots asked for.  A field that needs a gradient holds garbage at a lane
     with none."""
-    scalar: list
     q: BArray
     residual: np.ndarray
     multiplicity: np.ndarray
@@ -1122,8 +1089,8 @@ def _abs_raises(x: BArray):
 
 def _solution_lanes(sols) -> _Implicit:
     """CongruenceSolutions as root lanes, with their bits: an ``_Implicit``
-    with no ``scalar``, whose nullness fields come from the gradients by the
-    formulas of ``_implicit_lanes``, and whose flags are the solutions'."""
+    whose nullness fields come from the gradients by the formulas of
+    ``_implicit_lanes``, and whose flags are the solutions'."""
     values = np.zeros((len(sols), 4, 2), dtype=complex)
     for k, sol in enumerate(sols):
         if sol.gradient is not None:
@@ -1133,7 +1100,6 @@ def _solution_lanes(sols) -> _Implicit:
     a_cn = abs(cn)
     has_gradient = np.array([sol.gradient is not None for sol in sols], dtype=bool)
     return _Implicit(
-        scalar=None,
         q=BArray.of([sol.q for sol in sols]),
         residual=np.array([sol.residual for sol in sols], dtype=float),
         multiplicity=np.array([sol.multiplicity for sol in sols], dtype=np.int64),

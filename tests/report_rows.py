@@ -43,9 +43,17 @@ def fibre_json(fibre, ts):
     return out
 
 
+def _refuse(constant):
+    raise ValueError(f"non-finite value {float(constant)!r} in the JSON report")
+
+
 def dumps(report):
-    """A report's JSON, as ``bhm.cli.run`` writes it."""
-    return json.dumps(report, sort_keys=True, separators=(",", ":"), allow_nan=False) + "\n"
+    """A report's JSON, as ``bhm.cli.run`` writes it; ValueError names its
+    first non-finite value (``json.loads`` meets them in text order)."""
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    if "NaN" in text or "Infinity" in text:
+        json.loads(text, parse_constant=_refuse)
+    return text + "\n"
 
 
 def _solve_rows(report):

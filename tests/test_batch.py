@@ -327,14 +327,49 @@ def _roots_outcome(fn):
     return [(_bits(q.z1), _bits(q.z2)) for q in roots]
 
 
-def _assert_point_matches(data, batch, i, z):
-    """Lane i of the batch reads as the scalar path at z: its roots, bit for
-    bit, and its solutions (each root's multiplicity, residual and implicit
-    derivatives, which read the lane's side roots and components), or the
-    error the scalar path raises."""
-    assert _roots_outcome(lambda: batch.roots(i)) == _roots_outcome(lambda: solve_roots(data, z))
-    assert (_solution_outcome(lambda: batch.solutions(i))
-            == _solution_outcome(lambda: solve_phi(data, z)))
+def _rebatched(data, points):
+    """RootBatches that between them reach every point: one over the points,
+    then, past each batch's point ``solved`` (which raised), one over the
+    points after it.  Yields (the index of the batch's first point, the
+    batch)."""
+    start = 0
+    while start < len(points):
+        batch = RootBatch(data, points[start:])
+        yield start, batch
+        start += batch.solved + 1
+
+
+def _solved(batch, i):
+    """The solutions of the batch's point i < ``solved``, from its root
+    lanes."""
+    return [batch.solution(k) for k in batch.lanes(i)]
+
+
+def _batch_outcome(batch, i):
+    """``_solution_outcome`` of the batch's point i <= ``solved``."""
+    if i < batch.solved:
+        return [repr(sol) for sol in _solved(batch, i)]
+    return type(batch.error).__name__, str(batch.error)
+
+
+def _padded_outcome(batch, i):
+    """``_roots_outcome`` of row i of the batch's ``padded_roots``."""
+    z1, z2, counts = batch.padded_roots()
+    return [(_bits(a), _bits(b)) for a, b in zip(z1[i, :counts[i]].tolist(),
+                                                  z2[i, :counts[i]].tolist())]
+
+
+def _assert_points_match(data, points):
+    """Every point reads as the scalar path: its solutions (each root's
+    multiplicity, residual and implicit derivatives, which read the lane's
+    side roots and components), or the error the scalar path raises, and,
+    where it is solved or the array pass found its roots, those roots, bit
+    for bit."""
+    for start, batch in _rebatched(data, points):
+        for i, z in enumerate(points[start:start + batch.solved + 1]):
+            assert _batch_outcome(batch, i) == _solution_outcome(lambda: solve_phi(data, z))
+            if i < batch.solved or batch._ok[i]:
+                assert _padded_outcome(batch, i) == _roots_outcome(lambda: solve_roots(data, z))
 
 
 class TestRootBatch:
@@ -342,18 +377,15 @@ class TestRootBatch:
     @given(data=_data(), points=st.lists(_point, min_size=1, max_size=12))
     def test_lanes_match_canonical_roots(self, data, points):
         with np.errstate(all="ignore"):
-            batch = RootBatch(data, points)
-            for i, z in enumerate(points):
-                _assert_point_matches(data, batch, i, z)
+            _assert_points_match(data, points)
 
     @settings(max_examples=25, deadline=None, derandomize=True, database=None)
     @given(data=_data(max_deg=2),
            points=st.lists(st.builds(CVec3, _coeff, _coeff, _coeff), min_size=1, max_size=6))
     def test_solutions_match_solve_phi(self, data, points):
-        batch = RootBatch(data, points)
-        for i, z in enumerate(points):
-            assert (_solution_outcome(lambda: batch.solutions(i))
-                    == _solution_outcome(lambda: solve_phi(data, z)))
+        for start, batch in _rebatched(data, points):
+            for i, z in enumerate(points[start:start + batch.solved + 1]):
+                assert _batch_outcome(batch, i) == _solution_outcome(lambda: solve_phi(data, z))
 
     def test_mixed_degrees_in_one_batch(self):
         # the top coefficients cancel where z2 = +-i z3 and the constant
@@ -374,7 +406,7 @@ class TestRootBatch:
             fe, ff, pairs = _canonical_roots(data, z)
             degrees.add((sum(m for _, m in _poly_roots(fe)), sum(m for _, m in _poly_roots(ff))))
             assert batch._ok[i]
-            _assert_point_matches(data, batch, i, z)
+        _assert_points_match(data, points)
         assert len(degrees) >= 3
 
     def test_error_lanes_raise_on_read(self):
@@ -382,29 +414,31 @@ class TestRootBatch:
         # vanishes identically at the first point, the f-side at the second
         data = WeierstrassData(HoloFn(Const(0)), HoloFn(Const(0)))
         points = [CVec3(1, 1, 1j), CVec3(0.5, 2j, 2)]
-        batch = RootBatch(data, points)
-        for i, z in enumerate(points):
-            assert not batch._ok[i]
+        assert RootBatch(data, points)._ok == [False, False]
+        raised = []
+        for start, batch in _rebatched(data, points):
+            z = points[start]
+            assert batch.left == list(range(len(points) - start)) and batch.solved == 0
             with pytest.raises(Exception) as want:
                 _canonical_roots(data, z)
-            want = type(want.value).__name__, str(want.value)
-            for read in (batch.roots, batch.solutions,
-                         lambda i: list(_batch_fibres(data, batch.roots(i)))):
-                assert _solution_outcome(lambda: read(i)) == want
+            assert _batch_outcome(batch, 0) == (type(want.value).__name__, str(want.value))
+            assert batch.padded_roots()[2][0] == 0
+            raised.append(z)
+        assert raised == points
 
     def test_huge_lane_is_left_to_the_scalar_path(self):
         data = WeierstrassData(HoloFn(Const(0)), HoloFn(Q))
         # the e-side constant term z2 + i z3 is 1.5e308 (1 + i): finite, but
         # past the range of its abs
         points = [CVec3(0, 1.5e308j, -1.5e308j), CVec3(0.3, 1.1, -0.2)]
-        # the array pass keeps its overflow warnings to itself (warnings
-        # are errors in this suite); the scalar path it leaves the lane to
-        # warns as it always did
+        # the batch keeps its overflow warnings to itself (warnings are
+        # errors in this suite), those of the scalar path it leaves the
+        # lane to as well; that path called alone warns as it always did
         batch = RootBatch(data, points)
         assert batch._ok == [False, True]
+        assert (batch.left, batch.solved) == ([0], 0)
         with np.errstate(all="ignore"):
-            for i, z in enumerate(points):
-                _assert_point_matches(data, batch, i, z)
+            _assert_points_match(data, points)
 
 
 # ---------------------------------------------------------------------------
@@ -467,9 +501,9 @@ class TestCongruenceOracle:
                 pairs = [(q, ms * mw) for q, _, ms, _, mw in _canonical_roots(data, zc)[2]]
             else:
                 batch = RootBatch(data, [zc])
-                assert batch._ok[0]
-                pairs = [(sol.q, sol.multiplicity) for sol in batch.solutions(0)]
-                assert [q for q, _ in pairs] == batch.roots(0)
+                assert batch._ok[0] and batch.solved == 1
+                pairs = [(sol.q, sol.multiplicity) for sol in _solved(batch, 0)]
+                assert [(_bits(q.z1), _bits(q.z2)) for q, _ in pairs] == _padded_outcome(batch, 0)
             fe, ff, _ = _canonical_roots(data, zc)
             d_e = sum(m for _, m in _poly_roots(fe))
             d_f = sum(m for _, m in _poly_roots(ff))
@@ -824,14 +858,20 @@ def _fibres_outcome(fibres):
 
 
 def _assert_batch_matches_scalar(data, points):
-    batch = RootBatch(data, points)
-    for i, z in enumerate(points):
-        want = _solution_outcome(lambda: solve_phi(data, z))
-        assert _solution_outcome(lambda: batch.solutions(i)) == want
-        if isinstance(want, tuple):
-            continue  # the point raised
-        assert _fibres_outcome(_batch_fibres(data, [s.q for s in batch.solutions(i)])) == \
-            _fibres_outcome(fibre_at(data, q) for q in solve_roots(data, z))
+    for start, batch in _rebatched(data, points):
+        for i, z in enumerate(points[start:start + batch.solved]):
+            assert _batch_outcome(batch, i) == _solution_outcome(lambda: solve_phi(data, z))
+            assert _fibres_outcome(_batch_fibres(data, _roots(batch, i))) == \
+                _fibres_outcome(fibre_at(data, q) for q in solve_roots(data, z))
+        if batch.error is not None:
+            z = points[start + batch.solved]
+            assert _batch_outcome(batch, batch.solved) == \
+                _solution_outcome(lambda: solve_phi(data, z))
+
+
+def _roots(batch, i):
+    """The roots of the batch's point i < ``solved``, from its root lanes."""
+    return [batch.implicit.q.item(k) for k in batch.lanes(i)]
 
 
 class TestDerivativeStep:
@@ -856,8 +896,8 @@ class TestDerivativeStep:
         points = [CVec3(rc(), rc(), rc()) for _ in range(12)]
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
-        assert not any(batch.implicit.scalar)
-        fibres = FibreBatch(data, [q for i in range(len(points)) for q in batch.roots(i)]).fibres
+        assert (batch.left, batch.solved) == ([], len(points))
+        fibres = FibreBatch(data, [q for i in range(len(points)) for q in _roots(batch, i)]).fibres
         assert (fibres.tag == 0).all()  # every fibre a line solved in the batch
 
     def test_constant_g_with_cn_minus_one(self, monkeypatch):
@@ -873,17 +913,17 @@ class TestDerivativeStep:
                   CVec3(0.3, 1.1, -0.2), CVec3(0.4j, -0.5, 0.9)]
         _assert_batch_matches_scalar(data, points)
         batch = RootBatch(data, points)
-        assert not any(batch.implicit.scalar)
-        fibres = FibreBatch(data, [q for i in range(len(points)) for q in batch.roots(i)]).fibres
+        assert (batch.left, batch.solved) == ([], len(points))
+        fibres = FibreBatch(data, [q for i in range(len(points)) for q in _roots(batch, i)]).fibres
         assert (fibres.tag == 1).all()  # every fibre a plane solved in the batch
-        want = [[repr(fibre_at(data, q)) for q in batch.roots(i)] for i in range(len(points))]
+        want = [[repr(fibre_at(data, q)) for q in _roots(batch, i)] for i in range(len(points))]
         called = []
         monkeypatch.setattr(bhm.weierstrass, "fibre_at", lambda *args: called.append(args))
         for i in range(len(points)):
-            fibres = list(_batch_fibres(data, batch.roots(i)))
+            fibres = list(_batch_fibres(data, _roots(batch, i)))
             assert [repr(f) for f in fibres] == want[i]
             assert {f.tag.value for f in fibres} == {"degenerate_plane"}
-        assert [f.offset for f in _batch_fibres(data, batch.roots(1))] == [0j] * 4
+        assert [f.offset for f in _batch_fibres(data, _roots(batch, 1))] == [0j] * 4
         assert called == []
 
     @settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -1330,9 +1370,9 @@ def test_solve_rows_from_lanes_match_a_point_by_point_run(name, fmt, monkeypatch
             finite = [c.isfinite() for c in batch.gauss]
         assert (batch.implicit.oriented & ~(finite[0] & finite[1] & finite[2])).any()
     if name == "subnormal-cn" and fmt == "json":
-        # the JSON report is refused with the constant message; the CSV
-        # report has no Gauss map column
-        assert want == tuple(_OUT_OF_RANGE.values())
+        # the JSON report is refused, naming the Gauss map's infinity; the
+        # CSV report has no Gauss map column
+        assert want == ("ValueError", "non-finite value inf in the JSON report")
     else:
         assert isinstance(want, str)
     for size in (None, 1, 2, 7):
@@ -1541,7 +1581,7 @@ def test_batches_leave_no_blocks_allocated():
     def solve_block():
         batch = RootBatch(data, points)
         for i in range(len(points)):
-            batch.solutions(i)
+            _solved(batch, i)
 
     for _ in range(5):
         solve_block()
@@ -1658,9 +1698,8 @@ def test_one_root_pass_over_both_sides_matches_the_scalar_path(config, size, mon
     kinds = Counter()
     with np.errstate(all="ignore"):
         for block in bhm.weierstrass._blocks(points, bhm.weierstrass._degrees(data)):
-            batch = RootBatch(data, block)
-            for i, z in enumerate(block):
-                _assert_point_matches(data, batch, i, z)
+            _assert_points_match(data, block)
+            for z in block:
                 fe, ff = bhm.weierstrass.congruence_components(data, z)
                 for side in (fe, ff):
                     outcome = _outcome(lambda: _poly_roots(side))
@@ -1682,8 +1721,7 @@ _LAPLACIAN_OVERFLOW = {
         {"op": "mul", "args": [{"op": "const", "value": [2e9, 0]}, {"op": "var"}]},
         {"op": "mul", "args": [{"op": "const", "value": [1e60, 0]},
                                {"op": "pow", "args": [{"op": "var"}], "exp": 2}]}]}}}
-_OUT_OF_RANGE = {"type": "ValueError",
-                 "message": "Out of range float values are not JSON compliant"}
+_OUT_OF_RANGE = {"type": "ValueError", "message": "non-finite value nan in the JSON report"}
 _VANISHES = {"type": "DegenerateAllComponentsError",
              "message": "congruence component vanishes identically; solution set is not discrete"}
 
@@ -1707,8 +1745,8 @@ def test_a_laplacian_that_is_not_finite_keeps_its_lanes_and_its_output(task, poi
         batch = RootBatch(bhm.cli._parse_data(config),
                           [bhm.cli._parse_point(p) for p in points])
         k = points.index([0.02, 0, 0])
+        assert k < batch.solved and k not in batch.left
         lanes = batch.lanes(k)
-        assert lanes is not None
         assert not batch.implicit.laplacian()[lanes].isfinite().all()
         assert batch.implicit.has_gradient[lanes].any()
         for c in batch.implicit.gradient:
@@ -2005,9 +2043,8 @@ def _leave_to_the_scalar_path(monkeypatch, z1):
     implicit_lanes = RootBatch._implicit_lanes
 
     def leave(batch):
-        implicit = implicit_lanes(batch)
-        return implicit._replace(scalar=[s or u == z1 for s, u in
-                                         zip(implicit.scalar, batch._z.u1.re.tolist())])
+        implicit, scalar = implicit_lanes(batch)
+        return implicit, [s or u == z1 for s, u in zip(scalar, batch._z.u1.re.tolist())]
 
     monkeypatch.setattr(RootBatch, "_implicit_lanes", leave)
 
@@ -2022,6 +2059,34 @@ def _leave_to_the_scalar_path(monkeypatch, z1):
 _JUMP_DATA = {"G": {"f": _VAR}, "H": {"f": _times([-1e-3, 0])}}
 _CHECK_ERROR = [0, 0, 0]
 _SOLVE_ERROR = [0, [0, 1.5e308], [0, -1.5e308]]
+
+
+@pytest.mark.parametrize("points, forced, left", [
+    # no point raises
+    ([[0.5, 0.3, 0.2], [0.7, 0.1, 0.9]], None, []),
+    # the first point raises
+    ([[1e-3, 0, 0], [0.5, 0.3, 0.2]], None, [0]),
+    # a middle point raises, after a point forced onto the scalar path
+    ([[1, 0.3, 0.2], [1e-3, 0, 0], [0.5, 0.3, 0.2]], 1, [0, 1]),
+])
+def test_a_batch_solves_its_points_up_to_the_first_error(points, forced, left, monkeypatch):
+    # a RootBatch is finished when it is built: the points left to
+    # solve_phi, how many are solved and the error of the next are those
+    # of a point-by-point run, and every solved point reads its solutions
+    if forced is not None:
+        _leave_to_the_scalar_path(monkeypatch, forced)
+    data = bhm.cli._parse_data({"data": _JUMP_DATA})
+    zs = [bhm.cli._parse_point(p) for p in points]
+    with np.errstate(all="ignore"):
+        batch = RootBatch(data, zs)
+        want = [_solution_outcome(lambda: solve_phi(data, z)) for z in zs]
+    raised = [i for i, outcome in enumerate(want) if isinstance(outcome, tuple)]
+    solved = raised[0] if raised else len(zs)
+    assert batch.left == left
+    assert batch.solved == solved
+    assert (batch.error is None) == (not raised)
+    assert [_batch_outcome(batch, i) for i in range(min(solved + 1, len(zs)))] == \
+        want[:solved + 1]
 
 
 @pytest.mark.parametrize("points, first, scalar", [
@@ -2053,8 +2118,7 @@ def test_verify_errors_keep_a_point_by_point_order(points, first, scalar, monkey
         with np.errstate(all="ignore"):
             batch = RootBatch(bhm.cli._parse_data(config),
                               [bhm.cli._parse_point(p) for p in points])
-        assert [batch.lanes(i) is None for i in range(len(points))] == \
-            [p[0] == scalar for p in points]
+        assert [i in batch.left for i in range(len(points))] == [p[0] == scalar for p in points]
 
 
 @pytest.mark.parametrize("points, first, scalar", [
@@ -2151,7 +2215,7 @@ def test_points_forced_onto_the_scalar_path_match_a_point_by_point_run(config, f
                 data = bhm.cli._parse_data(config)
             with np.errstate(all="ignore"):
                 batch = RootBatch(data, points)
-            left = [batch.lanes(i) is None for i in range(len(config["points"]))]
+            left = [i in batch.left for i in range(len(config["points"]))]
             assert any(left) and left == [u == z1 for u in batch._z.u1.re.tolist()]
 
 
@@ -2236,15 +2300,16 @@ def test_one_root_pass_reads_as_separate_batches(config, z1, size, monkeypatch):
         data = slice_data(kind, holofn_from_json(config["g"]), holofn_from_json(config["h"]))
         items = list(bhm.slices._slice_roots(kind, data, config["points"]))
     assert len(made) == len(bhm.weierstrass._blocks(config["points"], (2, 2)))
-    assert {bool(pairs) for _, _, pairs in items} == ({True} if config["task"] == "verify"
-                                                     else {True, False})
+    assert {bool(pairs) for _, block in items for _, pairs in block} == (
+        {True} if config["task"] == "verify" else {True, False})
     merged = 0
     for batch in made:
         data, points, stencil = batch.args
         with np.errstate(all="ignore"):
             alone = RootBatch(data, points)
             n = len(alone._ok)
-            assert batch.solve_points() == alone.solve_points() == (n, None)
+            assert batch.left == alone.left
+            assert batch.solved == alone.solved == n and batch.error is alone.error is None
             assert len(batch.handed) == 1 and batch.stencil_roots() is None
             assert _padded_bits(batch.handed[0]) == _padded_bits(
                 RootBatch(data, stencil).padded_roots())
@@ -2300,10 +2365,9 @@ def test_slice_rows_of_points_on_the_scalar_path_are_their_solutions_rows():
                           for x in xs]
                 solved = [(x, sols) for x, sols in solved if isinstance(sols, list)]
                 batch = RootBatch(data, _embedded(kind, np.array([x for x, _ in solved])))
-                left = list(batch.implicit.scalar)
-                assert batch.solve_points() == (len(solved), None)
+                assert (batch.solved, batch.error) == (len(solved), None)
                 rows, flags = cli._slice_lanes(kind, batch)
-            merged += sum(left)
+            merged += len(batch.left)
             for i, (x, sols) in enumerate(solved):
                 want = []
                 for sol in in_slice(kind, sols):

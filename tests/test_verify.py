@@ -756,23 +756,23 @@ def test_clean_stencil_blocks_never_call_the_scalar_path(monkeypatch):
         raise AssertionError("scalar stencil path called")
 
     read = []
-    roots = RootBatch.roots
+    scalar_solve = bhm.weierstrass.solve_phi
 
-    def counted_roots(batch, i):
-        read.append(i)
-        return roots(batch, i)
+    def counted_solve(data, z):
+        read.append(z)
+        return scalar_solve(data, z)
 
     for module, name in ((bhm.verify, "fd_residuals"), (bhm.verify, "tracked_branch"),
                          (bhm.slices, "wave_residual"), (bhm.slices, "tracked_real_branch"),
                          (bhm.verify, "nearest_root"), (bhm.verify, "fd_report"),
                          (bhm.slices, "wave_report")):
         monkeypatch.setattr(module, name, scalar)
-    monkeypatch.setattr(RootBatch, "roots", counted_roots)
+    monkeypatch.setattr(bhm.weierstrass, "solve_phi", counted_solve)
     for config in _CLEAN_SCENES:
         read.clear()
         results = _report(config)
         # the anchors' rows and the stencil picks read the batches' arrays:
-        # no point's roots are read, of the anchors or of the stencils
+        # no point is left to solve_phi, of the anchors or of the stencils
         assert read == []
         if config["task"] == "slice":
             assert results and all(r["harmonic_res"] is not None for r in results)
