@@ -51,9 +51,7 @@ from .weierstrass import (
     WeierstrassData,
     _blocks,
     _degrees,
-    _residual,
     _until_error,
-    fibre_at,
 )
 
 TASKS = ("solve", "fibres", "verify", "slice", "charts")
@@ -608,26 +606,27 @@ def _task_solve(config, tol, seed, report):
     write = report.writer(_ROOT)
     report.begin(_ROOT.header)
     for batch, points in _stencil_checks(data, pts, _point_lanes, None, None):
-        # one FibreBatch over the block's root lanes, read lane by lane
-        fibre_batch = FibreBatch(data, batch.implicit.q)
-        fibre, ok = _fibre_lanes(fibre_batch, ())
-        rows, finite, flags, multiplicity, overflow = _root_lanes(batch, fibre)
-        fibres = _fibre_rows(fibre_batch, (), ok, rows, _ROOT.spans["fibre"].start)
+        # one FibreBatch over the block's root lanes: the fibre of lane k
+        # raises in its turn, before the root's own report
+        fibres = FibreBatch(data, batch.implicit.q)
+        rows, finite, flags, multiplicity, overflow = _root_lanes(batch, _fibre_lanes(fibres, ()))
+        tags = fibres.fibres.tag.tolist()
         items = []
         for z, roots in points:
             point = _point(z)
             first = len(items)
             for k, _ in roots:
-                tag = next(fibres)
+                if k == fibres.solved:
+                    raise fibres.error
                 if overflow[k]:
                     raise _overflow(batch, k, z)
                 row = rows[k]
                 row.append(multiplicity[k])
                 row += point
-                items.append(write(row, (*flags[k], tag)))
+                items.append(write(row, (*flags[k], tags[k])))
             if not report.csv:
                 items[first:] = [_POINT % point + ",".join(items[first:]) + "]}"]
-        report.extend(items, finite and ok.all())
+        report.extend(items, finite)
     report.end(task="solve")
 
 
@@ -656,40 +655,10 @@ def _overflow(batch, k, z):
 
 
 def _fibre_lanes(batch, ts):
-    """A FibreBatch's fibres as ``_fibre_row(len(ts))`` fields, and the
-    lanes computed here (``FibreBatch.samples``)."""
-    points, ok = batch.samples(ts)
+    """A FibreBatch's fibres as ``_fibre_row(len(ts))`` fields."""
     fibres = batch.fibres
     return {"base": fibres.base, "direction": fibres.direction, "normal": fibres.normal,
-            "offset": fibres.offset, "samples": points}, ok
-
-
-def _fibre_rows(batch, ts, ok, rows, start):
-    """The fibre of each of a FibreBatch's lanes, one at a time in order:
-    its tag's index.  ``rows[k]`` holds lane k's ``_fibre_row(len(ts))``
-    values from ``start`` on; a lane the batch leaves to the scalar path
-    (not ``ok``) is computed there (``fibre_at``) in its turn, and its
-    values are written there."""
-    row = _fibre_row(len(ts))
-    for k, (tag, computed) in enumerate(zip(batch.fibres.tag.tolist(), ok.tolist())):
-        if not computed:
-            fibre = batch.fibre(k)
-            tag = _TAGS.index(fibre.tag)
-            rows[k][start:start + row.width] = row.values(**_scalar_fibre(fibre, ts))[0][0]
-        yield tag
-
-
-def _scalar_fibre(fibre, ts):
-    """A FibreDescription's ``_fibre_lanes`` fields, as one lane; zeros
-    where it has none."""
-    def lane(values, n):
-        return np.array([[0j] * n if values is None else list(values)], dtype=complex)
-
-    samples = fibre.sample_points(ts)
-    return {"base": lane(fibre.base, 3), "direction": lane(fibre.direction, 3),
-            "normal": lane(fibre.normal, 3),
-            "offset": lane(None if fibre.offset is None else [fibre.offset], 1),
-            "samples": lane([c for p in samples for c in p] if samples else None, 3 * len(ts))}
+            "offset": fibres.offset, "samples": batch.samples(ts)}
 
 
 def _task_fibres(config, tol, seed, report):
@@ -714,15 +683,12 @@ def _task_fibres(config, tol, seed, report):
     report.begin(row.header)
     for block in _blocks(qs):
         batch = FibreBatch(data, BArray.from_reals(block))
-        fields, ok = _fibre_lanes(batch, ts)
-        rows, finite = row.values(q=batch.q.reals(), **fields)
-        tags = _fibre_rows(batch, ts, ok, rows, 0)
-        report.extend([write(r, (tag,)) for r, tag in zip(rows, tags)], finite and ok.all())
+        rows, finite = row.values(q=batch.q.reals(), **_fibre_lanes(batch, ts))
+        tags = batch.fibres.tag.tolist()
+        report.extend([write(rows[k], (tags[k],)) for k in range(batch.solved)], finite)
+        if batch.error is not None:
+            raise batch.error
     report.end(task="fibres")
-
-
-def _congruence_residual(data, q, z):
-    return _residual(data.G(q), data.H(q), z)
 
 
 def _parse_sample(s):
@@ -748,35 +714,6 @@ def _sample_arrays(samples):
     return q, np.array([list(z) for _, z in parsed], dtype=complex).reshape(-1, 3), error
 
 
-def _sample_rows(data, q, points, tol):
-    """The ``verify --samples`` rows of the samples with parameters ``q``
-    ((n, 4) float rows) and points ``points`` ((n, 3) complex), in order, as
-    (values, variant) pairs, and whether their values are all finite: a
-    lane the batch leaves to the scalar path is computed there in its
-    turn."""
-    batch = FibreBatch(data, BArray.from_reals(q))
-    residual, on_fibre, ok = batch.checks(points, tol)
-    rows, finite = _SAMPLE.values(q=batch.q.reals(), z=points, residual=residual)
-    at = _SAMPLE.spans["residual"].start
-
-    def lanes():
-        for k, (row, tag, contained, computed) in enumerate(zip(
-                rows, batch.fibres.tag.tolist(), on_fibre.tolist(), ok.tolist())):
-            if not computed:
-                qk, zk = batch.q.item(k), CVec3(*points[k].tolist())
-                fibre = fibre_at(data, qk)
-                try:
-                    row[at] = _f(_congruence_residual(data, qk, zk))
-                    contained = bool(fibre.contains(zk, tol=tol))
-                except OverflowError:  # an abs or a square past the double range, of finite parts
-                    raise RangeOverflowError(f"the residual or the fibre test overflows at the "
-                                             f"sample q = {qk!r}, z = {zk!r}") from None
-                tag = _TAGS.index(fibre.tag)
-            yield row, (tag, contained)
-
-    return lanes(), finite and ok.all()
-
-
 def _task_verify(config, tol, seed, report):
     data = _parse_data(config)
     tol = tol if tol is not None else 1e-8
@@ -789,8 +726,13 @@ def _task_verify(config, tol, seed, report):
         q, z, error = _sample_arrays(samples)
         report.begin()
         for q_block, z_block in zip(_blocks(q), _blocks(z)):
-            rows, finite = _sample_rows(data, q_block, z_block, tol)
-            report.extend([_SAMPLE.text(row, variant) for row, variant in rows], finite)
+            batch = FibreBatch(data, BArray.from_reals(q_block))
+            residual, on_fibre, n, checks_error = batch.checks(z_block, tol)
+            rows, finite = _SAMPLE.values(q=batch.q.reals(), z=z_block, residual=residual)
+            variants = list(zip(batch.fibres.tag.tolist(), on_fibre.tolist()))
+            report.extend([_SAMPLE.text(rows[k], variants[k]) for k in range(n)], finite)
+            if checks_error is not None:
+                raise checks_error
         if error is not None:
             raise error
         report.end(task="verify")
@@ -952,7 +894,12 @@ def _task_charts(config, tol, seed, report):
             # its turn, which raises OutOfDomainError where it does
             scalar = np.flatnonzero(flagged).tolist()
             for k in scalar:
-                rows[k][at:] = _b(transition(src, dst, q.item(k)))
+                try:
+                    rows[k][at:] = _b(transition(src, dst, q.item(k)))
+                except OverflowError:  # an abs of finite parts past the double range
+                    raise RangeOverflowError(f"'transition' overflows from chart {src.value} "
+                                             f"to chart {dst.value} at the value "
+                                             f"{q.item(k)!r}") from None
             report.extend([row.text(r, ()) for r in rows], finite and not scalar)
         if error is not None:
             raise error

@@ -590,15 +590,6 @@ class BArray:
         (``Bicomplex.from_reals``)."""
         return cls(CArray(rows[:, 0], rows[:, 1]), CArray(rows[:, 2], rows[:, 3]))
 
-    @classmethod
-    def concatenate(cls, parts):
-        """The lanes of the parts, one after another."""
-        def joined(cs):
-            empty = np.empty(0)
-            return CArray(np.concatenate([empty, *(c.re for c in cs)]),
-                          np.concatenate([empty, *(c.im for c in cs)]))
-        return cls(joined([p.z1 for p in parts]), joined([p.z2 for p in parts]))
-
     def __getitem__(self, index):
         return BArray(self.z1[index], self.z2[index])
 

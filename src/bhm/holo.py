@@ -384,6 +384,9 @@ def _pow(base, exp):
             return Const(base.value ** exp)
         except ZeroDivisionError:  # x**|exp| is 0: a zero or underflowing base
             raise PoleEncounteredError(f"negative power {exp} of {base.value!r}") from None
+        except OverflowError:  # x**exp past the double range
+            raise RangeOverflowError(f"the power {exp} of the constant {base.value!r} "
+                                     f"overflows") from None
     return Pow(base, exp)
 
 

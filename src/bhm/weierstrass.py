@@ -1211,14 +1211,18 @@ class FibreBatch:
     congruence residual at a point.
 
     G and H are evaluated once each over the parameters' idempotent parts,
-    ``_lane_fibres`` classifies every lane, and the sample, ``contains``,
-    norm and residual formulas are the helpers that ``FibreDescription``
-    and the CLI's scalar residual run, here on ``CArray``/``BArray`` lanes,
-    so each lane has the scalar bits.  A lane left to ``fibre_at``, or whose
-    values are not finite (where a scalar ``abs`` or ``float ** 2`` may
-    raise), is outside the mask of lanes computed here that ``samples`` and
-    ``checks`` return: the caller computes it on the scalar path, in its
-    turn, and it raises what that path raises.
+    and ``_lane_fibres`` classifies every lane.  The batch is finished when
+    it is built: ``left`` lists the lanes ``_lane_fibres`` leaves to
+    ``fibre_at`` (a pole, an overflow, a singular line system); it runs at
+    each, in lane order, up to the first that raises, and each fibre it
+    returns is written into ``fibres``.  Lanes [0, ``solved``) then hold
+    ``fibre_at``'s fibres; ``error`` is the exception of lane ``solved``, or
+    None when every lane is solved.  The sample, ``contains``, norm and
+    residual formulas are the helpers that ``FibreDescription`` and
+    ``_residual`` run, here on ``CArray``/``BArray`` lanes, so each lane has
+    the scalar bits; ``checks`` runs the scalar check itself where G or H
+    is flagged or the lanes' values are not finite, which is where a scalar
+    ``abs`` or ``float ** 2`` may raise.
     """
 
     def __init__(self, data: WeierstrassData, q):
@@ -1226,18 +1230,27 @@ class FibreBatch:
         self.data = data
         self.q = q if isinstance(q, BArray) else BArray.of(q)
         # a lane that overflows is left to the scalar path: no numpy warning
-        # of the array pass reaches the caller
+        # of the array pass, or of the scalar path, reaches the caller
         with np.errstate(all="ignore"):
             e, f = self.q.ringleb()
             (self._g, bad_g), (self._h, bad_h) = (_evaluate(fn, e, f)
                                                   for fn in (data.G, data.H))
-            self.fibres = _lane_fibres(self._g, self._h, bad_g | bad_h)
+            self._flagged = bad_g | bad_h
+            fibres = self.fibres = _lane_fibres(self._g, self._h, self._flagged)
+            self.left = np.flatnonzero(fibres.tag < 0).tolist()
+            solved, self.error = _until_error(lambda k: fibre_at(data, self.q.item(k)),
+                                              self.left)
+        self.solved = len(fibres.tag) if self.error is None else self.left[len(solved)]
+        for k, fibre in zip(self.left, solved):
+            fibres.tag[k] = _TAGS.index(fibre.tag)
+            if fibre.tag is FibreTag.NON_NULL_LINE:
+                fibres.base[k], fibres.direction[k] = tuple(fibre.base), tuple(fibre.direction)
+            elif fibre.tag is FibreTag.DEGENERATE_PLANE:
+                fibres.normal[k], fibres.offset[k] = tuple(fibre.normal), fibre.offset
 
     def fibre(self, k):
-        """``fibre_at(data, q.item(k))``."""
+        """``fibre_at(data, q.item(k))``, for k < ``solved``."""
         fibres = self.fibres
-        if fibres.tag[k] < 0:
-            return fibre_at(self.data, self.q.item(k))
         tag = _TAGS[fibres.tag[k]]
         if tag is FibreTag.NON_NULL_LINE:
             return FibreDescription(tag, base=CVec3(*fibres.base[k].tolist()),
@@ -1248,12 +1261,10 @@ class FibreBatch:
         return FibreDescription(tag)
 
     def samples(self, ts):
-        """``fibre(k).sample_points(ts)`` at every lane k, for real ts:
-        (the points, (lanes, len(ts), 3) complex, and the lanes computed
-        here)."""
+        """``fibre(k).sample_points(ts)`` at every lane k < ``solved`` whose
+        fibre is a line or a plane, for real ts: (lanes, len(ts), 3)
+        complex."""
         fibres = self.fibres
-        line = fibres.tag == 0
-        plane = fibres.tag == 1
         base, direction, normal = (tuple(c[:, None] for c in _lanes(a))
                                    for a in (fibres.base, fibres.direction, fibres.normal))
         t = CArray.of(ts)
@@ -1262,31 +1273,53 @@ class FibreBatch:
             on_line = _line_point(base, direction, t)
             z0, w2 = _plane_frame(normal, _lanes(fibres.offset)[:, None])
             on_plane = _plane_point(z0, normal, w2, t, s)
+        line = (fibres.tag == 0)[:, None]
         points = np.empty((len(line), len(ts), 3), dtype=complex)
         for j in range(3):
-            points[:, :, j] = np.where(line[:, None], on_line[j].complex(),
-                                       on_plane[j].complex())
-        finite = np.isfinite(points).all(axis=(1, 2))
-        for c in (*z0, *w2):
-            plane &= c.isfinite()[:, 0]
-        return points, (fibres.tag == 2) | ((line | plane) & finite)
+            points[:, :, j] = np.where(line, on_line[j].complex(), on_plane[j].complex())
+        return points
 
     def checks(self, zs, tol):
-        """At every lane k, the congruence residual at the point zs[k] and
+        """At lanes k < n, the congruence residual at the point zs[k] and
         ``fibre(k).contains(zs[k], tol)``, for zs a (lanes, 3) complex
-        array: (residuals, on_fibre, the lanes computed here)."""
+        array: (residuals, on_fibre, n, error).  A lane below ``solved``
+        that ``_check_lanes`` does not vouch for is checked on the scalar
+        path, in lane order; the first whose ``abs`` or square overflows
+        there ends the checked lanes, and its RangeOverflowError is
+        ``error``; else lanes [0, ``solved``) are checked, and ``error`` is
+        the batch's."""
+        with np.errstate(all="ignore"):
+            residual, on_fibre, ok = self._check_lanes(_lanes(zs), tol)
+
+        def scalar(k):
+            q, z = self.q.item(k), CVec3(*zs[k].tolist())
+            try:
+                residual[k] = _residual(self.data.G(q), self.data.H(q), z)
+                on_fibre[k] = self.fibre(k).contains(z, tol=tol)
+            except OverflowError:  # an abs or a square past the double range, of finite parts
+                raise RangeOverflowError(f"the residual or the fibre test overflows at the "
+                                         f"sample q = {q!r}, z = {z!r}") from None
+
+        lanes = np.flatnonzero(~ok[:self.solved]).tolist()
+        done, error = _until_error(scalar, lanes)
+        n = self.solved if error is None else lanes[len(done)]
+        return residual, on_fibre, n, error or self.error
+
+    def _check_lanes(self, z, tol):
+        """``checks`` over the lanes z: (residuals, on_fibre, and the lanes
+        with the scalar path's bits: those whose values are finite, of G and
+        H lanes that are not flagged; a flagged lane's value may not be the
+        scalar G(q) or H(q), as past ``C_POWI_MAX``)."""
         fibres = self.fibres
         line = fibres.tag == 0
         plane = fibres.tag == 1
-        z = _lanes(zs)
-        with np.errstate(all="ignore"):
-            residual = _residual(self._g, self._h, z)
-            scale = _max(1.0, _norm(z))
-            line_miss = _line_miss(_lanes(fibres.base), _lanes(fibres.direction), z)
-            plane_miss = _plane_miss(_lanes(fibres.normal), _lanes(fibres.offset), z)
-            bound = tol * scale
+        residual = _residual(self._g, self._h, z)
+        scale = _max(1.0, _norm(z))
+        line_miss = _line_miss(_lanes(fibres.base), _lanes(fibres.direction), z)
+        plane_miss = _plane_miss(_lanes(fibres.normal), _lanes(fibres.offset), z)
+        bound = tol * scale
         on_fibre = np.where(line, line_miss <= bound, plane & (plane_miss <= bound))
-        ok = (fibres.tag >= 0) & np.isfinite(residual) & np.isfinite(scale)
+        ok = ~self._flagged & np.isfinite(residual) & np.isfinite(scale)
         ok &= ~line | np.isfinite(line_miss)
         ok &= ~plane | np.isfinite(plane_miss)
         return residual, on_fibre, ok

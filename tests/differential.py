@@ -15,6 +15,7 @@ differs is printed, with the counts.
 The configs come from a seeded generator over every task and format
 (``configs``), and the edge cases below (``EDGE_CASES``): signed zeros,
 subnormals, 1e155, 1e300 and 1.7e308, ties, raising lanes and anchors,
+sample checks and fibres that raise in either order,
 roots dropped from a slice, anchors with no root in the slice, and
 CN(G) = -1, where CN(xi) = 0.
 
@@ -197,6 +198,7 @@ def _config(rng):
 _H = 1e-3  # the stencil step at |z| <= 1
 _JUMP = {"G": {"f": _VAR}, "H": {"f": {"op": "mul", "args": [_const([-_H, 0]), _VAR]}}}
 _RADIAL = {"G": {"f": _VAR}, "H": {"f": _const([0, 0])}}
+_SQUARE = {"G": {"f": _VAR}, "H": {"f": {"op": "mul", "args": [_VAR, _VAR]}}}
 # G = q, H = c q: at x = (1, 0, 0) the anchor root is q = 0, and the four
 # roots of a stencil point on a z2 line lie at distance exactly 1 from it
 _TIE = {"G": {"f": _VAR},
@@ -242,6 +244,24 @@ EDGE_CASES = [
     {"task": "verify", "data": {"G": {"f1": _const([0.8, -0.6]), "f2": _const([-0.8, -0.6])},
                                 "H": {"f": {"op": "add", "args": [_const([0.3, 0.1]), _VAR]}}},
      "samples": [{"q": [0.5, 0, 0, 0], "z": [1, 0, 0]}, {"q": [0, 0, 0, 0], "z": [0, 0, 0]}]},
+    # G = q, H = q q: a sample check that overflows (z = (1e155, 0, 0)) and a
+    # fibre that raises (|G(q)|^2 at q = 1e300), in both orders, and the
+    # fibre that raises between two that do not
+    {"task": "verify", "data": _SQUARE, "samples": [
+        {"q": [0.5, 0, 0, 0], "z": [1, 0, 0]}, {"q": [0.5, 0, 0, 0], "z": [1e155, 0, 0]},
+        {"q": [1e300, 0, 0, 0], "z": [1, 0, 0]}]},
+    {"task": "verify", "data": _SQUARE, "samples": [
+        {"q": [0.5, 0, 0, 0], "z": [1, 0, 0]}, {"q": [1e300, 0, 0, 0], "z": [1, 0, 0]},
+        {"q": [0.5, 0, 0, 0], "z": [1e155, 0, 0]}]},
+    {"task": "fibres", "data": _SQUARE,
+     "params": [[0.5, 0, 0, 0], [1e300, 0, 0, 0], [0.3, 0, 0, 0]]},
+    # a constant's power folded past the double range, and a transition
+    # whose scalar pole check overflows
+    {"task": "solve", "data": {"G": {"f": {"op": "pow", "args": [_const([1e155, 0])], "exp": 3}},
+                               "H": {"f": _VAR}},
+     "points": [[0.3, 1.1, -0.2]]},
+    {"task": "charts", "charts": {"op": "transition", "from": "Gcheck", "to": "L",
+                                  "values": [[1.7e308, 1.7e308, -1, 0.5]]}},
     # chart values at zero and on the unit scale, and a point off the quadric
     {"task": "charts", "charts": {"op": "to_point", "space": "S2C", "chart": "G",
                                   "values": [[0, 0, 0, 0], [1, 0, 0, 1], [0.5, 0.5, 0.5, 0.5]]}},

@@ -24,12 +24,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bhm.cli
-from bhm.cli import _congruence_residual, run
+from bhm.cli import run
 import bhm.weierstrass
 import report_rows as rr
 from bhm.core import C_POWI_MAX, I2, BArray, Bicomplex, CArray
-from bhm.errors import (BhmError, BranchJumpError, DegeneratePointError, PoleEncounteredError,
-                        RangeOverflowError)
+from bhm.errors import (BhmError, BranchJumpError, DegenerateDirectionError,
+                        DegeneratePointError, PoleEncounteredError, RangeOverflowError)
 from bhm.geometry import Chart, CVec3, transition
 from bhm.holo import Add, Const, Div, HoloFn, Lanes, Mul, Pow, Sub, Var, holofn_from_json
 from bhm.slices import (
@@ -59,6 +59,7 @@ from bhm.weierstrass import (
     _evaluate,
     _numpy_quotient,
     _poly_roots,
+    _residual,
     _side_roots,
     _stacked_solve,
     _trim,
@@ -833,9 +834,9 @@ def _fibre_or_none(data, q):
 
 def _lane_fibre_reprs(data, q):
     """The repr of ``_lane_fibres``' fibre at each parameter in q, None where
-    it leaves the lane to ``fibre_at``."""
+    it leaves the lane to ``fibre_at`` (``FibreBatch.left``)."""
     batch = FibreBatch(data, q)
-    return [repr(batch.fibre(k)) if batch.fibres.tag[k] >= 0 else None for k in range(len(q))]
+    return [None if k in batch.left else repr(batch.fibre(k)) for k in range(len(q))]
 
 
 def _batch_fibres(data, roots):
@@ -970,30 +971,45 @@ def _scalar_check(data, q, z, tol):
     """What ``verify --samples`` reads at (q, z), in its order: fibre_at,
     then the residual, then contains."""
     fibre = fibre_at(data, q)
-    residual = _congruence_residual(data, q, z)
+    residual = _residual(data.G(q), data.H(q), z)
     return residual.hex(), fibre.contains(z, tol=tol)
 
 
 def _assert_fibre_batch_matches(data, qs, zs, ts, tol=1e-8):
-    """Each lane of a FibreBatch reads as the scalar path: its fibre by
-    repr, its samples at ts, its residual and contains test at z, or the
-    error the scalar path raises.  Returns the lanes whose samples and whose
-    checks the batch computed itself."""
+    """Each lane of a FibreBatch reads as a lane-by-lane run of the scalar
+    path up to the first lane that raises: its fibre by repr, its samples
+    at ts, and its residual and contains test at z; the batch's ``solved``,
+    and the checked lanes and error of ``checks``, end at that lane, with
+    its error.  Returns the lanes left to ``fibre_at`` and those whose check
+    takes the scalar path."""
     batch = FibreBatch(data, qs)
-    points, sampled = batch.samples(ts)
-    residual, on_fibre, checked = batch.checks(_array(zs), tol)
+    points = batch.samples(ts)
+    residual, on_fibre, n, error = batch.checks(_array(zs), tol)
     for k, (q, z) in enumerate(zip(qs, zs)):
-        want = _outcome(lambda: repr(fibre_at(data, q)))
-        assert _outcome(lambda: repr(batch.fibre(k))) == want
-        assert batch.fibres.tag[k] < 0 or isinstance(want, str)
-        if sampled[k]:
-            n = 0 if batch.fibres.tag[k] == 2 else len(ts)
-            assert [repr(CVec3(*p)) for p in points[k, :n].tolist()] == \
-                _outcome(lambda: [repr(p) for p in fibre_at(data, q).sample_points(ts)])
-        if checked[k]:
-            assert (float(residual[k]).hex(), bool(on_fibre[k])) == \
-                _outcome(lambda: _scalar_check(data, q, z, tol))
-    return sampled, checked
+        try:
+            fibre = fibre_at(data, q)
+        except Exception as exc:
+            assert (batch.solved, n) == (k, k)
+            assert (type(error), str(error)) == (type(exc), str(exc))
+            assert batch.error is error
+            break
+        assert repr(batch.fibre(k)) == repr(fibre)
+        samples = [repr(p) for p in fibre.sample_points(ts)]
+        assert [repr(CVec3(*p)) for p in points[k, :len(samples)].tolist()] == samples
+        try:
+            want = _scalar_check(data, q, z, tol)
+        except OverflowError:
+            assert n == k < batch.solved
+            assert (type(error), str(error)) == (
+                RangeOverflowError, f"the residual or the fibre test overflows at the sample "
+                                    f"q = {q!r}, z = {z!r}")
+            break
+        assert (float(residual[k]).hex(), bool(on_fibre[k])) == want
+    else:
+        assert (batch.solved, n, error) == (len(qs), len(qs), None)
+    with np.errstate(all="ignore"):
+        ok = batch._check_lanes(bhm.weierstrass._lanes(_array(zs)), tol)[2]
+    return batch.left, np.flatnonzero(~ok[:batch.solved]).tolist()
 
 
 def _array(points):
@@ -1083,25 +1099,97 @@ class TestFibreBatch:
                                       {"empty"})
         for name, (data, tags) in cases.items():
             zs = [_on_fibre(data, q, CVec3(rc(), rc(), rc())) for q in qs]
-            sampled, checked = _assert_fibre_batch_matches(data, qs, zs, ts)
-            assert sampled.all() and checked.all(), name
+            assert _assert_fibre_batch_matches(data, qs, zs, ts) == ([], []), name
             assert {fibre_at(data, q).tag.value for q in qs} == tags, name
             if tags != {"empty"}:
                 batch = FibreBatch(data, qs)
                 assert batch.checks(_array(zs), 1e-8)[1].all(), name  # the samples are on their fibres
 
     def test_poles_and_overflows_are_left_to_the_scalar_path(self):
-        # G = 1/q: a pole at q = 0; at q = 1e300 the fibre is finite, but
-        # |z|^2 overflows at z = (1e200, 0, 0), where contains raises
+        # G = 1/q: a pole at q = 0, which fibre_at raises; at q = 1e300 the
+        # fibre is finite and sampled here, but |z|^2 overflows at
+        # z = (1e200, 0, 0), where the scalar contains raises.  With the
+        # pole, the batch ends at its lane; without it, at the overflow
         data = WeierstrassData(HoloFn(Const(1.0) / Q, Const(1.0) / Q), HoloFn(Q, Q))
         qs = [Bicomplex(0.5, 0.25j), Bicomplex(0.0, 0.0), Bicomplex(1e300, 0.0)]
         zs = [CVec3(1, 0, 0), CVec3(1, 0, 0), CVec3(1e200, 0, 0)]
         with np.errstate(all="ignore"):
-            sampled, checked = _assert_fibre_batch_matches(data, qs, zs, [0.5])
-        assert sampled.tolist() == [True, False, True]
-        assert checked.tolist() == [True, False, False]
+            assert _assert_fibre_batch_matches(data, qs, zs, [0.5]) == ([1], [])
+            assert _assert_fibre_batch_matches(data, qs[::2], zs[::2], [0.5]) == ([], [1])
+            assert FibreBatch(data, qs[::2]).checks(_array(zs[::2]), 1e-8)[2] == 1
         assert _outcome(lambda: fibre_at(data, qs[1]))[0] == "PoleEncounteredError"
         assert _outcome(lambda: _scalar_check(data, qs[2], zs[2], 1e-8))[0] == "OverflowError"
+
+    def test_flagged_lanes_are_checked_on_the_scalar_path(self):
+        # a power past C_POWI_MAX flags every lane, whose finite value is
+        # then not G(q): fibre_at and the check run on the scalar path
+        data = WeierstrassData(HoloFn(Pow(Q, C_POWI_MAX + 1)), HoloFn(Q))
+        qs = [Bicomplex(1.001, 0.002j), Bicomplex(0.999, 0.001)]
+        zs = [CVec3(0.3, 0.2, 0.1), CVec3(1, 0, 0)]
+        with np.errstate(all="ignore"):
+            assert _assert_fibre_batch_matches(data, qs, zs, [0.5]) == ([0, 1], [0, 1])
+
+    @pytest.mark.parametrize("xs, forced, left", [
+        # no lane raises
+        ([0.5, 0.7], None, []),
+        # the first lane raises (G's pole at q = 0)
+        ([0.0, 0.5], None, [0]),
+        # a middle lane raises, after a lane forced onto fibre_at
+        ([1.0, 0.0, 0.5], 0, [0, 1]),
+    ])
+    def test_a_batch_solves_its_lanes_up_to_the_first_error(self, xs, forced, left,
+                                                           monkeypatch):
+        # a FibreBatch is finished when it is built: the lanes left to
+        # fibre_at, how many are solved and the error of the next are those
+        # of a lane-by-lane run, and every solved lane reads its fibre
+        if forced is not None:
+            lane_fibres = bhm.weierstrass._lane_fibres
+
+            def leave(g, h, flagged):
+                fibres = lane_fibres(g, h, flagged)
+                fibres.tag[forced] = -1
+                return fibres
+
+            monkeypatch.setattr(bhm.weierstrass, "_lane_fibres", leave)
+        data = WeierstrassData(HoloFn(Const(1.0) / Q, Const(1.0) / Q), HoloFn(Q, Q * Q))
+        qs = [Bicomplex(x, 0.25j * x) for x in xs]
+        with np.errstate(all="ignore"):
+            batch = FibreBatch(data, qs)
+        want = [_outcome(lambda: repr(fibre_at(data, q))) for q in qs]
+        raised = [k for k, outcome in enumerate(want) if isinstance(outcome, tuple)]
+        solved = raised[0] if raised else len(qs)
+        assert batch.left == left
+        assert batch.solved == solved
+        assert [repr(batch.fibre(k)) for k in range(solved)] == want[:solved]
+        assert (batch.error is None) == (not raised)
+        if raised:
+            assert (type(batch.error).__name__, str(batch.error)) == want[solved]
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["check-first", "fibre-first"])
+    def test_checks_end_at_the_first_lane_that_raises(self, swap):
+        # G = q, H = q q: the check at z = (1e155, 0, 0) overflows on the
+        # scalar path, and fibre_at raises at q = 1e300, where |G(q)|^2
+        # overflows.  Whichever lane comes first ends the checked lanes
+        # with its error, as in a lane-by-lane run
+        samples = [([0.5, 0, 0, 0], [1, 0, 0]), ([0.5, 0, 0, 0], [1e155, 0, 0]),
+                   ([1e300, 0, 0, 0], [1, 0, 0])]
+        if swap:
+            samples[1:] = samples[:0:-1]
+        config = {"task": "verify", "data": {"G": {"f": _VAR}, "H": {"f": {
+            "op": "mul", "args": [_VAR, _VAR]}}},
+                  "samples": [{"q": q, "z": z} for q, z in samples]}
+        data = bhm.cli._parse_data(config)
+        qs, zs = zip(*(bhm.cli._parse_sample(s) for s in config["samples"]))
+        with np.errstate(all="ignore"):
+            assert _assert_fibre_batch_matches(data, qs, zs, [0.5]) == \
+                (([1], []) if swap else ([2], [1]))
+            batch = FibreBatch(data, list(qs))
+            _, _, n, error = batch.checks(_array(zs), 1e-8)
+            want = _outcome(lambda: _point_by_point(config))
+        assert (n, batch.solved, type(error)) == (1, 1 if swap else 2, RangeOverflowError)
+        assert (error is batch.error) == swap
+        assert want == (type(error).__name__, str(error))
+        assert _cli_output(config) == want
 
 
 def _implicit_abs(sol, z):
@@ -1163,7 +1251,7 @@ def _point_by_point(config, tol=None, seed=0):
             q, z = bhm.cli._parse_sample(s)
             fibre = fibre_at(data, q)
             try:
-                res = _congruence_residual(data, q, z)
+                res = _residual(data.G(q), data.H(q), z)
                 on_fibre = bool(fibre.contains(z, tol=tol))
             except OverflowError:  # named by the CLI
                 raise RangeOverflowError(f"the residual or the fibre test overflows at the "
@@ -1225,15 +1313,15 @@ def test_fibre_tasks_match_a_point_by_point_run(config, monkeypatch):
 
 @pytest.mark.parametrize("config", [c for c in _fibre_configs() if c["task"] == "verify"])
 def test_samples_forced_onto_the_scalar_path_match_a_point_by_point_run(config, monkeypatch):
-    # a verify --samples lane left to the scalar path, every other lane
-    # here, gives a point-by-point run's row or error, and so does each lane
-    # after it; with a sample whose residual overflows (xi(G(q)) . z at
-    # z = (1e155, 0, 0)) added at the end, that sample's named error follows
-    # the rows before it
-    checks = FibreBatch.checks
+    # a verify --samples lane whose check takes the scalar path, every
+    # other lane here, gives a point-by-point run's row or error, and so
+    # does each lane after it; with a sample whose residual overflows
+    # (xi(G(q)) . z at z = (1e155, 0, 0)) added at the end, that sample's
+    # named error follows the rows before it
+    check_lanes = FibreBatch._check_lanes
 
-    def every_other(batch, zs, tol):
-        residual, on_fibre, ok = checks(batch, zs, tol)
+    def every_other(batch, z, tol):
+        residual, on_fibre, ok = check_lanes(batch, z, tol)
         return residual, on_fibre, ok & (np.arange(len(ok)) % 2 == 1)
 
     overflowing = dict(config, samples=config["samples"] + [{"q": [0.5, 0, 0, 0],
@@ -1245,7 +1333,7 @@ def test_samples_forced_onto_the_scalar_path_match_a_point_by_point_run(config, 
         outcomes.append(want)
         assert _cli_output(cfg) == want
         with monkeypatch.context() as m:
-            m.setattr(FibreBatch, "checks", every_other)
+            m.setattr(FibreBatch, "_check_lanes", every_other)
             assert _cli_output(cfg) == want
     if isinstance(outcomes[0], str):  # no earlier error: the added sample's is raised
         assert outcomes[1][0] == "RangeOverflowError"
@@ -1420,9 +1508,9 @@ def test_an_overflowing_laplacian_abs_takes_the_scalar_row_in_its_turn(fmt, monk
     # with the Laplacian shifted (_shift_laplacian), the roots at z1 = 1
     # have a finite Laplacian whose scalar abs overflows: the batch keeps
     # the point, its report marks the roots, and the first of them raises
-    # RangeOverflowError naming its q and z after its fibre row, in the
-    # turn where a point-by-point run's scalar abs raises; the point before
-    # reads its rows from the lanes
+    # RangeOverflowError naming its q and z after its fibre, in the turn
+    # where a point-by-point run's scalar abs raises; the point before reads
+    # its rows from the lanes
     _shift_laplacian(monkeypatch)
     var = {"op": "var"}
     config = {"task": "solve", "format": fmt,
@@ -1441,18 +1529,28 @@ def test_an_overflowing_laplacian_abs_takes_the_scalar_row_in_its_turn(fmt, monk
             ("OverflowError", "(34, 'Numerical result out of range')")
     assert want == ("RangeOverflowError",
                     f"|Laplacian| or |nullness| overflows at the root q = {q!r} of z = {z!r}")
-    rows = Counter()
-    fibre_rows = bhm.cli._fibre_rows
-
-    def counting(*args):
-        for tag in fibre_rows(*args):
-            rows["fibre"] += 1
-            yield tag
-
-    monkeypatch.setattr(bhm.cli, "_fibre_rows", counting)
     assert _cli_output(config) == want
-    # the rows of point 0's roots and the raising root's fibre row
-    assert rows["fibre"] == len(batch.lanes(0)) + 1
+    # the fibre of the raising root comes first: with its fibre raising
+    # too, the fibre's error is raised; with the next root's fibre raising,
+    # the |Laplacian| error still is
+    roots = [batch.implicit.q.item(k) for k in batch.lanes(1)]
+    assert len(roots) >= 2
+    lane_fibres = bhm.weierstrass._lane_fibres
+
+    def left(g, h, flagged):
+        return lane_fibres(g, h, np.ones_like(flagged))
+
+    for bad, error in [(roots[0], ("DegenerateDirectionError", f"no fibre at {roots[0]!r}")),
+                       (roots[1], want)]:
+        def raising(data, q, bad=bad):
+            if repr(q) == repr(bad):
+                raise DegenerateDirectionError(f"no fibre at {q!r}")
+            return fibre_at(data, q)
+
+        with monkeypatch.context() as m:
+            m.setattr(bhm.weierstrass, "_lane_fibres", left)
+            m.setattr(bhm.weierstrass, "fibre_at", raising)
+            assert _cli_output(config) == error
     del config["points"][1]
     with np.errstate(all="ignore"):
         want = _point_by_point(config)
@@ -1473,9 +1571,16 @@ def test_fibre_tasks_never_call_the_scalar_path(monkeypatch):
     def no_fibre_at(*args):
         raise AssertionError("fibre_at called")
 
+    lefts = []
+    init = FibreBatch.__init__
+
+    def recording(batch, *args):
+        init(batch, *args)
+        lefts.append(batch.left)
+
     monkeypatch.setattr(HoloFn, "__call__", counting_call)
-    monkeypatch.setattr(bhm.cli, "fibre_at", no_fibre_at)
     monkeypatch.setattr(bhm.weierstrass, "fibre_at", no_fibre_at)
+    monkeypatch.setattr(FibreBatch, "__init__", recording)
     for config in _fibre_configs()[:6]:
         report = json.loads(_cli_output(config) if config.get("format") != "csv"
                             else _cli_output(dict(config, format="json")))
@@ -1487,6 +1592,7 @@ def test_fibre_tasks_never_call_the_scalar_path(monkeypatch):
             assert len(verify["results"]) == len(samples) > 0
             assert all(row["on_fibre"] for row in verify["results"])
     assert called == []
+    assert lefts and all(left == [] for left in lefts)
 
 
 def test_fibre_batches_leave_no_blocks_allocated():
@@ -2490,8 +2596,13 @@ def _charts_point_by_point(src, dst, values):
     results = []
     for v in values:
         q = bhm.cli._parse_bicomplex(v)
+        try:
+            result = transition(src, dst, q)
+        except OverflowError:  # named by the CLI
+            raise RangeOverflowError(f"'transition' overflows from chart {src.value} to chart "
+                                     f"{dst.value} at the value {q!r}") from None
         # in the report's sorted-key order
-        results.append({"result": rr.b(transition(src, dst, q)), "value": rr.b(q)})
+        results.append({"result": rr.b(result), "value": rr.b(q)})
     return results
 
 
@@ -2648,15 +2759,19 @@ def test_every_row_variant_matches_a_point_by_point_run(size, monkeypatch):
     # a point-by-point run's bytes (or its error), with every other fibre
     # lane and every other sample lane left to the scalar path, and a
     # slice check's BhmError at the origin written as the row's "error"
-    samples, checks = FibreBatch.samples, FibreBatch.checks
+    lane_fibres, check_lanes = bhm.weierstrass._lane_fibres, FibreBatch._check_lanes
 
-    def every_other(ok):
-        return ok & (np.arange(len(ok)) % 2 == 1)
+    def every_other_fibre(g, h, flagged):
+        fibres = lane_fibres(g, h, flagged)
+        fibres.tag[1::2] = -1
+        return fibres
 
-    monkeypatch.setattr(FibreBatch, "samples",
-                        lambda batch, ts: (lambda p, ok: (p, every_other(ok)))(*samples(batch, ts)))
-    monkeypatch.setattr(FibreBatch, "checks", lambda batch, zs, tol: (
-        lambda r, on, ok: (r, on, every_other(ok)))(*checks(batch, zs, tol)))
+    def every_other_check(batch, z, tol):
+        residual, on_fibre, ok = check_lanes(batch, z, tol)
+        return residual, on_fibre, ok & (np.arange(len(ok)) % 2 == 1)
+
+    monkeypatch.setattr(bhm.weierstrass, "_lane_fibres", every_other_fibre)
+    monkeypatch.setattr(FibreBatch, "_check_lanes", every_other_check)
     wave = bhm.slices.wave_residual
 
     def jumping(kind, phi, x, h=None):

@@ -353,7 +353,22 @@ class TestSchemaAndExitCodes:
                   "points": [[0, 1, 0]]}
         code, out, err = main_in_process(config, monkeypatch, capsys)
         assert code == 3 and out == ""
-        assert json.loads(err)["error"]["type"] == "OverflowError"
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "the power 2 of the constant (1e+300+0j) overflows"}
+
+    def test_exit_code_3_names_a_constant_power_folded_past_the_double_range(self, monkeypatch,
+                                                                            capsys):
+        # the power is folded while the config is parsed; was the bare
+        # OverflowError: complex exponentiation
+        g = {"op": "pow", "args": [{"op": "const", "value": [1e155, 0]}], "exp": 3}
+        config = {"task": "solve", "data": {"G": {"f": g}, "H": {"f": VAR}},
+                  "points": [[0.3, 1.1, -0.2]]}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "the power 3 of the constant (1e+155+0j) overflows"}
 
     def test_exit_code_3_on_nan_congruence_coefficient(self, monkeypatch, capsys):
         # the f-side G = 1e155 i squares past the double range, a congruence
@@ -611,6 +626,21 @@ class TestSchemaAndExitCodes:
         assert json.loads(err)["error"] == {
             "type": "RangeOverflowError",
             "message": f"'{op}' overflows at the Q2C chart L value {shown}"}
+
+    def test_exit_code_3_names_a_transition_value_whose_pole_check_overflows(self, monkeypatch,
+                                                                            capsys):
+        # the lanes flag the value, and the scalar transition's pole check
+        # takes abs of a part past the double range; was the bare
+        # OverflowError: absolute value too large
+        config = {"task": "charts", "charts": {"op": "transition", "from": "Gcheck", "to": "L",
+                                               "values": [[0.5, 0, 0, 0],
+                                                          [1.7e308, 1.7e308, -1, 0.5]]}}
+        code, out, err = main_in_process(config, monkeypatch, capsys)
+        assert code == 3 and out == ""
+        assert json.loads(err)["error"] == {
+            "type": "RangeOverflowError",
+            "message": "'transition' overflows from chart Gcheck to chart L at the value "
+                       "Bicomplex((1.7e+308+1.7e+308j), (-1+0.5j))"}
 
     def test_exit_code_3_on_a_lone_nan_companion_coefficient(self, monkeypatch, capsys):
         # G's e-side -1e155 i + q + q^2 at z = 0: the component's one nonzero
