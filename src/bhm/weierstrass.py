@@ -1212,17 +1212,13 @@ class FibreBatch:
 
     G and H are evaluated once each over the parameters' idempotent parts,
     and ``_lane_fibres`` classifies every lane.  The batch is finished when
-    it is built: ``left`` lists the lanes ``_lane_fibres`` leaves to
-    ``fibre_at`` (a pole, an overflow, a singular line system); it runs at
-    each, in lane order, up to the first that raises, and each fibre it
-    returns is written into ``fibres``.  Lanes [0, ``solved``) then hold
-    ``fibre_at``'s fibres; ``error`` is the exception of lane ``solved``, or
-    None when every lane is solved.  The sample, ``contains``, norm and
-    residual formulas are the helpers that ``FibreDescription`` and
-    ``_residual`` run, here on ``CArray``/``BArray`` lanes, so each lane has
-    the scalar bits; ``checks`` runs the scalar check itself where G or H
-    is flagged or the lanes' values are not finite, which is where a scalar
-    ``abs`` or ``float ** 2`` may raise.
+    it is built: ``fibre_at`` runs at each lane left to it (``left``: a
+    pole, an overflow, a singular line system), in lane order, up to the
+    first that raises (``error``, at lane ``solved``; None when every lane
+    is solved), and writes its fibres into ``fibres``.  The sample,
+    ``contains``, norm and residual formulas are the helpers that
+    ``FibreDescription`` and ``_residual`` run, here on ``CArray``/``BArray``
+    lanes, so each lane has the scalar bits.
     """
 
     def __init__(self, data: WeierstrassData, q):
@@ -1249,7 +1245,10 @@ class FibreBatch:
                 fibres.normal[k], fibres.offset[k] = tuple(fibre.normal), fibre.offset
 
     def fibre(self, k):
-        """``fibre_at(data, q.item(k))``, for k < ``solved``."""
+        """``fibre_at(data, q.item(k))``, for k < ``solved``; past it, raises
+        ``error``, which a lane-by-lane run raises first."""
+        if k >= self.solved and self.error is not None:
+            raise self.error
         fibres = self.fibres
         tag = _TAGS[fibres.tag[k]]
         if tag is FibreTag.NON_NULL_LINE:

@@ -976,40 +976,51 @@ def _scalar_check(data, q, z, tol):
 
 
 def _assert_fibre_batch_matches(data, qs, zs, ts, tol=1e-8):
-    """Each lane of a FibreBatch reads as a lane-by-lane run of the scalar
-    path up to the first lane that raises: its fibre by repr, its samples
-    at ts, and its residual and contains test at z; the batch's ``solved``,
-    and the checked lanes and error of ``checks``, end at that lane, with
-    its error.  Returns the lanes left to ``fibre_at`` and those whose check
-    takes the scalar path."""
-    batch = FibreBatch(data, qs)
-    points = batch.samples(ts)
-    residual, on_fibre, n, error = batch.checks(_array(zs), tol)
-    for k, (q, z) in enumerate(zip(qs, zs)):
-        try:
-            fibre = fibre_at(data, q)
-        except Exception as exc:
-            assert (batch.solved, n) == (k, k)
-            assert (type(error), str(error)) == (type(exc), str(exc))
-            assert batch.error is error
-            break
-        assert repr(batch.fibre(k)) == repr(fibre)
-        samples = [repr(p) for p in fibre.sample_points(ts)]
-        assert [repr(CVec3(*p)) for p in points[k, :len(samples)].tolist()] == samples
-        try:
-            want = _scalar_check(data, q, z, tol)
-        except OverflowError:
-            assert n == k < batch.solved
-            assert (type(error), str(error)) == (
-                RangeOverflowError, f"the residual or the fibre test overflows at the sample "
-                                    f"q = {q!r}, z = {z!r}")
-            break
-        assert (float(residual[k]).hex(), bool(on_fibre[k])) == want
-    else:
-        assert (batch.solved, n, error) == (len(qs), len(qs), None)
-    with np.errstate(all="ignore"):
-        ok = batch._check_lanes(bhm.weierstrass._lanes(_array(zs)), tol)[2]
-    return batch.left, np.flatnonzero(~ok[:batch.solved]).tolist()
+    """Each lane reads as a lane-by-lane run of the scalar path: its fibre
+    by repr, its samples at ts, and its residual and contains test at z.
+    A FibreBatch's ``solved``, or the checked lanes of its ``checks``, end
+    at the first lane that raises, with that lane's error; a new batch over
+    the lanes after it goes on, so that every lane is compared.  Returns
+    the lanes left to ``fibre_at`` and those whose check takes the scalar
+    path, over all the batches."""
+    left, scalar = [], []
+    start = 0
+    while start < len(qs):
+        batch = FibreBatch(data, qs[start:])
+        points = batch.samples(ts)
+        residual, on_fibre, n, error = batch.checks(_array(zs[start:]), tol)
+        end = len(qs) - start  # the lanes of this batch that are compared
+        for k, (q, z) in enumerate(zip(qs[start:], zs[start:])):
+            try:
+                fibre = fibre_at(data, q)
+            except Exception as exc:
+                assert (batch.solved, n) == (k, k)
+                assert (type(error), str(error)) == (type(exc), str(exc))
+                assert batch.error is error
+                assert _outcome(lambda: batch.fibre(k)) == (type(exc).__name__, str(exc))
+                end = k + 1
+                break
+            assert repr(batch.fibre(k)) == repr(fibre)
+            samples = [repr(p) for p in fibre.sample_points(ts)]
+            assert [repr(CVec3(*p)) for p in points[k, :len(samples)].tolist()] == samples
+            try:
+                want = _scalar_check(data, q, z, tol)
+            except OverflowError:
+                assert n == k < batch.solved
+                assert (type(error), str(error)) == (
+                    RangeOverflowError, f"the residual or the fibre test overflows at the "
+                                        f"sample q = {q!r}, z = {z!r}")
+                end = k + 1
+                break
+            assert (float(residual[k]).hex(), bool(on_fibre[k])) == want
+        else:
+            assert (batch.solved, n, error) == (end, end, None)
+        with np.errstate(all="ignore"):
+            ok = batch._check_lanes(bhm.weierstrass._lanes(_array(zs[start:])), tol)[2]
+        left += [start + k for k in batch.left if k < end]
+        scalar += [start + k for k in np.flatnonzero(~ok[:min(end, batch.solved)]).tolist()]
+        start += end
+    return left, scalar
 
 
 def _array(points):
@@ -1109,12 +1120,13 @@ class TestFibreBatch:
         # G = 1/q: a pole at q = 0, which fibre_at raises; at q = 1e300 the
         # fibre is finite and sampled here, but |z|^2 overflows at
         # z = (1e200, 0, 0), where the scalar contains raises.  With the
-        # pole, the batch ends at its lane; without it, at the overflow
+        # pole, the batch ends at its lane, and the batch after it at the
+        # overflow; without it, the first batch ends at the overflow
         data = WeierstrassData(HoloFn(Const(1.0) / Q, Const(1.0) / Q), HoloFn(Q, Q))
         qs = [Bicomplex(0.5, 0.25j), Bicomplex(0.0, 0.0), Bicomplex(1e300, 0.0)]
         zs = [CVec3(1, 0, 0), CVec3(1, 0, 0), CVec3(1e200, 0, 0)]
         with np.errstate(all="ignore"):
-            assert _assert_fibre_batch_matches(data, qs, zs, [0.5]) == ([1], [])
+            assert _assert_fibre_batch_matches(data, qs, zs, [0.5]) == ([1], [2])
             assert _assert_fibre_batch_matches(data, qs[::2], zs[::2], [0.5]) == ([], [1])
             assert FibreBatch(data, qs[::2]).checks(_array(zs[::2]), 1e-8)[2] == 1
         assert _outcome(lambda: fibre_at(data, qs[1]))[0] == "PoleEncounteredError"
@@ -1136,12 +1148,15 @@ class TestFibreBatch:
         ([0.0, 0.5], None, [0]),
         # a middle lane raises, after a lane forced onto fibre_at
         ([1.0, 0.0, 0.5], 0, [0, 1]),
+        # a lane left to fibre_at past the first error is not solved
+        ([0.0, 0.5, 0.0], None, [0, 2]),
     ])
     def test_a_batch_solves_its_lanes_up_to_the_first_error(self, xs, forced, left,
                                                            monkeypatch):
         # a FibreBatch is finished when it is built: the lanes left to
         # fibre_at, how many are solved and the error of the next are those
-        # of a lane-by-lane run, and every solved lane reads its fibre
+        # of a lane-by-lane run; every solved lane reads its fibre, and a
+        # lane past them raises that error
         if forced is not None:
             lane_fibres = bhm.weierstrass._lane_fibres
 
@@ -1161,6 +1176,8 @@ class TestFibreBatch:
         assert batch.left == left
         assert batch.solved == solved
         assert [repr(batch.fibre(k)) for k in range(solved)] == want[:solved]
+        assert [_outcome(lambda: batch.fibre(k)) for k in range(solved, len(qs))] == \
+            want[solved:solved + 1] * (len(qs) - solved)
         assert (batch.error is None) == (not raised)
         if raised:
             assert (type(batch.error).__name__, str(batch.error)) == want[solved]
@@ -1182,7 +1199,7 @@ class TestFibreBatch:
         qs, zs = zip(*(bhm.cli._parse_sample(s) for s in config["samples"]))
         with np.errstate(all="ignore"):
             assert _assert_fibre_batch_matches(data, qs, zs, [0.5]) == \
-                (([1], []) if swap else ([2], [1]))
+                (([1], [2]) if swap else ([2], [1]))
             batch = FibreBatch(data, list(qs))
             _, _, n, error = batch.checks(_array(zs), 1e-8)
             want = _outcome(lambda: _point_by_point(config))
