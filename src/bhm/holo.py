@@ -211,13 +211,12 @@ class Div(_Binary):
 
     def diff(self, var=VAR):
         # (u/v)' = (u'v - uv')/v^2
-        num = _sub(_mul(self.a.diff(var), self.b), _mul(self.a, self.b.diff(var)))
+        du = self.a.diff(var)
         try:
             square = _pow(self.b, 2)
         except OverflowError:  # a constant v whose square is folded past the double range
-            raise RangeOverflowError(f"the square of the divisor {self.b.value!r} "
-                                     f"overflows in the derivative of a quotient") from None
-        return _div(num, square)
+            return _div(du, self.b)  # (u/v)' = u'/v
+        return _div(_sub(_mul(du, self.b), _mul(self.a, self.b.diff(var))), square)
 
     def subs(self, mapping):
         return _div(self.a.subs(mapping), self.b.subs(mapping))

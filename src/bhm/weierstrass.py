@@ -717,11 +717,11 @@ def _side_roots(re, im):
 def _paired(rep_e, rep_f, count_e, count_f, ok):
     """``_canonical_roots``' pairs at every lane, from the roots of each
     side (``_side_roots``' representatives and counts) and the lanes both
-    sides solved (ok): (q1, q2, counts, ok, order, me, mf).  q1 and q2 are
+    sides solved (ok): (q1, q2, counts, ok, order, mf).  q1 and q2 are
     the pairs' z1 and z2 parts, each row's first count_e * count_f in
     canonical order; ok is narrowed to lanes whose sort keys are finite;
     counts is the pairs of an ok lane, else 0; and row i of ``order`` gives
-    each sorted pair of e-side root a < me and f-side root b < mf as
+    each sorted pair of e-side root a and f-side root b < mf as
     a * mf + b."""
     n = len(ok)
     me = max(int(count_e[ok].max(initial=0)), 1)
@@ -751,7 +751,7 @@ def _paired(rep_e, rep_f, count_e, count_f, ok):
     # each row's pairs gathered in that order from the flattened lanes
     at = order + (me * mf) * np.arange(n)[:, None]
     q1, q2 = (flat(z.complex()).reshape(-1)[at] for z in (z1, z2))
-    return q1, q2, np.where(ok, count_e * count_f, 0), ok, order, me, mf
+    return q1, q2, np.where(ok, count_e * count_f, 0), ok, order, mf
 
 
 def _degrees(data: WeierstrassData):
@@ -812,14 +812,18 @@ class RootBatch:
     read; ``report`` and ``gauss`` give, as arrays too, the values a
     solution's report reads (|Laplacian| and |nullness|, and the Gauss
     map), and ``solution(k)`` builds one root lane's CongruenceSolution.
-    The roots' fibres come from a ``FibreBatch`` over them.
+    The roots' fibres come from a ``FibreBatch`` over them.  A point's
+    roots are kept once, on its root lanes (``implicit.q``):
+    ``padded_roots`` builds its arrays from them.
 
     The points are CVec3s, or their coordinates as CArray lanes of shape
     (n, 3), as the stencil checks build them: a CVec3 is then made only for
     a point left to the scalar path (``point``).  ``stencil``, more points
     given either way, shares the root pass and nothing else:
     ``stencil_roots`` hands over their roots, and every other read reads
-    the points alone.
+    the points alone.  The batch keeps no array of the pass: the root
+    lanes are gathered from it, and the rest is dropped once the
+    derivative step has run.
     """
 
     def __init__(self, data: WeierstrassData, points, stencil=None):
@@ -828,8 +832,7 @@ class RootBatch:
         # a lane that overflows is left to the scalar path: no numpy warning
         # of the array pass, or of the scalar path, reaches the caller
         with np.errstate(all="ignore"):
-            self._solve(data, self._z, stencil)
-            self.implicit, scalar = self._implicit_lanes()
+            self.implicit, scalar = self._implicit_lanes(*self._solve(data, self._z, stencil))
             self.left = list(compress(range(len(scalar)), scalar))
             solved, self.error = _until_error(lambda i: solve_phi(data, self.point(i)),
                                               self.left)
@@ -842,6 +845,12 @@ class RootBatch:
         return CVec3(*(complex(u.re[i], u.im[i]) for u in self._z))
 
     def _solve(self, data, lanes, stencil):
+        """The root pass over the points, and ``stencil``'s after them:
+        (every root of the points as one lane, point by point in canonical
+        order: (point index, q, e-side root s, multiplicity ms, f-side root
+        w, multiplicity mw); the points' e-side and f-side coefficient rows
+        and trimmed degrees, (re, im, degree); and per point whether the
+        array pass found its roots).  Sets ``_span`` and ``_stencil``."""
         n = len(lanes.u1.re)
         if stencil is not None:
             # the stencil points' lanes after the points': one root pass and
@@ -855,21 +864,21 @@ class RootBatch:
         re, im = _stack((fe, ff), total)
         ok, rep, mult, count, deg = _side_roots(re, im)
         e, f = slice(0, total), slice(total, 2 * total)
-        q1, q2, counts, ok, order, me, mf = _paired(rep[e], rep[f], count[e], count[f],
-                                                    ok[e] & ok[f])
-        # the points' rows, copied: a view would keep the stencil points'
-        # rows alive as long as the batch
-        e, f = slice(0, n), slice(total, total + n)
-        self._fe = re[e, :len(fe)].copy(), im[e, :len(fe)].copy(), deg[e].copy()
-        self._ff = re[f, :len(ff)].copy(), im[f, :len(ff)].copy(), deg[f].copy()
-        self._q1, self._q2, self._counts, self._order = (a[:n].copy()
-                                                         for a in (q1, q2, counts, order))
-        self._ok = ok[:n].tolist()
-        self._npairs = (count[e] * count[f]).tolist()
-        self._mf = mf
-        self._side_e = CArray(rep.re[e, :me].copy(), rep.im[e, :me].copy()), mult[e].copy()
-        self._side_f = CArray(rep.re[f, :mf].copy(), rep.im[f, :mf].copy()), mult[f].copy()
+        q1, q2, counts, ok, order, mf = _paired(rep[e], rep[f], count[e], count[f], ok[e] & ok[f])
         self._stencil = None if stencil is None else (q1[n:], q2[n:], counts[n:])
+        point, slot = np.nonzero(np.arange(order.shape[1]) < counts[:n, None])
+        # not np.cumsum: under numpy 2.4 its calls leave small blocks
+        # allocated after they return, and one left per block pins that
+        # block's allocator arena until the run ends
+        self._span = [0, *accumulate(np.bincount(point, minlength=n).tolist())]
+        a, b = np.divmod(order[point, slot], mf)
+        z1, z2 = q1[point, slot], q2[point, slot]
+        q = BArray(CArray(z1.real.copy(), z1.imag.copy()), CArray(z2.real.copy(), z2.imag.copy()))
+        e, f = slice(0, n), slice(total, total + n)
+        return ((point, q, rep[e][point, a], mult[e][point, a], rep[f][point, b],
+                 mult[f][point, b]),
+                (re[e, :len(fe)], im[e, :len(fe)], deg[e]),
+                (re[f, :len(ff)], im[f, :len(ff)], deg[f]), ok[:n])
 
     def stencil_roots(self):
         """The stencil points' roots as ``padded_roots`` gives a batch's:
@@ -881,10 +890,16 @@ class RootBatch:
 
     def padded_roots(self):
         """Every point's roots as arrays: (z1, z2, counts), the z1 and z2
-        parts of shape (points, width), row i's first counts[i] entries
-        ``solve_roots(data, points[i])`` bit for bit for i < ``solved`` and
-        wherever the array pass found the roots; any other point counts 0."""
-        return self._q1, self._q2, self._counts
+        parts of shape (points, the widest point's root count), row i's
+        first counts[i] entries ``solve_roots(data, points[i])`` bit for bit
+        for i < ``solved`` and wherever the array pass found the roots; any
+        other point counts 0.  Built on each call from the root lanes."""
+        counts = np.diff(self._span)
+        rows = np.arange(counts.max(initial=0)) < counts[:, None]
+        z1, z2 = np.zeros(rows.shape, dtype=complex), np.zeros(rows.shape, dtype=complex)
+        z1[rows] = self.implicit.q.z1.complex()
+        z2[rows] = self.implicit.q.z2.complex()
+        return z1, z2, counts
 
     def lanes(self, i):
         """The root lanes of point i < ``solved``, a range over ``implicit``'s
@@ -894,7 +909,8 @@ class RootBatch:
     def _merge(self, solved):
         """Put the solutions of each point in ``solved`` (point -> its
         ``solve_phi`` list) on root lanes of its own, in place of any it
-        had."""
+        had: ``implicit`` and ``_span`` are replaced, and the point's roots
+        are read from its new lanes."""
         implicit, span = self.implicit, self._span
         # each point's lanes in the joined arrays: a merged point's follow
         # the old lanes, in point order
@@ -905,14 +921,6 @@ class RootBatch:
         self.implicit = _Implicit(
             *_joined(implicit, lanes, np.fromiter(chain.from_iterable(pieces), np.intp)))
         self._span = [0, *accumulate(map(len, pieces))]
-        # the padded roots, wide enough for every merged point's
-        width = max(map(len, solved.values())) - self._q1.shape[1]
-        if width > 0:
-            self._q1, self._q2 = (np.pad(a, ((0, 0), (0, width))) for a in (self._q1, self._q2))
-        for i, sols in solved.items():
-            self._q1[i, :len(sols)] = [sol.q.z1 for sol in sols]
-            self._q2[i, :len(sols)] = [sol.q.z2 for sol in sols]
-            self._counts[i] = len(sols)
 
     def solution(self, k):
         """The CongruenceSolution of root lane k, one of ``lanes(i)``."""
@@ -928,42 +936,13 @@ class RootBatch:
             sol.partially_degenerate = True
         return sol
 
-    # -- the root lanes -----------------------------------------------------
-
-    @cached_property
-    def _roots(self):
-        """Every root of the array pass as one lane, point by point in
-        canonical order: (point index, q, e-side root s, multiplicity ms,
-        f-side root w, multiplicity mw)."""
-        width = self._order.shape[1]
-        batched = (np.array(self._ok, dtype=bool)[:, None]
-                   & (np.arange(width) < np.array(self._npairs)[:, None]))
-        point, slot = np.nonzero(batched)
-        a, b = np.divmod(self._order[point, slot], self._mf)
-        (rep_e, mult_e), (rep_f, mult_f) = self._side_e, self._side_f
-        q1 = self._q1[point, slot]
-        q2 = self._q2[point, slot]
-        q = BArray(CArray(q1.real.copy(), q1.imag.copy()), CArray(q2.real.copy(), q2.imag.copy()))
-        return (point, q, rep_e[point, a], mult_e[point, a],
-                rep_f[point, b], mult_f[point, b])
-
-    @cached_property
-    def _span(self):
-        """Root lanes [span[i], span[i + 1]) are those of point i of the
-        array pass (``_merge`` replaces them)."""
-        counts = np.bincount(self._roots[0], minlength=len(self._ok))
-        # not np.cumsum: under numpy 2.4 its calls leave small blocks
-        # allocated after they return, and one left per block pins that
-        # block's allocator arena until the run ends
-        return [0, *accumulate(counts.tolist())]
-
-    def _implicit_lanes(self):
-        """``solve_phi``'s derivative step over the root lanes: (the
-        ``_Implicit`` lanes, and per point whether it is left to
-        ``solve_phi``)."""
-        point, q, s, ms, w, mw = self._roots
+    def _implicit_lanes(self, roots, fe, ff, ok):
+        """``solve_phi``'s derivative step over the root lanes, from
+        ``_solve``'s results: (the ``_Implicit`` lanes, and per point
+        whether it is left to ``solve_phi``)."""
+        point, q, s, ms, w, mw = roots
         if not len(point):  # no root lane, and maybe constant components
-            return _solution_lanes([]), [not ok for ok in self._ok]
+            return _solution_lanes([]), (~ok).tolist()
         data = self.data
 
         def side(coeffs, root):
@@ -975,8 +954,8 @@ class RootBatch:
                                      for k in range(dre.shape[1])], root)
             return value, derivative, _coeff_scale_lanes(dre, dim, d, root)
 
-        ve, de, cs_e = side(self._fe, s)
-        vf, df, cs_f = side(self._ff, w)
+        ve, de, cs_e = side(fe, s)
+        vf, df, cs_f = side(ff, w)
         residual = abs(BArray.from_ringleb(ve, vf))
         dscale = GRAD_TOL * np.maximum(np.maximum(1.0, cs_e), cs_f)
         a_de, a_df = abs(de), abs(df)
@@ -1008,8 +987,7 @@ class RootBatch:
             with np.errstate(all="ignore"):
                 return _laplacian(g, dg, d2g, d2h, _Lanes(*(u[point] for u in z)), grad, fq_inv)
 
-        left = ((np.bincount(point[scalar], minlength=len(self._ok)) > 0)
-                | ~np.array(self._ok, dtype=bool))
+        left = (np.bincount(point[scalar], minlength=len(ok)) > 0) | ~ok
         return _Implicit(
             q=q,
             residual=residual,

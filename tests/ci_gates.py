@@ -31,6 +31,10 @@ gate's bound:
   the 107.2 MB it read when the gate was added (104.6 MB, with the same
   sha256, before blocks were written from their distinct values and the
   one-lane passes took 1 024 values a block).
+- the G = q^48 ``verify`` point recorded in BENCH_10.json, whose one block
+  holds thousands of root lanes (its anchor has 9 216 roots, and each of
+  its 24 stencil points at most as many), within 10 % of the 93.5 MB it
+  read when the gate was added.  It takes about 40 s.
 
 Run from the repository root, with ``bhm`` importable (installed, or
 ``PYTHONPATH=src``):
@@ -58,6 +62,10 @@ sys.path.insert(0, "perfbench")
 def _grid():
     config = json.load(open("BENCH_10.json"))["memory_check_25000_point_slice"]["config"]
     return json.dumps(config)
+
+
+def _q48_point():
+    return json.dumps(json.load(open("BENCH_10.json"))["g_q48_verify_point"]["config"])
 
 
 def _root_cap_solve():
@@ -142,6 +150,8 @@ GATES = {
         [], "558e32110101ec8b87e2c04698b5bfd47482299a2b7a724b74f18b696f59ef0a", 82.8 * 1.1),
     "100 000-parameter degenerate-plane fibres": (
         [], "8568bb9dd109c1589b7b3cacf4eba9de24f19348d15f8d0eb6f19e8ecec0ddfc", 107.2 * 1.1),
+    "G = q^48 verify point": (
+        [], "ca3288ad98935fcbc588f24dff81bc3189e7b021ebfefcf66d98bf0fc8ba24dc", 93.5 * 1.1),
 }
 
 
@@ -153,7 +163,8 @@ def stdins():
             "8 000-point slice grid, no root in the slice": _outside_grid(),
             "100 000-value fibres": fibres, "100 000-value verify --samples": samples,
             "100 000-value charts G->L": charts,
-            "100 000-parameter degenerate-plane fibres": _degenerate_fibres()}
+            "100 000-parameter degenerate-plane fibres": _degenerate_fibres(),
+            "G = q^48 verify point": _q48_point()}
 
 
 def run_child(path, args):

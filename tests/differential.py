@@ -16,6 +16,7 @@ The configs come from a seeded generator over every task and format
 (``configs``), and the edge cases below (``EDGE_CASES``): signed zeros,
 subnormals, 1e155, 1e300 and 1.7e308, ties, raising lanes and anchors,
 sample checks and fibres that raise in either order,
+a quotient by a constant whose square passes the double range,
 roots dropped from a slice, anchors with no root in the slice, and
 CN(G) = -1, where CN(xi) = 0.
 
@@ -199,6 +200,7 @@ _H = 1e-3  # the stencil step at |z| <= 1
 _JUMP = {"G": {"f": _VAR}, "H": {"f": {"op": "mul", "args": [_const([-_H, 0]), _VAR]}}}
 _RADIAL = {"G": {"f": _VAR}, "H": {"f": _const([0, 0])}}
 _SQUARE = {"G": {"f": _VAR}, "H": {"f": {"op": "mul", "args": [_VAR, _VAR]}}}
+_HUGE_DIVISOR = {"G": {"f": _VAR}, "H": {"f": {"op": "div", "args": [_VAR, _const([1e155, 0])]}}}
 # G = q, H = c q: at x = (1, 0, 0) the anchor root is q = 0, and the four
 # roots of a stencil point on a z2 line lie at distance exactly 1 from it
 _TIE = {"G": {"f": _VAR},
@@ -262,6 +264,9 @@ EDGE_CASES = [
      "points": [[0.3, 1.1, -0.2]]},
     {"task": "charts", "charts": {"op": "transition", "from": "Gcheck", "to": "L",
                                   "values": [[1.7e308, 1.7e308, -1, 0.5]]}},
+    # a quotient by a constant whose folded square passes the double range
+    {"task": "solve", "data": _HUGE_DIVISOR, "points": [[0.3, 1.1, -0.2]]},
+    {"task": "fibres", "data": _HUGE_DIVISOR, "params": [[0.5, 0.1, 0, 0]], "samples": 1},
     # chart values at zero and on the unit scale, and a point off the quadric
     {"task": "charts", "charts": {"op": "to_point", "space": "S2C", "chart": "G",
                                   "values": [[0, 0, 0, 0], [1, 0, 0, 1], [0.5, 0.5, 0.5, 0.5]]}},

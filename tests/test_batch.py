@@ -15,6 +15,7 @@ import json
 import math
 import random
 import sys
+import tracemalloc
 from collections import Counter
 from unittest import mock
 
@@ -369,7 +370,9 @@ def _assert_points_match(data, points):
     for start, batch in _rebatched(data, points):
         for i, z in enumerate(points[start:start + batch.solved + 1]):
             assert _batch_outcome(batch, i) == _solution_outcome(lambda: solve_phi(data, z))
-            if i < batch.solved or batch._ok[i]:
+            # a point left to solve_phi past ``solved`` keeps its roots
+            # only where the array pass found them, and then it has some
+            if i < batch.solved or batch.padded_roots()[2][i]:
                 assert _padded_outcome(batch, i) == _roots_outcome(lambda: solve_roots(data, z))
 
 
@@ -406,7 +409,7 @@ class TestRootBatch:
         for i, z in enumerate(points):
             fe, ff, pairs = _canonical_roots(data, z)
             degrees.add((sum(m for _, m in _poly_roots(fe)), sum(m for _, m in _poly_roots(ff))))
-            assert batch._ok[i]
+        assert batch.left == []
         _assert_points_match(data, points)
         assert len(degrees) >= 3
 
@@ -415,7 +418,9 @@ class TestRootBatch:
         # vanishes identically at the first point, the f-side at the second
         data = WeierstrassData(HoloFn(Const(0)), HoloFn(Const(0)))
         points = [CVec3(1, 1, 1j), CVec3(0.5, 2j, 2)]
-        assert RootBatch(data, points)._ok == [False, False]
+        batch = RootBatch(data, points)
+        # neither point has a root lane: the array pass found no roots
+        assert batch.left == [0, 1] and batch.padded_roots()[2].tolist() == [0, 0]
         raised = []
         for start, batch in _rebatched(data, points):
             z = points[start]
@@ -436,8 +441,8 @@ class TestRootBatch:
         # errors in this suite), those of the scalar path it leaves the
         # lane to as well; that path called alone warns as it always did
         batch = RootBatch(data, points)
-        assert batch._ok == [False, True]
         assert (batch.left, batch.solved) == ([0], 0)
+        assert batch.padded_roots()[2][0] == 0
         with np.errstate(all="ignore"):
             _assert_points_match(data, points)
 
@@ -502,7 +507,7 @@ class TestCongruenceOracle:
                 pairs = [(q, ms * mw) for q, _, ms, _, mw in _canonical_roots(data, zc)[2]]
             else:
                 batch = RootBatch(data, [zc])
-                assert batch._ok[0] and batch.solved == 1
+                assert batch.left == [] and batch.solved == 1
                 pairs = [(sol.q, sol.multiplicity) for sol in _solved(batch, 0)]
                 assert [(_bits(q.z1), _bits(q.z2)) for q, _ in pairs] == _padded_outcome(batch, 0)
             fe, ff, _ = _canonical_roots(data, zc)
@@ -1696,7 +1701,7 @@ def test_each_tree_is_evaluated_once_per_block(monkeypatch):
 
 def test_batches_leave_no_blocks_allocated():
     # a small block left allocated by each batch pins one allocator arena
-    # per block of a long run: np.cumsum in RootBatch._span did so under
+    # per block of a long run: np.cumsum in RootBatch._solve did so under
     # numpy 2.4 and raised the 25 000-point slice grid's peak RSS by 5-10 MB
     data = WeierstrassData(HoloFn(Var()), HoloFn(Const(0.0)))
     points = [CVec3(0.3 + 0.01 * k, 0.5, 0.7) for k in range(16)]
@@ -1714,6 +1719,43 @@ def test_batches_leave_no_blocks_allocated():
         solve_block()
     gc.collect()
     assert sys.getallocatedblocks() - before < 10
+
+
+def test_a_batch_holds_no_more_than_its_anchors_once_its_stencil_roots_are_dropped():
+    # a batch solved with its stencil points holds only its anchors' root
+    # lanes, gathered from the root pass: once the stencil roots are handed
+    # over and dropped, no view of the pass's arrays keeps them alive
+    q = Var()
+    data = WeierstrassData(HoloFn(q ** 3 + q), HoloFn(q ** 2))
+    rng = random.Random(7)
+    anchors = [CVec3(*(complex(rng.uniform(-1, 1), rng.uniform(-1, 1)) for _ in range(3)))
+               for _ in range(40)]
+    stencil = [p for z in anchors for p in fd_stencil(z)[1]]
+
+    def alone():
+        return RootBatch(data, anchors)
+
+    def fused():
+        batch = RootBatch(data, anchors, stencil=stencil)
+        batch.stencil_roots()
+        return batch
+
+    def held(build):
+        gc.collect()
+        tracemalloc.start()
+        try:
+            batch = build()
+            gc.collect()
+            return tracemalloc.get_traced_memory()[0], batch
+        finally:
+            tracemalloc.stop()
+
+    with np.errstate(all="ignore"):
+        for build in (alone, fused):  # the caches of data's derivatives, filled once
+            build()
+        (base, a), (total, b) = held(alone), held(fused)
+    assert a.left == b.left == [] and a.solved == b.solved == len(anchors)
+    assert total <= 1.02 * base
 
 
 # CArray's operators, each a few numpy calls on a block's small arrays
@@ -2165,8 +2207,8 @@ def _leave_to_the_scalar_path(monkeypatch, z1):
     as a batch does where a point's derivative step overflows."""
     implicit_lanes = RootBatch._implicit_lanes
 
-    def leave(batch):
-        implicit, scalar = implicit_lanes(batch)
+    def leave(batch, *results):
+        implicit, scalar = implicit_lanes(batch, *results)
         return implicit, [s or u == z1 for s, u in zip(scalar, batch._z.u1.re.tolist())]
 
     monkeypatch.setattr(RootBatch, "_implicit_lanes", leave)
@@ -2430,7 +2472,7 @@ def test_one_root_pass_reads_as_separate_batches(config, z1, size, monkeypatch):
         data, points, stencil = batch.args
         with np.errstate(all="ignore"):
             alone = RootBatch(data, points)
-            n = len(alone._ok)
+            n = len(alone.padded_roots()[2])
             assert batch.left == alone.left
             assert batch.solved == alone.solved == n and batch.error is alone.error is None
             assert len(batch.handed) == 1 and batch.stencil_roots() is None

@@ -482,8 +482,10 @@ class TestStencilLanes:
         x = self.SCALAR_LANE
         data = slice_data(SliceKind.EUCLIDEAN, holofn_from_json(G), holofn_from_json(H))
         stencil = [embed_domain(SliceKind.EUCLIDEAN, p) for p in wave_stencil(x)[2]]
-        # the batch leaves the lane to the scalar path, which raises
-        assert not RootBatch(data, stencil)._ok[0]
+        # the batch leaves the lane to the scalar path, which raises: the
+        # array pass found no roots there
+        batch = RootBatch(data, stencil)
+        assert batch.solved == 0 and batch.padded_roots()[2][0] == 0
         with pytest.raises(DegenerateAllComponentsError):
             solve_roots(data, stencil[0])
         got, want = _slice_rows(SliceKind.EUCLIDEAN, G, H, x)
@@ -493,7 +495,8 @@ class TestStencilLanes:
         G, H = self._scalar_lane_data()
         z = CVec3(*self.SCALAR_LANE)
         data = WeierstrassData(holofn_from_json(G), holofn_from_json(H))
-        assert not RootBatch(data, fd_stencil(z)[1])._ok[0]
+        batch = RootBatch(data, fd_stencil(z)[1])
+        assert batch.solved == 0 and batch.padded_roots()[2][0] == 0
         got, want = _verify_fd(G, H, z)
         assert got == want
         assert want[0] == "DegenerateAllComponentsError"
