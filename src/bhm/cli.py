@@ -14,9 +14,10 @@ the lane each field reads.  A block's float fields are one (lanes, k) array,
 ``%`` template of its combination of flags, which gives the bytes of
 ``json.dumps(report, sort_keys=True, separators=(",", ":"),
 allow_nan=False)``.  Where a block repeats its values, its rows hold their
-text, one ``float.__repr__`` per distinct value (``_block_rows``).  CSV rows
-come from the same declarations through the C ``csv.writer``.  ``main``
-holds the pieces written and writes them out once the run succeeds.
+text, one ``float.__repr__`` per distinct value (``_block_rows``).  A CSV
+row fills its own ``%`` template, from the same declarations, with the bytes
+of the C ``csv.writer``.  ``main`` holds the pieces written and writes them
+out once the run succeeds.
 
     bhm --task solve --input scene.json --output - --format json
 """
@@ -24,7 +25,6 @@ holds the pieces written and writes them out once the run succeeds.
 from __future__ import annotations
 
 import argparse
-import csv
 import io
 import json
 import math
@@ -263,14 +263,15 @@ class _Row:
     template holds (null, true, false, [], a tag, a class).  ``csv`` gives
     the CSV columns as (headers, key) pairs, each read as the JSON object
     reads its key, unless ``csv_layout(*variant)`` maps the key to another
-    field or to literals; a flag is written 0 or 1 and null as an empty
-    field.
+    field or to literals; a flag is written 0 or 1, null as an empty field
+    and a tag or class as it is (none holds a comma, a quote or a line
+    break, which csv.writer would quote).
 
     ``json(variant)`` is the variant's ``%`` template, in sorted-key order,
     and the getter of the values it reads; ``csv_plan(variant)`` is the
-    getter of a CSV row and the literals it reads after a row's values.
-    Each is built on first use: the bytes are ``json.dumps``' with
-    ``sort_keys=True, separators=(",", ":")``, and csv.writer's."""
+    same for a CSV line.  Each is built on first use: the bytes are
+    ``json.dumps``' with ``sort_keys=True, separators=(",", ":")``, and
+    csv.writer's."""
 
     def __init__(self, fields, layout, csv=(), csv_layout=None):
         self.fields = fields
@@ -337,31 +338,33 @@ class _Row:
         layout = self.layout(*variant)
         if self.csv_layout is not None:
             layout.update(self.csv_layout(*variant))
+        fields = []
         columns = []
-        literals = []
         for names, key in self.csv:
             spec = layout.get(key, True)
             if key in self.spans and (spec is True or isinstance(spec, str)):
                 # a number field: its own values, or those of the field named
                 start = self.spans[key if spec is True else spec].start
                 columns += range(start, start + len(names))
+                fields += ["%s"] * len(names)
                 continue
             if not isinstance(spec, list):
                 spec = [spec] * len(names)
-            columns += range(self.width + len(literals), self.width + len(literals) + len(names))
-            literals += [int(v) if isinstance(v, bool) else v for v in spec]
-        return _getter(columns), tuple(literals)
+            for v in spec:
+                # a fixed field as csv.writer writes it: null empty, a flag 0 or 1
+                text = "" if v is None else str(int(v) if isinstance(v, bool) else v)
+                fields.append(text.replace("%", "%%"))
+        return ",".join(fields) + "\n", _getter(columns)
 
     def text(self, row, variant):
         """A row's JSON text."""
         template, get = self.json(variant)
         return template % get(row)
 
-    def csv_row(self, row, variant):
-        """A row's CSV fields, from its ``width`` values."""
-        get, literals = self.csv_plan(variant)
-        row += literals
-        return get(row)
+    def csv_line(self, row, variant):
+        """A row's CSV line."""
+        template, get = self.csv_plan(variant)
+        return template % get(row)
 
 
 # a block is written from its distinct values where a sample of at least
@@ -521,18 +524,15 @@ def _point(z):
 # the report
 
 
-# a non-finite float's repr as a JSON value: no key, tag, class or error
-# name reads that way
-_NON_FINITE_JSON = re.compile(r"(?<=[\[,:])-?(?:inf|nan)(?=[,\]}])")
-# a whole CSV field that is a non-finite float's repr: no tag, class or
-# number field reads that way
-_NON_FINITE_FIELD = re.compile(r"(?<![^,\n])(?:-?inf|nan)(?![^,\n])")
+# a non-finite float's repr as a whole JSON value or CSV field: no key,
+# tag, class or error name reads that way
+_NON_FINITE = re.compile(r"(?<![^\[,:\n])-?(?:inf|nan)(?![^,\]}\n])")
 
 
 class _Report:
     """A task's report, written to ``out`` block by block as the task makes
     it: JSON, ``{"results": [...], ...}`` with the results as each row
-    kind's text, or CSV rows by the C ``csv.writer``.
+    kind's text, or CSV, a header and each row kind's lines.
 
     Each block's text is searched for a non-finite value, which the report
     refuses: the first one is raised (ValueError) by ``close``, after the
@@ -543,34 +543,24 @@ class _Report:
         self.out = out
         self.csv = fmt == "csv"
         self.bad = None
+        # a CSV line ends in its newline; JSON results are joined by commas
+        self._join = "" if self.csv else ","
         self._separator = ""
-        if self.csv:
-            self._buffer = io.StringIO()
-            self._writer = csv.writer(self._buffer, lineterminator="\n")
 
     def begin(self, header=()):
         """Start the report: the CSV header, or the JSON results list."""
-        if self.csv:
-            self.extend([header])
-        else:
-            self.out.write('{"results":[')
+        self.out.write(",".join(header) + "\n" if self.csv else '{"results":[')
 
     def extend(self, items, finite=False):
-        """Write result items: JSON texts, or CSV rows; ``finite``: their
+        """Write result items, JSON texts or CSV lines; ``finite``: their
         values are known to be finite, and the text is not searched."""
-        if self.csv:
-            self._writer.writerows(items)
-            text = self._buffer.getvalue()
-            self._buffer.seek(0)
-            self._buffer.truncate()
-        elif items:
-            text = self._separator + ",".join(items)
-            self._separator = ","
-        else:
+        if not items:
             return
+        text = self._separator + self._join.join(items)
+        self._separator = self._join
         # a plain substring search first: the pattern is the slower scan
         if not finite and self.bad is None and ("inf" in text or "nan" in text):
-            bad = (_NON_FINITE_FIELD if self.csv else _NON_FINITE_JSON).search(text)
+            bad = _NON_FINITE.search(text)
             self.bad = bad and (f"non-finite value {bad.group()} in the "
                                 f"{'CSV' if self.csv else 'JSON'} report")
         self.out.write(text)
@@ -589,7 +579,7 @@ class _Report:
     def writer(self, row):
         """Row kind ``row``'s writer in this report's format: ``(values,
         variant) -> item``."""
-        return row.csv_row if self.csv else row.text
+        return row.csv_line if self.csv else row.text
 
 
 # ---------------------------------------------------------------------------
@@ -813,15 +803,13 @@ def _task_slice(config, tol, seed, report):
                 row += x
                 row.append(branch)
                 outcome = None
-                residuals = (None, None)
                 if check is not None:
                     try:
                         hr, nr = check()
-                        residuals = (_f(hr), _f(nr))
+                        row += (_f(hr), _f(nr))
                         outcome = True
                     except BhmError as exc:
                         outcome = type(exc).__name__
-                row += residuals
                 items.append(write(row, (*flags[k], outcome)))
         report.extend(items)
     report.end(slice=kind.value, task="slice")
@@ -981,7 +969,7 @@ def _parser():
     parser.add_argument("--input", default="-", help="config JSON file, or - for stdin")
     parser.add_argument("--output", default="-", help="output file, or - for stdout")
     parser.add_argument("--format", choices=("json", "csv"), default=None)
-    parser.add_argument("--tol", type=_finite(float), default=None,
+    parser.add_argument("--tol", type=float, default=None,
                         help="residual/projection tolerance override")
     parser.add_argument("--seed", type=int, default=0,
                         help="seed for randomized sampling tasks")
@@ -990,6 +978,9 @@ def _parser():
 
 def main(argv=None) -> int:
     args = _parser().parse_args(argv)
+    # a NaN tolerance would pass every check, a negative one fail them all
+    if args.tol is not None and not 0 <= args.tol <= sys.float_info.max:
+        _parser().error(f"argument --tol: not a finite number, 0 or more: {args.tol!r}")
 
     def fail(code, exc):
         json.dump({"error": {"type": type(exc).__name__, "message": str(exc)}},

@@ -2756,7 +2756,7 @@ def _record_variants(monkeypatch):
     written."""
     seen = set()
     kinds = _row_kinds()
-    for name in ("text", "csv_row"):
+    for name in ("text", "csv_line"):
         def record(row, values, variant, write=getattr(bhm.cli._Row, name)):
             seen.add((kinds.get(id(row)), variant))
             return write(row, values, variant)

@@ -282,9 +282,10 @@ class TestSchemaAndExitCodes:
         assert proc.stdout == b""
         assert json.loads(proc.stderr)["error"]["type"] == "ExprSchemaError"
 
-    @pytest.mark.parametrize("tol", ["nan", "inf"])
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
     def test_exit_code_2_on_non_finite_tol(self, tol):
-        # a NaN tolerance would pass every not-in-slice check
+        # a NaN tolerance would pass every not-in-slice check, a negative
+        # one fail them all
         proc = run_main({"task": "solve", "data": RADIAL, "points": [[0, 1, 0]]},
                         "--tol", tol)
         assert proc.returncode == 2
@@ -313,10 +314,10 @@ class TestSchemaAndExitCodes:
                                                                capsys):
         # crafted slice rows: finite rows, then a NaN, an inf and a -inf in
         # later rows, the rows written a block of `chunk` rows at a time
-        # (None: all at once)
+        # (None: all at once); a row's values in _SLICE's order: q, value,
+        # x, branch and the residuals
         def row(q0, harmonic):
-            return [0.5, 1.0, -0.25, 1, q0, 0.0, 1.5, -2.0, 1.0, 5e-324, "regular", harmonic,
-                    1e-9]
+            return [q0, 0.0, 1.5, -2.0, 1.0, 5e-324, 0.5, 1.0, -0.25, 1, harmonic, 1e-9]
 
         finite = [row(0.5, 1e-9), row(-0.5, 2e-9), row(1e300, 0.0)]
 
@@ -325,7 +326,8 @@ class TestSchemaAndExitCodes:
                 report.begin(cli._SLICE.header)
                 size = chunk or len(rows)
                 for i in range(0, len(rows), size):
-                    report.extend(rows[i:i + size])
+                    report.extend([cli._SLICE.csv_line(r, ("regular", False, True))
+                                   for r in rows[i:i + size]])
 
             monkeypatch.setitem(cli._RUNNERS, "slice", crafted)
             return main_in_process({"task": "slice"}, monkeypatch, capsys, "--format", "csv")

@@ -36,6 +36,8 @@ def test_the_harness_finds_a_planted_mutation(tmp_path):
     mutant = _copy(tmp_path, "mutant", _MUTATION)
     failures, differ = differential.compare(differential.REPO, mutant, differential.EDGE_CASES)
     assert differ and failures
-    # listed as meant to differ, the same difference passes
+    # listed as meant to differ, the same difference passes, and a listed
+    # config of another run (seeded configs) is not read
+    other_run = differential.configs(2, 1)[len(differential.EDGE_CASES):]
     assert differential.compare(differential.REPO, mutant, differential.EDGE_CASES,
-                                differ)[0] == []
+                                differ + other_run)[0] == []

@@ -23,7 +23,7 @@ from unittest import mock
 
 from hypothesis import given, settings, strategies as st
 
-from bhm import cli, holo
+from bhm import cli, errors, holo
 
 # caps patched small: each is drawn at and past its limit
 CAP_POINTS = 12
@@ -204,7 +204,18 @@ def _assert_contract(code, out, err, fmt):
         assert out == ""
         lines = err.splitlines()
         assert len(lines) == 1, err
-        assert set(json.loads(lines[0])) == {"error"}
+        report = json.loads(lines[0])
+        assert set(report) == {"error"}
+        error = report["error"]
+        if code == 3:
+            # a named domain error, or a non-finite value in the report: no
+            # bare OverflowError or numpy error reaches the user
+            assert isinstance(getattr(errors, error["type"], None), type) or (
+                error["type"] == "ValueError"
+                and error["message"].startswith("non-finite value")), error
+        else:
+            assert error["type"] in ("ExprSchemaError", "JSONDecodeError",
+                                     "RecursionError"), error
         return
     assert err == ""
     if fmt == "csv":

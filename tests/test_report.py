@@ -2,9 +2,9 @@
 of the row's dict, and its CSV row equals the dict's CSV row."""
 
 import contextlib
-import csv
 import io
 import json
+import math
 import random
 from unittest import mock
 
@@ -32,15 +32,20 @@ def _dumps(obj):
 
 
 class _Values:
-    """A row's values, drawn in order, read back field by field."""
+    """A row's values, drawn in order, read back field by field: each float
+    is held as itself or as its repr, the text ``_block_rows`` hands over
+    for a block whose values repeat (``at``: the floats' indices)."""
 
     def __init__(self, data):
         self.data = data
         self.values = []
+        self.at = []
 
     def floats(self, n):
         out = self.data.draw(st.lists(_FLOATS, min_size=n, max_size=n))
-        self.values += out
+        as_text = self.data.draw(st.lists(st.booleans(), min_size=n, max_size=n))
+        self.at += range(len(self.values), len(self.values) + n)
+        self.values += [repr(x) if text else x for x, text in zip(out, as_text)]
         return out
 
     def count(self):
@@ -65,11 +70,25 @@ def _fibre(values, tag, n_samples):
 
 
 def _csv(row, variant, kind):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(kind.header)
-    writer.writerow(kind.csv_row(list(row), variant))
-    return out.getvalue()
+    return ",".join(kind.header) + "\n" + kind.csv_line(list(row), variant)
+
+
+def _assert_non_finite_found(v, kind, variant):
+    """A non-finite value, a float or its repr, planted at a drawn float
+    field of the row is the first match of the report's pattern in the
+    row's JSON text and CSV line, at that field's place, where the text
+    reads that field; the row as drawn gives no match."""
+    i = v.data.draw(st.sampled_from(v.at))
+    bad = v.data.draw(st.sampled_from([math.inf, -math.inf, math.nan]))
+    planted, marked = list(v.values), list(v.values)
+    planted[i] = v.data.draw(st.sampled_from([bad, repr(bad)]))
+    marked[i] = "@"
+    for render in [kind.text, kind.csv_line] if kind.header else [kind.text]:
+        assert cli._NON_FINITE.search(render(list(v.values), variant)) is None
+        at = render(marked, variant).find("@")
+        found = cli._NON_FINITE.search(render(planted, variant))
+        assert (found and (found.start(), found.group())) == (
+            (at, repr(bad)) if at >= 0 else None)
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -95,6 +114,7 @@ def test_solve_root_text_and_csv_are_the_dicts(data, flags):
     assert cli._ROOT.text(list(v.values), flags) == _dumps(root)
     report = {"task": "solve", "results": [{"point": point, "roots": [root]}]}
     assert _csv(v.values, flags, cli._ROOT) == rr.csv_text("solve", report)
+    _assert_non_finite_found(v, cli._ROOT, flags)
     # a point's values are written with no -0.0
     assert cli._POINT % cli._point(complex(*p) for p in point) == \
         _dumps({"point": [[rr.f(x) for x in p] for p in point], "roots": []})[:-2]
@@ -110,6 +130,7 @@ def test_fibres_row_text_and_csv_are_the_dicts(data, tag, n_samples):
     assert kind.text(list(v.values), (tag,)) == _dumps(row)
     report = {"task": "fibres", "results": [row]}
     assert _csv(v.values, (tag,), kind) == rr.csv_text("fibres", report)
+    _assert_non_finite_found(v, kind, (tag,))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -126,6 +147,7 @@ def test_verify_points_root_text_is_the_dict(data, gradient, cls):
         root["fd"] = {"laplacian": fd_laplacian, "nullness": fd_nullness, "cr": cr,
                       "class": cls, "lambda": lam}
     assert cli._CHECKED_ROOT.text(list(v.values), (gradient, cls)) == _dumps(root)
+    _assert_non_finite_found(v, cli._CHECKED_ROOT, (gradient, cls))
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None)
@@ -135,6 +157,7 @@ def test_verify_samples_row_text_is_the_dict(data, tag, on_fibre):
     row = {"q": v.floats(4), "z": _pairs(v.floats(6)), "residual": v.floats(1)[0],
            "tag": cli._TAG_NAMES[tag], "on_fibre": on_fibre}
     assert cli._SAMPLE.text(list(v.values), (tag, on_fibre)) == _dumps(row)
+    _assert_non_finite_found(v, cli._SAMPLE, (tag, on_fibre))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
@@ -157,6 +180,7 @@ def test_slice_row_text_and_csv_are_the_dicts(data, cls, degenerate, outcome):
     assert cli._SLICE.text(list(v.values), variant) == _dumps(row)
     report = {"task": "slice", "results": [row]}
     assert _csv(v.values, variant, cli._SLICE) == rr.csv_text("slice", report)
+    _assert_non_finite_found(v, cli._SLICE, variant)
 
 
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
